@@ -46,13 +46,12 @@ from .geometry import (
     gauss_legendre,
     partition_feature_boundary,
 )
-from .linalg import DenseMatrix, SparseMatrix, csr_from_triplets, dense_lu_solve, solve_spd
+from .linalg import dense_lu_solve, solve_spd
 from .mesh import (
     Mesh,
     VertexPatch,
     generate_unit_square,
     generate_with_rect_features,
-    locate_point,
     read_mesh,
     uniform_refine,
     vertex_patches,

@@ -25,7 +25,6 @@ def _add_common(p):
         default="csv,json",
         help="comma-separated outputs: csv,json,vtk",
     )
-    p.add_argument("--threads", type=int, default=1, help="sweep worker threads")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -93,7 +92,7 @@ def _emit(results, doc, args):
 
 def _run_config(doc, args):
     specs = cfg.specs_from_config(doc)
-    results = run.run_sweep(specs, threads=args.threads)
+    results = run.run_sweep(specs)
     _emit(results, doc, args)
     return results
 

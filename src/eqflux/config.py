@@ -47,7 +47,11 @@ def _compile_expr(text, extra=()):
 
 
 def scalar_expression(value, params=None):
-    """Turn a config value into a data callable of (x, y[, nx, ny])."""
+    """Turn a config value into a data callable of (x, y[, nx, ny]).
+
+    The callable is evaluated elementwise on coordinate arrays, so Python
+    conditionals (``and``/``or``/``if``) fail there; they belong to predicates.
+    """
     if isinstance(value, (int, float)):
         return float(value)
     if not isinstance(value, str):

@@ -11,6 +11,7 @@ import inspect
 from dataclasses import dataclass, field
 
 import numpy as np
+import scipy.sparse
 
 from . import linalg
 from .geometry import DomainSpec, FeatureSpec, _point_on_segment, gauss_legendre
@@ -101,17 +102,33 @@ class CompositeField:
         return out
 
 
-def _call_data(fn, x, y, nx=None, ny=None):
-    """Evaluate a scalar data function; accepts (x, y) or (x, y, nx, ny)."""
-    if np.isscalar(fn) or isinstance(fn, (int, float)):
-        return float(fn)
+def eval_data(fn, pts, normals=None) -> np.ndarray:
+    """Scalar data at points, shape (N,).
+
+    ``fn`` is a number or a callable evaluated once on coordinate arrays:
+    ``fn(x, y)``, or ``fn(x, y, nx, ny)`` when it takes four arguments and
+    ``normals`` are given.  A scalar result is broadcast to every point;
+    errors propagate.
+    """
+    pts = np.asarray(pts, dtype=float).reshape(-1, 2)
+    n = len(pts)
+    if np.isscalar(fn):
+        return np.full(n, float(fn))
     try:
         nargs = len(inspect.signature(fn).parameters)
     except (TypeError, ValueError):
         nargs = 2
-    if nargs >= 4 and nx is not None:
-        return fn(x, y, nx, ny)
-    return fn(x, y)
+    if nargs >= 4 and normals is not None:
+        nrm = np.asarray(normals, dtype=float).reshape(-1, 2)
+        out = fn(pts[:, 0], pts[:, 1], nrm[:, 0], nrm[:, 1])
+    else:
+        out = fn(pts[:, 0], pts[:, 1])
+    out = np.asarray(out, dtype=float)
+    if out.ndim == 0:
+        return np.full(n, float(out))
+    if out.shape != (n,):
+        raise ValueError(f"data returned shape {out.shape} for {n} points")
+    return out
 
 
 @dataclass
@@ -152,37 +169,33 @@ def quad_points(mesh: Mesh) -> np.ndarray:
 def project_forcing(f, mesh: Mesh) -> np.ndarray:
     """Elementwise L2 projection of the forcing onto P1, degree-4 quadrature."""
     pts = quad_points(mesh)
-    fx = _eval_on_points(f, pts.reshape(-1, 2)).reshape(mesh.n_triangles, len(TRI_QW))
+    fx = eval_data(f, pts.reshape(-1, 2)).reshape(mesh.n_triangles, len(TRI_QW))
     # moments m_q = area * sum_w w f(x_w) lam_q(x_w)
     m = np.einsum("tw,w,wq->tq", fx, TRI_QW, TRI_QP) * mesh.areas[:, None]
     return np.einsum("qk,tk->tq", _M3_INV, m) / mesh.areas[:, None]
 
 
-def _eval_on_points(fn, pts):
-    if np.isscalar(fn) or isinstance(fn, (int, float)):
-        return np.full(len(pts), float(fn))
-    x, y = pts[:, 0], pts[:, 1]
-    try:
-        out = np.asarray(fn(x, y), dtype=float)
-        if out.shape == x.shape:
-            return out
-    except Exception:
-        pass
-    return np.array([float(fn(float(px), float(py))) for px, py in pts])
+def _project_edge_data(mesh: Mesh, edges, datums) -> np.ndarray:
+    """P1 projection of each boundary edge's datum, shape (len(edges), 2).
 
-
-def _project_edge_datum(g, mesh: Mesh, e: int) -> np.ndarray:
-    """P1 projection of g on edge e; returns endpoint values (s=0, s=1)."""
-    i, j = mesh.edge_vertices[e]
-    a, b = mesh.vertices[i], mesh.vertices[j]
-    n_out = mesh.edge_outward_sign[e] * mesh.edge_normals[e]
-    pts = a[None, :] + _GL4_X[:, None] * (b - a)[None, :]
-    gv = np.array(
-        [_call_data(g, p[0], p[1], n_out[0], n_out[1]) for p in pts], dtype=float
-    )
-    m0 = float(np.sum(_GL4_W * gv * (1.0 - _GL4_X)))
-    m1 = float(np.sum(_GL4_W * gv * _GL4_X))
-    return np.array([4.0 * m0 - 2.0 * m1, -2.0 * m0 + 4.0 * m1])
+    Rows are endpoint values (s=0, s=1) in the global edge orientation; the
+    data see the outward normal.  Each distinct datum is evaluated once.
+    """
+    edges = np.asarray(edges, dtype=np.int64)
+    out = np.zeros((len(edges), 2))
+    for g in {id(g): g for g in datums}.values():
+        sel = np.array([d is g for d in datums])
+        e = edges[sel]
+        a = mesh.vertices[mesh.edge_vertices[e, 0]]
+        b = mesh.vertices[mesh.edge_vertices[e, 1]]
+        n_out = mesh.edge_outward_sign[e, None] * mesh.edge_normals[e]
+        pts = a[:, None, :] + _GL4_X[None, :, None] * (b - a)[:, None, :]
+        nrm = np.repeat(n_out, len(_GL4_X), axis=0)
+        gv = eval_data(g, pts.reshape(-1, 2), nrm).reshape(len(e), len(_GL4_X))
+        m0 = np.sum(_GL4_W * gv * (1.0 - _GL4_X), axis=1)
+        m1 = np.sum(_GL4_W * gv * _GL4_X, axis=1)
+        out[sel] = np.stack([4.0 * m0 - 2.0 * m1, -2.0 * m0 + 4.0 * m1], axis=1)
+    return out
 
 
 def _gamma0_footprints(domain: DomainSpec, include=None):
@@ -219,7 +232,7 @@ def project_data(domain: DomainSpec, mesh: Mesh, include=None) -> ProblemData:
                         return feat.neumann_g0
         return None
 
-    dir_edges, neu_edges, gn = [], [], []
+    dir_edges, neu_edges, datums = [], [], []
     for e in mesh.boundary_edge_ids:
         e = int(e)
         m = mesh.edge_markers[e]
@@ -237,26 +250,19 @@ def project_data(domain: DomainSpec, mesh: Mesh, include=None) -> ProblemData:
             feat = feat_by_id[m.feature_id]
             g = feat.neumann_g0 if m.part == "gamma0" else feat.neumann_g
         neu_edges.append(e)
-        gn.append(_project_edge_datum(g, mesh, e))
+        datums.append(g)
 
     dir_vertices = sorted(
         {int(v) for e in dir_edges for v in mesh.edge_vertices[e]}
     )
     dv = np.asarray(dir_vertices, dtype=np.int64)
-    vals = np.array(
-        [
-            _call_data(domain.g_dirichlet, mesh.vertices[v, 0], mesh.vertices[v, 1])
-            for v in dv
-        ],
-        dtype=float,
-    )
     return ProblemData(
         mesh=mesh,
         f_proj=f_proj,
         dirichlet_vertices=dv,
-        dirichlet_values=vals,
+        dirichlet_values=eval_data(domain.g_dirichlet, mesh.vertices[dv]),
         neumann_edges=np.asarray(neu_edges, dtype=np.int64),
-        gn_proj=np.asarray(gn, dtype=float).reshape(-1, 2),
+        gn_proj=_project_edge_data(mesh, neu_edges, datums),
         dirichlet_edges=np.asarray(dir_edges, dtype=np.int64),
     )
 
@@ -272,7 +278,7 @@ def feature_problem_data(
     """
     mesh = feature_mesh
     f_proj = project_forcing(forcing, mesh)
-    dir_edges, neu_edges, gn = [], [], []
+    dir_edges, neu_edges, datums = [], [], []
     for e in mesh.boundary_edge_ids:
         e = int(e)
         m = mesh.edge_markers[e]
@@ -286,7 +292,7 @@ def feature_problem_data(
         else:  # gamma, gammaS, gammaR
             g = feature.neumann_g
         neu_edges.append(e)
-        gn.append(_project_edge_datum(g, mesh, e))
+        datums.append(g)
 
     src = trace_source.mesh
     dir_vertices = sorted({int(v) for e in dir_edges for v in mesh.edge_vertices[e]})
@@ -311,22 +317,21 @@ def feature_problem_data(
         dirichlet_vertices=np.asarray(dir_vertices, dtype=np.int64),
         dirichlet_values=np.asarray(vals, dtype=float),
         neumann_edges=np.asarray(neu_edges, dtype=np.int64),
-        gn_proj=np.asarray(gn, dtype=float).reshape(-1, 2),
+        gn_proj=_project_edge_data(mesh, neu_edges, datums),
         dirichlet_edges=np.asarray(dir_edges, dtype=np.int64),
     )
 
 
-def assemble_stiffness(mesh: Mesh) -> linalg.SparseMatrix:
-    """Galerkin stiffness matrix with exact elementwise integration."""
+def assemble_stiffness(mesh: Mesh) -> scipy.sparse.csr_matrix:
+    """Galerkin stiffness matrix (CSR) with exact elementwise integration."""
     g = mesh.lam_grads  # (T, 3, 2)
     local = np.einsum("tid,tjd,t->tij", g, g, mesh.areas)
     tri = mesh.triangles
     rows = np.repeat(tri, 3, axis=1).reshape(-1)
     cols = np.tile(tri, (1, 3)).reshape(-1)
-    vals = local.reshape(-1)
-    return linalg.csr_from_triplets(
-        mesh.n_vertices, mesh.n_vertices, (rows, cols, vals)
-    )
+    n = mesh.n_vertices
+    coo = scipy.sparse.coo_matrix((local.reshape(-1), (rows, cols)), shape=(n, n))
+    return coo.tocsr()
 
 
 def assemble_load(mesh: Mesh, data: ProblemData) -> np.ndarray:
@@ -341,13 +346,6 @@ def assemble_load(mesh: Mesh, data: ProblemData) -> np.ndarray:
         b[i] += L * (c0 / 3.0 + c1 / 6.0)
         b[j] += L * (c0 / 6.0 + c1 / 3.0)
     return b
-
-
-def galerkin_residual(field: ScalarField, data: ProblemData) -> np.ndarray:
-    """Residual of the discrete weak form against every hat function."""
-    A = assemble_stiffness(field.mesh)
-    b = assemble_load(field.mesh, data)
-    return b - A.matvec(field.nodal_values)
 
 
 def solve_poisson(
@@ -374,17 +372,11 @@ def solve_poisson(
         raise ValueError(f"unknown gauge {gauge!r}")
 
     free = np.where(~fixed)[0]
-    index_of = np.full(mesh.n_vertices, -1, dtype=np.int64)
-    index_of[free] = np.arange(len(free))
-    sp = A.to_scipy()
-    bf = b[free] - sp[free][:, fixed] @ u[fixed]
-    Aff = sp[free][:, free].tocoo()
-    Ared = linalg.csr_from_triplets(
-        len(free), len(free), (Aff.row, Aff.col, Aff.data)
-    )
-    u[free] = linalg.solve_spd(Ared, bf, tol=tol)
+    rows = A[free]
+    bf = b[free] - rows[:, fixed] @ u[fixed]
+    u[free] = linalg.solve_spd(rows[:, free], bf, tol=tol)
 
-    res = b - sp @ u
+    res = b - A @ u
     scale = np.linalg.norm(b) or 1.0
     if np.linalg.norm(res[free]) > 1e-10 * scale:
         raise linalg.SolverError(
@@ -415,16 +407,6 @@ def solve_feature_problem(
     return solve_poisson(feature_mesh, data, tol=tol)
 
 
-def gradient_on_triangle(field: ScalarField, t: int) -> np.ndarray:
-    vals = field.nodal_values[field.mesh.triangles[t]]
-    return vals @ field.mesh.lam_grads[t]
-
-
-def energy_norm(field: ScalarField) -> float:
-    g = field.gradients()
-    return float(np.sqrt(np.sum(field.mesh.areas * np.einsum("td,td->t", g, g))))
-
-
 def energy_error_cross_mesh(coarse, reference: ScalarField, triangle_mask=None) -> float:
     """Energy norm of (reference − coarse) by quadrature on the fine mesh.
 
@@ -441,21 +423,6 @@ def energy_error_cross_mesh(coarse, reference: ScalarField, triangle_mask=None) 
     diff = gr - gc
     err2 = np.einsum("t,q,tqd,tqd->", fine.areas[tris], TRI_QW, diff, diff)
     return float(np.sqrt(err2))
-
-
-def prolong_uniform(field: ScalarField, fine: Mesh) -> ScalarField:
-    """Inject a P1 field into the uniform refinement of its mesh."""
-    parent = getattr(fine, "_refine_parent", None)
-    if parent is not field.mesh:
-        raise ValueError("fine mesh is not the uniform refinement of the field's mesh")
-    coarse = field.mesh
-    vals = np.empty(fine.n_vertices)
-    vals[: coarse.n_vertices] = field.nodal_values
-    ev = coarse.edge_vertices
-    vals[coarse.n_vertices :] = 0.5 * (
-        field.nodal_values[ev[:, 0]] + field.nodal_values[ev[:, 1]]
-    )
-    return ScalarField(fine, vals)
 
 
 # -- export ------------------------------------------------------------------

@@ -76,10 +76,6 @@ class RTSpace:
     tri_dofs: np.ndarray  # (T, 8) global DOF ids
 
     @property
-    def n_edge_dofs(self) -> int:
-        return 2 * self.mesh.n_edges
-
-    @property
     def total_dofs(self) -> int:
         return 2 * self.mesh.n_edges + 2 * self.mesh.n_triangles
 
@@ -200,11 +196,9 @@ class FluxField:
 class PatchMixedSystem:
     """Assembled saddle-point system of one patch problem."""
 
-    patch: VertexPatch
     flux_dofs: np.ndarray  # free global flux DOFs (solved for)
     prescribed: dict  # global DOF -> value (eliminated)
-    multiplier_dofs: int  # number of multiplier unknowns
-    matrix: linalg.DenseMatrix
+    matrix: np.ndarray
     rhs: np.ndarray
     mean_constraint: bool
 
@@ -302,11 +296,9 @@ def assemble_patch_system(
             A[lam_rows, n - 1] += c
             A[n - 1, lam_rows] += c
     return PatchMixedSystem(
-        patch=patch,
         flux_dofs=free,
         prescribed=prescribed,
-        multiplier_dofs=nlam,
-        matrix=linalg.DenseMatrix.from_array(A),
+        matrix=A,
         rhs=rhs,
         mean_constraint=mean_constraint,
     )
@@ -404,36 +396,35 @@ def flux_normal_trace(flux: FluxField, q: CurveQuadrature) -> np.ndarray:
     return flux.normal_trace(q.nodes, q.node_tris, q.normals)
 
 
+def _edge_traces(flux: FluxField, edges, tris, normals) -> np.ndarray:
+    """Normal traces at the degree-4 nodes of edges, seen from the triangles
+    ``tris``; shape (len(edges), 4)."""
+    mesh = flux.space.mesh
+    G = len(_GLX)
+    a = mesh.vertices[mesh.edge_vertices[edges, 0]]
+    b = mesh.vertices[mesh.edge_vertices[edges, 1]]
+    pts = a[:, None, :] + _GLX[None, :, None] * (b - a)[:, None, :]
+    tr = flux.normal_trace(
+        pts.reshape(-1, 2), np.repeat(tris, G), np.repeat(normals, G, axis=0)
+    )
+    return tr.reshape(-1, G)
+
+
 def neumann_trace_defect(flux: FluxField, data: ProblemData) -> float:
     """max |sigma·n_out + gN_proj| over degree-4 nodes of all Neumann edges."""
     mesh = flux.space.mesh
-    worst = 0.0
-    for k, e in enumerate(data.neumann_edges):
-        e = int(e)
-        i, j = mesh.edge_vertices[e]
-        a, b = mesh.vertices[i], mesh.vertices[j]
-        pts = a[None, :] + _GLX[:, None] * (b - a)[None, :]
-        t = mesh.boundary_edge_triangle(e)
-        n_out = mesh.edge_outward_sign[e] * mesh.edge_normals[e]
-        tr = flux.normal_trace(pts, np.full(len(pts), t), np.tile(n_out, (len(pts), 1)))
-        gn = data.gn_proj[k, 0] * (1.0 - _GLX) + data.gn_proj[k, 1] * _GLX
-        worst = max(worst, float(np.abs(tr + gn).max()))
-    return worst
+    e = np.asarray(data.neumann_edges, dtype=np.int64)
+    tris = mesh.edge_tris[e].max(axis=1)  # the outside neighbour is -1
+    n_out = mesh.edge_outward_sign[e, None] * mesh.edge_normals[e]
+    gn = data.gn_proj[:, :1] * (1.0 - _GLX) + data.gn_proj[:, 1:] * _GLX
+    return float(np.abs(_edge_traces(flux, e, tris, n_out) + gn).max(initial=0.0))
 
 
 def interior_jump(flux: FluxField) -> float:
     """max normal-trace jump across interior edges at degree-4 edge nodes."""
     mesh = flux.space.mesh
-    worst = 0.0
-    for e in range(mesh.n_edges):
-        t0, t1 = mesh.edge_tris[e]
-        if t0 < 0 or t1 < 0:
-            continue
-        i, j = mesh.edge_vertices[e]
-        a, b = mesh.vertices[i], mesh.vertices[j]
-        pts = a[None, :] + _GLX[:, None] * (b - a)[None, :]
-        nrm = np.tile(mesh.edge_normals[e], (len(pts), 1))
-        tr0 = flux.normal_trace(pts, np.full(len(pts), t0), nrm)
-        tr1 = flux.normal_trace(pts, np.full(len(pts), t1), nrm)
-        worst = max(worst, float(np.abs(tr0 - tr1).max()))
-    return worst
+    e = np.where(mesh.edge_tris.min(axis=1) >= 0)[0]
+    t0, t1 = mesh.edge_tris[e].T
+    nrm = mesh.edge_normals[e]
+    jump = _edge_traces(flux, e, t0, nrm) - _edge_traces(flux, e, t1, nrm)
+    return float(np.abs(jump).max(initial=0.0))

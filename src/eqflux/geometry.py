@@ -13,7 +13,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .mesh import EdgeMarker, Mesh, _lattice_mesh
+from .mesh import EdgeMarker, Mesh, _grid_index, _lattice_mesh, _on_unit_square_boundary
 
 NEGATIVE_INTERNAL = "negative_internal"
 NEGATIVE_BOUNDARY = "negative_boundary"
@@ -27,16 +27,12 @@ class GeometryError(ValueError):
     """Inconsistent feature/domain geometry."""
 
 
-def _zero(x, y):
-    return 0.0
-
-
 @dataclass
 class ExtensionSpec:
     """Simple extension of a positive feature (the feature is a subset)."""
 
     polygon: np.ndarray
-    neumann_g_tilde: object = _zero
+    neumann_g_tilde: object = 0.0
 
     def __post_init__(self):
         self.polygon = np.asarray(self.polygon, dtype=float)
@@ -54,8 +50,8 @@ class FeatureSpec:
     id: int
     kind: str
     polygon: np.ndarray
-    neumann_g: object = _zero
-    neumann_g0: object = _zero
+    neumann_g: object = 0.0
+    neumann_g0: object = 0.0
     extension: ExtensionSpec | None = None
 
     def __post_init__(self):
@@ -77,9 +73,9 @@ class DomainSpec:
     base: object = "unit_square"  # "unit_square" or a Mesh
     features: list = field(default_factory=list)
     dirichlet: object = None  # predicate (x, y) -> bool; None = everywhere
-    f: object = _zero
-    g_dirichlet: object = _zero
-    g_neumann: object = _zero  # outer Neumann datum
+    f: object = 0.0
+    g_dirichlet: object = 0.0
+    g_neumann: object = 0.0  # outer Neumann datum
 
 
 def _polygon_area(poly):
@@ -124,15 +120,6 @@ def gauss_legendre(order: int):
 
 
 # -- point-on-boundary predicates ------------------------------------------
-
-
-def _on_unit_square_boundary(p, tol=_TOL):
-    x, y = p
-    inx = -tol <= x <= 1 + tol
-    iny = -tol <= y <= 1 + tol
-    return (inx and (abs(y) <= tol or abs(y - 1) <= tol)) or (
-        iny and (abs(x) <= tol or abs(x - 1) <= tol)
-    )
 
 
 def _point_on_segment(p, a, b, tol=_TOL):
@@ -305,9 +292,7 @@ class CurveQuadrature:
     sub-segment normal (the tangent rotated by −90°).
     """
 
-    seg_points: np.ndarray  # (S, 2, 2)
     seg_tris: np.ndarray  # (S,)
-    seg_normals: np.ndarray  # (S, 2)
     nodes: np.ndarray  # (N, 2)
     weights: np.ndarray  # (N,)
     normals: np.ndarray  # (N, 2)
@@ -369,7 +354,7 @@ def clip_curve_to_mesh(polylines, mesh: Mesh, gauss_order: int = 4) -> CurveQuad
     if isinstance(polylines, np.ndarray) and polylines.ndim == 2:
         polylines = [polylines]
     gx, gw = gauss_legendre(gauss_order)
-    seg_pts, seg_tri, seg_nrm = [], [], []
+    seg_tri = []
     nodes, weights, normals, node_tris = [], [], [], []
     for line in polylines:
         line = np.asarray(line, dtype=float)
@@ -396,9 +381,7 @@ def clip_curve_to_mesh(polylines, mesh: Mesh, gauss_order: int = 4) -> CurveQuad
                 tri = hit[0]
                 a = P + t0 * d
                 b = P + t1 * d
-                seg_pts.append((a, b))
                 seg_tri.append(tri)
-                seg_nrm.append(normal)
                 sublen = (t1 - t0) * L
                 for q in range(gauss_order):
                     nodes.append(a + gx[q] * (b - a))
@@ -406,9 +389,7 @@ def clip_curve_to_mesh(polylines, mesh: Mesh, gauss_order: int = 4) -> CurveQuad
                     normals.append(normal)
                     node_tris.append(tri)
     return CurveQuadrature(
-        seg_points=np.asarray(seg_pts, dtype=float).reshape(-1, 2, 2),
         seg_tris=np.asarray(seg_tri, dtype=np.int64),
-        seg_normals=np.asarray(seg_nrm, dtype=float).reshape(-1, 2),
         nodes=np.asarray(nodes, dtype=float).reshape(-1, 2),
         weights=np.asarray(weights, dtype=float),
         normals=np.asarray(normals, dtype=float).reshape(-1, 2),
@@ -437,16 +418,8 @@ def feature_mesh(feature: FeatureSpec, n: int, domain: DomainSpec | None = None)
     ys = sorted(set(np.round(p[:, 1], 12)))
     if len(xs) != 2 or len(ys) != 2:
         raise GeometryError("built-in feature meshing needs an axis-aligned rectangle")
-
-    def gi(v, what):
-        g = v * n
-        k = round(g)
-        if abs(g - k) > 1e-9:
-            raise GeometryError(f"{what} = {v} is not aligned to the 1/{n} grid")
-        return int(k)
-
-    i0, i1 = gi(xs[0], "feature x0"), gi(xs[1], "feature x1")
-    j0, j1 = gi(ys[0], "feature y0"), gi(ys[1], "feature y1")
+    i0, i1 = _grid_index(xs[0], n, "feature x0"), _grid_index(xs[1], n, "feature x1")
+    j0, j1 = _grid_index(ys[0], n, "feature y0"), _grid_index(ys[1], n, "feature y1")
     ids = {}
     coords = []
     for j in range(j0, j1 + 1):

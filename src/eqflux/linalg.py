@@ -1,23 +1,21 @@
-"""Minimal sparse/dense linear algebra used by the FEM and flux modules.
+"""Solver contracts used by the FEM and flux modules.
 
-CSR matrices back the global Galerkin systems; small dense LU solves back
-the per-patch saddle-point systems.  Heavy lifting is delegated to
-scipy behind the contracts below.
+scipy.sparse matrices back the global Galerkin systems; small dense LU solves
+back the per-patch saddle-point systems.  Heavy lifting is delegated to scipy
+behind the contracts below.
 """
 
 from __future__ import annotations
 
 import warnings
-from dataclasses import dataclass
 
 import numpy as np
 import scipy.linalg
-import scipy.sparse
 import scipy.sparse.linalg
 
 
 class ConstructionError(ValueError):
-    """Invalid data handed to a matrix constructor."""
+    """Operands of a solve have inconsistent shapes."""
 
 
 class SolverError(RuntimeError):
@@ -35,95 +33,9 @@ class SingularSystemError(RuntimeError):
     """Dense factorization hit a pivot below the singularity threshold."""
 
 
-@dataclass(frozen=True)
-class SparseMatrix:
-    """CSR matrix with canonical, duplicate-free storage.
-
-    Within each row the column indices are strictly increasing; duplicate
-    triplets are summed at construction time.
-    """
-
-    n_rows: int
-    n_cols: int
-    row_offsets: np.ndarray
-    col_indices: np.ndarray
-    values: np.ndarray
-
-    @property
-    def nnz(self) -> int:
-        return len(self.values)
-
-    def to_scipy(self) -> scipy.sparse.csr_matrix:
-        return scipy.sparse.csr_matrix(
-            (self.values, self.col_indices, self.row_offsets),
-            shape=(self.n_rows, self.n_cols),
-        )
-
-    def matvec(self, x) -> np.ndarray:
-        return self.to_scipy() @ np.asarray(x, dtype=float)
-
-    def toarray(self) -> np.ndarray:
-        return self.to_scipy().toarray()
-
-
-@dataclass(frozen=True)
-class DenseMatrix:
-    """Row-major dense matrix used for patch saddle-point systems."""
-
-    n_rows: int
-    n_cols: int
-    values: np.ndarray
-
-    @classmethod
-    def from_array(cls, a) -> "DenseMatrix":
-        a = np.asarray(a, dtype=float)
-        if a.ndim != 2:
-            raise ConstructionError("dense matrix needs a 2D array")
-        return cls(a.shape[0], a.shape[1], a.reshape(-1).copy())
-
-    def to_array(self) -> np.ndarray:
-        return self.values.reshape(self.n_rows, self.n_cols)
-
-
-def csr_from_triplets(n_rows, n_cols, triplets) -> SparseMatrix:
-    """Build a canonical CSR matrix from (row, col, value) triplets.
-
-    ``triplets`` is either an iterable of 3-tuples or a ``(rows, cols, vals)``
-    tuple of equal-length arrays.  Duplicate entries are summed.
-    """
-    if isinstance(triplets, tuple) and len(triplets) == 3:
-        rows, cols, vals = (np.asarray(t) for t in triplets)
-    else:
-        trip = list(triplets)
-        if trip:
-            arr = np.asarray(trip, dtype=float)
-            rows, cols, vals = arr[:, 0].astype(int), arr[:, 1].astype(int), arr[:, 2]
-        else:
-            rows = cols = np.zeros(0, dtype=int)
-            vals = np.zeros(0)
-    rows = np.asarray(rows, dtype=np.int64)
-    cols = np.asarray(cols, dtype=np.int64)
-    vals = np.asarray(vals, dtype=float)
-    if not (len(rows) == len(cols) == len(vals)):
-        raise ConstructionError("triplet arrays must have equal length")
-    if len(rows) and (rows.min() < 0 or rows.max() >= n_rows):
-        raise ConstructionError(f"row index out of range [0, {n_rows})")
-    if len(cols) and (cols.min() < 0 or cols.max() >= n_cols):
-        raise ConstructionError(f"col index out of range [0, {n_cols})")
-    m = scipy.sparse.coo_matrix((vals, (rows, cols)), shape=(n_rows, n_cols)).tocsr()
-    m.sum_duplicates()
-    m.sort_indices()
-    return SparseMatrix(
-        n_rows,
-        n_cols,
-        m.indptr.astype(np.int64),
-        m.indices.astype(np.int64),
-        m.data.astype(float),
-    )
-
-
-def solve_spd(A: SparseMatrix, b, tol: float = 1e-12, max_iter: int = 200) -> np.ndarray:
-    """Solve a symmetric positive definite system to a relative residual bound.
+def solve_spd(A, b, tol: float = 1e-12, max_iter: int = 200) -> np.ndarray:
+    """Solve a sparse symmetric positive definite system to a relative
+    residual bound.
 
     Uses a sparse LU factorization followed by iterative refinement until
     ``‖Ax − b‖₂ / ‖b‖₂ ≤ tol``.  Raises :class:`SolverError` with the
@@ -133,12 +45,12 @@ def solve_spd(A: SparseMatrix, b, tol: float = 1e-12, max_iter: int = 200) -> np
     if tol <= 0:
         raise ValueError("tol must be positive")
     b = np.asarray(b, dtype=float)
-    if A.n_rows != A.n_cols or A.n_rows != len(b):
+    if A.shape[0] != A.shape[1] or A.shape[0] != len(b):
         raise ConstructionError("shape mismatch in solve_spd")
     nb = np.linalg.norm(b)
     if nb == 0.0:
         return np.zeros_like(b)
-    As = A.to_scipy().tocsc()
+    As = A.tocsc()
     try:
         lu = scipy.sparse.linalg.splu(As)
     except RuntimeError as exc:
@@ -161,14 +73,14 @@ def solve_spd(A: SparseMatrix, b, tol: float = 1e-12, max_iter: int = 200) -> np
     return x
 
 
-def dense_lu_solve(A: DenseMatrix, b) -> np.ndarray:
+def dense_lu_solve(a, b) -> np.ndarray:
     """Solve a square dense system by LU with partial pivoting.
 
     Pivots smaller than ``1e-12 · max|A|`` trigger :class:`SingularSystemError`.
     """
-    a = A.to_array() if isinstance(A, DenseMatrix) else np.asarray(A, dtype=float)
+    a = np.asarray(a, dtype=float)
     b = np.asarray(b, dtype=float)
-    if a.shape[0] != a.shape[1]:
+    if a.ndim != 2 or a.shape[0] != a.shape[1]:
         raise ConstructionError("dense_lu_solve needs a square matrix")
     if a.shape[0] != len(b):
         raise ConstructionError("shape mismatch in dense_lu_solve")

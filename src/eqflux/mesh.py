@@ -127,7 +127,6 @@ class Mesh:
         T = len(self.triangles)
         pairs = {}
         tri_edges = np.empty((T, 3), dtype=np.int64)
-        tri_signs = np.empty((T, 3), dtype=np.int64)
         edge_list = []
         edge_tris = []
         for t in range(T):
@@ -141,8 +140,7 @@ class Mesh:
                     pairs[key] = e
                     edge_list.append(key)
                     edge_tris.append([-1, -1])
-                sign = 1 if a < b else -1
-                side = 0 if sign == 1 else 1
+                side = 0 if a < b else 1
                 if edge_tris[e][side] != -1:
                     raise MeshError(
                         f"edge {key} traversed twice in the same direction "
@@ -150,11 +148,9 @@ class Mesh:
                     )
                 edge_tris[e][side] = t
                 tri_edges[t, loc] = e
-                tri_signs[t, loc] = sign
         self.edge_vertices = np.asarray(edge_list, dtype=np.int64).reshape(-1, 2)
         self.edge_tris = np.asarray(edge_tris, dtype=np.int64).reshape(-1, 2)
         self.triangle_edges = tri_edges
-        self.triangle_edge_signs = tri_signs
         self.n_edges = len(edge_list)
         self._edge_index = pairs
         counts = (self.edge_tris >= 0).sum(axis=1)
@@ -343,10 +339,6 @@ class Mesh:
         return int(tris[0]), bary[0]
 
 
-def locate_point(mesh: Mesh, p, tol: float = 1e-12):
-    return mesh.locate_point(p, tol)
-
-
 def vertex_patches(mesh: Mesh) -> list[VertexPatch]:
     """One patch per vertex: incident triangles and the patch boundary split."""
     v2t = mesh.vertex_to_triangles()
@@ -445,6 +437,15 @@ def _rect_from_polygon(polygon):
     return xs[0], xs[1], ys[0], ys[1]
 
 
+def _on_unit_square_boundary(p, tol=1e-12):
+    x, y = p
+    inx = -tol <= x <= 1 + tol
+    iny = -tol <= y <= 1 + tol
+    return (inx and (abs(y) <= tol or abs(y - 1) <= tol)) or (
+        iny and (abs(x) <= tol or abs(x - 1) <= tol)
+    )
+
+
 def _grid_index(value, n, what):
     g = value * n
     k = round(g)
@@ -534,11 +535,7 @@ def generate_with_rect_features(
             mid = 0.5 * (mesh.vertices[i] + mesh.vertices[j])
             if not (x0 - 1e-12 <= mid[0] <= x1 + 1e-12 and y0 - 1e-12 <= mid[1] <= y1 + 1e-12):
                 continue
-            on_hull = (
-                abs(mid[0]) < 1e-12 or abs(mid[0] - 1) < 1e-12
-                or abs(mid[1]) < 1e-12 or abs(mid[1] - 1) < 1e-12
-            )
-            part = "gamma0" if on_hull else "gamma"
+            part = "gamma0" if _on_unit_square_boundary(mid) else "gamma"
             mesh.edge_markers[e] = EdgeMarker("feature", f.id, part)
             skip.add(e)
     for f, _rng in bumps:
@@ -548,14 +545,10 @@ def generate_with_rect_features(
             mid = 0.5 * (mesh.vertices[i] + mesh.vertices[j])
             if not (x0 - 1e-12 <= mid[0] <= x1 + 1e-12 and y0 - 1e-12 <= mid[1] <= y1 + 1e-12):
                 continue
-            on_hull = (
-                abs(mid[0]) < 1e-12 or abs(mid[0] - 1) < 1e-12
-                or abs(mid[1]) < 1e-12 or abs(mid[1] - 1) < 1e-12
-            ) and (0 - 1e-12 <= mid[0] <= 1 + 1e-12 and 0 - 1e-12 <= mid[1] <= 1 + 1e-12)
             if mesh.is_boundary_edge(e):
                 mesh.edge_markers[e] = EdgeMarker("feature", f.id, "gamma")
                 skip.add(e)
-            elif on_hull:
+            elif _on_unit_square_boundary(mid):
                 mesh.edge_markers[e] = EdgeMarker("feature", f.id, "gamma0")
     _classify_square_boundary(mesh, dirichlet_predicate, skip=skip)
     mesh.validate_markers()
@@ -564,7 +557,7 @@ def generate_with_rect_features(
 
 def uniform_refine(mesh: Mesh) -> Mesh:
     """Split each triangle into 4 by edge midpoints; markers are inherited."""
-    V, E = mesh.n_vertices, mesh.n_edges
+    V = mesh.n_vertices
     coords = np.vstack(
         [mesh.vertices, 0.5 * (mesh.vertices[mesh.edge_vertices[:, 0]]
                                + mesh.vertices[mesh.edge_vertices[:, 1]])]
@@ -586,8 +579,6 @@ def uniform_refine(mesh: Mesh) -> Mesh:
         fine.set_marker(i, mid, marker)
         fine.set_marker(mid, j, marker)
     fine.validate_markers()
-    fine._refine_parent = mesh
-    fine._refine_edge_offset = V
     return fine
 
 

@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -108,17 +107,6 @@ def build_reference(spec: RunSpec) -> fem.ScalarField:
     return fem.solve_poisson(mesh, data, tol=max(spec.solver_tol, 1e-10))
 
 
-def _g_at_nodes(g, quad, flip_normals=False):
-    sgn = -1.0 if flip_normals else 1.0
-    return np.array(
-        [
-            fem._call_data(g, p[0], p[1], sgn * nrm[0], sgn * nrm[1])
-            for p, nrm in zip(quad.nodes, quad.normals)
-        ],
-        dtype=float,
-    )
-
-
 def run_single(spec: RunSpec, reference: fem.ScalarField | None = None) -> RunResult:
     """Solve, reconstruct the flux and evaluate every estimator component.
 
@@ -148,7 +136,7 @@ def run_single(spec: RunSpec, reference: fem.ScalarField | None = None) -> RunRe
             gamma_rev = [line[::-1] for line in reversed(parts["gamma"])]
             q = clip_curve_to_mesh(gamma_rev, mesh, spec.gauss_order)
             ds = est.defect_on_gamma(
-                flux0, q, _g_at_nodes(feat.neumann_g, q), "negative"
+                flux0, q, fem.eval_data(feat.neumann_g, q.nodes, q.normals), "negative"
             )
             comp = est.FeatureEstimate(feat.id, feat.kind, eta_gamma=est.eta_curve(ds))
         else:
@@ -165,7 +153,7 @@ def run_single(spec: RunSpec, reference: fem.ScalarField | None = None) -> RunRe
             ds0 = est.defect_on_gamma(
                 fluxt,
                 q0,
-                _g_at_nodes(feat.neumann_g0, q0, flip_normals=True),
+                fem.eval_data(feat.neumann_g0, q0.nodes, -q0.normals),
                 "positive_gamma0",
             )
             comp = est.FeatureEstimate(
@@ -178,7 +166,10 @@ def run_single(spec: RunSpec, reference: fem.ScalarField | None = None) -> RunRe
             if parts["gammaR"]:
                 qr = clip_curve_to_mesh(parts["gammaR"], fmesh, spec.gauss_order)
                 dsr = est.defect_on_gamma(
-                    fluxt, qr, _g_at_nodes(feat.neumann_g, qr), "positive_gammaR"
+                    fluxt,
+                    qr,
+                    fem.eval_data(feat.neumann_g, qr.nodes, qr.normals),
+                    "positive_gammaR",
                 )
                 comp.eta_gammaR = est.eta_curve(dsr)
             feature_fields[feat.id] = ut
@@ -221,7 +212,7 @@ def _geometry_signature(spec: RunSpec):
     return tuple(parts)
 
 
-def run_sweep(specs: list[RunSpec], threads: int = 1) -> list[RunResult]:
+def run_sweep(specs: list[RunSpec]) -> list[RunResult]:
     """Run a list of sweep points; reference solves are shared per geometry.
 
     When the reference is not per-row it is built once per distinct geometry
@@ -239,17 +230,13 @@ def run_sweep(specs: list[RunSpec], threads: int = 1) -> list[RunResult]:
         if best is None or n_eff > (best.reference.n or best.n or 0):
             refs[sig] = spec
     cache = {sig: build_reference(s) for sig, s in refs.items()}
-
-    def one(spec):
+    results = []
+    for spec in specs:
         ref = None
         if spec.reference is not None and not spec.reference.per_row:
             ref = cache.get(_geometry_signature(spec))
-        return run_single(spec, reference=ref)
-
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            return list(pool.map(one, specs))
-    return [one(spec) for spec in specs]
+        results.append(run_single(spec, reference=ref))
+    return results
 
 
 # -- emission -----------------------------------------------------------------

@@ -8,7 +8,7 @@ from eqflux.cli import main
 from eqflux.estimator import EstimatorReport
 from eqflux.mesh import read_mesh
 from eqflux.presets import PRESET_NAMES, preset_config, snap_eps_to_grid
-from eqflux.run import csv_header, emit_csv, run_single, run_sweep
+from eqflux.run import csv_header, emit_csv, run_single
 
 
 def small_notch_config(reference=None):
@@ -170,15 +170,6 @@ class TestCliCommands:
         lines = (outdir / "t.csv").read_text().strip().split("\n")
         assert len(lines) == 3
         assert lines[1].split(",")[0] == "t-000"
-
-    def test_threaded_sweep_matches_serial(self, tmp_path):
-        doc = small_notch_config()
-        doc["study"] = {"type": "h_sweep", "n": [5, 10]}
-        specs = cfg.specs_from_config(doc)
-        serial = run_sweep(specs, threads=1)
-        threaded = run_sweep(cfg.specs_from_config(doc), threads=2)
-        for a, b in zip(serial, threaded):
-            assert a.report.to_dict() == b.report.to_dict()
 
     def test_solve_outputs(self, tmp_path):
         cfg_path = tmp_path / "c.json"

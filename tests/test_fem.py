@@ -1,7 +1,8 @@
 import numpy as np
 import pytest
-from conftest import duffy_quad
+from conftest import duffy_quad, energy_norm, galerkin_residual, prolong_uniform
 
+from eqflux import config as cfg
 from eqflux import fem
 from eqflux.fem import (
     CoverageError,
@@ -10,12 +11,8 @@ from eqflux.fem import (
     assemble_load,
     assemble_stiffness,
     energy_error_cross_mesh,
-    energy_norm,
     feature_problem_data,
-    galerkin_residual,
-    gradient_on_triangle,
     project_data,
-    prolong_uniform,
     solve_feature_problem,
     solve_poisson,
 )
@@ -84,6 +81,42 @@ class TestProjection:
             i, j = m.edge_vertices[e]
             expect = [g(*m.vertices[i]), g(*m.vertices[j])]
             assert data.gn_proj[k] == pytest.approx(expect, abs=1e-12)
+
+    def test_non_vectorisable_expression_raises(self):
+        # data expressions are evaluated on numpy arrays; a Python conditional
+        # cannot be, and must fail instead of falling back point by point
+        m = generate_unit_square(3)
+        dom = DomainSpec(f=cfg.scalar_expression("1 if x > 0.5 else 0"))
+        with pytest.raises(ValueError, match="truth value"):
+            project_data(dom, m)
+
+
+_PTS = np.array([[0.0, 0.0], [0.5, 0.25], [1.0, 0.75]])
+_NRM = np.array([[1.0, 0.0], [0.0, -1.0], [0.6, 0.8]])
+
+
+@pytest.mark.parametrize(
+    "fn, normals, expect",
+    [
+        (2.5, None, [2.5, 2.5, 2.5]),
+        (lambda x, y: x + 2 * y, None, [0.0, 1.0, 2.5]),
+        (lambda x, y: x + 2 * y, _NRM, [0.0, 1.0, 2.5]),
+        (lambda x, y, nx, ny: x * nx + y * ny, _NRM, [0.0, -0.25, 1.2]),
+        (lambda x, y, nx, ny: x * nx + y * ny, -_NRM, [0.0, 0.25, -1.2]),
+        (lambda x, y: 3.0, None, [3.0, 3.0, 3.0]),
+        (lambda x, y: np.zeros(len(x) + 1), None, ValueError),
+    ],
+    ids=["number", "xy", "xy-ignores-normals", "normals", "flipped-normals",
+         "scalar-broadcast", "wrong-length"],
+)
+def test_eval_data(fn, normals, expect):
+    if expect is ValueError:
+        with pytest.raises(ValueError, match="shape"):
+            fem.eval_data(fn, _PTS, normals)
+        return
+    out = fem.eval_data(fn, _PTS, normals)
+    assert out.shape == (3,)
+    assert out == pytest.approx(expect, abs=1e-15)
 
 
 class TestAssembly:
@@ -255,17 +288,17 @@ class TestGradientsAndNorms:
         m = generate_unit_square(3)
         u = ScalarField(m, 1 + 2 * m.vertices[:, 0] + 3 * m.vertices[:, 1])
         for t in (0, 5, m.n_triangles - 1):
-            assert gradient_on_triangle(u, t) == pytest.approx([2.0, 3.0])
+            assert u.gradients()[t] == pytest.approx([2.0, 3.0])
 
     def test_gradient_zero_field(self):
         m = generate_unit_square(2)
         u = ScalarField(m, np.zeros(m.n_vertices))
-        assert gradient_on_triangle(u, 1) == pytest.approx([0.0, 0.0])
+        assert u.gradients()[1] == pytest.approx([0.0, 0.0])
 
     def test_reference_triangle_hat_gradient(self):
         m = reference_triangle()
         u = ScalarField(m, np.array([0.0, 1.0, 0.0]))
-        assert gradient_on_triangle(u, 0) == pytest.approx([1.0, 0.0])
+        assert u.gradients()[0] == pytest.approx([1.0, 0.0])
 
     def test_injected_field_has_zero_error(self):
         m = generate_unit_square(4, dirichlet_x01)

@@ -1,5 +1,8 @@
+import dataclasses
+
 import numpy as np
 import pytest
+from conftest import interior_jump_loop, neumann_trace_defect_loop
 
 from eqflux.fem import ScalarField, project_data, solve_poisson
 from eqflux.flux import (
@@ -240,3 +243,27 @@ class TestNormalTrace:
         assert flux_divergence_defect(fl, data).max() <= 1e-9 * 2
         assert neumann_trace_defect(fl, data) <= 1e-9
         assert interior_jump(fl) <= 1e-10
+
+
+class TestCertificates:
+    @pytest.mark.parametrize("t", [0, -1])
+    def test_match_edge_loops_on_broken_flux(self, t):
+        # Random DOFs on one triangle whose dual basis is perturbed: the
+        # normal trace then jumps only across that triangle's edges, and its
+        # Neumann edge carries the largest trace defect, so an edge the
+        # batched evaluation skips, or nodes paired with the wrong datum
+        # values, show up as a wrong maximum.
+        m = generate_unit_square(8, dirichlet_x01)
+        g = lambda x, y: 2.0 - 3.0 * x
+        data = project_data(DomainSpec(dirichlet=dirichlet_x01, g_neumann=g), m)
+        sp = build_rt_space(m)
+        rng = np.random.default_rng(5)
+        coeff = sp.coeff.copy()
+        coeff[t] *= 1.0 + 0.1 * rng.standard_normal((8, 8))
+        coef = np.zeros(sp.total_dofs)
+        coef[sp.tri_dofs[t]] = rng.standard_normal(8)
+        fl = FluxField(dataclasses.replace(sp, coeff=coeff), coef)
+        jump, neu = interior_jump(fl), neumann_trace_defect(fl, data)
+        assert jump > 1e-3 and neu > 1e-3
+        assert jump == pytest.approx(interior_jump_loop(fl), rel=1e-12)
+        assert neu == pytest.approx(neumann_trace_defect_loop(fl, data), rel=1e-12)

@@ -19,7 +19,7 @@ from eqflux.geometry import (
     rect_polygon,
     regular_polygon,
 )
-from eqflux.mesh import generate_unit_square
+from eqflux.mesh import MeshError, generate_unit_square
 
 
 class TestGaussLegendre:
@@ -207,6 +207,12 @@ class TestFeatureMesh:
         assert len(m.marked_edges(part="gammaS")) == 2
         # lower halves plus the bottom belong to the extension only
         assert len(m.marked_edges(part="gammaTilde")) == 4
+
+    def test_off_grid_rectangle_rejected(self):
+        bump = FeatureSpec(1, POSITIVE, rect_polygon(0.43, 0.6, -0.2, 0.0))
+        dom = DomainSpec(features=[bump], dirichlet=lambda x, y: abs(x) < 1e-12)
+        with pytest.raises(MeshError, match="1/10 grid"):
+            feature_mesh(bump, 10, dom)
 
     def test_non_positive_rejected(self):
         hole = FeatureSpec(1, NEGATIVE_INTERNAL, rect_polygon(0.3, 0.5, 0.3, 0.5))
