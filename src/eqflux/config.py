@@ -46,17 +46,24 @@ def _compile_expr(text, extra=()):
     return code
 
 
-def scalar_expression(value, params=None):
+def scalar_expression(value, params=None, key="expression", normals=True):
     """Turn a config value into a data callable of (x, y[, nx, ny]).
 
     The callable is evaluated elementwise on coordinate arrays, so Python
     conditionals (``and``/``or``/``if``) fail there; they belong to predicates.
+    Only data evaluated with normals (``normals``: Neumann data) may use
+    ``nx``/``ny``; errors name the config ``key``.
     """
     if isinstance(value, (int, float)):
         return float(value)
     if not isinstance(value, str):
-        raise ConfigError(f"expected number or expression, got {value!r}")
-    code = _compile_expr(value, extra=("x", "y", "nx", "ny"))
+        raise ConfigError(f"{key}: expected number or expression, got {value!r}")
+    names = ("x", "y", "nx", "ny") if normals else ("x", "y")
+    try:
+        code = _compile_expr(value, extra=names)
+    except ConfigError as exc:
+        hint = "" if normals else " (only Neumann data may use the normal nx, ny)"
+        raise ConfigError(f"{key}: {exc}{hint}") from None
     params = dict(params or {})
     if "nx" in code.co_names or "ny" in code.co_names:
 
@@ -132,13 +139,13 @@ def _build_feature(fdoc: dict, params: dict) -> FeatureSpec:
             if "polygon" in edoc
             else _shape_polygon(edoc["shape"], params)
         )
-        ext = ExtensionSpec(epoly, scalar_expression(edoc.get("g_tilde", 0.0), params))
+        ext = ExtensionSpec(epoly, scalar_expression(edoc.get("g_tilde", 0.0), params, "g_tilde"))
     return FeatureSpec(
         id=int(fdoc["id"]),
         kind=fdoc["kind"],
         polygon=polygon,
-        neumann_g=scalar_expression(fdoc.get("g", 0.0), params),
-        neumann_g0=scalar_expression(fdoc.get("g0", 0.0), params),
+        neumann_g=scalar_expression(fdoc.get("g", 0.0), params, "g"),
+        neumann_g0=scalar_expression(fdoc.get("g0", 0.0), params, "g0"),
         extension=ext,
     )
 
@@ -151,9 +158,10 @@ def _build_spec(doc: dict, n: int | None, eps: float | None, run_id: str) -> Run
         base="unit_square",
         features=features,
         dirichlet=predicate_expression(doc.get("dirichlet", "all")),
-        f=scalar_expression(doc.get("f", 0.0), params),
-        g_dirichlet=scalar_expression(doc.get("g_dirichlet", 0.0), params),
-        g_neumann=scalar_expression(doc.get("g_neumann", 0.0), params),
+        f=scalar_expression(doc.get("f", 0.0), params, "f", normals=False),
+        g_dirichlet=scalar_expression(doc.get("g_dirichlet", 0.0), params, "g_dirichlet",
+                                      normals=False),
+        g_neumann=scalar_expression(doc.get("g_neumann", 0.0), params, "g_neumann"),
     )
     mesh = None
     if "external" in doc["mesh"]:

@@ -154,11 +154,6 @@ class ProblemData:
             self._neumann_map = {int(e): k for k, e in enumerate(self.neumann_edges)}
         return self._neumann_map
 
-    def dirichlet_edge_set(self) -> set:
-        if not hasattr(self, "_dirichlet_set"):
-            self._dirichlet_set = set(int(e) for e in self.dirichlet_edges)
-        return self._dirichlet_set
-
 
 def quad_points(mesh: Mesh) -> np.ndarray:
     """Physical degree-4 quadrature points per triangle, shape (T, 6, 2)."""
@@ -295,27 +290,27 @@ def feature_problem_data(
         datums.append(g)
 
     src = trace_source.mesh
-    dir_vertices = sorted({int(v) for e in dir_edges for v in mesh.edge_vertices[e]})
-    vals = []
-    for v in dir_vertices:
-        p = mesh.vertices[v]
-        hit = src.locate_point(p)
-        if hit is None:
-            raise CouplingError(f"gamma0 vertex {p} outside the trace-source mesh")
-        tri, _ = hit
-        d = np.linalg.norm(src.vertices[src.triangles[tri]] - p[None, :], axis=1)
-        k = int(np.argmin(d))
-        if d[k] > 1e-12:
-            raise CouplingError(
-                f"gamma0 vertex {p} does not coincide with a trace-source vertex "
-                f"(nearest at distance {d[k]:.3e})"
-            )
-        vals.append(trace_source.nodal_values[src.triangles[tri][k]])
+    dir_vertices = np.unique(mesh.edge_vertices[np.asarray(dir_edges, dtype=np.int64)])
+    pts = mesh.vertices[dir_vertices]
+    tri, _ = src.locate_points(pts)
+    if (tri < 0).any():
+        p = pts[np.argmax(tri < 0)]
+        raise CouplingError(f"gamma0 vertex {p} outside the trace-source mesh")
+    corners = src.triangles[tri]  # (N, 3)
+    d = np.linalg.norm(src.vertices[corners] - pts[:, None, :], axis=2)
+    k, near = d.argmin(axis=1), d.min(axis=1)
+    if (near > 1e-12).any():
+        j = np.argmax(near > 1e-12)
+        raise CouplingError(
+            f"gamma0 vertex {pts[j]} does not coincide with a trace-source vertex "
+            f"(nearest at distance {near[j]:.3e})"
+        )
+    vals = trace_source.nodal_values[corners[np.arange(len(pts)), k]]
     return ProblemData(
         mesh=mesh,
         f_proj=f_proj,
-        dirichlet_vertices=np.asarray(dir_vertices, dtype=np.int64),
-        dirichlet_values=np.asarray(vals, dtype=float),
+        dirichlet_vertices=dir_vertices,
+        dirichlet_values=vals,
         neumann_edges=np.asarray(neu_edges, dtype=np.int64),
         gn_proj=_project_edge_data(mesh, neu_edges, datums),
         dirichlet_edges=np.asarray(dir_edges, dtype=np.int64),

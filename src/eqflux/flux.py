@@ -192,179 +192,180 @@ class FluxField:
         return interior / sp.mesh.areas[:, None]
 
 
+# Patch systems are solved in stacks of at most this many matrix entries
+# (4 MB of float64), which bounds the memory of one batched factorisation.
+_STACK_ENTRIES = 1 << 19
+
+
 @dataclass
-class PatchMixedSystem:
-    """Assembled saddle-point system of one patch problem."""
+class PatchBatch:
+    """Row layout of a stack of patch mixed systems of one size.
 
-    flux_dofs: np.ndarray  # free global flux DOFs (solved for)
-    prescribed: dict  # global DOF -> value (eliminated)
-    matrix: np.ndarray
-    rhs: np.ndarray
-    mean_constraint: bool
+    Incidence ``i`` is triangle ``tris[i]`` of batch patch ``patch[i]``.  The
+    rows of a system are its free flux DOFs in global order, three
+    multiplier rows per patch triangle, then the mean-value row if ``mean``.
+    """
+
+    vertices: np.ndarray  # (P,) patch vertex
+    mean: np.ndarray  # (P,) mean-value constraint
+    size: int  # rows of each system
+    patch: np.ndarray  # (I,)
+    tris: np.ndarray  # (I,)
+    loc: np.ndarray  # (I,) local index of the patch vertex in the triangle
+    rows: np.ndarray  # (I, 8) row of each triangle DOF, -1 where prescribed
+    prescribed: np.ndarray  # (I, 8) prescribed DOF values, 0 on free DOFs
+    lam_rows: np.ndarray  # (I,) first multiplier row of the triangle
 
 
-def _prescribed_edge_dofs(space, e, vertex, gn, sign):
-    """Moments of the trace -psi_a * gN on a Neumann edge, in global DOFs."""
+def patch_batches(space: RTSpace, patches: list[VertexPatch], data: ProblemData) -> list[PatchBatch]:
+    """Lay out the mixed systems of the patches in batches of one system size,
+    each of at most ``_STACK_ENTRIES`` matrix entries.
+
+    Both moments of a zero edge are prescribed 0; those of a Neumann psi edge
+    are the moments of the trace -psi_a * gN.  A patch without a Dirichlet psi
+    edge (every interior patch) carries the mean-value constraint.
+    """
     mesh = space.mesh
-    i, j = mesh.edge_vertices[e]
-    L = mesh.edge_lengths[e]
-    psi = (1.0 - _GLX) if vertex == int(i) else _GLX
-    gvals = gn[0] * (1.0 - _GLX) + gn[1] * _GLX
-    tr = -sign * psi * gvals  # trace w.r.t. the global edge normal
-    return (
-        L * float(np.sum(_GLW * tr)),
-        L * float(np.sum(_GLW * _GLX * tr)),
-    )
+    E, P = mesh.n_edges, len(patches)
+    vertices = np.array([p.vertex for p in patches], dtype=np.int64)
+    nt = np.array([len(p.triangles) for p in patches], dtype=np.int64)
+    patch = np.repeat(np.arange(P), nt)
+    owner = vertices[patch]
+    tris = np.concatenate([p.triangles for p in patches])
+    loc = np.argmax(mesh.triangles[tris] == owner[:, None], axis=1)
+    slot = np.arange(len(tris)) - np.repeat(np.cumsum(nt) - nt, nt)
+
+    def edge_keys(lists):
+        return np.repeat(np.arange(P) * E, [len(x) for x in lists]) + np.concatenate(lists)
+
+    edges = mesh.triangle_edges[tris]  # (I, 3), local edge l joins l and l + 1
+    keys = patch[:, None] * E + edges
+    zero = np.isin(keys, edge_keys([p.boundary_edges_zero for p in patches]))
+    psi = np.isin(keys, edge_keys([p.boundary_edges_psi for p in patches]))
+    neu = np.full(E, -1)
+    neu[data.neumann_edges] = np.arange(len(data.neumann_edges))
+    neu = neu[edges]
+    neumann = psi & (neu >= 0)
+    dirichlet = psi & ~neumann & np.isin(edges, data.dirichlet_edges)
+    bad = np.argwhere(psi & ~neumann & ~dirichlet)
+    if len(bad):
+        i, k = bad[0]
+        raise EquilibrationError(f"patch {owner[i]}: boundary edge {edges[i, k]} "
+                                 "is neither Neumann nor Dirichlet")
+
+    e = edges[neumann]
+    at_a = mesh.edge_vertices[e, 0] == np.broadcast_to(owner[:, None], edges.shape)[neumann]
+    gn = data.gn_proj[neu[neumann]]
+    tr = (-mesh.edge_outward_sign[e, None] * np.where(at_a[:, None], 1.0 - _GLX, _GLX)
+          * (gn[:, :1] * (1.0 - _GLX) + gn[:, 1:] * _GLX))
+    moments = np.zeros(edges.shape + (2,))
+    moments[neumann] = mesh.edge_lengths[e, None] * np.stack(
+        [np.sum(_GLW * tr, axis=1), np.sum(_GLW * _GLX * tr, axis=1)], axis=1)
+    prescribed = np.pad(moments.reshape(-1, 6), ((0, 0), (0, 2)))
+
+    free = np.pad(np.repeat(~(zero | neumann), 2, axis=1), ((0, 0), (0, 2)),
+                  constant_values=True)
+    free_patch = np.broadcast_to(patch[:, None], free.shape)[free]
+    D = space.total_dofs
+    uniq, rank = np.unique(free_patch * D + space.tri_dofs[tris][free], return_inverse=True)
+    nf = np.bincount(uniq // D, minlength=P)
+    rows = np.full(free.shape, -1)
+    rows[free] = rank - (np.cumsum(nf) - nf)[free_patch]
+    mean = np.bincount(patch, dirichlet.sum(axis=1), minlength=P) == 0
+    size = nf + 3 * nt + mean
+    lam_rows = nf[patch] + 3 * slot
+
+    batches = []
+    for n in np.unique(size):
+        members = np.flatnonzero(size == n)
+        per = max(1, _STACK_ENTRIES // int(n) ** 2)
+        for q in np.split(members, range(per, len(members), per)):
+            inc = np.flatnonzero(np.isin(patch, q))
+            batches.append(PatchBatch(
+                vertices[q], mean[q], int(n), np.searchsorted(q, patch[inc]), tris[inc],
+                loc[inc], rows[inc], prescribed[inc], lam_rows[inc]))
+    return batches
 
 
-def assemble_patch_system(
-    space: RTSpace, patch: VertexPatch, u_h: ScalarField, data: ProblemData
-) -> PatchMixedSystem:
-    """Build the mixed system of one local flux reconstruction."""
+def assemble_patch_system(space: RTSpace, batch: PatchBatch, u_h: ScalarField,
+                          data: ProblemData):
+    """Stacked mixed systems of a batch: matrices (P, n, n), right-hand sides (P, n).
+
+    Entries of prescribed DOFs go to a padding row and column that is cut off.
+    """
     mesh = space.mesh
-    a = patch.vertex
-    tris = patch.triangles
-    neumann = data.neumann_map()
-    dirichlet_edges = data.dirichlet_edge_set()
+    P, n = len(batch.vertices), batch.size
+    N = n + 1
+    t, loc, pv = batch.tris, batch.loc, batch.prescribed
+    area = mesh.areas[t]
+    grad = u_h.gradients()[t]
+    mass, div = space.mass[t], space.divmom[t]
+    p1, p2, p3 = batch.patch, batch.patch[:, None], batch.patch[:, None, None]
+    rows = np.where(batch.rows >= 0, batch.rows, n)  # (I, 8)
+    lam = batch.lam_rows[:, None] + np.arange(3)  # (I, 3)
+    mean = np.where(batch.mean[p1], n - 1, n)[:, None]  # (I, 1)
 
-    prescribed = {}
-    for e in patch.boundary_edges_zero:
-        prescribed[2 * int(e)] = 0.0
-        prescribed[2 * int(e) + 1] = 0.0
-    mean_constraint = patch.is_interior
-    if not patch.is_interior:
-        all_neumann = True
-        for e in patch.boundary_edges_psi:
-            e = int(e)
-            k = neumann.get(e)
-            if k is not None:
-                sign = int(mesh.edge_outward_sign[e])
-                d0, d1 = _prescribed_edge_dofs(space, e, a, data.gn_proj[k], sign)
-                prescribed[2 * e] = d0
-                prescribed[2 * e + 1] = d1
-            else:
-                all_neumann = False
-                if e not in dirichlet_edges:
-                    raise EquilibrationError(
-                        f"patch {a}: boundary edge {e} is neither Neumann nor Dirichlet"
-                    )
-        mean_constraint = all_neumann
+    # An edge DOF shared by two patch triangles sums two flux-block entries.
+    flat = ((p3 * N + rows[:, :, None]) * N + rows[:, None, :]).ravel()
+    A = np.bincount(flat, mass.ravel(), minlength=P * N * N).reshape(P, N, N)
+    A[p3, rows[:, None, :], lam[:, :, None]] = -div
+    A[p3, lam[:, :, None], rows[:, None, :]] = div
+    c = area / 3.0 / np.bincount(p1, area, minlength=P)[p1]
+    A[p2, lam, mean] = c[:, None]
+    A[p2, mean, lam] = c[:, None]
 
-    local_dofs = np.unique(space.tri_dofs[tris].reshape(-1))
-    free = np.array(
-        [d for d in local_dofs if int(d) not in prescribed], dtype=np.int64
-    )
-    fmap = {int(d): k for k, d in enumerate(free)}
-    nf = len(free)
-    nlam = 3 * len(tris)
-    n = nf + nlam + (1 if mean_constraint else 0)
-    A = np.zeros((n, n))
-    rhs = np.zeros(n)
+    r1 = (-np.einsum("ijc,ic->ij", space.vecmom[t, loc], grad)
+          - np.einsum("ijk,ik->ij", mass, pv))
+    r2 = (area[:, None] * np.einsum("imk,ik->im", _TRIPLE[loc], data.f_proj[t])
+          - (np.einsum("ic,ic->i", mesh.lam_grads[t, loc], grad) * area / 3.0)[:, None]
+          - np.einsum("imj,ij->im", div, pv))
+    rhs = np.bincount((p2 * N + rows).ravel(), r1.ravel(), minlength=P * N).reshape(P, N)
+    rhs[p2, lam] = r2
+    return A[:, :n, :n], rhs[:, :n]
 
-    grads = u_h.gradients()
-    patch_area = float(mesh.areas[tris].sum())
-    for kk, t in enumerate(tris):
-        t = int(t)
-        dofs = space.tri_dofs[t]
-        lidx = np.array([fmap.get(int(d), -1) for d in dofs])
-        pvals = np.array([prescribed.get(int(d), 0.0) for d in dofs])
-        is_free = lidx >= 0
-        loc_a = int(np.where(mesh.triangles[t] == a)[0][0])
-        M8 = space.mass[t]
-        D38 = space.divmom[t]
-        gu = grads[t]
 
-        rows = lidx[is_free]
-        # flux-flux block and its right-hand side
-        A[rows[:, None], rows[None, :]] += M8[is_free][:, is_free]
-        r1 = -space.vecmom[t][loc_a] @ gu  # (8,)
-        r1 -= M8[:, ~is_free] @ pvals[~is_free]
-        rhs[rows] += r1[is_free]
-        # multiplier coupling
-        lam_rows = nf + 3 * kk + np.arange(3)
-        Df = D38[:, is_free]
-        A[rows[:, None], lam_rows[None, :]] -= Df.T
-        A[lam_rows[:, None], rows[None, :]] += Df
-        r2 = (
-            mesh.areas[t] * (_TRIPLE[loc_a] @ data.f_proj[t])
-            - float(mesh.lam_grads[t, loc_a] @ gu) * mesh.areas[t] / 3.0
+def _compatibility_residual(space, batch, rhs, u_h, data):
+    """Per-patch residual and scale of the compatibility (Galerkin
+    orthogonality) test: the sum of the multiplier right-hand sides is the
+    hat-weighted residual of the forcing, the flux and the Neumann data."""
+    mesh = space.mesh
+    t, loc, P = batch.tris, batch.loc, len(batch.vertices)
+    lam = batch.lam_rows[:, None] + np.arange(3)
+    resid = np.abs(np.bincount(batch.patch, rhs[batch.patch[:, None], lam].sum(axis=1),
+                               minlength=P))
+    fq = data.f_proj[t] @ TRI_QP.T * TRI_QP.T[loc]  # psi_a f at the quadrature points
+    ga = np.einsum("ic,ic->i", mesh.lam_grads[t, loc], u_h.gradients()[t])
+    sq = mesh.areas[t] * (fq**2 @ TRI_QW + ga**2)
+    bnd = np.abs(batch.prescribed[:, 0:6:2]).sum(axis=1)  # |Neumann flux| per psi edge
+    scale = np.sqrt(np.bincount(batch.patch, sq, minlength=P))
+    return resid, scale + np.bincount(batch.patch, bnd, minlength=P)
+
+
+def patch_flux(space: RTSpace, batch: PatchBatch, u_h: ScalarField, data: ProblemData):
+    """Solve a batch of patch problems; returns (global DOF ids, DOF values)
+    to be added into the global coefficients."""
+    A, rhs = assemble_patch_system(space, batch, u_h, data)
+    resid, scale = _compatibility_residual(space, batch, rhs, u_h, data)
+    bad = batch.mean & (resid > 1e-9 * scale + 1e-13)
+    if bad.any():
+        k = int(np.argmax(bad))
+        raise OrthogonalityError(
+            f"patch {batch.vertices[k]}: compatibility residual {resid[k]:.3e} "
+            f"exceeds 1e-9 * {scale[k]:.3e}; the field is not a Galerkin "
+            "solution for the supplied data"
         )
-        r2 -= D38[:, ~is_free] @ pvals[~is_free]
-        rhs[lam_rows] += r2
-        if mean_constraint:
-            c = (mesh.areas[t] / 3.0) / patch_area
-            A[lam_rows, n - 1] += c
-            A[n - 1, lam_rows] += c
-    return PatchMixedSystem(
-        flux_dofs=free,
-        prescribed=prescribed,
-        matrix=A,
-        rhs=rhs,
-        mean_constraint=mean_constraint,
-    )
-
-
-def _compatibility_residual(space, patch, u_h, data):
-    """Residual of the patch compatibility (Galerkin orthogonality) test."""
-    mesh = space.mesh
-    a = patch.vertex
-    grads = u_h.gradients()
-    neumann = data.neumann_map()
-    total = 0.0
-    scale = 0.0
-    bscale = 0.0
-    for t in patch.triangles:
-        t = int(t)
-        loc_a = int(np.where(mesh.triangles[t] == a)[0][0])
-        fK = data.f_proj[t]
-        total += mesh.areas[t] * float(_M3[loc_a] @ fK)
-        total -= float(mesh.lam_grads[t, loc_a] @ grads[t]) * mesh.areas[t]
-        lam_a = TRI_QP[:, loc_a]
-        fq = TRI_QP @ fK
-        scale += mesh.areas[t] * float(np.sum(TRI_QW * (lam_a * fq) ** 2))
-        scale += mesh.areas[t] * float(mesh.lam_grads[t, loc_a] @ grads[t]) ** 2
-    for e in patch.boundary_edges_psi:
-        k = neumann.get(int(e))
-        if k is None:
-            continue
-        L = mesh.edge_lengths[int(e)]
-        i, _ = mesh.edge_vertices[int(e)]
-        psi = (1.0 - _GLX) if a == int(i) else _GLX
-        gn = data.gn_proj[k]
-        gv = gn[0] * (1.0 - _GLX) + gn[1] * _GLX
-        flux = -L * float(np.sum(_GLW * psi * gv))
-        total -= flux
-        bscale += abs(flux)
-    return abs(total), np.sqrt(scale) + bscale
-
-
-def patch_flux(
-    space: RTSpace, patch: VertexPatch, u_h: ScalarField, data: ProblemData
-):
-    """Solve one patch problem; returns (global DOF ids, DOF values)."""
-    system = assemble_patch_system(space, patch, u_h, data)
-    if system.mean_constraint:
-        resid, scale = _compatibility_residual(space, patch, u_h, data)
-        if resid > 1e-9 * scale + 1e-13:
-            raise OrthogonalityError(
-                f"patch {patch.vertex}: compatibility residual {resid:.3e} "
-                f"exceeds 1e-9 * {scale:.3e}; the field is not a Galerkin "
-                "solution for the supplied data"
-            )
     try:
-        sol = linalg.dense_lu_solve(system.matrix, system.rhs)
+        sol = linalg.dense_lu_solve(A, rhs)
     except linalg.SingularSystemError as exc:
         raise EquilibrationError(
-            f"singular patch system at vertex {patch.vertex}: {exc}"
+            f"singular patch system at vertex {batch.vertices[exc.index]}: {exc}"
         ) from exc
-    nf = len(system.flux_dofs)
-    dofs = list(int(d) for d in system.flux_dofs)
-    vals = list(sol[:nf])
-    for d, v in system.prescribed.items():
-        if v != 0.0:
-            dofs.append(d)
-            vals.append(v)
-    return np.asarray(dofs, dtype=np.int64), np.asarray(vals, dtype=float)
+    free = batch.rows >= 0
+    dofs = space.tri_dofs[batch.tris]
+    glob = np.full(sol.shape, -1)
+    glob[np.broadcast_to(batch.patch[:, None], free.shape)[free], batch.rows[free]] = dofs[free]
+    return (np.concatenate([glob[glob >= 0], dofs[~free]]),
+            np.concatenate([sol[glob >= 0], batch.prescribed[~free]]))
 
 
 def reconstruct_flux(u_h: ScalarField, data: ProblemData, space: RTSpace | None = None) -> FluxField:
@@ -375,8 +376,8 @@ def reconstruct_flux(u_h: ScalarField, data: ProblemData, space: RTSpace | None 
     if space is None:
         space = build_rt_space(mesh)
     coef = np.zeros(space.total_dofs)
-    for patch in vertex_patches(mesh):
-        dofs, vals = patch_flux(space, patch, u_h, data)
+    for batch in patch_batches(space, vertex_patches(mesh), data):
+        dofs, vals = patch_flux(space, batch, u_h, data)
         np.add.at(coef, dofs, vals)
     return FluxField(space, coef)
 

@@ -1,13 +1,11 @@
 """Solver contracts used by the FEM and flux modules.
 
-scipy.sparse matrices back the global Galerkin systems; small dense LU solves
-back the per-patch saddle-point systems.  Heavy lifting is delegated to scipy
+scipy.sparse matrices back the global Galerkin systems; stacked dense LU solves
+back the patch saddle-point systems.  Heavy lifting is delegated to scipy
 behind the contracts below.
 """
 
 from __future__ import annotations
-
-import warnings
 
 import numpy as np
 import scipy.linalg
@@ -30,7 +28,12 @@ class SolverError(RuntimeError):
 
 
 class SingularSystemError(RuntimeError):
-    """Dense factorization hit a pivot below the singularity threshold."""
+    """Dense factorization hit a pivot below the singularity threshold in the
+    system at position ``index`` of the stack."""
+
+    def __init__(self, message, index=0):
+        super().__init__(message)
+        self.index = index
 
 
 def solve_spd(A, b, tol: float = 1e-12, max_iter: int = 200) -> np.ndarray:
@@ -74,25 +77,38 @@ def solve_spd(A, b, tol: float = 1e-12, max_iter: int = 200) -> np.ndarray:
 
 
 def dense_lu_solve(a, b) -> np.ndarray:
-    """Solve a square dense system by LU with partial pivoting.
+    """Solve square dense systems by LU with partial pivoting.
 
-    Pivots smaller than ``1e-12 · max|A|`` trigger :class:`SingularSystemError`.
+    ``a`` is one matrix (n, n) or a stack (..., n, n) with right-hand sides
+    ``b`` of shape (..., n).  A system whose smallest pivot is below
+    ``1e-12 · max|A|`` of that system raises :class:`SingularSystemError`
+    naming its position in the (flattened) stack.
     """
     a = np.asarray(a, dtype=float)
     b = np.asarray(b, dtype=float)
-    if a.ndim != 2 or a.shape[0] != a.shape[1]:
-        raise ConstructionError("dense_lu_solve needs a square matrix")
-    if a.shape[0] != len(b):
+    if a.ndim < 2 or a.shape[-1] != a.shape[-2]:
+        raise ConstructionError("dense_lu_solve needs square matrices")
+    if b.shape != a.shape[:-1]:
         raise ConstructionError("shape mismatch in dense_lu_solve")
-    amax = np.abs(a).max() if a.size else 0.0
-    if amax == 0.0:
-        raise SingularSystemError("zero matrix")
-    with np.errstate(all="ignore"), warnings.catch_warnings():
-        warnings.simplefilter("ignore", scipy.linalg.LinAlgWarning)
-        lu, piv = scipy.linalg.lu_factor(a, check_finite=False)
-    pivots = np.abs(np.diag(lu))
-    if pivots.min() < 1e-12 * amax or not np.all(np.isfinite(lu)):
+    m, n = int(np.prod(a.shape[:-2])), a.shape[-1]
+    stack = a.reshape(m, n, n)
+    amax = np.abs(stack).max(axis=(1, 2), initial=0.0)
+    perm, lower, upper = scipy.linalg.lu(stack, p_indices=True, check_finite=False)
+    diag = np.diagonal(upper, axis1=1, axis2=2)
+    pivots = np.abs(diag).min(axis=1, initial=np.inf)
+    ok = (amax > 0) & (pivots >= 1e-12 * amax) & np.isfinite(upper).all(axis=(1, 2))
+    if not ok.all():
+        k = int(np.argmin(ok))
         raise SingularSystemError(
-            f"pivot {pivots.min():.3e} below threshold {1e-12 * amax:.3e}"
+            f"system {k}: pivot {pivots[k]:.3e} below threshold {1e-12 * amax[k]:.3e}",
+            index=k,
         )
-    return scipy.linalg.lu_solve((lu, piv), b)
+    # Forward and back substitution with the factors, over the whole stack.
+    x = np.empty_like(stack[:, 0])
+    np.put_along_axis(x, perm, b.reshape(m, n), axis=1)  # a = lower[perm] @ upper
+    for i in range(1, n):
+        x[:, i] -= np.einsum("pk,pk->p", lower[:, i, :i], x[:, :i])
+    for i in range(n - 1, -1, -1):
+        x[:, i] -= np.einsum("pk,pk->p", upper[:, i, i + 1:], x[:, i + 1:])
+        x[:, i] /= diag[:, i]
+    return x.reshape(b.shape)

@@ -89,7 +89,6 @@ class Mesh:
         if validate and edge_markers is not None:
             self.validate_markers()
         self._grid = None
-        self._v2t = None
 
     # -- construction ---------------------------------------------------
 
@@ -167,9 +166,6 @@ class Mesh:
         self.edge_normals = np.stack([t[:, 1], -t[:, 0]], axis=1)
         # +1 when the global normal points out of the domain on a boundary edge.
         self.edge_outward_sign = np.where(self.edge_tris[:, 0] >= 0, 1, -1)
-        self._boundary_vertices = set(
-            int(v) for v in self.edge_vertices[self.boundary_edge_ids].ravel()
-        )
 
     # -- basic queries ----------------------------------------------------
 
@@ -188,9 +184,6 @@ class Mesh:
 
     def is_boundary_edge(self, e: int) -> bool:
         return int(e) in self._boundary_set
-
-    def is_boundary_vertex(self, v: int) -> bool:
-        return int(v) in self._boundary_vertices
 
     def boundary_edge_triangle(self, e: int) -> int:
         a, b = self.edge_tris[e]
@@ -234,13 +227,11 @@ class Mesh:
         return np.asarray(out, dtype=np.int64)
 
     def vertex_to_triangles(self):
-        if self._v2t is None:
-            v2t = [[] for _ in range(self.n_vertices)]
-            for t, tri in enumerate(self.triangles):
-                for v in tri:
-                    v2t[int(v)].append(t)
-            self._v2t = [np.asarray(lst, dtype=np.int64) for lst in v2t]
-        return self._v2t
+        """Triangles around each vertex as ``(offsets, tris)``: those of vertex
+        ``a`` are ``tris[offsets[a]:offsets[a + 1]]``, in increasing order."""
+        corners = np.argsort(self.triangles.ravel(), kind="stable")
+        counts = np.bincount(self.triangles.ravel(), minlength=self.n_vertices)
+        return np.concatenate([[0], np.cumsum(counts)]), corners // 3
 
     def total_area(self) -> float:
         return float(self.areas.sum())
@@ -340,39 +331,35 @@ class Mesh:
 
 
 def vertex_patches(mesh: Mesh) -> list[VertexPatch]:
-    """One patch per vertex: incident triangles and the patch boundary split."""
-    v2t = mesh.vertex_to_triangles()
-    patches = []
-    for a in range(mesh.n_vertices):
-        tris = v2t[a]
-        tri_set = set(int(t) for t in tris)
-        zero, psi = [], []
-        seen = set()
-        for t in tris:
-            for e in mesh.triangle_edges[t]:
-                e = int(e)
-                if e in seen:
-                    continue
-                seen.add(e)
-                t0, t1 = mesh.edge_tris[e]
-                inside = (int(t0) in tri_set) + (int(t1) in tri_set)
-                if inside != 1:
-                    continue  # interior to the patch
-                i, j = mesh.edge_vertices[e]
-                if a in (int(i), int(j)):
-                    psi.append(e)
-                else:
-                    zero.append(e)
-        patches.append(
-            VertexPatch(
-                vertex=a,
-                triangles=np.asarray(sorted(tri_set), dtype=np.int64),
-                boundary_edges_zero=np.asarray(sorted(zero), dtype=np.int64),
-                boundary_edges_psi=np.asarray(sorted(psi), dtype=np.int64),
-                is_interior=not mesh.is_boundary_vertex(a),
-            )
-        )
-    return patches
+    """One patch per vertex: incident triangles and the patch boundary split.
+
+    A patch boundary edge has exactly one of its triangles in the patch; it
+    is a psi edge when it contains the vertex and a zero edge otherwise.
+    """
+    V = mesh.n_vertices
+    offsets, tris = mesh.vertex_to_triangles()
+    owner = np.repeat(np.arange(V), np.diff(offsets))  # patch vertex per incidence
+    edges = mesh.triangle_edges[tris]  # (I, 3)
+    nbr = mesh.edge_tris[edges]  # (I, 3, 2)
+    in_patch = (nbr >= 0) & (mesh.triangles[nbr] == owner[:, None, None, None]).any(-1)
+    on_boundary = in_patch.sum(-1) == 1
+    has_vertex = (mesh.edge_vertices[edges] == owner[:, None, None]).any(-1)
+
+    def per_vertex(mask):
+        v, e = np.broadcast_to(owner[:, None], mask.shape)[mask], edges[mask]
+        order = np.lexsort((e, v))
+        return e[order], np.searchsorted(v[order], np.arange(V + 1)).tolist()
+
+    zero, zo = per_vertex(on_boundary & ~has_vertex)
+    psi, po = per_vertex(on_boundary & has_vertex)
+    to = offsets.tolist()
+    interior = np.ones(V, dtype=bool)
+    interior[mesh.edge_vertices[mesh.boundary_edge_ids]] = False
+    return [
+        VertexPatch(a, tris[to[a]:to[a + 1]], zero[zo[a]:zo[a + 1]],
+                    psi[po[a]:po[a + 1]], i)
+        for a, i in enumerate(interior.tolist())
+    ]
 
 
 # -- structured generators ----------------------------------------------
@@ -562,14 +549,10 @@ def uniform_refine(mesh: Mesh) -> Mesh:
         [mesh.vertices, 0.5 * (mesh.vertices[mesh.edge_vertices[:, 0]]
                                + mesh.vertices[mesh.edge_vertices[:, 1]])]
     )
-    tris = []
-    for t in range(mesh.n_triangles):
-        v0, v1, v2 = (int(v) for v in mesh.triangles[t])
-        # Midpoint of the edge between local vertices (l, l+1).
-        m = [V + int(mesh.triangle_edges[t, loc]) for loc in range(3)]
-        m01, m12, m20 = m
-        tris.extend([(v0, m01, m20), (v1, m12, m01), (v2, m20, m12), (m01, m12, m20)])
-    fine = Mesh(coords, np.asarray(tris, dtype=np.int64))
+    v0, v1, v2 = mesh.triangles.T
+    m01, m12, m20 = (V + mesh.triangle_edges).T  # midpoint of local edge (l, l+1)
+    tris = np.stack([v0, m01, m20, v1, m12, m01, v2, m20, m12, m01, m12, m20], axis=1)
+    fine = Mesh(coords, tris.reshape(-1, 3))
     for e in range(mesh.n_edges):
         marker = mesh.edge_markers[e]
         if marker is None:

@@ -3,8 +3,9 @@
 The quadrature oracles deliberately avoid the library's own quadrature and
 assembly paths: the Duffy rule below integrates over triangles through a
 collapsed tensor-Gauss rule and is used to cross-check projections, norms
-and estimator values.  The field helpers and the edge-by-edge certificate
-loops after them are reference implementations for tests only.
+and estimator values.  The field helpers, the edge-by-edge certificate
+loops and the vertex-by-vertex patch equilibration after them are reference
+implementations for tests only.
 """
 
 import numpy as np
@@ -115,3 +116,152 @@ def interior_jump_loop(flux):
         tr1 = flux.normal_trace(pts, np.full(len(pts), t1), nrm)
         worst = max(worst, float(np.abs(tr0 - tr1).max()))
     return worst
+
+
+def vertex_patches_loop(mesh):
+    """Vertex-by-vertex patches: (vertex, triangles, zero edges, psi edges,
+    interior) with the patch boundary edges found by counting the edge's
+    triangles inside the patch."""
+    v2t = [[] for _ in range(mesh.n_vertices)]
+    for t, tri in enumerate(mesh.triangles):
+        for v in tri:
+            v2t[int(v)].append(t)
+    boundary_vertices = set(int(v) for v in mesh.edge_vertices[mesh.boundary_edge_ids].ravel())
+    out = []
+    for a, tris in enumerate(v2t):
+        tri_set = set(tris)
+        zero, psi = set(), set()
+        for t in tris:
+            for e in mesh.triangle_edges[t]:
+                inside = sum(int(s) in tri_set for s in mesh.edge_tris[e])
+                if inside == 1:
+                    (psi if a in mesh.edge_vertices[e] else zero).add(int(e))
+        out.append((a, sorted(tri_set), sorted(zero), sorted(psi), a not in boundary_vertices))
+    return out
+
+
+def _patch_system_loop(space, patch, u_h, data):
+    """One patch mixed system, assembled triangle by triangle: (free DOFs,
+    prescribed {DOF: value}, matrix, rhs, mean constraint)."""
+    from eqflux.flux import _GLW, _GLX, _TRIPLE, EquilibrationError
+
+    mesh = space.mesh
+    a, tris, zero, psi, interior = patch
+    neumann = data.neumann_map()
+    prescribed = {d: 0.0 for e in zero for d in (2 * e, 2 * e + 1)}
+    mean_constraint = interior
+    if not interior:
+        mean_constraint = True
+        for e in psi:
+            k = neumann.get(e)
+            if k is None:
+                mean_constraint = False
+                if e not in data.dirichlet_edges:
+                    raise EquilibrationError(
+                        f"patch {a}: boundary edge {e} is neither Neumann nor Dirichlet")
+                continue
+            i, _ = mesh.edge_vertices[e]
+            shape = (1.0 - _GLX) if a == int(i) else _GLX
+            gn = data.gn_proj[k]
+            tr = -mesh.edge_outward_sign[e] * shape * (gn[0] * (1.0 - _GLX) + gn[1] * _GLX)
+            prescribed[2 * e] = mesh.edge_lengths[e] * float(np.sum(_GLW * tr))
+            prescribed[2 * e + 1] = mesh.edge_lengths[e] * float(np.sum(_GLW * _GLX * tr))
+    free = [int(d) for d in np.unique(space.tri_dofs[tris]) if int(d) not in prescribed]
+    fmap = {d: k for k, d in enumerate(free)}
+    nf = len(free)
+    n = nf + 3 * len(tris) + int(mean_constraint)
+    A = np.zeros((n, n))
+    rhs = np.zeros(n)
+    grads = u_h.gradients()
+    patch_area = float(mesh.areas[tris].sum())
+    for kk, t in enumerate(tris):
+        dofs = space.tri_dofs[t]
+        lidx = np.array([fmap.get(int(d), -1) for d in dofs])
+        pvals = np.array([prescribed.get(int(d), 0.0) for d in dofs])
+        fr = lidx >= 0
+        loc = int(np.where(mesh.triangles[t] == a)[0][0])
+        M8, D38, gu, area = space.mass[t], space.divmom[t], grads[t], mesh.areas[t]
+        rows = lidx[fr]
+        A[rows[:, None], rows[None, :]] += M8[fr][:, fr]
+        rhs[rows] += (-space.vecmom[t][loc] @ gu - M8[:, ~fr] @ pvals[~fr])[fr]
+        lam = nf + 3 * kk + np.arange(3)
+        A[rows[:, None], lam[None, :]] -= D38[:, fr].T
+        A[lam[:, None], rows[None, :]] += D38[:, fr]
+        rhs[lam] += (area * (_TRIPLE[loc] @ data.f_proj[t])
+                     - float(mesh.lam_grads[t, loc] @ gu) * area / 3.0
+                     - D38[:, ~fr] @ pvals[~fr])
+        if mean_constraint:
+            A[lam, n - 1] += area / 3.0 / patch_area
+            A[n - 1, lam] += area / 3.0 / patch_area
+    return free, prescribed, A, rhs, mean_constraint
+
+
+def compatibility_residual_loop(space, patch, u_h, data):
+    """Residual and scale of one patch's compatibility (Galerkin
+    orthogonality) test, from the forcing, the field and the Neumann data."""
+    from eqflux.fem import _M3, TRI_QP, TRI_QW
+    from eqflux.flux import _GLW, _GLX
+
+    mesh = space.mesh
+    a, tris, _, psi, _ = patch
+    grads = u_h.gradients()
+    total = scale = bscale = 0.0
+    for t in tris:
+        loc = int(np.where(mesh.triangles[t] == a)[0][0])
+        fK, ga = data.f_proj[t], float(mesh.lam_grads[t, loc] @ grads[t])
+        total += mesh.areas[t] * (float(_M3[loc] @ fK) - ga)
+        scale += mesh.areas[t] * (float(np.sum(TRI_QW * (TRI_QP[:, loc] * (TRI_QP @ fK)) ** 2))
+                                  + ga ** 2)
+    for e in psi:
+        k = data.neumann_map().get(e)
+        if k is None:
+            continue
+        i, _ = mesh.edge_vertices[e]
+        shape = (1.0 - _GLX) if a == int(i) else _GLX
+        gn = data.gn_proj[k]
+        flux = -mesh.edge_lengths[e] * float(np.sum(_GLW * shape * (gn[0] * (1.0 - _GLX)
+                                                                   + gn[1] * _GLX)))
+        total -= flux
+        bscale += abs(flux)
+    return abs(total), np.sqrt(scale) + bscale
+
+
+def reconstruct_flux_loop(u_h, data, space):
+    """Equilibrated flux coefficients solved one vertex patch at a time."""
+    from eqflux.flux import OrthogonalityError
+
+    coef = np.zeros(space.total_dofs)
+    for patch in vertex_patches_loop(space.mesh):
+        free, prescribed, A, rhs, mean_constraint = _patch_system_loop(space, patch, u_h, data)
+        if mean_constraint:
+            resid, scale = compatibility_residual_loop(space, patch, u_h, data)
+            if resid > 1e-9 * scale + 1e-13:
+                raise OrthogonalityError(f"patch {patch[0]}: compatibility residual {resid:.3e}")
+        np.add.at(coef, free, np.linalg.solve(A, rhs)[: len(free)])
+        for d, v in prescribed.items():
+            coef[d] += v
+    return coef
+
+
+def unstructured_mesh(n, rng, dirichlet_predicate):
+    """Unit-square mesh from the n x n lattice with a random diagonal in each
+    cell and interior vertices moved by up to 0.2 h in each coordinate;
+    boundary markers are those of the lattice."""
+    from eqflux.mesh import Mesh, generate_unit_square
+
+    lattice = generate_unit_square(n, dirichlet_predicate)
+    ij = np.rint(lattice.vertices * n).astype(np.int64)
+    grid = np.empty((n + 1, n + 1), dtype=np.int64)
+    grid[ij[:, 0], ij[:, 1]] = np.arange(len(ij))
+    triangles = []
+    for i in range(n):
+        for j in range(n):
+            a, b, c, d = grid[i, j], grid[i + 1, j], grid[i + 1, j + 1], grid[i, j + 1]
+            flip = rng.random() < 0.5
+            triangles += [(a, b, d), (b, c, d)] if flip else [(a, b, c), (a, c, d)]
+    vertices = lattice.vertices.copy()
+    interior = np.all((ij > 0) & (ij < n), axis=1)
+    vertices[interior] += rng.uniform(-0.2 / n, 0.2 / n, size=(int(interior.sum()), 2))
+    markers = {tuple(int(v) for v in lattice.edge_vertices[e]): lattice.edge_markers[e]
+               for e in lattice.boundary_edge_ids}
+    return Mesh(vertices, np.array(triangles), edge_markers=markers)

@@ -55,6 +55,16 @@ class TestConfig:
         g = cfg.scalar_expression("2*nx + 3*ny")
         assert g(0.0, 0.0, 1.0, 0.0) == 2.0
 
+    @pytest.mark.parametrize("key", ["f", "g_dirichlet"])
+    def test_normals_only_in_neumann_data(self, key):
+        doc = preset_config("test1")
+        doc[key] = "nx"
+        with pytest.raises(cfg.ConfigError, match=f"^{key}: unknown name 'nx'"):
+            cfg.specs_from_config(doc)
+        doc[key], doc["g_neumann"] = 1.0, "2*nx + ny"
+        (spec,) = cfg.specs_from_config(doc)
+        assert spec.domain.g_neumann(0.0, 0.0, 1.0, 0.0) == 2.0
+
     def test_presets_validate(self):
         for name in PRESET_NAMES:
             doc = preset_config(name)

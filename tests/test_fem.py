@@ -279,8 +279,18 @@ class TestFeatureProblem:
         m0 = generate_unit_square(7, dirichlet_x01)  # lattice incompatible
         u0 = ScalarField(m0, np.zeros(m0.n_vertices))
         fm = feature_mesh(bump, 10, dom)
-        with pytest.raises(CouplingError):
+        with pytest.raises(CouplingError, match="does not coincide with a trace-source vertex"):
             solve_feature_problem(bump, u0, fm)
+
+    def test_gamma0_outside_trace_source_raises(self):
+        bump = self._bump()
+        dom = DomainSpec(features=[bump], dirichlet=dirichlet_x01)
+        half = generate_unit_square(10)  # scaled onto [0, 0.5]^2: misses x = 0.6
+        m0 = Mesh(0.5 * half.vertices, half.triangles)
+        u0 = ScalarField(m0, np.zeros(m0.n_vertices))
+        fm = feature_mesh(bump, 10, dom)
+        with pytest.raises(CouplingError, match=r"gamma0 vertex \[0\.6 0\. *\] outside"):
+            feature_problem_data(bump, u0, fm)
 
 
 class TestGradientsAndNorms:

@@ -1,19 +1,33 @@
 import dataclasses
+import os
+import tempfile
 
 import numpy as np
 import pytest
-from conftest import interior_jump_loop, neumann_trace_defect_loop
+from conftest import (
+    compatibility_residual_loop,
+    interior_jump_loop,
+    neumann_trace_defect_loop,
+    reconstruct_flux_loop,
+    unstructured_mesh,
+    vertex_patches_loop,
+)
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from eqflux.fem import ScalarField, project_data, solve_poisson
 from eqflux.flux import (
+    EquilibrationError,
     OrthogonalityError,
     FluxField,
+    _compatibility_residual,
     assemble_patch_system,
     build_rt_space,
     flux_divergence_defect,
     flux_normal_trace,
     interior_jump,
     neumann_trace_defect,
+    patch_batches,
     patch_flux,
     reconstruct_flux,
 )
@@ -23,7 +37,7 @@ from eqflux.geometry import (
     closed_loop,
     regular_polygon,
 )
-from eqflux.mesh import Mesh, generate_unit_square, vertex_patches
+from eqflux.mesh import Mesh, generate_unit_square, read_mesh, vertex_patches, write_mesh
 
 
 def dirichlet_x01(x, y):
@@ -90,7 +104,8 @@ class TestPatchFlux:
         m, data, u = self._linear_setup()
         sp = build_rt_space(m)
         patch = [p for p in vertex_patches(m) if p.is_interior][0]
-        dofs, vals = patch_flux(sp, patch, u, data)
+        (batch,) = patch_batches(sp, [patch], data)
+        dofs, vals = patch_flux(sp, batch, u, data)
         # sigma^a = -psi_a * grad(u): evaluate at interior points of the patch
         coef = np.zeros(sp.total_dofs)
         np.add.at(coef, dofs, vals)
@@ -108,32 +123,31 @@ class TestPatchFlux:
         m, data, u = self._linear_setup()
         sp = build_rt_space(m)
         patch = vertex_patches(m)[0]
-        dofs, _ = patch_flux(sp, patch, u, data)
+        (batch,) = patch_batches(sp, [patch], data)
+        dofs, _ = patch_flux(sp, batch, u, data)
         allowed = set(int(d) for d in sp.tri_dofs[patch.triangles].reshape(-1))
         assert set(int(d) for d in dofs) <= allowed
 
     def test_interior_patch_compatibility(self):
-        from eqflux.flux import _compatibility_residual
-
         m = generate_unit_square(6, dirichlet_x01)
         dom = DomainSpec(f=0.0, dirichlet=dirichlet_x01,
                          g_dirichlet=lambda x, y: x * x - y * y + x)
         data = project_data(dom, m)
         u = solve_poisson(m, data)
         sp = build_rt_space(m)
-        for p in vertex_patches(m):
-            if not p.is_interior:
-                continue
-            resid, scale = _compatibility_residual(sp, p, u, data)
-            assert resid <= 1e-10 * max(scale, 1e-30) + 1e-14
+        interior = [p for p in vertex_patches(m) if p.is_interior]
+        for batch in patch_batches(sp, interior, data):
+            _, rhs = assemble_patch_system(sp, batch, u, data)
+            resid, scale = _compatibility_residual(sp, batch, rhs, u, data)
+            assert (resid <= 1e-10 * np.maximum(scale, 1e-30) + 1e-14).all()
 
     def test_dirichlet_corner_patch_unconstrained(self):
         m, data, u = self._linear_setup()
         sp = build_rt_space(m)
         corner = vertex_patches(m)[0]
-        system = assemble_patch_system(sp, corner, u, data)
-        assert not system.mean_constraint
-        patch_flux(sp, corner, u, data)  # solvable
+        (batch,) = patch_batches(sp, [corner], data)
+        assert not batch.mean[0]
+        patch_flux(sp, batch, u, data)  # solvable
 
     def test_neumann_interior_vertex_constrained(self):
         m = generate_unit_square(6, dirichlet_x01)
@@ -142,14 +156,110 @@ class TestPatchFlux:
         u = solve_poisson(m, data)
         sp = build_rt_space(m)
         mid_bottom = 3  # (0.5, 0): interior point of the Neumann side
-        system = assemble_patch_system(sp, vertex_patches(m)[mid_bottom], u, data)
-        assert system.mean_constraint
+        (batch,) = patch_batches(sp, [vertex_patches(m)[mid_bottom]], data)
+        assert batch.mean[0]
+        A, _ = assemble_patch_system(sp, batch, u, data)
+        # the mean-value row couples exactly the multiplier rows
+        lam = batch.lam_rows[:, None] + np.arange(3)
+        assert np.flatnonzero(A[0, -1]).tolist() == sorted(lam.ravel().tolist())
 
     def test_non_galerkin_input_raises(self):
         m, data, u = self._linear_setup()
         bad = ScalarField(m, u.nodal_values + np.sin(np.arange(m.n_vertices)))
         with pytest.raises(OrthogonalityError):
             reconstruct_flux(bad, data)
+
+    def test_batch_of_one_matches_full_batches(self):
+        m = generate_unit_square(5, dirichlet_x01)
+        data = project_data(DomainSpec(f=1.0, dirichlet=dirichlet_x01), m)
+        u = solve_poisson(m, data)
+        sp = build_rt_space(m)
+        full = reconstruct_flux(u, data, sp).coefficients
+        coef = np.zeros(sp.total_dofs)
+        for p in vertex_patches(m):
+            (batch,) = patch_batches(sp, [p], data)
+            dofs, vals = patch_flux(sp, batch, u, data)
+            np.add.at(coef, dofs, vals)
+        assert np.abs(coef - full).max() <= 1e-12 * np.abs(full).max()
+
+    def test_singular_patch_system_names_vertex(self):
+        m, data, u = self._linear_setup()
+        sp = build_rt_space(m)
+        t = 11  # (1,1)-(2,2)-(1,2): its interior DOFs lose every coupling
+        mass, div = sp.mass.copy(), sp.divmom.copy()
+        mass[t] = 0.0
+        div[t] = 0.0
+        broken = dataclasses.replace(sp, mass=mass, divmom=div)
+        with pytest.raises(EquilibrationError, match="singular patch system at vertex") as exc:
+            reconstruct_flux(u, data, broken)
+        vertex = int(str(exc.value).split("vertex ")[1].split(":")[0])
+        assert vertex in m.triangles[t]
+
+    def test_unclassified_boundary_edge_raises(self):
+        m = generate_unit_square(4, dirichlet_x01)
+        data = project_data(DomainSpec(f=1.0, dirichlet=dirichlet_x01), m)
+        u = solve_poisson(m, data)
+        e = int(data.dirichlet_edges[2])
+        unmarked = dataclasses.replace(data, dirichlet_edges=np.delete(data.dirichlet_edges, 2))
+        with pytest.raises(EquilibrationError, match=f"boundary edge {e} is neither") as exc:
+            reconstruct_flux(u, unmarked)
+        vertex = int(str(exc.value).split()[1].rstrip(":"))
+        assert vertex in m.edge_vertices[e]
+
+
+def _mixed_problem(mesh_factory, case, rng):
+    """Mesh, data and Galerkin solution of one of three boundary settings."""
+    dirichlet = (None, dirichlet_x01, lambda x, y: abs(x) < 1e-12)[case]
+    m = mesh_factory(dirichlet)
+    c = rng.uniform(-1.0, 1.0, size=4)
+    dom = DomainSpec(
+        f=lambda x, y: c[0] + c[1] * np.sin(3 * x) * y,
+        dirichlet=dirichlet,
+        g_dirichlet=lambda x, y: c[2] * x * y,
+        g_neumann=lambda x, y, nx, ny: c[3] * nx + x * ny,
+    )
+    data = project_data(dom, m)
+    return m, data, solve_poisson(m, data)
+
+
+class TestUnstructuredPatches:
+    """Batched equilibration on jiggled meshes with random diagonals, read
+    back through the JSON mesh format, against the vertex-by-vertex oracle."""
+
+    @staticmethod
+    def _read_back(mesh):
+        with tempfile.TemporaryDirectory() as tmp:
+            path = os.path.join(tmp, "mesh.json")
+            write_mesh(mesh, path)
+            return read_mesh(path)
+
+    @settings(max_examples=25, deadline=None)
+    @given(n=st.integers(2, 6), case=st.integers(0, 2), seed=st.integers(0, 2**32 - 1))
+    def test_batched_flux_matches_vertex_loop(self, n, case, seed):
+        rng = np.random.default_rng(seed)
+        m, data, u = _mixed_problem(
+            lambda d: self._read_back(unstructured_mesh(n, rng, d)), case, rng)
+        patches = vertex_patches(m)
+        assert [(p.vertex, p.triangles.tolist(), p.boundary_edges_zero.tolist(),
+                 p.boundary_edges_psi.tolist(), p.is_interior) for p in patches] \
+            == vertex_patches_loop(m)
+        sp = build_rt_space(m)
+        fl = reconstruct_flux(u, data, sp)
+        ref = reconstruct_flux_loop(u, data, sp)
+        assert np.abs(fl.coefficients - ref).max() <= 1e-12 * np.abs(ref).max()
+
+        scale = 1.0 + np.abs(data.f_proj).max() + np.abs(data.gn_proj).max(initial=0.0)
+        assert flux_divergence_defect(fl, data).max() <= 1e-9 * scale
+        assert interior_jump(fl) <= 1e-9 * scale
+        assert neumann_trace_defect(fl, data) <= 1e-9 * scale
+
+        for batch in patch_batches(sp, patches, data):
+            _, rhs = assemble_patch_system(sp, batch, u, data)
+            resid, bound = _compatibility_residual(sp, batch, rhs, u, data)
+            loop = [compatibility_residual_loop(sp, q, u, data)
+                    for q in vertex_patches_loop(m) if q[0] in batch.vertices]
+            assert bound == pytest.approx([b for _, b in loop], rel=1e-12)
+            assert (resid[batch.mean] <= 1e-10 * bound[batch.mean] + 1e-14).all()
 
 
 class TestReconstructFlux:

@@ -81,3 +81,26 @@ class TestDenseLuSolve:
             dense_lu_solve(np.zeros((2, 3)), [1.0, 2.0])
         with pytest.raises(ConstructionError):
             dense_lu_solve(np.eye(2), [1.0, 2.0, 3.0])
+
+    def test_stack_with_pivoting(self):
+        # cyclic permutations and general random matrices need row exchanges
+        rng = np.random.default_rng(4)
+        A = np.concatenate([np.eye(5)[[[1, 2, 3, 4, 0], [4, 0, 1, 2, 3]]],
+                            rng.standard_normal((3, 5, 5))])
+        b = rng.standard_normal((5, 5))
+        x = dense_lu_solve(A, b)
+        assert x.shape == b.shape
+        for k in range(5):
+            assert np.linalg.norm(A[k] @ x[k] - b[k]) <= 1e-10 * np.linalg.norm(b[k])
+
+    @pytest.mark.parametrize("k", [0, 2])
+    def test_stack_names_singular_system(self, k):
+        rng = np.random.default_rng(5)
+        A = rng.standard_normal((3, 4, 4)) + 4 * np.eye(4)
+        A[k, 3] = A[k, 0] + A[k, 1]  # rank-deficient
+        with pytest.raises(SingularSystemError, match=f"system {k}:") as exc:
+            dense_lu_solve(A, np.ones((3, 4)))
+        assert exc.value.index == k
+        A[k] *= 1e9  # the pivot threshold scales with each system's own max|A|
+        with pytest.raises(SingularSystemError):
+            dense_lu_solve(A, np.ones((3, 4)))
