@@ -334,12 +334,11 @@ def assemble_load(mesh: Mesh, data: ProblemData) -> np.ndarray:
     b = np.zeros(mesh.n_vertices)
     loc = np.einsum("tq,qk->tk", data.f_proj, _M3) * mesh.areas[:, None]
     np.add.at(b, mesh.triangles.reshape(-1), loc.reshape(-1))
-    for k, e in enumerate(data.neumann_edges):
-        i, j = mesh.edge_vertices[e]
-        L = mesh.edge_lengths[e]
-        c0, c1 = data.gn_proj[k]
-        b[i] += L * (c0 / 3.0 + c1 / 6.0)
-        b[j] += L * (c0 / 6.0 + c1 / 3.0)
+    # Edge by edge, endpoint i then j: the order of the sums of a loop.
+    L = mesh.edge_lengths[data.neumann_edges]
+    c0, c1 = data.gn_proj.T
+    ends = np.stack([L * (c0 / 3.0 + c1 / 6.0), L * (c0 / 6.0 + c1 / 3.0)], axis=1)
+    np.add.at(b, mesh.edge_vertices[data.neumann_edges].ravel(), ends.ravel())
     return b
 
 

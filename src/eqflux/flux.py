@@ -113,8 +113,9 @@ def build_rt_space(mesh: Mesh) -> RTSpace:
     )[:, :, None, :]
     xi = (epts[..., 0] - centers[:, None, None, 0]) / scales[:, None, None]
     eta = (epts[..., 1] - centers[:, None, None, 1]) / scales[:, None, None]
-    mono_e = _monomials(xi, eta)  # (T, 3, G, 8, 2)
-    tr = np.einsum("tlgkc,tlc->tlgk", mono_e, normals)  # (T, 3, G, 8)
+    # Monomial normal traces (T, 3, G, 8).  The (T, 3, G, 8, 2) monomial
+    # values are not kept: that bounds the peak memory of the einsums below.
+    tr = np.einsum("tlgkc,tlc->tlgk", _monomials(xi, eta), normals)
 
     N = np.empty((T, 8, 8))
     for ell in range(3):
@@ -137,8 +138,11 @@ def build_rt_space(mesh: Mesh) -> RTSpace:
     except np.linalg.LinAlgError as exc:
         raise EquilibrationError(f"degenerate RT element: {exc}") from exc
 
-    basis_q = np.einsum("tqkc,tkj->tqjc", mono_q, coeff)  # (T, 6, 8, 2)
-    mass = np.einsum("t,q,tqic,tqjc->tij", mesh.areas, TRI_QW, basis_q, basis_q)
+    basis_q = np.einsum("tqkc,tkj->tqjc", mono_q, coeff, optimize=True)  # (T, 6, 8, 2)
+    # Summed over quadrature points: one einsum over all of them would hold
+    # transposed copies of basis_q and their products, about 4x its size.
+    mass = sum(np.einsum("t,tic,tjc->tij", mesh.areas * w, b, b, optimize=True)
+               for w, b in zip(TRI_QW, basis_q.transpose(1, 0, 2, 3)))
     div_q = np.einsum(
         "tqk,tkj->tqj", _div_monomials(xiq, etq, scales[:, None]), coeff
     )

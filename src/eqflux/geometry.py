@@ -13,7 +13,14 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .mesh import EdgeMarker, Mesh, _grid_index, _lattice_mesh, _on_unit_square_boundary
+from .mesh import (
+    EdgeMarker,
+    Mesh,
+    _cell_block,
+    _grid_index,
+    _lattice_mesh,
+    _on_unit_square_boundary,
+)
 
 NEGATIVE_INTERNAL = "negative_internal"
 NEGATIVE_BOUNDARY = "negative_boundary"
@@ -303,45 +310,30 @@ class CurveQuadrature:
         return float(self.weights.sum())
 
 
-def _segment_cut_params(P, Q, mesh: Mesh, tol=_TOL):
-    """Parameters in (0,1) where segment PQ crosses mesh edges."""
+def _segment_cut_params(P, Q, ends, box_lo, box_hi, tol=_TOL):
+    """Parameters in (0,1) where segment PQ crosses the mesh edges ``ends``.
+
+    Only edges whose bounding box meets the segment's, padded by the
+    collinearity tolerance, are tested.
+    """
     d = Q - P
     L = np.linalg.norm(d)
-    if L == 0.0:
-        return []
-    lo, cell, ncell, buckets = mesh._bucket_grid()
-    bmin = np.minimum(P, Q)
-    bmax = np.maximum(P, Q)
-    i0 = np.clip(((bmin - lo) / cell).astype(int) - 1, 0, ncell - 1)
-    i1 = np.clip(((bmax - lo) / cell).astype(int) + 1, 0, ncell - 1)
-    cand_tris = set()
-    for ix in range(i0[0], i1[0] + 1):
-        for iy in range(i0[1], i1[1] + 1):
-            cand_tris.update(buckets.get((ix, iy), ()))
-    edges = set()
-    for t in cand_tris:
-        edges.update(int(e) for e in mesh.triangle_edges[t])
-    params = []
-    for e in edges:
-        i, j = mesh.edge_vertices[e]
-        A, B = mesh.vertices[i], mesh.vertices[j]
-        r = B - A
-        denom = d[0] * r[1] - d[1] * r[0]
-        if abs(denom) <= tol * max(L, 1.0) * max(np.linalg.norm(r), 1.0):
-            # Parallel: a collinear overlap splits at the edge endpoints.
-            perp = abs((A[0] - P[0]) * d[1] - (A[1] - P[1]) * d[0]) / L
-            if perp <= 1e-9 * max(L, 1.0):
-                for X in (A, B):
-                    t_ = np.dot(X - P, d) / (L * L)
-                    if tol < t_ < 1 - tol:
-                        params.append(float(t_))
-            continue
-        w = A - P
-        t_ = (w[0] * r[1] - w[1] * r[0]) / denom
-        u = (w[0] * d[1] - w[1] * d[0]) / denom
-        if -tol <= u <= 1 + tol and tol < t_ < 1 - tol:
-            params.append(float(t_))
-    return params
+    pad = 1e-9 * max(L, 1.0)
+    near = ((box_lo <= np.maximum(P, Q) + pad) & (box_hi >= np.minimum(P, Q) - pad)).all(1)
+    A, B = ends[near, 0], ends[near, 1]
+    r = B - A
+    w = A - P
+    denom = d[0] * r[:, 1] - d[1] * r[:, 0]
+    parallel = np.abs(denom) <= tol * max(L, 1.0) * np.maximum(np.sqrt(np.vecdot(r, r)), 1.0)
+    # A collinear overlap splits at the edge endpoints.
+    collinear = parallel & (np.abs(w[:, 0] * d[1] - w[:, 1] * d[0]) / L <= pad)
+    t_end = np.vecdot(np.concatenate([A[collinear], B[collinear]]) - P, d) / (L * L)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        t_ = (w[:, 0] * r[:, 1] - w[:, 1] * r[:, 0]) / denom
+        u = (w[:, 0] * d[1] - w[:, 1] * d[0]) / denom
+    t_ = t_[~parallel & (-tol <= u) & (u <= 1 + tol)]
+    t = np.concatenate([t_end, t_])
+    return t[(tol < t) & (t < 1 - tol)]
 
 
 def clip_curve_to_mesh(polylines, mesh: Mesh, gauss_order: int = 4) -> CurveQuadrature:
@@ -354,46 +346,44 @@ def clip_curve_to_mesh(polylines, mesh: Mesh, gauss_order: int = 4) -> CurveQuad
     if isinstance(polylines, np.ndarray) and polylines.ndim == 2:
         polylines = [polylines]
     gx, gw = gauss_legendre(gauss_order)
-    seg_tri = []
-    nodes, weights, normals, node_tris = [], [], [], []
+    ends = mesh.vertices[mesh.edge_vertices]  # (E, 2, 2)
+    box_lo, box_hi = ends.min(axis=1), ends.max(axis=1)
+    starts, steps, lengths, t0, t1 = [], [], [], [], []
     for line in polylines:
         line = np.asarray(line, dtype=float)
-        for k in range(len(line) - 1):
-            P, Q = line[k], line[k + 1]
+        for P, Q in zip(line[:-1], line[1:]):
             d = Q - P
             L = np.linalg.norm(d)
             if L <= _TOL:
                 continue
-            tangent = d / L
-            normal = np.array([tangent[1], -tangent[0]])
-            ts = sorted(set([0.0, 1.0]) | set(_segment_cut_params(P, Q, mesh)))
+            cuts = _segment_cut_params(P, Q, ends, box_lo, box_hi)
+            ts = np.unique(np.concatenate([[0.0, 1.0], cuts]))
             merged = [ts[0]]
             for t in ts[1:]:
                 if t - merged[-1] > _TOL:
                     merged.append(t)
-            for t0, t1 in zip(merged[:-1], merged[1:]):
-                mid = P + 0.5 * (t0 + t1) * d
-                hit = mesh.locate_point(mid)
-                if hit is None:
-                    raise GeometryError(
-                        f"curve point {mid} lies outside the mesh"
-                    )
-                tri = hit[0]
-                a = P + t0 * d
-                b = P + t1 * d
-                seg_tri.append(tri)
-                sublen = (t1 - t0) * L
-                for q in range(gauss_order):
-                    nodes.append(a + gx[q] * (b - a))
-                    weights.append(sublen * gw[q])
-                    normals.append(normal)
-                    node_tris.append(tri)
+            starts += [P] * (len(merged) - 1)
+            steps += [d] * (len(merged) - 1)
+            lengths += [L] * (len(merged) - 1)
+            t0 += merged[:-1]
+            t1 += merged[1:]
+    P = np.reshape(starts, (-1, 2))
+    d = np.reshape(steps, (-1, 2))
+    L = np.asarray(lengths, dtype=float)
+    t0, t1 = np.asarray(t0, dtype=float)[:, None], np.asarray(t1, dtype=float)[:, None]
+    mid = P + 0.5 * (t0 + t1) * d
+    seg_tris, _ = mesh.locate_points(mid)
+    if (seg_tris < 0).any():
+        raise GeometryError(f"curve point {mid[np.argmax(seg_tris < 0)]} lies outside the mesh")
+    a, b = P + t0 * d, P + t1 * d
+    tangent = d / L[:, None]
+    normal = np.stack([tangent[:, 1], -tangent[:, 0]], axis=1)
     return CurveQuadrature(
-        seg_tris=np.asarray(seg_tri, dtype=np.int64),
-        nodes=np.asarray(nodes, dtype=float).reshape(-1, 2),
-        weights=np.asarray(weights, dtype=float),
-        normals=np.asarray(normals, dtype=float).reshape(-1, 2),
-        node_tris=np.asarray(node_tris, dtype=np.int64),
+        seg_tris=seg_tris,
+        nodes=(a[:, None] + gx[:, None] * (b - a)[:, None]).reshape(-1, 2),
+        weights=((t1 - t0) * L[:, None] * gw).ravel(),
+        normals=np.repeat(normal, gauss_order, axis=0),
+        node_tris=np.repeat(seg_tris, gauss_order),
     )
 
 
@@ -420,14 +410,7 @@ def feature_mesh(feature: FeatureSpec, n: int, domain: DomainSpec | None = None)
         raise GeometryError("built-in feature meshing needs an axis-aligned rectangle")
     i0, i1 = _grid_index(xs[0], n, "feature x0"), _grid_index(xs[1], n, "feature x1")
     j0, j1 = _grid_index(ys[0], n, "feature y0"), _grid_index(ys[1], n, "feature y1")
-    ids = {}
-    coords = []
-    for j in range(j0, j1 + 1):
-        for i in range(i0, i1 + 1):
-            ids[(i, j)] = len(coords)
-            coords.append((i / n, j / n))
-    cells = [(i, j) for j in range(j0, j1) for i in range(i0, i1)]
-    m = _lattice_mesh(cells, ids, coords)
+    m = _lattice_mesh(_cell_block(i0, i1, j0, j1), n)
 
     def classify(mid):
         pm = np.asarray(mid)
@@ -439,10 +422,9 @@ def feature_mesh(feature: FeatureSpec, n: int, domain: DomainSpec | None = None)
                         return part
         return None
 
-    for e in m.boundary_edge_ids:
-        e = int(e)
-        i, j = m.edge_vertices[e]
-        mid = 0.5 * (m.vertices[i] + m.vertices[j])
+    mids = m.edge_midpoints()
+    for e in m.boundary_edge_ids.tolist():
+        mid = mids[e]
         part = classify(mid)
         if part is None:
             raise GeometryError(

@@ -7,6 +7,8 @@ behind the contracts below.
 
 from __future__ import annotations
 
+import warnings
+
 import numpy as np
 import scipy.linalg
 import scipy.sparse.linalg
@@ -93,22 +95,17 @@ def dense_lu_solve(a, b) -> np.ndarray:
     m, n = int(np.prod(a.shape[:-2])), a.shape[-1]
     stack = a.reshape(m, n, n)
     amax = np.abs(stack).max(axis=(1, 2), initial=0.0)
-    perm, lower, upper = scipy.linalg.lu(stack, p_indices=True, check_finite=False)
-    diag = np.diagonal(upper, axis1=1, axis2=2)
-    pivots = np.abs(diag).min(axis=1, initial=np.inf)
-    ok = (amax > 0) & (pivots >= 1e-12 * amax) & np.isfinite(upper).all(axis=(1, 2))
+    with warnings.catch_warnings():
+        # An exactly zero pivot is reported by the guard below.
+        warnings.simplefilter("ignore", scipy.linalg.LinAlgWarning)
+        lu, piv = scipy.linalg.lu_factor(stack, check_finite=False)
+    pivots = np.abs(np.diagonal(lu, axis1=1, axis2=2)).min(axis=1, initial=np.inf)
+    ok = (amax > 0) & (pivots >= 1e-12 * amax) & np.isfinite(lu).all(axis=(1, 2))
     if not ok.all():
         k = int(np.argmin(ok))
         raise SingularSystemError(
             f"system {k}: pivot {pivots[k]:.3e} below threshold {1e-12 * amax[k]:.3e}",
             index=k,
         )
-    # Forward and back substitution with the factors, over the whole stack.
-    x = np.empty_like(stack[:, 0])
-    np.put_along_axis(x, perm, b.reshape(m, n), axis=1)  # a = lower[perm] @ upper
-    for i in range(1, n):
-        x[:, i] -= np.einsum("pk,pk->p", lower[:, i, :i], x[:, :i])
-    for i in range(n - 1, -1, -1):
-        x[:, i] -= np.einsum("pk,pk->p", upper[:, i, i + 1:], x[:, i + 1:])
-        x[:, i] /= diag[:, i]
+    x = scipy.linalg.lu_solve((lu, piv), b.reshape(m, n, 1), check_finite=False)
     return x.reshape(b.shape)

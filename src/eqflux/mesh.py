@@ -41,6 +41,9 @@ class EdgeMarker:
 DIRICHLET = EdgeMarker("dirichlet")
 NEUMANN_OUTER = EdgeMarker("neumann")
 
+# Points located per array step of Mesh.locate_points (bounds its temporaries).
+_LOCATE_BLOCK = 2**15
+
 
 @dataclass
 class VertexPatch:
@@ -68,7 +71,7 @@ class Mesh:
     ``i → j`` in its own CCW order (−1 on the boundary side).
     """
 
-    def __init__(self, vertices, triangles, edge_markers=None, validate=True):
+    def __init__(self, vertices, triangles, edge_markers=None):
         self.vertices = np.ascontiguousarray(vertices, dtype=float)
         self.triangles = np.ascontiguousarray(triangles, dtype=np.int64)
         if self.vertices.ndim != 2 or self.vertices.shape[1] != 2:
@@ -80,29 +83,26 @@ class Mesh:
         ):
             raise MeshError("triangle vertex index out of range")
 
-        self._build_geometry(validate)
+        self._build_geometry()
         self._build_edges()
         self.edge_markers: list[EdgeMarker | None] = [None] * self.n_edges
         if edge_markers:
             for (i, j), marker in edge_markers.items():
                 self.set_marker(i, j, marker)
-        if validate and edge_markers is not None:
+        if edge_markers is not None:
             self.validate_markers()
         self._grid = None
 
     # -- construction ---------------------------------------------------
 
-    def _build_geometry(self, validate):
+    def _build_geometry(self):
         v = self.vertices[self.triangles]  # (T, 3, 2)
         d1 = v[:, 1] - v[:, 0]
         d2 = v[:, 2] - v[:, 0]
         signed = 0.5 * (d1[:, 0] * d2[:, 1] - d1[:, 1] * d2[:, 0])
-        if validate and len(signed):
-            bad = np.where(signed <= 0)[0]
-            if len(bad):
-                raise MeshError(
-                    f"triangle {bad[0]} has non-positive area {signed[bad[0]]:.3e}"
-                )
+        bad = np.flatnonzero(signed <= 0)
+        if len(bad):
+            raise MeshError(f"triangle {bad[0]} has non-positive area {signed[bad[0]]:.3e}")
         self.areas = signed
         # Barycentric/affine coefficients: lam_q(x,y) = c0 + c1 x + c2 y.
         x, y = v[..., 0], v[..., 1]
@@ -122,41 +122,43 @@ class Mesh:
             e(v[:, 0] - v[:, 2], axis=1),
         )
 
+    def _edge_key(self, i, j):
+        return np.minimum(i, j) * self.n_vertices + np.maximum(i, j)
+
     def _build_edges(self):
-        T = len(self.triangles)
-        pairs = {}
-        tri_edges = np.empty((T, 3), dtype=np.int64)
-        edge_list = []
-        edge_tris = []
-        for t in range(T):
-            tri = self.triangles[t]
-            for loc in range(3):
-                a, b = int(tri[loc]), int(tri[(loc + 1) % 3])
-                key = (a, b) if a < b else (b, a)
-                e = pairs.get(key)
-                if e is None:
-                    e = len(edge_list)
-                    pairs[key] = e
-                    edge_list.append(key)
-                    edge_tris.append([-1, -1])
-                side = 0 if a < b else 1
-                if edge_tris[e][side] != -1:
-                    raise MeshError(
-                        f"edge {key} traversed twice in the same direction "
-                        f"(triangles {edge_tris[e][side]} and {t})"
-                    )
-                edge_tris[e][side] = t
-                tri_edges[t, loc] = e
-        self.edge_vertices = np.asarray(edge_list, dtype=np.int64).reshape(-1, 2)
-        self.edge_tris = np.asarray(edge_tris, dtype=np.int64).reshape(-1, 2)
-        self.triangle_edges = tri_edges
-        self.n_edges = len(edge_list)
-        self._edge_index = pairs
-        counts = (self.edge_tris >= 0).sum(axis=1)
-        if self.n_edges and counts.min() < 1:
-            raise MeshError("orphan edge")
-        self.boundary_edge_ids = np.where(counts == 1)[0]
-        self._boundary_set = set(int(e) for e in self.boundary_edge_ids)
+        # Corner 3t + l runs along local edge l of triangle t, from vertex
+        # triangles[t, l] to triangles[t, l + 1]; edges are numbered in the
+        # order of their first corner.
+        tail = self.triangles.ravel()
+        head = np.roll(self.triangles, -1, axis=1).ravel()
+        keys, first, inverse = np.unique(
+            self._edge_key(tail, head), return_index=True, return_inverse=True
+        )
+        order = np.argsort(first)
+        rank = np.empty_like(order)
+        rank[order] = np.arange(len(order))
+        corner_edge = rank[inverse]
+        slot = 2 * corner_edge + (tail > head)  # side 0 traverses i → j
+        if len(slot) and np.bincount(slot).max() > 1:
+            by_slot = np.argsort(slot, kind="stable")
+            repeat = by_slot[1:][slot[by_slot[1:]] == slot[by_slot[:-1]]]
+            c = int(repeat.min())  # the first corner that reuses a side
+            t0 = int(np.argmax(slot == slot[c])) // 3
+            key = (int(min(tail[c], head[c])), int(max(tail[c], head[c])))
+            raise MeshError(
+                f"edge {key} traversed twice in the same direction "
+                f"(triangles {t0} and {c // 3})"
+            )
+        self.n_edges = len(keys)
+        self._keys, self._key_edges = keys, rank
+        self.edge_vertices = np.stack(
+            [np.minimum(tail, head), np.maximum(tail, head)], axis=1
+        )[first[order]]
+        edge_tris = np.full(2 * self.n_edges, -1, dtype=np.int64)
+        edge_tris[slot] = np.arange(len(slot)) // 3
+        self.edge_tris = edge_tris.reshape(-1, 2)
+        self.triangle_edges = corner_edge.reshape(-1, 3)
+        self.boundary_edge_ids = np.flatnonzero((self.edge_tris < 0).any(axis=1))
         ev = self.vertices[self.edge_vertices]
         d = ev[:, 1] - ev[:, 0]
         self.edge_lengths = np.linalg.norm(d, axis=1)
@@ -182,35 +184,37 @@ class Mesh:
         """Mesh parameter: the maximum element diameter."""
         return float(self.diameters.max())
 
-    def is_boundary_edge(self, e: int) -> bool:
-        return int(e) in self._boundary_set
+    def edge_midpoints(self) -> np.ndarray:
+        ev = self.edge_vertices
+        return 0.5 * (self.vertices[ev[:, 0]] + self.vertices[ev[:, 1]])
 
     def boundary_edge_triangle(self, e: int) -> int:
         a, b = self.edge_tris[e]
         return int(a) if a >= 0 else int(b)
 
     def set_marker(self, i, j, marker: EdgeMarker):
-        key = (int(i), int(j)) if i < j else (int(j), int(i))
-        e = self._edge_index.get(key)
-        if e is None:
+        i, j = int(i), int(j)
+        key = self._edge_key(i, j)
+        k = int(np.searchsorted(self._keys, key))
+        if (min(i, j) < 0 or max(i, j) >= self.n_vertices or k == self.n_edges
+                or self._keys[k] != key):
             raise MeshError(f"no edge between vertices {i} and {j}")
-        self.edge_markers[e] = marker
+        self.edge_markers[self._key_edges[k]] = marker
 
     def validate_markers(self):
         """Boundary edges need exactly one marker; interior edges may only
         carry a feature interface (gamma0) marker."""
-        for e in range(self.n_edges):
-            m = self.edge_markers[e]
-            if self.is_boundary_edge(e):
+        on_boundary = (self.edge_tris < 0).any(axis=1).tolist()
+        for e, (m, boundary) in enumerate(zip(self.edge_markers, on_boundary)):
+            if boundary:
                 if m is None:
                     i, j = self.edge_vertices[e]
                     raise MeshError(f"unmarked boundary edge ({i}, {j})")
-            elif m is not None:
-                if not (m.kind == "feature" and m.part == "gamma0"):
-                    raise MeshError(
-                        f"interior edge {e} carries marker {m}; only feature "
-                        "interface (gamma0) markers are allowed there"
-                    )
+            elif m is not None and not (m.kind == "feature" and m.part == "gamma0"):
+                raise MeshError(
+                    f"interior edge {e} carries marker {m}; only feature "
+                    "interface (gamma0) markers are allowed there"
+                )
 
     def marked_edges(self, kind=None, part=None, feature_id=None) -> np.ndarray:
         out = []
@@ -239,27 +243,28 @@ class Mesh:
     # -- point location ---------------------------------------------------
 
     def _bucket_grid(self):
+        """Uniform grid over the vertex bounding box, in CSR form: the
+        triangles whose bounding box, padded by 1e-9 of the span, meets cell
+        ``c = ix * ncell + iy`` are ``tris[offsets[c]:offsets[c + 1]]``,
+        ascending."""
         if self._grid is None:
             lo = self.vertices.min(axis=0)
-            hi = self.vertices.max(axis=0)
-            span = np.maximum(hi - lo, 1e-300)
+            span = np.maximum(self.vertices.max(axis=0) - lo, 1e-300)
             ncell = max(1, int(np.ceil(np.sqrt(max(self.n_triangles, 1) / 2.0))))
             cell = span / ncell
-            buckets = {}
             v = self.vertices[self.triangles]
-            bmin = v.min(axis=1)
-            bmax = v.max(axis=1)
             eps = 1e-9 * span
-            i0 = np.clip(((bmin - lo - eps) / cell).astype(int), 0, ncell - 1)
-            i1 = np.clip(((bmax - lo + eps) / cell).astype(int), 0, ncell - 1)
-            for t in range(self.n_triangles):
-                for ix in range(i0[t, 0], i1[t, 0] + 1):
-                    for iy in range(i0[t, 1], i1[t, 1] + 1):
-                        buckets.setdefault((ix, iy), []).append(t)
-            buckets = {
-                k: np.asarray(sorted(v), dtype=np.int64) for k, v in buckets.items()
-            }
-            self._grid = (lo, cell, ncell, buckets)
+            i0 = np.clip(((v.min(axis=1) - lo - eps) / cell).astype(int), 0, ncell - 1)
+            i1 = np.clip(((v.max(axis=1) - lo + eps) / cell).astype(int), 0, ncell - 1)
+            ny = i1[:, 1] - i0[:, 1] + 1
+            count = (i1[:, 0] - i0[:, 0] + 1) * ny
+            tris = np.repeat(np.arange(self.n_triangles), count)
+            k = np.arange(len(tris)) - np.repeat(np.cumsum(count) - count, count)
+            cells = (i0[tris, 0] + k // ny[tris]) * ncell + i0[tris, 1] + k % ny[tris]
+            offsets = np.concatenate(
+                [[0], np.cumsum(np.bincount(cells, minlength=ncell * ncell))]
+            )
+            self._grid = (lo, cell, ncell, offsets, tris[np.argsort(cells, kind="stable")])
         return self._grid
 
     def locate_points(self, points, tol: float = 1e-12):
@@ -268,7 +273,8 @@ class Mesh:
         Returns ``(tris, bary)`` where ``tris[k]`` is the owning triangle of
         ``points[k]`` (−1 if outside the mesh) and ``bary[k]`` its barycentric
         coordinates there.  Points on shared edges resolve to the lowest
-        incident triangle index.
+        incident triangle index: each point tests the triangles of its grid
+        cell in ascending order, all points of a block at once.
         """
         pts = np.atleast_2d(np.asarray(points, dtype=float))
         n = len(pts)
@@ -276,58 +282,25 @@ class Mesh:
         bary = np.zeros((n, 3))
         if n == 0 or self.n_triangles == 0:
             return tris, bary
-        lo, cell, ncell, buckets = self._bucket_grid()
-        idx = np.clip(((pts - lo) / cell).astype(int), 0, ncell - 1)
-        keys = idx[:, 0] * ncell + idx[:, 1]
-        order = np.argsort(keys, kind="stable")
-        start = 0
+        lo, cell, ncell, offsets, cell_tris = self._bucket_grid()
         lam = self.lam_coeffs
-        while start < n:
-            key = keys[order[start]]
-            stop = start
-            while stop < n and keys[order[stop]] == key:
-                stop += 1
-            sel = order[start:stop]
-            start = stop
-            ix, iy = int(key // ncell), int(key % ncell)
-            cand = buckets.get((ix, iy))
-            sub = pts[sel]
-            found = np.zeros(len(sel), dtype=bool)
-            for expand in (False, True):
-                if expand:
-                    ids = []
-                    for jx in range(max(ix - 1, 0), min(ix + 2, ncell)):
-                        for jy in range(max(iy - 1, 0), min(iy + 2, ncell)):
-                            b = buckets.get((jx, jy))
-                            if b is not None:
-                                ids.append(b)
-                    cand = np.unique(np.concatenate(ids)) if ids else None
-                if cand is None or len(cand) == 0:
-                    continue
-                # lam values: (ncand, npts, 3)
-                lv = (
-                    lam[cand, :, 0][:, None, :]
-                    + lam[cand, :, 1][:, None, :] * sub[None, :, 0, None]
-                    + lam[cand, :, 2][:, None, :] * sub[None, :, 1, None]
-                )
-                ok = (lv >= -tol).all(axis=2)
-                for kk in np.where(~found)[0]:
-                    hits = np.where(ok[:, kk])[0]
-                    if len(hits):
-                        c = int(cand[hits[0]])  # candidates sorted: lowest index
-                        tris[sel[kk]] = c
-                        bary[sel[kk]] = lv[hits[0], kk]
-                        found[kk] = True
-                if found.all():
-                    break
+        for s in range(0, n, _LOCATE_BLOCK):
+            p = pts[s:s + _LOCATE_BLOCK]
+            idx = np.clip(((p - lo) / cell).astype(int), 0, ncell - 1)
+            key = idx[:, 0] * ncell + idx[:, 1]
+            start, size = offsets[key], offsets[key + 1] - offsets[key]
+            todo = np.flatnonzero(size > 0)
+            k = 0
+            while len(todo):
+                c = cell_tris[start[todo] + k]
+                x, y = p[todo, 0, None], p[todo, 1, None]
+                lv = lam[c, :, 0] + lam[c, :, 1] * x + lam[c, :, 2] * y
+                hit = (lv >= -tol).all(axis=1)
+                tris[s + todo[hit]] = c[hit]
+                bary[s + todo[hit]] = lv[hit]
+                k += 1
+                todo = todo[~hit & (size[todo] > k)]
         return tris, bary
-
-    def locate_point(self, p, tol: float = 1e-12):
-        """Locate one point; returns ``(triangle, bary)`` or ``None`` outside."""
-        tris, bary = self.locate_points(np.asarray(p, dtype=float)[None, :], tol)
-        if tris[0] < 0:
-            return None
-        return int(tris[0]), bary[0]
 
 
 def vertex_patches(mesh: Mesh) -> list[VertexPatch]:
@@ -364,34 +337,43 @@ def vertex_patches(mesh: Mesh) -> list[VertexPatch]:
 
 # -- structured generators ----------------------------------------------
 
-
-def _classify_square_boundary(mesh: Mesh, dirichlet_predicate, skip=None):
-    """Mark hull edges via the Dirichlet predicate evaluated at midpoints."""
-    for e in mesh.boundary_edge_ids:
-        e = int(e)
-        if skip is not None and e in skip:
-            continue
-        if mesh.edge_markers[e] is not None:
-            continue
-        i, j = mesh.edge_vertices[e]
-        mid = 0.5 * (mesh.vertices[i] + mesh.vertices[j])
-        if dirichlet_predicate is None or dirichlet_predicate(mid[0], mid[1]):
-            mesh.edge_markers[e] = DIRICHLET
-        else:
-            mesh.edge_markers[e] = NEUMANN_OUTER
+_CELL_CORNERS = np.array([[0, 0], [1, 0], [1, 1], [0, 1]])
 
 
-def _lattice_mesh(cells, vertex_ids, coords):
-    """Triangulate the given unit cells with the low-left→up-right diagonal."""
-    triangles = []
-    for (i, j) in cells:
-        a = vertex_ids[(i, j)]
-        b = vertex_ids[(i + 1, j)]
-        c = vertex_ids[(i + 1, j + 1)]
-        d = vertex_ids[(i, j + 1)]
-        triangles.append((a, b, c))
-        triangles.append((a, c, d))
-    return Mesh(np.asarray(coords, dtype=float), np.asarray(triangles, dtype=np.int64))
+def _classify_square_boundary(mesh: Mesh, dirichlet_predicate):
+    """Mark the unmarked hull edges Dirichlet where the predicate holds at
+    their midpoint (everywhere when it is omitted), otherwise Neumann."""
+    mids = mesh.edge_midpoints()
+    for e in mesh.boundary_edge_ids.tolist():
+        if mesh.edge_markers[e] is None:
+            x, y = mids[e]
+            if dirichlet_predicate is None or dirichlet_predicate(x, y):
+                mesh.edge_markers[e] = DIRICHLET
+            else:
+                mesh.edge_markers[e] = NEUMANN_OUTER
+
+
+def _cell_block(i0, i1, j0, j1):
+    """Lattice cells ``(i, j)`` of ``[i0, i1) × [j0, j1)`` in row-major order."""
+    j, i = np.mgrid[j0:j1, i0:i1].reshape(2, -1)
+    return np.column_stack([i, j])
+
+
+def _lattice_mesh(cells, n, square_first=False):
+    """Triangulate lattice cells ``(C, 2)`` of spacing 1/n, each split along
+    the low-left→up-right diagonal.
+
+    Vertices are the cell corners in row-major order; with ``square_first``
+    the corners on the unit square's lattice come first.
+    """
+    corners = (cells[:, None, :] + _CELL_CORNERS).reshape(-1, 2)
+    outside = ((corners < 0) | (corners > n)).any(axis=1) & square_first
+    ids, inverse = np.unique(
+        np.column_stack([outside, corners[:, ::-1]]), axis=0, return_inverse=True
+    )
+    a, b, c, d = inverse.reshape(-1, 4).T
+    triangles = np.stack([a, b, c, a, c, d], axis=1).reshape(-1, 3)
+    return Mesh(ids[:, :0:-1] / n, triangles)
 
 
 def generate_unit_square(n: int, dirichlet_predicate=None) -> Mesh:
@@ -400,14 +382,7 @@ def generate_unit_square(n: int, dirichlet_predicate=None) -> Mesh:
     the predicate (all Dirichlet when it is omitted), otherwise Neumann."""
     if n < 1:
         raise MeshError("n must be >= 1")
-    ids = {}
-    coords = []
-    for j in range(n + 1):
-        for i in range(n + 1):
-            ids[(i, j)] = len(coords)
-            coords.append((i / n, j / n))
-    cells = [(i, j) for j in range(n) for i in range(n)]
-    mesh = _lattice_mesh(cells, ids, coords)
+    mesh = _lattice_mesh(_cell_block(0, n, 0, n), n)
     _classify_square_boundary(mesh, dirichlet_predicate)
     mesh.validate_markers()
     return mesh
@@ -425,11 +400,12 @@ def _rect_from_polygon(polygon):
 
 
 def _on_unit_square_boundary(p, tol=1e-12):
-    x, y = p
-    inx = -tol <= x <= 1 + tol
-    iny = -tol <= y <= 1 + tol
-    return (inx and (abs(y) <= tol or abs(y - 1) <= tol)) or (
-        iny and (abs(x) <= tol or abs(x - 1) <= tol)
+    """Whether the point ``p`` (or each row of ``p``) lies on the unit square's hull."""
+    x, y = np.asarray(p).T
+    inx = (-tol <= x) & (x <= 1 + tol)
+    iny = (-tol <= y) & (y <= 1 + tol)
+    return (inx & ((abs(y) <= tol) | (abs(y - 1) <= tol))) | (
+        iny & ((abs(x) <= tol) | (abs(x - 1) <= tol))
     )
 
 
@@ -453,91 +429,59 @@ def generate_with_rect_features(
     """
     if n < 1:
         raise MeshError("n must be >= 1")
-    removed = set()
-    bumps = []  # (feature, cell index ranges)
-    occupied = []
+    rects = []  # (feature, rectangle, cell index ranges) of included features
     for f, inc in zip(features, include):
         if not inc:
             continue
-        x0, x1, y0, y1 = _rect_from_polygon(f.polygon)
-        i0, i1 = _grid_index(x0, n, "feature x0"), _grid_index(x1, n, "feature x1")
-        j0, j1 = _grid_index(y0, n, "feature y0"), _grid_index(y1, n, "feature y1")
+        rect = _rect_from_polygon(f.polygon)
+        i0, i1 = _grid_index(rect[0], n, "feature x0"), _grid_index(rect[1], n, "feature x1")
+        j0, j1 = _grid_index(rect[2], n, "feature y0"), _grid_index(rect[3], n, "feature y1")
         if i1 <= i0 or j1 <= j0:
             raise MeshError("degenerate feature rectangle")
-        cells = {(i, j) for i in range(i0, i1) for j in range(j0, j1)}
-        for other in occupied:
-            if cells & other:
+        for _, _, (a0, a1, b0, b1) in rects:
+            if max(i0, a0) < min(i1, a1) and max(j0, b0) < min(j1, b1):
                 raise MeshError("overlapping features")
-        occupied.append(cells)
+        inside = 0 <= i0 and i1 <= n and 0 <= j0 and j1 <= n
+        if f.kind == "positive" and inside:
+            raise MeshError(f"positive feature {f.id} must lie outside the square")
+        if f.kind != "positive" and not inside:
+            raise MeshError(f"negative feature {f.id} must lie inside the square")
+        rects.append((f, rect, (i0, i1, j0, j1)))
+    # Negative features come first: a bump's markers win on a shared edge.
+    rects.sort(key=lambda r: r[0].kind == "positive")
+
+    keep = np.ones((n, n), dtype=bool)  # [j, i]
+    bumps = []
+    for f, _, (i0, i1, j0, j1) in rects:
         if f.kind == "positive":
-            inside = 0 <= i0 and i1 <= n and 0 <= j0 and j1 <= n
-            if inside:
-                raise MeshError(f"positive feature {f.id} must lie outside the square")
-            bumps.append((f, (i0, i1, j0, j1)))
+            bumps.append(_cell_block(i0, i1, j0, j1))
         else:
-            if not (0 <= i0 and i1 <= n and 0 <= j0 and j1 <= n):
-                raise MeshError(f"negative feature {f.id} must lie inside the square")
-            removed |= cells
-
-    cells = []
-    for j in range(n):
-        for i in range(n):
-            if (i, j) in removed:
-                continue
-            cells.append((i, j))
-    for _, (i0, i1, j0, j1) in bumps:
-        for j in range(j0, j1):
-            for i in range(i0, i1):
-                cells.append((i, j))
-
-    used = set()
-    for (i, j) in cells:
-        for (di, dj) in ((0, 0), (1, 0), (1, 1), (0, 1)):
-            used.add((i + di, j + dj))
-    # Lattice vertices in generate_unit_square order first (so the un-featured
-    # mesh is bit-identical to it), then bump vertices row-major.
-    ids = {}
-    coords = []
-    for j in range(n + 1):
-        for i in range(n + 1):
-            if (i, j) in used:
-                ids[(i, j)] = len(coords)
-                coords.append((i / n, j / n))
-    for (i, j) in sorted(used - set(ids), key=lambda p: (p[1], p[0])):
-        ids[(i, j)] = len(coords)
-        coords.append((i / n, j / n))
-    mesh = _lattice_mesh(cells, ids, coords)
+            keep[j0:j1, i0:i1] = False
+    cells = np.concatenate([_cell_block(0, n, 0, n)[keep.ravel()]] + bumps)
+    # Vertices of the square's lattice first, so that the un-featured mesh is
+    # bit-identical to generate_unit_square, then bump vertices row-major.
+    mesh = _lattice_mesh(cells, n, square_first=True)
 
     # Feature markers.  New hole boundary edges are gamma (or gamma0 when
     # they fall on the square hull); bump boundary edges are gamma except the
     # shared interface, which keeps a gamma0 tag although now interior.
-    skip = set()
-    for f, inc in zip(features, include):
-        if not inc or f.kind == "positive":
-            continue
-        x0, x1, y0, y1 = _rect_from_polygon(f.polygon)
-        for e in mesh.boundary_edge_ids:
-            e = int(e)
-            i, j = mesh.edge_vertices[e]
-            mid = 0.5 * (mesh.vertices[i] + mesh.vertices[j])
-            if not (x0 - 1e-12 <= mid[0] <= x1 + 1e-12 and y0 - 1e-12 <= mid[1] <= y1 + 1e-12):
-                continue
-            part = "gamma0" if _on_unit_square_boundary(mid) else "gamma"
-            mesh.edge_markers[e] = EdgeMarker("feature", f.id, part)
-            skip.add(e)
-    for f, _rng in bumps:
-        x0, x1, y0, y1 = _rect_from_polygon(f.polygon)
-        for e in range(mesh.n_edges):
-            i, j = mesh.edge_vertices[e]
-            mid = 0.5 * (mesh.vertices[i] + mesh.vertices[j])
-            if not (x0 - 1e-12 <= mid[0] <= x1 + 1e-12 and y0 - 1e-12 <= mid[1] <= y1 + 1e-12):
-                continue
-            if mesh.is_boundary_edge(e):
-                mesh.edge_markers[e] = EdgeMarker("feature", f.id, "gamma")
-                skip.add(e)
-            elif _on_unit_square_boundary(mid):
-                mesh.edge_markers[e] = EdgeMarker("feature", f.id, "gamma0")
-    _classify_square_boundary(mesh, dirichlet_predicate, skip=skip)
+    mids = mesh.edge_midpoints()
+    boundary = (mesh.edge_tris < 0).any(axis=1)
+    on_hull = _on_unit_square_boundary(mids)
+    for f, (x0, x1, y0, y1), _ in rects:
+        inside = ((x0 - 1e-12 <= mids[:, 0]) & (mids[:, 0] <= x1 + 1e-12)
+                  & (y0 - 1e-12 <= mids[:, 1]) & (mids[:, 1] <= y1 + 1e-12))
+        if f.kind == "positive":
+            gamma0 = inside & ~boundary & on_hull
+            gamma = inside & boundary
+        else:
+            gamma0 = inside & boundary & on_hull
+            gamma = inside & boundary & ~on_hull
+        for part, mask in (("gamma0", gamma0), ("gamma", gamma)):
+            marker = EdgeMarker("feature", f.id, part)
+            for e in np.flatnonzero(mask).tolist():
+                mesh.edge_markers[e] = marker
+    _classify_square_boundary(mesh, dirichlet_predicate)
     mesh.validate_markers()
     return mesh
 
@@ -545,22 +489,16 @@ def generate_with_rect_features(
 def uniform_refine(mesh: Mesh) -> Mesh:
     """Split each triangle into 4 by edge midpoints; markers are inherited."""
     V = mesh.n_vertices
-    coords = np.vstack(
-        [mesh.vertices, 0.5 * (mesh.vertices[mesh.edge_vertices[:, 0]]
-                               + mesh.vertices[mesh.edge_vertices[:, 1]])]
-    )
+    coords = np.vstack([mesh.vertices, mesh.edge_midpoints()])
     v0, v1, v2 = mesh.triangles.T
     m01, m12, m20 = (V + mesh.triangle_edges).T  # midpoint of local edge (l, l+1)
     tris = np.stack([v0, m01, m20, v1, m12, m01, v2, m20, m12, m01, m12, m20], axis=1)
     fine = Mesh(coords, tris.reshape(-1, 3))
-    for e in range(mesh.n_edges):
-        marker = mesh.edge_markers[e]
-        if marker is None:
-            continue
-        i, j = (int(v) for v in mesh.edge_vertices[e])
-        mid = V + e
-        fine.set_marker(i, mid, marker)
-        fine.set_marker(mid, j, marker)
+    for e, marker in enumerate(mesh.edge_markers):
+        if marker is not None:
+            i, j = mesh.edge_vertices[e].tolist()
+            fine.set_marker(i, V + e, marker)
+            fine.set_marker(V + e, j, marker)
     fine.validate_markers()
     return fine
 
@@ -570,16 +508,11 @@ def uniform_refine(mesh: Mesh) -> Mesh:
 
 def write_mesh(mesh: Mesh, path):
     """Write the mesh in the JSON format documented in the README."""
-    marked = []
-    for e in range(mesh.n_edges):
-        m = mesh.edge_markers[e]
-        if m is None:
-            continue
-        i, j = (int(v) for v in mesh.edge_vertices[e])
-        marked.append([i, j, m.kind, m.feature_id, m.part])
+    marked = [[*mesh.edge_vertices[e].tolist(), m.kind, m.feature_id, m.part]
+              for e, m in enumerate(mesh.edge_markers) if m is not None]
     doc = {
-        "vertices": [[float(x), float(y)] for x, y in mesh.vertices],
-        "triangles": [[int(a), int(b), int(c)] for a, b, c in mesh.triangles],
+        "vertices": mesh.vertices.tolist(),
+        "triangles": mesh.triangles.tolist(),
         "boundary_edges": marked,
     }
     with open(path, "w") as f:

@@ -4,8 +4,9 @@ The quadrature oracles deliberately avoid the library's own quadrature and
 assembly paths: the Duffy rule below integrates over triangles through a
 collapsed tensor-Gauss rule and is used to cross-check projections, norms
 and estimator values.  The field helpers, the edge-by-edge certificate
-loops and the vertex-by-vertex patch equilibration after them are reference
-implementations for tests only.
+loops, the vertex-by-vertex patch equilibration and the dict-and-loop mesh
+topology, point location, curve clipping and lattice builders after them are
+reference implementations for tests only.
 """
 
 import numpy as np
@@ -265,3 +266,166 @@ def unstructured_mesh(n, rng, dirichlet_predicate):
     markers = {tuple(int(v) for v in lattice.edge_vertices[e]): lattice.edge_markers[e]
                for e in lattice.boundary_edge_ids}
     return Mesh(vertices, np.array(triangles), edge_markers=markers)
+
+
+def build_edges_loop(triangles):
+    """Triangle-by-triangle edge numbering through a dict of sorted vertex
+    pairs: ``(edge_vertices, edge_tris, triangle_edges)``."""
+    pairs = {}
+    tri_edges = np.empty((len(triangles), 3), dtype=np.int64)
+    edge_list, edge_tris = [], []
+    for t, tri in enumerate(triangles):
+        for loc in range(3):
+            a, b = int(tri[loc]), int(tri[(loc + 1) % 3])
+            key = (a, b) if a < b else (b, a)
+            e = pairs.setdefault(key, len(edge_list))
+            if e == len(edge_list):
+                edge_list.append(key)
+                edge_tris.append([-1, -1])
+            side = 0 if a < b else 1
+            if edge_tris[e][side] != -1:
+                raise ValueError(f"edge {key} traversed twice in the same direction")
+            edge_tris[e][side] = t
+            tri_edges[t, loc] = e
+    return (np.asarray(edge_list, dtype=np.int64).reshape(-1, 2),
+            np.asarray(edge_tris, dtype=np.int64).reshape(-1, 2), tri_edges)
+
+
+def bucket_grid_loop(mesh):
+    """Dict bucket grid ``(lo, cell, ncell, {(ix, iy): ascending triangles})``
+    with each triangle in every cell its bounding box, padded by 1e-9 of the
+    span, meets."""
+    lo = mesh.vertices.min(axis=0)
+    span = np.maximum(mesh.vertices.max(axis=0) - lo, 1e-300)
+    ncell = max(1, int(np.ceil(np.sqrt(max(mesh.n_triangles, 1) / 2.0))))
+    cell = span / ncell
+    v = mesh.vertices[mesh.triangles]
+    eps = 1e-9 * span
+    i0 = np.clip(((v.min(axis=1) - lo - eps) / cell).astype(int), 0, ncell - 1)
+    i1 = np.clip(((v.max(axis=1) - lo + eps) / cell).astype(int), 0, ncell - 1)
+    buckets = {}
+    for t in range(mesh.n_triangles):
+        for ix in range(i0[t, 0], i1[t, 0] + 1):
+            for iy in range(i0[t, 1], i1[t, 1] + 1):
+                buckets.setdefault((ix, iy), []).append(t)
+    return lo, cell, ncell, buckets
+
+
+def _locate_loop(mesh, grid, p, tol):
+    """Lowest-index triangle of the point's cell holding it, else of the
+    3 x 3 cells around it: ``(triangle, bary)`` or ``(-1, zeros)``."""
+    lo, cell, ncell, buckets = grid
+    ix, iy = np.clip(((p - lo) / cell).astype(int), 0, ncell - 1)
+    near = sorted({t for jx in (ix - 1, ix, ix + 1) for jy in (iy - 1, iy, iy + 1)
+                   for t in buckets.get((jx, jy), ())})
+    lam = mesh.lam_coeffs
+    for cand in (buckets.get((ix, iy), []), near):
+        for t in cand:
+            lv = lam[t, :, 0] + lam[t, :, 1] * p[0] + lam[t, :, 2] * p[1]
+            if (lv >= -tol).all():
+                return t, lv
+    return -1, np.zeros(3)
+
+
+def locate_points_loop(mesh, points, tol=1e-12):
+    """Point-by-point location through the dict bucket grid."""
+    grid = bucket_grid_loop(mesh)
+    hits = [_locate_loop(mesh, grid, p, tol) for p in np.atleast_2d(points)]
+    return (np.array([t for t, _ in hits], dtype=np.int64).reshape(-1),
+            np.array([b for _, b in hits]).reshape(-1, 3))
+
+
+def clip_curve_loop(polylines, mesh, gauss_order=4, tol=1e-12):
+    """Segment-by-segment curve clipping: cut parameters from the edges of
+    the triangles in the grid cells around the segment, one located midpoint
+    per piece.  Returns ``(nodes, weights, node_tris)``; a piece outside the
+    mesh raises ``GeometryError``."""
+    from eqflux.geometry import GeometryError, gauss_legendre
+
+    grid = bucket_grid_loop(mesh)
+    lo, cell, ncell, buckets = grid
+    gx, gw = gauss_legendre(gauss_order)
+    nodes, weights, node_tris = [], [], []
+    for line in polylines:
+        for P, Q in zip(line[:-1], line[1:]):
+            d = Q - P
+            L = np.linalg.norm(d)
+            if L <= tol:
+                continue
+            i0 = np.clip(((np.minimum(P, Q) - lo) / cell).astype(int) - 1, 0, ncell - 1)
+            i1 = np.clip(((np.maximum(P, Q) - lo) / cell).astype(int) + 1, 0, ncell - 1)
+            edges = {int(e) for ix in range(i0[0], i1[0] + 1) for iy in range(i0[1], i1[1] + 1)
+                     for t in buckets.get((ix, iy), ()) for e in mesh.triangle_edges[t]}
+            params = []
+            for e in edges:
+                A, B = mesh.vertices[mesh.edge_vertices[e]]
+                r = B - A
+                denom = d[0] * r[1] - d[1] * r[0]
+                if abs(denom) <= tol * max(L, 1.0) * max(np.linalg.norm(r), 1.0):
+                    perp = abs((A[0] - P[0]) * d[1] - (A[1] - P[1]) * d[0]) / L
+                    if perp <= 1e-9 * max(L, 1.0):
+                        params += [np.dot(X - P, d) / (L * L) for X in (A, B)]
+                    continue
+                w = A - P
+                u = (w[0] * d[1] - w[1] * d[0]) / denom
+                if -tol <= u <= 1 + tol:
+                    params.append((w[0] * r[1] - w[1] * r[0]) / denom)
+            ts = sorted({0.0, 1.0} | {t for t in params if tol < t < 1 - tol})
+            merged = [ts[0]]
+            for t in ts[1:]:
+                if t - merged[-1] > tol:
+                    merged.append(t)
+            for t0, t1 in zip(merged[:-1], merged[1:]):
+                tri, _ = _locate_loop(mesh, grid, P + 0.5 * (t0 + t1) * d, 1e-12)
+                if tri < 0:
+                    raise GeometryError("curve leaves the mesh")
+                a, b = P + t0 * d, P + t1 * d
+                for q in range(gauss_order):
+                    nodes.append(a + gx[q] * (b - a))
+                    weights.append((t1 - t0) * L * gw[q])
+                    node_tris.append(tri)
+    return (np.asarray(nodes, dtype=float).reshape(-1, 2), np.asarray(weights, dtype=float),
+            np.asarray(node_tris, dtype=np.int64))
+
+
+def _triangulate_cells_loop(cells, ids, coords):
+    triangles = []
+    for i, j in cells:
+        a, b, c, d = (ids[k] for k in ((i, j), (i + 1, j), (i + 1, j + 1), (i, j + 1)))
+        triangles += [(a, b, c), (a, c, d)]
+    return np.asarray(coords, dtype=float), np.asarray(triangles, dtype=np.int64)
+
+
+def lattice_loop(n, holes=(), bumps=()):
+    """``(vertices, triangles)`` of the n x n unit-square lattice without the
+    cells of ``holes`` and with those of ``bumps`` (cell ranges
+    ``(i0, i1, j0, j1)``), each cell split along its low-left→up-right
+    diagonal: square lattice vertices row-major first, then the others."""
+    removed = {(i, j) for i0, i1, j0, j1 in holes
+               for i in range(i0, i1) for j in range(j0, j1)}
+    cells = [(i, j) for j in range(n) for i in range(n) if (i, j) not in removed]
+    for i0, i1, j0, j1 in bumps:
+        cells += [(i, j) for j in range(j0, j1) for i in range(i0, i1)]
+    used = {(i + di, j + dj) for i, j in cells for di, dj in ((0, 0), (1, 0), (1, 1), (0, 1))}
+    ids, coords = {}, []
+    for j in range(n + 1):
+        for i in range(n + 1):
+            if (i, j) in used:
+                ids[(i, j)] = len(coords)
+                coords.append((i / n, j / n))
+    for i, j in sorted(used - set(ids), key=lambda p: (p[1], p[0])):
+        ids[(i, j)] = len(coords)
+        coords.append((i / n, j / n))
+    return _triangulate_cells_loop(cells, ids, coords)
+
+
+def block_lattice_loop(n, i0, i1, j0, j1):
+    """``(vertices, triangles)`` of the lattice cells ``[i0, i1) x [j0, j1)``
+    with their vertices row-major."""
+    ids, coords = {}, []
+    for j in range(j0, j1 + 1):
+        for i in range(i0, i1 + 1):
+            ids[(i, j)] = len(coords)
+            coords.append((i / n, j / n))
+    cells = [(i, j) for j in range(j0, j1) for i in range(i0, i1)]
+    return _triangulate_cells_loop(cells, ids, coords)

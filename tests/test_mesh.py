@@ -1,9 +1,34 @@
 import json
+import os
+import tempfile
 
 import numpy as np
 import pytest
+from conftest import (
+    block_lattice_loop,
+    build_edges_loop,
+    clip_curve_loop,
+    lattice_loop,
+    locate_points_loop,
+    unstructured_mesh,
+)
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from eqflux.geometry import NEGATIVE_BOUNDARY, NEGATIVE_INTERNAL, POSITIVE, FeatureSpec, rect_polygon
+from eqflux.geometry import (
+    NEGATIVE_BOUNDARY,
+    NEGATIVE_INTERNAL,
+    POSITIVE,
+    DomainSpec,
+    ExtensionSpec,
+    FeatureSpec,
+    GeometryError,
+    clip_curve_to_mesh,
+    closed_loop,
+    feature_mesh,
+    rect_polygon,
+    regular_polygon,
+)
 from eqflux.mesh import (
     EdgeMarker,
     MeshError,
@@ -131,28 +156,28 @@ class TestVertexPatches:
 class TestLocatePoint:
     def test_on_diagonal_tie_breaks_low_index(self):
         m = generate_unit_square(1)
-        tri, bary = m.locate_point((0.25, 0.25))
+        tris, bary = m.locate_points([(0.25, 0.25)])
         # (0.25, 0.25) lies on the shared diagonal; lowest triangle index wins
-        assert tri == 0
-        assert bary == pytest.approx([0.75, 0.0, 0.25], abs=1e-12)
+        assert tris[0] == 0
+        assert bary[0] == pytest.approx([0.75, 0.0, 0.25], abs=1e-12)
 
     def test_vertex_location(self):
         m = generate_unit_square(2)
-        tri, bary = m.locate_point(m.vertices[4])
-        assert bary.max() == pytest.approx(1.0, abs=1e-12)
+        _, bary = m.locate_points(m.vertices[4])
+        assert bary[0].max() == pytest.approx(1.0, abs=1e-12)
 
     def test_outside(self):
         m = generate_unit_square(2)
-        assert m.locate_point((2.0, 2.0)) is None
+        tris, _ = m.locate_points([(2.0, 2.0)])
+        assert tris[0] == -1
 
     def test_interior_samples_hit_their_triangle(self):
         m = generate_unit_square(3)
         rng = np.random.default_rng(11)
-        for t in range(m.n_triangles):
-            lam = rng.dirichlet((2.0, 2.0, 2.0))
-            p = lam @ m.vertices[m.triangles[t]]
-            tri, _ = m.locate_point(p)
-            assert tri == t
+        lam = np.array([rng.dirichlet((2.0, 2.0, 2.0)) for _ in range(m.n_triangles)])
+        pts = np.einsum("tk,tkd->td", lam, m.vertices[m.triangles])
+        tris, _ = m.locate_points(pts)
+        assert np.array_equal(tris, np.arange(m.n_triangles))
 
 
 class TestUniformRefine:
@@ -219,6 +244,25 @@ class TestMeshIO:
         with pytest.raises(MeshError, match="unmarked boundary edge"):
             read_mesh(path)
 
+    @pytest.mark.parametrize("triangles, match", [
+        # two triangles traverse edge (0, 1) from 0 to 1
+        ([[0, 1, 2], [0, 1, 3]], r"edge \(0, 1\) traversed twice in the same "
+                                 r"direction \(triangles 0 and 1\)"),
+        # three triangles share edge (0, 1)
+        ([[0, 1, 2], [1, 0, 4], [0, 1, 3]], r"edge \(0, 1\) traversed twice in the "
+                                            r"same direction \(triangles 0 and 2\)"),
+    ])
+    def test_non_manifold_edge_rejected(self, tmp_path, triangles, match):
+        doc = {
+            "vertices": [[0, 0], [1, 0], [0, 1], [1, 1], [0, -1]],
+            "triangles": triangles,
+            "boundary_edges": [],
+        }
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps(doc))
+        with pytest.raises(MeshError, match=match):
+            read_mesh(path)
+
     def test_malformed_file(self, tmp_path):
         path = tmp_path / "broken.json"
         path.write_text("{not json")
@@ -231,3 +275,110 @@ class TestMeshIO:
         m.set_marker(0, 4, EdgeMarker("dirichlet"))
         with pytest.raises(MeshError, match="interior edge"):
             m.validate_markers()
+
+
+def _probe_points(mesh, rng):
+    """Vertices, points on edges, points within 1e-13 off edges, points inside
+    triangles and points around the hull."""
+    ends = mesh.vertices[mesh.edge_vertices]
+    on_edge = ends[:, 0] + rng.random((mesh.n_edges, 1)) * (ends[:, 1] - ends[:, 0])
+    side = rng.choice([-1.0, 1.0], size=(mesh.n_edges, 1))
+    off_edge = on_edge + 1e-13 * side * mesh.edge_normals
+    lam = rng.dirichlet((1.0, 1.0, 1.0), size=mesh.n_triangles)
+    inside = np.einsum("tk,tkd->td", lam, mesh.vertices[mesh.triangles])
+    lo, hi = mesh.vertices.min(axis=0), mesh.vertices.max(axis=0)
+    around = lo - 0.25 * (hi - lo) + 1.5 * rng.random((40, 2)) * (hi - lo)
+    return np.vstack([mesh.vertices, on_edge, off_edge, inside, around])
+
+
+def _probe_curves(n, rng):
+    """A random polyline, a 16-gon, a line along lattice edges and a diagonal."""
+    return [
+        [0.05 + 0.9 * rng.random((4, 2))],
+        [closed_loop(regular_polygon(0.3 + 0.4 * rng.random(2), 0.15, 16))],
+        [np.array([[0.0, 2 / n], [1.0, 2 / n]])],
+        [np.array([[0.0, 0.0], [1.0, 1.0]])],
+    ]
+
+
+class TestArrayMeshOracles:
+    """Edge topology, point location, curve clipping and lattices against the
+    dict-and-loop oracles, on jiggled meshes read back through the JSON format
+    and on refined meshes with rectangular features."""
+
+    @staticmethod
+    def _read_back(mesh):
+        with tempfile.TemporaryDirectory() as tmp:
+            path = os.path.join(tmp, "mesh.json")
+            write_mesh(mesh, path)
+            return read_mesh(path)
+
+    @staticmethod
+    def _check(mesh, rng, n):
+        ev, et, te = build_edges_loop(mesh.triangles)
+        assert np.array_equal(mesh.edge_vertices, ev)
+        assert np.array_equal(mesh.edge_tris, et)
+        assert np.array_equal(mesh.triangle_edges, te)
+
+        pts = _probe_points(mesh, rng)
+        tris, bary = mesh.locate_points(pts)
+        ref_tris, ref_bary = locate_points_loop(mesh, pts)
+        assert np.array_equal(tris, ref_tris)
+        assert np.array_equal(bary, ref_bary)
+        assert (tris[: mesh.n_vertices] >= 0).all() and (tris < 0).any()
+
+        for curve in _probe_curves(n, rng):
+            try:
+                ref = clip_curve_loop(curve, mesh)
+            except GeometryError:
+                with pytest.raises(GeometryError):
+                    clip_curve_to_mesh(curve, mesh)
+                continue
+            q = clip_curve_to_mesh(curve, mesh)
+            assert np.array_equal(q.nodes, ref[0])
+            assert np.array_equal(q.weights, ref[1])
+            assert np.array_equal(q.node_tris, ref[2])
+
+    @settings(max_examples=20, deadline=None)
+    @given(n=st.integers(2, 9), seed=st.integers(0, 2**32 - 1))
+    def test_unstructured(self, n, seed):
+        rng = np.random.default_rng(seed)
+        mesh = self._read_back(unstructured_mesh(n, rng, dirichlet_x01))
+        self._check(mesh, rng, n)
+
+    @settings(max_examples=15, deadline=None)
+    @given(k=st.integers(1, 3), notch=st.booleans(), bump=st.booleans(),
+           levels=st.integers(0, 2), seed=st.integers(0, 2**32 - 1))
+    def test_refined_rect_features(self, k, notch, bump, levels, seed):
+        n = 5 * k
+        features = [
+            FeatureSpec(1, NEGATIVE_BOUNDARY, rect_polygon(0.4, 0.6, 0.8, 1.0)),
+            FeatureSpec(2, POSITIVE, rect_polygon(0.2, 0.6, -0.2, 0.0)),
+        ]
+        mesh = generate_with_rect_features(n, features, [notch, bump], dirichlet_x01)
+        holes = [(2 * k, 3 * k, 4 * k, 5 * k)] if notch else []
+        bumps = [(k, 3 * k, -k, 0)] if bump else []
+        vertices, triangles = lattice_loop(n, holes, bumps)
+        assert np.array_equal(mesh.vertices, vertices)
+        assert np.array_equal(mesh.triangles, triangles)
+        for _ in range(levels):
+            mesh = uniform_refine(mesh)
+        self._check(mesh, np.random.default_rng(seed), n)
+
+    @pytest.mark.parametrize("n", [1, 2, 7])
+    def test_unit_square_lattice(self, n):
+        m = generate_unit_square(n)
+        vertices, triangles = lattice_loop(n)
+        assert np.array_equal(m.vertices, vertices)
+        assert np.array_equal(m.triangles, triangles)
+
+    @pytest.mark.parametrize("extension", [False, True])
+    def test_feature_lattice(self, extension):
+        n = 10
+        ext = ExtensionSpec(rect_polygon(0.2, 0.8, -0.2, 0.0)) if extension else None
+        bump = FeatureSpec(1, POSITIVE, rect_polygon(0.4, 0.6, -0.2, 0.0), extension=ext)
+        m = feature_mesh(bump, n, DomainSpec(features=[bump]))
+        vertices, triangles = block_lattice_loop(n, 2 if extension else 4,
+                                                 8 if extension else 6, -2, 0)
+        assert np.array_equal(m.vertices, vertices)
+        assert np.array_equal(m.triangles, triangles)
