@@ -13,7 +13,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .fem import ScalarField
+from .fem import TRI_QW, ScalarField, quad_points
 from .flux import FluxField, flux_normal_trace
 from .geometry import CurveQuadrature
 
@@ -126,8 +126,6 @@ def eta_zero(flux: FluxField, u_h: ScalarField) -> float:
     mesh = sp.mesh
     if u_h.mesh is not mesh:
         raise ValueError("flux and field live on different meshes")
-    from .fem import TRI_QW, quad_points
-
     pts = quad_points(mesh).reshape(-1, 2)
     tris = np.repeat(np.arange(mesh.n_triangles), len(TRI_QW))
     sig = flux.eval_at(pts, tris).reshape(mesh.n_triangles, len(TRI_QW), 2)

@@ -14,7 +14,14 @@ import numpy as np
 import scipy.sparse
 
 from . import linalg
-from .geometry import DomainSpec, FeatureSpec, _point_on_segment, gauss_legendre
+from .geometry import (
+    NEGATIVE_INTERNAL,
+    DomainSpec,
+    FeatureSpec,
+    first_group_on,
+    gauss_legendre,
+    partition_feature_boundary,
+)
 from .mesh import Mesh
 
 # Degree-4 triangle rule (6 points, barycentric), weights normalized to 1.
@@ -195,17 +202,11 @@ def _project_edge_data(mesh: Mesh, edges, datums) -> np.ndarray:
 
 def _gamma0_footprints(domain: DomainSpec, include=None):
     """gamma0 polylines of excluded boundary/positive features with their g0."""
-    from .geometry import NEGATIVE_INTERNAL, partition_feature_boundary
-
-    out = []
     include = include if include is not None else [False] * len(domain.features)
-    for feat, inc in zip(domain.features, include):
-        if inc or feat.kind == NEGATIVE_INTERNAL:
-            continue
-        parts = partition_feature_boundary(feat, domain)
-        if parts["gamma0"]:
-            out.append((feat, parts["gamma0"]))
-    return out
+    # The partition of a boundary or positive feature has a gamma0 or raises.
+    return [(feat, partition_feature_boundary(feat, domain)["gamma0"])
+            for feat, inc in zip(domain.features, include)
+            if not inc and feat.kind != NEGATIVE_INTERNAL]
 
 
 def project_data(domain: DomainSpec, mesh: Mesh, include=None) -> ProblemData:
@@ -218,39 +219,31 @@ def project_data(domain: DomainSpec, mesh: Mesh, include=None) -> ProblemData:
     f_proj = project_forcing(domain.f, mesh)
     feat_by_id = {f.id: f for f in domain.features}
     footprints = _gamma0_footprints(domain, include)
-
-    def g0_for(mid):
-        for feat, lines in footprints:
-            for line in lines:
-                for k in range(len(line) - 1):
-                    if _point_on_segment(mid, line[k], line[k + 1]):
-                        return feat.neumann_g0
-        return None
-
+    # An outer Neumann edge takes the g0 of the first excluded feature whose
+    # gamma0 footprint holds its midpoint, else g: one test of all midpoints.
+    outer_g = [feat.neumann_g0 for feat, _ in footprints] + [domain.g_neumann]
+    bnd = mesh.boundary_edge_ids
+    first = first_group_on(mesh.edge_midpoints()[bnd], [lines for _, lines in footprints])
     dir_edges, neu_edges, datums = [], [], []
-    for e in mesh.boundary_edge_ids:
-        e = int(e)
+    for e, k in zip(bnd.tolist(), first.tolist()):
         m = mesh.edge_markers[e]
-        i, j = mesh.edge_vertices[e]
-        mid = 0.5 * (mesh.vertices[i] + mesh.vertices[j])
         if m is None:
             raise ValueError(f"unmarked boundary edge {e}")
         if m.kind == "dirichlet":
             dir_edges.append(e)
             continue
         if m.kind == "neumann":
-            g = g0_for(mid)
-            g = domain.g_neumann if g is None else g
-        else:  # feature-marked
+            g = outer_g[k]
+        elif m.feature_id not in feat_by_id:
+            raise ValueError(f"boundary edge {e} is marked for unknown feature {m.feature_id!r}")
+        else:
             feat = feat_by_id[m.feature_id]
             g = feat.neumann_g0 if m.part == "gamma0" else feat.neumann_g
         neu_edges.append(e)
         datums.append(g)
 
-    dir_vertices = sorted(
-        {int(v) for e in dir_edges for v in mesh.edge_vertices[e]}
-    )
-    dv = np.asarray(dir_vertices, dtype=np.int64)
+    dir_edges = np.asarray(dir_edges, dtype=np.int64)
+    dv = np.unique(mesh.edge_vertices[dir_edges])
     return ProblemData(
         mesh=mesh,
         f_proj=f_proj,
@@ -258,7 +251,7 @@ def project_data(domain: DomainSpec, mesh: Mesh, include=None) -> ProblemData:
         dirichlet_values=eval_data(domain.g_dirichlet, mesh.vertices[dv]),
         neumann_edges=np.asarray(neu_edges, dtype=np.int64),
         gn_proj=_project_edge_data(mesh, neu_edges, datums),
-        dirichlet_edges=np.asarray(dir_edges, dtype=np.int64),
+        dirichlet_edges=dir_edges,
     )
 
 
@@ -401,7 +394,7 @@ def solve_feature_problem(
     return solve_poisson(feature_mesh, data, tol=tol)
 
 
-def energy_error_cross_mesh(coarse, reference: ScalarField, triangle_mask=None) -> float:
+def energy_error_cross_mesh(coarse, reference: ScalarField) -> float:
     """Energy norm of (reference − coarse) by quadrature on the fine mesh.
 
     ``coarse`` is a ScalarField or a CompositeField covering the fine mesh's
@@ -410,12 +403,10 @@ def energy_error_cross_mesh(coarse, reference: ScalarField, triangle_mask=None) 
     if isinstance(coarse, ScalarField):
         coarse = CompositeField([coarse])
     fine = reference.mesh
-    tris = np.arange(fine.n_triangles) if triangle_mask is None else np.where(triangle_mask)[0]
-    pts = quad_points(fine)[tris]  # (T, 6, 2)
-    gc = coarse.gradient_at(pts.reshape(-1, 2)).reshape(len(tris), len(TRI_QW), 2)
-    gr = reference.gradients()[tris][:, None, :]
-    diff = gr - gc
-    err2 = np.einsum("t,q,tqd,tqd->", fine.areas[tris], TRI_QW, diff, diff)
+    pts = quad_points(fine)  # (T, 6, 2)
+    gc = coarse.gradient_at(pts.reshape(-1, 2)).reshape(fine.n_triangles, len(TRI_QW), 2)
+    diff = reference.gradients()[:, None, :] - gc
+    err2 = np.einsum("t,q,tqd,tqd->", fine.areas, TRI_QW, diff, diff)
     return float(np.sqrt(err2))
 
 

@@ -129,86 +129,107 @@ def gauss_legendre(order: int):
 # -- point-on-boundary predicates ------------------------------------------
 
 
-def _point_on_segment(p, a, b, tol=_TOL):
+def _segments(polylines):
+    """Segment ends ``(a, b)``, each (S, 2), of the polylines in order."""
+    lines = [np.asarray(line, dtype=float) for line in polylines]
+    empty = [np.zeros((0, 2))]
+    return (np.concatenate([line[:-1] for line in lines] + empty),
+            np.concatenate([line[1:] for line in lines] + empty))
+
+
+def _on_segments(points, a, b, tol=_TOL):
+    """(N, S) mask: point n lies on segment a[s]→b[s].
+
+    The one on-segment rule of every boundary classification: with L the
+    segment length, the projection parameter lies in [−tol/L, 1 + tol/L] and
+    the distance to the projection is at most tol·max(1, L); a segment
+    shorter than tol holds the points within tol of its start.
+    """
+    p = np.asarray(points, dtype=float).reshape(-1, 1, 2)
     ab = b - a
-    L = np.linalg.norm(ab)
-    if L < tol:
-        return np.linalg.norm(p - a) <= tol
-    t = np.dot(p - a, ab) / (L * L)
-    if t < -tol / L or t > 1 + tol / L:
-        return False
-    proj = a + t * ab
-    return np.linalg.norm(p - proj) <= tol * max(1.0, L)
+    L = np.sqrt(np.vecdot(ab, ab))
+    ap = p - a
+    with np.errstate(divide="ignore", invalid="ignore"):
+        t = np.vecdot(ap, ab) / (L * L)
+        off = p - (a + t[..., None] * ab)
+        on = ((-tol / L <= t) & (t <= 1 + tol / L)
+              & (np.sqrt(np.vecdot(off, off)) <= tol * np.maximum(1.0, L)))
+    return np.where(L < tol, np.sqrt(np.vecdot(ap, ap)) <= tol, on)
 
 
-def _point_on_polygon_boundary(p, polygon, tol=_TOL):
-    loop = closed_loop(polygon)
-    return any(
-        _point_on_segment(p, loop[k], loop[k + 1], tol) for k in range(len(loop) - 1)
-    )
+def first_group_on(points, groups) -> np.ndarray:
+    """Per point, the index of the first group of polylines with a segment
+    holding it (by ``_on_segments``), or ``len(groups)`` when none does."""
+    owner = np.repeat(np.arange(len(groups)),
+                      [sum(len(line) - 1 for line in lines) for lines in groups])
+    hit = _on_segments(points, *_segments([line for lines in groups for line in lines]))
+    # A last column that holds every point sends argmax to len(groups).
+    hit = np.column_stack([hit, np.ones(len(hit), dtype=bool)])
+    return np.append(owner, len(groups))[hit.argmax(axis=1)]
 
 
-def _on_base_boundary(p, base):
+def _on_base_boundary(points, base):
+    """Whether each point lies on the boundary of the base domain."""
     if isinstance(base, str):
         if base != "unit_square":
             raise GeometryError(f"unknown base {base!r}")
-        return _on_unit_square_boundary(p)
+        return _on_unit_square_boundary(points)
     if isinstance(base, Mesh):
-        for e in base.boundary_edge_ids:
-            i, j = base.edge_vertices[e]
-            if _point_on_segment(p, base.vertices[i], base.vertices[j]):
-                return True
-        return False
+        a, b = base.vertices[base.edge_vertices[base.boundary_edge_ids]].transpose(1, 0, 2)
+        return _on_segments(points, a, b).any(axis=1)
     raise GeometryError("base must be 'unit_square' or a Mesh")
 
 
-def _edge_on(a, b, test):
-    return test(a) and test(b) and test(0.5 * (a + b))
+def _sides_on(loop, on):
+    """Mask of the sides of a closed loop whose ends and midpoint all pass
+    the array test ``on``, applied once to all vertices and midpoints."""
+    a, b = loop[:-1], loop[1:]
+    hit = on(np.concatenate([a, 0.5 * (a + b)]))
+    vertex, mid = hit[:len(a)], hit[len(a):]
+    return vertex & np.concatenate([vertex[1:], vertex[:1]]) & mid
 
 
-def _chain(segments):
-    """Merge consecutive segments into polylines (preserving orientation)."""
-    lines = []
-    cur = None
-    for a, b in segments:
-        if cur is not None and np.allclose(cur[-1], a, atol=_TOL):
-            cur.append(b)
-        else:
-            if cur is not None:
-                lines.append(np.asarray(cur))
-            cur = [a, b]
-    if cur is not None:
-        lines.append(np.asarray(cur))
+def _chain(a, b):
+    """Merge consecutive segments a[k]→b[k] into polylines (preserving
+    orientation): a segment continues the line when it starts where the
+    previous one ends."""
+    if not len(a):
+        return []
+    # joined[k]: segment k + 1 (the first one after the last) starts at b[k],
+    # within np.isclose's tolerance for atol = tol (and its rtol of 1e-5).
+    nxt = np.concatenate([a[1:], a[:1]])
+    joined = (np.abs(b - nxt) <= _TOL + 1e-5 * np.abs(nxt)).all(axis=1)
+    cut = np.flatnonzero(~joined[:-1]) + 1
+    lines = [np.vstack([a[i:i + 1], b[i:j]]) for i, j in zip([0, *cut], [*cut, len(a)])]
     # A closed loop may have been cut at the polygon start; rejoin ends.
-    if len(lines) > 1 and np.allclose(lines[-1][-1], lines[0][0], atol=_TOL):
+    if len(lines) > 1 and joined[-1]:
         lines[0] = np.vstack([lines[-1], lines[0][1:]])
         lines.pop()
     return lines
 
 
-def _subtract_overlaps(a, b, others, tol=_TOL):
-    """Parts of segment a→b not covered by collinear segments in others."""
+def _subtract_overlaps(a, b, c0, c1, tol=_TOL):
+    """Pieces ``(starts, ends)`` of the segments a→b not covered by those
+    segments c0→c1 whose ends lie on them, in segment order."""
     ab = b - a
-    L = np.linalg.norm(ab)
+    L = np.sqrt(np.vecdot(ab, ab))[:, None]
     d = ab / L
-    intervals = []
-    for (c0, c1) in others:
-        if not (_point_on_segment(c0, a, b, tol) and _point_on_segment(c1, a, b, tol)):
-            continue
-        t0 = np.dot(c0 - a, d) / L
-        t1 = np.dot(c1 - a, d) / L
-        t0, t1 = min(t0, t1), max(t0, t1)
-        intervals.append((max(t0, 0.0), min(t1, 1.0)))
-    intervals.sort()
-    out = []
-    cursor = 0.0
-    for (t0, t1) in intervals:
-        if t0 > cursor + tol:
-            out.append((a + cursor * ab, a + t0 * ab))
-        cursor = max(cursor, t1)
-    if cursor < 1.0 - tol:
-        out.append((a + cursor * ab, a + 1.0 * ab))
-    return out
+    on = (_on_segments(c0, a, b) & _on_segments(c1, a, b)).T  # (S, M)
+    t0 = np.vecdot(c0 - a[:, None], d[:, None]) / L
+    t1 = np.vecdot(c1 - a[:, None], d[:, None]) / L
+    # Covered intervals in ascending order along each segment; the others
+    # sort first as (-inf, -inf) and never open a gap or move the cursor.
+    lo = np.where(on, np.maximum(np.minimum(t0, t1), 0.0), -np.inf)
+    hi = np.where(on, np.minimum(np.maximum(t0, t1), 1.0), -np.inf)
+    k = np.lexsort((hi, lo), axis=1)
+    lo, hi = np.take_along_axis(lo, k, axis=1), np.take_along_axis(hi, k, axis=1)
+    # The cursor before each interval, and after the last, is the running
+    # maximum of the interval ends so far.
+    cursor = np.maximum.accumulate(np.column_stack([np.zeros(len(a)), hi]), axis=1)
+    stop = np.column_stack([lo, np.ones(len(a))])
+    gap = np.column_stack([lo > cursor[:, :-1] + tol, cursor[:, -1] < 1.0 - tol])
+    s = np.nonzero(gap)[0]
+    return a[s] + cursor[gap][:, None] * ab[s], a[s] + stop[gap][:, None] * ab[s]
 
 
 def partition_feature_boundary(feature: FeatureSpec, domain: DomainSpec) -> dict:
@@ -219,38 +240,28 @@ def partition_feature_boundary(feature: FeatureSpec, domain: DomainSpec) -> dict
     feature polygon.  Features are rejected if their shared boundary part
     touches the Dirichlet boundary.
     """
-    base = domain.base
     loop = closed_loop(feature.polygon)
-    on_b = lambda p: _on_base_boundary(p, base)
-    segs_gamma0, segs_gamma = [], []
-    for k in range(len(loop) - 1):
-        a, b = loop[k], loop[k + 1]
-        if _edge_on(a, b, on_b):
-            segs_gamma0.append((a, b))
-        else:
-            segs_gamma.append((a, b))
+    a, b = loop[:-1], loop[1:]
+    pieces = lambda mask: _chain(a[mask], b[mask])
+    on0 = _sides_on(loop, lambda p: _on_base_boundary(p, domain.base))
 
     if feature.kind == NEGATIVE_INTERNAL:
-        if segs_gamma0:
+        if on0.any():
             raise GeometryError(
                 f"internal feature {feature.id} touches the domain boundary"
             )
-    elif not segs_gamma0:
+    elif not on0.any():
         raise GeometryError(
             f"boundary feature {feature.id} shares no edge with the domain boundary"
         )
 
-    if domain.dirichlet is not None:
-        for a, b in segs_gamma0:
-            mid = 0.5 * (a + b)
-            if domain.dirichlet(mid[0], mid[1]):
-                raise GeometryError(
-                    f"feature {feature.id} touches the Dirichlet boundary"
-                )
+    mids0 = 0.5 * (a[on0] + b[on0])
+    if domain.dirichlet is not None and any(domain.dirichlet(x, y) for x, y in mids0):
+        raise GeometryError(f"feature {feature.id} touches the Dirichlet boundary")
 
     out = {
-        "gamma": _chain(segs_gamma),
-        "gamma0": _chain(segs_gamma0),
+        "gamma": pieces(~on0),
+        "gamma0": pieces(on0),
         "gammaS": [],
         "gammaR": [],
         "gammaTilde": [],
@@ -263,27 +274,16 @@ def partition_feature_boundary(feature: FeatureSpec, domain: DomainSpec) -> dict
         out["gammaR"] = out["gamma"]
         return out
 
-    ext_poly = feature.extension.polygon
-    on_ext = lambda p: _point_on_polygon_boundary(p, ext_poly)
-    segs_s, segs_r = [], []
-    for (a, b) in segs_gamma:
-        if _edge_on(a, b, on_ext):
-            segs_s.append((a, b))
-        else:
-            segs_r.append((a, b))
-    for (a, b) in segs_gamma0:
-        if not _edge_on(a, b, on_ext):
-            raise GeometryError(
-                f"feature {feature.id}: gamma0 must lie on the extension boundary"
-            )
-    covered = segs_s + segs_gamma0
-    ext_loop = closed_loop(ext_poly)
-    segs_tilde = []
-    for k in range(len(ext_loop) - 1):
-        segs_tilde.extend(_subtract_overlaps(ext_loop[k], ext_loop[k + 1], covered))
-    out["gammaS"] = _chain(segs_s)
-    out["gammaR"] = _chain(segs_r)
-    out["gammaTilde"] = _chain(segs_tilde)
+    ext = closed_loop(feature.extension.polygon)
+    ea, eb = ext[:-1], ext[1:]
+    on_ext = _sides_on(loop, lambda p: _on_segments(p, ea, eb).any(axis=1))
+    if (on0 & ~on_ext).any():
+        raise GeometryError(
+            f"feature {feature.id}: gamma0 must lie on the extension boundary"
+        )
+    out["gammaS"] = pieces(~on0 & on_ext)
+    out["gammaR"] = pieces(~on0 & ~on_ext)
+    out["gammaTilde"] = _chain(*_subtract_overlaps(ea, eb, a[on_ext], b[on_ext]))
     return out
 
 
@@ -412,24 +412,18 @@ def feature_mesh(feature: FeatureSpec, n: int, domain: DomainSpec | None = None)
     j0, j1 = _grid_index(ys[0], n, "feature y0"), _grid_index(ys[1], n, "feature y1")
     m = _lattice_mesh(_cell_block(i0, i1, j0, j1), n)
 
-    def classify(mid):
-        pm = np.asarray(mid)
-        for part in ("gamma0", "gammaS", "gammaTilde", "gamma"):
-            for line in parts[part]:
-                loop = np.asarray(line)
-                for k in range(len(loop) - 1):
-                    if _point_on_segment(pm, loop[k], loop[k + 1]):
-                        return part
-        return None
-
-    mids = m.edge_midpoints()
-    for e in m.boundary_edge_ids.tolist():
-        mid = mids[e]
-        part = classify(mid)
-        if part is None:
-            raise GeometryError(
-                f"feature mesh boundary edge at {mid} matches no boundary part"
-            )
-        m.edge_markers[e] = EdgeMarker("feature", feature.id, part)
+    order = ("gamma0", "gammaS", "gammaTilde", "gamma")
+    bnd = m.boundary_edge_ids
+    mids = m.edge_midpoints()[bnd]
+    k = first_group_on(mids, [parts[part] for part in order])
+    if (k == len(order)).any():
+        raise GeometryError(
+            f"feature mesh boundary edge at {mids[np.argmax(k == len(order))]} "
+            "matches no boundary part"
+        )
+    markers = np.array(m.edge_markers, dtype=object)
+    labels = [EdgeMarker("feature", feature.id, part) for part in order]
+    markers[bnd] = np.array(labels, dtype=object)[k]
+    m.edge_markers = markers.tolist()
     m.validate_markers()
     return m

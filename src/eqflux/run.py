@@ -15,7 +15,13 @@ from .geometry import (
     feature_mesh,
     partition_feature_boundary,
 )
-from .mesh import Mesh, generate_unit_square, generate_with_rect_features, uniform_refine
+from .mesh import (
+    Mesh,
+    generate_unit_square,
+    generate_with_rect_features,
+    read_mesh,
+    uniform_refine,
+)
 
 CSV_EOL = "\r\n"
 
@@ -92,8 +98,6 @@ def build_reference(spec: RunSpec) -> fem.ScalarField:
     """Reference solution on the exact geometry, refined per the settings."""
     ref = spec.reference or ReferenceSpec()
     if ref.mesh_path is not None:
-        from .mesh import read_mesh
-
         mesh = read_mesh(ref.mesh_path)
         vals = np.loadtxt(ref.field_path, delimiter=",", skiprows=1, usecols=3)
         return fem.ScalarField(mesh, vals)

@@ -4,9 +4,9 @@ The quadrature oracles deliberately avoid the library's own quadrature and
 assembly paths: the Duffy rule below integrates over triangles through a
 collapsed tensor-Gauss rule and is used to cross-check projections, norms
 and estimator values.  The field helpers, the edge-by-edge certificate
-loops, the vertex-by-vertex patch equilibration and the dict-and-loop mesh
-topology, point location, curve clipping and lattice builders after them are
-reference implementations for tests only.
+loops, the vertex-by-vertex patch equilibration, the dict-and-loop mesh
+topology, point location, curve clipping and lattice builders and the scalar
+on-segment rule after them are reference implementations for tests only.
 """
 
 import numpy as np
@@ -429,3 +429,122 @@ def block_lattice_loop(n, i0, i1, j0, j1):
             coords.append((i / n, j / n))
     cells = [(i, j) for j in range(j0, j1) for i in range(i0, i1)]
     return _triangulate_cells_loop(cells, ids, coords)
+
+
+def point_on_segment(p, a, b, tol=1e-12):
+    """Scalar on-segment rule: with L = |b - a|, the projection parameter of
+    p lies in [-tol/L, 1 + tol/L] and its distance to the projection is at
+    most tol*max(1, L); a segment shorter than tol holds the points within
+    tol of a."""
+    ab = b - a
+    L = np.linalg.norm(ab)
+    if L < tol:
+        return np.linalg.norm(p - a) <= tol
+    t = np.dot(p - a, ab) / (L * L)
+    if t < -tol / L or t > 1 + tol / L:
+        return False
+    proj = a + t * ab
+    return np.linalg.norm(p - proj) <= tol * max(1.0, L)
+
+
+def first_group_loop(p, groups):
+    """Index of the first group of polylines with a segment holding p (by
+    ``point_on_segment``, segment by segment), or ``len(groups)``."""
+    for k, lines in enumerate(groups):
+        for line in lines:
+            line = np.asarray(line, dtype=float)
+            for a, b in zip(line[:-1], line[1:]):
+                if point_on_segment(p, a, b):
+                    return k
+    return len(groups)
+
+
+def _chain_loop(segments):
+    """Consecutive (a, b) segments merged into polylines, one at a time."""
+    lines, cur = [], None
+    for a, b in segments:
+        if cur is not None and np.allclose(cur[-1], a, atol=1e-12):
+            cur.append(b)
+        else:
+            if cur is not None:
+                lines.append(np.asarray(cur))
+            cur = [a, b]
+    if cur is not None:
+        lines.append(np.asarray(cur))
+    if len(lines) > 1 and np.allclose(lines[-1][-1], lines[0][0], atol=1e-12):
+        lines[0] = np.vstack([lines[-1], lines[0][1:]])
+        lines.pop()
+    return lines
+
+
+def _subtract_overlaps_loop(a, b, others, tol=1e-12):
+    """Pieces of segment a-b not covered by those of ``others`` on it."""
+    ab = b - a
+    L = np.linalg.norm(ab)
+    d = ab / L
+    intervals = []
+    for c0, c1 in others:
+        if point_on_segment(c0, a, b) and point_on_segment(c1, a, b):
+            t0, t1 = np.dot(c0 - a, d) / L, np.dot(c1 - a, d) / L
+            t0, t1 = min(t0, t1), max(t0, t1)
+            intervals.append((max(t0, 0.0), min(t1, 1.0)))
+    out, cursor = [], 0.0
+    for t0, t1 in sorted(intervals):
+        if t0 > cursor + tol:
+            out.append((a + cursor * ab, a + t0 * ab))
+        cursor = max(cursor, t1)
+    if cursor < 1.0 - tol:
+        out.append((a + cursor * ab, a + 1.0 * ab))
+    return out
+
+
+def partition_loop(feature, domain):
+    """Feature boundary partition side by side with ``point_on_segment``;
+    raises the same ``GeometryError`` messages as the library."""
+    from eqflux.geometry import NEGATIVE_INTERNAL, POSITIVE, GeometryError, closed_loop
+    from eqflux.mesh import _on_unit_square_boundary
+
+    def on_base(p):
+        if isinstance(domain.base, str):
+            return bool(_on_unit_square_boundary(p))
+        m = domain.base
+        return any(point_on_segment(p, m.vertices[i], m.vertices[j])
+                   for i, j in m.edge_vertices[m.boundary_edge_ids])
+
+    def sides(polygon):
+        loop = closed_loop(polygon)
+        return list(zip(loop[:-1], loop[1:]))
+
+    def side_on(side, test):
+        a, b = side
+        return test(a) and test(b) and test(0.5 * (a + b))
+
+    gamma0 = [s for s in sides(feature.polygon) if side_on(s, on_base)]
+    gamma = [s for s in sides(feature.polygon) if not side_on(s, on_base)]
+    if feature.kind == NEGATIVE_INTERNAL and gamma0:
+        raise GeometryError(f"internal feature {feature.id} touches the domain boundary")
+    if feature.kind != NEGATIVE_INTERNAL and not gamma0:
+        raise GeometryError(
+            f"boundary feature {feature.id} shares no edge with the domain boundary")
+    if domain.dirichlet is not None:
+        for a, b in gamma0:
+            mid = 0.5 * (a + b)
+            if domain.dirichlet(mid[0], mid[1]):
+                raise GeometryError(f"feature {feature.id} touches the Dirichlet boundary")
+    out = {"gamma": _chain_loop(gamma), "gamma0": _chain_loop(gamma0),
+           "gammaS": [], "gammaR": [], "gammaTilde": []}
+    if feature.kind != POSITIVE:
+        return out
+    if feature.extension is None:
+        out["gammaR"] = out["gamma"]
+        return out
+    ext = sides(feature.extension.polygon)
+    on_ext = lambda p: any(point_on_segment(p, a, b) for a, b in ext)  # noqa: E731
+    if not all(side_on(s, on_ext) for s in gamma0):
+        raise GeometryError(f"feature {feature.id}: gamma0 must lie on the extension boundary")
+    shared = [s for s in gamma if side_on(s, on_ext)]
+    out["gammaS"] = _chain_loop(shared)
+    out["gammaR"] = _chain_loop([s for s in gamma if not side_on(s, on_ext)])
+    out["gammaTilde"] = _chain_loop(
+        [piece for a, b in ext for piece in _subtract_overlaps_loop(a, b, shared + gamma0)])
+    return out

@@ -6,7 +6,7 @@ import pytest
 from eqflux import config as cfg
 from eqflux.cli import main
 from eqflux.estimator import EstimatorReport
-from eqflux.mesh import read_mesh
+from eqflux.mesh import EdgeMarker, generate_unit_square, read_mesh, write_mesh
 from eqflux.presets import PRESET_NAMES, preset_config, snap_eps_to_grid
 from eqflux.run import csv_header, emit_csv, run_single
 
@@ -200,6 +200,20 @@ class TestCliCommands:
         outdir = tmp_path / "out"
         assert main(["preset", "test1", "-n", "8", "--out", str(outdir)]) == 0
         assert (outdir / "test1.csv").exists()
+
+    def test_unknown_feature_marker_reports_edge(self, tmp_path, capsys):
+        mesh = generate_unit_square(10, cfg.predicate_expression("x == 0 or x == 1"))
+        e = int(mesh.boundary_edge_ids[0])
+        assert mesh.edge_markers[e].kind == "neumann"
+        mesh.set_marker(*mesh.edge_vertices[e].tolist(), EdgeMarker("feature", 7, "gamma"))
+        write_mesh(mesh, tmp_path / "m.json")
+        doc = small_notch_config()
+        doc["mesh"] = {"external": str(tmp_path / "m.json")}
+        cfg_path = tmp_path / "c.json"
+        cfg_path.write_text(json.dumps(doc))
+        assert main(["estimate", "--config", str(cfg_path), "--out", str(tmp_path)]) == 1
+        err = capsys.readouterr().err
+        assert f"error: boundary edge {e} is marked for unknown feature 7" in err
 
     def test_bad_config_reports_error(self, tmp_path, capsys):
         cfg_path = tmp_path / "c.json"

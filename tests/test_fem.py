@@ -1,6 +1,13 @@
 import numpy as np
 import pytest
-from conftest import duffy_quad, energy_norm, galerkin_residual, prolong_uniform
+from conftest import (
+    duffy_quad,
+    energy_norm,
+    first_group_loop,
+    galerkin_residual,
+    prolong_uniform,
+    unstructured_mesh,
+)
 
 from eqflux import config as cfg
 from eqflux import fem
@@ -17,10 +24,12 @@ from eqflux.fem import (
     solve_poisson,
 )
 from eqflux.geometry import (
+    NEGATIVE_BOUNDARY,
     POSITIVE,
     DomainSpec,
     FeatureSpec,
     feature_mesh,
+    partition_feature_boundary,
     rect_polygon,
 )
 from eqflux.linalg import SolverError
@@ -89,6 +98,31 @@ class TestProjection:
         dom = DomainSpec(f=cfg.scalar_expression("1 if x > 0.5 else 0"))
         with pytest.raises(ValueError, match="truth value"):
             project_data(dom, m)
+
+    @pytest.mark.parametrize("seed", [0, 1])
+    def test_gamma0_footprints_match_loop(self, seed):
+        # Two overlapping top notches and a bottom bump, all excluded: an
+        # outer Neumann edge takes the g0 of the first footprint holding its
+        # midpoint, and g when there is none.
+        feats = [
+            FeatureSpec(1, NEGATIVE_BOUNDARY, rect_polygon(0.2, 0.6, 0.8, 1.0), neumann_g0=2.0),
+            FeatureSpec(2, NEGATIVE_BOUNDARY, rect_polygon(0.4, 0.8, 0.9, 1.0),
+                        neumann_g0=lambda x, y: 3.0 + x),
+            FeatureSpec(3, POSITIVE, rect_polygon(0.3, 0.7, -0.2, 0.0), neumann_g0=4.0),
+        ]
+        mesh = unstructured_mesh(8, np.random.default_rng(seed), dirichlet_x01)
+        dom = DomainSpec(base=mesh, features=feats, dirichlet=dirichlet_x01, g_neumann=5.0)
+        data = project_data(dom, mesh)
+        groups = [partition_feature_boundary(f, dom)["gamma0"] for f in feats]
+        choices = [f.neumann_g0 for f in feats] + [dom.g_neumann]
+        mids = mesh.edge_midpoints()[data.neumann_edges]
+        datums = [choices[first_group_loop(p, groups)] for p in mids]
+        assert np.array_equal(data.gn_proj, fem._project_edge_data(mesh, data.neumann_edges, datums))
+        row = {tuple(p): k for k, p in enumerate(mids.tolist())}
+        assert data.gn_proj[row[0.5625, 1.0]] == pytest.approx([2.0, 2.0])  # both notches
+        assert data.gn_proj[row[0.6875, 1.0]] == pytest.approx([3.625, 3.75])  # notch 2 only
+        assert data.gn_proj[row[0.8125, 1.0]] == pytest.approx([5.0, 5.0])
+        assert data.gn_proj[row[0.4375, 0.0]] == pytest.approx([4.0, 4.0])
 
 
 _PTS = np.array([[0.0, 0.0], [0.5, 0.25], [1.0, 0.75]])

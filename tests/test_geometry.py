@@ -1,6 +1,14 @@
 import numpy as np
 import pytest
-from conftest import segment_integral
+from conftest import (
+    first_group_loop,
+    partition_loop,
+    point_on_segment,
+    segment_integral,
+    unstructured_mesh,
+)
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from eqflux.geometry import (
     NEGATIVE_BOUNDARY,
@@ -10,6 +18,7 @@ from eqflux.geometry import (
     ExtensionSpec,
     FeatureSpec,
     GeometryError,
+    _on_segments,
     clip_curve_to_mesh,
     closed_loop,
     curve_length,
@@ -19,7 +28,17 @@ from eqflux.geometry import (
     rect_polygon,
     regular_polygon,
 )
-from eqflux.mesh import MeshError, generate_unit_square
+from eqflux.mesh import EdgeMarker, MeshError, generate_unit_square, generate_with_rect_features
+
+PARTS = ("gamma", "gamma0", "gammaS", "gammaR", "gammaTilde")
+
+
+def assert_same_pieces(got, want):
+    """Partitions equal part by part, polyline by polyline, bit for bit."""
+    for part in PARTS:
+        assert [line.tobytes() for line in got[part]] == [
+            line.tobytes() for line in want[part]
+        ], part
 
 
 class TestGaussLegendre:
@@ -131,6 +150,212 @@ class TestPartition:
         )
 
 
+_coord = st.floats(-2.0, 2.0, allow_nan=False)
+_tiny = st.floats(-3e-12, 3e-12, allow_nan=False)
+
+
+@st.composite
+def _segment(draw):
+    """A segment: ordinary, exactly degenerate, or shorter than or near tol."""
+    a = np.array([draw(_coord), draw(_coord)])
+    kind = draw(st.sampled_from(["ordinary", "point", "tiny", "short"]))
+    if kind == "ordinary":
+        b = np.array([draw(_coord), draw(_coord)])
+    elif kind == "point":
+        b = a.copy()
+    else:
+        scale = 1e-12 if kind == "tiny" else 1e-10
+        b = a + scale * np.array([draw(st.floats(-1.5, 1.5)), draw(st.floats(-1.5, 1.5))])
+    return a, b
+
+
+@st.composite
+def _probe(draw, a, b):
+    """A point near segment a-b: on it, at its ends or beyond them, off it by
+    1e-12-scale offsets, or anywhere."""
+    ab = b - a
+    kind = draw(st.sampled_from(["end", "inside", "window", "anywhere"]))
+    if kind == "anywhere":
+        return np.array([draw(_coord), draw(_coord)])
+    if kind == "end":
+        t = draw(st.sampled_from([0.0, 1.0]))
+    elif kind == "inside":
+        t = draw(st.floats(-0.1, 1.1))
+    else:  # near the ends of the parameter window
+        t = draw(st.sampled_from([0.0, 1.0])) + draw(st.floats(-1e-11, 1e-11))
+    off = np.array([draw(_tiny), draw(_tiny)])
+    return a + t * ab + off
+
+
+class TestOnSegments:
+    @settings(max_examples=300, deadline=None)
+    @given(data=st.data())
+    def test_matches_scalar_rule(self, data):
+        segments = data.draw(st.lists(_segment(), min_size=1, max_size=4))
+        points = [data.draw(_probe(*segments[data.draw(st.integers(0, len(segments) - 1))]))
+                  for _ in range(data.draw(st.integers(1, 6)))]
+        a = np.array([s[0] for s in segments])
+        b = np.array([s[1] for s in segments])
+        got = _on_segments(np.array(points), a, b)
+        want = [[point_on_segment(p, sa, sb) for sa, sb in segments] for p in points]
+        assert got.tolist() == want
+
+    @pytest.mark.parametrize(
+        "p, a, b, expected",
+        [
+            ((0.0, 0.0), (0.0, 0.0), (1.0, 0.0), True),  # start
+            ((1.0, 0.0), (0.0, 0.0), (1.0, 0.0), True),  # end
+            ((1.0 + 2e-12, 0.0), (0.0, 0.0), (1.0, 0.0), False),  # beyond the end
+            ((0.5, 5e-13), (0.0, 0.0), (1.0, 0.0), True),
+            ((0.5, 2e-12), (0.0, 0.0), (1.0, 0.0), False),
+            ((3.0, 3e-12), (0.0, 0.0), (4.0, 0.0), True),  # tol*L for L > 1
+            ((0.3, 0.3), (0.3, 0.3), (0.3, 0.3), True),  # degenerate
+            ((0.3, 0.3 + 2e-12), (0.3, 0.3), (0.3, 0.3 + 5e-13), False),
+            ((0.3, 0.3 + 5e-13), (0.3, 0.3), (0.3, 0.3 + 5e-13), True),
+        ],
+    )
+    def test_cases(self, p, a, b, expected):
+        p, a, b = (np.array(v) for v in (p, a, b))
+        assert point_on_segment(p, a, b) == expected
+        assert _on_segments(p, a[None], b[None]).tolist() == [[expected]]
+
+
+def _turn(poly, quarter_turns):
+    """Rotate a polygon about the square's centre by quarter turns (CCW)."""
+    for _ in range(quarter_turns):
+        poly = np.column_stack([1.0 - poly[:, 1], poly[:, 0]])
+    return poly
+
+
+@st.composite
+def _hull_feature(draw):
+    """A feature at the unit square's hull, drawn on the bottom side and
+    turned onto a random one: a notch or bump (on the 1/10 grid or not), a
+    bump with a deeper and/or wider extension, a triangular bump extended to
+    a deeper triangle (acute corners), half a 16-gon with its chord on the
+    hull, a rectangle running past a corner, or a hole near the hull."""
+    shape = draw(st.sampled_from(
+        ["notch", "bump", "extended", "wedge", "half16", "corner", "hole"]))
+    if draw(st.booleans()):
+        u0, u1 = sorted(draw(st.lists(st.integers(0, 10), min_size=2, max_size=2,
+                                      unique=True)))
+        u0, u1, depth = u0 / 10, u1 / 10, draw(st.sampled_from([0.1, 0.2]))
+    else:
+        u0 = draw(st.floats(0.0, 0.8))
+        u1, depth = u0 + draw(st.floats(0.05, 0.2)), draw(st.floats(0.01, 0.3))
+    ext = None
+    if shape == "notch":
+        kind, poly = NEGATIVE_BOUNDARY, rect_polygon(u0, u1, 0.0, depth)
+    elif shape in ("bump", "extended"):
+        kind, poly = POSITIVE, rect_polygon(u0, u1, -depth, 0.0)
+        if shape == "extended":
+            wide, deep = draw(st.sampled_from([(0.0, 0.1), (0.1, 0.0), (0.1, 0.1)]))
+            ext = rect_polygon(u0 - wide, u1 + wide, -depth - deep, 0.0)
+    elif shape == "wedge":
+        kind, poly = POSITIVE, np.array([[u0, 0.0], [u0, -depth], [u1, 0.0]])
+        ext = np.array([[u0, 0.0], [u0, -2 * depth], [u1, 0.0]])
+    elif shape == "half16":
+        ang = np.linspace(0.0, np.pi, 9)
+        c, r = 0.5 * (u0 + u1), 0.5 * (u1 - u0)
+        kind, poly = NEGATIVE_BOUNDARY, np.column_stack([c + r * np.cos(ang), r * np.sin(ang)])
+    elif shape == "corner":
+        kind, poly = NEGATIVE_BOUNDARY, rect_polygon(u0, 1.0 + depth, 0.0, depth)
+    else:
+        kind, poly = NEGATIVE_INTERNAL, rect_polygon(u0, u1, depth, 2 * depth)
+    turns = draw(st.integers(0, 3))
+    ext = None if ext is None else ExtensionSpec(_turn(ext, turns))
+    return FeatureSpec(1, kind, _turn(poly, turns), extension=ext)
+
+
+def _partition_or_message(partition, feature, domain):
+    try:
+        return partition(feature, domain)
+    except GeometryError as exc:
+        return str(exc)
+
+
+class TestPartitionOracle:
+    """Array partition against the side-by-side scalar one, bit for bit."""
+
+    @settings(max_examples=80, deadline=None)
+    @given(feature=_hull_feature(), base=st.sampled_from(["unit_square", "mesh", "notched"]),
+           dirichlet=st.booleans(), n=st.integers(2, 6), seed=st.integers(0, 2**32 - 1))
+    def test_matches_loop(self, feature, base, dirichlet, n, seed):
+        if base == "mesh":
+            base = unstructured_mesh(n, np.random.default_rng(seed), None)
+        elif base == "notched":
+            notch = FeatureSpec(2, NEGATIVE_BOUNDARY, rect_polygon(0.4, 0.6, 0.8, 1.0))
+            base = generate_with_rect_features(10, [notch], [True], None)
+        dom = DomainSpec(base=base, features=[feature],
+                         dirichlet=(lambda x, y: abs(x) < 1e-12) if dirichlet else None)
+        want = _partition_or_message(partition_loop, feature, dom)
+        got = _partition_or_message(partition_feature_boundary, feature, dom)
+        if isinstance(want, str):
+            assert got == want
+        else:
+            assert_same_pieces(got, want)
+
+
+class TestPartitionOnMeshBase:
+    """A Mesh base classifies feature sides as the unit square does."""
+
+    @settings(max_examples=15, deadline=None)
+    @given(n=st.integers(2, 8), seed=st.integers(0, 2**32 - 1),
+           i0=st.integers(0, 7), w=st.integers(1, 3), d=st.integers(1, 3),
+           c=st.floats(0.2, 0.8), r=st.floats(0.05, 0.15))
+    def test_matches_unit_square(self, n, seed, i0, w, d, c, r):
+        x0, x1, y0, y1, depth = i0 / 10, (i0 + w) / 10, 0.1 * i0, 0.1 * (i0 + w), d / 10
+        ang = np.linspace(-0.5 * np.pi, 0.5 * np.pi, 9)
+        features = [
+            FeatureSpec(1, NEGATIVE_BOUNDARY, rect_polygon(x0, x1, 1.0 - depth, 1.0)),
+            FeatureSpec(2, POSITIVE, rect_polygon(x0, x1, -depth, 0.0)),
+            FeatureSpec(3, POSITIVE, rect_polygon(1.0, 1.0 + depth, y0, y1),
+                        extension=ExtensionSpec(rect_polygon(1.0, 1.0 + 2 * depth, y0, y1))),
+            # half a 16-gon whose chord lies on x = 0
+            FeatureSpec(4, NEGATIVE_BOUNDARY,
+                        np.column_stack([r * np.cos(ang), c + r * np.sin(ang)])),
+            FeatureSpec(5, NEGATIVE_INTERNAL, regular_polygon((0.5, 0.5), 0.1)),
+        ]
+        mesh = unstructured_mesh(n, np.random.default_rng(seed), None)
+        for f in features:
+            want = partition_feature_boundary(f, DomainSpec(features=features))
+            got = partition_feature_boundary(f, DomainSpec(base=mesh, features=features))
+            assert_same_pieces(got, want)
+
+    def test_base_hull_not_unit_square(self):
+        notch = FeatureSpec(1, NEGATIVE_BOUNDARY, rect_polygon(0.4, 0.6, 0.8, 1.0))
+        base = generate_with_rect_features(10, [notch], [True], None)
+        plug = FeatureSpec(2, POSITIVE, rect_polygon(0.4, 0.6, 0.8, 0.9))
+        dent = FeatureSpec(3, NEGATIVE_BOUNDARY, rect_polygon(0.45, 0.55, 0.7, 0.8))
+        dom = DomainSpec(base=base, features=[plug, dent])
+        # the plug fills the notch's lower half: floor and walls are shared
+        parts = partition_feature_boundary(plug, dom)
+        (g0,) = parts["gamma0"]
+        assert np.array_equal(g0, [[0.4, 0.9], [0.4, 0.8], [0.6, 0.8], [0.6, 0.9]])
+        (g,) = parts["gamma"]
+        assert np.array_equal(g, [[0.6, 0.9], [0.4, 0.9]])
+        assert parts["gammaR"] == parts["gamma"]
+        # the dent hangs below the notch floor
+        parts = partition_feature_boundary(dent, dom)
+        (g0,) = parts["gamma0"]
+        assert np.array_equal(g0, [[0.55, 0.8], [0.45, 0.8]])
+        assert curve_length(parts["gamma"]) == pytest.approx(0.3)
+        for f in (plug, dent):
+            with pytest.raises(GeometryError, match="shares no edge"):
+                partition_feature_boundary(f, DomainSpec(features=[plug, dent]))
+
+    def test_gamma0_off_extension_rejected(self):
+        f = FeatureSpec(1, POSITIVE, rect_polygon(0.4, 0.6, -0.2, 0.0),
+                        extension=ExtensionSpec(rect_polygon(0.4, 0.6, -0.3, -0.1)))
+        with pytest.raises(GeometryError, match="gamma0 must lie on the extension"):
+            partition_feature_boundary(f, DomainSpec(features=[f]))
+
+    def test_unknown_base_rejected(self):
+        notch = FeatureSpec(1, NEGATIVE_BOUNDARY, rect_polygon(0.4, 0.6, 0.8, 1.0))
+        with pytest.raises(GeometryError, match="unknown base"):
+            partition_feature_boundary(notch, DomainSpec(base="disk", features=[notch]))
+
+
 class TestClipCurve:
     def test_horizontal_line_subdivision(self):
         m = generate_unit_square(2)
@@ -207,6 +432,27 @@ class TestFeatureMesh:
         assert len(m.marked_edges(part="gammaS")) == 2
         # lower halves plus the bottom belong to the extension only
         assert len(m.marked_edges(part="gammaTilde")) == 4
+
+    @settings(max_examples=20, deadline=None)
+    @given(k=st.integers(1, 2), i0=st.integers(1, 6), w=st.integers(1, 3),
+           d=st.integers(1, 2), ext=st.sampled_from(["none", "deeper", "wider", "both"]))
+    def test_markers_match_loop(self, k, i0, w, d, ext):
+        n = 10 * k
+        x0, x1, depth = i0 / 10, (i0 + w) / 10, d / 10
+        grow = {"none": None, "deeper": (0, 1), "wider": (1, 0), "both": (1, 1)}[ext]
+        extension = None if grow is None else ExtensionSpec(rect_polygon(
+            x0 - grow[0] / 10, x1 + grow[0] / 10, -depth - grow[1] / 10, 0.0))
+        f = FeatureSpec(1, POSITIVE, rect_polygon(x0, x1, -depth, 0.0), extension=extension)
+        dom = DomainSpec(features=[f])
+        m = feature_mesh(f, n, dom)
+        parts = partition_feature_boundary(f, dom)
+        order = ("gamma0", "gammaS", "gammaTilde", "gamma")
+        mids = m.edge_midpoints()
+        want = [None] * m.n_edges
+        for e in m.boundary_edge_ids.tolist():
+            part = order[first_group_loop(mids[e], [parts[p] for p in order])]
+            want[e] = EdgeMarker("feature", 1, part)
+        assert m.edge_markers == want
 
     def test_off_grid_rectangle_rejected(self):
         bump = FeatureSpec(1, POSITIVE, rect_polygon(0.43, 0.6, -0.2, 0.0))
