@@ -5,8 +5,9 @@ assembly paths: the Duffy rule below integrates over triangles through a
 collapsed tensor-Gauss rule and is used to cross-check projections, norms
 and estimator values.  The field helpers, the edge-by-edge certificate
 loops, the vertex-by-vertex patch equilibration, the dict-and-loop mesh
-topology, point location, curve clipping and lattice builders and the scalar
-on-segment rule after them are reference implementations for tests only.
+topology, point location, per-point cross-mesh gradient, curve clipping and
+lattice builders and the scalar on-segment rule after them are reference
+implementations for tests only.
 """
 
 import numpy as np
@@ -333,6 +334,21 @@ def locate_points_loop(mesh, points, tol=1e-12):
     hits = [_locate_loop(mesh, grid, p, tol) for p in np.atleast_2d(points)]
     return (np.array([t for t, _ in hits], dtype=np.int64).reshape(-1),
             np.array([b for _, b in hits]).reshape(-1, 3))
+
+
+def cross_mesh_gradients_loop(pieces, fine):
+    """Coarse gradient at each degree-4 quadrature point of ``fine``, shape
+    (T, 6, 2): every point is located on its own, through the dict bucket
+    grid, in the first of the P1 ``pieces`` that holds it (NaN if none)."""
+    from eqflux.fem import TRI_QP
+
+    pts = np.einsum("qk,tkd->tqd", TRI_QP, fine.vertices[fine.triangles]).reshape(-1, 2)
+    out = np.full((len(pts), 2), np.nan)
+    for piece in pieces:
+        todo = np.flatnonzero(np.isnan(out[:, 0]))
+        tris, _ = locate_points_loop(piece.mesh, pts[todo])
+        out[todo[tris >= 0]] = piece.gradients()[tris[tris >= 0]]
+    return out.reshape(fine.n_triangles, len(TRI_QP), 2)
 
 
 def clip_curve_loop(polylines, mesh, gauss_order=4, tol=1e-12):

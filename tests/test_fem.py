@@ -1,6 +1,9 @@
+from unittest import mock
+
 import numpy as np
 import pytest
 from conftest import (
+    cross_mesh_gradients_loop,
     duffy_quad,
     energy_norm,
     first_group_loop,
@@ -8,6 +11,8 @@ from conftest import (
     prolong_uniform,
     unstructured_mesh,
 )
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from eqflux import config as cfg
 from eqflux import fem
@@ -27,13 +32,19 @@ from eqflux.geometry import (
     NEGATIVE_BOUNDARY,
     POSITIVE,
     DomainSpec,
+    ExtensionSpec,
     FeatureSpec,
     feature_mesh,
     partition_feature_boundary,
     rect_polygon,
 )
 from eqflux.linalg import SolverError
-from eqflux.mesh import Mesh, generate_unit_square, uniform_refine
+from eqflux.mesh import (
+    Mesh,
+    generate_unit_square,
+    generate_with_rect_features,
+    uniform_refine,
+)
 
 
 def dirichlet_x01(x, y):
@@ -380,6 +391,61 @@ class TestGradientsAndNorms:
         m = generate_unit_square(5)
         u = ScalarField(m, 2 * m.vertices[:, 0] - m.vertices[:, 1])
         assert energy_norm(u) == pytest.approx(np.sqrt(5.0), rel=1e-12)
+
+
+def check_cross_mesh(pieces, reference):
+    """Cross-mesh gradients and energy error equal the per-point oracle's bit
+    for bit; returns the number of points that took the per-point path."""
+    coarse = fem.CompositeField(pieces)
+    with mock.patch.object(fem.CompositeField, "gradient_at", autospec=True,
+                           side_effect=fem.CompositeField.gradient_at) as spy:
+        got = fem.cross_mesh_gradients(coarse, reference.mesh)
+    want = cross_mesh_gradients_loop(pieces, reference.mesh)
+    assert np.array_equal(got, want)
+    diff = reference.gradients()[:, None, :] - want
+    err2 = np.einsum("t,q,tqd,tqd->", reference.mesh.areas, fem.TRI_QW, diff, diff)
+    assert energy_error_cross_mesh(coarse, reference) == float(np.sqrt(err2))
+    return sum(len(call.args[1]) for call in spy.call_args_list)
+
+
+class TestCrossMeshGradients:
+    """One location per fine triangle, per-point location where that fails."""
+
+    def test_nested_meshes_need_no_fallback(self):
+        m = generate_unit_square(4)
+        fine = uniform_refine(uniform_refine(m))
+        rng = np.random.default_rng(3)
+        pieces = [ScalarField(m, rng.standard_normal(m.n_vertices))]
+        assert check_cross_mesh(pieces, ScalarField(fine, fine.vertices[:, 0])) == 0
+
+    @settings(max_examples=15, deadline=None)
+    @given(n=st.integers(2, 6), m=st.integers(2, 8), seed=st.integers(0, 2**32 - 1))
+    def test_unstructured_coarse_field(self, n, m, seed):
+        rng = np.random.default_rng(seed)
+        coarse = unstructured_mesh(n, rng, None)
+        fine = uniform_refine(generate_unit_square(m))
+        pieces = [ScalarField(coarse, rng.standard_normal(coarse.n_vertices))]
+        ref = ScalarField(fine, rng.standard_normal(fine.n_vertices))
+        assert check_cross_mesh(pieces, ref) > 0
+
+    @settings(max_examples=10, deadline=None)
+    @given(n=st.sampled_from([5, 10, 15]), m=st.sampled_from([5, 10, 15]),
+           levels=st.integers(0, 1), ext=st.sampled_from(["none", "deeper", "wider"]),
+           seed=st.integers(0, 2**32 - 1))
+    def test_positive_feature_pieces(self, n, m, levels, ext, seed):
+        extension = {"none": None,
+                     "deeper": ExtensionSpec(rect_polygon(0.4, 0.6, -0.4, 0.0)),
+                     "wider": ExtensionSpec(rect_polygon(0.2, 0.8, -0.2, 0.0))}[ext]
+        bump = FeatureSpec(1, POSITIVE, rect_polygon(0.4, 0.6, -0.2, 0.0), extension=extension)
+        rng = np.random.default_rng(seed)
+        meshes = (generate_unit_square(n), feature_mesh(bump, n, DomainSpec(features=[bump])))
+        pieces = [ScalarField(mesh, rng.standard_normal(mesh.n_vertices)) for mesh in meshes]
+        fine = generate_with_rect_features(m, [bump], [True])
+        for _ in range(levels):
+            fine = uniform_refine(fine)
+        ref = ScalarField(fine, rng.standard_normal(fine.n_vertices))
+        # the bump lies outside the first piece, so its triangles fall back
+        assert check_cross_mesh(pieces, ref) > 0
 
 
 class TestExports:
