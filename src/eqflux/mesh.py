@@ -192,43 +192,51 @@ class Mesh:
         a, b = self.edge_tris[e]
         return int(a) if a >= 0 else int(b)
 
-    def set_marker(self, i, j, marker: EdgeMarker):
-        i, j = int(i), int(j)
+    def edge_ids(self, i, j) -> np.ndarray:
+        """Edge numbers of the vertex pairs ``(i[k], j[k])``, by one search of
+        the sorted edge keys; the first pair that is no edge raises."""
+        i, j = np.atleast_1d(np.asarray(i, dtype=np.int64), np.asarray(j, dtype=np.int64))
         key = self._edge_key(i, j)
-        k = int(np.searchsorted(self._keys, key))
-        if (min(i, j) < 0 or max(i, j) >= self.n_vertices or k == self.n_edges
-                or self._keys[k] != key):
-            raise MeshError(f"no edge between vertices {i} and {j}")
-        self.edge_markers[self._key_edges[k]] = marker
+        k = np.searchsorted(self._keys, key)
+        found = (np.minimum(i, j) >= 0) & (np.maximum(i, j) < self.n_vertices) & (k < self.n_edges)
+        found[found] = self._keys[k[found]] == key[found]
+        if not found.all():
+            f = int(np.argmin(found))
+            raise MeshError(f"no edge between vertices {i[f]} and {j[f]}")
+        return self._key_edges[k]
+
+    def set_marker(self, i, j, marker: EdgeMarker):
+        self.edge_markers[int(self.edge_ids(i, j)[0])] = marker
 
     def validate_markers(self):
         """Boundary edges need exactly one marker; interior edges may only
-        carry a feature interface (gamma0) marker."""
-        on_boundary = (self.edge_tris < 0).any(axis=1).tolist()
-        for e, (m, boundary) in enumerate(zip(self.edge_markers, on_boundary)):
-            if boundary:
-                if m is None:
-                    i, j = self.edge_vertices[e]
-                    raise MeshError(f"unmarked boundary edge ({i}, {j})")
-            elif m is not None and not (m.kind == "feature" and m.part == "gamma0"):
-                raise MeshError(
-                    f"interior edge {e} carries marker {m}; only feature "
-                    "interface (gamma0) markers are allowed there"
-                )
+        carry a feature interface (gamma0) marker.  The first offending edge
+        raises."""
+        boundary = (self.edge_tris < 0).any(axis=1)
+        marked, interface = np.zeros((2, self.n_edges), dtype=bool)
+        marked[self.marked_edges()] = True
+        interface[self.marked_edges("feature", "gamma0")] = True
+        bad = np.flatnonzero(np.where(boundary, ~marked, marked & ~interface))
+        if not len(bad):
+            return
+        e = int(bad[0])
+        if boundary[e]:
+            i, j = self.edge_vertices[e]
+            raise MeshError(f"unmarked boundary edge ({i}, {j})")
+        raise MeshError(
+            f"interior edge {e} carries marker {self.edge_markers[e]}; only feature "
+            "interface (gamma0) markers are allowed there"
+        )
 
     def marked_edges(self, kind=None, part=None, feature_id=None) -> np.ndarray:
-        out = []
-        for e, m in enumerate(self.edge_markers):
-            if m is None:
-                continue
-            if kind is not None and m.kind != kind:
-                continue
-            if part is not None and m.part != part:
-                continue
-            if feature_id is not None and m.feature_id != feature_id:
-                continue
-            out.append(e)
-        return np.asarray(out, dtype=np.int64)
+        """Ascending ids of the marked edges, optionally filtered by marker
+        fields; only the marked edges are visited in Python."""
+        markers = np.fromiter(self.edge_markers, dtype=object, count=self.n_edges)
+        out = np.flatnonzero(np.not_equal(markers, None))
+        keep = [(kind is None or m.kind == kind) and (part is None or m.part == part)
+                and (feature_id is None or m.feature_id == feature_id)
+                for m in markers[out]]
+        return out[np.array(keep, dtype=bool)]
 
     def vertex_to_triangles(self):
         """Triangles around each vertex as ``(offsets, tris)``: those of vertex
@@ -494,11 +502,12 @@ def uniform_refine(mesh: Mesh) -> Mesh:
     m01, m12, m20 = (V + mesh.triangle_edges).T  # midpoint of local edge (l, l+1)
     tris = np.stack([v0, m01, m20, v1, m12, m01, v2, m20, m12, m01, m12, m20], axis=1)
     fine = Mesh(coords, tris.reshape(-1, 3))
-    for e, marker in enumerate(mesh.edge_markers):
-        if marker is not None:
-            i, j = mesh.edge_vertices[e].tolist()
-            fine.set_marker(i, V + e, marker)
-            fine.set_marker(V + e, j, marker)
+    # Marked edge (i, j) with midpoint m passes its marker to (i, m) and (m, j).
+    e = mesh.marked_edges()
+    (i, j), m = mesh.edge_vertices[e].T, V + e
+    halves = fine.edge_ids(np.stack([i, m], axis=1).ravel(), np.stack([m, j], axis=1).ravel())
+    for child, parent in zip(halves.tolist(), np.repeat(e, 2).tolist()):
+        fine.edge_markers[child] = mesh.edge_markers[parent]
     fine.validate_markers()
     return fine
 

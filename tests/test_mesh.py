@@ -208,6 +208,30 @@ class TestUniformRefine:
         )
         assert f.total_area() == pytest.approx(1.0, abs=1e-12)
 
+    @pytest.mark.parametrize("levels", [1, 2])
+    def test_markers_match_child_loop(self, levels):
+        features = [
+            FeatureSpec(1, NEGATIVE_BOUNDARY, rect_polygon(0.4, 0.6, 0.8, 1.0)),
+            FeatureSpec(2, POSITIVE, rect_polygon(0.2, 0.6, -0.2, 0.0)),
+        ]
+        m = generate_with_rect_features(5, features, [True, True], dirichlet_x01)
+        for _ in range(levels):
+            f = uniform_refine(m)
+            # edge (i, j) with midpoint vertex V + e passes its marker to both halves
+            ids = {tuple(ev): k for k, ev in enumerate(f.edge_vertices.tolist())}
+            want = [None] * f.n_edges
+            for e, marker in enumerate(m.edge_markers):
+                i, j = m.edge_vertices[e].tolist()
+                for a, b in ((i, m.n_vertices + e), (j, m.n_vertices + e)):
+                    want[ids[(a, b)]] = marker
+            assert f.edge_markers == want
+            m = f
+
+    def test_missing_child_edge(self):
+        m = generate_unit_square(2, dirichlet_x01)
+        with pytest.raises(MeshError, match="no edge between vertices 0 and 8"):
+            m.edge_ids([0, 0], [1, 8])
+
 
 class TestMeshIO:
     def test_round_trip(self, tmp_path):
@@ -274,6 +298,21 @@ class TestMeshIO:
         # diagonal edge of the first cell is interior
         m.set_marker(0, 4, EdgeMarker("dirichlet"))
         with pytest.raises(MeshError, match="interior edge"):
+            m.validate_markers()
+
+    @pytest.mark.parametrize("first", ["interior", "boundary"])
+    def test_first_offending_edge_reported(self, first):
+        m = generate_unit_square(3, dirichlet_x01)
+        interior = np.flatnonzero((m.edge_tris >= 0).all(axis=1))
+        boundary = m.boundary_edge_ids
+        e_int, e_bnd = (interior[0], boundary[-1]) if first == "interior" else (
+            interior[-1], boundary[0])
+        m.edge_markers[e_int] = EdgeMarker("neumann")
+        m.edge_markers[e_bnd] = None
+        i, j = m.edge_vertices[e_bnd]
+        match = f"interior edge {e_int} " if first == "interior" else (
+            rf"unmarked boundary edge \({i}, {j}\)")
+        with pytest.raises(MeshError, match=match):
             m.validate_markers()
 
 
