@@ -196,9 +196,9 @@ def _chain(a, b):
     if not len(a):
         return []
     # joined[k]: segment k + 1 (the first one after the last) starts at b[k],
-    # within np.isclose's tolerance for atol = tol (and its rtol of 1e-5).
+    # within the absolute tolerance of every other boundary test.
     nxt = np.concatenate([a[1:], a[:1]])
-    joined = (np.abs(b - nxt) <= _TOL + 1e-5 * np.abs(nxt)).all(axis=1)
+    joined = (np.abs(b - nxt) <= _TOL).all(axis=1)
     cut = np.flatnonzero(~joined[:-1]) + 1
     lines = [np.vstack([a[i:i + 1], b[i:j]]) for i, j in zip([0, *cut], [*cut, len(a)])]
     # A closed loop may have been cut at the polygon start; rejoin ends.

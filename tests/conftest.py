@@ -479,7 +479,7 @@ def _chain_loop(segments):
     """Consecutive (a, b) segments merged into polylines, one at a time."""
     lines, cur = [], None
     for a, b in segments:
-        if cur is not None and np.allclose(cur[-1], a, atol=1e-12):
+        if cur is not None and np.allclose(cur[-1], a, rtol=0, atol=1e-12):
             cur.append(b)
         else:
             if cur is not None:
@@ -487,7 +487,7 @@ def _chain_loop(segments):
             cur = [a, b]
     if cur is not None:
         lines.append(np.asarray(cur))
-    if len(lines) > 1 and np.allclose(lines[-1][-1], lines[0][0], atol=1e-12):
+    if len(lines) > 1 and np.allclose(lines[-1][-1], lines[0][0], rtol=0, atol=1e-12):
         lines[0] = np.vstack([lines[-1], lines[0][1:]])
         lines.pop()
     return lines

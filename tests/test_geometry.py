@@ -99,6 +99,20 @@ class TestPartition:
         assert curve_length(parts["gamma0"]) == pytest.approx(0.2)
         assert curve_length(parts["gamma"]) == pytest.approx(0.6)
 
+    def test_top_notch_with_dip(self):
+        # A 4e-6 dip splits the shared side: two gamma0 pieces, not one line
+        # bridging the gap (joined within a relative 1e-5 it would be 0.2 long).
+        poly = [[0.4, 0.8], [0.6, 0.8], [0.6, 1.0], [0.500002, 1.0], [0.5, 0.99999],
+                [0.499998, 1.0], [0.4, 1.0]]
+        notch = FeatureSpec(1, NEGATIVE_BOUNDARY, np.array(poly))
+        dom = DomainSpec(
+            features=[notch], dirichlet=lambda x, y: abs(x) < 1e-12 or abs(x - 1) < 1e-12
+        )
+        parts = partition_feature_boundary(notch, dom)
+        assert len(parts["gamma0"]) == 2
+        assert curve_length(parts["gamma0"]) == pytest.approx(0.199996, abs=1e-12)
+        assert_same_pieces(parts, partition_loop(notch, dom))
+
     def test_bottom_bump(self):
         bump = FeatureSpec(1, POSITIVE, rect_polygon(0.4, 0.6, -0.2, 0.0))
         dom = DomainSpec(
