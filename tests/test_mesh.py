@@ -227,7 +227,7 @@ class TestUniformRefine:
             assert f.edge_markers == want
             m = f
 
-    def test_missing_child_edge(self):
+    def test_edge_ids_reports_first_missing_pair(self):
         m = generate_unit_square(2, dirichlet_x01)
         with pytest.raises(MeshError, match="no edge between vertices 0 and 8"):
             m.edge_ids([0, 0], [1, 8])
