@@ -394,25 +394,25 @@ def solve_feature_problem(
     return solve_poisson(feature_mesh, data, tol=tol)
 
 
-def cross_mesh_gradients(coarse: CompositeField, fine: Mesh, tol: float = 1e-12) -> np.ndarray:
+def cross_mesh_gradients(coarse: CompositeField, fine: Mesh) -> np.ndarray:
     """The coarse gradient at every quadrature point of the fine mesh, (T, 6, 2).
 
     The values are those of ``coarse.gradient_at`` on ``quad_points(fine)``,
     bit for bit, from one lookup per fine triangle where possible.  A fine
     triangle whose centroid lies in triangle ``c`` of the first piece, and
-    whose vertices all have barycentrics ``>= -tol`` in ``c``, lies in ``c``;
-    its quadrature points are then strictly inside ``c``, where no other
-    triangle of that conforming mesh holds them within ``tol``, so point
-    location would return ``c`` for each.  The other fine triangles (across
+    whose vertices all lie in ``c`` by ``Mesh.contains`` (the rule of
+    ``locate_points``), lies in ``c`` up to ``LOCATE_TOL``; its quadrature
+    points are then inside ``c`` by a margin far above that tolerance, where
+    no other triangle of that conforming mesh holds them, so point location
+    would return ``c`` for each.  The other fine triangles (across
     coarse edges or outside the first piece) take the per-point path, which
     keeps the order of the pieces.
     """
     first = coarse.pieces[0]
     v = fine.vertices[fine.triangles]  # (T, 3, 2)
     tris, _ = first.mesh.locate_points(v.mean(axis=1))
-    lam = first.mesh.lam_coeffs[tris]  # (T, 3, 3); row -1 is ignored below
-    lv = lam[:, None, :, 0] + lam[:, None, :, 1] * v[..., :1] + lam[:, None, :, 2] * v[..., 1:]
-    inside = (tris >= 0) & (lv >= -tol).all(axis=(1, 2))
+    held, _ = first.mesh.contains(tris[:, None], v)  # (T, 3); row -1 is ignored below
+    inside = (tris >= 0) & held.all(axis=1)
     gc = np.empty((fine.n_triangles, len(TRI_QW), 2))
     gc[inside] = first.gradients()[tris[inside], None, :]
     rest = np.flatnonzero(~inside)

@@ -43,6 +43,8 @@ NEUMANN_OUTER = EdgeMarker("neumann")
 
 # Points located per array step of Mesh.locate_points (bounds its temporaries).
 _LOCATE_BLOCK = 2**15
+# A point lies in a triangle when all its barycentrics are >= -LOCATE_TOL.
+LOCATE_TOL = 1e-12
 
 
 @dataclass
@@ -275,11 +277,19 @@ class Mesh:
             self._grid = (lo, cell, ncell, offsets, tris[np.argsort(cells, kind="stable")])
         return self._grid
 
-    def locate_points(self, points, tol: float = 1e-12):
+    def contains(self, tris, points):
+        """Containment test of ``points[...]`` in triangles ``tris[...]``
+        (broadcast against ``points.shape[:-1]``): returns ``(inside, bary)``,
+        the barycentrics ``bary[..., 3]`` and ``inside = all(bary >= -LOCATE_TOL)``."""
+        lam = self.lam_coeffs[tris]
+        bary = lam[..., 0] + lam[..., 1] * points[..., 0, None] + lam[..., 2] * points[..., 1, None]
+        return (bary >= -LOCATE_TOL).all(axis=-1), bary
+
+    def locate_points(self, points):
         """Vectorized point location.
 
-        Returns ``(tris, bary)`` where ``tris[k]`` is the owning triangle of
-        ``points[k]`` (−1 if outside the mesh) and ``bary[k]`` its barycentric
+        Returns ``(tris, bary)`` where ``tris[k]`` is the triangle holding
+        ``points[k]`` by :meth:`contains` (−1 if none) and ``bary[k]`` its barycentric
         coordinates there.  Points on shared edges resolve to the lowest
         incident triangle index: each point tests the triangles of its grid
         cell in ascending order, all points of a block at once.
@@ -291,7 +301,6 @@ class Mesh:
         if n == 0 or self.n_triangles == 0:
             return tris, bary
         lo, cell, ncell, offsets, cell_tris = self._bucket_grid()
-        lam = self.lam_coeffs
         for s in range(0, n, _LOCATE_BLOCK):
             p = pts[s:s + _LOCATE_BLOCK]
             idx = np.clip(((p - lo) / cell).astype(int), 0, ncell - 1)
@@ -301,9 +310,7 @@ class Mesh:
             k = 0
             while len(todo):
                 c = cell_tris[start[todo] + k]
-                x, y = p[todo, 0, None], p[todo, 1, None]
-                lv = lam[c, :, 0] + lam[c, :, 1] * x + lam[c, :, 2] * y
-                hit = (lv >= -tol).all(axis=1)
+                hit, lv = self.contains(c, p[todo])
                 tris[s + todo[hit]] = c[hit]
                 bary[s + todo[hit]] = lv[hit]
                 k += 1

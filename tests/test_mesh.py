@@ -179,6 +179,17 @@ class TestLocatePoint:
         tris, _ = m.locate_points(pts)
         assert np.array_equal(tris, np.arange(m.n_triangles))
 
+    def test_contains_broadcasts_triangles_over_points(self):
+        m = generate_unit_square(2)
+        v = m.vertices[m.triangles]  # (T, 3, 2): every triangle's own corners
+        inside, bary = m.contains(np.arange(m.n_triangles)[:, None], v)
+        assert inside.all() and np.allclose(bary, np.eye(3), atol=1e-12)
+        inside, _ = m.contains(np.arange(m.n_triangles)[:, None], v[::-1])
+        assert not inside.all(axis=1).any()  # another triangle's corners
+        p = np.array([(0.3, 0.1)])
+        tris, bary = m.locate_points(p)
+        assert np.array_equal(m.contains(tris, p)[1], bary)
+
 
 class TestUniformRefine:
     def test_counts(self):
