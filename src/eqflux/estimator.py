@@ -13,7 +13,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .fem import TRI_QW, ScalarField, quad_points
+from .fem import ScalarField
 from .flux import FluxField, flux_normal_trace
 from .geometry import CurveQuadrature
 
@@ -121,17 +121,20 @@ def eta_curve(ds: DefectSamples, d: int = 2) -> float:
 
 
 def eta_zero(flux: FluxField, u_h: ScalarField) -> float:
-    """Numerical-component estimator: the energy mismatch ‖sigma + grad u‖."""
+    """Numerical-component estimator: the energy mismatch ‖sigma + grad u‖,
+    as ``Σ_K d_Kᵀ M_K d_K`` with the RT DOFs ``d_K`` of sigma + grad u on K."""
     sp = flux.space
     mesh = sp.mesh
     if u_h.mesh is not mesh:
         raise ValueError("flux and field live on different meshes")
-    pts = quad_points(mesh).reshape(-1, 2)
-    tris = np.repeat(np.arange(mesh.n_triangles), len(TRI_QW))
-    sig = flux.eval_at(pts, tris).reshape(mesh.n_triangles, len(TRI_QW), 2)
-    g = u_h.gradients()[:, None, :]
-    mis = sig + g
-    val = np.einsum("t,q,tqc,tqc->", mesh.areas, TRI_QW, mis, mis)
+    # The constant g = grad u|_K has edge DOFs (g·n)|e|·{1, 1/2} and interior DOFs g·|K|.
+    g = u_h.gradients()
+    e = mesh.triangle_edges
+    gn = np.einsum("tlc,tc->tl", mesh.edge_normals[e], g) * mesh.edge_lengths[e]
+    d = flux.coefficients[sp.tri_dofs]
+    d[:, :6] += (gn[:, :, None] * [1.0, 0.5]).reshape(-1, 6)
+    d[:, 6:] += g * mesh.areas[:, None]
+    val = np.einsum("ti,tij,tj->", d, sp.mass, d)
     return float(np.sqrt(max(val, 0.0)))
 
 

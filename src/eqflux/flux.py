@@ -79,16 +79,6 @@ class RTSpace:
     def total_dofs(self) -> int:
         return 2 * self.mesh.n_edges + 2 * self.mesh.n_triangles
 
-    def local_coords(self, tris, points):
-        d = (points - self.centers[tris]) / self.scales[tris][:, None]
-        return d[:, 0], d[:, 1]
-
-    def basis_at(self, tris, points):
-        """Basis values at physical points in given triangles: (N, 8, 2)."""
-        xi, eta = self.local_coords(tris, points)
-        mono = _monomials(xi, eta)  # (N, 8, 2)
-        return np.einsum("nkc,nkj->njc", mono, self.coeff[tris])
-
 
 def build_rt_space(mesh: Mesh) -> RTSpace:
     """Construct the RT space with dual basis and element matrices."""
@@ -139,15 +129,17 @@ def build_rt_space(mesh: Mesh) -> RTSpace:
         raise EquilibrationError(f"degenerate RT element: {exc}") from exc
 
     basis_q = np.einsum("tqkc,tkj->tqjc", mono_q, coeff, optimize=True)  # (T, 6, 8, 2)
-    # Summed over quadrature points: one einsum over all of them would hold
-    # transposed copies of basis_q and their products, about 4x its size.
-    mass = sum(np.einsum("t,tic,tjc->tij", mesh.areas * w, b, b, optimize=True)
-               for w, b in zip(TRI_QW, basis_q.transpose(1, 0, 2, 3)))
+    # mass = sum_q |K| w_q b_q b_q^T as one (T, 8, 12) @ (T, 12, 8) product.
+    X = (basis_q.transpose(0, 1, 3, 2)
+         * np.sqrt(mesh.areas[:, None] * TRI_QW)[:, :, None, None]).reshape(T, 12, 8)
+    mass = X.transpose(0, 2, 1) @ X
+    del X, tr, mono_q  # dead from here: freeing them bounds the peak memory
     div_q = np.einsum(
         "tqk,tkj->tqj", _div_monomials(xiq, etq, scales[:, None]), coeff
     )
-    divmom = np.einsum("t,q,qm,tqj->tmj", mesh.areas, TRI_QW, TRI_QP, div_q)
-    vecmom = np.einsum("t,q,qm,tqjc->tmjc", mesh.areas, TRI_QW, TRI_QP, basis_q)
+    wm = (TRI_QW[:, None] * TRI_QP).T  # (3, 6): lam_m times the quadrature weights
+    divmom = (wm @ div_q) * mesh.areas[:, None, None]
+    vecmom = (wm @ basis_q.reshape(T, 6, 16)).reshape(T, 3, 8, 2) * mesh.areas[:, None, None, None]
 
     tri_dofs = np.empty((T, 8), dtype=np.int64)
     for ell in range(3):
@@ -169,9 +161,11 @@ class FluxField:
     def eval_at(self, points, tris) -> np.ndarray:
         pts = np.atleast_2d(np.asarray(points, dtype=float))
         tris = np.asarray(tris, dtype=np.int64)
-        basis = self.space.basis_at(tris, pts)  # (N, 8, 2)
-        dofs = self.coefficients[self.space.tri_dofs[tris]]  # (N, 8)
-        return np.einsum("nj,njc->nc", dofs, basis)
+        sp = self.space
+        d = (pts - sp.centers[tris]) / sp.scales[tris][:, None]  # local coordinates
+        # Monomial coefficients per triangle first: no (N, 8, 8) gather of the dual basis.
+        mono = np.einsum("tkj,tj->tk", sp.coeff, self.coefficients[sp.tri_dofs])
+        return np.einsum("nkc,nk->nc", _monomials(d[:, 0], d[:, 1]), mono[tris])
 
     def normal_trace(self, points, tris, normals) -> np.ndarray:
         vals = self.eval_at(points, tris)
@@ -203,7 +197,7 @@ _STACK_ENTRIES = 1 << 19
 
 @dataclass
 class PatchBatch:
-    """Row layout of a stack of patch mixed systems of one size.
+    """Row layout of a stack of patch mixed systems with one block split.
 
     Incidence ``i`` is triangle ``tris[i]`` of batch patch ``patch[i]``.  The
     rows of a system are its free flux DOFs in global order, three
@@ -222,8 +216,8 @@ class PatchBatch:
 
 
 def patch_batches(space: RTSpace, patches: list[VertexPatch], data: ProblemData) -> list[PatchBatch]:
-    """Lay out the mixed systems of the patches in batches of one system size,
-    each of at most ``_STACK_ENTRIES`` matrix entries.
+    """Lay out the mixed systems of the patches in batches of one layout (free
+    rows, triangles, mean row), each of at most ``_STACK_ENTRIES`` entries.
 
     Both moments of a zero edge are prescribed 0; those of a Neumann psi edge
     are the moments of the trace -psi_a * gN.  A patch without a Dirichlet psi
@@ -237,7 +231,8 @@ def patch_batches(space: RTSpace, patches: list[VertexPatch], data: ProblemData)
     owner = vertices[patch]
     tris = np.concatenate([p.triangles for p in patches])
     loc = np.argmax(mesh.triangles[tris] == owner[:, None], axis=1)
-    slot = np.arange(len(tris)) - np.repeat(np.cumsum(nt) - nt, nt)
+    first = np.cumsum(nt) - nt  # first incidence of each patch
+    slot = np.arange(len(tris)) - np.repeat(first, nt)
 
     def edge_keys(lists):
         return np.repeat(np.arange(P) * E, [len(x) for x in lists]) + np.concatenate(lists)
@@ -276,17 +271,18 @@ def patch_batches(space: RTSpace, patches: list[VertexPatch], data: ProblemData)
     rows = np.full(free.shape, -1)
     rows[free] = rank - (np.cumsum(nf) - nf)[free_patch]
     mean = np.bincount(patch, dirichlet.sum(axis=1), minlength=P) == 0
-    size = nf + 3 * nt + mean
     lam_rows = nf[patch] + 3 * slot
 
     batches = []
-    for n in np.unique(size):
-        members = np.flatnonzero(size == n)
-        per = max(1, _STACK_ENTRIES // int(n) ** 2)
+    layouts, layout = np.unique(np.stack([nf, nt, mean], axis=1), axis=0, return_inverse=True)
+    for k, (f, t, m) in enumerate(layouts):
+        members = np.flatnonzero(layout == k)
+        n = int(f + 3 * t + m)
+        per = max(1, _STACK_ENTRIES // n ** 2)
         for q in np.split(members, range(per, len(members), per)):
-            inc = np.flatnonzero(np.isin(patch, q))
+            inc = (first[q, None] + np.arange(t)).ravel()  # the incidences of q in order
             batches.append(PatchBatch(
-                vertices[q], mean[q], int(n), np.searchsorted(q, patch[inc]), tris[inc],
+                vertices[q], mean[q], n, np.repeat(np.arange(len(q)), t), tris[inc],
                 loc[inc], rows[inc], prescribed[inc], lam_rows[inc]))
     return batches
 
@@ -346,8 +342,8 @@ def _compatibility_residual(space, batch, rhs, u_h, data):
 
 
 def patch_flux(space: RTSpace, batch: PatchBatch, u_h: ScalarField, data: ProblemData):
-    """Solve a batch of patch problems; returns (global DOF ids, DOF values)
-    to be added into the global coefficients."""
+    """Solve a batch of patch problems by static condensation; returns (global
+    DOF ids, DOF values) to be added into the global coefficients."""
     A, rhs = assemble_patch_system(space, batch, u_h, data)
     resid, scale = _compatibility_residual(space, batch, rhs, u_h, data)
     bad = batch.mean & (resid > 1e-9 * scale + 1e-13)
@@ -358,8 +354,11 @@ def patch_flux(space: RTSpace, batch: PatchBatch, u_h: ScalarField, data: Proble
             f"exceeds 1e-9 * {scale[k]:.3e}; the field is not a Galerkin "
             "solution for the supplied data"
         )
+    lam = slice(batch.lam_rows[0], batch.size - int(batch.mean[0]))  # multiplier rows
+    nf = lam.start
     try:
-        sol = linalg.dense_lu_solve(A, rhs)
+        sol = linalg.saddle_solve(A[:, :nf, :nf], A[:, lam, :nf], rhs[:, :nf], rhs[:, lam],
+                                  A[:, lam, -1] if batch.mean[0] else None)
     except linalg.SingularSystemError as exc:
         raise EquilibrationError(
             f"singular patch system at vertex {batch.vertices[exc.index]}: {exc}"

@@ -3,11 +3,11 @@
 The quadrature oracles deliberately avoid the library's own quadrature and
 assembly paths: the Duffy rule below integrates over triangles through a
 collapsed tensor-Gauss rule and is used to cross-check projections, norms
-and estimator values.  The field helpers, the edge-by-edge certificate
-loops, the vertex-by-vertex patch equilibration, the dict-and-loop mesh
-topology, point location, per-point cross-mesh gradient, curve clipping and
-lattice builders and the scalar on-segment rule after them are reference
-implementations for tests only.
+and estimator values.  The pointwise ``eta_0``, the field helpers, the
+edge-by-edge certificate loops, the vertex-by-vertex patch equilibration, the
+dict-and-loop mesh topology, point location, per-point cross-mesh gradient,
+curve clipping and lattice builders and the scalar on-segment rule after them
+are reference implementations for tests only.
 """
 
 import numpy as np
@@ -62,6 +62,20 @@ def energy_norm(field):
     """Energy (H1 seminorm) of a P1 field from its elementwise gradients."""
     g = field.gradients()
     return float(np.sqrt(np.sum(field.mesh.areas * np.einsum("td,td->t", g, g))))
+
+
+def eta_zero_quadrature(flux, u_h):
+    """‖sigma + grad u‖ from the flux evaluated pointwise at the degree-4
+    triangle quadrature points."""
+    from eqflux.fem import TRI_QW, quad_points
+
+    mesh = flux.space.mesh
+    pts = quad_points(mesh).reshape(-1, 2)
+    tris = np.repeat(np.arange(mesh.n_triangles), len(TRI_QW))
+    sig = flux.eval_at(pts, tris).reshape(mesh.n_triangles, len(TRI_QW), 2)
+    mis = sig + u_h.gradients()[:, None, :]
+    val = np.einsum("t,q,tqc,tqc->", mesh.areas, TRI_QW, mis, mis)
+    return float(np.sqrt(max(val, 0.0)))
 
 
 def prolong_uniform(field, fine):

@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+from conftest import eta_zero_quadrature, unstructured_mesh
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -167,6 +168,39 @@ class TestEtaZero:
         c = 0.37
         shifted = FluxField(fl.space, fl.coefficients + interpolate_constant(fl.space, (c, 0.0)))
         assert eta_zero(shifted, u) == pytest.approx(c, rel=1e-10)
+
+    @settings(max_examples=25, deadline=None)
+    @given(n=st.integers(2, 6), case=st.integers(0, 2), seed=st.integers(0, 2**32 - 1))
+    def test_matches_pointwise_quadrature_on_unstructured_meshes(self, n, case, seed):
+        from test_flux import _mixed_problem
+
+        rng = np.random.default_rng(seed)
+        _, data, u = _mixed_problem(lambda d: unstructured_mesh(n, rng, d), case, rng)
+        fl = reconstruct_flux(u, data)
+        assert eta_zero(fl, u) == pytest.approx(eta_zero_quadrature(fl, u), rel=1e-13)
+        rough = FluxField(fl.space, rng.standard_normal(fl.space.total_dofs))
+        assert eta_zero(rough, u) == pytest.approx(eta_zero_quadrature(rough, u), rel=1e-13)
+
+    def test_matches_pointwise_quadrature_on_positive_feature_flux(self):
+        from eqflux import config as cfg
+        from eqflux.fem import feature_problem_data
+        from eqflux.geometry import feature_mesh
+        from eqflux.presets import preset_config
+        from eqflux.run import build_computational_mesh
+
+        doc = preset_config("test2-pos", n=8)
+        doc["reference"] = None
+        (spec,) = cfg.specs_from_config(doc)
+        mesh = build_computational_mesh(spec)
+        u0 = solve_poisson(mesh, project_data(spec.domain, mesh, include=spec.include))
+        feat = spec.domain.features[0]
+        fmesh = feature_mesh(feat, 8, spec.domain)
+        fdata = feature_problem_data(feat, u0, fmesh, forcing=spec.domain.f)
+        ut = solve_poisson(fmesh, fdata)
+        fl = reconstruct_flux(ut, fdata)
+        value = eta_zero(fl, ut)
+        assert value > 0.0
+        assert value == pytest.approx(eta_zero_quadrature(fl, ut), rel=1e-13)
 
     def test_scale_matches_published_multi_feature_study(self):
         # resolution chosen to match the published DOF count (~1240)

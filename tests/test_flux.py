@@ -5,6 +5,7 @@ import tempfile
 import numpy as np
 import pytest
 from conftest import (
+    _patch_system_loop,
     compatibility_residual_loop,
     interior_jump_loop,
     neumann_trace_defect_loop,
@@ -37,6 +38,7 @@ from eqflux.geometry import (
     closed_loop,
     regular_polygon,
 )
+from eqflux.linalg import dense_lu_solve, saddle_solve
 from eqflux.mesh import Mesh, generate_unit_square, read_mesh, vertex_patches, write_mesh
 
 
@@ -195,6 +197,20 @@ class TestPatchFlux:
         vertex = int(str(exc.value).split("vertex ")[1].split(":")[0])
         assert vertex in m.triangles[t]
 
+    def test_zero_multiplier_block_names_vertex(self):
+        # The flux block keeps its mass, so only the multiplier Schur
+        # complement of the three patches around t loses rank.
+        m, data, u = self._linear_setup()
+        sp = build_rt_space(m)
+        t = 11
+        div = sp.divmom.copy()
+        div[t] = 0.0
+        broken = dataclasses.replace(sp, divmom=div)
+        with pytest.raises(EquilibrationError, match="singular patch system at vertex") as exc:
+            reconstruct_flux(u, data, broken)
+        vertex = int(str(exc.value).split("vertex ")[1].split(":")[0])
+        assert vertex in m.triangles[t]
+
     def test_unclassified_boundary_edge_raises(self):
         m = generate_unit_square(4, dirichlet_x01)
         data = project_data(DomainSpec(f=1.0, dirichlet=dirichlet_x01), m)
@@ -260,6 +276,38 @@ class TestUnstructuredPatches:
                     for q in vertex_patches_loop(m) if q[0] in batch.vertices]
             assert bound == pytest.approx([b for _, b in loop], rel=1e-12)
             assert (resid[batch.mean] <= 1e-10 * bound[batch.mean] + 1e-14).all()
+
+
+class TestCondensedSolve:
+    """The static condensation of every patch stack against the dense LU
+    solve of the whole saddle-point system."""
+
+    @settings(max_examples=20, deadline=None)
+    @given(n=st.integers(2, 6), case=st.integers(0, 2), seed=st.integers(0, 2**32 - 1))
+    def test_matches_dense_lu_on_every_stack(self, n, case, seed):
+        rng = np.random.default_rng(seed)
+        m, data, u = _mixed_problem(lambda d: unstructured_mesh(n, rng, d), case, rng)
+        sp = build_rt_space(m)
+        batches = patch_batches(sp, vertex_patches(m), data)
+        layouts = []
+        for batch in batches:
+            nt = np.bincount(batch.patch)
+            assert (nt == nt[0]).all() and (batch.mean == batch.mean[0]).all()
+            nf = int(batch.lam_rows[0])
+            layouts.append((nf, int(nt[0]), bool(batch.mean[0])))
+            A, rhs = assemble_patch_system(sp, batch, u, data)
+            ref = dense_lu_solve(A, rhs)
+            lam = slice(nf, batch.size - int(batch.mean[0]))
+            x = saddle_solve(A[:, :nf, :nf], A[:, lam, :nf], rhs[:, :nf], rhs[:, lam],
+                             A[:, lam, -1] if batch.mean[0] else None)
+            assert np.abs(x - ref[:, :nf]).max() <= 1e-12 * np.abs(ref).max()
+        # one stack per layout here (no stack is split), and every layout of
+        # the vertex-by-vertex oracle is present
+        oracle = set()
+        for q in vertex_patches_loop(m):
+            free, _, _, _, mean = _patch_system_loop(sp, q, u, data)
+            oracle.add((len(free), len(q[1]), mean))
+        assert sorted(layouts) == sorted(oracle)
 
 
 class TestReconstructFlux:

@@ -6,6 +6,7 @@ from eqflux.linalg import (
     ConstructionError,
     SingularSystemError,
     dense_lu_solve,
+    saddle_solve,
     solve_spd,
 )
 
@@ -104,3 +105,54 @@ class TestDenseLuSolve:
         A[k] *= 1e9  # the pivot threshold scales with each system's own max|A|
         with pytest.raises(SingularSystemError):
             dense_lu_solve(A, np.ones((3, 4)))
+
+
+def _saddle_stack(rng, P, n, m, border):
+    """Random SPD M, full-rank B (with Bᵀ1 = 0 under a border), c > 0 and
+    right-hand sides, with the assembled full systems."""
+    X = rng.standard_normal((P, n, n))
+    M = X @ X.transpose(0, 2, 1) + n * np.eye(n)
+    B = rng.standard_normal((P, m, n))
+    if border:
+        B -= B.mean(axis=1, keepdims=True)
+    c = rng.uniform(0.5, 1.5, size=(P, m)) if border else None
+    f, g = rng.standard_normal((P, n)), rng.standard_normal((P, m))
+    border = int(border)
+    N = n + m + border
+    A = np.zeros((P, N, N))
+    A[:, :n, :n] = M
+    A[:, :n, n:n + m] = -B.transpose(0, 2, 1)
+    A[:, n:n + m, :n] = B
+    if border:
+        A[:, n:n + m, -1] = c
+        A[:, -1, n:n + m] = c
+    rhs = np.concatenate([f, g, np.zeros((P, border))], axis=1)
+    return M, B, f, g, c, A, rhs
+
+
+class TestSaddleSolve:
+    @pytest.mark.parametrize("border", [False, True])
+    def test_matches_full_solve(self, border):
+        rng = np.random.default_rng(6)
+        M, B, f, g, c, A, rhs = _saddle_stack(rng, 7, 9, 5, border)
+        x = saddle_solve(M, B, f, g, c)
+        ref = np.linalg.solve(A, rhs[..., None])[..., 0]
+        assert np.abs(x - ref[:, :9]).max() <= 1e-12 * np.abs(ref).max()
+
+    @pytest.mark.parametrize("k", [0, 2])
+    @pytest.mark.parametrize("border", [False, True])
+    @pytest.mark.parametrize("block", ["flux", "multiplier", "small pivot"])
+    def test_names_singular_system(self, k, border, block):
+        rng = np.random.default_rng(7)
+        M, B, f, g, c, _, _ = _saddle_stack(rng, 4, 6, 4, border)
+        if block == "flux":
+            M[k, 1] = M[k, :, 1] = 0.0  # not positive definite
+        elif block == "multiplier":
+            # two equal rows keep Bᵀ1 = 0; e_0 - e_1 joins the kernel of Bᵀ
+            B[k, :2] = B[k, :2].mean(axis=0)
+        else:
+            M[k] = np.diag([1.0] * 5 + [1e-13])  # pivot below 1e-12 · max|A|
+            B[k] *= 1e-3
+        with pytest.raises(SingularSystemError) as exc:
+            saddle_solve(M, B, f, g, c)
+        assert exc.value.index == k
