@@ -46,7 +46,7 @@ def _compile_expr(text, extra=()):
     return code
 
 
-def scalar_expression(value, params=None, key="expression", normals=True):
+def scalar_expression(value, key="expression", normals=True):
     """Turn a config value into a data callable of (x, y[, nx, ny]).
 
     The callable is evaluated elementwise on coordinate arrays, so Python
@@ -64,17 +64,16 @@ def scalar_expression(value, params=None, key="expression", normals=True):
     except ConfigError as exc:
         hint = "" if normals else " (only Neumann data may use the normal nx, ny)"
         raise ConfigError(f"{key}: {exc}{hint}") from None
-    params = dict(params or {})
     if "nx" in code.co_names or "ny" in code.co_names:
 
         def fn(x, y, nx, ny):
-            return eval(code, {"__builtins__": {}}, {**_EXPR_NAMES, **params,
-                                                     "x": x, "y": y, "nx": nx, "ny": ny})
+            return eval(code, {"__builtins__": {}},
+                        {**_EXPR_NAMES, "x": x, "y": y, "nx": nx, "ny": ny})
 
         return fn
 
     def fn(x, y):
-        return eval(code, {"__builtins__": {}}, {**_EXPR_NAMES, **params, "x": x, "y": y})
+        return eval(code, {"__builtins__": {}}, {**_EXPR_NAMES, "x": x, "y": y})
 
     return fn
 
@@ -139,13 +138,13 @@ def _build_feature(fdoc: dict, params: dict) -> FeatureSpec:
             if "polygon" in edoc
             else _shape_polygon(edoc["shape"], params)
         )
-        ext = ExtensionSpec(epoly, scalar_expression(edoc.get("g_tilde", 0.0), params, "g_tilde"))
+        ext = ExtensionSpec(epoly, scalar_expression(edoc.get("g_tilde", 0.0), "g_tilde"))
     return FeatureSpec(
         id=int(fdoc["id"]),
         kind=fdoc["kind"],
         polygon=polygon,
-        neumann_g=scalar_expression(fdoc.get("g", 0.0), params, "g"),
-        neumann_g0=scalar_expression(fdoc.get("g0", 0.0), params, "g0"),
+        neumann_g=scalar_expression(fdoc.get("g", 0.0), "g"),
+        neumann_g0=scalar_expression(fdoc.get("g0", 0.0), "g0"),
         extension=ext,
     )
 
@@ -158,10 +157,9 @@ def _build_spec(doc: dict, n: int | None, eps: float | None, run_id: str) -> Run
         base="unit_square",
         features=features,
         dirichlet=predicate_expression(doc.get("dirichlet", "all")),
-        f=scalar_expression(doc.get("f", 0.0), params, "f", normals=False),
-        g_dirichlet=scalar_expression(doc.get("g_dirichlet", 0.0), params, "g_dirichlet",
-                                      normals=False),
-        g_neumann=scalar_expression(doc.get("g_neumann", 0.0), params, "g_neumann"),
+        f=scalar_expression(doc.get("f", 0.0), "f", normals=False),
+        g_dirichlet=scalar_expression(doc.get("g_dirichlet", 0.0), "g_dirichlet", normals=False),
+        g_neumann=scalar_expression(doc.get("g_neumann", 0.0), "g_neumann"),
     )
     mesh = None
     if "external" in doc["mesh"]:

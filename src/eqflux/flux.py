@@ -190,34 +190,37 @@ class FluxField:
         return interior / sp.mesh.areas[:, None]
 
 
-# Patch systems are solved in stacks of at most this many matrix entries
-# (4 MB of float64), which bounds the memory of one batched factorisation.
+# Patch systems are solved in stacks of at most this many entries of the
+# (nf + 3t)² saddle-point layout (4 MB of float64), which bounds the memory of
+# one condensed solve's M, W and S.
 _STACK_ENTRIES = 1 << 19
 
 
 @dataclass
 class PatchBatch:
-    """Row layout of a stack of patch mixed systems with one block split.
+    """A stack of patch mixed systems of one layout: ``nf`` free flux DOFs,
+    the same number of triangles per patch and one mean-value choice.
 
-    Incidence ``i`` is triangle ``tris[i]`` of batch patch ``patch[i]``.  The
-    rows of a system are its free flux DOFs in global order, three
-    multiplier rows per patch triangle, then the mean-value row if ``mean``.
+    Incidence ``i`` is triangle ``tris[i]`` of batch patch ``patch[i]``;
+    incidences run patch by patch in slot order, so the three multiplier rows
+    of a patch's slot ``s`` are ``3s .. 3s + 2`` of its ``B`` and ``g``.
     """
 
     vertices: np.ndarray  # (P,) patch vertex
-    mean: np.ndarray  # (P,) mean-value constraint
-    size: int  # rows of each system
+    mean: bool  # the systems carry the mean-value constraint
+    nf: int  # free flux DOFs of each system
+    dofs: np.ndarray  # (P, nf) global DOF of each free row
     patch: np.ndarray  # (I,)
     tris: np.ndarray  # (I,)
     loc: np.ndarray  # (I,) local index of the patch vertex in the triangle
-    rows: np.ndarray  # (I, 8) row of each triangle DOF, -1 where prescribed
+    rows: np.ndarray  # (I, 8) free row of each triangle DOF, -1 where prescribed
     prescribed: np.ndarray  # (I, 8) prescribed DOF values, 0 on free DOFs
-    lam_rows: np.ndarray  # (I,) first multiplier row of the triangle
 
 
 def patch_batches(space: RTSpace, patches: list[VertexPatch], data: ProblemData) -> list[PatchBatch]:
     """Lay out the mixed systems of the patches in batches of one layout (free
-    rows, triangles, mean row), each of at most ``_STACK_ENTRIES`` entries.
+    rows, triangles, mean-value constraint), each of at most
+    ``_STACK_ENTRIES`` entries of ``(nf + 3t)²``.
 
     Both moments of a zero edge are prescribed 0; those of a Neumann psi edge
     are the moments of the trace -psi_a * gN.  A patch without a Dirichlet psi
@@ -232,7 +235,6 @@ def patch_batches(space: RTSpace, patches: list[VertexPatch], data: ProblemData)
     tris = np.concatenate([p.triangles for p in patches])
     loc = np.argmax(mesh.triangles[tris] == owner[:, None], axis=1)
     first = np.cumsum(nt) - nt  # first incidence of each patch
-    slot = np.arange(len(tris)) - np.repeat(first, nt)
 
     def edge_keys(lists):
         return np.repeat(np.arange(P) * E, [len(x) for x in lists]) + np.concatenate(lists)
@@ -268,107 +270,99 @@ def patch_batches(space: RTSpace, patches: list[VertexPatch], data: ProblemData)
     D = space.total_dofs
     uniq, rank = np.unique(free_patch * D + space.tri_dofs[tris][free], return_inverse=True)
     nf = np.bincount(uniq // D, minlength=P)
+    start = np.cumsum(nf) - nf  # first free DOF of each patch in uniq
     rows = np.full(free.shape, -1)
-    rows[free] = rank - (np.cumsum(nf) - nf)[free_patch]
+    rows[free] = rank - start[free_patch]
     mean = np.bincount(patch, dirichlet.sum(axis=1), minlength=P) == 0
-    lam_rows = nf[patch] + 3 * slot
 
     batches = []
     layouts, layout = np.unique(np.stack([nf, nt, mean], axis=1), axis=0, return_inverse=True)
     for k, (f, t, m) in enumerate(layouts):
         members = np.flatnonzero(layout == k)
-        n = int(f + 3 * t + m)
-        per = max(1, _STACK_ENTRIES // n ** 2)
+        per = max(1, _STACK_ENTRIES // int(f + 3 * t) ** 2)
         for q in np.split(members, range(per, len(members), per)):
             inc = (first[q, None] + np.arange(t)).ravel()  # the incidences of q in order
             batches.append(PatchBatch(
-                vertices[q], mean[q], n, np.repeat(np.arange(len(q)), t), tris[inc],
-                loc[inc], rows[inc], prescribed[inc], lam_rows[inc]))
+                vertices[q], bool(m), int(f), uniq[start[q, None] + np.arange(f)] % D,
+                np.repeat(np.arange(len(q)), t), tris[inc], loc[inc], rows[inc], prescribed[inc]))
     return batches
 
 
 def assemble_patch_system(space: RTSpace, batch: PatchBatch, u_h: ScalarField,
                           data: ProblemData):
-    """Stacked mixed systems of a batch: matrices (P, n, n), right-hand sides (P, n).
-
-    Entries of prescribed DOFs go to a padding row and column that is cut off.
+    """The blocks ``(M, B, f, g, c)`` of a batch's mixed systems, as
+    :func:`linalg.saddle_solve` reads them: the flux block M (P, nf, nf), the
+    divergence block B (P, 3t, nf), the right-hand sides f (P, nf) and
+    g (P, 3t), and the hat-weight border c (P, 3t) of the mean-value
+    constraint, or None without it.  Prescribed DOFs enter only the right-hand
+    sides.
     """
     mesh = space.mesh
-    P, n = len(batch.vertices), batch.size
-    N = n + 1
-    t, loc, pv = batch.tris, batch.loc, batch.prescribed
+    P, nf = len(batch.vertices), batch.nf
+    t, loc, pv, rows = batch.tris, batch.loc, batch.prescribed, batch.rows
     area = mesh.areas[t]
     grad = u_h.gradients()[t]
     mass, div = space.mass[t], space.divmom[t]
-    p1, p2, p3 = batch.patch, batch.patch[:, None], batch.patch[:, None, None]
-    rows = np.where(batch.rows >= 0, batch.rows, n)  # (I, 8)
-    lam = batch.lam_rows[:, None] + np.arange(3)  # (I, 3)
-    mean = np.where(batch.mean[p1], n - 1, n)[:, None]  # (I, 1)
+    free = rows >= 0
+    row = batch.patch[:, None] * nf + rows  # (I, 8) row among the stack's P * nf
 
     # An edge DOF shared by two patch triangles sums two flux-block entries.
-    flat = ((p3 * N + rows[:, :, None]) * N + rows[:, None, :]).ravel()
-    A = np.bincount(flat, mass.ravel(), minlength=P * N * N).reshape(P, N, N)
-    A[p3, rows[:, None, :], lam[:, :, None]] = -div
-    A[p3, lam[:, :, None], rows[:, None, :]] = div
-    c = area / 3.0 / np.bincount(p1, area, minlength=P)[p1]
-    A[p2, lam, mean] = c[:, None]
-    A[p2, mean, lam] = c[:, None]
+    pairs = free[:, :, None] & free[:, None, :]
+    M = np.bincount((row[:, :, None] * nf + rows[:, None, :])[pairs], mass[pairs],
+                    minlength=P * nf * nf)
+    i, k = np.nonzero(free)
+    B = np.zeros((len(t), 3, nf))
+    B[i, :, rows[i, k]] = div[i, :, k]
 
     r1 = (-np.einsum("ijc,ic->ij", space.vecmom[t, loc], grad)
           - np.einsum("ijk,ik->ij", mass, pv))
     r2 = (area[:, None] * np.einsum("imk,ik->im", _TRIPLE[loc], data.f_proj[t])
           - (np.einsum("ic,ic->i", mesh.lam_grads[t, loc], grad) * area / 3.0)[:, None]
           - np.einsum("imj,ij->im", div, pv))
-    rhs = np.bincount((p2 * N + rows).ravel(), r1.ravel(), minlength=P * N).reshape(P, N)
-    rhs[p2, lam] = r2
-    return A[:, :n, :n], rhs[:, :n]
+    f = np.bincount(row[free], r1[free], minlength=P * nf).reshape(P, nf)
+    c = None
+    if batch.mean:
+        hat = area / 3.0 / np.bincount(batch.patch, area, minlength=P)[batch.patch]
+        c = np.repeat(hat, 3).reshape(P, -1)
+    return M.reshape(P, nf, nf), B.reshape(P, -1, nf), f, r2.reshape(P, -1), c
 
 
-def _compatibility_residual(space, batch, rhs, u_h, data):
+def _compatibility_residual(space, batch, g, u_h, data):
     """Per-patch residual and scale of the compatibility (Galerkin
-    orthogonality) test: the sum of the multiplier right-hand sides is the
-    hat-weighted residual of the forcing, the flux and the Neumann data."""
+    orthogonality) test: the sum of the multiplier right-hand sides ``g`` is
+    the hat-weighted residual of the forcing, the flux and the Neumann data."""
     mesh = space.mesh
     t, loc, P = batch.tris, batch.loc, len(batch.vertices)
-    lam = batch.lam_rows[:, None] + np.arange(3)
-    resid = np.abs(np.bincount(batch.patch, rhs[batch.patch[:, None], lam].sum(axis=1),
-                               minlength=P))
     fq = data.f_proj[t] @ TRI_QP.T * TRI_QP.T[loc]  # psi_a f at the quadrature points
     ga = np.einsum("ic,ic->i", mesh.lam_grads[t, loc], u_h.gradients()[t])
     sq = mesh.areas[t] * (fq**2 @ TRI_QW + ga**2)
     bnd = np.abs(batch.prescribed[:, 0:6:2]).sum(axis=1)  # |Neumann flux| per psi edge
     scale = np.sqrt(np.bincount(batch.patch, sq, minlength=P))
-    return resid, scale + np.bincount(batch.patch, bnd, minlength=P)
+    return np.abs(g.sum(axis=1)), scale + np.bincount(batch.patch, bnd, minlength=P)
 
 
 def patch_flux(space: RTSpace, batch: PatchBatch, u_h: ScalarField, data: ProblemData):
     """Solve a batch of patch problems by static condensation; returns (global
     DOF ids, DOF values) to be added into the global coefficients."""
-    A, rhs = assemble_patch_system(space, batch, u_h, data)
-    resid, scale = _compatibility_residual(space, batch, rhs, u_h, data)
-    bad = batch.mean & (resid > 1e-9 * scale + 1e-13)
-    if bad.any():
+    blocks = assemble_patch_system(space, batch, u_h, data)
+    resid, scale = _compatibility_residual(space, batch, blocks[3], u_h, data)
+    bad = resid > 1e-9 * scale + 1e-13
+    if batch.mean and bad.any():
         k = int(np.argmax(bad))
         raise OrthogonalityError(
             f"patch {batch.vertices[k]}: compatibility residual {resid[k]:.3e} "
             f"exceeds 1e-9 * {scale[k]:.3e}; the field is not a Galerkin "
             "solution for the supplied data"
         )
-    lam = slice(batch.lam_rows[0], batch.size - int(batch.mean[0]))  # multiplier rows
-    nf = lam.start
     try:
-        sol = linalg.saddle_solve(A[:, :nf, :nf], A[:, lam, :nf], rhs[:, :nf], rhs[:, lam],
-                                  A[:, lam, -1] if batch.mean[0] else None)
+        sol = linalg.saddle_solve(*blocks)
     except linalg.SingularSystemError as exc:
         raise EquilibrationError(
             f"singular patch system at vertex {batch.vertices[exc.index]}: {exc}"
         ) from exc
-    free = batch.rows >= 0
-    dofs = space.tri_dofs[batch.tris]
-    glob = np.full(sol.shape, -1)
-    glob[np.broadcast_to(batch.patch[:, None], free.shape)[free], batch.rows[free]] = dofs[free]
-    return (np.concatenate([glob[glob >= 0], dofs[~free]]),
-            np.concatenate([sol[glob >= 0], batch.prescribed[~free]]))
+    fixed = batch.rows < 0
+    return (np.concatenate([batch.dofs.ravel(), space.tri_dofs[batch.tris][fixed]]),
+            np.concatenate([sol.ravel(), batch.prescribed[fixed]]))
 
 
 def reconstruct_flux(u_h: ScalarField, data: ProblemData, space: RTSpace | None = None) -> FluxField:

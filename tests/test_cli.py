@@ -95,6 +95,13 @@ class TestConfig:
         w1 = np.ptp(specs[1].domain.features[0].polygon[:, 0])
         assert (w0, w1) == pytest.approx((0.2, 0.4))
 
+    def test_data_expression_rejects_eps(self):
+        # Only feature shapes may use the size parameter.
+        doc = small_notch_config()
+        doc["features"][0]["g"] = "eps"
+        with pytest.raises(cfg.ConfigError, match="^g: unknown name 'eps'"):
+            cfg.specs_from_config(doc)
+
 
 class TestEmission:
     def test_csv_header_exact(self):

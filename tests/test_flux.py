@@ -16,6 +16,7 @@ from conftest import (
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from eqflux import flux as flux_module
 from eqflux.fem import ScalarField, project_data, solve_poisson
 from eqflux.flux import (
     EquilibrationError,
@@ -139,8 +140,8 @@ class TestPatchFlux:
         sp = build_rt_space(m)
         interior = [p for p in vertex_patches(m) if p.is_interior]
         for batch in patch_batches(sp, interior, data):
-            _, rhs = assemble_patch_system(sp, batch, u, data)
-            resid, scale = _compatibility_residual(sp, batch, rhs, u, data)
+            g = assemble_patch_system(sp, batch, u, data)[3]
+            resid, scale = _compatibility_residual(sp, batch, g, u, data)
             assert (resid <= 1e-10 * np.maximum(scale, 1e-30) + 1e-14).all()
 
     def test_dirichlet_corner_patch_unconstrained(self):
@@ -148,7 +149,7 @@ class TestPatchFlux:
         sp = build_rt_space(m)
         corner = vertex_patches(m)[0]
         (batch,) = patch_batches(sp, [corner], data)
-        assert not batch.mean[0]
+        assert not batch.mean
         patch_flux(sp, batch, u, data)  # solvable
 
     def test_neumann_interior_vertex_constrained(self):
@@ -159,11 +160,12 @@ class TestPatchFlux:
         sp = build_rt_space(m)
         mid_bottom = 3  # (0.5, 0): interior point of the Neumann side
         (batch,) = patch_batches(sp, [vertex_patches(m)[mid_bottom]], data)
-        assert batch.mean[0]
-        A, _ = assemble_patch_system(sp, batch, u, data)
-        # the mean-value row couples exactly the multiplier rows
-        lam = batch.lam_rows[:, None] + np.arange(3)
-        assert np.flatnonzero(A[0, -1]).tolist() == sorted(lam.ravel().tolist())
+        assert batch.mean
+        c = assemble_patch_system(sp, batch, u, data)[4]
+        # the mean-value border weights every multiplier row by its hat mass
+        assert c.shape == (1, 3 * len(batch.tris))
+        assert (c > 0).all()
+        assert c.sum() == pytest.approx(1.0, rel=1e-12)
 
     def test_non_galerkin_input_raises(self):
         m, data, u = self._linear_setup()
@@ -270,17 +272,32 @@ class TestUnstructuredPatches:
         assert neumann_trace_defect(fl, data) <= 1e-9 * scale
 
         for batch in patch_batches(sp, patches, data):
-            _, rhs = assemble_patch_system(sp, batch, u, data)
-            resid, bound = _compatibility_residual(sp, batch, rhs, u, data)
+            g = assemble_patch_system(sp, batch, u, data)[3]
+            resid, bound = _compatibility_residual(sp, batch, g, u, data)
             loop = [compatibility_residual_loop(sp, q, u, data)
                     for q in vertex_patches_loop(m) if q[0] in batch.vertices]
             assert bound == pytest.approx([b for _, b in loop], rel=1e-12)
-            assert (resid[batch.mean] <= 1e-10 * bound[batch.mean] + 1e-14).all()
+            if batch.mean:
+                assert (resid <= 1e-10 * bound + 1e-14).all()
+
+    @settings(max_examples=25, deadline=None)
+    @given(n=st.integers(2, 6), case=st.integers(0, 2), seed=st.integers(0, 2**32 - 1))
+    def test_mean_value_stacks_have_balanced_divergence(self, n, case, seed):
+        # Bᵀ1 = 0 on every mean-value stack: the precondition of the rank-one
+        # border in saddle_solve.
+        rng = np.random.default_rng(seed)
+        m, data, u = _mixed_problem(lambda d: unstructured_mesh(n, rng, d), case, rng)
+        sp = build_rt_space(m)
+        for batch in patch_batches(sp, vertex_patches(m), data):
+            if batch.mean:
+                B = assemble_patch_system(sp, batch, u, data)[1]
+                assert (np.abs(B.sum(axis=1)) <= 1e-12 * np.abs(B).max()).all()
 
 
 class TestCondensedSolve:
-    """The static condensation of every patch stack against the dense LU
-    solve of the whole saddle-point system."""
+    """The static condensation of every patch stack against the
+    vertex-by-vertex assembly and the dense LU solve of its whole
+    saddle-point system."""
 
     @settings(max_examples=20, deadline=None)
     @given(n=st.integers(2, 6), case=st.integers(0, 2), seed=st.integers(0, 2**32 - 1))
@@ -289,17 +306,34 @@ class TestCondensedSolve:
         m, data, u = _mixed_problem(lambda d: unstructured_mesh(n, rng, d), case, rng)
         sp = build_rt_space(m)
         batches = patch_batches(sp, vertex_patches(m), data)
+        loop = {q[0]: q for q in vertex_patches_loop(m)}
         layouts = []
         for batch in batches:
             nt = np.bincount(batch.patch)
-            assert (nt == nt[0]).all() and (batch.mean == batch.mean[0]).all()
-            nf = int(batch.lam_rows[0])
-            layouts.append((nf, int(nt[0]), bool(batch.mean[0])))
-            A, rhs = assemble_patch_system(sp, batch, u, data)
-            ref = dense_lu_solve(A, rhs)
-            lam = slice(nf, batch.size - int(batch.mean[0]))
-            x = saddle_solve(A[:, :nf, :nf], A[:, lam, :nf], rhs[:, :nf], rhs[:, lam],
-                             A[:, lam, -1] if batch.mean[0] else None)
+            assert (nt == nt[0]).all()
+            nf, k = batch.nf, 3 * int(nt[0])
+            layouts.append((nf, int(nt[0]), batch.mean))
+            blocks = assemble_patch_system(sp, batch, u, data)
+            M, B, f, g, c = blocks
+            assert (c is not None) == batch.mean
+            As, rhss = [], []
+            for p, v in enumerate(batch.vertices):
+                free, _, A, rhs, mean = _patch_system_loop(sp, loop[v], u, data)
+                assert mean == batch.mean and free == batch.dofs[p].tolist()
+                assert len(rhs) == nf + k + int(mean)
+                tol = 1e-12 * np.abs(A).max()
+                assert np.abs(M[p] - A[:nf, :nf]).max() <= tol
+                assert np.abs(B[p] - A[nf:nf + k, :nf]).max() <= tol
+                assert np.abs(B[p].T + A[:nf, nf:nf + k]).max() <= tol
+                if mean:
+                    assert np.abs(c[p] - A[nf:nf + k, -1]).max() <= tol
+                rtol = 1e-12 * np.abs(rhs).max()
+                assert np.abs(f[p] - rhs[:nf]).max() <= rtol
+                assert np.abs(g[p] - rhs[nf:nf + k]).max() <= rtol
+                As.append(A)
+                rhss.append(rhs)
+            ref = dense_lu_solve(np.stack(As), np.stack(rhss))
+            x = saddle_solve(*blocks)
             assert np.abs(x - ref[:, :nf]).max() <= 1e-12 * np.abs(ref).max()
         # one stack per layout here (no stack is split), and every layout of
         # the vertex-by-vertex oracle is present
@@ -308,6 +342,19 @@ class TestCondensedSolve:
             free, _, _, _, mean = _patch_system_loop(sp, q, u, data)
             oracle.add((len(free), len(q[1]), mean))
         assert sorted(layouts) == sorted(oracle)
+
+    def test_split_stacks_match_unsplit(self, monkeypatch):
+        rng = np.random.default_rng(3)
+        m, data, u = _mixed_problem(lambda d: generate_unit_square(8, d), 1, rng)
+        sp = build_rt_space(m)
+        whole = reconstruct_flux(u, data, sp).coefficients
+        # An interior lattice patch has 24 free rows and 18 multiplier rows.
+        monkeypatch.setattr(flux_module, "_STACK_ENTRIES", 4 * 42**2)
+        layouts = [(b.nf, len(b.tris) // len(b.vertices), b.mean)
+                   for b in patch_batches(sp, vertex_patches(m), data)]
+        assert max(layouts.count(key) for key in layouts) > 1
+        split = reconstruct_flux(u, data, sp).coefficients
+        assert np.abs(split - whole).max() <= 1e-12 * np.abs(whole).max()
 
 
 class TestReconstructFlux:
