@@ -26,7 +26,6 @@ from .fem import (
     assemble_stiffness,
     energy_error_cross_mesh,
     project_data,
-    solve_feature_problem,
     solve_poisson,
 )
 from .flux import (

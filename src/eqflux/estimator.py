@@ -32,19 +32,11 @@ def _solve_zeta() -> float:
 ZETA = _solve_zeta()
 
 
-def c_omega(measure: float, k: int = 1, d: int = 2) -> float:
-    """Scaling constant of the mean-defect term.
-
-    Only the curve-in-plane case (k=1, d=2) is supported; the surface case
-    (k=2, d=3) is out of the implemented scope and rejected.
-    """
+def c_omega(measure: float) -> float:
+    """Scaling constant of the mean-defect term on a curve of this length."""
     if measure <= 0:
         raise ValueError("measure must be positive")
-    if (k, d) == (1, 2):
-        return math.sqrt(max(-math.log(measure), ZETA))
-    if (k, d) == (2, 3):
-        raise NotImplementedError("the (k, d) = (2, 3) branch is out of scope (d = 2 only)")
-    raise ValueError(f"unsupported (k, d) = ({k}, {d})")
+    return math.sqrt(max(-math.log(measure), ZETA))
 
 
 @dataclass
@@ -75,48 +67,35 @@ class DefectSamples:
             raise ValueError("defect curve must have positive length")
 
 
-def defect_on_gamma(
-    flux: FluxField, q: CurveQuadrature, g_values, sign_convention: str = "negative"
-) -> DefectSamples:
-    """Defect between the flux normal trace and the Neumann datum on a curve.
+def defect_on_gamma(flux: FluxField, q: CurveQuadrature, g_values) -> DefectSamples:
+    """Defect ``sigma·n + g`` between the flux normal trace and the Neumann
+    datum at the curve nodes, ``n`` being the curve normals ``q.normals``.
 
-    ``negative``:        g + sigma·n      (n outward of the exact domain)
-    ``positive_gamma0``: sigma~·n_F − g0  (n_F outward of the feature)
-    ``positive_gammaR``: sigma~·n_F + g
+    A datum posed against the opposite normal enters with its sign flipped.
     """
     tr = flux_normal_trace(flux, q)
     g = np.asarray(g_values, dtype=float)
     if g.shape != tr.shape:
         raise ValueError("g_values must match the quadrature nodes")
-    if sign_convention == "negative":
-        vals = g + tr
-    elif sign_convention == "positive_gamma0":
-        vals = tr - g
-    elif sign_convention == "positive_gammaR":
-        vals = tr + g
-    else:
-        raise ValueError(f"unknown sign convention {sign_convention!r}")
-    return DefectSamples(q, vals)
+    return DefectSamples(q, tr + g)
 
 
-def eta_curve_parts(ds: DefectSamples, d: int = 2):
+def eta_curve_parts(ds: DefectSamples):
     """(fluctuation, mean) parts of the curve estimator; eta² is their sum
     of squares."""
-    if d != 2:
-        raise NotImplementedError("only d = 2 is implemented")
     w = ds.quadrature.weights
     L = float(w.sum())
     mean = float(np.sum(w * ds.values)) / L
     fluct2 = float(np.sum(w * (ds.values - mean) ** 2))
-    c = c_omega(L, 1, d)
-    part_fluct = math.sqrt(L ** (1.0 / (d - 1)) * fluct2)
-    part_mean = math.sqrt(c * c * L ** (d / (d - 1.0)) * mean * mean)
+    c = c_omega(L)
+    part_fluct = math.sqrt(L * fluct2)
+    part_mean = math.sqrt(c * c * L ** 2.0 * mean * mean)
     return part_fluct, part_mean
 
 
-def eta_curve(ds: DefectSamples, d: int = 2) -> float:
+def eta_curve(ds: DefectSamples) -> float:
     """Curve estimator: scaled fluctuation plus scaled mean of the defect."""
-    pf, pm = eta_curve_parts(ds, d)
+    pf, pm = eta_curve_parts(ds)
     return math.hypot(pf, pm)
 
 

@@ -382,18 +382,6 @@ def solve_poisson(
     return ScalarField(mesh, u)
 
 
-def solve_feature_problem(
-    feature: FeatureSpec,
-    trace_source: ScalarField,
-    feature_mesh: Mesh,
-    forcing=0.0,
-    tol: float = 1e-12,
-) -> ScalarField:
-    """Solve the feature (extension) problem coupled through the gamma0 trace."""
-    data = feature_problem_data(feature, trace_source, feature_mesh, forcing)
-    return solve_poisson(feature_mesh, data, tol=tol)
-
-
 def cross_mesh_gradients(coarse: CompositeField, fine: Mesh) -> np.ndarray:
     """The coarse gradient at every quadrature point of the fine mesh, (T, 6, 2).
 

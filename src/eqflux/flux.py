@@ -16,7 +16,7 @@ import numpy as np
 from . import linalg
 from .fem import TRI_QP, TRI_QW, ProblemData, ScalarField, _M3
 from .geometry import CurveQuadrature, GeometryError, gauss_legendre
-from .mesh import Mesh, VertexPatch, vertex_patches
+from .mesh import Mesh, VertexPatch, patch_edge_split, vertex_patches
 
 _GLX, _GLW = gauss_legendre(4)
 
@@ -222,9 +222,11 @@ def patch_batches(space: RTSpace, patches: list[VertexPatch], data: ProblemData)
     rows, triangles, mean-value constraint), each of at most
     ``_STACK_ENTRIES`` entries of ``(nf + 3t)²``.
 
-    Both moments of a zero edge are prescribed 0; those of a Neumann psi edge
-    are the moments of the trace -psi_a * gN.  A patch without a Dirichlet psi
-    edge (every interior patch) carries the mean-value constraint.
+    Only the vertex and triangles of each patch are read; the boundary split
+    is that of :func:`mesh.patch_edge_split`.  Both moments of a zero edge are
+    prescribed 0; those of a Neumann psi edge are the moments of the trace
+    -psi_a * gN.  A patch without a Dirichlet psi edge (every interior patch)
+    carries the mean-value constraint.
     """
     mesh = space.mesh
     E, P = mesh.n_edges, len(patches)
@@ -233,16 +235,9 @@ def patch_batches(space: RTSpace, patches: list[VertexPatch], data: ProblemData)
     patch = np.repeat(np.arange(P), nt)
     owner = vertices[patch]
     tris = np.concatenate([p.triangles for p in patches])
-    loc = np.argmax(mesh.triangles[tris] == owner[:, None], axis=1)
     first = np.cumsum(nt) - nt  # first incidence of each patch
-
-    def edge_keys(lists):
-        return np.repeat(np.arange(P) * E, [len(x) for x in lists]) + np.concatenate(lists)
-
-    edges = mesh.triangle_edges[tris]  # (I, 3), local edge l joins l and l + 1
-    keys = patch[:, None] * E + edges
-    zero = np.isin(keys, edge_keys([p.boundary_edges_zero for p in patches]))
-    psi = np.isin(keys, edge_keys([p.boundary_edges_psi for p in patches]))
+    loc, zero, psi = patch_edge_split(mesh, tris, owner)
+    edges = mesh.triangle_edges[tris]  # (I, 3)
     neu = np.full(E, -1)
     neu[data.neumann_edges] = np.arange(len(data.neumann_edges))
     neu = neu[edges]

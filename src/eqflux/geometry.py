@@ -17,7 +17,7 @@ from .mesh import (
     EdgeMarker,
     Mesh,
     _cell_block,
-    _grid_index,
+    _grid_rect,
     _lattice_mesh,
     _on_unit_square_boundary,
 )
@@ -403,13 +403,7 @@ def feature_mesh(feature: FeatureSpec, n: int, domain: DomainSpec | None = None)
     domain = domain if domain is not None else DomainSpec(features=[feature])
     parts = partition_feature_boundary(feature, domain)
     poly = feature.extension.polygon if feature.extension else feature.polygon
-    p = np.asarray(poly, dtype=float)
-    xs = sorted(set(np.round(p[:, 0], 12)))
-    ys = sorted(set(np.round(p[:, 1], 12)))
-    if len(xs) != 2 or len(ys) != 2:
-        raise GeometryError("built-in feature meshing needs an axis-aligned rectangle")
-    i0, i1 = _grid_index(xs[0], n, "feature x0"), _grid_index(xs[1], n, "feature x1")
-    j0, j1 = _grid_index(ys[0], n, "feature y0"), _grid_index(ys[1], n, "feature y1")
+    _, (i0, i1, j0, j1) = _grid_rect(poly, n)
     m = _lattice_mesh(_cell_block(i0, i1, j0, j1), n)
 
     order = ("gamma0", "gammaS", "gammaTilde", "gamma")

@@ -190,10 +190,6 @@ class Mesh:
         ev = self.edge_vertices
         return 0.5 * (self.vertices[ev[:, 0]] + self.vertices[ev[:, 1]])
 
-    def boundary_edge_triangle(self, e: int) -> int:
-        a, b = self.edge_tris[e]
-        return int(a) if a >= 0 else int(b)
-
     def edge_ids(self, i, j) -> np.ndarray:
         """Edge numbers of the vertex pairs ``(i[k], j[k])``, by one search of
         the sorted edge keys; the first pair that is no edge raises."""
@@ -318,28 +314,40 @@ class Mesh:
         return tris, bary
 
 
-def vertex_patches(mesh: Mesh) -> list[VertexPatch]:
-    """One patch per vertex: incident triangles and the patch boundary split.
+def patch_edge_split(mesh: Mesh, tris, owner):
+    """Local position and patch boundary split of patch triangles ``tris``
+    around their patch vertices ``owner``: ``(loc, zero, psi)`` with ``loc``
+    the local index of the vertex and ``(I, 3)`` masks over the local edges
+    (local edge l joins local vertices l and l + 1).
 
-    A patch boundary edge has exactly one of its triangles in the patch; it
-    is a psi edge when it contains the vertex and a zero edge otherwise.
+    The edge opposite the vertex is a zero edge, and the two edges through
+    the vertex are psi edges exactly when they lie on the domain boundary.
+    An interior edge through the vertex has both its triangles in the patch;
+    the opposite edge has one, since no two triangles of a conforming mesh
+    share a vertex triple.
     """
+    loc = np.argmax(mesh.triangles[tris] == owner[:, None], axis=1)
+    zero = (np.arange(3) - loc[:, None]) % 3 == 1
+    psi = ~zero & (mesh.edge_tris < 0).any(axis=1)[mesh.triangle_edges[tris]]
+    return loc, zero, psi
+
+
+def vertex_patches(mesh: Mesh) -> list[VertexPatch]:
+    """One patch per vertex: incident triangles and the patch boundary split
+    of :func:`patch_edge_split`."""
     V = mesh.n_vertices
     offsets, tris = mesh.vertex_to_triangles()
     owner = np.repeat(np.arange(V), np.diff(offsets))  # patch vertex per incidence
     edges = mesh.triangle_edges[tris]  # (I, 3)
-    nbr = mesh.edge_tris[edges]  # (I, 3, 2)
-    in_patch = (nbr >= 0) & (mesh.triangles[nbr] == owner[:, None, None, None]).any(-1)
-    on_boundary = in_patch.sum(-1) == 1
-    has_vertex = (mesh.edge_vertices[edges] == owner[:, None, None]).any(-1)
+    _, zero_mask, psi_mask = patch_edge_split(mesh, tris, owner)
 
     def per_vertex(mask):
         v, e = np.broadcast_to(owner[:, None], mask.shape)[mask], edges[mask]
         order = np.lexsort((e, v))
         return e[order], np.searchsorted(v[order], np.arange(V + 1)).tolist()
 
-    zero, zo = per_vertex(on_boundary & ~has_vertex)
-    psi, po = per_vertex(on_boundary & has_vertex)
+    zero, zo = per_vertex(zero_mask)
+    psi, po = per_vertex(psi_mask)
     to = offsets.tolist()
     interior = np.ones(V, dtype=bool)
     interior[mesh.edge_vertices[mesh.boundary_edge_ids]] = False
@@ -432,6 +440,14 @@ def _grid_index(value, n, what):
     return int(k)
 
 
+def _grid_rect(polygon, n):
+    """``(x0, x1, y0, y1)`` of a rectangle polygon and its lattice indices
+    ``(i0, i1, j0, j1)`` on the 1/n grid."""
+    rect = _rect_from_polygon(polygon)
+    return rect, tuple(_grid_index(v, n, f"feature {k}")
+                       for v, k in zip(rect, ("x0", "x1", "y0", "y1")))
+
+
 def generate_with_rect_features(
     n: int, features, include, dirichlet_predicate=None
 ) -> Mesh:
@@ -448,9 +464,7 @@ def generate_with_rect_features(
     for f, inc in zip(features, include):
         if not inc:
             continue
-        rect = _rect_from_polygon(f.polygon)
-        i0, i1 = _grid_index(rect[0], n, "feature x0"), _grid_index(rect[1], n, "feature x1")
-        j0, j1 = _grid_index(rect[2], n, "feature y0"), _grid_index(rect[3], n, "feature y1")
+        rect, (i0, i1, j0, j1) = _grid_rect(f.polygon, n)
         if i1 <= i0 or j1 <= j0:
             raise MeshError("degenerate feature rectangle")
         for _, _, (a0, a1, b0, b1) in rects:

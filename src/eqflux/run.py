@@ -128,6 +128,13 @@ def run_single(spec: RunSpec, reference: fem.ScalarField | None = None) -> RunRe
     flux0 = flux.reconstruct_flux(u0, data)
     eta0 = est.eta_zero(flux0, u0)
 
+    def eta_on(curve, m, fl, g, s=1.0):
+        # Defect sigma·n + s·g(x, s·n) on the curve: s = -1 on gamma0, whose
+        # datum sees the simplified domain's normal, opposite to the curve's.
+        q = clip_curve_to_mesh(curve, m, spec.gauss_order)
+        gv = fem.eval_data(g, q.nodes, s * q.normals)
+        return est.eta_curve(est.defect_on_gamma(fl, q, s * gv))
+
     components = []
     per_feature = {}
     feature_fields, feature_fluxes = {}, {}
@@ -138,11 +145,8 @@ def run_single(spec: RunSpec, reference: fem.ScalarField | None = None) -> RunRe
         parts = partition_feature_boundary(feat, domain)
         if feat.kind != POSITIVE:
             gamma_rev = [line[::-1] for line in reversed(parts["gamma"])]
-            q = clip_curve_to_mesh(gamma_rev, mesh, spec.gauss_order)
-            ds = est.defect_on_gamma(
-                flux0, q, fem.eval_data(feat.neumann_g, q.nodes, q.normals), "negative"
-            )
-            comp = est.FeatureEstimate(feat.id, feat.kind, eta_gamma=est.eta_curve(ds))
+            comp = est.FeatureEstimate(feat.id, feat.kind,
+                                       eta_gamma=eta_on(gamma_rev, mesh, flux0, feat.neumann_g))
         else:
             fn = spec.feature_n or spec.n
             if fn is None:
@@ -151,31 +155,15 @@ def run_single(spec: RunSpec, reference: fem.ScalarField | None = None) -> RunRe
             fdata = fem.feature_problem_data(feat, u0, fmesh, forcing=domain.f)
             ut = fem.solve_poisson(fmesh, fdata, tol=spec.solver_tol)
             fluxt = flux.reconstruct_flux(ut, fdata)
-            q0 = clip_curve_to_mesh(parts["gamma0"], fmesh, spec.gauss_order)
-            # the shared-boundary datum is directed along the simplified
-            # domain's outward normal, opposite to the curve normals here
-            ds0 = est.defect_on_gamma(
-                fluxt,
-                q0,
-                fem.eval_data(feat.neumann_g0, q0.nodes, -q0.normals),
-                "positive_gamma0",
-            )
             comp = est.FeatureEstimate(
                 feat.id,
                 feat.kind,
-                eta_gamma0=est.eta_curve(ds0),
+                eta_gamma0=eta_on(parts["gamma0"], fmesh, fluxt, feat.neumann_g0, -1.0),
                 eta_0_tilde=est.eta_zero(fluxt, ut),
                 has_extension=feat.extension is not None,
             )
             if parts["gammaR"]:
-                qr = clip_curve_to_mesh(parts["gammaR"], fmesh, spec.gauss_order)
-                dsr = est.defect_on_gamma(
-                    fluxt,
-                    qr,
-                    fem.eval_data(feat.neumann_g, qr.nodes, qr.normals),
-                    "positive_gammaR",
-                )
-                comp.eta_gammaR = est.eta_curve(dsr)
+                comp.eta_gammaR = eta_on(parts["gammaR"], fmesh, fluxt, feat.neumann_g)
             feature_fields[feat.id] = ut
             feature_fluxes[feat.id] = fluxt
             coarse_pieces.append(ut)

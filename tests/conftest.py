@@ -110,7 +110,7 @@ def neumann_trace_defect_loop(flux, data):
     for k, e in enumerate(data.neumann_edges):
         e = int(e)
         x, pts = _edge_gauss_points(mesh, e)
-        t = mesh.boundary_edge_triangle(e)
+        t = mesh.edge_tris[e].max()
         n_out = mesh.edge_outward_sign[e] * mesh.edge_normals[e]
         tr = flux.normal_trace(pts, np.full(len(pts), t), np.tile(n_out, (len(pts), 1)))
         gn = data.gn_proj[k, 0] * (1.0 - x) + data.gn_proj[k, 1] * x

@@ -25,7 +25,6 @@ from eqflux.fem import (
     energy_error_cross_mesh,
     feature_problem_data,
     project_data,
-    solve_feature_problem,
     solve_poisson,
 )
 from eqflux.geometry import (
@@ -290,7 +289,7 @@ class TestFeatureProblem:
         u0 = ScalarField(m0, np.array([lin(x, y) for x, y in m0.vertices]))
         bump.neumann_g = lambda x, y, nx, ny: 1 * nx - 3 * ny
         fm = feature_mesh(bump, 10, dom)
-        ut = solve_feature_problem(bump, u0, fm, forcing=0.0)
+        ut = solve_poisson(fm, feature_problem_data(bump, u0, fm, forcing=0.0))
         exact = np.array([lin(x, y) for x, y in fm.vertices])
         assert np.abs(ut.nodal_values - exact).max() < 1e-11
 
@@ -300,7 +299,7 @@ class TestFeatureProblem:
         m0 = generate_unit_square(10, dirichlet_x01)
         u0 = ScalarField(m0, np.full(m0.n_vertices, 4.25))
         fm = feature_mesh(bump, 10, dom)
-        ut = solve_feature_problem(bump, u0, fm, forcing=0.0)
+        ut = solve_poisson(fm, feature_problem_data(bump, u0, fm, forcing=0.0))
         assert np.abs(ut.nodal_values - 4.25).max() < 1e-12
 
     def test_bump_mesh_and_trace_match(self):
@@ -325,7 +324,7 @@ class TestFeatureProblem:
         u0 = ScalarField(m0, np.zeros(m0.n_vertices))
         fm = feature_mesh(bump, 10, dom)
         with pytest.raises(CouplingError, match="does not coincide with a trace-source vertex"):
-            solve_feature_problem(bump, u0, fm)
+            feature_problem_data(bump, u0, fm)
 
     def test_gamma0_outside_trace_source_raises(self):
         bump = self._bump()

@@ -474,6 +474,18 @@ class TestFeatureMesh:
         with pytest.raises(MeshError, match="1/10 grid"):
             feature_mesh(bump, 10, dom)
 
+    @pytest.mark.parametrize("part", ["feature", "extension"])
+    def test_non_rectangle_rejected(self, part):
+        # the rectangle rule of generate_with_rect_features: 4 axis-aligned vertices
+        if part == "feature":
+            f = FeatureSpec(1, POSITIVE, np.array([[0.4, 0.0], [0.4, -0.2], [0.6, 0.0]]))
+        else:
+            trapezoid = np.array([[0.3, -0.2], [0.7, -0.2], [0.6, 0.0], [0.4, 0.0]])
+            f = FeatureSpec(1, POSITIVE, rect_polygon(0.4, 0.6, -0.1, 0.0),
+                            extension=ExtensionSpec(trapezoid))
+        with pytest.raises(MeshError, match="rectangle"):
+            feature_mesh(f, 10, DomainSpec(features=[f]))
+
     def test_non_positive_rejected(self):
         hole = FeatureSpec(1, NEGATIVE_INTERNAL, rect_polygon(0.3, 0.5, 0.3, 0.5))
         with pytest.raises(GeometryError):

@@ -75,6 +75,34 @@ class TestRunSingle:
         assert res.report.eta_0 + 1e-8 >= res.report.error_energy
 
 
+class TestCurveNormals:
+    """Which normal each curve datum sees, on test2-both at n = 16: the notch
+    spans y in [0.75, 1] at the top, the bump sits on y = 0."""
+
+    def _report(self, kind, **data):
+        doc = preset_config("test2-both", n=16)
+        assert doc["eps"] == 0.25
+        doc["reference"] = None
+        for feat in doc["features"]:
+            if feat["kind"] == kind:
+                feat.update(data)
+        (spec,) = cfg.specs_from_config(doc)
+        return run_single(spec).report
+
+    def test_gamma0_datum_sees_simplified_domain_normal(self):
+        # the simplified domain's outward normal on y = 0 is (0, -1)
+        eta = lambda g0: self._report("positive", g0=g0).per_feature[2].eta_gamma0
+        assert eta("ny") == eta(-1.0)
+        assert eta("ny") != eta(1.0)
+
+    def test_gamma_datum_sees_exact_domain_normal(self):
+        # the exact domain's outward normal is (0, 1) on the notch bottom and
+        # horizontal on its sides
+        eta = lambda g: self._report("negative_boundary", g=g).per_feature[1].eta_gamma
+        assert eta("ny") == eta("1.0 * near(y, 0.75)")
+        assert eta("ny") != eta("-1.0 * near(y, 0.75)")
+
+
 class TestRunSweep:
     def test_eta_gamma_stable_in_published_range(self):
         # internal feature, meshes inside the resolution range of the
