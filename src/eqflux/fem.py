@@ -386,24 +386,29 @@ def cross_mesh_gradients(coarse: CompositeField, fine: Mesh) -> np.ndarray:
     """The coarse gradient at every quadrature point of the fine mesh, (T, 6, 2).
 
     The values are those of ``coarse.gradient_at`` on ``quad_points(fine)``,
-    bit for bit, from one lookup per fine triangle where possible.  A fine
-    triangle whose centroid lies in triangle ``c`` of the first piece, and
-    whose vertices all lie in ``c`` by ``Mesh.contains`` (the rule of
+    bit for bit, from one lookup per fine triangle where possible.  Centroids
+    are located piece by piece, each piece trying those no earlier piece
+    holds.  A fine triangle whose centroid lies in triangle ``c`` of a piece,
+    and whose vertices all lie in ``c`` by ``Mesh.contains`` (the rule of
     ``locate_points``), lies in ``c`` up to ``LOCATE_TOL``; its quadrature
     points are then inside ``c`` by a margin far above that tolerance, where
-    no other triangle of that conforming mesh holds them, so point location
-    would return ``c`` for each.  The other fine triangles (across
-    coarse edges or outside the first piece) take the per-point path, which
-    keeps the order of the pieces.
+    no other triangle of that conforming mesh holds them, nor any earlier
+    piece, as the pieces meet only on their boundaries.  So point location
+    would return ``c`` for each.  The other fine triangles (across coarse
+    edges or in no piece) take the per-point path, which keeps the order of
+    the pieces.
     """
-    first = coarse.pieces[0]
     v = fine.vertices[fine.triangles]  # (T, 3, 2)
-    tris, _ = first.mesh.locate_points(v.mean(axis=1))
-    held, _ = first.mesh.contains(tris[:, None], v)  # (T, 3); row -1 is ignored below
-    inside = (tris >= 0) & held.all(axis=1)
     gc = np.empty((fine.n_triangles, len(TRI_QW), 2))
-    gc[inside] = first.gradients()[tris[inside], None, :]
-    rest = np.flatnonzero(~inside)
+    todo, rest = np.arange(fine.n_triangles), []  # centroids no piece has held yet
+    for piece in coarse.pieces:
+        tris, _ = piece.mesh.locate_points(v[todo].mean(axis=1))
+        held, _ = piece.mesh.contains(tris[:, None], v[todo])  # (n, 3); row -1 is ignored below
+        inside = (tris >= 0) & held.all(axis=1)
+        gc[todo[inside]] = piece.gradients()[tris[inside], None, :]
+        rest.append(todo[(tris >= 0) & ~inside])
+        todo = todo[tris < 0]
+    rest = np.concatenate(rest + [todo])
     if len(rest):
         pts = np.einsum("qk,tkd->tqd", TRI_QP, v[rest])
         gc[rest] = coarse.gradient_at(pts.reshape(-1, 2)).reshape(len(rest), len(TRI_QW), 2)

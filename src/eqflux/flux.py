@@ -36,24 +36,54 @@ class OrthogonalityError(RuntimeError):
     """Patch compatibility failed: the input is not a Galerkin solution."""
 
 
-def _monomials(xi, eta):
-    """Vector monomials spanning [P1]^2 + x~P1 in local coordinates.
+# Reference RT1 basis on the triangle (0, 0), (1, 0), (0, 1): column k holds
+# the coefficients of basis k on the monomials (1, 0), (x, 0), (y, 0), (0, 1),
+# (0, x), (0, y), x(x, y), y(x, y).  It is dual to the reference DOFs: the
+# moments of phi·nu against {1, s} along local edge l, run from vertex l to
+# l + 1 with parameter s in [0, 1] and nu the edge vector turned clockwise
+# (unnormalised), then the moments against the constant fields (1, 0), (0, 1).
+_RT_REF = np.array([
+    [0, 0, 0, 0, 2, -6, 0, 0],
+    [6, -10, -4, 2, -2, 14, 16, 8],
+    [0, 0, 0, 0, -6, 12, 0, 0],
+    [-4, 6, 0, 0, 0, 0, 0, 0],
+    [6, -12, 0, 0, 0, 0, 0, 0],
+    [12, -14, -2, -2, -4, 10, 8, 16],
+    [-8, 16, 8, -8, 0, -8, -16, -8],
+    [-8, 8, 0, 8, 8, -16, -8, -16],
+], dtype=float)
 
-    Returns an array of shape xi.shape + (8, 2).
-    """
-    z = np.zeros_like(xi)
-    o = np.ones_like(xi)
-    mx = np.stack([o, xi, eta, z, z, z, xi * xi, xi * eta], axis=-1)
-    my = np.stack([z, z, z, o, xi, eta, xi * eta, eta * eta], axis=-1)
-    return np.stack([mx, my], axis=-1)
+
+def _rt_field(c, x, y):
+    """The RT1 field with monomial coefficients ``c[0..7]`` (broadcast
+    against x and y) at the points (x, y), components on a last axis."""
+    q = x * c[6] + y * c[7]
+    return np.stack([c[0] + x * (c[1] + q) + y * c[2], c[3] + x * c[4] + y * (c[5] + q)], axis=-1)
 
 
-def _div_monomials(xi, eta, scale):
-    """Physical divergence of the local monomials, shape xi.shape + (8,)."""
-    z = np.zeros_like(xi)
-    o = np.ones_like(xi)
-    d = np.stack([z, o, z, z, z, o, 3.0 * xi, 3.0 * eta], axis=-1)
-    return d / np.asarray(scale)[..., None]
+def _reference_tensors():
+    """Integrals over the reference triangle, of its basis phî_j and
+    barycentrics lam_m, by the degree-4 rule (the integrands have degree at
+    most 4): ``R[a, b, i, j] = ∫ phî_i,a phî_j,b``, ``R_D[m, j] = ∫ div phî_j
+    lam_m`` and ``R_V[m, j, a] = ∫ lam_m phî_j,a``; also ``R_Dv[v, j]``, the
+    divergence of phî_j at vertex v."""
+    w = 0.5 * TRI_QW
+    B = _rt_field(_RT_REF[:, None, :], TRI_QP[:, 1, None], TRI_QP[:, 2, None])  # (6, 8, 2)
+    R = np.einsum("q,qia,qjb->abij", w, B, B)
+    R_V = np.einsum("q,qm,qja->mja", w, TRI_QP, B)
+    # div phî = c1 + c5 + 3 (x c6 + y c7) is P1: its values at the vertices.
+    R_Dv = _RT_REF[1] + _RT_REF[5] + 3.0 * np.stack([np.zeros(8), _RT_REF[6], _RT_REF[7]])
+    return R, 0.5 * _M3 @ R_Dv, R_V, R_Dv
+
+
+_R, _R_D, _R_V, _R_DV = _reference_tensors()
+
+
+def _jacobians(v) -> np.ndarray:
+    """Jacobians ``J = [v1 − v0, v2 − v0]`` of the affine maps from the
+    reference triangle onto the triangles with vertices v (n, 3, 2), shape
+    (n, 2, 2); ``det J = 2 |K|``."""
+    return np.stack([v[:, 1] - v[:, 0], v[:, 2] - v[:, 0]], axis=2)
 
 
 @dataclass
@@ -62,14 +92,14 @@ class RTSpace:
 
     Two DOFs per edge (normal-trace moments against {1, s} in the global
     edge orientation) and two per triangle (moments against the constant
-    vector fields).  The per-triangle dual basis and the element matrices
-    used by the patch problems are precomputed.
+    vector fields).  The basis of triangle K is the contravariant Piola image
+    ``J phî / det J`` of the reference basis, re-expressed in the global DOFs:
+    ``transform[K]`` maps K's global DOFs to reference DOFs.  The element
+    matrices used by the patch problems are precomputed.
     """
 
     mesh: Mesh
-    centers: np.ndarray  # (T, 2)
-    scales: np.ndarray  # (T,)
-    coeff: np.ndarray  # (T, 8, 8): monomial coefficients, column j = basis j
+    transform: np.ndarray  # (T, 8, 8): reference DOFs = transform @ global DOFs
     mass: np.ndarray  # (T, 8, 8)
     divmom: np.ndarray  # (T, 3, 8): (div phi_j, lam_m)_K
     vecmom: np.ndarray  # (T, 3, 8, 2): (lam_m phi_j)_K
@@ -81,74 +111,35 @@ class RTSpace:
 
 
 def build_rt_space(mesh: Mesh) -> RTSpace:
-    """Construct the RT space with dual basis and element matrices."""
-    T = mesh.n_triangles
-    verts = mesh.vertices[mesh.triangles]  # (T, 3, 2)
-    centers = verts.mean(axis=1)
-    scales = mesh.diameters.copy()
+    """Construct the RT space: the DOF transforms and element matrices.
 
-    # Edge geometry in triangle-local ordering: local edge l joins local
-    # vertices (l, l+1), which is global edge triangle_edges[t, l].
-    e_ids = mesh.triangle_edges  # (T, 3)
-    ev = mesh.edge_vertices[e_ids]  # (T, 3, 2)
-    A_pts = mesh.vertices[ev[..., 0]]  # (T, 3, 2)
-    B_pts = mesh.vertices[ev[..., 1]]
-    lengths = mesh.edge_lengths[e_ids]  # (T, 3)
-    normals = mesh.edge_normals[e_ids]  # (T, 3, 2)
+    Under ``phi = J phî / det J`` an edge moment against {1, s} with the
+    clockwise-turned edge vector does not change (``Jᵀ R J = det J · R`` for
+    the rotation R), and interior moments map by J.  The global edge runs
+    from its lower to its higher vertex (``Mesh``); where the local edge
+    runs the other way its normal and parameter flip, so its block of the
+    transform is ``[[-1, 0], [-1, 1]]`` instead of the identity.  Both edge
+    blocks are involutions and the interior block is ``J⁻¹``.
+    """
+    T, tri = mesh.n_triangles, mesh.triangles
+    J = _jacobians(mesh.vertices[tri])
+    s = np.where(tri < np.roll(tri, -1, axis=1), 1.0, -1.0)  # (T, 3): +1 where local = global
+    D = np.zeros((T, 8, 8))
+    e = 2 * np.arange(3)
+    D[:, e, e] = s
+    D[:, e + 1, e] = 0.5 * (s - 1.0)
+    D[:, e + 1, e + 1] = 1.0
+    D[:, 6:, 6:] = mesh.lam_grads[:, 1:]  # grad lam_1, grad lam_2 are the rows of J⁻¹
+    G = np.einsum("tca,tcb->tab", J, J) / (2.0 * mesh.areas)[:, None, None]
+    mass = (G.reshape(T, 4) @ _R.reshape(4, 64)).reshape(T, 8, 8)
+    mass = D.transpose(0, 2, 1) @ mass @ D
+    divmom = _R_D @ D
+    vecmom = (J[:, None] @ (_R_V.transpose(0, 2, 1).reshape(6, 8) @ D).reshape(T, 3, 2, 8)
+              ).transpose(0, 1, 3, 2)
 
-    # Gauss points along each edge (global orientation).  (T, 3, G, 2)
-    G = len(_GLX)
-    epts = A_pts[:, :, None, :] + _GLX[None, None, :, None] * (
-        B_pts - A_pts
-    )[:, :, None, :]
-    xi = (epts[..., 0] - centers[:, None, None, 0]) / scales[:, None, None]
-    eta = (epts[..., 1] - centers[:, None, None, 1]) / scales[:, None, None]
-    # Monomial normal traces (T, 3, G, 8).  The (T, 3, G, 8, 2) monomial
-    # values are not kept: that bounds the peak memory of the einsums below.
-    tr = np.einsum("tlgkc,tlc->tlgk", _monomials(xi, eta), normals)
-
-    N = np.empty((T, 8, 8))
-    for ell in range(3):
-        N[:, 2 * ell, :] = lengths[:, ell, None] * np.einsum(
-            "g,tgk->tk", _GLW, tr[:, ell]
-        )
-        N[:, 2 * ell + 1, :] = lengths[:, ell, None] * np.einsum(
-            "g,g,tgk->tk", _GLW, _GLX, tr[:, ell]
-        )
-    qp = np.einsum("qk,tkd->tqd", TRI_QP, verts)  # (T, 6, 2)
-    xiq = (qp[..., 0] - centers[:, None, 0]) / scales[:, None]
-    etq = (qp[..., 1] - centers[:, None, 1]) / scales[:, None]
-    mono_q = _monomials(xiq, etq)  # (T, 6, 8, 2)
-    for c in range(2):
-        N[:, 6 + c, :] = mesh.areas[:, None] * np.einsum(
-            "q,tqk->tk", TRI_QW, mono_q[..., c]
-        )
-    try:
-        coeff = np.linalg.inv(N)  # coeff[t, k, j]: monomial k of basis j
-    except np.linalg.LinAlgError as exc:
-        raise EquilibrationError(f"degenerate RT element: {exc}") from exc
-
-    basis_q = np.einsum("tqkc,tkj->tqjc", mono_q, coeff, optimize=True)  # (T, 6, 8, 2)
-    # mass = sum_q |K| w_q b_q b_q^T as one (T, 8, 12) @ (T, 12, 8) product.
-    X = (basis_q.transpose(0, 1, 3, 2)
-         * np.sqrt(mesh.areas[:, None] * TRI_QW)[:, :, None, None]).reshape(T, 12, 8)
-    mass = X.transpose(0, 2, 1) @ X
-    del X, tr, mono_q  # dead from here: freeing them bounds the peak memory
-    div_q = np.einsum(
-        "tqk,tkj->tqj", _div_monomials(xiq, etq, scales[:, None]), coeff
-    )
-    wm = (TRI_QW[:, None] * TRI_QP).T  # (3, 6): lam_m times the quadrature weights
-    divmom = (wm @ div_q) * mesh.areas[:, None, None]
-    vecmom = (wm @ basis_q.reshape(T, 6, 16)).reshape(T, 3, 8, 2) * mesh.areas[:, None, None, None]
-
-    tri_dofs = np.empty((T, 8), dtype=np.int64)
-    for ell in range(3):
-        tri_dofs[:, 2 * ell] = 2 * e_ids[:, ell]
-        tri_dofs[:, 2 * ell + 1] = 2 * e_ids[:, ell] + 1
-    base = 2 * mesh.n_edges
-    tri_dofs[:, 6] = base + 2 * np.arange(T)
-    tri_dofs[:, 7] = base + 2 * np.arange(T) + 1
-    return RTSpace(mesh, centers, scales, coeff, mass, divmom, vecmom, tri_dofs)
+    tri_dofs = np.hstack([(2 * mesh.triangle_edges[:, :, None] + np.arange(2)).reshape(T, 6),
+                          2 * mesh.n_edges + 2 * np.arange(T)[:, None] + np.arange(2)])
+    return RTSpace(mesh, D, mass, divmom, vecmom, tri_dofs)
 
 
 @dataclass
@@ -158,30 +149,32 @@ class FluxField:
     space: RTSpace
     coefficients: np.ndarray
 
+    def reference_dofs(self) -> np.ndarray:
+        """The reference DOFs of each triangle's field, (T, 8)."""
+        sp = self.space
+        return np.einsum("tkj,tj->tk", sp.transform, self.coefficients[sp.tri_dofs])
+
     def eval_at(self, points, tris) -> np.ndarray:
         pts = np.atleast_2d(np.asarray(points, dtype=float))
         tris = np.asarray(tris, dtype=np.int64)
-        sp = self.space
-        d = (pts - sp.centers[tris]) / sp.scales[tris][:, None]  # local coordinates
-        # Monomial coefficients per triangle first: no (N, 8, 8) gather of the dual basis.
-        mono = np.einsum("tkj,tj->tk", sp.coeff, self.coefficients[sp.tri_dofs])
-        return np.einsum("nkc,nk->nc", _monomials(d[:, 0], d[:, 1]), mono[tris])
+        mesh = self.space.mesh
+        v = mesh.vertices[mesh.triangles[tris]]  # (N, 3, 2)
+        # The reference coordinates lam_1, lam_2 as J⁻¹ (x − v0): differences
+        # first, so that no cancellation of the absolute coordinates enters.
+        ref = np.einsum("nab,nb->na", mesh.lam_grads[tris, 1:], pts - v[:, 0])
+        # Reference DOFs per triangle first: no (N, 8, 8) gather.
+        c = (self.reference_dofs()[tris] @ _RT_REF.T).T  # (8, N) monomial coefficients
+        phi = _rt_field(c, ref[:, 0], ref[:, 1])
+        return np.einsum("nca,na->nc", _jacobians(v), phi) / (2.0 * mesh.areas[tris, None])
 
     def normal_trace(self, points, tris, normals) -> np.ndarray:
         vals = self.eval_at(points, tris)
         return np.einsum("nc,nc->n", vals, np.atleast_2d(normals))
 
     def divergence_vertex_values(self) -> np.ndarray:
-        """Elementwise divergence (a P1 polynomial) at triangle vertices."""
-        sp = self.space
-        verts = sp.mesh.vertices[sp.mesh.triangles]  # (T, 3, 2)
-        xi = (verts[..., 0] - sp.centers[:, None, 0]) / sp.scales[:, None]
-        eta = (verts[..., 1] - sp.centers[:, None, 1]) / sp.scales[:, None]
-        div_b = np.einsum(
-            "tvk,tkj->tvj", _div_monomials(xi, eta, sp.scales[:, None]), sp.coeff
-        )
-        dofs = self.coefficients[sp.tri_dofs]  # (T, 8)
-        return np.einsum("tj,tvj->tv", dofs, div_b)
+        """Elementwise divergence (a P1 polynomial) at triangle vertices:
+        ``div sigma = div phî / det J`` under the Piola map."""
+        return self.reference_dofs() @ _R_DV.T / (2.0 * self.space.mesh.areas[:, None])
 
     def cell_means(self) -> np.ndarray:
         """Mean flux vector per triangle (from the interior moments)."""

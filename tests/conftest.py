@@ -3,11 +3,12 @@
 The quadrature oracles deliberately avoid the library's own quadrature and
 assembly paths: the Duffy rule below integrates over triangles through a
 collapsed tensor-Gauss rule and is used to cross-check projections, norms
-and estimator values.  The pointwise ``eta_0``, the field helpers, the
-edge-by-edge certificate loops, the vertex-by-vertex patch equilibration, the
-dict-and-loop mesh topology, point location, per-point cross-mesh gradient,
-curve clipping and lattice builders and the scalar on-segment rule after them
-are reference implementations for tests only.
+and estimator values.  The pointwise ``eta_0``, the monomial RT space, the
+field helpers, the edge-by-edge certificate loops, the vertex-by-vertex
+patch equilibration, the dict-and-loop mesh topology, point location,
+per-point cross-mesh gradient, curve clipping and lattice builders and the
+scalar on-segment rule after them are reference implementations for tests
+only.
 """
 
 import numpy as np
@@ -76,6 +77,77 @@ def eta_zero_quadrature(flux, u_h):
     mis = sig + u_h.gradients()[:, None, :]
     val = np.einsum("t,q,tqc,tqc->", mesh.areas, TRI_QW, mis, mis)
     return float(np.sqrt(max(val, 0.0)))
+
+
+def _rt_monomials(xi, eta):
+    """Vector monomials spanning [P1]^2 + x P1, shape xi.shape + (8, 2)."""
+    z, o = np.zeros_like(xi), np.ones_like(xi)
+    mx = np.stack([o, xi, eta, z, z, z, xi * xi, xi * eta], axis=-1)
+    my = np.stack([z, z, z, o, xi, eta, xi * eta, eta * eta], axis=-1)
+    return np.stack([mx, my], axis=-1)
+
+
+class RTMonomialSpace:
+    """The RT1 space built triangle by triangle on monomials scaled about
+    the centroid: each element's dual basis by inverting its DOF matrix
+    (edge moments by Gauss-Legendre, interior moments and the element
+    matrices by the collapsed Gauss rule of ``duffy_quad``)."""
+
+    def __init__(self, mesh):
+        gx, gw = np.polynomial.legendre.leggauss(4)
+        gx, gw = 0.5 * (gx + 1.0), 0.5 * gw
+        u, v = np.meshgrid(gx, gx, indexing="ij")
+        u, v = u.ravel(), v.ravel() * (1.0 - u.ravel())
+        bary = np.stack([1.0 - u - v, u, v], axis=1)  # (16, 3)
+        qw = 2.0 * np.outer(gw, gw).ravel() * (1.0 - bary[:, 1])  # sums to 1
+        T, E = mesh.n_triangles, mesh.n_edges
+        self.mesh = mesh
+        self.centers = mesh.vertices[mesh.triangles].mean(axis=1)
+        self.scales = mesh.diameters
+        self.coeff = np.empty((T, 8, 8))
+        self.mass, self.divmom, self.vecmom = np.empty((T, 8, 8)), np.empty((T, 3, 8)), np.empty((T, 3, 8, 2))
+        self.tri_dofs = np.empty((T, 8), dtype=np.int64)
+        for t in range(T):
+            N = np.empty((8, 8))
+            for k, e in enumerate(mesh.triangle_edges[t]):
+                a, b = mesh.vertices[mesh.edge_vertices[e]]
+                tr = self._mono(t, a + gx[:, None] * (b - a)) @ mesh.edge_normals[e]  # (4, 8)
+                N[2 * k] = mesh.edge_lengths[e] * gw @ tr
+                N[2 * k + 1] = mesh.edge_lengths[e] * (gw * gx) @ tr
+                self.tri_dofs[t, 2 * k: 2 * k + 2] = 2 * e, 2 * e + 1
+            self.tri_dofs[t, 6:] = 2 * E + 2 * t, 2 * E + 2 * t + 1
+            area, pts = mesh.areas[t], bary @ mesh.vertices[mesh.triangles[t]]
+            mono = self._mono(t, pts)  # (16, 8, 2)
+            N[6:] = area * np.einsum("q,qkc->ck", qw, mono)
+            self.coeff[t] = C = np.linalg.inv(N)
+            basis = np.einsum("qkc,kj->qjc", mono, C)
+            div = self._div_mono(t, pts) @ C  # (16, 8)
+            self.mass[t] = area * np.einsum("q,qic,qjc->ij", qw, basis, basis)
+            self.divmom[t] = area * np.einsum("q,qm,qj->mj", qw, bary, div)
+            self.vecmom[t] = area * np.einsum("q,qm,qjc->mjc", qw, bary, basis)
+
+    def _local(self, t, pts):
+        d = (np.asarray(pts, dtype=float) - self.centers[t]) / self.scales[t]
+        return d[..., 0], d[..., 1]
+
+    def _mono(self, t, pts):
+        return _rt_monomials(*self._local(t, pts))
+
+    def _div_mono(self, t, pts):
+        xi, eta = self._local(t, pts)
+        z, o = np.zeros_like(xi), np.ones_like(xi)
+        return np.stack([z, o, z, z, z, o, 3.0 * xi, 3.0 * eta], axis=-1) / self.scales[t]
+
+    def eval_at(self, coefficients, points, tris):
+        """Field values at ``points[k]`` in triangle ``tris[k]``, point by point."""
+        return np.array([self._mono(t, p).T @ (self.coeff[t] @ coefficients[self.tri_dofs[t]])
+                         for p, t in zip(np.atleast_2d(points), tris)])
+
+    def divergence_vertex_values(self, coefficients):
+        """Elementwise divergence at the triangle vertices, (T, 3)."""
+        return np.array([self._div_mono(t, self.mesh.vertices[tri])
+                         @ (self.coeff[t] @ coefficients[self.tri_dofs[t]])
+                         for t, tri in enumerate(self.mesh.triangles)])
 
 
 def prolong_uniform(field, fine):

@@ -44,6 +44,8 @@ from eqflux.mesh import (
     generate_with_rect_features,
     uniform_refine,
 )
+from eqflux.presets import preset_config
+from eqflux.run import build_reference, run_single
 
 
 def dirichlet_x01(x, y):
@@ -443,8 +445,31 @@ class TestCrossMeshGradients:
         for _ in range(levels):
             fine = uniform_refine(fine)
         ref = ScalarField(fine, rng.standard_normal(fine.n_vertices))
-        # the bump lies outside the first piece, so its triangles fall back
-        assert check_cross_mesh(pieces, ref) > 0
+        # A fine mesh nested in both pieces (its resolution a multiple of
+        # theirs) needs no per-point location, the bump included: its
+        # centroids are located in the feature piece.  Any other falls back.
+        nested = (m << levels) % n == 0
+        assert (check_cross_mesh(pieces, ref) == 0) == nested
+
+    def test_test2_both_error_energy_matches_per_point_path(self):
+        # The run's error against the reference, with the bump's field as the
+        # second coarse piece, equals the per-point path's bit for bit.
+        doc = preset_config("test2-both", n=8, eps=0.25)
+        (spec,) = cfg.specs_from_config(doc)
+        reference = build_reference(spec)
+        with mock.patch.object(fem.CompositeField, "gradient_at", autospec=True,
+                               side_effect=fem.CompositeField.gradient_at) as spy:
+            res = run_single(spec, reference=reference)
+        assert res.feature_fields.keys() == {2}  # the bump; the notch has no field
+        pieces = [res.u0, res.feature_fields[2]]
+        fine = reference.mesh
+        gc = fem.CompositeField(pieces).gradient_at(fem.quad_points(fine).reshape(-1, 2))
+        diff = reference.gradients()[:, None, :] - gc.reshape(fine.n_triangles, -1, 2)
+        err2 = np.einsum("t,q,tqd,tqd->", fine.areas, fem.TRI_QW, diff, diff)
+        assert res.report.error_energy == float(np.sqrt(err2))
+        # the bump's fine triangles are found in its piece by their centroids
+        bump = fine.vertices[fine.triangles].mean(axis=1)[:, 1] < 0
+        assert bump.any() and sum(len(c.args[1]) for c in spy.call_args_list) < 6 * bump.sum()
 
 
 class TestExports:

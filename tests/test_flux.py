@@ -5,6 +5,7 @@ import tempfile
 import numpy as np
 import pytest
 from conftest import (
+    RTMonomialSpace,
     _patch_system_loop,
     compatibility_residual_loop,
     interior_jump_loop,
@@ -93,6 +94,26 @@ class TestRTSpace:
         sp = build_rt_space(m)
         fl = FluxField(sp, interpolate_constant(sp, (0.3, -0.7)))
         assert np.abs(fl.divergence_vertex_values()).max() < 1e-11
+
+    @settings(max_examples=20, deadline=None)
+    @given(n=st.integers(1, 6), seed=st.integers(0, 2**32 - 1))
+    def test_against_monomial_oracle(self, n, seed):
+        # The Piola-mapped reference basis against per-element dual bases on
+        # scaled monomials, on meshes with random diagonals and jitter.
+        rng = np.random.default_rng(seed)
+        m = unstructured_mesh(n, rng, None)
+        sp, oracle = build_rt_space(m), RTMonomialSpace(m)
+        close = lambda a, b: np.abs(a - b).max() <= 1e-12 * np.abs(b).max()
+        assert np.array_equal(sp.tri_dofs, oracle.tri_dofs)
+        assert close(sp.mass, oracle.mass)
+        assert close(sp.divmom, oracle.divmom)
+        assert close(sp.vecmom, oracle.vecmom)
+        coef = rng.standard_normal(sp.total_dofs)
+        tris = rng.integers(0, m.n_triangles, 40)
+        pts = np.einsum("nk,nkd->nd", rng.dirichlet(np.ones(3), 40), m.vertices[m.triangles[tris]])
+        fl = FluxField(sp, coef)
+        assert close(fl.eval_at(pts, tris), oracle.eval_at(coef, pts, tris))
+        assert close(fl.divergence_vertex_values(), oracle.divergence_vertex_values(coef))
 
 
 class TestPatchFlux:
@@ -453,7 +474,7 @@ class TestNormalTrace:
 class TestCertificates:
     @pytest.mark.parametrize("t", [0, -1])
     def test_match_edge_loops_on_broken_flux(self, t):
-        # Random DOFs on one triangle whose dual basis is perturbed: the
+        # Random DOFs on one triangle whose DOF transform is perturbed: the
         # normal trace then jumps only across that triangle's edges, and its
         # Neumann edge carries the largest trace defect, so an edge the
         # batched evaluation skips, or nodes paired with the wrong datum
@@ -463,11 +484,11 @@ class TestCertificates:
         data = project_data(DomainSpec(dirichlet=dirichlet_x01, g_neumann=g), m)
         sp = build_rt_space(m)
         rng = np.random.default_rng(5)
-        coeff = sp.coeff.copy()
-        coeff[t] *= 1.0 + 0.1 * rng.standard_normal((8, 8))
+        transform = sp.transform.copy()
+        transform[t] += 0.1 * rng.standard_normal((8, 8))
         coef = np.zeros(sp.total_dofs)
         coef[sp.tri_dofs[t]] = rng.standard_normal(8)
-        fl = FluxField(dataclasses.replace(sp, coeff=coeff), coef)
+        fl = FluxField(dataclasses.replace(sp, transform=transform), coef)
         jump, neu = interior_jump(fl), neumann_trace_defect(fl, data)
         assert jump > 1e-3 and neu > 1e-3
         assert jump == pytest.approx(interior_jump_loop(fl), rel=1e-12)
