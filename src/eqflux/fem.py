@@ -73,14 +73,6 @@ class ScalarField:
             self._grad = np.einsum("tq,tqd->td", vals, self.mesh.lam_grads)
         return self._grad
 
-    def eval(self, points, tris=None, bary=None):
-        if tris is None:
-            tris, bary = self.mesh.locate_points(points)
-            if (tris < 0).any():
-                raise CoverageError("point outside the field's mesh")
-        vals = self.nodal_values[self.mesh.triangles[tris]]
-        return np.einsum("nq,nq->n", vals, bary)
-
 
 @dataclass
 class CompositeField:

@@ -14,12 +14,13 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .mesh import (
+    _SQUARE_SIDES,
     EdgeMarker,
     Mesh,
     _cell_block,
     _grid_rect,
     _lattice_mesh,
-    _on_unit_square_boundary,
+    _on_segments,
 )
 
 NEGATIVE_INTERNAL = "negative_internal"
@@ -28,6 +29,9 @@ POSITIVE = "positive"
 FEATURE_KINDS = (NEGATIVE_INTERNAL, NEGATIVE_BOUNDARY, POSITIVE)
 
 _TOL = 1e-12
+# Segment-edge pairs box-tested per array step of clip_curve_to_mesh (bounds
+# its temporaries).
+_CLIP_BLOCK = 2**22
 
 
 class GeometryError(ValueError):
@@ -137,26 +141,6 @@ def _segments(polylines):
             np.concatenate([line[1:] for line in lines] + empty))
 
 
-def _on_segments(points, a, b, tol=_TOL):
-    """(N, S) mask: point n lies on segment a[s]→b[s].
-
-    The one on-segment rule of every boundary classification: with L the
-    segment length, the projection parameter lies in [−tol/L, 1 + tol/L] and
-    the distance to the projection is at most tol·max(1, L); a segment
-    shorter than tol holds the points within tol of its start.
-    """
-    p = np.asarray(points, dtype=float).reshape(-1, 1, 2)
-    ab = b - a
-    L = np.sqrt(np.vecdot(ab, ab))
-    ap = p - a
-    with np.errstate(divide="ignore", invalid="ignore"):
-        t = np.vecdot(ap, ab) / (L * L)
-        off = p - (a + t[..., None] * ab)
-        on = ((-tol / L <= t) & (t <= 1 + tol / L)
-              & (np.sqrt(np.vecdot(off, off)) <= tol * np.maximum(1.0, L)))
-    return np.where(L < tol, np.sqrt(np.vecdot(ap, ap)) <= tol, on)
-
-
 def first_group_on(points, groups) -> np.ndarray:
     """Per point, the index of the first group of polylines with a segment
     holding it (by ``_on_segments``), or ``len(groups)`` when none does."""
@@ -173,7 +157,7 @@ def _on_base_boundary(points, base):
     if isinstance(base, str):
         if base != "unit_square":
             raise GeometryError(f"unknown base {base!r}")
-        return _on_unit_square_boundary(points)
+        return _on_segments(points, *_SQUARE_SIDES).any(axis=1)
     if isinstance(base, Mesh):
         a, b = base.vertices[base.edge_vertices[base.boundary_edge_ids]].transpose(1, 0, 2)
         return _on_segments(points, a, b).any(axis=1)
@@ -299,7 +283,6 @@ class CurveQuadrature:
     sub-segment normal (the tangent rotated by −90°).
     """
 
-    seg_tris: np.ndarray  # (S,)
     nodes: np.ndarray  # (N, 2)
     weights: np.ndarray  # (N,)
     normals: np.ndarray  # (N, 2)
@@ -310,80 +293,83 @@ class CurveQuadrature:
         return float(self.weights.sum())
 
 
-def _segment_cut_params(P, Q, ends, box_lo, box_hi, tol=_TOL):
-    """Parameters in (0,1) where segment PQ crosses the mesh edges ``ends``.
-
-    Only edges whose bounding box meets the segment's, padded by the
-    collinearity tolerance, are tested.
-    """
-    d = Q - P
-    L = np.linalg.norm(d)
-    pad = 1e-9 * max(L, 1.0)
-    near = ((box_lo <= np.maximum(P, Q) + pad) & (box_hi >= np.minimum(P, Q) - pad)).all(1)
-    A, B = ends[near, 0], ends[near, 1]
-    r = B - A
-    w = A - P
-    denom = d[0] * r[:, 1] - d[1] * r[:, 0]
-    parallel = np.abs(denom) <= tol * max(L, 1.0) * np.maximum(np.sqrt(np.vecdot(r, r)), 1.0)
-    # A collinear overlap splits at the edge endpoints.
-    collinear = parallel & (np.abs(w[:, 0] * d[1] - w[:, 1] * d[0]) / L <= pad)
-    t_end = np.vecdot(np.concatenate([A[collinear], B[collinear]]) - P, d) / (L * L)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        t_ = (w[:, 0] * r[:, 1] - w[:, 1] * r[:, 0]) / denom
-        u = (w[:, 0] * d[1] - w[:, 1] * d[0]) / denom
-    t_ = t_[~parallel & (-tol <= u) & (u <= 1 + tol)]
-    t = np.concatenate([t_end, t_])
-    return t[(tol < t) & (t < 1 - tol)]
-
-
 def clip_curve_to_mesh(polylines, mesh: Mesh, gauss_order: int = 4) -> CurveQuadrature:
     """Clip polylines against the mesh and build Gauss quadrature on them.
 
-    Every polyline segment is subdivided at each crossing with a mesh edge;
-    each sub-segment is assigned the triangle located at its midpoint
-    (curves leaving the mesh raise :class:`GeometryError`).
+    Every polyline segment is subdivided at each crossing with a mesh edge,
+    and at the ends of the edges it runs along; cuts within ``_TOL`` of the
+    one before them on the same segment are dropped.  Each sub-segment is
+    assigned the triangle located at its midpoint (curves leaving the mesh
+    raise :class:`GeometryError`).  One array pass covers all segments: only
+    segment-edge pairs whose bounding boxes meet, padded by the collinearity
+    tolerance, are tested, ``_CLIP_BLOCK`` pairs at a time.
     """
     if isinstance(polylines, np.ndarray) and polylines.ndim == 2:
         polylines = [polylines]
     gx, gw = gauss_legendre(gauss_order)
+    P, Q = _segments(polylines)
+    d = Q - P
+    L = np.sqrt(np.vecdot(d, d))
+    long = L > _TOL
+    P, Q, d, L = P[long], Q[long], d[long], L[long]
+    pad = 1e-9 * np.maximum(L, 1.0)
+    lo, hi = np.minimum(P, Q) - pad[:, None], np.maximum(P, Q) + pad[:, None]
     ends = mesh.vertices[mesh.edge_vertices]  # (E, 2, 2)
-    box_lo, box_hi = ends.min(axis=1), ends.max(axis=1)
-    starts, steps, lengths, t0, t1 = [], [], [], [], []
-    for line in polylines:
-        line = np.asarray(line, dtype=float)
-        for P, Q in zip(line[:-1], line[1:]):
-            d = Q - P
-            L = np.linalg.norm(d)
-            if L <= _TOL:
-                continue
-            cuts = _segment_cut_params(P, Q, ends, box_lo, box_hi)
-            ts = np.unique(np.concatenate([[0.0, 1.0], cuts]))
-            merged = [ts[0]]
-            for t in ts[1:]:
-                if t - merged[-1] > _TOL:
-                    merged.append(t)
-            starts += [P] * (len(merged) - 1)
-            steps += [d] * (len(merged) - 1)
-            lengths += [L] * (len(merged) - 1)
-            t0 += merged[:-1]
-            t1 += merged[1:]
-    P = np.reshape(starts, (-1, 2))
-    d = np.reshape(steps, (-1, 2))
-    L = np.asarray(lengths, dtype=float)
-    t0, t1 = np.asarray(t0, dtype=float)[:, None], np.asarray(t1, dtype=float)[:, None]
+    # Edge boxes as contiguous (2, E) rows: the block tests compare one
+    # coordinate at a time, with no reduction over a length-2 axis.
+    box_lo = np.minimum(ends[:, 0], ends[:, 1]).T.copy()
+    box_hi = np.maximum(ends[:, 0], ends[:, 1]).T.copy()
+    step = max(1, _CLIP_BLOCK // len(ends))
+    s, e = [np.zeros(0, dtype=np.intp)], [np.zeros(0, dtype=np.intp)]
+    for k in range(0, len(P), step):
+        lo_k, hi_k = lo[k:k + step], hi[k:k + step]
+        i, j = np.nonzero((box_lo[0] <= hi_k[:, :1]) & (box_lo[1] <= hi_k[:, 1:])
+                          & (box_hi[0] >= lo_k[:, :1]) & (box_hi[1] >= lo_k[:, 1:]))
+        s.append(k + i)
+        e.append(j)
+    s, e = np.concatenate(s), np.concatenate(e)
+
+    A, B = ends[e, 0], ends[e, 1]
+    r, w, ds = B - A, A - P[s], d[s]
+    denom = ds[:, 0] * r[:, 1] - ds[:, 1] * r[:, 0]
+    parallel = np.abs(denom) <= _TOL * np.maximum(L[s], 1.0) * np.maximum(
+        np.sqrt(np.vecdot(r, r)), 1.0)
+    wd = w[:, 0] * ds[:, 1] - w[:, 1] * ds[:, 0]
+    # A collinear overlap splits at the edge endpoints.
+    c = np.flatnonzero(parallel & (np.abs(wd) / L[s] <= pad[s]))
+    sc = np.concatenate([s[c], s[c]])
+    t_end = np.vecdot(np.concatenate([A[c], B[c]]) - P[sc], d[sc]) / (L[sc] * L[sc])
+    with np.errstate(divide="ignore", invalid="ignore"):
+        t_ = (w[:, 0] * r[:, 1] - w[:, 1] * r[:, 0]) / denom
+        u = wd / denom
+    cross = ~parallel & (-_TOL <= u) & (u <= 1 + _TOL)
+    seg, t = np.concatenate([sc, s[cross]]), np.concatenate([t_end, t_[cross]])
+    inner = (_TOL < t) & (t < 1 - _TOL)
+    ids = np.arange(len(P))
+    seg = np.concatenate([ids, ids, seg[inner]])
+    t = np.concatenate([np.zeros(len(P)), np.ones(len(P)), t[inner]])
+    order = np.lexsort((t, seg))
+    seg, t = seg[order], t[order]
+    keep = (np.diff(seg, prepend=-1) != 0) | (np.diff(t, prepend=0.0) > _TOL)
+    seg, t = seg[keep], t[keep]
+
+    # Sub-segments join consecutive kept cuts of one segment.
+    piece = seg[:-1] == seg[1:]
+    i = seg[:-1][piece]
+    P, d, L = P[i], d[i], L[i]
+    t0, t1 = t[:-1][piece][:, None], t[1:][piece][:, None]
     mid = P + 0.5 * (t0 + t1) * d
-    seg_tris, _ = mesh.locate_points(mid)
-    if (seg_tris < 0).any():
-        raise GeometryError(f"curve point {mid[np.argmax(seg_tris < 0)]} lies outside the mesh")
+    tris, _ = mesh.locate_points(mid)
+    if (tris < 0).any():
+        raise GeometryError(f"curve point {mid[np.argmax(tris < 0)]} lies outside the mesh")
     a, b = P + t0 * d, P + t1 * d
     tangent = d / L[:, None]
     normal = np.stack([tangent[:, 1], -tangent[:, 0]], axis=1)
     return CurveQuadrature(
-        seg_tris=seg_tris,
         nodes=(a[:, None] + gx[:, None] * (b - a)[:, None]).reshape(-1, 2),
         weights=((t1 - t0) * L[:, None] * gw).ravel(),
         normals=np.repeat(normal, gauss_order, axis=0),
-        node_tris=np.repeat(seg_tris, gauss_order),
+        node_tris=np.repeat(tris, gauss_order),
     )
 
 

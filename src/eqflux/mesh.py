@@ -422,14 +422,29 @@ def _rect_from_polygon(polygon):
     return xs[0], xs[1], ys[0], ys[1]
 
 
-def _on_unit_square_boundary(p, tol=1e-12):
-    """Whether the point ``p`` (or each row of ``p``) lies on the unit square's hull."""
-    x, y = np.asarray(p).T
-    inx = (-tol <= x) & (x <= 1 + tol)
-    iny = (-tol <= y) & (y <= 1 + tol)
-    return (inx & ((abs(y) <= tol) | (abs(y - 1) <= tol))) | (
-        iny & ((abs(x) <= tol) | (abs(x - 1) <= tol))
-    )
+def _on_segments(points, a, b, tol=1e-12):
+    """(N, S) mask: point n lies on segment a[s]→b[s].
+
+    The one on-segment rule of every boundary classification: with L the
+    segment length, the projection parameter lies in [−tol/L, 1 + tol/L] and
+    the distance to the projection is at most tol·max(1, L); a segment
+    shorter than tol holds the points within tol of its start.
+    """
+    p = np.asarray(points, dtype=float).reshape(-1, 1, 2)
+    ab = b - a
+    L = np.sqrt(np.vecdot(ab, ab))
+    ap = p - a
+    with np.errstate(divide="ignore", invalid="ignore"):
+        t = np.vecdot(ap, ab) / (L * L)
+        off = p - (a + t[..., None] * ab)
+        on = ((-tol / L <= t) & (t <= 1 + tol / L)
+              & (np.sqrt(np.vecdot(off, off)) <= tol * np.maximum(1.0, L)))
+    return np.where(L < tol, np.sqrt(np.vecdot(ap, ap)) <= tol, on)
+
+
+# The unit square's hull as four sides (starts, ends), counterclockwise.
+_SQUARE_SIDES = (np.array([[0.0, 0.0], [1.0, 0.0], [1.0, 1.0], [0.0, 1.0]]),
+                 np.array([[1.0, 0.0], [1.0, 1.0], [0.0, 1.0], [0.0, 0.0]]))
 
 
 def _grid_index(value, n, what):
@@ -496,7 +511,7 @@ def generate_with_rect_features(
     # shared interface, which keeps a gamma0 tag although now interior.
     mids = mesh.edge_midpoints()
     boundary = (mesh.edge_tris < 0).any(axis=1)
-    on_hull = _on_unit_square_boundary(mids)
+    on_hull = _on_segments(mids, *_SQUARE_SIDES).any(axis=1)
     for f, (x0, x1, y0, y1), _ in rects:
         inside = ((x0 - 1e-12 <= mids[:, 0]) & (mids[:, 0] <= x1 + 1e-12)
                   & (y0 - 1e-12 <= mids[:, 1]) & (mids[:, 1] <= y1 + 1e-12))

@@ -604,11 +604,11 @@ def partition_loop(feature, domain):
     """Feature boundary partition side by side with ``point_on_segment``;
     raises the same ``GeometryError`` messages as the library."""
     from eqflux.geometry import NEGATIVE_INTERNAL, POSITIVE, GeometryError, closed_loop
-    from eqflux.mesh import _on_unit_square_boundary
 
     def on_base(p):
         if isinstance(domain.base, str):
-            return bool(_on_unit_square_boundary(p))
+            corners = np.array([[0.0, 0.0], [1.0, 0.0], [1.0, 1.0], [0.0, 1.0], [0.0, 0.0]])
+            return any(point_on_segment(p, a, b) for a, b in zip(corners[:-1], corners[1:]))
         m = domain.base
         return any(point_on_segment(p, m.vertices[i], m.vertices[j])
                    for i, j in m.edge_vertices[m.boundary_edge_ids])

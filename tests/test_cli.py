@@ -4,11 +4,13 @@ import numpy as np
 import pytest
 
 from eqflux import config as cfg
+from eqflux import run
 from eqflux.cli import main
 from eqflux.estimator import EstimatorReport
+from eqflux.fem import field_to_csv
 from eqflux.mesh import EdgeMarker, generate_unit_square, read_mesh, write_mesh
 from eqflux.presets import PRESET_NAMES, preset_config, snap_eps_to_grid
-from eqflux.run import csv_header, emit_csv, run_single
+from eqflux.run import build_reference, csv_header, emit_csv, run_single
 
 
 def small_notch_config(reference=None):
@@ -44,6 +46,26 @@ class TestConfig:
             cfg.validate_config({"mesh": {"builtin": 0}})
         with pytest.raises(cfg.ConfigError):
             cfg.validate_config({"mesh": {"builtin": 4}, "bogus": 1})
+
+    @pytest.mark.parametrize("reference, missing", [
+        ({"field": "missing.csv"}, "mesh"), ({"mesh": "missing.json"}, "field")])
+    def test_external_reference_needs_mesh_and_field(self, reference, missing):
+        with pytest.raises(cfg.ConfigError, match=f"'{missing}' is a dependency"):
+            cfg.specs_from_config(small_notch_config(reference))
+
+    def test_external_reference_round_trip(self, tmp_path, monkeypatch):
+        doc = preset_config("test2-both", n=8)
+        (spec,) = cfg.specs_from_config(doc)
+        built = build_reference(spec)
+        write_mesh(built.mesh, tmp_path / "ref.json")
+        field_to_csv(built, tmp_path / "ref.csv")
+        doc["reference"] = {"mesh": str(tmp_path / "ref.json"),
+                            "field": str(tmp_path / "ref.csv")}
+        (external,) = cfg.specs_from_config(doc)
+        want = run_single(spec, reference=built).report.error_energy
+        # The external reference is read, not built again.
+        monkeypatch.setattr(run, "build_exact_mesh", None)
+        assert run_single(external).report.error_energy == want
 
     def test_expression_rejects_unknown_names(self):
         with pytest.raises(cfg.ConfigError):

@@ -375,13 +375,13 @@ class TestClipCurve:
         m = generate_unit_square(2)
         q = clip_curve_to_mesh(np.array([[0.0, 0.25], [1.0, 0.25]]), m, 4)
         # crossings at x = 0.25 (diagonal), 0.5 (vertical), 0.75 (diagonal)
-        assert len(q.seg_tris) == 4
+        assert len(q.weights) // 4 == 4
         assert q.length == pytest.approx(1.0, abs=1e-12)
 
     def test_segment_inside_one_triangle(self):
         m = generate_unit_square(2)
         q = clip_curve_to_mesh(np.array([[0.05, 0.02], [0.2, 0.05]]), m, 4)
-        assert len(q.seg_tris) == 1
+        assert len(q.weights) // 4 == 1
 
     def test_16gon_total_weight(self):
         eps = 0.07
@@ -413,6 +413,22 @@ class TestClipCurve:
         approx = float(np.sum(q.weights * f(q.nodes[:, 0], q.nodes[:, 1])))
         exact = segment_integral(a, b, f)
         assert approx == pytest.approx(exact, rel=1e-12)
+
+    @pytest.mark.parametrize("block", [300, 700])
+    @pytest.mark.parametrize("jitter", [False, True])
+    def test_block_seams(self, block, jitter, monkeypatch):
+        # An n = 8 mesh has 208 edges: blocks of 300 and 700 segment-edge
+        # pairs box-test the 16 segments one and three at a time.
+        import eqflux.geometry as geometry
+
+        m = (unstructured_mesh(8, np.random.default_rng(3), None) if jitter
+             else generate_unit_square(8))
+        loop = closed_loop(regular_polygon((0.45, 0.55), 0.3, 16))
+        want = clip_curve_to_mesh(loop, m, 4)
+        monkeypatch.setattr(geometry, "_CLIP_BLOCK", block)
+        got = clip_curve_to_mesh(loop, m, 4)
+        for name in ("nodes", "weights", "normals", "node_tris"):
+            assert np.array_equal(getattr(got, name), getattr(want, name))
 
     def test_normals_follow_orientation(self):
         m = generate_unit_square(2)
