@@ -89,9 +89,7 @@ class CompositeField:
                 break
             tris, _ = piece.mesh.locate_points(pts[todo])
             hit = tris >= 0
-            if hit.any():
-                g = piece.gradients()
-                out[todo[hit]] = g[tris[hit]]
+            out[todo[hit]] = piece.gradients()[tris[hit]]
             todo = todo[~hit]
         if len(todo):
             raise CoverageError(
@@ -381,14 +379,14 @@ def cross_mesh_gradients(coarse: CompositeField, fine: Mesh) -> np.ndarray:
     bit for bit, from one lookup per fine triangle where possible.  Centroids
     are located piece by piece, each piece trying those no earlier piece
     holds.  A fine triangle whose centroid lies in triangle ``c`` of a piece,
-    and whose vertices all lie in ``c`` by ``Mesh.contains`` (the rule of
-    ``locate_points``), lies in ``c`` up to ``LOCATE_TOL``; its quadrature
-    points are then inside ``c`` by a margin far above that tolerance, where
-    no other triangle of that conforming mesh holds them, nor any earlier
-    piece, as the pieces meet only on their boundaries.  So point location
-    would return ``c`` for each.  The other fine triangles (across coarse
-    edges or in no piece) take the per-point path, which keeps the order of
-    the pieces.
+    and whose vertices all lie in ``c`` by ``Mesh.contains``, lies in ``c`` up
+    to ``LOCATE_TOL``; its quadrature points are then inside ``c`` by a margin
+    far above that tolerance, where no other triangle of that conforming mesh
+    holds them, nor any earlier piece, as the pieces meet only on their
+    boundaries.  So ``locate_points``, which returns the lowest-index triangle
+    holding a point by ``Mesh.contains``, would return ``c`` for each.  The
+    other fine triangles (across coarse edges or in no piece) take the
+    per-point path, which keeps the order of the pieces.
     """
     v = fine.vertices[fine.triangles]  # (T, 3, 2)
     gc = np.empty((fine.n_triangles, len(TRI_QW), 2))

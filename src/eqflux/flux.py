@@ -149,10 +149,10 @@ class FluxField:
     space: RTSpace
     coefficients: np.ndarray
 
-    def reference_dofs(self) -> np.ndarray:
-        """The reference DOFs of each triangle's field, (T, 8)."""
+    def reference_dofs(self, tris=slice(None)) -> np.ndarray:
+        """The reference DOFs of the field on triangles ``tris`` (default: all), one row each."""
         sp = self.space
-        return np.einsum("tkj,tj->tk", sp.transform, self.coefficients[sp.tri_dofs])
+        return np.einsum("tkj,tj->tk", sp.transform[tris], self.coefficients[sp.tri_dofs[tris]])
 
     def eval_at(self, points, tris) -> np.ndarray:
         pts = np.atleast_2d(np.asarray(points, dtype=float))
@@ -162,8 +162,9 @@ class FluxField:
         # The reference coordinates lam_1, lam_2 as J⁻¹ (x − v0): differences
         # first, so that no cancellation of the absolute coordinates enters.
         ref = np.einsum("nab,nb->na", mesh.lam_grads[tris, 1:], pts - v[:, 0])
-        # Reference DOFs per triangle first: no (N, 8, 8) gather.
-        c = (self.reference_dofs()[tris] @ _RT_REF.T).T  # (8, N) monomial coefficients
+        # Reference DOFs of each distinct triangle first: no (N, 8, 8) gather.
+        u, inv = np.unique(tris, return_inverse=True)
+        c = (self.reference_dofs(u)[inv] @ _RT_REF.T).T  # (8, N) monomial coefficients
         phi = _rt_field(c, ref[:, 0], ref[:, 1])
         return np.einsum("nca,na->nc", _jacobians(v), phi) / (2.0 * mesh.areas[tris, None])
 

@@ -249,19 +249,19 @@ class Mesh:
     # -- point location ---------------------------------------------------
 
     def _bucket_grid(self):
-        """Uniform grid over the vertex bounding box, in CSR form: the
-        triangles whose bounding box, padded by 1e-9 of the span, meets cell
-        ``c = ix * ncell + iy`` are ``tris[offsets[c]:offsets[c + 1]]``,
-        ascending."""
+        """Uniform grid over the vertex bounding box in CSR form, and the margin
+        ``m`` = 1e-9 of the span: the triangles whose bounding box, shrunk by
+        ``m / 2``, overlaps cell ``c = ix * ncell + iy`` (or holds its low corner)
+        are ``tris[offsets[c]:offsets[c + 1]]``, ascending; one cell each on a lattice."""
         if self._grid is None:
             lo = self.vertices.min(axis=0)
             span = np.maximum(self.vertices.max(axis=0) - lo, 1e-300)
             ncell = max(1, int(np.ceil(np.sqrt(max(self.n_triangles, 1) / 2.0))))
             cell = span / ncell
             v = self.vertices[self.triangles]
-            eps = 1e-9 * span
-            i0 = np.clip(((v.min(axis=1) - lo - eps) / cell).astype(int), 0, ncell - 1)
-            i1 = np.clip(((v.max(axis=1) - lo + eps) / cell).astype(int), 0, ncell - 1)
+            m = 1e-9 * span
+            i0 = np.clip(np.floor((v.min(axis=1) - lo + m / 2) / cell).astype(int), 0, ncell - 1)
+            i1 = np.clip(np.ceil((v.max(axis=1) - lo - m / 2) / cell).astype(int) - 1, i0, ncell - 1)
             ny = i1[:, 1] - i0[:, 1] + 1
             count = (i1[:, 0] - i0[:, 0] + 1) * ny
             tris = np.repeat(np.arange(self.n_triangles), count)
@@ -270,7 +270,7 @@ class Mesh:
             offsets = np.concatenate(
                 [[0], np.cumsum(np.bincount(cells, minlength=ncell * ncell))]
             )
-            self._grid = (lo, cell, ncell, offsets, tris[np.argsort(cells, kind="stable")])
+            self._grid = (lo, cell, ncell, m, offsets, tris[np.argsort(cells, kind="stable")])
         return self._grid
 
     def contains(self, tris, points):
@@ -279,38 +279,54 @@ class Mesh:
         the barycentrics ``bary[..., 3]`` and ``inside = all(bary >= -LOCATE_TOL)``."""
         lam = self.lam_coeffs[tris]
         bary = lam[..., 0] + lam[..., 1] * points[..., 0, None] + lam[..., 2] * points[..., 1, None]
-        return (bary >= -LOCATE_TOL).all(axis=-1), bary
+        return np.minimum(np.minimum(bary[..., 0], bary[..., 1]), bary[..., 2]) >= -LOCATE_TOL, bary
 
     def locate_points(self, points):
         """Vectorized point location.
 
-        Returns ``(tris, bary)`` where ``tris[k]`` is the triangle holding
-        ``points[k]`` by :meth:`contains` (−1 if none) and ``bary[k]`` its barycentric
-        coordinates there.  Points on shared edges resolve to the lowest
-        incident triangle index: each point tests the triangles of its grid
-        cell in ascending order, all points of a block at once.
+        Returns ``(tris, bary)``: ``tris[k]`` is the lowest-index triangle
+        holding ``points[k]`` by :meth:`contains` (−1 if none) and ``bary[k]``
+        its barycentrics there.  That triangle lies within about 1e-12 of the
+        span of the point, far inside the grid margin ``m``, so a cell met by the
+        point's box of ±``m`` (one, or up to four near a cell line) lists it.
         """
         pts = np.atleast_2d(np.asarray(points, dtype=float))
-        n = len(pts)
+        n, T = len(pts), self.n_triangles
         tris = np.full(n, -1, dtype=np.int64)
         bary = np.zeros((n, 3))
-        if n == 0 or self.n_triangles == 0:
+        if n == 0 or T == 0:
             return tris, bary
-        lo, cell, ncell, offsets, cell_tris = self._bucket_grid()
-        for s in range(0, n, _LOCATE_BLOCK):
-            p = pts[s:s + _LOCATE_BLOCK]
-            idx = np.clip(((p - lo) / cell).astype(int), 0, ncell - 1)
-            key = idx[:, 0] * ncell + idx[:, 1]
+        lo, cell, ncell, m, offsets, cell_tris = self._bucket_grid()
+
+        def first_hit(key, x, hb):
+            # First triangle of cell key[i] holding x[i] (T if none); hb[i] gets
+            # the barycentrics in the last one tested.
             start, size = offsets[key], offsets[key + 1] - offsets[key]
-            todo = np.flatnonzero(size > 0)
-            k = 0
+            hit, todo, k = np.full(len(key), T), np.flatnonzero(size > 0), 0
             while len(todo):
                 c = cell_tris[start[todo] + k]
-                hit, lv = self.contains(c, p[todo])
-                tris[s + todo[hit]] = c[hit]
-                bary[s + todo[hit]] = lv[hit]
+                inside, hb[todo] = self.contains(c, x[todo])
+                hit[todo[inside]] = c[inside]
                 k += 1
-                todo = todo[~hit & (size[todo] > k)]
+                todo = todo[~inside & (size[todo] > k)]
+            return hit
+
+        for s in range(0, n, _LOCATE_BLOCK):
+            p, hb = pts[s:s + _LOCATE_BLOCK], bary[s:s + _LOCATE_BLOCK]
+            # Low and high cells of the box p ± m per axis, on 1-D columns: (N, 2)
+            # arithmetic against a (2,) row runs several times slower.
+            ix, iy = ([np.clip(((p[:, j] - lo[j] + e) / cell[j]).astype(int), 0, ncell - 1)
+                       for e in (-m[j], m[j])] for j in (0, 1))
+            key = ix[0] * ncell + iy[0]
+            hit = first_hit(key, p, hb)
+            nx, ny = ix[1] > ix[0], iy[1] > iy[0]  # also query the next cell in x, y, both
+            for i, d in zip(map(np.flatnonzero, (nx, ny, nx & ny)), (ncell, 1, ncell + 1)):
+                hbi = np.empty((len(i), 3))
+                h = first_hit(key[i] + d, p[i], hbi)
+                lower = h < hit[i]
+                hit[i[lower]], hb[i[lower]] = h[lower], hbi[lower]
+            tris[s:s + len(p)] = np.where(hit < T, hit, -1)
+            hb[hit == T] = 0.0
         return tris, bary
 
 

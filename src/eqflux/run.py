@@ -204,31 +204,31 @@ def _geometry_signature(spec: RunSpec):
     return tuple(parts)
 
 
+def _reference_key(spec: RunSpec):
+    """Cache key of a shared reference: its files, or the geometry; None per row."""
+    ref = spec.reference
+    if ref is None or ref.per_row:
+        return None
+    return _geometry_signature(spec) if ref.mesh_path is None else (ref.mesh_path, ref.field_path)
+
+
 def run_sweep(specs: list[RunSpec]) -> list[RunResult]:
     """Run a list of sweep points; reference solves are shared per geometry.
 
     When the reference is not per-row it is built once per distinct geometry
-    from the finest sweep resolution.
+    from the finest sweep resolution, or read once per external file pair.
     """
     refs = {}
     for spec in specs:
-        if spec.reference is None or spec.reference.per_row:
+        key = _reference_key(spec)
+        if key is None:
             continue
-        if spec.reference.mesh_path is not None:
-            continue
-        sig = _geometry_signature(spec)
         n_eff = spec.reference.n or spec.n or 0
-        best = refs.get(sig)
+        best = refs.get(key)
         if best is None or n_eff > (best.reference.n or best.n or 0):
-            refs[sig] = spec
-    cache = {sig: build_reference(s) for sig, s in refs.items()}
-    results = []
-    for spec in specs:
-        ref = None
-        if spec.reference is not None and not spec.reference.per_row:
-            ref = cache.get(_geometry_signature(spec))
-        results.append(run_single(spec, reference=ref))
-    return results
+            refs[key] = spec
+    cache = {key: build_reference(s) for key, s in refs.items()}
+    return [run_single(spec, reference=cache.get(_reference_key(spec))) for spec in specs]
 
 
 # -- emission -----------------------------------------------------------------

@@ -1,6 +1,7 @@
 import dataclasses
 import os
 import tempfile
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -114,6 +115,22 @@ class TestRTSpace:
         fl = FluxField(sp, coef)
         assert close(fl.eval_at(pts, tris), oracle.eval_at(coef, pts, tris))
         assert close(fl.divergence_vertex_values(), oracle.divergence_vertex_values(coef))
+
+    @settings(max_examples=10, deadline=None)
+    @given(n=st.integers(1, 12), size=st.integers(1, 300), seed=st.integers(0, 2**32 - 1))
+    def test_eval_at_contracts_its_triangles_only(self, n, size, seed):
+        # The reference DOFs of the evaluated triangles alone give the rows of
+        # the contraction over all triangles, bit for bit.
+        rng = np.random.default_rng(seed)
+        m = unstructured_mesh(n, rng, None)
+        sp = build_rt_space(m)
+        fl = FluxField(sp, rng.standard_normal(sp.total_dofs))
+        tris = rng.integers(0, m.n_triangles, size)
+        pts = np.einsum("nk,nkd->nd", rng.dirichlet(np.ones(3), size), m.vertices[m.triangles[tris]])
+        got = fl.eval_at(pts, tris)
+        full = fl.reference_dofs()
+        with mock.patch.object(FluxField, "reference_dofs", lambda self, t=slice(None): full[t]):
+            assert np.array_equal(got, fl.eval_at(pts, tris))
 
 
 class TestPatchFlux:

@@ -31,6 +31,7 @@ from eqflux.geometry import (
 )
 from eqflux.mesh import (
     EdgeMarker,
+    Mesh,
     MeshError,
     generate_unit_square,
     generate_with_rect_features,
@@ -189,6 +190,58 @@ class TestLocatePoint:
         p = np.array([(0.3, 0.1)])
         tris, bary = m.locate_points(p)
         assert np.array_equal(m.contains(tris, p)[1], bary)
+
+    @pytest.mark.parametrize("n", [1, 3, 7, 24, 64])
+    def test_lattice_grid_one_cell_per_triangle(self, n):
+        m = generate_unit_square(n)
+        offsets, cell_tris = m._bucket_grid()[-2:]
+        assert np.diff(offsets).max() <= 2
+        assert np.array_equal(np.sort(cell_tris), np.arange(m.n_triangles))
+
+    @pytest.mark.parametrize("name", ["lattice", "renumbered", "jittered", "bump"])
+    def test_cell_line_probes_match_loop_oracle(self, name):
+        m = _location_mesh(name)
+        pts = _cell_line_probes(m, np.random.default_rng(5))
+        tris, bary = m.locate_points(pts)
+        ref_tris, ref_bary = locate_points_loop(m, pts)
+        assert np.array_equal(tris, ref_tris)
+        assert np.array_equal(bary, ref_bary)
+        assert (m.locate_points(m.vertices)[0] >= 0).all() and (tris[-4:] < 0).all()
+
+
+def _location_mesh(name):
+    lattice = generate_unit_square(6)
+    if name == "lattice":
+        return lattice
+    if name == "renumbered":
+        # Reversed numbering puts the lowest index on a cell line's high side.
+        return Mesh(lattice.vertices, lattice.triangles[::-1])
+    if name == "jittered":
+        return unstructured_mesh(6, np.random.default_rng(3), None)
+    bump = FeatureSpec(1, POSITIVE, rect_polygon(0.2, 0.6, -0.2, 0.0))  # span 0.4 x 0.2
+    return feature_mesh(bump, 20, DomainSpec(features=[bump]))
+
+
+def _cell_line_probes(mesh, rng):
+    """Points on the grid's cell lines and at their crossings, on edges,
+    vertices, points 1e-13 off every vertex and boundary edge on both sides,
+    and points far outside."""
+    lo, cell, ncell = mesh._bucket_grid()[:3]
+    hi = mesh.vertices.max(axis=0)
+    x, y = (lo + np.arange(ncell + 1)[:, None] * cell).T
+    u = lo + rng.random((ncell + 1, 2)) * (hi - lo)
+    crossings = np.stack(np.meshgrid(x, y, indexing="ij"), axis=-1).reshape(-1, 2)
+    ends = mesh.vertices[mesh.edge_vertices]
+    on_edge = ends[:, 0] + rng.random((mesh.n_edges, 1)) * (ends[:, 1] - ends[:, 0])
+    b = mesh.boundary_edge_ids
+    off = 1e-13 * np.vstack([mesh.edge_normals[b], -mesh.edge_normals[b]])
+    near_vertices = mesh.vertices + 1e-13 * rng.choice([-1.0, 1.0], size=mesh.vertices.shape)
+    far = np.array([lo - (hi - lo), hi + (hi - lo), [lo[0] - 10.0, (lo[1] + hi[1]) / 2], [1e6, hi[1]]])
+    return np.vstack([
+        crossings, np.column_stack([x, u[:, 1]]), np.column_stack([u[:, 0], y]),
+        mesh.vertices, near_vertices, ends.mean(axis=1), on_edge,
+        np.tile(ends[b].mean(axis=1), (2, 1)) + off, far,
+    ])
 
 
 class TestUniformRefine:

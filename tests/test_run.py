@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from eqflux import config as cfg
-from eqflux import fem
+from eqflux import fem, run
 from eqflux.geometry import (
     NEGATIVE_BOUNDARY,
     NEGATIVE_INTERNAL,
@@ -12,7 +12,7 @@ from eqflux.geometry import (
     FeatureSpec,
     rect_polygon,
 )
-from eqflux.mesh import generate_unit_square
+from eqflux.mesh import generate_unit_square, write_mesh
 from eqflux.presets import preset_config
 from eqflux.run import ReferenceSpec, RunSpec, emit_vtk, run_single, run_sweep
 
@@ -149,6 +149,22 @@ class TestRunSweep:
         assert all(r.report.error_energy is not None for r in res)
         # finer mesh must not be less accurate
         assert res[1].report.error_energy <= res[0].report.error_energy
+
+    def test_external_reference_read_once_per_sweep(self, tmp_path, monkeypatch):
+        doc = preset_config("test2-both", n=10)
+        built = run.build_reference(cfg.specs_from_config(doc)[0])
+        write_mesh(built.mesh, tmp_path / "ref.json")
+        fem.field_to_csv(built, tmp_path / "ref.csv")
+        doc["reference"] = {"mesh": str(tmp_path / "ref.json"),
+                            "field": str(tmp_path / "ref.csv")}
+        doc["study"] = {"type": "h_sweep", "n": [5, 10, 15]}
+        specs = cfg.specs_from_config(doc)
+        want = [run_single(spec).report.error_energy for spec in specs]
+        calls = []
+        build = run.build_reference
+        monkeypatch.setattr(run, "build_reference", lambda spec: calls.append(spec) or build(spec))
+        assert [r.report.error_energy for r in run_sweep(specs)] == want
+        assert len(calls) == 1
 
     def test_vtk_emission(self, tmp_path):
         doc = preset_config("test2-pos", n=10)
