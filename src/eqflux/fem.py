@@ -85,8 +85,6 @@ class CompositeField:
         out = np.full((len(pts), 2), np.nan)
         todo = np.arange(len(pts))
         for piece in self.pieces:
-            if len(todo) == 0:
-                break
             tris, _ = piece.mesh.locate_points(pts[todo])
             hit = tris >= 0
             out[todo[hit]] = piece.gradients()[tris[hit]]
@@ -152,19 +150,19 @@ class ProblemData:
         return self._neumann_map
 
 
-def quad_points(mesh: Mesh) -> np.ndarray:
-    """Physical degree-4 quadrature points per triangle, shape (T, 6, 2)."""
-    v = mesh.vertices[mesh.triangles]  # (T, 3, 2)
-    return np.einsum("qk,tkd->tqd", TRI_QP, v)
+def quad_points(mesh: Mesh, tris=slice(None)) -> np.ndarray:
+    """Physical degree-4 quadrature points of triangles ``tris``, shape (n, 6, 2)."""
+    t = mesh.triangles[tris].T  # on vertex rows, term by term: bitwise einsum("qk,tkd->tqd")
+    return np.stack([(TRI_QP[:, :1] * c[0] + TRI_QP[:, 1:2] * c[1] + TRI_QP[:, 2:] * c[2]).T
+                     for c in (mesh.vertices[:, 0][t], mesh.vertices[:, 1][t])], axis=2)
 
 
 def project_forcing(f, mesh: Mesh) -> np.ndarray:
     """Elementwise L2 projection of the forcing onto P1, degree-4 quadrature."""
-    pts = quad_points(mesh)
-    fx = eval_data(f, pts.reshape(-1, 2)).reshape(mesh.n_triangles, len(TRI_QW))
-    # moments m_q = area * sum_w w f(x_w) lam_q(x_w)
-    m = np.einsum("tw,w,wq->tq", fx, TRI_QW, TRI_QP) * mesh.areas[:, None]
-    return np.einsum("qk,tk->tq", _M3_INV, m) / mesh.areas[:, None]
+    fw = eval_data(f, quad_points(mesh).reshape(-1, 2)).reshape(-1, len(TRI_QW)) * TRI_QW
+    # moments m_q = area * sum_w (f(x_w) w) lam_q(x_w), summed from 0 in w order as by einsum
+    m = np.stack([sum(fw[:, w] * TRI_QP[w, q] for w in range(len(TRI_QW))) for q in range(3)], 1)
+    return np.einsum("qk,tk->tq", _M3_INV, m * mesh.areas[:, None]) / mesh.areas[:, None]
 
 
 def _project_edge_data(mesh: Mesh, edges, datums) -> np.ndarray:
@@ -190,25 +188,26 @@ def _project_edge_data(mesh: Mesh, edges, datums) -> np.ndarray:
     return out
 
 
-def _gamma0_footprints(domain: DomainSpec, include=None):
+def _gamma0_footprints(domain: DomainSpec, include=None, parts=None):
     """gamma0 polylines of excluded boundary/positive features with their g0."""
     include = include if include is not None else [False] * len(domain.features)
     # The partition of a boundary or positive feature has a gamma0 or raises.
-    return [(feat, partition_feature_boundary(feat, domain)["gamma0"])
-            for feat, inc in zip(domain.features, include)
+    return [(feat, (p or partition_feature_boundary(feat, domain))["gamma0"])
+            for feat, inc, p in zip(domain.features, include, parts or [None] * len(include))
             if not inc and feat.kind != NEGATIVE_INTERNAL]
 
 
-def project_data(domain: DomainSpec, mesh: Mesh, include=None) -> ProblemData:
+def project_data(domain: DomainSpec, mesh: Mesh, include=None, parts=None) -> ProblemData:
     """Project forcing and boundary data for the (partially) defeatured solve.
 
     Boundary edges route to data by marker: Dirichlet edges take g_D,
     outer Neumann edges take g (or a feature's g0 on the gamma0 footprint of
     an excluded feature), and feature-marked edges take that feature's datum.
+    ``parts`` holds the partitions of the features already partitioned (else None).
     """
     f_proj = project_forcing(domain.f, mesh)
     feat_by_id = {f.id: f for f in domain.features}
-    footprints = _gamma0_footprints(domain, include)
+    footprints = _gamma0_footprints(domain, include, parts)
     # An outer Neumann edge takes the g0 of the first excluded feature whose
     # gamma0 footprint holds its midpoint, else g: one test of all midpoints.
     outer_g = [feat.neumann_g0 for feat, _ in footprints] + [domain.g_neumann]
@@ -257,20 +256,16 @@ def feature_problem_data(
     mesh = feature_mesh
     f_proj = project_forcing(forcing, mesh)
     dir_edges, neu_edges, datums = [], [], []
-    for e in mesh.boundary_edge_ids:
-        e = int(e)
+    for e in mesh.boundary_edge_ids.tolist():
         m = mesh.edge_markers[e]
         if m is None or m.kind != "feature":
             raise ValueError(f"feature mesh boundary edge {e} lacks a feature marker")
         if m.part == "gamma0":
             dir_edges.append(e)
             continue
-        if m.part == "gammaTilde":
-            g = feature.extension.neumann_g_tilde
-        else:  # gamma, gammaS, gammaR
-            g = feature.neumann_g
-        neu_edges.append(e)
-        datums.append(g)
+        neu_edges.append(e)  # gammaTilde takes the extension's datum; gamma, gammaS, gammaR g
+        datums.append(feature.extension.neumann_g_tilde if m.part == "gammaTilde"
+                      else feature.neumann_g)
 
     src = trace_source.mesh
     dir_vertices = np.unique(mesh.edge_vertices[np.asarray(dir_edges, dtype=np.int64)])
@@ -302,8 +297,10 @@ def feature_problem_data(
 
 def assemble_stiffness(mesh: Mesh) -> scipy.sparse.csr_matrix:
     """Galerkin stiffness matrix (CSR) with exact elementwise integration."""
-    g = mesh.lam_grads  # (T, 3, 2)
-    local = np.einsum("tid,tjd,t->tij", g, g, mesh.areas)
+    g, a = mesh.lam_grads, mesh.areas
+    # entry (i, j) is gx_i gx_j a + gy_i gy_j a, on columns: bitwise the einsum over d
+    local = np.stack([g[:, i, 0] * g[:, j, 0] * a + g[:, i, 1] * g[:, j, 1] * a
+                      for i in range(3) for j in range(3)], axis=1)
     tri = mesh.triangles
     rows = np.repeat(tri, 3, axis=1).reshape(-1)
     cols = np.tile(tri, (1, 3)).reshape(-1)
@@ -354,71 +351,67 @@ def solve_poisson(
     u[free] = linalg.solve_spd(rows[:, free], bf, tol=tol)
 
     res = b - A @ u
-    scale = np.linalg.norm(b) or 1.0
-    if np.linalg.norm(res[free]) > 1e-10 * scale:
-        raise linalg.SolverError(
-            "Galerkin residual above tolerance",
-            residual=float(np.linalg.norm(res[free]) / scale),
-        )
+    scale = linalg.norm(b) or 1.0
+    if linalg.norm(res[free]) > 1e-10 * scale:
+        raise linalg.SolverError("Galerkin residual above tolerance",
+                                 residual=linalg.norm(res[free]) / scale)
     if not len(data.dirichlet_vertices):
         # Incompatible pure-Neumann data shows up in the pinned row.
         if abs(res[0]) > 1e-8 * scale:
-            raise linalg.SolverError(
-                "pure Neumann data incompatible", residual=float(abs(res[0]) / scale)
-            )
+            raise linalg.SolverError("pure Neumann data incompatible", residual=abs(res[0]) / scale)
         w = np.zeros(mesh.n_vertices)
         np.add.at(w, mesh.triangles.reshape(-1), np.repeat(mesh.areas / 3.0, 3))
         u -= np.dot(w, u) / w.sum()
     return ScalarField(mesh, u)
 
 
-def cross_mesh_gradients(coarse: CompositeField, fine: Mesh) -> np.ndarray:
-    """The coarse gradient at every quadrature point of the fine mesh, (T, 6, 2).
-
-    The values are those of ``coarse.gradient_at`` on ``quad_points(fine)``,
-    bit for bit, from one lookup per fine triangle where possible.  Centroids
-    are located piece by piece, each piece trying those no earlier piece
-    holds.  A fine triangle whose centroid lies in triangle ``c`` of a piece,
-    and whose vertices all lie in ``c`` by ``Mesh.contains``, lies in ``c`` up
-    to ``LOCATE_TOL``; its quadrature points are then inside ``c`` by a margin
-    far above that tolerance, where no other triangle of that conforming mesh
-    holds them, nor any earlier piece, as the pieces meet only on their
-    boundaries.  So ``locate_points``, which returns the lowest-index triangle
-    holding a point by ``Mesh.contains``, would return ``c`` for each.  The
-    other fine triangles (across coarse edges or in no piece) take the
-    per-point path, which keeps the order of the pieces.
+def cross_mesh_gradients(coarse: CompositeField, fine: Mesh):
+    """The coarse gradient at the fine mesh's quadrature points as ``(grad, rest,
+    rest_grad)``: triangle ``t`` has ``grad[t]`` at all six points, but the rest
+    have ``rest_grad`` (R, 6, 2) (and NaN ``grad``); expanded, this is
+    ``coarse.gradient_at`` on ``quad_points(fine)`` bit for bit.  Centroids are
+    located piece by piece, each piece trying those no earlier piece holds.  A
+    fine triangle whose centroid lies in triangle ``c`` of a piece, and whose
+    vertices all lie in ``c`` by ``Mesh.contains`` (``Mesh.holds``), lies in
+    ``c`` up to ``LOCATE_TOL``; its quadrature points are then inside ``c`` by a
+    margin far above that tolerance, where no other triangle of that conforming
+    mesh or earlier piece holds them, as the pieces meet only on their
+    boundaries: ``locate_points`` would return ``c``.  The rest (across coarse
+    edges or in no piece) take the per-point path, in the order of the pieces.
     """
-    v = fine.vertices[fine.triangles]  # (T, 3, 2)
-    gc = np.empty((fine.n_triangles, len(TRI_QW), 2))
+    x, y = (fine.vertices[:, d][fine.triangles.T] for d in (0, 1))  # (3, T) vertex rows
+    centroids = np.stack([(x[0] + x[1] + x[2]) / 3, (y[0] + y[1] + y[2]) / 3], axis=1)
+    grad = np.full((fine.n_triangles, 2), np.nan)
     todo, rest = np.arange(fine.n_triangles), []  # centroids no piece has held yet
     for piece in coarse.pieces:
-        tris, _ = piece.mesh.locate_points(v[todo].mean(axis=1))
-        held, _ = piece.mesh.contains(tris[:, None], v[todo])  # (n, 3); row -1 is ignored below
-        inside = (tris >= 0) & held.all(axis=1)
-        gc[todo[inside]] = piece.gradients()[tris[inside], None, :]
-        rest.append(todo[(tris >= 0) & ~inside])
+        tris, _ = piece.mesh.locate_points(centroids[todo])
+        t, c = todo[tris >= 0], tris[tris >= 0]
+        held = piece.mesh.holds(c, x[:, t], y[:, t])
+        grad[t[held]] = piece.gradients()[c[held]]
+        rest.append(t[~held])
         todo = todo[tris < 0]
     rest = np.concatenate(rest + [todo])
-    if len(rest):
-        pts = np.einsum("qk,tkd->tqd", TRI_QP, v[rest])
-        gc[rest] = coarse.gradient_at(pts.reshape(-1, 2)).reshape(len(rest), len(TRI_QW), 2)
-    return gc
+    pts = quad_points(fine, rest).reshape(-1, 2)
+    return grad, rest, coarse.gradient_at(pts).reshape(len(rest), len(TRI_QW), 2)
 
 
 def energy_error_cross_mesh(coarse, reference: ScalarField) -> float:
-    """Energy norm of (reference − coarse) by quadrature on the fine mesh.
-
-    ``coarse`` is a ScalarField or a CompositeField covering the fine mesh's
-    domain; its gradient at the quadrature points comes from
-    :func:`cross_mesh_gradients`.
+    """Energy norm of (reference − coarse): ``err² = sum_t area_t sum_q w_q
+    (dx² + dy²)_tq`` over the gradient differences at the fine mesh's quadrature
+    points, the q-sum term by term from 0 and the t-sum by np.sum.  ``coarse``, a
+    ScalarField or CompositeField covering the fine mesh, has its gradients from
+    :func:`cross_mesh_gradients`: a held fine triangle has one difference, six times.
     """
     if isinstance(coarse, ScalarField):
         coarse = CompositeField([coarse])
     fine = reference.mesh
-    gc = cross_mesh_gradients(coarse, fine)
-    diff = reference.gradients()[:, None, :] - gc
-    err2 = np.einsum("t,q,tqd,tqd->", fine.areas, TRI_QW, diff, diff)
-    return float(np.sqrt(err2))
+    grad, rest, rest_grad = cross_mesh_gradients(coarse, fine)
+    gref = reference.gradients()
+    d = gref - grad
+    sq = np.repeat((d[:, 0] * d[:, 0] + d[:, 1] * d[:, 1])[None], len(TRI_QW), axis=0)
+    d = gref[rest, None, :] - rest_grad
+    sq[:, rest] = (d[..., 0] * d[..., 0] + d[..., 1] * d[..., 1]).T  # (6, T) rows
+    return float(np.sqrt(np.sum(fine.areas * sum(w * row for w, row in zip(TRI_QW, sq)))))
 
 
 # -- export ------------------------------------------------------------------

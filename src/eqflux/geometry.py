@@ -376,18 +376,19 @@ def clip_curve_to_mesh(polylines, mesh: Mesh, gauss_order: int = 4) -> CurveQuad
 # -- built-in feature meshes -----------------------------------------------
 
 
-def feature_mesh(feature: FeatureSpec, n: int, domain: DomainSpec | None = None) -> Mesh:
+def feature_mesh(feature: FeatureSpec, n: int, domain: DomainSpec | None = None,
+                 parts: dict | None = None) -> Mesh:
     """Structured mesh of a rectangular positive feature (or its extension).
 
     The lattice spacing 1/n is aligned with the global unit-square lattice so
     that vertices on gamma0 coincide with the simplified-domain mesh.
     Boundary edges are marked gamma0/gammaS/gammaTilde (extension case) or
-    gamma0/gamma (no extension).
+    gamma0/gamma (no extension) by ``parts``, its partition (made if omitted).
     """
     if feature.kind != POSITIVE:
         raise GeometryError("feature meshes are built for positive features")
     domain = domain if domain is not None else DomainSpec(features=[feature])
-    parts = partition_feature_boundary(feature, domain)
+    parts = parts or partition_feature_boundary(feature, domain)
     poly = feature.extension.polygon if feature.extension else feature.polygon
     _, (i0, i1, j0, j1) = _grid_rect(poly, n)
     m = _lattice_mesh(_cell_block(i0, i1, j0, j1), n)

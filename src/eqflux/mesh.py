@@ -41,8 +41,8 @@ class EdgeMarker:
 DIRICHLET = EdgeMarker("dirichlet")
 NEUMANN_OUTER = EdgeMarker("neumann")
 
-# Points located per array step of Mesh.locate_points (bounds its temporaries).
-_LOCATE_BLOCK = 2**15
+# Array steps bounding temporaries: points of locate_points, triangles of holds (in cache).
+_LOCATE_BLOCK, _HOLD_BLOCK = 2**15, 2**13
 # A point lies in a triangle when all its barycentrics are >= -LOCATE_TOL.
 LOCATE_TOL = 1e-12
 
@@ -118,11 +118,9 @@ class Mesh:
         self.lam_coeffs = np.stack([bq * inv2a, cy * inv2a, cx * inv2a], axis=2)
         # Gradient of lam_q is (cy, cx)/(2A), constant per triangle.
         self.lam_grads = np.stack([cy, cx], axis=2) * inv2a[..., None]
-        e = np.linalg.norm
-        self.diameters = np.maximum(
-            np.maximum(e(v[:, 1] - v[:, 0], axis=1), e(v[:, 2] - v[:, 1], axis=1)),
-            e(v[:, 0] - v[:, 2], axis=1),
-        )
+        dx, dy = x[:, [1, 2, 0]] - x, y[:, [1, 2, 0]] - y  # sides v1 - v0, v2 - v1, v0 - v2
+        side = np.sqrt(dx * dx + dy * dy)  # bitwise np.linalg.norm(axis=1) of each side
+        self.diameters = np.maximum(np.maximum(side[:, 0], side[:, 1]), side[:, 2])
 
     def _edge_key(self, i, j):
         return np.minimum(i, j) * self.n_vertices + np.maximum(i, j)
@@ -163,7 +161,7 @@ class Mesh:
         self.boundary_edge_ids = np.flatnonzero((self.edge_tris < 0).any(axis=1))
         ev = self.vertices[self.edge_vertices]
         d = ev[:, 1] - ev[:, 0]
-        self.edge_lengths = np.linalg.norm(d, axis=1)
+        self.edge_lengths = np.sqrt(d[:, 0] * d[:, 0] + d[:, 1] * d[:, 1])  # bitwise np.linalg.norm
         with np.errstate(divide="ignore", invalid="ignore"):
             t = d / self.edge_lengths[:, None]
         # Global normal: i→j tangent rotated by −90°.
@@ -211,9 +209,10 @@ class Mesh:
         carry a feature interface (gamma0) marker.  The first offending edge
         raises."""
         boundary = (self.edge_tris < 0).any(axis=1)
-        marked, interface = np.zeros((2, self.n_edges), dtype=bool)
-        marked[self.marked_edges()] = True
-        interface[self.marked_edges("feature", "gamma0")] = True
+        markers = np.fromiter(self.edge_markers, dtype=object, count=self.n_edges)
+        marked = np.not_equal(markers, None)  # one pass over the markers
+        interface = marked.copy()
+        interface[marked] = [(m.kind, m.part) == ("feature", "gamma0") for m in markers[marked]]
         bad = np.flatnonzero(np.where(boundary, ~marked, marked & ~interface))
         if not len(bad):
             return
@@ -280,6 +279,18 @@ class Mesh:
         lam = self.lam_coeffs[tris]
         bary = lam[..., 0] + lam[..., 1] * points[..., 0, None] + lam[..., 2] * points[..., 1, None]
         return np.minimum(np.minimum(bary[..., 0], bary[..., 1]), bary[..., 2]) >= -LOCATE_TOL, bary
+
+    def holds(self, tris, x, y):
+        """Whether triangle ``tris[i]`` holds all the points ``(x[k, i], y[k, i])``
+        by :meth:`contains`, bit for bit, on coordinate rows ``x, y`` of shape (K, n)."""
+        lam = self.lam_coeffs.reshape(-1, 9).T[:, tris]  # constant, x, y rows of lam_0, 1, 2
+        held = np.ones(len(tris), dtype=bool)
+        for s in range(0, len(tris), _HOLD_BLOCK):
+            c, h = lam[:, s:s + _HOLD_BLOCK], held[s:s + _HOLD_BLOCK]
+            for xk, yk in zip(x[:, s:s + _HOLD_BLOCK], y[:, s:s + _HOLD_BLOCK]):
+                b0, b1, b2 = (c[q] + c[q + 1] * xk + c[q + 2] * yk for q in (0, 3, 6))
+                h &= np.minimum(np.minimum(b0, b1), b2) >= -LOCATE_TOL
+        return held
 
     def locate_points(self, points):
         """Vectorized point location.
@@ -385,11 +396,8 @@ def _classify_square_boundary(mesh: Mesh, dirichlet_predicate):
     mids = mesh.edge_midpoints()
     for e in mesh.boundary_edge_ids.tolist():
         if mesh.edge_markers[e] is None:
-            x, y = mids[e]
-            if dirichlet_predicate is None or dirichlet_predicate(x, y):
-                mesh.edge_markers[e] = DIRICHLET
-            else:
-                mesh.edge_markers[e] = NEUMANN_OUTER
+            dirichlet = dirichlet_predicate is None or dirichlet_predicate(*mids[e])
+            mesh.edge_markers[e] = DIRICHLET if dirichlet else NEUMANN_OUTER
 
 
 def _cell_block(i0, i1, j0, j1):

@@ -123,7 +123,10 @@ def run_single(spec: RunSpec, reference: fem.ScalarField | None = None) -> RunRe
     if len(include) != len(domain.features):
         raise ValueError("one include flag per feature is required")
     mesh = build_computational_mesh(spec)
-    data = fem.project_data(domain, mesh, include=include)
+    # Each excluded feature is partitioned once, here, for all the stages.
+    partitions = [None if inc else partition_feature_boundary(feat, domain)
+                  for feat, inc in zip(domain.features, include)]
+    data = fem.project_data(domain, mesh, include=include, parts=partitions)
     u0 = fem.solve_poisson(mesh, data, tol=spec.solver_tol)
     flux0 = flux.reconstruct_flux(u0, data)
     eta0 = est.eta_zero(flux0, u0)
@@ -139,10 +142,9 @@ def run_single(spec: RunSpec, reference: fem.ScalarField | None = None) -> RunRe
     per_feature = {}
     feature_fields, feature_fluxes = {}, {}
     coarse_pieces = [u0]
-    for feat, inc in zip(domain.features, include):
+    for feat, inc, parts in zip(domain.features, include, partitions):
         if inc:
             continue
-        parts = partition_feature_boundary(feat, domain)
         if feat.kind != POSITIVE:
             gamma_rev = [line[::-1] for line in reversed(parts["gamma"])]
             comp = est.FeatureEstimate(feat.id, feat.kind,
@@ -151,7 +153,7 @@ def run_single(spec: RunSpec, reference: fem.ScalarField | None = None) -> RunRe
             fn = spec.feature_n or spec.n
             if fn is None:
                 raise ValueError("positive feature meshing needs a resolution")
-            fmesh = feature_mesh(feat, fn, domain)
+            fmesh = feature_mesh(feat, fn, domain, parts)
             fdata = fem.feature_problem_data(feat, u0, fmesh, forcing=domain.f)
             ut = fem.solve_poisson(fmesh, fdata, tol=spec.solver_tol)
             fluxt = flux.reconstruct_flux(ut, fdata)

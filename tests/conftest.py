@@ -8,7 +8,9 @@ field helpers, the edge-by-edge certificate loops, the vertex-by-vertex
 patch equilibration, the dict-and-loop mesh topology, point location,
 per-point cross-mesh gradient, curve clipping and lattice builders and the
 scalar on-segment rule after them are reference implementations for tests
-only.
+only.  The einsum forms of the quadrature points, the stiffness matrix and the
+forcing projection are the forms the library's column arithmetic must equal
+bit for bit.
 """
 
 import numpy as np
@@ -422,13 +424,62 @@ def locate_points_loop(mesh, points, tol=1e-12):
             np.array([b for _, b in hits]).reshape(-1, 3))
 
 
+def quad_points_einsum(mesh):
+    """Degree-4 quadrature points per triangle, (T, 6, 2), by one einsum."""
+    from eqflux.fem import TRI_QP
+
+    return np.einsum("qk,tkd->tqd", TRI_QP, mesh.vertices[mesh.triangles])
+
+
+def assemble_stiffness_einsum(mesh):
+    """Stiffness matrix (CSR) from einsum local matrices, in the library's COO order."""
+    import scipy.sparse
+
+    g, tri = mesh.lam_grads, mesh.triangles
+    local = np.einsum("tid,tjd,t->tij", g, g, mesh.areas)
+    rows, cols = np.repeat(tri, 3, axis=1).reshape(-1), np.tile(tri, (1, 3)).reshape(-1)
+    n = mesh.n_vertices
+    return scipy.sparse.coo_matrix((local.reshape(-1), (rows, cols)), shape=(n, n)).tocsr()
+
+
+def project_forcing_einsum(f, mesh):
+    """Elementwise P1 projection of the forcing with einsum moments."""
+    from eqflux.fem import _M3_INV, TRI_QP, TRI_QW, eval_data
+
+    fx = eval_data(f, quad_points_einsum(mesh).reshape(-1, 2)).reshape(-1, len(TRI_QW))
+    m = np.einsum("tw,w,wq->tq", fx, TRI_QW, TRI_QP) * mesh.areas[:, None]
+    return np.einsum("qk,tk->tq", _M3_INV, m) / mesh.areas[:, None]
+
+
+def expand_cross_mesh(grad, rest, rest_grad):
+    """The compact ``cross_mesh_gradients`` result at every quadrature point,
+    (T, 6, 2): each triangle's gradient six times, the rest's own rows."""
+    out = np.repeat(grad[:, None, :], 6, axis=1)
+    out[rest] = rest_grad
+    return out
+
+
+def energy_error_per_point(coarse, reference, gradients):
+    """``energy_error_cross_mesh`` with the coarse gradients (T, 6, 2) given at
+    every quadrature point: the library's reduction, with all triangles taking
+    the per-point branch."""
+    from unittest import mock
+
+    from eqflux import fem
+
+    T = reference.mesh.n_triangles
+    compact = (np.full((T, 2), np.nan), np.arange(T), gradients)
+    with mock.patch.object(fem, "cross_mesh_gradients", return_value=compact):
+        return fem.energy_error_cross_mesh(coarse, reference)
+
+
 def cross_mesh_gradients_loop(pieces, fine):
     """Coarse gradient at each degree-4 quadrature point of ``fine``, shape
     (T, 6, 2): every point is located on its own, through the dict bucket
     grid, in the first of the P1 ``pieces`` that holds it (NaN if none)."""
     from eqflux.fem import TRI_QP
 
-    pts = np.einsum("qk,tkd->tqd", TRI_QP, fine.vertices[fine.triangles]).reshape(-1, 2)
+    pts = quad_points_einsum(fine).reshape(-1, 2)
     out = np.full((len(pts), 2), np.nan)
     for piece in pieces:
         todo = np.flatnonzero(np.isnan(out[:, 0]))

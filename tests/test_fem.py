@@ -3,12 +3,17 @@ from unittest import mock
 import numpy as np
 import pytest
 from conftest import (
+    assemble_stiffness_einsum,
     cross_mesh_gradients_loop,
     duffy_quad,
+    energy_error_per_point,
     energy_norm,
+    expand_cross_mesh,
     first_group_loop,
     galerkin_residual,
+    project_forcing_einsum,
     prolong_uniform,
+    quad_points_einsum,
     unstructured_mesh,
 )
 from hypothesis import given, settings
@@ -207,6 +212,24 @@ class TestAssembly:
         mid_bottom = 1  # vertex (0.5, 0)
         assert b[mid_bottom] == pytest.approx(0.5, abs=1e-14)
 
+    @settings(max_examples=20, deadline=None)
+    @given(n=st.integers(1, 12), seed=st.integers(0, 2**32 - 1))
+    def test_column_kernels_match_einsum(self, n, seed):
+        # Quadrature points, stiffness matrix and forcing projection equal
+        # their einsum forms bit for bit on seeded unstructured meshes.
+        mesh = unstructured_mesh(n, np.random.default_rng(seed), None)
+        assert fem.quad_points(mesh).tobytes() == quad_points_einsum(mesh).tobytes()
+        A, B = assemble_stiffness(mesh), assemble_stiffness_einsum(mesh)
+        assert np.array_equal(A.indptr, B.indptr) and np.array_equal(A.indices, B.indices)
+        assert np.array_equal(A.data, B.data)
+
+        def f(x, y):
+            return np.sin(3 * x) * np.exp(y) - x * y
+
+        assert fem.project_forcing(f, mesh).tobytes() == project_forcing_einsum(f, mesh).tobytes()
+        tris = np.random.default_rng(seed).permutation(mesh.n_triangles)[: mesh.n_triangles // 2]
+        assert np.array_equal(fem.quad_points(mesh, tris), quad_points_einsum(mesh)[tris])
+
     def test_zero_data_zero_load(self):
         m = generate_unit_square(2, dirichlet_x01)
         data = project_data(DomainSpec(), m)
@@ -395,17 +418,19 @@ class TestGradientsAndNorms:
 
 
 def check_cross_mesh(pieces, reference):
-    """Cross-mesh gradients and energy error equal the per-point oracle's bit
-    for bit; returns the number of points that took the per-point path."""
+    """Cross-mesh gradients, expanded, and the energy error equal the per-point
+    oracle's bit for bit, the error by the library's reduction applied to the
+    oracle's gradients at every point; returns the number of points that took
+    the per-point path."""
     coarse = fem.CompositeField(pieces)
     with mock.patch.object(fem.CompositeField, "gradient_at", autospec=True,
                            side_effect=fem.CompositeField.gradient_at) as spy:
         got = fem.cross_mesh_gradients(coarse, reference.mesh)
     want = cross_mesh_gradients_loop(pieces, reference.mesh)
-    assert np.array_equal(got, want)
-    diff = reference.gradients()[:, None, :] - want
-    err2 = np.einsum("t,q,tqd,tqd->", reference.mesh.areas, fem.TRI_QW, diff, diff)
-    assert energy_error_cross_mesh(coarse, reference) == float(np.sqrt(err2))
+    assert np.array_equal(expand_cross_mesh(*got), want)
+    assert np.isnan(got[0][got[1]]).all() and not np.isnan(np.delete(got[0], got[1], 0)).any()
+    assert energy_error_cross_mesh(coarse, reference) == energy_error_per_point(
+        coarse, reference, want)
     return sum(len(call.args[1]) for call in spy.call_args_list)
 
 
@@ -428,6 +453,19 @@ class TestCrossMeshGradients:
         pieces = [ScalarField(coarse, rng.standard_normal(coarse.n_vertices))]
         ref = ScalarField(fine, rng.standard_normal(fine.n_vertices))
         assert check_cross_mesh(pieces, ref) > 0
+
+    @pytest.mark.parametrize("n, m", [(3, 4), (5, 3), (4, 5)])
+    def test_non_nested_lattices_mix_held_and_rest(self, n, m):
+        # Lattices of unrelated spacing: some fine triangles lie in one coarse
+        # triangle, the others cross coarse edges and are the rest.
+        coarse = generate_unit_square(n)
+        fine = uniform_refine(generate_unit_square(m))
+        rng = np.random.default_rng(n * 10 + m)
+        pieces = [ScalarField(coarse, rng.standard_normal(coarse.n_vertices))]
+        ref = ScalarField(fine, rng.standard_normal(fine.n_vertices))
+        _, rest, _ = fem.cross_mesh_gradients(fem.CompositeField(pieces), fine)
+        assert 0 < len(rest) < fine.n_triangles
+        assert check_cross_mesh(pieces, ref) == 6 * len(rest)
 
     @settings(max_examples=10, deadline=None)
     @given(n=st.sampled_from([5, 10, 15]), m=st.sampled_from([5, 10, 15]),
@@ -461,12 +499,11 @@ class TestCrossMeshGradients:
                                side_effect=fem.CompositeField.gradient_at) as spy:
             res = run_single(spec, reference=reference)
         assert res.feature_fields.keys() == {2}  # the bump; the notch has no field
-        pieces = [res.u0, res.feature_fields[2]]
+        coarse = fem.CompositeField([res.u0, res.feature_fields[2]])
         fine = reference.mesh
-        gc = fem.CompositeField(pieces).gradient_at(fem.quad_points(fine).reshape(-1, 2))
-        diff = reference.gradients()[:, None, :] - gc.reshape(fine.n_triangles, -1, 2)
-        err2 = np.einsum("t,q,tqd,tqd->", fine.areas, fem.TRI_QW, diff, diff)
-        assert res.report.error_energy == float(np.sqrt(err2))
+        gc = coarse.gradient_at(quad_points_einsum(fine).reshape(-1, 2))
+        per_point = energy_error_per_point(coarse, reference, gc.reshape(fine.n_triangles, -1, 2))
+        assert res.report.error_energy == per_point
         # the bump's fine triangles are found in its piece by their centroids
         bump = fine.vertices[fine.triangles].mean(axis=1)[:, 1] < 0
         assert bump.any() and sum(len(c.args[1]) for c in spy.call_args_list) < 6 * bump.sum()

@@ -1,6 +1,7 @@
 import json
 import os
 import tempfile
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -179,6 +180,29 @@ class TestLocatePoint:
         pts = np.einsum("tk,tkd->td", lam, m.vertices[m.triangles])
         tris, _ = m.locate_points(pts)
         assert np.array_equal(tris, np.arange(m.n_triangles))
+
+    @settings(max_examples=15, deadline=None)
+    @given(n=st.integers(1, 6), block=st.sampled_from([1, 5, 64, 2**13]),
+           seed=st.integers(0, 2**32 - 1))
+    def test_holds_matches_contains(self, n, block, seed):
+        # Rows of points of one triangle (a vertex, an edge midpoint, a vertex
+        # moved by 1e-13 and an inner or random point), tested against that
+        # triangle or, every third row, another one: Mesh.holds gives the
+        # booleans of Mesh.contains, NaN included, in blocks of any size.
+        rng = np.random.default_rng(seed)
+        m = unstructured_mesh(n, rng, None)
+        own = rng.integers(0, m.n_triangles, 200)
+        tris = np.where(np.arange(200) % 3 == 2, rng.integers(0, m.n_triangles, 200), own)
+        v = m.vertices[m.triangles[own]]  # (200, 3, 2)
+        inner = np.einsum("nk,nkd->nd", rng.dirichlet((1.0, 1.0, 1.0), 200), v)
+        pts = np.stack([v[:, 0], 0.5 * (v[:, 0] + v[:, 1]), v[:, 2] + 1e-13 * rng.standard_normal(2),
+                        np.where(np.arange(200)[:, None] % 5 == 4, rng.random((200, 2)), inner)],
+                       axis=1)  # (200, 4, 2)
+        pts[::7, 3] = np.nan
+        want = m.contains(tris[:, None], pts)[0].all(axis=1)
+        with mock.patch("eqflux.mesh._HOLD_BLOCK", block):
+            got = m.holds(tris, pts[..., 0].T, pts[..., 1].T)
+        assert np.array_equal(got, want) and want.any() and not want.all()
 
     def test_contains_broadcasts_triangles_over_points(self):
         m = generate_unit_square(2)

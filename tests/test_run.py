@@ -1,15 +1,18 @@
 """Integration tests of the run orchestration layer."""
 
+from unittest import mock
+
 import numpy as np
 import pytest
 
 from eqflux import config as cfg
-from eqflux import fem, run
+from eqflux import fem, geometry, run
 from eqflux.geometry import (
     NEGATIVE_BOUNDARY,
     NEGATIVE_INTERNAL,
     DomainSpec,
     FeatureSpec,
+    partition_feature_boundary,
     rect_polygon,
 )
 from eqflux.mesh import generate_unit_square, write_mesh
@@ -73,6 +76,21 @@ class TestRunSingle:
         )
         res = run_single(spec)
         assert res.report.eta_0 + 1e-8 >= res.report.error_energy
+
+    def test_each_excluded_feature_partitioned_once(self):
+        # run_single hands its partitions to project_data and feature_mesh.
+        (spec,) = cfg.specs_from_config(preset_config("test2-both", n=16))
+        calls = []
+
+        def counted(feature, domain):
+            calls.append(feature.id)
+            return partition_feature_boundary(feature, domain)
+
+        with mock.patch.object(run, "partition_feature_boundary", counted), \
+                mock.patch.object(fem, "partition_feature_boundary", counted), \
+                mock.patch.object(geometry, "partition_feature_boundary", counted):
+            res = run_single(spec)
+        assert sorted(calls) == sorted(res.report.per_feature) == [1, 2]
 
 
 class TestCurveNormals:
