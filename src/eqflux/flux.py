@@ -16,16 +16,13 @@ import numpy as np
 from . import linalg
 from .fem import TRI_QP, TRI_QW, ProblemData, ScalarField, _M3
 from .geometry import CurveQuadrature, GeometryError, gauss_legendre
-from .mesh import Mesh, VertexPatch, patch_edge_split, vertex_patches
+from .mesh import Mesh, patch_edge_split
 
 _GLX, _GLW = gauss_legendre(4)
 
 # Triple products  ∫ lam_i lam_j lam_k = area * _TRIPLE[i,j,k].
-_TRIPLE = np.empty((3, 3, 3))
-for _i in range(3):
-    for _j in range(3):
-        for _k in range(3):
-            _TRIPLE[_i, _j, _k] = (1 / 10, 1 / 30, 1 / 60)[len({_i, _j, _k}) - 1]
+_TRIPLE = np.array([(1 / 10, 1 / 30, 1 / 60)[len({i, j, k}) - 1]
+                    for i in range(3) for j in range(3) for k in range(3)]).reshape(3, 3, 3)
 
 
 class EquilibrationError(RuntimeError):
@@ -211,28 +208,27 @@ class PatchBatch:
     prescribed: np.ndarray  # (I, 8) prescribed DOF values, 0 on free DOFs
 
 
-def patch_batches(space: RTSpace, patches: list[VertexPatch], data: ProblemData) -> list[PatchBatch]:
-    """Lay out the mixed systems of the patches in batches of one layout (free
-    rows, triangles, mean-value constraint), each of at most
-    ``_STACK_ENTRIES`` entries of ``(nf + 3t)²``.
-
-    Only the vertex and triangles of each patch are read; the boundary split
-    is that of :func:`mesh.patch_edge_split`.  Both moments of a zero edge are
-    prescribed 0; those of a Neumann psi edge are the moments of the trace
-    -psi_a * gN.  A patch without a Dirichlet psi edge (every interior patch)
-    carries the mean-value constraint.
+def patch_batches(space: RTSpace, data: ProblemData, vertices=None) -> list[PatchBatch]:
+    """Lay out the mixed systems of the patches of ``vertices`` (vertex ids;
+    default: all, in order) in batches of one layout (free rows, triangles,
+    mean-value constraint) of at most ``_STACK_ENTRIES`` entries of
+    ``(nf + 3t)²`` each.  A patch is its vertex's slice of
+    :meth:`Mesh.vertex_to_triangles`, split by :func:`mesh.patch_edge_split`.
+    Both moments of a zero edge are prescribed 0; those of a Neumann psi edge
+    are the moments of the trace -psi_a * gN.  A patch without a Dirichlet
+    psi edge (every interior patch) carries the mean-value constraint.
     """
     mesh = space.mesh
-    E, P = mesh.n_edges, len(patches)
-    vertices = np.array([p.vertex for p in patches], dtype=np.int64)
-    nt = np.array([len(p.triangles) for p in patches], dtype=np.int64)
+    offsets, v2t = mesh.vertex_to_triangles()
+    vertices = np.arange(mesh.n_vertices) if vertices is None else np.asarray(vertices, np.int64)
+    nt, P = offsets[vertices + 1] - offsets[vertices], len(vertices)
     patch = np.repeat(np.arange(P), nt)
     owner = vertices[patch]
-    tris = np.concatenate([p.triangles for p in patches])
     first = np.cumsum(nt) - nt  # first incidence of each patch
+    tris = v2t[np.arange(len(patch)) + (offsets[vertices] - first)[patch]]
     loc, zero, psi = patch_edge_split(mesh, tris, owner)
     edges = mesh.triangle_edges[tris]  # (I, 3)
-    neu = np.full(E, -1)
+    neu = np.full(mesh.n_edges, -1)
     neu[data.neumann_edges] = np.arange(len(data.neumann_edges))
     neu = neu[edges]
     neumann = psi & (neu >= 0)
@@ -257,7 +253,11 @@ def patch_batches(space: RTSpace, patches: list[VertexPatch], data: ProblemData)
                   constant_values=True)
     free_patch = np.broadcast_to(patch[:, None], free.shape)[free]
     D = space.total_dofs
-    uniq, rank = np.unique(free_patch * D + space.tri_dofs[tris][free], return_inverse=True)
+    keys = free_patch * D + space.tri_dofs[tris][free]  # ranked by one stable sort
+    order = np.argsort(keys, kind="stable")
+    new = np.diff(keys[order], prepend=-1) > 0
+    uniq, rank = keys[order[new]], np.empty_like(order)
+    rank[order] = np.cumsum(new) - 1
     nf = np.bincount(uniq // D, minlength=P)
     start = np.cumsum(nf) - nf  # first free DOF of each patch in uniq
     rows = np.full(free.shape, -1)
@@ -265,8 +265,9 @@ def patch_batches(space: RTSpace, patches: list[VertexPatch], data: ProblemData)
     mean = np.bincount(patch, dirichlet.sum(axis=1), minlength=P) == 0
 
     batches = []
-    layouts, layout = np.unique(np.stack([nf, nt, mean], axis=1), axis=0, return_inverse=True)
-    for k, (f, t, m) in enumerate(layouts):
+    span = int(nt.max(initial=0)) + 1
+    layouts, layout = np.unique((nf * span + nt) * 2 + mean, return_inverse=True)
+    for k, (f, t, m) in enumerate(zip(*divmod(layouts // 2, span), layouts % 2)):
         members = np.flatnonzero(layout == k)
         per = max(1, _STACK_ENTRIES // int(f + 3 * t) ** 2)
         for q in np.split(members, range(per, len(members), per)):
@@ -362,7 +363,7 @@ def reconstruct_flux(u_h: ScalarField, data: ProblemData, space: RTSpace | None 
     if space is None:
         space = build_rt_space(mesh)
     coef = np.zeros(space.total_dofs)
-    for batch in patch_batches(space, vertex_patches(mesh), data):
+    for batch in patch_batches(space, data):
         dofs, vals = patch_flux(space, batch, u_h, data)
         np.add.at(coef, dofs, vals)
     return FluxField(space, coef)

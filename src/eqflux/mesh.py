@@ -87,6 +87,9 @@ class Mesh:
 
         self._build_geometry()
         self._build_edges()
+        uses = np.bincount(self.triangles.ravel(), minlength=len(self.vertices))
+        if not uses.all():
+            raise MeshError(f"vertex {np.argmin(uses)} belongs to no triangle")
         self.edge_markers: list[EdgeMarker | None] = [None] * self.n_edges
         if edge_markers:
             for (i, j), marker in edge_markers.items():
@@ -415,12 +418,13 @@ def _lattice_mesh(cells, n, square_first=False):
     """
     corners = (cells[:, None, :] + _CELL_CORNERS).reshape(-1, 2)
     outside = ((corners < 0) | (corners > n)).any(axis=1) & square_first
-    ids, inverse = np.unique(
-        np.column_stack([outside, corners[:, ::-1]]), axis=0, return_inverse=True
-    )
+    i0, j0 = lo = corners.min(axis=0, initial=0)  # any lower bound keeps the key order
+    w, h = corners.max(axis=0, initial=0) - lo + 1
+    key = (outside * h + corners[:, 1] - j0) * w + corners[:, 0] - i0  # sorts as (outside, j, i)
+    ids, inverse = np.unique(key, return_inverse=True)
     a, b, c, d = inverse.reshape(-1, 4).T
     triangles = np.stack([a, b, c, a, c, d], axis=1).reshape(-1, 3)
-    return Mesh(ids[:, :0:-1] / n, triangles)
+    return Mesh(np.column_stack([ids % w + i0, ids // w % h + j0]) / n, triangles)
 
 
 def generate_unit_square(n: int, dirichlet_predicate=None) -> Mesh:

@@ -584,6 +584,20 @@ def block_lattice_loop(n, i0, i1, j0, j1):
     return _triangulate_cells_loop(cells, ids, coords)
 
 
+def lattice_unique_rows(cells, n, square_first=False):
+    """``(vertices, triangles)`` of lattice cells ``(C, 2)`` of spacing 1/n,
+    each split along its low-left→up-right diagonal, with the corners numbered
+    by the row-wise ``np.unique(axis=0)`` of ``(outside, j, i)``; ``outside``
+    marks the corners off the unit square's lattice when ``square_first``."""
+    corners = (cells[:, None, :] + np.array([[0, 0], [1, 0], [1, 1], [0, 1]])).reshape(-1, 2)
+    outside = ((corners < 0) | (corners > n)).any(axis=1) & square_first
+    ids, inverse = np.unique(
+        np.column_stack([outside, corners[:, ::-1]]), axis=0, return_inverse=True
+    )
+    a, b, c, d = inverse.reshape(-1, 4).T
+    return ids[:, :0:-1] / n, np.stack([a, b, c, a, c, d], axis=1).reshape(-1, 3)
+
+
 def point_on_segment(p, a, b, tol=1e-12):
     """Scalar on-segment rule: with L = |b - a|, the projection parameter of
     p lies in [-tol/L, 1 + tol/L] and its distance to the projection is at

@@ -19,6 +19,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from eqflux import flux as flux_module
+from eqflux import mesh as mesh_module
 from eqflux.fem import ScalarField, project_data, solve_poisson
 from eqflux.flux import (
     EquilibrationError,
@@ -145,7 +146,7 @@ class TestPatchFlux:
         m, data, u = self._linear_setup()
         sp = build_rt_space(m)
         patch = [p for p in vertex_patches(m) if p.is_interior][0]
-        (batch,) = patch_batches(sp, [patch], data)
+        (batch,) = patch_batches(sp, data, [patch.vertex])
         dofs, vals = patch_flux(sp, batch, u, data)
         # sigma^a = -psi_a * grad(u): evaluate at interior points of the patch
         coef = np.zeros(sp.total_dofs)
@@ -164,7 +165,7 @@ class TestPatchFlux:
         m, data, u = self._linear_setup()
         sp = build_rt_space(m)
         patch = vertex_patches(m)[0]
-        (batch,) = patch_batches(sp, [patch], data)
+        (batch,) = patch_batches(sp, data, [patch.vertex])
         dofs, _ = patch_flux(sp, batch, u, data)
         allowed = set(int(d) for d in sp.tri_dofs[patch.triangles].reshape(-1))
         assert set(int(d) for d in dofs) <= allowed
@@ -176,8 +177,8 @@ class TestPatchFlux:
         data = project_data(dom, m)
         u = solve_poisson(m, data)
         sp = build_rt_space(m)
-        interior = [p for p in vertex_patches(m) if p.is_interior]
-        for batch in patch_batches(sp, interior, data):
+        interior = [p.vertex for p in vertex_patches(m) if p.is_interior]
+        for batch in patch_batches(sp, data, interior):
             g = assemble_patch_system(sp, batch, u, data)[3]
             resid, scale = _compatibility_residual(sp, batch, g, u, data)
             assert (resid <= 1e-10 * np.maximum(scale, 1e-30) + 1e-14).all()
@@ -185,8 +186,7 @@ class TestPatchFlux:
     def test_dirichlet_corner_patch_unconstrained(self):
         m, data, u = self._linear_setup()
         sp = build_rt_space(m)
-        corner = vertex_patches(m)[0]
-        (batch,) = patch_batches(sp, [corner], data)
+        (batch,) = patch_batches(sp, data, [0])  # the corner (0, 0)
         assert not batch.mean
         patch_flux(sp, batch, u, data)  # solvable
 
@@ -197,7 +197,7 @@ class TestPatchFlux:
         u = solve_poisson(m, data)
         sp = build_rt_space(m)
         mid_bottom = 3  # (0.5, 0): interior point of the Neumann side
-        (batch,) = patch_batches(sp, [vertex_patches(m)[mid_bottom]], data)
+        (batch,) = patch_batches(sp, data, [mid_bottom])
         assert batch.mean
         c = assemble_patch_system(sp, batch, u, data)[4]
         # the mean-value border weights every multiplier row by its hat mass
@@ -218,8 +218,8 @@ class TestPatchFlux:
         sp = build_rt_space(m)
         full = reconstruct_flux(u, data, sp).coefficients
         coef = np.zeros(sp.total_dofs)
-        for p in vertex_patches(m):
-            (batch,) = patch_batches(sp, [p], data)
+        for a in range(m.n_vertices):
+            (batch,) = patch_batches(sp, data, [a])
             dofs, vals = patch_flux(sp, batch, u, data)
             np.add.at(coef, dofs, vals)
         assert np.abs(coef - full).max() <= 1e-12 * np.abs(full).max()
@@ -309,7 +309,7 @@ class TestUnstructuredPatches:
         assert interior_jump(fl) <= 1e-9 * scale
         assert neumann_trace_defect(fl, data) <= 1e-9 * scale
 
-        for batch in patch_batches(sp, patches, data):
+        for batch in patch_batches(sp, data):
             g = assemble_patch_system(sp, batch, u, data)[3]
             resid, bound = _compatibility_residual(sp, batch, g, u, data)
             loop = [compatibility_residual_loop(sp, q, u, data)
@@ -326,10 +326,42 @@ class TestUnstructuredPatches:
         rng = np.random.default_rng(seed)
         m, data, u = _mixed_problem(lambda d: unstructured_mesh(n, rng, d), case, rng)
         sp = build_rt_space(m)
-        for batch in patch_batches(sp, vertex_patches(m), data):
+        for batch in patch_batches(sp, data):
             if batch.mean:
                 B = assemble_patch_system(sp, batch, u, data)[1]
                 assert (np.abs(B.sum(axis=1)) <= 1e-12 * np.abs(B).max()).all()
+
+    @staticmethod
+    def _rows_by_vertex(batches):
+        """Each patch's rows of a batch list, keyed by its vertex."""
+        out = {}
+        for b in batches:
+            for p, v in enumerate(b.vertices.tolist()):
+                assert v not in out
+                i = b.patch == p
+                out[v] = (b.mean, b.nf, b.dofs[p], b.tris[i], b.loc[i], b.rows[i], b.prescribed[i])
+        return out
+
+    @settings(max_examples=25, deadline=None)
+    @given(n=st.integers(2, 6), case=st.integers(0, 2), seed=st.integers(0, 2**32 - 1),
+           share=st.floats(0.0, 1.0))
+    def test_vertex_subset_rows_match_full_layout(self, n, case, seed, share):
+        # A patch's layout depends on its own vertex only, not on the other
+        # patches asked for, nor on their order.
+        rng = np.random.default_rng(seed)
+        m, data, _ = _mixed_problem(lambda d: unstructured_mesh(n, rng, d), case, rng)
+        sp = build_rt_space(m)
+        full = self._rows_by_vertex(patch_batches(sp, data))
+        subset = rng.permutation(m.n_vertices)[:round(share * m.n_vertices)]
+        part = self._rows_by_vertex(patch_batches(sp, data, subset))
+        assert sorted(full) == list(range(m.n_vertices))
+        assert sorted(part) == sorted(subset.tolist())
+        for v, rows in part.items():
+            for got, want in zip(rows, full[v]):
+                assert np.asarray(got).dtype == np.asarray(want).dtype
+                assert np.array_equal(got, want)
+        for a, tris, *_ in vertex_patches_loop(m):
+            assert full[a][3].tolist() == tris
 
 
 class TestCondensedSolve:
@@ -343,7 +375,7 @@ class TestCondensedSolve:
         rng = np.random.default_rng(seed)
         m, data, u = _mixed_problem(lambda d: unstructured_mesh(n, rng, d), case, rng)
         sp = build_rt_space(m)
-        batches = patch_batches(sp, vertex_patches(m), data)
+        batches = patch_batches(sp, data)
         loop = {q[0]: q for q in vertex_patches_loop(m)}
         layouts = []
         for batch in batches:
@@ -389,13 +421,26 @@ class TestCondensedSolve:
         # An interior lattice patch has 24 free rows and 18 multiplier rows.
         monkeypatch.setattr(flux_module, "_STACK_ENTRIES", 4 * 42**2)
         layouts = [(b.nf, len(b.tris) // len(b.vertices), b.mean)
-                   for b in patch_batches(sp, vertex_patches(m), data)]
+                   for b in patch_batches(sp, data)]
         assert max(layouts.count(key) for key in layouts) > 1
         split = reconstruct_flux(u, data, sp).coefficients
         assert np.abs(split - whole).max() <= 1e-12 * np.abs(whole).max()
 
 
 class TestReconstructFlux:
+    def test_builds_no_vertex_patch_objects(self, monkeypatch):
+        def boom(*args, **kwargs):
+            raise AssertionError("per-vertex patch objects built")
+
+        rng = np.random.default_rng(11)
+        m, data, u = _mixed_problem(lambda d: unstructured_mesh(5, rng, d), 1, rng)
+        sp = build_rt_space(m)
+        ref = reconstruct_flux_loop(u, data, sp)
+        monkeypatch.setattr(mesh_module, "vertex_patches", boom)
+        monkeypatch.setattr(mesh_module, "VertexPatch", boom)
+        coef = reconstruct_flux(u, data, sp).coefficients
+        assert np.abs(coef - ref).max() <= 1e-12 * np.abs(ref).max()
+
     def test_linear_solution_gives_exact_flux(self):
         m = generate_unit_square(4)
         dom = DomainSpec(f=0.0, g_dirichlet=lambda x, y: 1 + 2 * x + 3 * y)

@@ -10,6 +10,7 @@ from conftest import (
     build_edges_loop,
     clip_curve_loop,
     lattice_loop,
+    lattice_unique_rows,
     locate_points_loop,
     unstructured_mesh,
 )
@@ -34,6 +35,7 @@ from eqflux.mesh import (
     EdgeMarker,
     Mesh,
     MeshError,
+    _lattice_mesh,
     generate_unit_square,
     generate_with_rect_features,
     read_mesh,
@@ -375,6 +377,24 @@ class TestMeshIO:
         with pytest.raises(MeshError, match=match):
             read_mesh(path)
 
+    def test_unused_vertex_rejected(self, tmp_path):
+        from eqflux.config import specs_from_config
+        from eqflux.presets import preset_config
+        from eqflux.run import build_computational_mesh
+
+        # The test2-neg mesh at n = 8 plus one vertex that no triangle uses.
+        m = build_computational_mesh(specs_from_config(preset_config("test2-neg", n=8))[0])
+        path = tmp_path / "m.json"
+        write_mesh(m, path)
+        doc = json.loads(path.read_text())
+        doc["vertices"].append([0.31, 0.77])
+        path.write_text(json.dumps(doc))
+        with pytest.raises(MeshError, match=f"vertex {m.n_vertices} belongs to no triangle"):
+            read_mesh(path)
+        corners = [[0, 0], [1, 0], [5, 5], [0, 1], [7, 7]]
+        with pytest.raises(MeshError, match="vertex 2 belongs"):
+            Mesh(np.array(corners, dtype=float), np.array([[0, 1, 3]]))
+
     def test_malformed_file(self, tmp_path):
         path = tmp_path / "broken.json"
         path.write_text("{not json")
@@ -507,5 +527,56 @@ class TestArrayMeshOracles:
         m = feature_mesh(bump, n, DomainSpec(features=[bump]))
         vertices, triangles = block_lattice_loop(n, 2 if extension else 4,
                                                  8 if extension else 6, -2, 0)
+        assert np.array_equal(m.vertices, vertices)
+        assert np.array_equal(m.triangles, triangles)
+
+
+def _cell_rows(i0, i1, j0, j1):
+    """Lattice cells ``(i, j)`` of ``[i0, i1) × [j0, j1)``, row-major."""
+    j, i = np.mgrid[j0:j1, i0:i1].reshape(2, -1)
+    return np.column_stack([i, j])
+
+
+class TestLatticeNumbering:
+    """The integer-key corner numbering of the lattice generators against the
+    row-wise ``np.unique(axis=0)`` numbering of ``(outside, j, i)``."""
+
+    # Cell ranges (i0, i1, j0, j1) at n = 8: a hole, an inner hole, a notch on
+    # y = 1, and bumps below, right of, above and left of the square.
+    HOLES = [(2, 4, 2, 4), (5, 6, 4, 7), (2, 4, 7, 8)]
+    BUMPS = [(2, 4, -2, 0), (8, 9, 1, 4), (4, 7, 8, 11), (-3, 0, 5, 6)]
+
+    @pytest.mark.parametrize("n", [*range(1, 13), 31, 64])
+    def test_unit_square(self, n):
+        m = generate_unit_square(n)
+        vertices, triangles = lattice_unique_rows(_cell_rows(0, n, 0, n), n)
+        assert np.array_equal(m.vertices, vertices)
+        assert np.array_equal(m.triangles, triangles)
+
+    @settings(max_examples=30, deadline=None)
+    @given(k=st.integers(1, 3), include=st.lists(st.booleans(), min_size=7, max_size=7))
+    def test_rect_features(self, k, include):
+        n = 8 * k
+        features = [FeatureSpec(f, POSITIVE if f >= len(self.HOLES) else NEGATIVE_BOUNDARY,
+                                rect_polygon(*(np.array(r) / 8)))
+                    for f, r in enumerate(self.HOLES + self.BUMPS)]
+        m = generate_with_rect_features(n, features, include)
+        keep = np.ones((n, n), dtype=bool)  # [j, i]
+        bumps = []
+        for f, (i0, i1, j0, j1) in enumerate(np.array(self.HOLES + self.BUMPS) * k):
+            if include[f] and f < len(self.HOLES):
+                keep[j0:j1, i0:i1] = False
+            elif include[f]:
+                bumps.append(_cell_rows(i0, i1, j0, j1))
+        cells = np.concatenate([_cell_rows(0, n, 0, n)[keep.ravel()]] + bumps)
+        vertices, triangles = lattice_unique_rows(cells, n, square_first=True)
+        assert np.array_equal(m.vertices, vertices)
+        assert np.array_equal(m.triangles, triangles)
+
+    @pytest.mark.parametrize("square_first", [False, True])
+    @pytest.mark.parametrize("block", [(-3, 5, -4, -1), (2, 7, 3, 9), (-2, 0, -2, 0), (0, 0, 0, 0)])
+    def test_blocks_off_the_square(self, block, square_first):
+        m = _lattice_mesh(_cell_rows(*block), 4, square_first)
+        vertices, triangles = lattice_unique_rows(_cell_rows(*block), 4, square_first)
         assert np.array_equal(m.vertices, vertices)
         assert np.array_equal(m.triangles, triangles)
