@@ -8,6 +8,7 @@ the sweep parameter ``eps``.
 
 from __future__ import annotations
 
+import functools
 import importlib.resources
 import json
 import math
@@ -112,17 +113,23 @@ def _shape_polygon(shape, params):
     raise ConfigError(f"unknown shape type {kind!r}")
 
 
-def validate_config(doc: dict):
+@functools.cache
+def _schema_validator():
+    """The shipped schema's validator, built once (not checked again per call)."""
     import jsonschema
 
     with importlib.resources.files("eqflux").joinpath(
         "schema/runconfig.schema.json"
     ).open() as f:
         schema = json.load(f)
-    try:
-        jsonschema.validate(doc, schema)
-    except jsonschema.ValidationError as exc:
-        raise ConfigError(f"config does not match the schema: {exc.message}") from exc
+    return jsonschema.validators.validator_for(schema)(schema)
+
+
+def validate_config(doc: dict):
+    from jsonschema.exceptions import best_match
+
+    if error := best_match(_schema_validator().iter_errors(doc)):
+        raise ConfigError(f"config does not match the schema: {error.message}") from error
 
 
 def _build_feature(fdoc: dict, params: dict) -> FeatureSpec:
@@ -201,23 +208,13 @@ def specs_from_config(doc: dict) -> list[RunSpec]:
     kind = study.get("type", "none")
     if kind == "none":
         return [_build_spec(doc, base_n, base_eps, f"{prefix}-000")]
-    if kind == "h_sweep":
-        ns = study.get("n")
-        if not ns:
-            raise ConfigError("h_sweep needs a list of n values")
-        return [
-            _build_spec(doc, n, base_eps, f"{prefix}-{k:03d}")
-            for k, n in enumerate(ns)
-        ]
-    if kind == "eps_sweep":
-        epss = study.get("eps")
-        if not epss:
-            raise ConfigError("eps_sweep needs a list of eps values")
-        return [
-            _build_spec(doc, base_n, e, f"{prefix}-{k:03d}")
-            for k, e in enumerate(epss)
-        ]
-    raise ConfigError(f"unknown study type {kind!r}")
+    if kind not in ("h_sweep", "eps_sweep"):
+        raise ConfigError(f"unknown study type {kind!r}")
+    key = "n" if kind == "h_sweep" else "eps"
+    if not study.get(key):
+        raise ConfigError(f"{kind} needs a list of {key} values")
+    points = [(v, base_eps) if key == "n" else (base_n, v) for v in study[key]]
+    return [_build_spec(doc, n, eps, f"{prefix}-{k:03d}") for k, (n, eps) in enumerate(points)]
 
 
 def load_config(path) -> dict:

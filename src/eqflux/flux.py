@@ -264,17 +264,25 @@ def patch_batches(space: RTSpace, data: ProblemData, vertices=None) -> list[Patc
     rows[free] = rank - start[free_patch]
     mean = np.bincount(patch, dirichlet.sum(axis=1), minlength=P) == 0
 
+    # Patches sorted stably by layout, and their incidences and free DOFs in
+    # that order: every stack is a run of slices.
+    layout = (nf * (int(nt.max(initial=0)) + 1) + nt) * 2 + mean
+    order = np.argsort(layout, kind="stable")
+    nt, nf, vertices, mean = nt[order], nf[order], vertices[order], mean[order]
+    i0, f0 = np.cumsum(nt) - nt, np.cumsum(nf) - nf
+    inc = np.arange(len(patch)) + np.repeat(first[order] - i0, nt)
+    dofs = uniq[np.arange(len(uniq)) + np.repeat(start[order] - f0, nf)] % D
+    tris, loc, rows, prescribed = tris[inc], loc[inc], rows[inc], prescribed[inc]
     batches = []
-    span = int(nt.max(initial=0)) + 1
-    layouts, layout = np.unique((nf * span + nt) * 2 + mean, return_inverse=True)
-    for k, (f, t, m) in enumerate(zip(*divmod(layouts // 2, span), layouts % 2)):
-        members = np.flatnonzero(layout == k)
-        per = max(1, _STACK_ENTRIES // int(f + 3 * t) ** 2)
-        for q in np.split(members, range(per, len(members), per)):
-            inc = (first[q, None] + np.arange(t)).ravel()  # the incidences of q in order
+    starts = np.flatnonzero(np.diff(layout[order], prepend=-1))
+    for a, b in zip(starts, np.append(starts[1:], P)):
+        f, t = int(nf[a]), int(nt[a])
+        per = max(1, _STACK_ENTRIES // (f + 3 * t) ** 2)
+        for s, n in ((s, min(per, b - s)) for s in range(a, b, per)):
+            i = slice(i0[s], i0[s] + n * t)
             batches.append(PatchBatch(
-                vertices[q], bool(m), int(f), uniq[start[q, None] + np.arange(f)] % D,
-                np.repeat(np.arange(len(q)), t), tris[inc], loc[inc], rows[inc], prescribed[inc]))
+                vertices[s:s + n], bool(mean[a]), f, dofs[f0[s]:f0[s] + n * f].reshape(n, f),
+                np.repeat(np.arange(n), t), tris[i], loc[i], rows[i], prescribed[i]))
     return batches
 
 
@@ -331,9 +339,30 @@ def _compatibility_residual(space, batch, g, u_h, data):
     return np.abs(g.sum(axis=1)), scale + np.bincount(batch.patch, bnd, minlength=P)
 
 
+def _solve_stack(M, B, f, g, c):
+    """:func:`linalg.saddle_solve` of a stack, once per distinct system if its R distinct
+    systems give ``R (nf + 3t) ≤ P``: M's diagonal buckets them, each bucket equals its first
+    system in M, B and c entry for entry, and that system's operator maps every member."""
+    (P, nf), k = f.shape, f.shape[1] + g.shape[1]
+    probe = (np.diagonal(M, axis1=1, axis2=2) * np.cos(np.arange(nf))).sum(axis=1)
+    _, rep, inv = np.unique(probe, return_index=True, return_inverse=True)
+    blocks = [a for a in (M, B, c) if a is not None]
+    if len(rep) * k > P or not all(np.array_equal(a, a[rep][inv]) for a in blocks):
+        return linalg.saddle_solve(M, B, f, g, c)
+    unit = np.tile(np.eye(k), (len(rep), 1))
+    M, B, *c = (np.repeat(a[rep], k, axis=0) for a in blocks)
+    try:
+        Z = linalg.saddle_solve(M, B, unit[:, :nf], unit[:, nf:], *c).reshape(-1, k, nf)
+    except linalg.SingularSystemError as exc:
+        exc.index = int(rep[exc.index // k])  # the stack position of the system
+        raise
+    x = np.concatenate([f, g], axis=1) @ Z.transpose(1, 0, 2).reshape(k, -1)  # every operator
+    return x.reshape(P, -1, nf)[np.arange(P), inv]
+
+
 def patch_flux(space: RTSpace, batch: PatchBatch, u_h: ScalarField, data: ProblemData):
-    """Solve a batch of patch problems by static condensation; returns (global
-    DOF ids, DOF values) to be added into the global coefficients."""
+    """Solve a batch of patch problems by static condensation (:func:`_solve_stack`);
+    returns (global DOF ids, DOF values) to be added into the global coefficients."""
     blocks = assemble_patch_system(space, batch, u_h, data)
     resid, scale = _compatibility_residual(space, batch, blocks[3], u_h, data)
     bad = resid > 1e-9 * scale + 1e-13
@@ -345,7 +374,7 @@ def patch_flux(space: RTSpace, batch: PatchBatch, u_h: ScalarField, data: Proble
             "solution for the supplied data"
         )
     try:
-        sol = linalg.saddle_solve(*blocks)
+        sol = _solve_stack(*blocks)
     except linalg.SingularSystemError as exc:
         raise EquilibrationError(
             f"singular patch system at vertex {batch.vertices[exc.index]}: {exc}"

@@ -530,6 +530,8 @@ def generate_with_rect_features(
         else:
             keep[j0:j1, i0:i1] = False
     cells = np.concatenate([_cell_block(0, n, 0, n)[keep.ravel()]] + bumps)
+    if not len(cells):
+        raise MeshError(f"features {[f.id for f, *_ in rects]} remove every cell at n = {n}")
     # Vertices of the square's lattice first, so that the un-featured mesh is
     # bit-identical to generate_unit_square, then bump vertices row-major.
     mesh = _lattice_mesh(cells, n, square_first=True)
@@ -604,6 +606,8 @@ def read_mesh(path) -> Mesh:
             raise MeshError(f"mesh file missing '{key}'")
     try:
         mesh = Mesh(np.asarray(doc["vertices"], float), np.asarray(doc["triangles"]))
+    except MeshError:
+        raise
     except (ValueError, TypeError) as exc:
         raise MeshError(f"invalid mesh arrays: {exc}") from exc
     for row in doc["boundary_edges"]:

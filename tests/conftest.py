@@ -333,6 +333,28 @@ def reconstruct_flux_loop(u_h, data, space):
     return coef
 
 
+def patch_stacks_loop(space, data, stack_entries):
+    """The patch stacks of all vertices, laid out one layout at a time: layouts
+    ascending by (free rows, triangles, mean-value constraint), each layout's
+    patches in vertex order, in runs of at most ``stack_entries // (nf + 3t)²``
+    patches.  Every patch's arrays are those of its own one-patch batch; each
+    stack is a dict of PatchBatch fields."""
+    from eqflux.flux import patch_batches
+
+    one = [patch_batches(space, data, [v])[0] for v in range(space.mesh.n_vertices)]
+    stacks = []
+    for nf, t, mean in sorted({(b.nf, len(b.tris), b.mean) for b in one}):
+        members = [b for b in one if (b.nf, len(b.tris), b.mean) == (nf, t, mean)]
+        per = max(1, stack_entries // (nf + 3 * t) ** 2)
+        for s in range(0, len(members), per):
+            q = members[s:s + per]
+            stack = {key: np.concatenate([getattr(b, key) for b in q])
+                     for key in ("vertices", "dofs", "tris", "loc", "rows", "prescribed")}
+            stack.update(mean=mean, nf=nf, patch=np.repeat(np.arange(len(q)), t))
+            stacks.append(stack)
+    return stacks
+
+
 def unstructured_mesh(n, rng, dirichlet_predicate):
     """Unit-square mesh from the n x n lattice with a random diagonal in each
     cell and interior vertices moved by up to 0.2 h in each coordinate;

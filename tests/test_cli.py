@@ -41,6 +41,37 @@ def small_notch_config(reference=None):
 
 
 class TestConfig:
+    def test_shipped_schema_is_valid(self):
+        import jsonschema
+
+        schema = cfg._schema_validator().schema
+        jsonschema.validators.validator_for(schema).check_schema(schema)
+        assert cfg._schema_validator() is cfg._schema_validator()
+
+    @pytest.mark.parametrize("doc", [
+        {}, {"mesh": {"builtin": 0}}, {"mesh": {"builtin": 4}, "bogus": 1},
+        {"mesh": {"builtin": 4}, "study": {"type": "x"}},
+        {"mesh": {"builtin": 4}, "features": [{"id": 1}]},
+        {"mesh": {"builtin": 4}, "reference": {"field": "f.csv"}}])
+    def test_schema_errors_match_jsonschema_validate(self, doc):
+        import jsonschema
+
+        with pytest.raises(jsonschema.ValidationError) as want:
+            jsonschema.validate(doc, cfg._schema_validator().schema)
+        with pytest.raises(cfg.ConfigError) as got:
+            cfg.validate_config(doc)
+        assert str(got.value) == f"config does not match the schema: {want.value.message}"
+
+    @pytest.mark.parametrize("study, message", [
+        ({"type": "h_sweep"}, "h_sweep needs a list of n values"),
+        ({"type": "eps_sweep", "eps": []}, "eps_sweep needs a list of eps values")])
+    def test_empty_sweep_rejected(self, monkeypatch, study, message):
+        doc = small_notch_config()
+        doc["study"] = study
+        monkeypatch.setattr(cfg, "validate_config", lambda doc: None)
+        with pytest.raises(cfg.ConfigError, match=message):
+            cfg.specs_from_config(doc)
+
     def test_schema_validation_rejects_bad_doc(self):
         with pytest.raises(cfg.ConfigError):
             cfg.validate_config({"mesh": {"builtin": 0}})
@@ -243,6 +274,22 @@ class TestCliCommands:
         assert main(["estimate", "--config", str(cfg_path), "--out", str(tmp_path)]) == 1
         err = capsys.readouterr().err
         assert f"error: boundary edge {e} is marked for unknown feature 7" in err
+
+    def test_mesh_error_reported_unchanged(self, tmp_path, capsys):
+        # A topology error of an external mesh reaches the user as raised.
+        mesh = run.build_computational_mesh(cfg.specs_from_config(small_notch_config())[0])
+        write_mesh(mesh, tmp_path / "m.json")
+        mdoc = json.loads((tmp_path / "m.json").read_text())
+        mdoc["vertices"].append([0.31, 0.77])
+        (tmp_path / "m.json").write_text(json.dumps(mdoc))
+        doc = small_notch_config()
+        doc["mesh"] = {"external": str(tmp_path / "m.json")}
+        cfg_path = tmp_path / "c.json"
+        cfg_path.write_text(json.dumps(doc))
+        assert main(["estimate", "--config", str(cfg_path), "--out", str(tmp_path)]) == 1
+        err = capsys.readouterr().err
+        assert f"error: vertex {mesh.n_vertices} belongs to no triangle\n" in err
+        assert "invalid mesh arrays" not in err
 
     def test_bad_config_reports_error(self, tmp_path, capsys):
         cfg_path = tmp_path / "c.json"

@@ -11,6 +11,7 @@ from conftest import (
     compatibility_residual_loop,
     interior_jump_loop,
     neumann_trace_defect_loop,
+    patch_stacks_loop,
     reconstruct_flux_loop,
     unstructured_mesh,
     vertex_patches_loop,
@@ -19,6 +20,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from eqflux import flux as flux_module
+from eqflux import linalg as linalg_module
 from eqflux import mesh as mesh_module
 from eqflux.fem import ScalarField, project_data, solve_poisson
 from eqflux.flux import (
@@ -26,6 +28,7 @@ from eqflux.flux import (
     OrthogonalityError,
     FluxField,
     _compatibility_residual,
+    _solve_stack,
     assemble_patch_system,
     build_rt_space,
     flux_divergence_defect,
@@ -425,6 +428,129 @@ class TestCondensedSolve:
         assert max(layouts.count(key) for key in layouts) > 1
         split = reconstruct_flux(u, data, sp).coefficients
         assert np.abs(split - whole).max() <= 1e-12 * np.abs(whole).max()
+
+
+class TestStackLayout:
+    @pytest.mark.parametrize("mesh, entries, split", [
+        ("lattice", 4 * 42**2, True), ("lattice", flux_module._STACK_ENTRIES, False),
+        ("unstructured", 3 * 30**2, True), ("unstructured", flux_module._STACK_ENTRIES, False)])
+    def test_stacks_match_layout_loop(self, monkeypatch, mesh, entries, split):
+        # Batches, their order and the flux are bitwise those of the stacks
+        # laid out one layout at a time.
+        rng = np.random.default_rng(5)
+        factory = ((lambda d: generate_unit_square(8, d)) if mesh == "lattice"
+                   else (lambda d: unstructured_mesh(7, rng, d)))
+        m, data, u = _mixed_problem(factory, 1, rng)
+        sp = build_rt_space(m)
+        monkeypatch.setattr(flux_module, "_STACK_ENTRIES", entries)
+        batches = patch_batches(sp, data)
+        stacks = patch_stacks_loop(sp, data, entries)
+        assert len(batches) == len(stacks)
+        layouts = {(s["nf"], len(s["patch"]) // len(s["vertices"]), s["mean"]) for s in stacks}
+        assert (len(stacks) > len(layouts)) == split
+        coef = np.zeros(sp.total_dofs)
+        for batch, stack in zip(batches, stacks):
+            for key, want in stack.items():
+                got = getattr(batch, key)
+                if isinstance(want, np.ndarray):
+                    assert (got.dtype, got.shape) == (want.dtype, want.shape), key
+                else:
+                    assert type(got) is type(want), key
+                assert np.array_equal(got, want), key
+            np.add.at(coef, *patch_flux(sp, flux_module.PatchBatch(**stack), u, data))
+        assert np.array_equal(reconstruct_flux(u, data, sp).coefficients, coef)
+
+
+class TestGroupedSolve:
+    """Stacks of repeated patch systems solved once per distinct system,
+    against the direct condensation of every system."""
+
+    @staticmethod
+    def _spy(monkeypatch):
+        """Record the stack size of every ``saddle_solve`` call."""
+        sizes, solve = [], linalg_module.saddle_solve
+
+        def spy(M, *args):
+            sizes.append(len(M))
+            return solve(M, *args)
+
+        monkeypatch.setattr(linalg_module, "saddle_solve", spy)
+        return sizes
+
+    @staticmethod
+    def _lattice_stacks(n, case=1):
+        rng = np.random.default_rng(7)
+        m, data, u = _mixed_problem(lambda d: generate_unit_square(n, d), case, rng)
+        sp = build_rt_space(m)
+        return [(b, assemble_patch_system(sp, b, u, data)) for b in patch_batches(sp, data)]
+
+    def test_lattice_stacks_match_saddle_solve(self, monkeypatch):
+        stacks = self._lattice_stacks(64)
+        one_system = 0
+        for batch, blocks in stacks:
+            ref = saddle_solve(*blocks)
+            sizes = self._spy(monkeypatch)
+            x = _solve_stack(*blocks)
+            monkeypatch.undo()
+            P, k = len(batch.vertices), blocks[2].shape[1] + blocks[3].shape[1]
+            assert len(sizes) == 1 and (sizes[0] == P or (sizes[0] % k == 0 and sizes[0] <= P))
+            one_system += sizes[0] == k < P
+            assert x.shape == ref.shape
+            assert np.abs(x - ref).max() <= 1e-12 * np.abs(ref).max()
+        # each of the 14 stacks of the 3969 interior patches holds one system
+        assert one_system >= 14
+
+    @pytest.mark.parametrize("entry, grouped", [
+        ("M diagonal", True), ("M off-diagonal", False), ("B", False), ("c", False)])
+    def test_perturbed_system_is_not_shared(self, monkeypatch, entry, grouped):
+        batch, (M, B, f, g, c) = max(self._lattice_stacks(32), key=lambda s: len(s[0].vertices))
+        P, k = len(batch.vertices), f.shape[1] + g.shape[1]
+        M, B, c = M.copy(), B.copy(), c.copy()
+        p = P // 2
+        if entry == "M diagonal":
+            M[p, 3, 3] *= 1.0 + 1e-9
+        elif entry == "M off-diagonal":
+            M[p, 3, 4] = M[p, 4, 3] = M[p, 3, 4] * (1.0 + 1e-9) + 1e-12
+        elif entry == "B":
+            B[p, 0, np.flatnonzero(B[p, 0])[0]] *= 1.0 + 1e-9
+        else:
+            c[p, :3] *= 1.0 + 1e-9
+        ref = saddle_solve(M, B, f, g, c)
+        sizes = self._spy(monkeypatch)
+        x = _solve_stack(M, B, f, g, c)
+        # a perturbed diagonal is a second group; any other mismatch falls back
+        assert sizes == ([2 * k] if grouped else [P])
+        assert np.abs(x - ref).max() <= 1e-12 * np.abs(ref).max()
+
+    def test_unstructured_mesh_falls_back(self, monkeypatch):
+        rng = np.random.default_rng(2)
+        m, data, u = _mixed_problem(lambda d: unstructured_mesh(16, rng, d), 1, rng)
+        sp = build_rt_space(m)
+        sizes = self._spy(monkeypatch)
+        reconstruct_flux(u, data, sp)
+        assert sizes == [len(b.vertices) for b in patch_batches(sp, data)]
+
+    @pytest.mark.parametrize("n", [16, 32])
+    def test_singular_grouped_system_names_vertex(self, monkeypatch, n):
+        # test_singular_patch_system_names_vertex on a lattice whose stacks group
+        m, data, u = TestPatchFlux()._linear_setup(n)
+        sp = build_rt_space(m)
+        centroids = m.vertices[m.triangles].mean(axis=1)
+        t = int(np.argmin(((centroids - 0.5) ** 2).sum(axis=1)))
+        mass, div = sp.mass.copy(), sp.divmom.copy()
+        mass[t] = 0.0
+        div[t] = 0.0
+        broken = dataclasses.replace(sp, mass=mass, divmom=div)
+        sizes = self._spy(monkeypatch)
+        with pytest.raises(EquilibrationError, match="singular patch system at vertex") as exc:
+            reconstruct_flux(u, data, broken)
+        vertex = int(str(exc.value).split("vertex ")[1].split(":")[0])
+        assert vertex in m.triangles[t]
+        # The failing stack solve (the last on more than one system; it then
+        # solves one system at a time) built the operators of a grouped stack.
+        (stack,) = [b for b in patch_batches(sp, data) if vertex in b.vertices]
+        failing = [size for size in sizes if size > 1][-1]
+        assert failing % 42 == 0 and failing < len(stack.vertices)
 
 
 class TestReconstructFlux:

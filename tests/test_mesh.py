@@ -389,11 +389,17 @@ class TestMeshIO:
         doc = json.loads(path.read_text())
         doc["vertices"].append([0.31, 0.77])
         path.write_text(json.dumps(doc))
-        with pytest.raises(MeshError, match=f"vertex {m.n_vertices} belongs to no triangle"):
+        # raised as Mesh raises it, with no "invalid mesh arrays" prefix
+        with pytest.raises(MeshError, match=f"^vertex {m.n_vertices} belongs to no triangle$"):
             read_mesh(path)
         corners = [[0, 0], [1, 0], [5, 5], [0, 1], [7, 7]]
         with pytest.raises(MeshError, match="vertex 2 belongs"):
             Mesh(np.array(corners, dtype=float), np.array([[0, 1, 3]]))
+
+    def test_features_removing_every_cell_rejected(self):
+        hole = FeatureSpec(3, NEGATIVE_BOUNDARY, rect_polygon(0.0, 1.0, 0.0, 1.0))
+        with pytest.raises(MeshError, match=r"features \[3\] remove every cell at n = 4"):
+            generate_with_rect_features(4, [hole], [True])
 
     def test_malformed_file(self, tmp_path):
         path = tmp_path / "broken.json"
