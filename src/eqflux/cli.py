@@ -63,11 +63,13 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _formats(args):
-    return {f.strip() for f in args.format.split(",") if f.strip()}
+    formats = {f.strip() for f in args.format.split(",") if f.strip()}
+    if bad := sorted(formats - {"csv", "json", "vtk"}):
+        raise ValueError(f"unknown --format {', '.join(bad)}; choose from csv, json, vtk")
+    return formats
 
 
-def _emit(results, doc, args):
-    formats = _formats(args)
+def _emit(results, doc, args, formats):
     os.makedirs(args.out, exist_ok=True)
     prefix = doc.get("run_id", "run")
     feature_ids = [int(f["id"]) for f in doc.get("features", [])]
@@ -91,9 +93,10 @@ def _emit(results, doc, args):
 
 
 def _run_config(doc, args):
+    formats = _formats(args)
     specs = cfg.specs_from_config(doc)
     results = run.run_sweep(specs)
-    _emit(results, doc, args)
+    _emit(results, doc, args, formats)
     return results
 
 
@@ -115,10 +118,10 @@ def main(argv=None) -> int:
             return 0
 
         if args.command == "solve":
+            formats = _formats(args)
             doc = cfg.load_config(args.config)
             specs = cfg.specs_from_config(doc)
             os.makedirs(args.out, exist_ok=True)
-            formats = _formats(args)
             for spec in specs:
                 mesh = run.build_computational_mesh(spec)
                 data = fem.project_data(spec.domain, mesh, include=spec.include)

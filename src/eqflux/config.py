@@ -156,7 +156,7 @@ def _build_feature(fdoc: dict, params: dict) -> FeatureSpec:
     )
 
 
-def _build_spec(doc: dict, n: int | None, eps: float | None, run_id: str) -> RunSpec:
+def _build_spec(doc: dict, mesh, n: int | None, eps: float | None, run_id: str) -> RunSpec:
     params = {"eps": eps} if eps is not None else {}
     features = [_build_feature(fd, params) for fd in doc.get("features", [])]
     include = [bool(fd.get("include", False)) for fd in doc.get("features", [])]
@@ -168,9 +168,7 @@ def _build_spec(doc: dict, n: int | None, eps: float | None, run_id: str) -> Run
         g_dirichlet=scalar_expression(doc.get("g_dirichlet", 0.0), "g_dirichlet", normals=False),
         g_neumann=scalar_expression(doc.get("g_neumann", 0.0), "g_neumann"),
     )
-    mesh = None
-    if "external" in doc["mesh"]:
-        mesh = read_mesh(doc["mesh"]["external"])
+    if mesh is not None:
         domain.base = mesh
     ref = None
     if doc.get("reference") is not None:
@@ -206,15 +204,19 @@ def specs_from_config(doc: dict) -> list[RunSpec]:
     prefix = doc.get("run_id", "run")
     study = doc.get("study", {"type": "none"})
     kind = study.get("type", "none")
-    if kind == "none":
-        return [_build_spec(doc, base_n, base_eps, f"{prefix}-000")]
-    if kind not in ("h_sweep", "eps_sweep"):
+    if kind not in ("none", "h_sweep", "eps_sweep"):
         raise ConfigError(f"unknown study type {kind!r}")
+    if kind == "h_sweep" and "external" in doc["mesh"]:
+        raise ConfigError("h_sweep needs a builtin mesh: an external mesh has no n to vary")
+    mesh = read_mesh(doc["mesh"]["external"]) if "external" in doc["mesh"] else None
+    if kind == "none":
+        return [_build_spec(doc, mesh, base_n, base_eps, f"{prefix}-000")]
     key = "n" if kind == "h_sweep" else "eps"
     if not study.get(key):
         raise ConfigError(f"{kind} needs a list of {key} values")
     points = [(v, base_eps) if key == "n" else (base_n, v) for v in study[key]]
-    return [_build_spec(doc, n, eps, f"{prefix}-{k:03d}") for k, (n, eps) in enumerate(points)]
+    return [_build_spec(doc, mesh, n, eps, f"{prefix}-{k:03d}")
+            for k, (n, eps) in enumerate(points)]
 
 
 def load_config(path) -> dict:

@@ -85,7 +85,7 @@ class CompositeField:
         out = np.full((len(pts), 2), np.nan)
         todo = np.arange(len(pts))
         for piece in self.pieces:
-            tris, _ = piece.mesh.locate_points(pts[todo])
+            tris = piece.mesh.locate_points(pts[todo])
             hit = tris >= 0
             out[todo[hit]] = piece.gradients()[tris[hit]]
             todo = todo[~hit]
@@ -270,7 +270,7 @@ def feature_problem_data(
     src = trace_source.mesh
     dir_vertices = np.unique(mesh.edge_vertices[np.asarray(dir_edges, dtype=np.int64)])
     pts = mesh.vertices[dir_vertices]
-    tri, _ = src.locate_points(pts)
+    tri = src.locate_points(pts)
     if (tri < 0).any():
         p = pts[np.argmax(tri < 0)]
         raise CouplingError(f"gamma0 vertex {p} outside the trace-source mesh")
@@ -322,28 +322,16 @@ def assemble_load(mesh: Mesh, data: ProblemData) -> np.ndarray:
     return b
 
 
-def solve_poisson(
-    mesh: Mesh, data: ProblemData, tol: float = 1e-12, gauge: str | None = None
-) -> ScalarField:
-    """Solve the discrete Poisson problem with symmetric Dirichlet condensation.
-
-    Pure-Neumann problems need ``gauge='mean_zero'`` and compatible data.
-    """
+def solve_poisson(mesh: Mesh, data: ProblemData, tol: float = 1e-12) -> ScalarField:
+    """Solve the discrete Poisson problem with symmetric Dirichlet condensation."""
+    if not len(data.dirichlet_vertices):
+        raise linalg.SolverError("pure Neumann problem: no Dirichlet vertex fixes the solution")
     A = assemble_stiffness(mesh)
     b = assemble_load(mesh, data)
     u = np.zeros(mesh.n_vertices)
+    u[data.dirichlet_vertices] = data.dirichlet_values
     fixed = np.zeros(mesh.n_vertices, dtype=bool)
-    if len(data.dirichlet_vertices):
-        fixed[data.dirichlet_vertices] = True
-        u[data.dirichlet_vertices] = data.dirichlet_values
-    elif gauge is None:
-        raise linalg.SolverError(
-            "pure Neumann problem: pass gauge='mean_zero' for a gauged solve"
-        )
-    elif gauge == "mean_zero":
-        fixed[0] = True
-    else:
-        raise ValueError(f"unknown gauge {gauge!r}")
+    fixed[data.dirichlet_vertices] = True
 
     free = np.where(~fixed)[0]
     rows = A[free]
@@ -355,13 +343,6 @@ def solve_poisson(
     if linalg.norm(res[free]) > 1e-10 * scale:
         raise linalg.SolverError("Galerkin residual above tolerance",
                                  residual=linalg.norm(res[free]) / scale)
-    if not len(data.dirichlet_vertices):
-        # Incompatible pure-Neumann data shows up in the pinned row.
-        if abs(res[0]) > 1e-8 * scale:
-            raise linalg.SolverError("pure Neumann data incompatible", residual=abs(res[0]) / scale)
-        w = np.zeros(mesh.n_vertices)
-        np.add.at(w, mesh.triangles.reshape(-1), np.repeat(mesh.areas / 3.0, 3))
-        u -= np.dot(w, u) / w.sum()
     return ScalarField(mesh, u)
 
 
@@ -372,7 +353,7 @@ def cross_mesh_gradients(coarse: CompositeField, fine: Mesh):
     ``coarse.gradient_at`` on ``quad_points(fine)`` bit for bit.  Centroids are
     located piece by piece, each piece trying those no earlier piece holds.  A
     fine triangle whose centroid lies in triangle ``c`` of a piece, and whose
-    vertices all lie in ``c`` by ``Mesh.contains`` (``Mesh.holds``), lies in
+    vertices all lie in ``c`` by ``Mesh.holds``, lies in
     ``c`` up to ``LOCATE_TOL``; its quadrature points are then inside ``c`` by a
     margin far above that tolerance, where no other triangle of that conforming
     mesh or earlier piece holds them, as the pieces meet only on their
@@ -384,7 +365,7 @@ def cross_mesh_gradients(coarse: CompositeField, fine: Mesh):
     grad = np.full((fine.n_triangles, 2), np.nan)
     todo, rest = np.arange(fine.n_triangles), []  # centroids no piece has held yet
     for piece in coarse.pieces:
-        tris, _ = piece.mesh.locate_points(centroids[todo])
+        tris = piece.mesh.locate_points(centroids[todo])
         t, c = todo[tris >= 0], tris[tris >= 0]
         held = piece.mesh.holds(c, x[:, t], y[:, t])
         grad[t[held]] = piece.gradients()[c[held]]

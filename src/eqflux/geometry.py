@@ -359,7 +359,7 @@ def clip_curve_to_mesh(polylines, mesh: Mesh, gauss_order: int = 4) -> CurveQuad
     P, d, L = P[i], d[i], L[i]
     t0, t1 = t[:-1][piece][:, None], t[1:][piece][:, None]
     mid = P + 0.5 * (t0 + t1) * d
-    tris, _ = mesh.locate_points(mid)
+    tris = mesh.locate_points(mid)
     if (tris < 0).any():
         raise GeometryError(f"curve point {mid[np.argmax(tris < 0)]} lies outside the mesh")
     a, b = P + t0 * d, P + t1 * d

@@ -41,8 +41,8 @@ class EdgeMarker:
 DIRICHLET = EdgeMarker("dirichlet")
 NEUMANN_OUTER = EdgeMarker("neumann")
 
-# Array steps bounding temporaries: points of locate_points, triangles of holds (in cache).
-_LOCATE_BLOCK, _HOLD_BLOCK = 2**15, 2**13
+# Triangles of holds per array step, bounding its temporaries (in cache).
+_HOLD_BLOCK = 2**13
 # A point lies in a triangle when all its barycentrics are >= -LOCATE_TOL.
 LOCATE_TOL = 1e-12
 
@@ -275,17 +275,10 @@ class Mesh:
             self._grid = (lo, cell, ncell, m, offsets, tris[np.argsort(cells, kind="stable")])
         return self._grid
 
-    def contains(self, tris, points):
-        """Containment test of ``points[...]`` in triangles ``tris[...]``
-        (broadcast against ``points.shape[:-1]``): returns ``(inside, bary)``,
-        the barycentrics ``bary[..., 3]`` and ``inside = all(bary >= -LOCATE_TOL)``."""
-        lam = self.lam_coeffs[tris]
-        bary = lam[..., 0] + lam[..., 1] * points[..., 0, None] + lam[..., 2] * points[..., 1, None]
-        return np.minimum(np.minimum(bary[..., 0], bary[..., 1]), bary[..., 2]) >= -LOCATE_TOL, bary
-
     def holds(self, tris, x, y):
         """Whether triangle ``tris[i]`` holds all the points ``(x[k, i], y[k, i])``
-        by :meth:`contains`, bit for bit, on coordinate rows ``x, y`` of shape (K, n)."""
+        on coordinate rows ``x, y`` of shape (K, n): every barycentric of every
+        point is >= -LOCATE_TOL.  This is the one containment rule."""
         lam = self.lam_coeffs.reshape(-1, 9).T[:, tris]  # constant, x, y rows of lam_0, 1, 2
         held = np.ones(len(tris), dtype=bool)
         for s in range(0, len(tris), _HOLD_BLOCK):
@@ -296,52 +289,40 @@ class Mesh:
         return held
 
     def locate_points(self, points):
-        """Vectorized point location.
-
-        Returns ``(tris, bary)``: ``tris[k]`` is the lowest-index triangle
-        holding ``points[k]`` by :meth:`contains` (−1 if none) and ``bary[k]``
-        its barycentrics there.  That triangle lies within about 1e-12 of the
-        span of the point, far inside the grid margin ``m``, so a cell met by the
-        point's box of ±``m`` (one, or up to four near a cell line) lists it.
+        """Vectorized point location: ``tris[k]`` is the lowest-index triangle
+        holding ``points[k]`` by :meth:`holds` (−1 if none).  That triangle lies
+        within about 1e-12 of the span of the point, far inside the grid margin
+        ``m``, so a cell met by the point's box of ±``m`` (one, or up to four
+        near a cell line) lists it.
         """
         pts = np.atleast_2d(np.asarray(points, dtype=float))
         n, T = len(pts), self.n_triangles
-        tris = np.full(n, -1, dtype=np.int64)
-        bary = np.zeros((n, 3))
         if n == 0 or T == 0:
-            return tris, bary
+            return np.full(n, -1, dtype=np.int64)
         lo, cell, ncell, m, offsets, cell_tris = self._bucket_grid()
 
-        def first_hit(key, x, hb):
-            # First triangle of cell key[i] holding x[i] (T if none); hb[i] gets
-            # the barycentrics in the last one tested.
+        def first_hit(key, p):
+            # First triangle of cell key[i] holding p[i] (T if none).
             start, size = offsets[key], offsets[key + 1] - offsets[key]
             hit, todo, k = np.full(len(key), T), np.flatnonzero(size > 0), 0
             while len(todo):
                 c = cell_tris[start[todo] + k]
-                inside, hb[todo] = self.contains(c, x[todo])
+                inside = self.holds(c, p[None, todo, 0], p[None, todo, 1])
                 hit[todo[inside]] = c[inside]
                 k += 1
                 todo = todo[~inside & (size[todo] > k)]
             return hit
 
-        for s in range(0, n, _LOCATE_BLOCK):
-            p, hb = pts[s:s + _LOCATE_BLOCK], bary[s:s + _LOCATE_BLOCK]
-            # Low and high cells of the box p ± m per axis, on 1-D columns: (N, 2)
-            # arithmetic against a (2,) row runs several times slower.
-            ix, iy = ([np.clip(((p[:, j] - lo[j] + e) / cell[j]).astype(int), 0, ncell - 1)
-                       for e in (-m[j], m[j])] for j in (0, 1))
-            key = ix[0] * ncell + iy[0]
-            hit = first_hit(key, p, hb)
-            nx, ny = ix[1] > ix[0], iy[1] > iy[0]  # also query the next cell in x, y, both
-            for i, d in zip(map(np.flatnonzero, (nx, ny, nx & ny)), (ncell, 1, ncell + 1)):
-                hbi = np.empty((len(i), 3))
-                h = first_hit(key[i] + d, p[i], hbi)
-                lower = h < hit[i]
-                hit[i[lower]], hb[i[lower]] = h[lower], hbi[lower]
-            tris[s:s + len(p)] = np.where(hit < T, hit, -1)
-            hb[hit == T] = 0.0
-        return tris, bary
+        # Low and high cells of the box pts ± m per axis, on 1-D columns: (N, 2)
+        # arithmetic against a (2,) row runs several times slower.
+        ix, iy = ([np.clip(((pts[:, j] - lo[j] + e) / cell[j]).astype(int), 0, ncell - 1)
+                   for e in (-m[j], m[j])] for j in (0, 1))
+        key = ix[0] * ncell + iy[0]
+        hit = first_hit(key, pts)
+        nx, ny = ix[1] > ix[0], iy[1] > iy[0]  # also query the next cell in x, y, both
+        for i, d in zip(map(np.flatnonzero, (nx, ny, nx & ny)), (ncell, 1, ncell + 1)):
+            hit[i] = np.minimum(hit[i], first_hit(key[i] + d, pts[i]))
+        return np.where(hit < T, hit, -1)
 
 
 def patch_edge_split(mesh: Mesh, tris, owner):

@@ -9,8 +9,8 @@ patch equilibration, the dict-and-loop mesh topology, point location,
 per-point cross-mesh gradient, curve clipping and lattice builders and the
 scalar on-segment rule after them are reference implementations for tests
 only.  The einsum forms of the quadrature points, the stiffness matrix and the
-forcing projection are the forms the library's column arithmetic must equal
-bit for bit.
+forcing projection, and the broadcast barycentric containment test, are the
+forms the library's column arithmetic must equal bit for bit.
 """
 
 import numpy as np
@@ -424,7 +424,7 @@ def bucket_grid_loop(mesh):
 
 def _locate_loop(mesh, grid, p, tol):
     """Lowest-index triangle of the point's cell holding it, else of the
-    3 x 3 cells around it: ``(triangle, bary)`` or ``(-1, zeros)``."""
+    3 x 3 cells around it (-1 if none)."""
     lo, cell, ncell, buckets = grid
     ix, iy = np.clip(((p - lo) / cell).astype(int), 0, ncell - 1)
     near = sorted({t for jx in (ix - 1, ix, ix + 1) for jy in (iy - 1, iy, iy + 1)
@@ -434,16 +434,26 @@ def _locate_loop(mesh, grid, p, tol):
         for t in cand:
             lv = lam[t, :, 0] + lam[t, :, 1] * p[0] + lam[t, :, 2] * p[1]
             if (lv >= -tol).all():
-                return t, lv
-    return -1, np.zeros(3)
+                return t
+    return -1
 
 
 def locate_points_loop(mesh, points, tol=1e-12):
     """Point-by-point location through the dict bucket grid."""
     grid = bucket_grid_loop(mesh)
-    hits = [_locate_loop(mesh, grid, p, tol) for p in np.atleast_2d(points)]
-    return (np.array([t for t, _ in hits], dtype=np.int64).reshape(-1),
-            np.array([b for _, b in hits]).reshape(-1, 3))
+    return np.array([_locate_loop(mesh, grid, p, tol) for p in np.atleast_2d(points)],
+                    dtype=np.int64).reshape(-1)
+
+
+def contains(mesh, tris, points):
+    """Containment of ``points[...]`` in triangles ``tris[...]``, broadcast against
+    ``points.shape[:-1]``: all barycentrics >= -LOCATE_TOL, each computed as
+    ``lam_0 + lam_x * x + lam_y * y`` like ``Mesh.holds``."""
+    from eqflux.mesh import LOCATE_TOL
+
+    lam = mesh.lam_coeffs[tris]
+    bary = lam[..., 0] + lam[..., 1] * points[..., 0, None] + lam[..., 2] * points[..., 1, None]
+    return np.minimum(np.minimum(bary[..., 0], bary[..., 1]), bary[..., 2]) >= -LOCATE_TOL
 
 
 def quad_points_einsum(mesh):
@@ -505,7 +515,7 @@ def cross_mesh_gradients_loop(pieces, fine):
     out = np.full((len(pts), 2), np.nan)
     for piece in pieces:
         todo = np.flatnonzero(np.isnan(out[:, 0]))
-        tris, _ = locate_points_loop(piece.mesh, pts[todo])
+        tris = locate_points_loop(piece.mesh, pts[todo])
         out[todo[tris >= 0]] = piece.gradients()[tris[tris >= 0]]
     return out.reshape(fine.n_triangles, len(TRI_QP), 2)
 
@@ -551,7 +561,7 @@ def clip_curve_loop(polylines, mesh, gauss_order=4, tol=1e-12):
                 if t - merged[-1] > tol:
                     merged.append(t)
             for t0, t1 in zip(merged[:-1], merged[1:]):
-                tri, _ = _locate_loop(mesh, grid, P + 0.5 * (t0 + t1) * d, 1e-12)
+                tri = _locate_loop(mesh, grid, P + 0.5 * (t0 + t1) * d, 1e-12)
                 if tri < 0:
                     raise GeometryError("curve leaves the mesh")
                 a, b = P + t0 * d, P + t1 * d

@@ -138,6 +138,26 @@ class TestConfig:
         assert [s.n for s in specs] == [5, 10]
         assert [s.run_id for s in specs] == ["t-000", "t-001"]
 
+    def test_h_sweep_on_external_mesh_rejected(self, tmp_path):
+        write_mesh(generate_unit_square(4), tmp_path / "m.json")
+        doc = small_notch_config()
+        doc["mesh"] = {"external": str(tmp_path / "m.json")}
+        doc["study"] = {"type": "h_sweep", "n": [5, 10, 15]}
+        with pytest.raises(cfg.ConfigError, match="^h_sweep needs a builtin mesh"):
+            cfg.specs_from_config(doc)
+
+    def test_external_mesh_read_once_per_config(self, tmp_path, monkeypatch):
+        write_mesh(generate_unit_square(10, cfg.predicate_expression("x == 0 or x == 1")),
+                   tmp_path / "m.json")
+        doc = small_notch_config()
+        doc["mesh"] = {"external": str(tmp_path / "m.json")}
+        doc["study"] = {"type": "eps_sweep", "eps": [0.2, 0.4]}
+        calls = []
+        monkeypatch.setattr(cfg, "read_mesh", lambda path: calls.append(path) or read_mesh(path))
+        specs = cfg.specs_from_config(doc)
+        assert calls == [str(tmp_path / "m.json")]
+        assert specs[0].mesh is specs[1].mesh is specs[0].domain.base is specs[1].domain.base
+
     def test_eps_sweep_expansion(self):
         doc = small_notch_config()
         doc["study"] = {"type": "eps_sweep", "eps": [0.2, 0.4]}
@@ -240,6 +260,17 @@ class TestCliCommands:
         lines = (outdir / "t.csv").read_text().strip().split("\n")
         assert len(lines) == 3
         assert lines[1].split(",")[0] == "t-000"
+
+    @pytest.mark.parametrize("command", ["sweep", "solve"])
+    def test_unknown_format_rejected(self, tmp_path, capsys, command):
+        cfg_path = tmp_path / "c.json"
+        cfg_path.write_text(json.dumps(small_notch_config()))
+        outdir = tmp_path / "out"
+        assert main([command, "--config", str(cfg_path), "--out", str(outdir),
+                     "--format", "csv,jsn"]) == 1
+        err = capsys.readouterr().err
+        assert f"eqflux {command}: error: unknown --format jsn; choose from csv, json, vtk" in err
+        assert not outdir.exists()
 
     def test_solve_outputs(self, tmp_path):
         cfg_path = tmp_path / "c.json"

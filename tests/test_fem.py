@@ -289,17 +289,8 @@ class TestSolvePoisson:
         m = generate_unit_square(3, lambda x, y: False)
         dom = DomainSpec(f=0.0, g_neumann=0.0, dirichlet=lambda x, y: False)
         data = project_data(dom, m)
-        with pytest.raises(SolverError):
+        with pytest.raises(SolverError, match="^pure Neumann problem: no Dirichlet vertex"):
             solve_poisson(m, data)
-        u = solve_poisson(m, data, gauge="mean_zero")
-        assert np.abs(u.nodal_values).max() < 1e-12
-
-    def test_pure_neumann_incompatible_data(self):
-        m = generate_unit_square(3, lambda x, y: False)
-        dom = DomainSpec(f=1.0, g_neumann=0.0, dirichlet=lambda x, y: False)
-        data = project_data(dom, m)
-        with pytest.raises(SolverError):
-            solve_poisson(m, data, gauge="mean_zero")
 
 
 class TestFeatureProblem:

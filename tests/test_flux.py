@@ -86,7 +86,7 @@ class TestRTSpace:
         fl = FluxField(sp, coef)
         rng = np.random.default_rng(0)
         pts = rng.uniform(0.05, 0.95, size=(20, 2))
-        tris, _ = m.locate_points(pts)
+        tris = m.locate_points(pts)
         vals = fl.eval_at(pts, tris)
         assert np.abs(vals - np.array([1.0, 0.0])).max() < 1e-12
         # interior moments are (area, 0) per triangle

@@ -9,6 +9,7 @@ from conftest import (
     block_lattice_loop,
     build_edges_loop,
     clip_curve_loop,
+    contains,
     lattice_loop,
     lattice_unique_rows,
     locate_points_loop,
@@ -160,19 +161,20 @@ class TestVertexPatches:
 class TestLocatePoint:
     def test_on_diagonal_tie_breaks_low_index(self):
         m = generate_unit_square(1)
-        tris, bary = m.locate_points([(0.25, 0.25)])
+        tris = m.locate_points([(0.25, 0.25)])
         # (0.25, 0.25) lies on the shared diagonal; lowest triangle index wins
         assert tris[0] == 0
-        assert bary[0] == pytest.approx([0.75, 0.0, 0.25], abs=1e-12)
 
     def test_vertex_location(self):
+        # Each vertex goes to the lowest-index triangle around it.
         m = generate_unit_square(2)
-        _, bary = m.locate_points(m.vertices[4])
-        assert bary[0].max() == pytest.approx(1.0, abs=1e-12)
+        offsets, around = m.vertex_to_triangles()
+        assert m.locate_points(m.vertices[4])[0] == around[offsets[4]]
+        assert np.array_equal(m.locate_points(m.vertices), around[offsets[:-1]])
 
     def test_outside(self):
         m = generate_unit_square(2)
-        tris, _ = m.locate_points([(2.0, 2.0)])
+        tris = m.locate_points([(2.0, 2.0)])
         assert tris[0] == -1
 
     def test_interior_samples_hit_their_triangle(self):
@@ -180,7 +182,7 @@ class TestLocatePoint:
         rng = np.random.default_rng(11)
         lam = np.array([rng.dirichlet((2.0, 2.0, 2.0)) for _ in range(m.n_triangles)])
         pts = np.einsum("tk,tkd->td", lam, m.vertices[m.triangles])
-        tris, _ = m.locate_points(pts)
+        tris = m.locate_points(pts)
         assert np.array_equal(tris, np.arange(m.n_triangles))
 
     @settings(max_examples=15, deadline=None)
@@ -190,7 +192,8 @@ class TestLocatePoint:
         # Rows of points of one triangle (a vertex, an edge midpoint, a vertex
         # moved by 1e-13 and an inner or random point), tested against that
         # triangle or, every third row, another one: Mesh.holds gives the
-        # booleans of Mesh.contains, NaN included, in blocks of any size.
+        # booleans of the broadcast barycentric test, NaN included, in blocks
+        # of any size.
         rng = np.random.default_rng(seed)
         m = unstructured_mesh(n, rng, None)
         own = rng.integers(0, m.n_triangles, 200)
@@ -201,21 +204,17 @@ class TestLocatePoint:
                         np.where(np.arange(200)[:, None] % 5 == 4, rng.random((200, 2)), inner)],
                        axis=1)  # (200, 4, 2)
         pts[::7, 3] = np.nan
-        want = m.contains(tris[:, None], pts)[0].all(axis=1)
+        want = contains(m, tris[:, None], pts).all(axis=1)
         with mock.patch("eqflux.mesh._HOLD_BLOCK", block):
             got = m.holds(tris, pts[..., 0].T, pts[..., 1].T)
         assert np.array_equal(got, want) and want.any() and not want.all()
 
-    def test_contains_broadcasts_triangles_over_points(self):
+    def test_holds_own_corners_only(self):
         m = generate_unit_square(2)
         v = m.vertices[m.triangles]  # (T, 3, 2): every triangle's own corners
-        inside, bary = m.contains(np.arange(m.n_triangles)[:, None], v)
-        assert inside.all() and np.allclose(bary, np.eye(3), atol=1e-12)
-        inside, _ = m.contains(np.arange(m.n_triangles)[:, None], v[::-1])
-        assert not inside.all(axis=1).any()  # another triangle's corners
-        p = np.array([(0.3, 0.1)])
-        tris, bary = m.locate_points(p)
-        assert np.array_equal(m.contains(tris, p)[1], bary)
+        t = np.arange(m.n_triangles)
+        assert m.holds(t, v[..., 0].T, v[..., 1].T).all()
+        assert not m.holds(t, v[::-1, :, 0].T, v[::-1, :, 1].T).any()  # another triangle's corners
 
     @pytest.mark.parametrize("n", [1, 3, 7, 24, 64])
     def test_lattice_grid_one_cell_per_triangle(self, n):
@@ -228,11 +227,27 @@ class TestLocatePoint:
     def test_cell_line_probes_match_loop_oracle(self, name):
         m = _location_mesh(name)
         pts = _cell_line_probes(m, np.random.default_rng(5))
-        tris, bary = m.locate_points(pts)
-        ref_tris, ref_bary = locate_points_loop(m, pts)
-        assert np.array_equal(tris, ref_tris)
-        assert np.array_equal(bary, ref_bary)
-        assert (m.locate_points(m.vertices)[0] >= 0).all() and (tris[-4:] < 0).all()
+        tris = m.locate_points(pts)
+        assert np.array_equal(tris, locate_points_loop(m, pts))
+        assert (m.locate_points(m.vertices) >= 0).all() and (tris[-4:] < 0).all()
+
+    def test_many_points_match_chunks_and_loop_oracle(self):
+        # One call on more than 2**15 points (cell-line probes among random
+        # points, some outside) equals calls on chunks of fewer points, and the
+        # point-by-point oracle on a random subset.
+        rng = np.random.default_rng(17)
+        m = unstructured_mesh(24, rng, None)
+        lo, hi = m.vertices.min(axis=0), m.vertices.max(axis=0)
+        probes = _cell_line_probes(m, rng)
+        pts = np.vstack([probes, lo - 0.05 + rng.random((40000 - len(probes), 2)) * (hi - lo + 0.1)])
+        pts = pts[rng.permutation(len(pts))]
+        assert len(pts) > 2**15
+        tris = m.locate_points(pts)
+        chunks = [m.locate_points(pts[s:s + 9973]) for s in range(0, len(pts), 9973)]
+        assert np.array_equal(tris, np.concatenate(chunks))
+        sub = rng.choice(len(pts), 500, replace=False)
+        assert np.array_equal(tris[sub], locate_points_loop(m, pts[sub]))
+        assert (tris >= 0).any() and (tris < 0).any()
 
 
 def _location_mesh(name):
@@ -474,10 +489,8 @@ class TestArrayMeshOracles:
         assert np.array_equal(mesh.triangle_edges, te)
 
         pts = _probe_points(mesh, rng)
-        tris, bary = mesh.locate_points(pts)
-        ref_tris, ref_bary = locate_points_loop(mesh, pts)
-        assert np.array_equal(tris, ref_tris)
-        assert np.array_equal(bary, ref_bary)
+        tris = mesh.locate_points(pts)
+        assert np.array_equal(tris, locate_points_loop(mesh, pts))
         assert (tris[: mesh.n_vertices] >= 0).all() and (tris < 0).any()
 
         for curve in _probe_curves(n, rng):
