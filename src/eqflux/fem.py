@@ -405,12 +405,10 @@ def field_to_csv(field: ScalarField, path):
             f.write(f"{k},{x:.17g},{y:.17g},{field.nodal_values[k]:.17g}\r\n")
 
 
-def write_vtk(path, mesh: Mesh, point_data=None, cell_vectors=None, title="eqflux"):
+def write_vtk(path, mesh: Mesh, point_data=None, cell_vectors=None):
     """Legacy ASCII VTK unstructured grid with optional point/cell data."""
     with open(path, "w") as f:
-        f.write("# vtk DataFile Version 2.0\n")
-        f.write(f"{title}\n")
-        f.write("ASCII\nDATASET UNSTRUCTURED_GRID\n")
+        f.write("# vtk DataFile Version 2.0\neqflux\nASCII\nDATASET UNSTRUCTURED_GRID\n")
         f.write(f"POINTS {mesh.n_vertices} double\n")
         for x, y in mesh.vertices:
             f.write(f"{x:.17g} {y:.17g} 0\n")

@@ -342,22 +342,22 @@ def _compatibility_residual(space, batch, g, u_h, data):
 def _solve_stack(M, B, f, g, c):
     """:func:`linalg.saddle_solve` of a stack, once per distinct system if its R distinct
     systems give ``R (nf + 3t) ≤ P``: M's diagonal buckets them, each bucket equals its first
-    system in M, B and c entry for entry, and that system's operator maps every member."""
+    system in M, B and c entry for entry, and one call on the R systems, with the unit
+    columns as right-hand sides, gives the operator that maps every member's ``[f; g]``."""
     (P, nf), k = f.shape, f.shape[1] + g.shape[1]
     probe = (np.diagonal(M, axis1=1, axis2=2) * np.cos(np.arange(nf))).sum(axis=1)
     _, rep, inv = np.unique(probe, return_index=True, return_inverse=True)
     blocks = [a for a in (M, B, c) if a is not None]
     if len(rep) * k > P or not all(np.array_equal(a, a[rep][inv]) for a in blocks):
-        return linalg.saddle_solve(M, B, f, g, c)
-    unit = np.tile(np.eye(k), (len(rep), 1))
-    M, B, *c = (np.repeat(a[rep], k, axis=0) for a in blocks)
+        return linalg.saddle_solve(M, B, f[..., None], g[..., None], c)[..., 0]
+    unit = np.broadcast_to(np.eye(k), (len(rep), k, k))
+    M, B, *c = (a[rep] for a in blocks)
     try:
-        Z = linalg.saddle_solve(M, B, unit[:, :nf], unit[:, nf:], *c).reshape(-1, k, nf)
+        Z = linalg.saddle_solve(M, B, unit[:, :nf], unit[:, nf:], *c)
     except linalg.SingularSystemError as exc:
-        exc.index = int(rep[exc.index // k])  # the stack position of the system
+        exc.index = int(rep[exc.index])  # the stack position of the system
         raise
-    x = np.concatenate([f, g], axis=1) @ Z.transpose(1, 0, 2).reshape(k, -1)  # every operator
-    return x.reshape(P, -1, nf)[np.arange(P), inv]
+    return (Z[inv] @ np.concatenate([f, g], axis=1)[..., None])[..., 0]
 
 
 def patch_flux(space: RTSpace, batch: PatchBatch, u_h: ScalarField, data: ProblemData):

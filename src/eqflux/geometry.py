@@ -94,9 +94,9 @@ def _polygon_area(poly):
     return 0.5 * np.sum(x * np.roll(y, -1) - np.roll(x, -1) * y)
 
 
-def regular_polygon(center, radius, sides=16, phase=0.0) -> np.ndarray:
+def regular_polygon(center, radius, sides=16) -> np.ndarray:
     """CCW regular polygon inscribed in the circle of the given radius."""
-    ang = phase + 2.0 * np.pi * np.arange(sides) / sides
+    ang = 2.0 * np.pi * np.arange(sides) / sides
     return np.column_stack(
         [center[0] + radius * np.cos(ang), center[1] + radius * np.sin(ang)]
     )
@@ -192,7 +192,7 @@ def _chain(a, b):
     return lines
 
 
-def _subtract_overlaps(a, b, c0, c1, tol=_TOL):
+def _subtract_overlaps(a, b, c0, c1):
     """Pieces ``(starts, ends)`` of the segments a→b not covered by those
     segments c0→c1 whose ends lie on them, in segment order."""
     ab = b - a
@@ -211,7 +211,7 @@ def _subtract_overlaps(a, b, c0, c1, tol=_TOL):
     # maximum of the interval ends so far.
     cursor = np.maximum.accumulate(np.column_stack([np.zeros(len(a)), hi]), axis=1)
     stop = np.column_stack([lo, np.ones(len(a))])
-    gap = np.column_stack([lo > cursor[:, :-1] + tol, cursor[:, -1] < 1.0 - tol])
+    gap = np.column_stack([lo > cursor[:, :-1] + _TOL, cursor[:, -1] < 1.0 - _TOL])
     s = np.nonzero(gap)[0]
     return a[s] + cursor[gap][:, None] * ab[s], a[s] + stop[gap][:, None] * ab[s]
 

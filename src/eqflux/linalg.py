@@ -44,14 +44,14 @@ def norm(x) -> float:
     return float(np.sqrt(np.sum(x * x)))
 
 
-def solve_spd(A, b, tol: float = 1e-12, max_iter: int = 200) -> np.ndarray:
+def solve_spd(A, b, tol: float = 1e-12) -> np.ndarray:
     """Solve a sparse symmetric positive definite system to a relative
     residual bound.
 
     Uses a sparse LU factorization followed by iterative refinement until
-    ``‖Ax − b‖₂ / ‖b‖₂ ≤ tol``.  Raises :class:`SolverError` with the
-    achieved residual if the bound cannot be met within ``max_iter``
-    refinement steps.
+    ``‖Ax − b‖₂ / ‖b‖₂ ≤ tol``; a step that does not halve the residual ends
+    refinement.  Raises :class:`SolverError` with the achieved residual if
+    the bound is not met.
     """
     if tol <= 0:
         raise ValueError("tol must be positive")
@@ -74,15 +74,13 @@ def solve_spd(A, b, tol: float = 1e-12, max_iter: int = 200) -> np.ndarray:
         raise SolverError(f"factorization failed: {exc}") from exc
     x = lu.solve(b)
     res = norm(As @ x - b) / nb
-    it = 0
-    while res > tol and it < max_iter:
+    while res > tol:
         x = x + lu.solve(b - As @ x)
         new_res = norm(As @ x - b) / nb
         if new_res >= 0.5 * res:  # refinement stagnated at the roundoff floor
             res = min(res, new_res)
             break
         res = new_res
-        it += 1
     if res > tol or not np.all(np.isfinite(x)):
         raise SolverError(
             f"solve_spd did not reach tol={tol:g} (achieved {res:g})", residual=res
@@ -149,24 +147,26 @@ def _cholesky(a, floor):
 def saddle_solve(M, B, f, g, c=None) -> np.ndarray:
     """The ``x`` part of stacked systems ``M x − Bᵀ λ = f``, ``B x + c μ = g``,
     ``cᵀ λ = 0`` (no border without ``c``) by static condensation: ``M``
-    (P, n, n) is SPD, and a border needs ``Bᵀ 1 = 0``, so that ``μ = Σg / Σc``
-    and ``(S + c cᵀ) λ = g − μ c`` with ``S = B M⁻¹ Bᵀ``.  A squared Cholesky
-    pivot of ``M`` or ``S`` below ``1e-12 · max|A|`` of the whole system raises
+    (P, n, n) is SPD, ``B`` is (P, q, n), and a border needs ``Bᵀ 1 = 0``, so
+    that ``μ = Σg / Σc`` and ``(S + c cᵀ) λ = g − μ c`` with ``S = B M⁻¹ Bᵀ``.
+    The right-hand sides are m columns per system, ``f`` (P, n, m) and ``g``
+    (P, q, m), and so is ``x`` (P, n, m).  A squared Cholesky pivot of ``M`` or
+    ``S`` below ``1e-12 · max|A|`` of the whole system raises
     :class:`SingularSystemError` naming its stack position."""
     # max|M| of an SPD matrix is on its diagonal.
     amax = np.maximum(np.diagonal(M, axis1=1, axis2=2).max(axis=1), np.abs(B).max(axis=(1, 2)))
     floor = 1e-12 * (amax if c is None else np.maximum(amax, np.abs(c).max(axis=1)))
     try:
         L = _cholesky(M, floor)
-        WY = _forward(L, np.concatenate([B.transpose(0, 2, 1), f[..., None]], axis=2))
-        W, y = WY[..., :-1], WY[..., -1:]
+        WY = _forward(L, np.concatenate([B.transpose(0, 2, 1), f], axis=2))
+        W, y = np.split(WY, [B.shape[1]], axis=2)
         S = W.transpose(0, 2, 1) @ W
-        h = g[..., None] - W.transpose(0, 2, 1) @ y
+        h = g - W.transpose(0, 2, 1) @ y
         if c is not None:
             S += c[:, :, None] * c[:, None, :]
             h -= (h.sum(axis=1) / c.sum(axis=1, keepdims=True))[:, None] * c[..., None]
         L2 = _cholesky(S, floor)
-        return _back(L, y + W @ _back(L2, _forward(L2, h)))[..., 0]
+        return _back(L, y + W @ _back(L2, _forward(L2, h)))
     except np.linalg.LinAlgError:
         if len(M) == 1:
             raise SingularSystemError("not positive definite", 0) from None

@@ -412,12 +412,7 @@ def generate_unit_square(n: int, dirichlet_predicate=None) -> Mesh:
     """Uniform n×n grid of the unit square, each cell split along the
     low-left→up-right diagonal.  Boundary edges are classified Dirichlet by
     the predicate (all Dirichlet when it is omitted), otherwise Neumann."""
-    if n < 1:
-        raise MeshError("n must be >= 1")
-    mesh = _lattice_mesh(_cell_block(0, n, 0, n), n)
-    _classify_square_boundary(mesh, dirichlet_predicate)
-    mesh.validate_markers()
-    return mesh
+    return generate_with_rect_features(n, [], [], dirichlet_predicate)
 
 
 def _rect_from_polygon(polygon):
@@ -513,8 +508,7 @@ def generate_with_rect_features(
     cells = np.concatenate([_cell_block(0, n, 0, n)[keep.ravel()]] + bumps)
     if not len(cells):
         raise MeshError(f"features {[f.id for f, *_ in rects]} remove every cell at n = {n}")
-    # Vertices of the square's lattice first, so that the un-featured mesh is
-    # bit-identical to generate_unit_square, then bump vertices row-major.
+    # Vertices of the square's lattice first, then bump vertices, each row-major.
     mesh = _lattice_mesh(cells, n, square_first=True)
 
     # Feature markers.  New hole boundary edges are gamma (or gamma0 when

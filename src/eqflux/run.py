@@ -166,6 +166,8 @@ def run_single(spec: RunSpec, reference: fem.ScalarField | None = None) -> RunRe
             )
             if parts["gammaR"]:
                 comp.eta_gammaR = eta_on(parts["gammaR"], fmesh, fluxt, feat.neumann_g)
+            elif comp.has_extension:  # the extension is the feature itself
+                comp.eta_gammaR = 0.0
             feature_fields[feat.id] = ut
             feature_fluxes[feat.id] = fluxt
             coarse_pieces.append(ut)

@@ -72,6 +72,10 @@ class TestConfig:
         with pytest.raises(cfg.ConfigError, match=message):
             cfg.specs_from_config(doc)
 
+    def test_unknown_study_type_rejected_by_schema(self):
+        with pytest.raises(cfg.ConfigError, match="^config does not match the schema: 'foo' is not"):
+            cfg.specs_from_config({"mesh": {"builtin": 4}, "study": {"type": "foo"}})
+
     def test_schema_validation_rejects_bad_doc(self):
         with pytest.raises(cfg.ConfigError):
             cfg.validate_config({"mesh": {"builtin": 0}})

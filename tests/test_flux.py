@@ -406,7 +406,7 @@ class TestCondensedSolve:
                 As.append(A)
                 rhss.append(rhs)
             ref = dense_lu_solve(np.stack(As), np.stack(rhss))
-            x = saddle_solve(*blocks)
+            x = saddle_solve(M, B, f[..., None], g[..., None], c)[..., 0]
             assert np.abs(x - ref[:, :nf]).max() <= 1e-12 * np.abs(ref).max()
         # one stack per layout here (no stack is split), and every layout of
         # the vertex-by-vertex oracle is present
@@ -467,43 +467,53 @@ class TestGroupedSolve:
 
     @staticmethod
     def _spy(monkeypatch):
-        """Record the stack size of every ``saddle_solve`` call."""
-        sizes, solve = [], linalg_module.saddle_solve
+        """Record the systems and right-hand-side columns of every ``saddle_solve`` call."""
+        calls, solve = [], linalg_module.saddle_solve
 
-        def spy(M, *args):
-            sizes.append(len(M))
-            return solve(M, *args)
+        def spy(M, B, f, *args):
+            calls.append((len(M), f.shape[-1]))
+            return solve(M, B, f, *args)
 
         monkeypatch.setattr(linalg_module, "saddle_solve", spy)
-        return sizes
+        return calls
+
+    @staticmethod
+    def _direct(M, B, f, g, c):
+        return saddle_solve(M, B, f[..., None], g[..., None], c)[..., 0]
 
     @staticmethod
     def _lattice_stacks(n, case=1):
         rng = np.random.default_rng(7)
         m, data, u = _mixed_problem(lambda d: generate_unit_square(n, d), case, rng)
         sp = build_rt_space(m)
-        return [(b, assemble_patch_system(sp, b, u, data)) for b in patch_batches(sp, data)]
+        return m, [(b, assemble_patch_system(sp, b, u, data)) for b in patch_batches(sp, data)]
 
     def test_lattice_stacks_match_saddle_solve(self, monkeypatch):
-        stacks = self._lattice_stacks(64)
-        one_system = 0
+        m, stacks = self._lattice_stacks(64)
+        interior = np.ones(m.n_vertices, dtype=bool)
+        interior[m.edge_vertices[m.boundary_edge_ids]] = False
+        interior_stacks = 0
         for batch, blocks in stacks:
-            ref = saddle_solve(*blocks)
-            sizes = self._spy(monkeypatch)
+            ref = self._direct(*blocks)
+            calls = self._spy(monkeypatch)
             x = _solve_stack(*blocks)
             monkeypatch.undo()
             P, k = len(batch.vertices), blocks[2].shape[1] + blocks[3].shape[1]
-            assert len(sizes) == 1 and (sizes[0] == P or (sizes[0] % k == 0 and sizes[0] <= P))
-            one_system += sizes[0] == k < P
+            # one call: every system with one column, or R systems with k unit columns
+            ((R, cols),) = calls
+            assert (R, cols) == (P, 1) or (cols == k and R * k <= P)
+            if interior[batch.vertices].all():
+                interior_stacks += 1
+                assert (R, cols) == (1, k)
             assert x.shape == ref.shape
             assert np.abs(x - ref).max() <= 1e-12 * np.abs(ref).max()
-        # each of the 14 stacks of the 3969 interior patches holds one system
-        assert one_system >= 14
+        # the 3969 interior patches fill 14 stacks, each holding one system
+        assert interior_stacks == 14
 
     @pytest.mark.parametrize("entry, grouped", [
         ("M diagonal", True), ("M off-diagonal", False), ("B", False), ("c", False)])
     def test_perturbed_system_is_not_shared(self, monkeypatch, entry, grouped):
-        batch, (M, B, f, g, c) = max(self._lattice_stacks(32), key=lambda s: len(s[0].vertices))
+        batch, (M, B, f, g, c) = max(self._lattice_stacks(32)[1], key=lambda s: len(s[0].vertices))
         P, k = len(batch.vertices), f.shape[1] + g.shape[1]
         M, B, c = M.copy(), B.copy(), c.copy()
         p = P // 2
@@ -515,20 +525,20 @@ class TestGroupedSolve:
             B[p, 0, np.flatnonzero(B[p, 0])[0]] *= 1.0 + 1e-9
         else:
             c[p, :3] *= 1.0 + 1e-9
-        ref = saddle_solve(M, B, f, g, c)
-        sizes = self._spy(monkeypatch)
+        ref = self._direct(M, B, f, g, c)
+        calls = self._spy(monkeypatch)
         x = _solve_stack(M, B, f, g, c)
-        # a perturbed diagonal is a second group; any other mismatch falls back
-        assert sizes == ([2 * k] if grouped else [P])
+        # a perturbed diagonal is a second system; any other mismatch falls back
+        assert calls == ([(2, k)] if grouped else [(P, 1)])
         assert np.abs(x - ref).max() <= 1e-12 * np.abs(ref).max()
 
     def test_unstructured_mesh_falls_back(self, monkeypatch):
         rng = np.random.default_rng(2)
         m, data, u = _mixed_problem(lambda d: unstructured_mesh(16, rng, d), 1, rng)
         sp = build_rt_space(m)
-        sizes = self._spy(monkeypatch)
+        calls = self._spy(monkeypatch)
         reconstruct_flux(u, data, sp)
-        assert sizes == [len(b.vertices) for b in patch_batches(sp, data)]
+        assert calls == [(len(b.vertices), 1) for b in patch_batches(sp, data)]
 
     @pytest.mark.parametrize("n", [16, 32])
     def test_singular_grouped_system_names_vertex(self, monkeypatch, n):
@@ -541,16 +551,19 @@ class TestGroupedSolve:
         mass[t] = 0.0
         div[t] = 0.0
         broken = dataclasses.replace(sp, mass=mass, divmom=div)
-        sizes = self._spy(monkeypatch)
+        calls = self._spy(monkeypatch)
         with pytest.raises(EquilibrationError, match="singular patch system at vertex") as exc:
             reconstruct_flux(u, data, broken)
         vertex = int(str(exc.value).split("vertex ")[1].split(":")[0])
         assert vertex in m.triangles[t]
-        # The failing stack solve (the last on more than one system; it then
-        # solves one system at a time) built the operators of a grouped stack.
+        # The failing stack call (the last on more than one system; it then
+        # solves one system at a time) was grouped: its R distinct systems
+        # with the 42 unit columns of an interior lattice patch.
         (stack,) = [b for b in patch_batches(sp, data) if vertex in b.vertices]
-        failing = [size for size in sizes if size > 1][-1]
-        assert failing % 42 == 0 and failing < len(stack.vertices)
+        last = max(i for i, (R, _) in enumerate(calls) if R > 1)
+        R, cols = calls[last]
+        assert cols == 42 and R * cols <= len(stack.vertices)
+        assert set(calls[last + 1:]) == {(1, 42)}
 
 
 class TestReconstructFlux:

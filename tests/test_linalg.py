@@ -1,10 +1,12 @@
 import numpy as np
 import pytest
 import scipy.sparse
+import scipy.sparse.linalg
 
 from eqflux.linalg import (
     ConstructionError,
     SingularSystemError,
+    SolverError,
     dense_lu_solve,
     saddle_solve,
     solve_spd,
@@ -38,6 +40,45 @@ class TestSolveSpd:
             b = rng.standard_normal(n)
             x = solve_spd(As, b, tol=1e-12)
             assert np.linalg.norm(A @ x - b) <= 1e-12 * np.linalg.norm(b) * (1 + 1e-3)
+
+    @staticmethod
+    def _record_solves(monkeypatch):
+        """Record the solution of every solve with the factor of ``solve_spd``."""
+        solves, splu = [], scipy.sparse.linalg.splu
+
+        class Factor:
+            def __init__(self, lu):
+                self.lu = lu
+
+            def solve(self, rhs):
+                solves.append(self.lu.solve(rhs))
+                return solves[-1]
+
+        monkeypatch.setattr(scipy.sparse.linalg, "splu", lambda *a, **k: Factor(splu(*a, **k)))
+        return solves
+
+    def test_refinement_meets_bound_first_solve_misses(self, monkeypatch):
+        # cond(A) ≈ 9e14: the first LU solve leaves a relative residual near
+        # 1e-7, one refinement step removes it
+        A = np.array([[6e-7, -0.5], [-0.5, 417000.0]])
+        b = np.array([3.0, 4.0])
+        solves = self._record_solves(monkeypatch)
+        x = solve_spd(scipy.sparse.csr_matrix(A), b)
+        assert np.linalg.norm(A @ solves[0] - b) > 1e-12 * np.linalg.norm(b)
+        assert len(solves) >= 2
+        assert np.linalg.norm(A @ x - b) <= 1e-12 * np.linalg.norm(b)
+
+    def test_unattainable_tol_stops_by_stagnation(self, monkeypatch):
+        rng = np.random.default_rng(0)
+        X = rng.standard_normal((30, 30))
+        A, b = X @ X.T + np.eye(30), rng.standard_normal(30)
+        solves = self._record_solves(monkeypatch)
+        with pytest.raises(SolverError, match="did not reach tol=1e-30") as exc:
+            solve_spd(scipy.sparse.csr_matrix(A), b, tol=1e-30)
+        assert len(solves) >= 2  # refinement ran, then stagnated at roundoff
+        res = [np.linalg.norm(A @ x - b) / np.linalg.norm(b) for x in solves]
+        assert np.isfinite(exc.value.residual) and 1e-30 < exc.value.residual < 1e-13
+        assert exc.value.residual == pytest.approx(min(res), rel=1e-6)
 
     def test_bad_tol(self):
         A = scipy.sparse.csr_matrix([[1.0]])
@@ -135,9 +176,21 @@ class TestSaddleSolve:
     def test_matches_full_solve(self, border):
         rng = np.random.default_rng(6)
         M, B, f, g, c, A, rhs = _saddle_stack(rng, 7, 9, 5, border)
-        x = saddle_solve(M, B, f, g, c)
-        ref = np.linalg.solve(A, rhs[..., None])[..., 0]
+        x = saddle_solve(M, B, f[..., None], g[..., None], c)
+        ref = np.linalg.solve(A, rhs[..., None])
+        assert x.shape == (7, 9, 1)
         assert np.abs(x - ref[:, :9]).max() <= 1e-12 * np.abs(ref).max()
+
+    @pytest.mark.parametrize("border", [False, True])
+    def test_columns_match_single_column_solves(self, border):
+        rng = np.random.default_rng(8)
+        M, B, _, _, c, _, _ = _saddle_stack(rng, 5, 9, 5, border)
+        f, g = rng.standard_normal((5, 9, 4)), rng.standard_normal((5, 5, 4))
+        x = saddle_solve(M, B, f, g, c)
+        assert x.shape == (5, 9, 4)
+        for j in range(4):
+            xj = saddle_solve(M, B, f[..., j:j + 1], g[..., j:j + 1], c)[..., 0]
+            assert np.abs(x[..., j] - xj).max() <= 1e-12 * np.abs(xj).max()
 
     @pytest.mark.parametrize("k", [0, 2])
     @pytest.mark.parametrize("border", [False, True])
@@ -154,5 +207,5 @@ class TestSaddleSolve:
             M[k] = np.diag([1.0] * 5 + [1e-13])  # pivot below 1e-12 · max|A|
             B[k] *= 1e-3
         with pytest.raises(SingularSystemError) as exc:
-            saddle_solve(M, B, f, g, c)
+            saddle_solve(M, B, f[..., None], g[..., None], c)
         assert exc.value.index == k

@@ -1,5 +1,6 @@
 """Integration tests of the run orchestration layer."""
 
+import copy
 from unittest import mock
 
 import numpy as np
@@ -91,6 +92,24 @@ class TestRunSingle:
                 mock.patch.object(geometry, "partition_feature_boundary", counted):
             res = run_single(spec)
         assert sorted(calls) == sorted(res.report.per_feature) == [1, 2]
+
+
+class TestExtensionEqualToFeature:
+    @pytest.mark.parametrize("g, n", [(0.0, 16), ("x*x + 0.3", 16), ("nx - 0.5*ny + x*y", 24)])
+    def test_matches_run_without_extension(self, g, n):
+        # An extension with the bump's own shape leaves gammaR empty: its
+        # eta_gammaR is 0 and the estimator is the one without an extension.
+        doc = preset_config("test2-pos", n=n, eps=0.25)
+        doc["reference"] = None
+        doc["features"][0]["g"] = g
+        extended = copy.deepcopy(doc)
+        extended["features"][0]["extension"] = {"shape": dict(doc["features"][0]["shape"])}
+        plain = run_single(cfg.specs_from_config(doc)[0]).report
+        ext = run_single(cfg.specs_from_config(extended)[0]).report
+        assert ext.per_feature[1].has_extension and ext.per_feature[1].eta_gammaR == 0.0
+        assert ext.eta_total == plain.eta_total
+        assert (ext.per_feature[1].gamma_contribution()
+                == plain.per_feature[1].gamma_contribution())
 
 
 class TestCurveNormals:
