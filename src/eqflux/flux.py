@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import linalg
-from .fem import TRI_QP, TRI_QW, ProblemData, ScalarField, _M3
+from .fem import _M3, _M3_INV, TRI_QP, TRI_QW, ProblemData, ScalarField
 from .geometry import CurveQuadrature, GeometryError, gauss_legendre
 from .mesh import Mesh, patch_edge_split
 
@@ -26,7 +26,7 @@ _TRIPLE = np.array([(1 / 10, 1 / 30, 1 / 60)[len({i, j, k}) - 1]
 
 
 class EquilibrationError(RuntimeError):
-    """A patch mixed system could not be solved."""
+    """A patch mixed system could not be solved, or a flux fails its certificate."""
 
 
 class OrthogonalityError(RuntimeError):
@@ -159,9 +159,10 @@ class FluxField:
         # The reference coordinates lam_1, lam_2 as J⁻¹ (x − v0): differences
         # first, so that no cancellation of the absolute coordinates enters.
         ref = np.einsum("nab,nb->na", mesh.lam_grads[tris, 1:], pts - v[:, 0])
-        # Reference DOFs of each distinct triangle first: no (N, 8, 8) gather.
+        # Monomial coefficients (8, N) of each distinct triangle first, by an einsum: a
+        # (N, 8) @ (8, 8) matmul runs on all BLAS threads, at times 10-30x slower.
         u, inv = np.unique(tris, return_inverse=True)
-        c = (self.reference_dofs(u)[inv] @ _RT_REF.T).T  # (8, N) monomial coefficients
+        c = np.einsum("uk,jk->ju", self.reference_dofs(u), _RT_REF).take(inv, axis=1)
         phi = _rt_field(c, ref[:, 0], ref[:, 1])
         return np.einsum("nca,na->nc", _jacobians(v), phi) / (2.0 * mesh.areas[tris, None])
 
@@ -206,6 +207,25 @@ class PatchBatch:
     loc: np.ndarray  # (I,) local index of the patch vertex in the triangle
     rows: np.ndarray  # (I, 8) free row of each triangle DOF, -1 where prescribed
     prescribed: np.ndarray  # (I, 8) prescribed DOF values, 0 on free DOFs
+    system: np.ndarray  # (P,) system among the layout's distinct ones, numbered by first patch
+    new: np.ndarray | None  # first patches of the systems new in this stack; None: solve directly
+
+
+def _first_rows(rows, probe):
+    """For each row, the first row of its class: rows bitwise equal in every 2-D array of
+    ``rows``.  ``probe``, equal on equal rows, buckets them by one sort; a row that is not
+    its bucket's first is compared with that one entry for entry, in chunks that stay in
+    cache, and where they differ it starts a class of its own."""
+    o = np.argsort(probe)
+    run = np.flatnonzero(np.diff(probe[o], prepend=np.nan) != 0)  # buckets in sorted order
+    rep = np.empty_like(o)
+    rep[o] = np.repeat(np.minimum.reduceat(o, run), np.diff(run, append=len(o)))
+    dup = np.flatnonzero(rep != np.arange(len(rep)))
+    for s in range(0, len(dup), 1024):
+        i = dup[s:s + 1024]
+        odd = np.any([(a[i] != a[rep[i]]).any(axis=1) for a in rows], axis=0)
+        rep[i[odd]] = i[odd]
+    return rep
 
 
 def patch_batches(space: RTSpace, data: ProblemData, vertices=None) -> list[PatchBatch]:
@@ -266,34 +286,56 @@ def patch_batches(space: RTSpace, data: ProblemData, vertices=None) -> list[Patc
 
     # Patches sorted stably by layout, and their incidences and free DOFs in
     # that order: every stack is a run of slices.
-    layout = (nf * (int(nt.max(initial=0)) + 1) + nt) * 2 + mean
+    tmax = int(nt.max(initial=0))
+    layout = (nf * (tmax + 1) + nt) * 2 + mean
     order = np.argsort(layout, kind="stable")
     nt, nf, vertices, mean = nt[order], nf[order], vertices[order], mean[order]
     i0, f0 = np.cumsum(nt) - nt, np.cumsum(nf) - nf
     inc = np.arange(len(patch)) + np.repeat(first[order] - i0, nt)
     dofs = uniq[np.arange(len(uniq)) + np.repeat(start[order] - f0, nf)] % D
     tris, loc, rows, prescribed = tris[inc], loc[inc], rows[inc], prescribed[inc]
+    # M, B and c follow from the layout and, slot by slot, the free rows and the class (the
+    # bytes of mass, divmom and area) of the triangles, summed in slot order: equal keys give
+    # bitwise-equal systems.  A triangle of a class of its own gives its patches their own.
+    tri = [a.reshape(len(a), -1) for a in (space.mass, space.divmom, mesh.areas)]
+    cls = _first_rows([a.view(np.uint64) for a in tri],
+                      sum(np.einsum("tk,k->t", a, np.cos(np.arange(a.shape[1]))) for a in tri))
+    patch, slot = np.repeat(np.arange(P), nt), np.arange(len(tris)) - np.repeat(i0, nt)
+    lone = np.bincount(patch, np.bincount(cls)[cls][tris] == 1, minlength=P) > 0
+    need, m = np.flatnonzero(~lone), ~lone[patch]
+    key = np.zeros((len(need), tmax + 1, 9), dtype=np.int64)
+    key[:, tmax, 0] = layout[order][need]  # the layout in a slot of its own
+    j = np.cumsum(~lone)[patch[m]] - 1
+    key[j, slot[m], :8], key[j, slot[m], 8] = rows[m], cls[tris[m]]
+    key = key.reshape(len(need), 9 * tmax + 9)
+    rep = np.arange(P)
+    rep[need] = need[_first_rows([key], np.einsum("pk,k->p", key, np.cos(np.arange(key.shape[1]))))]
+    heads, system = np.unique(rep, return_inverse=True)  # the first patch of each system
     batches = []
     starts = np.flatnonzero(np.diff(layout[order], prepend=-1))
     for a, b in zip(starts, np.append(starts[1:], P)):
         f, t = int(nf[a]), int(nt[a])
+        # An operator per distinct system pays when it serves nf + 3t patches.
+        grouped = (system[a:b].max() - system[a] + 1) * (f + 3 * t) <= b - a
         per = max(1, _STACK_ENTRIES // (f + 3 * t) ** 2)
         for s, n in ((s, min(per, b - s)) for s in range(a, b, per)):
             i = slice(i0[s], i0[s] + n * t)
+            new = heads[(heads >= s) & (heads < s + n)] - s
             batches.append(PatchBatch(
                 vertices[s:s + n], bool(mean[a]), f, dofs[f0[s]:f0[s] + n * f].reshape(n, f),
-                np.repeat(np.arange(n), t), tris[i], loc[i], rows[i], prescribed[i]))
+                np.repeat(np.arange(n), t), tris[i], loc[i], rows[i], prescribed[i],
+                system[s:s + n] - system[a], new if grouped else None))
     return batches
 
 
 def assemble_patch_system(space: RTSpace, batch: PatchBatch, u_h: ScalarField,
                           data: ProblemData):
     """The blocks ``(M, B, f, g, c)`` of a batch's mixed systems, as
-    :func:`linalg.saddle_solve` reads them: the flux block M (P, nf, nf), the
-    divergence block B (P, 3t, nf), the right-hand sides f (P, nf) and
-    g (P, 3t), and the hat-weight border c (P, 3t) of the mean-value
-    constraint, or None without it.  Prescribed DOFs enter only the right-hand
-    sides.
+    :func:`linalg.saddle_solve` reads them: the right-hand sides f (P, nf) and
+    g (P, 3t) of every patch, and the flux block M (R, nf, nf), the divergence
+    block B (R, 3t, nf) and the hat-weight border c (R, 3t) of the mean-value
+    constraint, or None without it, of the R patches ``batch.new`` (of every
+    patch where that is None).  Prescribed DOFs enter only the right-hand sides.
     """
     mesh = space.mesh
     P, nf = len(batch.vertices), batch.nf
@@ -303,26 +345,31 @@ def assemble_patch_system(space: RTSpace, batch: PatchBatch, u_h: ScalarField,
     mass, div = space.mass[t], space.divmom[t]
     free = rows >= 0
     row = batch.patch[:, None] * nf + rows  # (I, 8) row among the stack's P * nf
-
-    # An edge DOF shared by two patch triangles sums two flux-block entries.
-    pairs = free[:, :, None] & free[:, None, :]
-    M = np.bincount((row[:, :, None] * nf + rows[:, None, :])[pairs], mass[pairs],
-                    minlength=P * nf * nf)
-    i, k = np.nonzero(free)
-    B = np.zeros((len(t), 3, nf))
-    B[i, :, rows[i, k]] = div[i, :, k]
-
     r1 = (-np.einsum("ijc,ic->ij", space.vecmom[t, loc], grad)
           - np.einsum("ijk,ik->ij", mass, pv))
     r2 = (area[:, None] * np.einsum("imk,ik->im", _TRIPLE[loc], data.f_proj[t])
           - (np.einsum("ic,ic->i", mesh.lam_grads[t, loc], grad) * area / 3.0)[:, None]
           - np.einsum("imj,ij->im", div, pv))
     f = np.bincount(row[free], r1[free], minlength=P * nf).reshape(P, nf)
+
+    nt = len(t) // P
+    sub = slice(None) if batch.new is None else (batch.new[:, None] * nt + np.arange(nt)).ravel()
+    rows, mass, div, area = rows[sub], mass[sub], div[sub], area[sub]
+    R = len(rows) // nt
+    free, own = rows >= 0, np.repeat(np.arange(R), nt)
+    row = own[:, None] * nf + rows
+    # An edge DOF shared by two patch triangles sums two flux-block entries.
+    pairs = free[:, :, None] & free[:, None, :]
+    M = np.bincount((row[:, :, None] * nf + rows[:, None, :])[pairs], mass[pairs],
+                    minlength=R * nf * nf)
+    i, k = np.nonzero(free)
+    B = np.zeros((len(rows), 3, nf))
+    B[i, :, rows[i, k]] = div[i, :, k]
     c = None
     if batch.mean:
-        hat = area / 3.0 / np.bincount(batch.patch, area, minlength=P)[batch.patch]
-        c = np.repeat(hat, 3).reshape(P, -1)
-    return M.reshape(P, nf, nf), B.reshape(P, -1, nf), f, r2.reshape(P, -1), c
+        hat = area / 3.0 / np.bincount(own, area, minlength=R)[own]
+        c = np.repeat(hat, 3).reshape(R, 3 * nt)
+    return M.reshape(R, nf, nf), B.reshape(R, 3 * nt, nf), f, r2.reshape(P, -1), c
 
 
 def _compatibility_residual(space, batch, g, u_h, data):
@@ -339,32 +386,16 @@ def _compatibility_residual(space, batch, g, u_h, data):
     return np.abs(g.sum(axis=1)), scale + np.bincount(batch.patch, bnd, minlength=P)
 
 
-def _solve_stack(M, B, f, g, c):
-    """:func:`linalg.saddle_solve` of a stack, once per distinct system if its R distinct
-    systems give ``R (nf + 3t) ≤ P``: M's diagonal buckets them, each bucket equals its first
-    system in M, B and c entry for entry, and one call on the R systems, with the unit
-    columns as right-hand sides, gives the operator that maps every member's ``[f; g]``."""
-    (P, nf), k = f.shape, f.shape[1] + g.shape[1]
-    probe = (np.diagonal(M, axis1=1, axis2=2) * np.cos(np.arange(nf))).sum(axis=1)
-    _, rep, inv = np.unique(probe, return_index=True, return_inverse=True)
-    blocks = [a for a in (M, B, c) if a is not None]
-    if len(rep) * k > P or not all(np.array_equal(a, a[rep][inv]) for a in blocks):
-        return linalg.saddle_solve(M, B, f[..., None], g[..., None], c)[..., 0]
-    unit = np.broadcast_to(np.eye(k), (len(rep), k, k))
-    M, B, *c = (a[rep] for a in blocks)
-    try:
-        Z = linalg.saddle_solve(M, B, unit[:, :nf], unit[:, nf:], *c)
-    except linalg.SingularSystemError as exc:
-        exc.index = int(rep[exc.index])  # the stack position of the system
-        raise
-    return (Z[inv] @ np.concatenate([f, g], axis=1)[..., None])[..., 0]
-
-
-def patch_flux(space: RTSpace, batch: PatchBatch, u_h: ScalarField, data: ProblemData):
-    """Solve a batch of patch problems by static condensation (:func:`_solve_stack`);
-    returns (global DOF ids, DOF values) to be added into the global coefficients."""
-    blocks = assemble_patch_system(space, batch, u_h, data)
-    resid, scale = _compatibility_residual(space, batch, blocks[3], u_h, data)
+def patch_flux(space: RTSpace, batch: PatchBatch, u_h: ScalarField, data: ProblemData,
+               operators=None):
+    """Solve a batch of patch problems by static condensation: directly on the stack's
+    own systems, or by the operators of its layout's distinct systems.  The stack that
+    first meets a system factors it once, with the ``nf + 3t`` unit columns as
+    right-hand sides, and keeps its operator in ``operators`` for the flux's later
+    stacks.  Returns (global DOF ids, DOF values) to be added into the global
+    coefficients."""
+    M, B, f, g, c = assemble_patch_system(space, batch, u_h, data)
+    resid, scale = _compatibility_residual(space, batch, g, u_h, data)
     bad = resid > 1e-9 * scale + 1e-13
     if batch.mean and bad.any():
         k = int(np.argmax(bad))
@@ -373,11 +404,21 @@ def patch_flux(space: RTSpace, batch: PatchBatch, u_h: ScalarField, data: Proble
             f"exceeds 1e-9 * {scale[k]:.3e}; the field is not a Galerkin "
             "solution for the supplied data"
         )
+    nf, k, operators = batch.nf, f.shape[1] + g.shape[1], {} if operators is None else operators
     try:
-        sol = _solve_stack(*blocks)
+        if batch.new is None:
+            sol = linalg.saddle_solve(M, B, f[..., None], g[..., None], c)[..., 0]
+        else:
+            Z = operators.get((nf, k, batch.mean), np.empty((0, nf, k)))
+            if len(batch.new):
+                unit = np.broadcast_to(np.eye(k), (len(batch.new), k, k))
+                Z = operators[nf, k, batch.mean] = np.concatenate(
+                    [Z, linalg.saddle_solve(M, B, unit[:, :nf], unit[:, nf:], c)])
+            sol = (Z[batch.system] @ np.concatenate([f, g], axis=1)[..., None])[..., 0]
     except linalg.SingularSystemError as exc:
+        p = exc.index if batch.new is None else batch.new[exc.index]  # its stack position
         raise EquilibrationError(
-            f"singular patch system at vertex {batch.vertices[exc.index]}: {exc}"
+            f"singular patch system at vertex {batch.vertices[p]}: {exc}"
         ) from exc
     fixed = batch.rows < 0
     return (np.concatenate([batch.dofs.ravel(), space.tri_dofs[batch.tris][fixed]]),
@@ -391,9 +432,9 @@ def reconstruct_flux(u_h: ScalarField, data: ProblemData, space: RTSpace | None 
         raise ValueError("field and data live on different meshes")
     if space is None:
         space = build_rt_space(mesh)
-    coef = np.zeros(space.total_dofs)
+    coef, operators = np.zeros(space.total_dofs), {}
     for batch in patch_batches(space, data):
-        dofs, vals = patch_flux(space, batch, u_h, data)
+        dofs, vals = patch_flux(space, batch, u_h, data, operators)
         np.add.at(coef, dofs, vals)
     return FluxField(space, coef)
 
@@ -435,6 +476,26 @@ def neumann_trace_defect(flux: FluxField, data: ProblemData) -> float:
     n_out = mesh.edge_outward_sign[e, None] * mesh.edge_normals[e]
     gn = data.gn_proj[:, :1] * (1.0 - _GLX) + data.gn_proj[:, 1:] * _GLX
     return float(np.abs(_edge_traces(flux, e, tris, n_out) + gn).max(initial=0.0))
+
+
+def divergence_moment_defect(flux: FluxField, data: ProblemData) -> np.ndarray:
+    """Per-element L2 norm of (div sigma_h − f_proj) in DOF space: both are P1 on a
+    triangle, so their moments against the barycentrics fix the norm exactly."""
+    sp, area = flux.space, flux.space.mesh.areas
+    m = (np.einsum("tmj,tj->tm", sp.divmom, flux.coefficients[sp.tri_dofs])
+         - np.einsum("tk,km->tm", data.f_proj, _M3) * area[:, None])
+    return np.sqrt(np.maximum(np.einsum("tm,mk,tk->t", m, _M3_INV, m) / area, 0.0))
+
+
+def certify(flux: FluxField, data: ProblemData) -> None:
+    """Raise :class:`EquilibrationError` unless ``div sigma = Pi f``
+    (:func:`divergence_moment_defect`) and ``sigma·n = -Pi g`` on the Neumann edges
+    hold to 1e-9 times the largest cell-mean flux."""
+    scale = np.sqrt((flux.cell_means() ** 2).sum(axis=1).max(initial=0.0))
+    for name, defect in (("divergence", divergence_moment_defect(flux, data).max(initial=0.0)),
+                         ("Neumann trace", neumann_trace_defect(flux, data))):
+        if not defect <= 1e-9 * scale:
+            raise EquilibrationError(f"{name} defect {defect:.3e} > 1e-9 * flux scale {scale:.3e}")
 
 
 def interior_jump(flux: FluxField) -> float:

@@ -112,7 +112,7 @@ def build_reference(spec: RunSpec) -> fem.ScalarField:
 
 
 def run_single(spec: RunSpec, reference: fem.ScalarField | None = None) -> RunResult:
-    """Solve, reconstruct the flux and evaluate every estimator component.
+    """Solve, reconstruct and certify the flux and evaluate every estimator component.
 
     Excluded negative features contribute a curve estimator from the
     simplified-domain flux; excluded positive features get their own feature
@@ -129,6 +129,7 @@ def run_single(spec: RunSpec, reference: fem.ScalarField | None = None) -> RunRe
     data = fem.project_data(domain, mesh, include=include, parts=partitions)
     u0 = fem.solve_poisson(mesh, data, tol=spec.solver_tol)
     flux0 = flux.reconstruct_flux(u0, data)
+    flux.certify(flux0, data)
     eta0 = est.eta_zero(flux0, u0)
 
     def eta_on(curve, m, fl, g, s=1.0):
@@ -157,6 +158,7 @@ def run_single(spec: RunSpec, reference: fem.ScalarField | None = None) -> RunRe
             fdata = fem.feature_problem_data(feat, u0, fmesh, forcing=domain.f)
             ut = fem.solve_poisson(fmesh, fdata, tol=spec.solver_tol)
             fluxt = flux.reconstruct_flux(ut, fdata)
+            flux.certify(fluxt, fdata)
             comp = est.FeatureEstimate(
                 feat.id,
                 feat.kind,

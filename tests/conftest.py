@@ -338,19 +338,45 @@ def patch_stacks_loop(space, data, stack_entries):
     ascending by (free rows, triangles, mean-value constraint), each layout's
     patches in vertex order, in runs of at most ``stack_entries // (nf + 3t)²``
     patches.  Every patch's arrays are those of its own one-patch batch; each
-    stack is a dict of PatchBatch fields."""
+    stack is a dict of PatchBatch fields.
+
+    A patch's system key is its free rows and the bytes of the mass, divergence
+    moments and area of its triangles, slot by slot; a patch with a triangle whose
+    bytes no other triangle shares has a key of its own.  Systems are numbered
+    per layout by first patch, and a layout whose R distinct systems satisfy
+    ``R (nf + 3t) ≤ P`` lists, per stack, the positions of the first patches of
+    the systems it meets first (``new``; None on any other layout)."""
+    from collections import Counter
+
     from eqflux.flux import patch_batches
 
-    one = [patch_batches(space, data, [v])[0] for v in range(space.mesh.n_vertices)]
+    mesh = space.mesh
+    tri_key = [space.mass[t].tobytes() + space.divmom[t].tobytes() + mesh.areas[t].tobytes()
+               for t in range(mesh.n_triangles)]
+    count = Counter(tri_key)
+    one = [patch_batches(space, data, [v])[0] for v in range(mesh.n_vertices)]
     stacks = []
     for nf, t, mean in sorted({(b.nf, len(b.tris), b.mean) for b in one}):
         members = [b for b in one if (b.nf, len(b.tris), b.mean) == (nf, t, mean)]
+        ids, system, first = {}, [], []
+        for p, b in enumerate(members):
+            key = (b.rows.tobytes(), tuple(tri_key[int(k)] for k in b.tris))
+            if any(count[tri_key[int(k)]] == 1 for k in b.tris):
+                key = ("own", p)
+            if key not in ids:
+                ids[key] = len(ids)
+                first.append(p)
+            system.append(ids[key])
+        grouped = len(ids) * (nf + 3 * t) <= len(members)
         per = max(1, stack_entries // (nf + 3 * t) ** 2)
         for s in range(0, len(members), per):
             q = members[s:s + per]
             stack = {key: np.concatenate([getattr(b, key) for b in q])
                      for key in ("vertices", "dofs", "tris", "loc", "rows", "prescribed")}
-            stack.update(mean=mean, nf=nf, patch=np.repeat(np.arange(len(q)), t))
+            stack.update(mean=mean, nf=nf, patch=np.repeat(np.arange(len(q)), t),
+                         system=np.array(system[s:s + per], dtype=np.int64),
+                         new=np.array([p - s for p in first if s <= p < s + per], dtype=np.int64)
+                         if grouped else None)
             stacks.append(stack)
     return stacks
 

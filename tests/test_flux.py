@@ -28,9 +28,10 @@ from eqflux.flux import (
     OrthogonalityError,
     FluxField,
     _compatibility_residual,
-    _solve_stack,
     assemble_patch_system,
     build_rt_space,
+    certify,
+    divergence_moment_defect,
     flux_divergence_defect,
     flux_normal_trace,
     interior_jump,
@@ -448,7 +449,7 @@ class TestStackLayout:
         assert len(batches) == len(stacks)
         layouts = {(s["nf"], len(s["patch"]) // len(s["vertices"]), s["mean"]) for s in stacks}
         assert (len(stacks) > len(layouts)) == split
-        coef = np.zeros(sp.total_dofs)
+        coef, operators = np.zeros(sp.total_dofs), {}
         for batch, stack in zip(batches, stacks):
             for key, want in stack.items():
                 got = getattr(batch, key)
@@ -457,13 +458,19 @@ class TestStackLayout:
                 else:
                     assert type(got) is type(want), key
                 assert np.array_equal(got, want), key
-            np.add.at(coef, *patch_flux(sp, flux_module.PatchBatch(**stack), u, data))
+            np.add.at(coef, *patch_flux(sp, flux_module.PatchBatch(**stack), u, data, operators))
         assert np.array_equal(reconstruct_flux(u, data, sp).coefficients, coef)
 
 
+def _triangle_bytes(space):
+    """The bytes of each triangle's mass, divergence moments and area."""
+    return [space.mass[t].tobytes() + space.divmom[t].tobytes() + space.mesh.areas[t].tobytes()
+            for t in range(space.mesh.n_triangles)]
+
+
 class TestGroupedSolve:
-    """Stacks of repeated patch systems solved once per distinct system,
-    against the direct condensation of every system."""
+    """Layouts of repeated patch systems solved once per distinct system and
+    flux, against the direct condensation of every system."""
 
     @staticmethod
     def _spy(monkeypatch):
@@ -478,71 +485,97 @@ class TestGroupedSolve:
         return calls
 
     @staticmethod
-    def _direct(M, B, f, g, c):
-        return saddle_solve(M, B, f[..., None], g[..., None], c)[..., 0]
-
-    @staticmethod
-    def _lattice_stacks(n, case=1):
+    def _lattice(n, case=1):
         rng = np.random.default_rng(7)
         m, data, u = _mixed_problem(lambda d: generate_unit_square(n, d), case, rng)
-        sp = build_rt_space(m)
-        return m, [(b, assemble_patch_system(sp, b, u, data)) for b in patch_batches(sp, data)]
+        return m, data, u, build_rt_space(m)
+
+    @staticmethod
+    def _layouts(batches):
+        """(patches, distinct systems, grouped) per layout ``(nf, t, mean)``."""
+        out = {}
+        for b in batches:
+            key = (b.nf, len(b.tris) // len(b.vertices), b.mean)
+            P, R, _ = out.get(key, (0, 0, None))
+            out[key] = (P + len(b.vertices), max(R, int(b.system.max()) + 1), b.new is not None)
+        return out
 
     def test_lattice_stacks_match_saddle_solve(self, monkeypatch):
-        m, stacks = self._lattice_stacks(64)
-        interior = np.ones(m.n_vertices, dtype=bool)
-        interior[m.edge_vertices[m.boundary_edge_ids]] = False
-        interior_stacks = 0
-        for batch, blocks in stacks:
-            ref = self._direct(*blocks)
-            calls = self._spy(monkeypatch)
-            x = _solve_stack(*blocks)
-            monkeypatch.undo()
-            P, k = len(batch.vertices), blocks[2].shape[1] + blocks[3].shape[1]
-            # one call: every system with one column, or R systems with k unit columns
-            ((R, cols),) = calls
-            assert (R, cols) == (P, 1) or (cols == k and R * k <= P)
-            if interior[batch.vertices].all():
-                interior_stacks += 1
-                assert (R, cols) == (1, k)
-            assert x.shape == ref.shape
-            assert np.abs(x - ref).max() <= 1e-12 * np.abs(ref).max()
-        # the 3969 interior patches fill 14 stacks, each holding one system
-        assert interior_stacks == 14
-
-    @pytest.mark.parametrize("entry, grouped", [
-        ("M diagonal", True), ("M off-diagonal", False), ("B", False), ("c", False)])
-    def test_perturbed_system_is_not_shared(self, monkeypatch, entry, grouped):
-        batch, (M, B, f, g, c) = max(self._lattice_stacks(32)[1], key=lambda s: len(s[0].vertices))
-        P, k = len(batch.vertices), f.shape[1] + g.shape[1]
-        M, B, c = M.copy(), B.copy(), c.copy()
-        p = P // 2
-        if entry == "M diagonal":
-            M[p, 3, 3] *= 1.0 + 1e-9
-        elif entry == "M off-diagonal":
-            M[p, 3, 4] = M[p, 4, 3] = M[p, 3, 4] * (1.0 + 1e-9) + 1e-12
-        elif entry == "B":
-            B[p, 0, np.flatnonzero(B[p, 0])[0]] *= 1.0 + 1e-9
-        else:
-            c[p, :3] *= 1.0 + 1e-9
-        ref = self._direct(M, B, f, g, c)
+        m, data, u, sp = self._lattice(64)
+        batches = patch_batches(sp, data)
         calls = self._spy(monkeypatch)
-        x = _solve_stack(M, B, f, g, c)
-        # a perturbed diagonal is a second system; any other mismatch falls back
-        assert calls == ([(2, k)] if grouped else [(P, 1)])
-        assert np.abs(x - ref).max() <= 1e-12 * np.abs(ref).max()
+        operators = {}
+        got = [patch_flux(sp, b, u, data, operators) for b in batches]
+        monkeypatch.undo()
+        layouts = self._layouts(batches)
+        grouped = {(nf, t, mean): R for (nf, t, mean), (P, R, g) in layouts.items() if g}
+        for (nf, t, mean), (P, R, g) in layouts.items():
+            assert g == (R * (nf + 3 * t) <= P)
+        # one call per directly solved stack, with one column each, and one per
+        # grouped layout, on its R distinct systems with the nf + 3t unit columns
+        direct = [(len(b.vertices), 1) for b in batches if b.new is None]
+        assert sorted(calls) == sorted(direct + [(R, nf + 3 * t) for (nf, t, _), R in grouped.items()])
+        # the 3969 interior patches (14 stacks) make one operator build, on one system
+        assert [c for c in calls if c[1] == 42] == [(1, 42)]
+        assert layouts[24, 6, True][:2] == (3969, 1)
+        assert sum(grouped.values()) <= 9
+        for batch, (dofs, vals) in zip(batches, got):
+            ref_dofs, ref = patch_flux(sp, dataclasses.replace(batch, new=None), u, data)
+            assert np.array_equal(dofs, ref_dofs)
+            assert np.abs(vals - ref).max() <= 1e-12 * np.abs(ref).max()
+
+    @pytest.mark.parametrize("entry", ["mass diagonal", "mass off-diagonal", "divmom"])
+    def test_perturbed_triangle_is_not_shared(self, entry):
+        m, data, u, sp = self._lattice(32)
+        centroids = m.vertices[m.triangles].mean(axis=1)
+        t = int(np.argmin(((centroids - 0.5) ** 2).sum(axis=1)))
+        mass, div = sp.mass.copy(), sp.divmom.copy()
+        if entry == "mass diagonal":
+            mass[t, 3, 3] *= 1.0 + 1e-9
+        elif entry == "mass off-diagonal":
+            mass[t, 3, 4] = mass[t, 4, 3] = mass[t, 3, 4] * (1.0 + 1e-9) + 1e-12
+        else:
+            div[t, 0, np.flatnonzero(div[t, 0])[0]] *= 1.0 + 1e-9
+        sp = dataclasses.replace(sp, mass=mass, divmom=div)
+        batches = patch_batches(sp, data)
+        # the patches of t's vertices are systems of their own
+        for b in batches:
+            mine = np.isin(b.vertices, m.triangles[t])
+            assert not np.isin(b.system[mine], b.system[~mine]).any()
+            assert len(np.unique(b.system[mine])) == mine.sum()
+        assert any(b.new is not None and np.isin(b.vertices, m.triangles[t]).any() for b in batches)
+        coef = reconstruct_flux(u, data, sp).coefficients
+        ref = np.zeros(sp.total_dofs)
+        for b in batches:
+            np.add.at(ref, *patch_flux(sp, dataclasses.replace(b, new=None), u, data))
+        assert np.abs(coef - ref).max() <= 1e-12 * np.abs(ref).max()
 
     def test_unstructured_mesh_falls_back(self, monkeypatch):
         rng = np.random.default_rng(2)
         m, data, u = _mixed_problem(lambda d: unstructured_mesh(16, rng, d), 1, rng)
         sp = build_rt_space(m)
+        batches = patch_batches(sp, data)
+        # every triangle and every patch system is distinct, so every stack is solved directly
+        assert len(set(_triangle_bytes(sp))) == m.n_triangles
+        assert sum(R for _, R, _ in self._layouts(batches).values()) == m.n_vertices
+        assert all(b.new is None for b in batches)
         calls = self._spy(monkeypatch)
-        reconstruct_flux(u, data, sp)
-        assert calls == [(len(b.vertices), 1) for b in patch_batches(sp, data)]
+        coef = reconstruct_flux(u, data, sp).coefficients
+        assert calls == [(len(b.vertices), 1) for b in batches]
+        # bitwise the solve of every stack's own assembled systems
+        ref = np.zeros(sp.total_dofs)
+        for b in batches:
+            M, B, f, g, c = assemble_patch_system(sp, b, u, data)
+            assert len(M) == len(b.vertices)
+            x = linalg_module.saddle_solve(M, B, f[..., None], g[..., None], c)[..., 0]
+            fixed = b.rows < 0
+            np.add.at(ref, np.concatenate([b.dofs.ravel(), sp.tri_dofs[b.tris][fixed]]),
+                      np.concatenate([x.ravel(), b.prescribed[fixed]]))
+        assert np.array_equal(coef, ref)
 
     @pytest.mark.parametrize("n", [16, 32])
     def test_singular_grouped_system_names_vertex(self, monkeypatch, n):
-        # test_singular_patch_system_names_vertex on a lattice whose stacks group
+        # test_singular_patch_system_names_vertex on a lattice whose layouts group
         m, data, u = TestPatchFlux()._linear_setup(n)
         sp = build_rt_space(m)
         centroids = m.vertices[m.triangles].mean(axis=1)
@@ -556,14 +589,67 @@ class TestGroupedSolve:
             reconstruct_flux(u, data, broken)
         vertex = int(str(exc.value).split("vertex ")[1].split(":")[0])
         assert vertex in m.triangles[t]
-        # The failing stack call (the last on more than one system; it then
-        # solves one system at a time) was grouped: its R distinct systems
+        # The failing call (the last on more than one system; it then solves
+        # one system at a time) was grouped: the systems its stack meets first,
         # with the 42 unit columns of an interior lattice patch.
-        (stack,) = [b for b in patch_batches(sp, data) if vertex in b.vertices]
+        (stack,) = [b for b in patch_batches(broken, data) if vertex in b.vertices]
         last = max(i for i, (R, _) in enumerate(calls) if R > 1)
         R, cols = calls[last]
-        assert cols == 42 and R * cols <= len(stack.vertices)
+        assert cols == 42 and R == len(stack.new)
         assert set(calls[last + 1:]) == {(1, 42)}
+
+
+class TestSystemKey:
+    """Each patch system assembled and factored once per distinct key, the key
+    computed from the triangle classes before assembly."""
+
+    def test_representatives_equal_members_bitwise(self):
+        m, data, u, sp = TestGroupedSolve._lattice(64)
+        reps = {}
+        for b in patch_batches(sp, data):
+            M, B, f, g, c = assemble_patch_system(sp, b, u, data)
+            full = assemble_patch_system(sp, dataclasses.replace(b, new=None), u, data)
+            assert np.array_equal(f, full[2]) and np.array_equal(g, full[3])
+            if b.new is None:
+                continue
+            blocks = [(a, full[i]) for i, a in ((0, M), (1, B), (4, c)) if a is not None]
+            layout = reps.setdefault((b.nf, len(b.tris) // len(b.vertices), b.mean), [])
+            layout += [[a[r] for a, _ in blocks] for r in range(len(b.new))]
+            for p, s in enumerate(b.system):
+                for rep, (_, own) in zip(layout[s], blocks):
+                    assert np.array_equal(rep.view(np.uint64), own[p].view(np.uint64))
+        assert sum(len(v) for v in reps.values()) <= 9
+
+    def test_one_ulp_vertex_gets_own_systems(self):
+        lattice = generate_unit_square(32, dirichlet_x01)
+        v = int(np.argmin(np.abs(lattice.vertices - [11 / 32, 17 / 32]).sum(axis=1)))
+        vertices = lattice.vertices.copy()
+        vertices[v, 0] = np.nextafter(vertices[v, 0], 1.0)
+        markers = {tuple(int(a) for a in lattice.edge_vertices[e]): lattice.edge_markers[e]
+                   for e in lattice.boundary_edge_ids}
+        m = Mesh(vertices, lattice.triangles, edge_markers=markers)
+        rng = np.random.default_rng(4)
+        m, data, u = _mixed_problem(lambda d: m, 1, rng)
+        sp = build_rt_space(m)
+        ring = np.flatnonzero((m.triangles == v).any(axis=1))
+        tri = _triangle_bytes(sp)
+        assert not {tri[t] for t in ring} & {tri[t] for t in np.delete(np.arange(len(tri)), ring)}
+        touched = np.unique(m.triangles[ring])
+        batches = patch_batches(sp, data)
+        assert any(b.new is not None for b in batches)
+        for b in batches:
+            mine = np.isin(b.vertices, touched)
+            assert not np.isin(b.system[mine], b.system[~mine]).any()
+            assert len(np.unique(b.system[mine])) == mine.sum()
+        coef = reconstruct_flux(u, data, sp).coefficients
+        ref = reconstruct_flux_loop(u, data, sp)
+        assert np.abs(coef - ref).max() <= 1e-12 * np.abs(ref).max()
+
+    def test_non_dyadic_lattice_matches_loop(self):
+        m, data, u, sp = TestGroupedSolve._lattice(48)
+        coef = reconstruct_flux(u, data, sp).coefficients
+        ref = reconstruct_flux_loop(u, data, sp)
+        assert np.abs(coef - ref).max() <= 1e-12 * np.abs(ref).max()
 
 
 class TestReconstructFlux:
@@ -694,3 +780,20 @@ class TestCertificates:
         assert jump > 1e-3 and neu > 1e-3
         assert jump == pytest.approx(interior_jump_loop(fl), rel=1e-12)
         assert neu == pytest.approx(neumann_trace_defect_loop(fl, data), rel=1e-12)
+
+    @settings(max_examples=20, deadline=None)
+    @given(n=st.integers(2, 8), case=st.integers(0, 2), seed=st.integers(0, 2**32 - 1))
+    def test_moment_and_quadrature_divergence_agree(self, n, case, seed):
+        # The run's divergence check in DOF space against the quadrature defect,
+        # per triangle, on the equilibrated flux (which certify passes) and on
+        # random coefficients.
+        rng = np.random.default_rng(seed)
+        m, data, u = _mixed_problem(lambda d: unstructured_mesh(n, rng, d), case, rng)
+        fl = reconstruct_flux(u, data)
+        certify(fl, data)
+        scale = np.linalg.norm(fl.cell_means(), axis=1).max()
+        for coef in (fl.coefficients, rng.standard_normal(fl.space.total_dofs)):
+            broken = FluxField(fl.space, coef)
+            dofs, quad = divergence_moment_defect(broken, data), flux_divergence_defect(broken, data)
+            assert np.abs(dofs - quad).max() <= 1e-12 * max(quad.max(), scale)
+        assert divergence_moment_defect(fl, data).max() <= 1e-12 * scale

@@ -15,7 +15,7 @@ from conftest import (
     locate_points_loop,
     unstructured_mesh,
 )
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from eqflux.geometry import (
@@ -205,9 +205,12 @@ class TestLocatePoint:
                        axis=1)  # (200, 4, 2)
         pts[::7, 3] = np.nan
         want = contains(m, tris[:, None], pts).all(axis=1)
+        # One shared 1e-13 shift moves every third point; where it takes all of them
+        # out (n = 6, seed = 2**32 - 1), no row holds and the example tests nothing.
+        assume(want.any() and not want.all())
         with mock.patch("eqflux.mesh._HOLD_BLOCK", block):
             got = m.holds(tris, pts[..., 0].T, pts[..., 1].T)
-        assert np.array_equal(got, want) and want.any() and not want.all()
+        assert np.array_equal(got, want)
 
     def test_holds_own_corners_only(self):
         m = generate_unit_square(2)

@@ -7,7 +7,8 @@ import numpy as np
 import pytest
 
 from eqflux import config as cfg
-from eqflux import fem, geometry, run
+from eqflux import fem, flux, geometry, run
+from eqflux.flux import EquilibrationError
 from eqflux.geometry import (
     NEGATIVE_BOUNDARY,
     NEGATIVE_INTERNAL,
@@ -92,6 +93,31 @@ class TestRunSingle:
                 mock.patch.object(geometry, "partition_feature_boundary", counted):
             res = run_single(spec)
         assert sorted(calls) == sorted(res.report.per_feature) == [1, 2]
+
+
+class TestCertificate:
+    """run_single certifies every flux it builds."""
+
+    @pytest.mark.parametrize("which", [0, 1])
+    def test_perturbed_coefficient_raises(self, monkeypatch, which):
+        # test2-pos builds the simplified-domain flux first, then a feature flux;
+        # one of them gets 1e-6 x its scale added to an interior edge moment.
+        (spec,) = cfg.specs_from_config(preset_config("test2-pos", n=16))
+        built, reconstruct = [], flux.reconstruct_flux
+
+        def mutated(*args, **kwargs):
+            fl = reconstruct(*args, **kwargs)
+            if len(built) == which:
+                mesh = fl.space.mesh
+                e = int(np.flatnonzero(mesh.edge_tris.min(axis=1) >= 0)[0])
+                fl.coefficients[2 * e] += 1e-6 * np.linalg.norm(fl.cell_means(), axis=1).max()
+            built.append(fl)
+            return fl
+
+        monkeypatch.setattr(flux, "reconstruct_flux", mutated)
+        with pytest.raises(EquilibrationError, match="divergence defect"):
+            run_single(spec)
+        assert len(built) == which + 1
 
 
 class TestExtensionEqualToFeature:
