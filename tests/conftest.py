@@ -333,6 +333,12 @@ def reconstruct_flux_loop(u_h, data, space):
     return coef
 
 
+def triangle_bytes(space):
+    """The bytes of each triangle's mass matrix, divergence moments and area."""
+    return [space.mass[t].tobytes() + space.divmom[t].tobytes() + space.mesh.areas[t].tobytes()
+            for t in range(space.mesh.n_triangles)]
+
+
 def patch_stacks_loop(space, data, stack_entries):
     """The patch stacks of all vertices, laid out one layout at a time: layouts
     ascending by (free rows, triangles, mean-value constraint), each layout's
@@ -351,8 +357,7 @@ def patch_stacks_loop(space, data, stack_entries):
     from eqflux.flux import patch_batches
 
     mesh = space.mesh
-    tri_key = [space.mass[t].tobytes() + space.divmom[t].tobytes() + mesh.areas[t].tobytes()
-               for t in range(mesh.n_triangles)]
+    tri_key = triangle_bytes(space)
     count = Counter(tri_key)
     one = [patch_batches(space, data, [v])[0] for v in range(mesh.n_vertices)]
     stacks = []

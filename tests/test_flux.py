@@ -13,6 +13,7 @@ from conftest import (
     neumann_trace_defect_loop,
     patch_stacks_loop,
     reconstruct_flux_loop,
+    triangle_bytes,
     unstructured_mesh,
     vertex_patches_loop,
 )
@@ -462,12 +463,6 @@ class TestStackLayout:
         assert np.array_equal(reconstruct_flux(u, data, sp).coefficients, coef)
 
 
-def _triangle_bytes(space):
-    """The bytes of each triangle's mass, divergence moments and area."""
-    return [space.mass[t].tobytes() + space.divmom[t].tobytes() + space.mesh.areas[t].tobytes()
-            for t in range(space.mesh.n_triangles)]
-
-
 class TestGroupedSolve:
     """Layouts of repeated patch systems solved once per distinct system and
     flux, against the direct condensation of every system."""
@@ -556,7 +551,7 @@ class TestGroupedSolve:
         sp = build_rt_space(m)
         batches = patch_batches(sp, data)
         # every triangle and every patch system is distinct, so every stack is solved directly
-        assert len(set(_triangle_bytes(sp))) == m.n_triangles
+        assert len(set(triangle_bytes(sp))) == m.n_triangles
         assert sum(R for _, R, _ in self._layouts(batches).values()) == m.n_vertices
         assert all(b.new is None for b in batches)
         calls = self._spy(monkeypatch)
@@ -632,7 +627,7 @@ class TestSystemKey:
         m, data, u = _mixed_problem(lambda d: m, 1, rng)
         sp = build_rt_space(m)
         ring = np.flatnonzero((m.triangles == v).any(axis=1))
-        tri = _triangle_bytes(sp)
+        tri = triangle_bytes(sp)
         assert not {tri[t] for t in ring} & {tri[t] for t in np.delete(np.arange(len(tri)), ring)}
         touched = np.unique(m.triangles[ring])
         batches = patch_batches(sp, data)
