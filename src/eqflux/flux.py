@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import linalg
-from .fem import _M3, _M3_INV, TRI_QP, TRI_QW, ProblemData, ScalarField
+from .fem import TRI_QP, TRI_QW, ProblemData, ScalarField, _M3
 from .geometry import CurveQuadrature, GeometryError, gauss_legendre
 from .mesh import Mesh, patch_edge_split
 
@@ -159,10 +159,10 @@ class FluxField:
         # The reference coordinates lam_1, lam_2 as J⁻¹ (x − v0): differences
         # first, so that no cancellation of the absolute coordinates enters.
         ref = np.einsum("nab,nb->na", mesh.lam_grads[tris, 1:], pts - v[:, 0])
-        # Monomial coefficients (8, N) of each distinct triangle first, by an einsum: a
-        # (N, 8) @ (8, 8) matmul runs on all BLAS threads, at times 10-30x slower.
+        # Per distinct triangle, in 4096-row blocks: OpenBLAS keeps those on one thread (no stalls).
         u, inv = np.unique(tris, return_inverse=True)
-        c = np.einsum("uk,jk->ju", self.reference_dofs(u), _RT_REF).take(inv, axis=1)
+        d = self.reference_dofs(u)
+        c = np.vstack([d[s:s + 4096] @ _RT_REF.T for s in range(0, max(len(u), 1), 4096)]).T[:, inv]
         phi = _rt_field(c, ref[:, 0], ref[:, 1])
         return np.einsum("nca,na->nc", _jacobians(v), phi) / (2.0 * mesh.areas[tris, None])
 
@@ -211,20 +211,12 @@ class PatchBatch:
     new: np.ndarray | None  # first patches of the systems new in this stack; None: solve directly
 
 
-def _first_rows(rows, probe):
-    """For each row, the first row of its class: rows bitwise equal in every 2-D array of
-    ``rows``.  ``probe``, equal on equal rows, buckets them by one sort; a row that is not
-    its bucket's first is compared with that one entry for entry, in chunks that stay in
-    cache, and where they differ it starts a class of its own."""
+def _first_of_bucket(probe):
+    """For each item, the first item with its value of ``probe`` (a NaN: itself), by one sort."""
     o = np.argsort(probe)
     run = np.flatnonzero(np.diff(probe[o], prepend=np.nan) != 0)  # buckets in sorted order
     rep = np.empty_like(o)
     rep[o] = np.repeat(np.minimum.reduceat(o, run), np.diff(run, append=len(o)))
-    dup = np.flatnonzero(rep != np.arange(len(rep)))
-    for s in range(0, len(dup), 1024):
-        i = dup[s:s + 1024]
-        odd = np.any([(a[i] != a[rep[i]]).any(axis=1) for a in rows], axis=0)
-        rep[i[odd]] = i[odd]
     return rep
 
 
@@ -286,43 +278,44 @@ def patch_batches(space: RTSpace, data: ProblemData, vertices=None) -> list[Patc
 
     # Patches sorted stably by layout, and their incidences and free DOFs in
     # that order: every stack is a run of slices.
-    tmax = int(nt.max(initial=0))
-    layout = (nf * (tmax + 1) + nt) * 2 + mean
+    layout = (nf * (int(nt.max(initial=0)) + 1) + nt) * 2 + mean
     order = np.argsort(layout, kind="stable")
-    nt, nf, vertices, mean = nt[order], nf[order], vertices[order], mean[order]
+    nt, nf, vertices, layout = nt[order], nf[order], vertices[order], layout[order]
     i0, f0 = np.cumsum(nt) - nt, np.cumsum(nf) - nf
     inc = np.arange(len(patch)) + np.repeat(first[order] - i0, nt)
     dofs = uniq[np.arange(len(uniq)) + np.repeat(start[order] - f0, nf)] % D
     tris, loc, rows, prescribed = tris[inc], loc[inc], rows[inc], prescribed[inc]
-    # M, B and c follow from the layout and, slot by slot, the free rows and the class (the
-    # bytes of mass, divmom and area) of the triangles, summed in slot order: equal keys give
-    # bitwise-equal systems.  A triangle of a class of its own gives its patches their own.
+    # Keys: the layout and, per slot, the free rows and the class (the bytes of mass, divmom,
+    # area) of the triangles, which M, B and c sum in slot order: equal keys, bitwise-equal
+    # systems.  Probe buckets are confirmed exactly; patches with a lone class probe NaN (alone).
     tri = [a.reshape(len(a), -1) for a in (space.mass, space.divmom, mesh.areas)]
-    cls = _first_rows([a.view(np.uint64) for a in tri],
-                      sum(np.einsum("tk,k->t", a, np.cos(np.arange(a.shape[1]))) for a in tri))
+    cls = _first_of_bucket(sum(np.einsum("tk,k->t", a, np.cos(np.arange(a.shape[1]))) for a in tri))
+    dup, bits = np.flatnonzero(cls != np.arange(len(cls))), [a.view(np.uint64) for a in tri]
+    for i in (dup[s:s + 1024] for s in range(0, len(dup), 1024)):  # chunks that stay in cache
+        odd = np.any([(a[i] != a[cls[i]]).any(axis=1) for a in bits], axis=0)
+        cls[i[odd]] = i[odd]
     patch, slot = np.repeat(np.arange(P), nt), np.arange(len(tris)) - np.repeat(i0, nt)
     lone = np.bincount(patch, np.bincount(cls)[cls][tris] == 1, minlength=P) > 0
-    need, m = np.flatnonzero(~lone), ~lone[patch]
-    key = np.zeros((len(need), tmax + 1, 9), dtype=np.int64)
-    key[:, tmax, 0] = layout[order][need]  # the layout in a slot of its own
-    j = np.cumsum(~lone)[patch[m]] - 1
-    key[j, slot[m], :8], key[j, slot[m], 8] = rows[m], cls[tris[m]]
-    key = key.reshape(len(need), 9 * tmax + 9)
-    rep = np.arange(P)
-    rep[need] = need[_first_rows([key], np.einsum("pk,k->p", key, np.cos(np.arange(key.shape[1]))))]
+    m = ~lone[patch]
+    h = (np.einsum("ik,k->i", rows[m], np.cos(np.arange(8))) + cls[tris[m]]) * np.cos(slot[m] + 0.5)
+    rep = _first_of_bucket(np.where(lone, np.nan, np.bincount(patch[m], h, minlength=P) + layout))
+    j = np.flatnonzero(rep[patch] != patch)  # incidences of the patches that are not first
+    same = np.minimum(i0[rep[patch[j]]] + slot[j], len(tris) - 1)  # that slot of the first
+    odd = patch[j][(rows[j] != rows[same]).any(axis=1) | (cls[tris[j]] != cls[tris[same]])
+                   | (layout[patch[j]] != layout[rep[patch[j]]])]
+    rep[odd] = odd
     heads, system = np.unique(rep, return_inverse=True)  # the first patch of each system
     batches = []
-    starts = np.flatnonzero(np.diff(layout[order], prepend=-1))
+    starts = np.flatnonzero(np.diff(layout, prepend=-1))
     for a, b in zip(starts, np.append(starts[1:], P)):
         f, t = int(nf[a]), int(nt[a])
-        # An operator per distinct system pays when it serves nf + 3t patches.
-        grouped = (system[a:b].max() - system[a] + 1) * (f + 3 * t) <= b - a
+        grouped = (system[a:b].max() - system[a] + 1) * (f + 3 * t) <= b - a  # R (nf + 3t) <= P
         per = max(1, _STACK_ENTRIES // (f + 3 * t) ** 2)
         for s, n in ((s, min(per, b - s)) for s in range(a, b, per)):
             i = slice(i0[s], i0[s] + n * t)
             new = heads[(heads >= s) & (heads < s + n)] - s
             batches.append(PatchBatch(
-                vertices[s:s + n], bool(mean[a]), f, dofs[f0[s]:f0[s] + n * f].reshape(n, f),
+                vertices[s:s + n], bool(layout[a] % 2), f, dofs[f0[s]:f0[s] + n * f].reshape(n, f),
                 np.repeat(np.arange(n), t), tris[i], loc[i], rows[i], prescribed[i],
                 system[s:s + n] - system[a], new if grouped else None))
     return batches
@@ -335,8 +328,7 @@ def assemble_patch_system(space: RTSpace, batch: PatchBatch, u_h: ScalarField,
     g (P, 3t) of every patch, and the flux block M (R, nf, nf), the divergence
     block B (R, 3t, nf) and the hat-weight border c (R, 3t) of the mean-value
     constraint, or None without it, of the R patches ``batch.new`` (of every
-    patch where that is None).  Prescribed DOFs enter only the right-hand sides.
-    """
+    patch where that is None).  Prescribed DOFs enter only the right-hand sides."""
     mesh = space.mesh
     P, nf = len(batch.vertices), batch.nf
     t, loc, pv, rows = batch.tris, batch.loc, batch.prescribed, batch.rows
@@ -352,10 +344,9 @@ def assemble_patch_system(space: RTSpace, batch: PatchBatch, u_h: ScalarField,
           - np.einsum("imj,ij->im", div, pv))
     f = np.bincount(row[free], r1[free], minlength=P * nf).reshape(P, nf)
 
-    nt = len(t) // P
+    nt, R = len(t) // P, P if batch.new is None else len(batch.new)
     sub = slice(None) if batch.new is None else (batch.new[:, None] * nt + np.arange(nt)).ravel()
     rows, mass, div, area = rows[sub], mass[sub], div[sub], area[sub]
-    R = len(rows) // nt
     free, own = rows >= 0, np.repeat(np.arange(R), nt)
     row = own[:, None] * nf + rows
     # An edge DOF shared by two patch triangles sums two flux-block entries.
@@ -387,13 +378,10 @@ def _compatibility_residual(space, batch, g, u_h, data):
 
 
 def patch_flux(space: RTSpace, batch: PatchBatch, u_h: ScalarField, data: ProblemData,
-               operators=None):
-    """Solve a batch of patch problems by static condensation: directly on the stack's
-    own systems, or by the operators of its layout's distinct systems.  The stack that
-    first meets a system factors it once, with the ``nf + 3t`` unit columns as
-    right-hand sides, and keeps its operator in ``operators`` for the flux's later
-    stacks.  Returns (global DOF ids, DOF values) to be added into the global
-    coefficients."""
+               operators: dict):
+    """Solve a batch of patch problems by static condensation: directly, or by the operators
+    of its layout's systems, kept in ``operators`` once ``batch.new`` factors them (the unit
+    columns as right-hand sides); returns (global DOF ids, DOF values) to add up."""
     M, B, f, g, c = assemble_patch_system(space, batch, u_h, data)
     resid, scale = _compatibility_residual(space, batch, g, u_h, data)
     bad = resid > 1e-9 * scale + 1e-13
@@ -404,17 +392,16 @@ def patch_flux(space: RTSpace, batch: PatchBatch, u_h: ScalarField, data: Proble
             f"exceeds 1e-9 * {scale[k]:.3e}; the field is not a Galerkin "
             "solution for the supplied data"
         )
-    nf, k, operators = batch.nf, f.shape[1] + g.shape[1], {} if operators is None else operators
+    nf, k = batch.nf, f.shape[1] + g.shape[1]
     try:
         if batch.new is None:
             sol = linalg.saddle_solve(M, B, f[..., None], g[..., None], c)[..., 0]
         else:
-            Z = operators.get((nf, k, batch.mean), np.empty((0, nf, k)))
+            Z = operators.setdefault((nf, k, batch.mean), [])  # the layout's operators so far
             if len(batch.new):
                 unit = np.broadcast_to(np.eye(k), (len(batch.new), k, k))
-                Z = operators[nf, k, batch.mean] = np.concatenate(
-                    [Z, linalg.saddle_solve(M, B, unit[:, :nf], unit[:, nf:], c)])
-            sol = (Z[batch.system] @ np.concatenate([f, g], axis=1)[..., None])[..., 0]
+                Z.append(linalg.saddle_solve(M, B, unit[:, :nf], unit[:, nf:], c))
+            sol = (np.concatenate(Z)[batch.system] @ np.hstack([f, g])[..., None])[..., 0]
     except linalg.SingularSystemError as exc:
         p = exc.index if batch.new is None else batch.new[exc.index]  # its stack position
         raise EquilibrationError(
@@ -478,21 +465,11 @@ def neumann_trace_defect(flux: FluxField, data: ProblemData) -> float:
     return float(np.abs(_edge_traces(flux, e, tris, n_out) + gn).max(initial=0.0))
 
 
-def divergence_moment_defect(flux: FluxField, data: ProblemData) -> np.ndarray:
-    """Per-element L2 norm of (div sigma_h − f_proj) in DOF space: both are P1 on a
-    triangle, so their moments against the barycentrics fix the norm exactly."""
-    sp, area = flux.space, flux.space.mesh.areas
-    m = (np.einsum("tmj,tj->tm", sp.divmom, flux.coefficients[sp.tri_dofs])
-         - np.einsum("tk,km->tm", data.f_proj, _M3) * area[:, None])
-    return np.sqrt(np.maximum(np.einsum("tm,mk,tk->t", m, _M3_INV, m) / area, 0.0))
-
-
 def certify(flux: FluxField, data: ProblemData) -> None:
-    """Raise :class:`EquilibrationError` unless ``div sigma = Pi f``
-    (:func:`divergence_moment_defect`) and ``sigma·n = -Pi g`` on the Neumann edges
-    hold to 1e-9 times the largest cell-mean flux."""
+    """Raise :class:`EquilibrationError` unless ``div sigma = Pi f`` (per element in L2) and
+    ``sigma·n = -Pi g`` (at the Neumann nodes) hold to 1e-9 times the largest cell-mean flux."""
     scale = np.sqrt((flux.cell_means() ** 2).sum(axis=1).max(initial=0.0))
-    for name, defect in (("divergence", divergence_moment_defect(flux, data).max(initial=0.0)),
+    for name, defect in (("divergence", flux_divergence_defect(flux, data).max(initial=0.0)),
                          ("Neumann trace", neumann_trace_defect(flux, data))):
         if not defect <= 1e-9 * scale:
             raise EquilibrationError(f"{name} defect {defect:.3e} > 1e-9 * flux scale {scale:.3e}")

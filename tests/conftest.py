@@ -347,18 +347,14 @@ def patch_stacks_loop(space, data, stack_entries):
     stack is a dict of PatchBatch fields.
 
     A patch's system key is its free rows and the bytes of the mass, divergence
-    moments and area of its triangles, slot by slot; a patch with a triangle whose
-    bytes no other triangle shares has a key of its own.  Systems are numbered
-    per layout by first patch, and a layout whose R distinct systems satisfy
+    moments and area of its triangles, slot by slot.  Systems are numbered per
+    layout by first patch, and a layout whose R distinct systems satisfy
     ``R (nf + 3t) ≤ P`` lists, per stack, the positions of the first patches of
     the systems it meets first (``new``; None on any other layout)."""
-    from collections import Counter
-
     from eqflux.flux import patch_batches
 
     mesh = space.mesh
     tri_key = triangle_bytes(space)
-    count = Counter(tri_key)
     one = [patch_batches(space, data, [v])[0] for v in range(mesh.n_vertices)]
     stacks = []
     for nf, t, mean in sorted({(b.nf, len(b.tris), b.mean) for b in one}):
@@ -366,8 +362,6 @@ def patch_stacks_loop(space, data, stack_entries):
         ids, system, first = {}, [], []
         for p, b in enumerate(members):
             key = (b.rows.tobytes(), tuple(tri_key[int(k)] for k in b.tris))
-            if any(count[tri_key[int(k)]] == 1 for k in b.tris):
-                key = ("own", p)
             if key not in ids:
                 ids[key] = len(ids)
                 first.append(p)
