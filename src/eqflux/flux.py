@@ -76,6 +76,15 @@ def _reference_tensors():
 _R, _R_D, _R_V, _R_DV = _reference_tensors()
 
 
+def _unique_rows(a):
+    """The distinct rows of the C-contiguous 2-d array ``a`` by their bytes, numbered by first
+    occurrence: (the first row of each, the number of each row)."""
+    _, first, inv = np.unique(a.view(np.dtype((np.void, a.itemsize * a.shape[1]))).ravel(),
+                              return_index=True, return_inverse=True)
+    order = np.argsort(first)
+    return first[order], np.argsort(order)[inv]
+
+
 def _jacobians(v) -> np.ndarray:
     """Jacobians ``J = [v1 − v0, v2 − v0]`` of the affine maps from the
     reference triangle onto the triangles with vertices v (n, 3, 2), shape
@@ -91,16 +100,17 @@ class RTSpace:
     edge orientation) and two per triangle (moments against the constant
     vector fields).  The basis of triangle K is the contravariant Piola image
     ``J phî / det J`` of the reference basis, re-expressed in the global DOFs:
-    ``transform[K]`` maps K's global DOFs to reference DOFs.  The element
-    matrices used by the patch problems are precomputed.
+    ``transform[shape[K]]`` maps K's global DOFs to reference DOFs.  It and the
+    element matrices are computed once per shape (:func:`build_rt_space`).
     """
 
     mesh: Mesh
-    transform: np.ndarray  # (T, 8, 8): reference DOFs = transform @ global DOFs
-    mass: np.ndarray  # (T, 8, 8)
-    divmom: np.ndarray  # (T, 3, 8): (div phi_j, lam_m)_K
-    vecmom: np.ndarray  # (T, 3, 8, 2): (lam_m phi_j)_K
+    transform: np.ndarray  # (S, 8, 8): reference DOFs = transform @ global DOFs
+    mass: np.ndarray  # (S, 8, 8)
+    divmom: np.ndarray  # (S, 3, 8): (div phi_j, lam_m)_K
+    vecmom: np.ndarray  # (S, 3, 8, 2): (lam_m phi_j)_K
     tri_dofs: np.ndarray  # (T, 8) global DOF ids
+    shape: np.ndarray  # (T,) shape of each triangle, numbered by first triangle
 
     @property
     def total_dofs(self) -> int:
@@ -116,27 +126,31 @@ def build_rt_space(mesh: Mesh) -> RTSpace:
     from its lower to its higher vertex (``Mesh``); where the local edge
     runs the other way its normal and parameter flip, so its block of the
     transform is ``[[-1, 0], [-1, 1]]`` instead of the identity.  Both edge
-    blocks are involutions and the interior block is ``J⁻¹``.
+    blocks are involutions and the interior block is ``J⁻¹``.  These depend on the
+    bytes of ``J`` and the edge signs alone (``mesh.areas`` and ``mesh.lam_grads``
+    are functions of J's columns), so they are built once per shape.
     """
     T, tri = mesh.n_triangles, mesh.triangles
     J = _jacobians(mesh.vertices[tri])
     s = np.where(tri < np.roll(tri, -1, axis=1), 1.0, -1.0)  # (T, 3): +1 where local = global
-    D = np.zeros((T, 8, 8))
+    first, shape = _unique_rows(np.hstack([J.reshape(T, 4), s]))
+    S, J, s = len(first), J[first], s[first]
+    D = np.zeros((S, 8, 8))
     e = 2 * np.arange(3)
     D[:, e, e] = s
     D[:, e + 1, e] = 0.5 * (s - 1.0)
     D[:, e + 1, e + 1] = 1.0
-    D[:, 6:, 6:] = mesh.lam_grads[:, 1:]  # grad lam_1, grad lam_2 are the rows of J⁻¹
-    G = np.einsum("tca,tcb->tab", J, J) / (2.0 * mesh.areas)[:, None, None]
-    mass = (G.reshape(T, 4) @ _R.reshape(4, 64)).reshape(T, 8, 8)
+    D[:, 6:, 6:] = mesh.lam_grads[first, 1:]  # grad lam_1, grad lam_2 are the rows of J⁻¹
+    G = np.einsum("tca,tcb->tab", J, J) / (2.0 * mesh.areas[first])[:, None, None]
+    mass = (G.reshape(S, 4) @ _R.reshape(4, 64)).reshape(S, 8, 8)
     mass = D.transpose(0, 2, 1) @ mass @ D
     divmom = _R_D @ D
-    vecmom = (J[:, None] @ (_R_V.transpose(0, 2, 1).reshape(6, 8) @ D).reshape(T, 3, 2, 8)
+    vecmom = (J[:, None] @ (_R_V.transpose(0, 2, 1).reshape(6, 8) @ D).reshape(S, 3, 2, 8)
               ).transpose(0, 1, 3, 2)
 
     tri_dofs = np.hstack([(2 * mesh.triangle_edges[:, :, None] + np.arange(2)).reshape(T, 6),
                           2 * mesh.n_edges + 2 * np.arange(T)[:, None] + np.arange(2)])
-    return RTSpace(mesh, D, mass, divmom, vecmom, tri_dofs)
+    return RTSpace(mesh, D, mass, divmom, vecmom, tri_dofs, shape)
 
 
 @dataclass
@@ -149,7 +163,8 @@ class FluxField:
     def reference_dofs(self, tris=slice(None)) -> np.ndarray:
         """The reference DOFs of the field on triangles ``tris`` (default: all), one row each."""
         sp = self.space
-        return np.einsum("tkj,tj->tk", sp.transform[tris], self.coefficients[sp.tri_dofs[tris]])
+        return np.einsum("tkj,tj->tk", sp.transform[sp.shape[tris]],
+                         self.coefficients[sp.tri_dofs[tris]])
 
     def eval_at(self, points, tris) -> np.ndarray:
         pts = np.atleast_2d(np.asarray(points, dtype=float))
@@ -211,15 +226,6 @@ class PatchBatch:
     new: np.ndarray | None  # first patches of the systems new in this stack; None: solve directly
 
 
-def _first_of_bucket(probe):
-    """For each item, the first item with its value of ``probe`` (a NaN: itself), by one sort."""
-    o = np.argsort(probe)
-    run = np.flatnonzero(np.diff(probe[o], prepend=np.nan) != 0)  # buckets in sorted order
-    rep = np.empty_like(o)
-    rep[o] = np.repeat(np.minimum.reduceat(o, run), np.diff(run, append=len(o)))
-    return rep
-
-
 def patch_batches(space: RTSpace, data: ProblemData, vertices=None) -> list[PatchBatch]:
     """Lay out the mixed systems of the patches of ``vertices`` (vertex ids;
     default: all, in order) in batches of one layout (free rows, triangles,
@@ -265,11 +271,7 @@ def patch_batches(space: RTSpace, data: ProblemData, vertices=None) -> list[Patc
                   constant_values=True)
     free_patch = np.broadcast_to(patch[:, None], free.shape)[free]
     D = space.total_dofs
-    keys = free_patch * D + space.tri_dofs[tris][free]  # ranked by one stable sort
-    order = np.argsort(keys, kind="stable")
-    new = np.diff(keys[order], prepend=-1) > 0
-    uniq, rank = keys[order[new]], np.empty_like(order)
-    rank[order] = np.cumsum(new) - 1
+    uniq, rank = np.unique(free_patch * D + space.tri_dofs[tris][free], return_inverse=True)
     nf = np.bincount(uniq // D, minlength=P)
     start = np.cumsum(nf) - nf  # first free DOF of each patch in uniq
     rows = np.full(free.shape, -1)
@@ -285,39 +287,24 @@ def patch_batches(space: RTSpace, data: ProblemData, vertices=None) -> list[Patc
     inc = np.arange(len(patch)) + np.repeat(first[order] - i0, nt)
     dofs = uniq[np.arange(len(uniq)) + np.repeat(start[order] - f0, nf)] % D
     tris, loc, rows, prescribed = tris[inc], loc[inc], rows[inc], prescribed[inc]
-    # Keys: the layout and, per slot, the free rows and the class (the bytes of mass, divmom,
-    # area) of the triangles, which M, B and c sum in slot order: equal keys, bitwise-equal
-    # systems.  Probe buckets are confirmed exactly; patches with a lone class probe NaN (alone).
-    tri = [a.reshape(len(a), -1) for a in (space.mass, space.divmom, mesh.areas)]
-    cls = _first_of_bucket(sum(np.einsum("tk,k->t", a, np.cos(np.arange(a.shape[1]))) for a in tri))
-    dup, bits = np.flatnonzero(cls != np.arange(len(cls))), [a.view(np.uint64) for a in tri]
-    for i in (dup[s:s + 1024] for s in range(0, len(dup), 1024)):  # chunks that stay in cache
-        odd = np.any([(a[i] != a[cls[i]]).any(axis=1) for a in bits], axis=0)
-        cls[i[odd]] = i[odd]
-    patch, slot = np.repeat(np.arange(P), nt), np.arange(len(tris)) - np.repeat(i0, nt)
-    lone = np.bincount(patch, np.bincount(cls)[cls][tris] == 1, minlength=P) > 0
-    m = ~lone[patch]
-    h = (np.einsum("ik,k->i", rows[m], np.cos(np.arange(8))) + cls[tris[m]]) * np.cos(slot[m] + 0.5)
-    rep = _first_of_bucket(np.where(lone, np.nan, np.bincount(patch[m], h, minlength=P) + layout))
-    j = np.flatnonzero(rep[patch] != patch)  # incidences of the patches that are not first
-    same = np.minimum(i0[rep[patch[j]]] + slot[j], len(tris) - 1)  # that slot of the first
-    odd = patch[j][(rows[j] != rows[same]).any(axis=1) | (cls[tris[j]] != cls[tris[same]])
-                   | (layout[patch[j]] != layout[rep[patch[j]]])]
-    rep[odd] = odd
-    heads, system = np.unique(rep, return_inverse=True)  # the first patch of each system
     batches = []
     starts = np.flatnonzero(np.diff(layout, prepend=-1))
     for a, b in zip(starts, np.append(starts[1:], P)):
         f, t = int(nf[a]), int(nt[a])
-        grouped = (system[a:b].max() - system[a] + 1) * (f + 3 * t) <= b - a  # R (nf + 3t) <= P
+        # A system's key is, slot by slot, the free rows and the shape of its triangles, whose
+        # element matrices M, B and c sum in slot order: equal keys, bitwise-equal systems.
+        j = slice(i0[a], i0[a] + (b - a) * t)
+        key = np.hstack([rows[j], space.shape[tris[j], None]]).reshape(b - a, -1)
+        heads, system = _unique_rows(key)
+        grouped = len(heads) * (f + 3 * t) <= b - a  # R (nf + 3t) <= P
         per = max(1, _STACK_ENTRIES // (f + 3 * t) ** 2)
         for s, n in ((s, min(per, b - s)) for s in range(a, b, per)):
             i = slice(i0[s], i0[s] + n * t)
-            new = heads[(heads >= s) & (heads < s + n)] - s
+            new = heads[(heads >= s - a) & (heads < s - a + n)] - (s - a)
             batches.append(PatchBatch(
                 vertices[s:s + n], bool(layout[a] % 2), f, dofs[f0[s]:f0[s] + n * f].reshape(n, f),
                 np.repeat(np.arange(n), t), tris[i], loc[i], rows[i], prescribed[i],
-                system[s:s + n] - system[a], new if grouped else None))
+                system[s - a:s - a + n], new if grouped else None))
     return batches
 
 
@@ -329,33 +316,33 @@ def assemble_patch_system(space: RTSpace, batch: PatchBatch, u_h: ScalarField,
     block B (R, 3t, nf) and the hat-weight border c (R, 3t) of the mean-value
     constraint, or None without it, of the R patches ``batch.new`` (of every
     patch where that is None).  Prescribed DOFs enter only the right-hand sides."""
-    mesh = space.mesh
+    mesh, shape = space.mesh, space.shape
     P, nf = len(batch.vertices), batch.nf
     t, loc, pv, rows = batch.tris, batch.loc, batch.prescribed, batch.rows
     area = mesh.areas[t]
     grad = u_h.gradients()[t]
-    mass, div = space.mass[t], space.divmom[t]
     free = rows >= 0
     row = batch.patch[:, None] * nf + rows  # (I, 8) row among the stack's P * nf
-    r1 = (-np.einsum("ijc,ic->ij", space.vecmom[t, loc], grad)
-          - np.einsum("ijk,ik->ij", mass, pv))
+    r1 = -np.einsum("ijc,ic->ij", space.vecmom[shape[t], loc], grad)
     r2 = (area[:, None] * np.einsum("imk,ik->im", _TRIPLE[loc], data.f_proj[t])
-          - (np.einsum("ic,ic->i", mesh.lam_grads[t, loc], grad) * area / 3.0)[:, None]
-          - np.einsum("imj,ij->im", div, pv))
+          - (np.einsum("ic,ic->i", mesh.lam_grads[t, loc], grad) * area / 3.0)[:, None])
+    p = np.flatnonzero(pv.any(axis=1))  # incidences with a nonzero prescribed value
+    r1[p] -= np.einsum("ijk,ik->ij", space.mass[shape[t[p]]], pv[p])
+    r2[p] -= np.einsum("imj,ij->im", space.divmom[shape[t[p]]], pv[p])
     f = np.bincount(row[free], r1[free], minlength=P * nf).reshape(P, nf)
 
     nt, R = len(t) // P, P if batch.new is None else len(batch.new)
     sub = slice(None) if batch.new is None else (batch.new[:, None] * nt + np.arange(nt)).ravel()
-    rows, mass, div, area = rows[sub], mass[sub], div[sub], area[sub]
+    rows, area, s = rows[sub], area[sub], shape[t[sub]]
     free, own = rows >= 0, np.repeat(np.arange(R), nt)
     row = own[:, None] * nf + rows
     # An edge DOF shared by two patch triangles sums two flux-block entries.
     pairs = free[:, :, None] & free[:, None, :]
-    M = np.bincount((row[:, :, None] * nf + rows[:, None, :])[pairs], mass[pairs],
+    M = np.bincount((row[:, :, None] * nf + rows[:, None, :])[pairs], space.mass[s][pairs],
                     minlength=R * nf * nf)
     i, k = np.nonzero(free)
     B = np.zeros((len(rows), 3, nf))
-    B[i, :, rows[i, k]] = div[i, :, k]
+    B[i, :, rows[i, k]] = space.divmom[s[i], :, k]
     c = None
     if batch.mean:
         hat = area / 3.0 / np.bincount(own, area, minlength=R)[own]
@@ -465,14 +452,16 @@ def neumann_trace_defect(flux: FluxField, data: ProblemData) -> float:
     return float(np.abs(_edge_traces(flux, e, tris, n_out) + gn).max(initial=0.0))
 
 
-def certify(flux: FluxField, data: ProblemData) -> None:
-    """Raise :class:`EquilibrationError` unless ``div sigma = Pi f`` (per element in L2) and
-    ``sigma·n = -Pi g`` (at the Neumann nodes) hold to 1e-9 times the largest cell-mean flux."""
+def certify(flux: FluxField, data: ProblemData, name: str) -> None:
+    """Raise :class:`EquilibrationError`, naming the flux by ``name``, unless ``div sigma = Pi f``
+    (per element in L2) and ``sigma·n = -Pi g`` (at the Neumann nodes) hold to 1e-9 times the
+    largest cell-mean flux."""
     scale = np.sqrt((flux.cell_means() ** 2).sum(axis=1).max(initial=0.0))
-    for name, defect in (("divergence", flux_divergence_defect(flux, data).max(initial=0.0)),
+    for kind, defect in (("divergence", flux_divergence_defect(flux, data).max(initial=0.0)),
                          ("Neumann trace", neumann_trace_defect(flux, data))):
         if not defect <= 1e-9 * scale:
-            raise EquilibrationError(f"{name} defect {defect:.3e} > 1e-9 * flux scale {scale:.3e}")
+            raise EquilibrationError(f"{name}: {kind} defect {defect:.3e} > 1e-9 * flux scale "
+                                     f"{scale:.3e}")
 
 
 def interior_jump(flux: FluxField) -> float:

@@ -129,7 +129,7 @@ def run_single(spec: RunSpec, reference: fem.ScalarField | None = None) -> RunRe
     data = fem.project_data(domain, mesh, include=include, parts=partitions)
     u0 = fem.solve_poisson(mesh, data, tol=spec.solver_tol)
     flux0 = flux.reconstruct_flux(u0, data)
-    flux.certify(flux0, data)
+    flux.certify(flux0, data, "simplified domain")
     eta0 = est.eta_zero(flux0, u0)
 
     def eta_on(curve, m, fl, g, s=1.0):
@@ -158,7 +158,7 @@ def run_single(spec: RunSpec, reference: fem.ScalarField | None = None) -> RunRe
             fdata = fem.feature_problem_data(feat, u0, fmesh, forcing=domain.f)
             ut = fem.solve_poisson(fmesh, fdata, tol=spec.solver_tol)
             fluxt = flux.reconstruct_flux(ut, fdata)
-            flux.certify(fluxt, fdata)
+            flux.certify(fluxt, fdata, f"feature {feat.id}")
             comp = est.FeatureEstimate(
                 feat.id,
                 feat.kind,

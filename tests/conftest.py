@@ -270,10 +270,11 @@ def _patch_system_loop(space, patch, u_h, data):
         pvals = np.array([prescribed.get(int(d), 0.0) for d in dofs])
         fr = lidx >= 0
         loc = int(np.where(mesh.triangles[t] == a)[0][0])
-        M8, D38, gu, area = space.mass[t], space.divmom[t], grads[t], mesh.areas[t]
+        k = space.shape[t]
+        M8, D38, gu, area = space.mass[k], space.divmom[k], grads[t], mesh.areas[t]
         rows = lidx[fr]
         A[rows[:, None], rows[None, :]] += M8[fr][:, fr]
-        rhs[rows] += (-space.vecmom[t][loc] @ gu - M8[:, ~fr] @ pvals[~fr])[fr]
+        rhs[rows] += (-space.vecmom[k][loc] @ gu - M8[:, ~fr] @ pvals[~fr])[fr]
         lam = nf + 3 * kk + np.arange(3)
         A[rows[:, None], lam[None, :]] -= D38[:, fr].T
         A[lam[:, None], rows[None, :]] += D38[:, fr]
@@ -335,8 +336,24 @@ def reconstruct_flux_loop(u_h, data, space):
 
 def triangle_bytes(space):
     """The bytes of each triangle's mass matrix, divergence moments and area."""
-    return [space.mass[t].tobytes() + space.divmom[t].tobytes() + space.mesh.areas[t].tobytes()
-            for t in range(space.mesh.n_triangles)]
+    return [space.mass[k].tobytes() + space.divmom[k].tobytes() + space.mesh.areas[t].tobytes()
+            for t, k in enumerate(space.shape)]
+
+
+def own_shape(space, t):
+    """``space`` with triangle t a shape of its own, its arrays those of its former shape.
+    Shapes stay numbered by first triangle, and every element array is a new copy, so a test
+    may edit triangle t's rows (``space.mass[space.shape[t]]``) in place."""
+    import dataclasses
+
+    from eqflux.flux import _unique_rows
+
+    key = space.shape.copy()
+    key[t] = -1
+    first, shape = _unique_rows(key[:, None])
+    return dataclasses.replace(space, shape=shape, **{
+        name: getattr(space, name)[space.shape[first]]
+        for name in ("transform", "mass", "divmom", "vecmom")})
 
 
 def patch_stacks_loop(space, data, stack_entries):

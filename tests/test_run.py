@@ -115,9 +115,11 @@ class TestCertificate:
             return fl
 
         monkeypatch.setattr(flux, "reconstruct_flux", mutated)
-        with pytest.raises(EquilibrationError, match="divergence defect"):
+        with pytest.raises(EquilibrationError, match="divergence defect") as exc:
             run_single(spec)
         assert len(built) == which + 1
+        # the message names the flux that failed: the simplified domain's or feature 1's
+        assert str(exc.value).startswith(("simplified domain: ", "feature 1: ")[which])
 
 
 class TestExtensionEqualToFeature:
