@@ -1,8 +1,12 @@
 """Equilibrated flux reconstruction in the degree-1 Raviart-Thomas space.
 
-Per-vertex patch saddle-point problems minimise the distance between the
-hat-weighted numerical flux and an H(div)-conforming field subject to the
-elementwise divergence condition; the global flux is the patch sum.  The
+Each vertex patch flux minimises the distance to the hat-weighted numerical
+flux among the RT1 fields on the patch with the elementwise divergence
+condition and the patch boundary traces; the global flux is the patch sum.
+The minimiser is split as in Braess, Pillwein and Schöberl (CMAME 198, 2009):
+a particular flux, swept around the vertex's fan of triangles as in Braess and
+Schöberl (Math. Comp. 77, 2008), plus the curl of a continuous P2 function
+that minimises the distance, one small SPD system per patch.  The
 reconstruction satisfies the projected divergence and Neumann-trace
 identities that the error estimators rely on.
 """
@@ -16,7 +20,7 @@ import numpy as np
 from . import linalg
 from .fem import TRI_QP, TRI_QW, ProblemData, ScalarField, _M3
 from .geometry import CurveQuadrature, GeometryError, gauss_legendre
-from .mesh import Mesh, patch_edge_split
+from .mesh import Mesh
 
 _GLX, _GLW = gauss_legendre(4)
 
@@ -116,6 +120,11 @@ class RTSpace:
     def total_dofs(self) -> int:
         return 2 * self.mesh.n_edges + 2 * self.mesh.n_triangles
 
+    def per_triangle(self, a) -> np.ndarray:
+        """The per-shape array ``a`` per triangle: ``a[shape]``, or ``a`` itself when every
+        triangle is a shape of its own (``shape`` is then the identity)."""
+        return a if len(a) == len(self.shape) else a[self.shape]
+
 
 def build_rt_space(mesh: Mesh) -> RTSpace:
     """Construct the RT space: the DOF transforms and element matrices.
@@ -197,219 +206,260 @@ class FluxField:
         return interior / sp.mesh.areas[:, None]
 
 
-# Patch systems are solved in stacks of at most this many entries of the
-# (nf + 3t)² saddle-point layout (4 MB of float64), which bounds the memory of
-# one condensed solve's M, W and S.
-_STACK_ENTRIES = 1 << 19
+def _curl_reference():
+    """Reference DOFs ``(3, 8, 3)`` of the curls ``(∂_y phi, −∂_x phi)`` of the P2 functions of
+    the corner at local vertex m: 1 at the vertex, at the midpoint of its in-edge (local edge m)
+    and at that of its out-edge (local edge m + 2), 0 at the triangle's other nodes.  Along an
+    edge from p to q the normal moments of curl phi are ``phi(q) − phi(p)`` and ``phi(q) − mean
+    phi`` (Simpson), and the interior moments are ``−Σ_l mean_l phi (v_{l+1} − v_l)``."""
+    v = np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]])
+    C = np.zeros((3, 8, 3))
+    for m in range(3):
+        i, o = 2 * m, 2 * ((m + 2) % 3)
+        C[m, i:i + 2, 0] = -1.0, -1.0 / 6.0  # the vertex starts the in-edge
+        C[m, o:o + 2, 0] = 1.0, 5.0 / 6.0  # and ends the out-edge
+        C[m, i + 1, 1] = C[m, o + 1, 2] = -2.0 / 3.0
+        a, b, c = v[m], v[(m + 1) % 3], v[(m + 2) % 3]
+        C[m, 6:] = np.stack([(c - b) / 6.0, 2.0 / 3.0 * (a - b), 2.0 / 3.0 * (c - a)], axis=1)
+    return C
+
+
+_CURL_REF = _curl_reference()
 
 
 @dataclass
-class PatchBatch:
-    """A stack of patch mixed systems of one layout: ``nf`` free flux DOFs,
-    the same number of triangles per patch and one mean-value choice.
+class Fans:
+    """Every vertex patch as one fan of triangle corners: corner ``c = 3K + m`` is triangle K in
+    the patch of vertex ``tri[K, m]``, with in-edge K's local edge m and out-edge its local edge
+    m + 2, the next corner's in-edge counterclockwise around the vertex.  An open fan runs from
+    the psi edge that is its first corner's in-edge to the one that is its last's out-edge."""
 
-    Incidence ``i`` is triangle ``tris[i]`` of batch patch ``patch[i]``;
-    incidences run patch by patch in slot order, so the three multiplier rows
-    of a patch's slot ``s`` are ``3s .. 3s + 2`` of its ``B`` and ``g``.
-    """
-
-    vertices: np.ndarray  # (P,) patch vertex
-    mean: bool  # the systems carry the mean-value constraint
-    nf: int  # free flux DOFs of each system
-    dofs: np.ndarray  # (P, nf) global DOF of each free row
-    patch: np.ndarray  # (I,)
-    tris: np.ndarray  # (I,)
-    loc: np.ndarray  # (I,) local index of the patch vertex in the triangle
-    rows: np.ndarray  # (I, 8) free row of each triangle DOF, -1 where prescribed
-    prescribed: np.ndarray  # (I, 8) prescribed DOF values, 0 on free DOFs
-    system: np.ndarray  # (P,) system among the layout's distinct ones, numbered by first patch
-    new: np.ndarray | None  # first patches of the systems new in this stack; None: solve directly
+    order: np.ndarray  # (V, tmax) corners of each fan in order, -1 past its end
+    size: np.ndarray  # (V,) triangles of each patch
+    closed: np.ndarray  # (V,) the fan closes: an interior vertex
+    psi: np.ndarray  # (V, 2) first and last psi edge, -1 on a closed fan
+    neumann: np.ndarray  # (V, 2) that psi edge is Neumann
+    moments: np.ndarray  # (V, 2, 2) global moments of the trace -psi_a gN on a Neumann psi edge
+    outflux: np.ndarray  # (V, 2) its flux out of the patch, 0 off Neumann edges
 
 
-def patch_batches(space: RTSpace, data: ProblemData, vertices=None) -> list[PatchBatch]:
-    """Lay out the mixed systems of the patches of ``vertices`` (vertex ids;
-    default: all, in order) in batches of one layout (free rows, triangles,
-    mean-value constraint) of at most ``_STACK_ENTRIES`` entries of
-    ``(nf + 3t)²`` each.  A patch is its vertex's slice of
-    :meth:`Mesh.vertex_to_triangles`, split by :func:`mesh.patch_edge_split`.
-    Both moments of a zero edge are prescribed 0; those of a Neumann psi edge
-    are the moments of the trace -psi_a * gN.  A patch without a Dirichlet
-    psi edge (every interior patch) carries the mean-value constraint.
-    """
-    mesh = space.mesh
-    offsets, v2t = mesh.vertex_to_triangles()
-    vertices = np.arange(mesh.n_vertices) if vertices is None else np.asarray(vertices, np.int64)
-    nt, P = offsets[vertices + 1] - offsets[vertices], len(vertices)
-    patch = np.repeat(np.arange(P), nt)
-    owner = vertices[patch]
-    first = np.cumsum(nt) - nt  # first incidence of each patch
-    tris = v2t[np.arange(len(patch)) + (offsets[vertices] - first)[patch]]
-    loc, zero, psi = patch_edge_split(mesh, tris, owner)
-    edges = mesh.triangle_edges[tris]  # (I, 3)
-    neu = np.full(mesh.n_edges, -1)
-    neu[data.neumann_edges] = np.arange(len(data.neumann_edges))
-    neu = neu[edges]
-    neumann = psi & (neu >= 0)
-    dirichlet = psi & ~neumann & np.isin(edges, data.dirichlet_edges)
-    bad = np.argwhere(psi & ~neumann & ~dirichlet)
+def patch_fans(mesh: Mesh, data: ProblemData) -> Fans:
+    """Walk the fan of every vertex through ``mesh.edge_tris``, one array step per fan position.
+    A patch that is not one fan around its vertex (two boundary starts, or corners the walk never
+    reaches), and a psi edge that is neither Neumann nor Dirichlet, raise
+    :class:`EquilibrationError` naming the vertex."""
+    tri, V, n = mesh.triangles, mesh.n_vertices, 3 * mesh.n_triangles
+    owner, K = tri.ravel(), np.arange(n) // 3
+    e_in, e_out = mesh.triangle_edges.ravel(), mesh.triangle_edges[:, [2, 0, 1]].ravel()
+    other = mesh.edge_tris[e_out].sum(axis=1) - K  # across the out-edge, -1 off the domain
+    nxt = np.where(other >= 0, 3 * other + np.argmax(tri[other] == owner[:, None], axis=1), -1)
+    opens = (mesh.edge_tris < 0).any(axis=1)[e_in]
+    size, starts = np.bincount(owner, minlength=V), np.bincount(owner[opens], minlength=V)
+    cur = np.full(V, n)
+    np.minimum.at(cur, owner, np.arange(n))  # a closed fan starts at its vertex's first corner
+    cur[owner[opens]] = np.flatnonzero(opens)
+    order = np.full((V, size.max(initial=0)), -1)
+    for k in range(order.shape[1]):
+        live = k < size
+        order[live, k] = cur[live]
+        cur = np.where(cur >= 0, nxt[cur], -1)
+    seen = np.bincount(order[order >= 0], minlength=n)
+    bad = np.flatnonzero((starts > 1) | (np.bincount(owner[seen != 1], minlength=V) > 0))
     if len(bad):
-        i, k = bad[0]
-        raise EquilibrationError(f"patch {owner[i]}: boundary edge {edges[i, k]} "
+        raise EquilibrationError(f"patch {bad[0]}: its triangles are not one fan around the vertex")
+
+    closed = starts == 0
+    ends = np.stack([e_in[order[:, 0]], e_out[order[np.arange(V), size - 1]]], axis=1)
+    psi = np.where(closed[:, None], -1, ends)
+    neu = np.full(mesh.n_edges + 1, -1)  # psi -1 reads the last entry
+    neu[data.neumann_edges] = np.arange(len(data.neumann_edges))
+    neumann = neu[psi] >= 0
+    bad = np.argwhere((psi >= 0) & ~neumann & ~np.isin(psi, data.dirichlet_edges))
+    if len(bad):
+        v, j = bad[0]
+        raise EquilibrationError(f"patch {v}: boundary edge {psi[v, j]} "
                                  "is neither Neumann nor Dirichlet")
-
-    e = edges[neumann]
-    at_a = mesh.edge_vertices[e, 0] == np.broadcast_to(owner[:, None], edges.shape)[neumann]
-    gn = data.gn_proj[neu[neumann]]
-    tr = (-mesh.edge_outward_sign[e, None] * np.where(at_a[:, None], 1.0 - _GLX, _GLX)
+    v, j = np.nonzero(neumann)
+    e = psi[v, j]
+    gn = data.gn_proj[neu[e]]
+    tr = (-mesh.edge_outward_sign[e, None]
+          * np.where(mesh.edge_vertices[e, :1] == v[:, None], 1.0 - _GLX, _GLX)
           * (gn[:, :1] * (1.0 - _GLX) + gn[:, 1:] * _GLX))
-    moments = np.zeros(edges.shape + (2,))
-    moments[neumann] = mesh.edge_lengths[e, None] * np.stack(
+    moments = np.zeros((V, 2, 2))
+    moments[v, j] = mesh.edge_lengths[e, None] * np.stack(
         [np.sum(_GLW * tr, axis=1), np.sum(_GLW * _GLX * tr, axis=1)], axis=1)
-    prescribed = np.pad(moments.reshape(-1, 6), ((0, 0), (0, 2)))
-
-    free = np.pad(np.repeat(~(zero | neumann), 2, axis=1), ((0, 0), (0, 2)),
-                  constant_values=True)
-    free_patch = np.broadcast_to(patch[:, None], free.shape)[free]
-    D = space.total_dofs
-    uniq, rank = np.unique(free_patch * D + space.tri_dofs[tris][free], return_inverse=True)
-    nf = np.bincount(uniq // D, minlength=P)
-    start = np.cumsum(nf) - nf  # first free DOF of each patch in uniq
-    rows = np.full(free.shape, -1)
-    rows[free] = rank - start[free_patch]
-    mean = np.bincount(patch, dirichlet.sum(axis=1), minlength=P) == 0
-
-    # Patches sorted stably by layout, and their incidences and free DOFs in
-    # that order: every stack is a run of slices.
-    layout = (nf * (int(nt.max(initial=0)) + 1) + nt) * 2 + mean
-    order = np.argsort(layout, kind="stable")
-    nt, nf, vertices, layout = nt[order], nf[order], vertices[order], layout[order]
-    i0, f0 = np.cumsum(nt) - nt, np.cumsum(nf) - nf
-    inc = np.arange(len(patch)) + np.repeat(first[order] - i0, nt)
-    dofs = uniq[np.arange(len(uniq)) + np.repeat(start[order] - f0, nf)] % D
-    tris, loc, rows, prescribed = tris[inc], loc[inc], rows[inc], prescribed[inc]
-    batches = []
-    starts = np.flatnonzero(np.diff(layout, prepend=-1))
-    for a, b in zip(starts, np.append(starts[1:], P)):
-        f, t = int(nf[a]), int(nt[a])
-        # A system's key is, slot by slot, the free rows and the shape of its triangles, whose
-        # element matrices M, B and c sum in slot order: equal keys, bitwise-equal systems.
-        j = slice(i0[a], i0[a] + (b - a) * t)
-        key = np.hstack([rows[j], space.shape[tris[j], None]]).reshape(b - a, -1)
-        heads, system = _unique_rows(key)
-        grouped = len(heads) * (f + 3 * t) <= b - a  # R (nf + 3t) <= P
-        per = max(1, _STACK_ENTRIES // (f + 3 * t) ** 2)
-        for s, n in ((s, min(per, b - s)) for s in range(a, b, per)):
-            i = slice(i0[s], i0[s] + n * t)
-            new = heads[(heads >= s - a) & (heads < s - a + n)] - (s - a)
-            batches.append(PatchBatch(
-                vertices[s:s + n], bool(layout[a] % 2), f, dofs[f0[s]:f0[s] + n * f].reshape(n, f),
-                np.repeat(np.arange(n), t), tris[i], loc[i], rows[i], prescribed[i],
-                system[s - a:s - a + n], new if grouped else None))
-    return batches
+    return Fans(order, size, closed, psi, neumann, moments,
+                mesh.edge_outward_sign[psi] * moments[..., 0])
 
 
-def assemble_patch_system(space: RTSpace, batch: PatchBatch, u_h: ScalarField,
-                          data: ProblemData):
-    """The blocks ``(M, B, f, g, c)`` of a batch's mixed systems, as
-    :func:`linalg.saddle_solve` reads them: the right-hand sides f (P, nf) and
-    g (P, 3t) of every patch, and the flux block M (R, nf, nf), the divergence
-    block B (R, 3t, nf) and the hat-weight border c (R, 3t) of the mean-value
-    constraint, or None without it, of the R patches ``batch.new`` (of every
-    patch where that is None).  Prescribed DOFs enter only the right-hand sides."""
+def divergence_moments(mesh: Mesh, fans: Fans, u_h: ScalarField, data: ProblemData):
+    """The divergence moments ``r[K, m, i] = (psi_a f − grad psi_a · grad u_h, lam_i)_K`` of
+    each corner ``(T, 3, 3)``, ``a = tri[K, m]``, and of each patch the compatibility (Galerkin
+    orthogonality) residual, its net divergence less its prescribed Neumann outflow, and the
+    residual's scale."""
+    tri, area, T, V = mesh.triangles, mesh.areas, mesh.n_triangles, mesh.n_vertices
+    ga = (mesh.lam_grads @ u_h.gradients()[:, :, None])[..., 0]  # grad psi_a · grad u_h
+    r = area[:, None, None] * ((data.f_proj @ _TRIPLE.reshape(9, 3).T).reshape(T, 3, 3)
+                               - ga[..., None] / 3.0)
+    fq = (data.f_proj @ TRI_QP.T)[:, None, :] * TRI_QP.T  # psi_a f at the quadrature points
+    owner = tri.ravel()
+    sq = area[:, None] * (fq**2 @ TRI_QW + ga**2)
+    scale = np.sqrt(np.bincount(owner, sq.ravel(), V)) + np.abs(fans.outflux).sum(axis=1)
+    return r, np.bincount(owner, r.sum(axis=2).ravel(), V) - fans.outflux.sum(axis=1), scale
+
+
+def particular_flux(space: RTSpace, fans: Fans, u_h: ScalarField, data: ProblemData):
+    """Per corner, the global DOFs ``(T, 3, 8)`` on its triangle of a patch flux with the
+    moments of :func:`divergence_moments` (less ``μ |K| / 3`` each on a mean-value patch, ``μ``
+    its compatibility residual over its area), no trace on zero edges and the prescribed one on
+    Neumann psi edges.  Each out-edge carries the fan's running net divergence; spoke linear
+    moments are 0 but on Neumann edges; the interior DOFs solve the remaining divergence moments.
+    An incompatible patch raises :class:`OrthogonalityError`, and a singular interior divergence
+    block :class:`EquilibrationError`."""
     mesh, shape = space.mesh, space.shape
-    P, nf = len(batch.vertices), batch.nf
-    t, loc, pv, rows = batch.tris, batch.loc, batch.prescribed, batch.rows
-    area = mesh.areas[t]
-    grad = u_h.gradients()[t]
-    free = rows >= 0
-    row = batch.patch[:, None] * nf + rows  # (I, 8) row among the stack's P * nf
-    r1 = -np.einsum("ijc,ic->ij", space.vecmom[shape[t], loc], grad)
-    r2 = (area[:, None] * np.einsum("imk,ik->im", _TRIPLE[loc], data.f_proj[t])
-          - (np.einsum("ic,ic->i", mesh.lam_grads[t, loc], grad) * area / 3.0)[:, None])
-    p = np.flatnonzero(pv.any(axis=1))  # incidences with a nonzero prescribed value
-    r1[p] -= np.einsum("ijk,ik->ij", space.mass[shape[t[p]]], pv[p])
-    r2[p] -= np.einsum("imj,ij->im", space.divmom[shape[t[p]]], pv[p])
-    f = np.bincount(row[free], r1[free], minlength=P * nf).reshape(P, nf)
+    tri, area, T, V = mesh.triangles, mesh.areas, mesh.n_triangles, mesh.n_vertices
+    r, resid, scale = divergence_moments(mesh, fans, u_h, data)
+    mean = fans.closed | fans.neumann.all(axis=1)  # no Dirichlet psi edge
+    bad = np.flatnonzero(mean & (np.abs(resid) > 1e-9 * scale + 1e-13))
+    if len(bad):
+        k = bad[0]
+        raise OrthogonalityError(f"patch {k}: compatibility residual {abs(resid[k]):.3e} exceeds "
+                                 f"1e-9 * {scale[k]:.3e}; the field is not a Galerkin solution "
+                                 "for the supplied data")
+    mu = np.where(mean, resid, 0.0) / np.bincount(tri.ravel(), np.repeat(area, 3), V)
+    r -= (mu[tri] * area[:, None] / 3.0)[..., None]
 
-    nt, R = len(t) // P, P if batch.new is None else len(batch.new)
-    sub = slice(None) if batch.new is None else (batch.new[:, None] * nt + np.arange(nt)).ravel()
-    rows, area, s = rows[sub], area[sub], shape[t[sub]]
-    free, own = rows >= 0, np.repeat(np.arange(R), nt)
-    row = own[:, None] * nf + rows
-    # An edge DOF shared by two patch triangles sums two flux-block entries.
-    pairs = free[:, :, None] & free[:, None, :]
-    M = np.bincount((row[:, :, None] * nf + rows[:, None, :])[pairs], space.mass[s][pairs],
-                    minlength=R * nf * nf)
-    i, k = np.nonzero(free)
-    B = np.zeros((len(rows), 3, nf))
-    B[i, :, rows[i, k]] = space.divmom[s[i], :, k]
-    c = None
-    if batch.mean:
-        hat = area / 3.0 / np.bincount(own, area, minlength=R)[own]
-        c = np.repeat(hat, 3).reshape(R, 3 * nt)
-    return M.reshape(R, nf, nf), B.reshape(R, 3 * nt, nf), f, r2.reshape(P, -1), c
+    order, live, last = fans.order, fans.order >= 0, (np.arange(V), fans.size - 1)
+    run = np.cumsum(np.where(live, r.sum(axis=2).ravel()[order], 0.0), axis=1)
+    outflux, neumann = fans.outflux, fans.neumann
+    start = np.where(neumann[:, 0], outflux[:, 0],
+                     np.where(neumann[:, 1], run[last] - outflux[:, 1], 0.0))
+    out = run - start[:, None]  # outward flux through each corner's out-edge
+    out[last] = np.where(fans.closed, -start, np.where(neumann[:, 1], outflux[:, 1], out[last]))
+    flux = np.zeros((2, 3 * T))  # outward through the in-edge, the out-edge
+    flux[0, order[live]] = np.hstack([start[:, None], -out[:, :-1]])[live]
+    flux[1, order[live]] = out[live]
 
+    s = np.where(tri < np.roll(tri, -1, axis=1), 1.0, -1.0)  # +1 where local edge = global edge
+    m, o = np.arange(3), np.array([2, 0, 1])  # a corner's in-edge and out-edge
+    sigma = np.zeros((T, 3, 8))
+    sigma[:, m, 2 * m] = s * flux[0].reshape(T, 3)
+    sigma[:, m, 2 * o] = s[:, o] * flux[1].reshape(T, 3)
+    v, j = np.nonzero(fans.neumann)
+    c = order[v, np.where(j == 0, 0, fans.size[v] - 1)]
+    sigma.reshape(-1, 8)[c, 2 * ((c + 2 * j) % 3) + 1] = fans.moments[v, j, 1]
 
-def _compatibility_residual(space, batch, g, u_h, data):
-    """Per-patch residual and scale of the compatibility (Galerkin
-    orthogonality) test: the sum of the multiplier right-hand sides ``g`` is
-    the hat-weighted residual of the forcing, the flux and the Neumann data."""
-    mesh = space.mesh
-    t, loc, P = batch.tris, batch.loc, len(batch.vertices)
-    fq = data.f_proj[t] @ TRI_QP.T * TRI_QP.T[loc]  # psi_a f at the quadrature points
-    ga = np.einsum("ic,ic->i", mesh.lam_grads[t, loc], u_h.gradients()[t])
-    sq = mesh.areas[t] * (fq**2 @ TRI_QW + ga**2)
-    bnd = np.abs(batch.prescribed[:, 0:6:2]).sum(axis=1)  # |Neumann flux| per psi edge
-    scale = np.sqrt(np.bincount(batch.patch, sq, minlength=P))
-    return np.abs(g.sum(axis=1)), scale + np.bincount(batch.patch, bnd, minlength=P)
-
-
-def patch_flux(space: RTSpace, batch: PatchBatch, u_h: ScalarField, data: ProblemData,
-               operators: dict):
-    """Solve a batch of patch problems by static condensation: directly, or by the operators
-    of its layout's systems, kept in ``operators`` once ``batch.new`` factors them (the unit
-    columns as right-hand sides); returns (global DOF ids, DOF values) to add up."""
-    M, B, f, g, c = assemble_patch_system(space, batch, u_h, data)
-    resid, scale = _compatibility_residual(space, batch, g, u_h, data)
-    bad = resid > 1e-9 * scale + 1e-13
-    if batch.mean and bad.any():
-        k = int(np.argmax(bad))
-        raise OrthogonalityError(
-            f"patch {batch.vertices[k]}: compatibility residual {resid[k]:.3e} "
-            f"exceeds 1e-9 * {scale[k]:.3e}; the field is not a Galerkin "
-            "solution for the supplied data"
-        )
-    nf, k = batch.nf, f.shape[1] + g.shape[1]
-    try:
-        if batch.new is None:
-            sol = linalg.saddle_solve(M, B, f[..., None], g[..., None], c)[..., 0]
-        else:
-            Z = operators.setdefault((nf, k, batch.mean), [])  # the layout's operators so far
-            if len(batch.new):
-                unit = np.broadcast_to(np.eye(k), (len(batch.new), k, k))
-                Z.append(linalg.saddle_solve(M, B, unit[:, :nf], unit[:, nf:], c))
-            sol = (np.concatenate(Z)[batch.system] @ np.hstack([f, g])[..., None])[..., 0]
-    except linalg.SingularSystemError as exc:
-        p = exc.index if batch.new is None else batch.new[exc.index]  # its stack position
+    B = space.divmom[:, 1:, 6:]
+    det = B[:, 0, 0] * B[:, 1, 1] - B[:, 0, 1] * B[:, 1, 0]
+    bad = ~(np.abs(det) > 1e-12 * np.abs(B).max(axis=(1, 2)) ** 2)
+    if bad.any():
+        t = int(np.argmax(bad[shape]))
         raise EquilibrationError(
-            f"singular patch system at vertex {batch.vertices[p]}: {exc}"
+            f"singular patch system at vertex {tri[t, 0]}: the interior divergence block of "
+            f"triangle {t} has determinant {det[shape[t]]:.3e}")
+    inv_t = np.stack([B[:, 1, 1], -B[:, 1, 0], -B[:, 0, 1], B[:, 0, 0]], axis=1) / det[:, None]
+    edges_t = space.divmom[:, 1:, :6].transpose(0, 2, 1)
+    rhs = r[..., 1:] - sigma[..., :6] @ space.per_triangle(edges_t)
+    sigma[..., 6:] = rhs @ space.per_triangle(inv_t.reshape(-1, 2, 2))
+    return sigma
+
+
+def curl_matrices(space: RTSpace) -> np.ndarray:
+    """The global DOFs ``(S, 3, 8, 3)`` of the curls of :func:`_curl_reference` on each shape,
+    by the inverse DOF transform: the edge blocks are involutions and the interior one is J."""
+    mesh = space.mesh
+    first = np.unique(space.shape, return_index=True)[1]  # shapes are numbered by first triangle
+    C = space.transform[:, None] @ _CURL_REF
+    C[:, :, 6:] = _jacobians(mesh.vertices[mesh.triangles[first]])[:, None] @ _CURL_REF[:, 6:]
+    return C
+
+
+@dataclass
+class PatchStack:
+    """The P2 curl systems of the patches of one size t.  The unknowns are the P2 nodal values at
+    the patch vertex (0) and at its spoke midpoints in fan order (1, 2, ...), padded to t + 2; a
+    fixed unknown has a unit row and a zero right-hand side."""
+
+    vertices: np.ndarray  # (P,)
+    corners: np.ndarray  # (P, t) in fan order
+    nodes: np.ndarray  # (P, t, 3) unknown of each corner's vertex, in- and out-edge midpoint
+    A: np.ndarray  # (P, t + 2, t + 2)
+    b: np.ndarray  # (P, t + 2)
+
+
+def assemble_patch_system(space: RTSpace, fans: Fans, sigma, u_h: ScalarField):
+    """The systems of each patch's correction ``curl phi``, ``phi`` continuous P2 on the patch
+    and 0 on its zero edges and Neumann psi edges, that minimises ``‖sigma_a + curl phi + psi_a
+    grad u_h‖``: ``A = Cᵀ M C`` and ``b = Cᵀ (r − M sigma_a)``, ``r = −(psi_a grad u_h, phi_j)``.
+    Returns :func:`curl_matrices` and one :class:`PatchStack` per patch size."""
+    shape = space.shape
+    C = curl_matrices(space)
+    MC = space.mass[:, None] @ C
+    Ct = C.transpose(0, 1, 3, 2)
+    A_c = Ct @ MC
+    b_c = -((space.per_triangle(Ct @ space.vecmom) @ u_h.gradients()[:, None, :, None])[..., 0]
+            + (sigma[..., None, :] @ space.per_triangle(MC))[..., 0, :])
+    del MC  # (S, 3, 8, 3): not kept through the stacks
+    stacks = []
+    for t in np.unique(fans.size):
+        v = np.flatnonzero(fans.size == t)
+        corners = fans.order[v, :t]
+        K, m = np.divmod(corners, 3)
+        k, closed = np.arange(t), fans.closed[v, None]
+        nodes = np.stack(np.broadcast_arrays(0, 1 + k, np.where(closed, 1 + (k + 1) % t, 2 + k)),
+                         axis=-1)
+        n, P = t + 2, len(v)
+        row = np.arange(P)[:, None, None] * n + nodes
+        A = np.bincount((row[..., :, None] * n + nodes[..., None, :]).ravel(),
+                        A_c[shape[K], m].ravel(), P * n * n).reshape(P, n, n)
+        b = np.bincount(row.ravel(), b_c[K, m].ravel(), P * n).reshape(P, n)
+        free = np.ones((P, n), dtype=bool)
+        free[:, 0] = ~fans.neumann[v].any(axis=1)
+        free[:, 1] = ~fans.neumann[v, 0]
+        free[:, -1] = ~fans.closed[v] & ~fans.neumann[v, 1]
+        A *= free[:, :, None] & free[:, None, :]
+        A[:, np.arange(n), np.arange(n)] += ~free
+        stacks.append(PatchStack(v, corners, nodes, A, b * free))
+    return C, stacks
+
+
+def patch_flux(stack: PatchStack, phi) -> None:
+    """Solve a stack's systems into ``phi`` ``(T, 3, 3)``, the nodal values of each corner's
+    vertex and in- and out-edge midpoint.  A singular system raises
+    :class:`EquilibrationError` naming its vertex."""
+    try:
+        x = linalg.cholesky_solve(stack.A, stack.b)
+    except linalg.SingularSystemError as exc:
+        raise EquilibrationError(
+            f"singular patch system at vertex {stack.vertices[exc.index]}: {exc}"
         ) from exc
-    fixed = batch.rows < 0
-    return (np.concatenate([batch.dofs.ravel(), space.tri_dofs[batch.tris][fixed]]),
-            np.concatenate([sol.ravel(), batch.prescribed[fixed]]))
+    K, m = np.divmod(stack.corners, 3)
+    phi[K, m] = x[np.arange(len(x))[:, None, None], stack.nodes]
+
+
+def corner_fluxes(u_h: ScalarField, data: ProblemData, space: RTSpace) -> np.ndarray:
+    """Each patch flux ``sigma_a``, a fan-swept particular flux plus its P2 curl correction, per
+    corner: the global DOFs ``(T, 3, 8)`` on the corner's triangle."""
+    fans = patch_fans(space.mesh, data)
+    sigma = particular_flux(space, fans, u_h, data)
+    C, stacks = assemble_patch_system(space, fans, sigma, u_h)
+    phi = np.empty((space.mesh.n_triangles, 3, 3))
+    for stack in stacks:
+        patch_flux(stack, phi)
+    return sigma + (space.per_triangle(C) @ phi[..., None])[..., 0]
 
 
 def reconstruct_flux(u_h: ScalarField, data: ProblemData, space: RTSpace | None = None) -> FluxField:
-    """Equilibrated flux: the sum of all patch reconstructions."""
+    """Equilibrated flux: the sum of the patch fluxes, per triangle over its three corners."""
     mesh = u_h.mesh
     if data.mesh is not mesh:
         raise ValueError("field and data live on different meshes")
     if space is None:
         space = build_rt_space(mesh)
-    coef, operators = np.zeros(space.total_dofs), {}
-    for batch in patch_batches(space, data):
-        dofs, vals = patch_flux(space, batch, u_h, data, operators)
-        np.add.at(coef, dofs, vals)
+    coef = np.bincount(space.tri_dofs.ravel(), corner_fluxes(u_h, data, space).sum(axis=1).ravel(),
+                       space.total_dofs)
+    # Both triangles of an interior edge give its DOFs, equal up to round-off: their mean.
+    coef[:2 * mesh.n_edges] /= np.repeat((mesh.edge_tris >= 0).sum(axis=1), 2)
     return FluxField(space, coef)
 
 

@@ -1,8 +1,9 @@
 """Solver contracts used by the FEM and flux modules.
 
-scipy.sparse matrices back the global Galerkin systems; batched Cholesky static
-condensation backs the patch saddle-point systems, with a stacked dense LU solve
-as its reference.  Heavy lifting is delegated to numpy and scipy.
+scipy.sparse matrices back the global Galerkin systems; stacked dense SPD solves
+with a Cholesky pivot guard back the vertex-patch P2 systems of the flux, and a
+stacked dense LU solve is kept as a reference.  Heavy lifting is delegated to
+numpy and scipy.
 """
 
 from __future__ import annotations
@@ -121,61 +122,23 @@ def dense_lu_solve(a, b) -> np.ndarray:
     return x.reshape(b.shape)
 
 
-def _forward(L, R):
-    """Solve L X = R for stacks of lower-triangular L, one array step per row."""
-    X = np.empty_like(R)
-    for i in range(L.shape[1]):
-        X[:, i] = (R[:, i] - (L[:, i, None, :i] @ X[:, :i])[:, 0]) / L[:, i, i, None]
-    return X
-
-
-def _back(L, R):
-    """Solve Lᵀ X = R: forward substitution with rows and columns reversed."""
-    return _forward(L.transpose(0, 2, 1)[:, ::-1, ::-1], R[:, ::-1])[:, ::-1]
-
-
-def _cholesky(a, floor):
-    """Batched Cholesky factor whose squared diagonal stays above ``floor``."""
-    L = np.linalg.cholesky(a)
-    d2 = np.diagonal(L, axis1=1, axis2=2).min(axis=1) ** 2
-    if not (d2 >= floor).all():
-        k = int(np.argmin(d2 >= floor))
-        raise SingularSystemError(f"squared Cholesky pivot {d2[k]:.3e} below {floor[k]:.3e}", k)
-    return L
-
-
-def saddle_solve(M, B, f, g, c=None) -> np.ndarray:
-    """The ``x`` part of stacked systems ``M x − Bᵀ λ = f``, ``B x + c μ = g``,
-    ``cᵀ λ = 0`` (no border without ``c``) by static condensation: ``M``
-    (P, n, n) is SPD, ``B`` is (P, q, n), and a border needs ``Bᵀ 1 = 0``, so
-    that ``μ = Σg / Σc`` and ``(S + c cᵀ) λ = g − μ c`` with ``S = B M⁻¹ Bᵀ``.
-    The right-hand sides are m columns per system, ``f`` (P, n, m) and ``g``
-    (P, q, m), and so is ``x`` (P, n, m).  A squared Cholesky pivot of ``M`` or
-    ``S`` below ``1e-12 · max|A|`` of the whole system raises
-    :class:`SingularSystemError` naming its stack position."""
-    # max|M| of an SPD matrix is on its diagonal.
-    amax = np.maximum(np.diagonal(M, axis1=1, axis2=2).max(axis=1), np.abs(B).max(axis=(1, 2)))
-    floor = 1e-12 * (amax if c is None else np.maximum(amax, np.abs(c).max(axis=1)))
+def _squared_pivots(a):
+    """Smallest squared Cholesky pivot of each matrix of a stack, 0 where numpy finds it not
+    positive definite (one matrix at a time then, since numpy names no matrix of a stack)."""
     try:
-        L = _cholesky(M, floor)
-        WY = _forward(L, np.concatenate([B.transpose(0, 2, 1), f], axis=2))
-        W, y = np.split(WY, [B.shape[1]], axis=2)
-        S = W.transpose(0, 2, 1) @ W
-        h = g - W.transpose(0, 2, 1) @ y
-        if c is not None:
-            S += c[:, :, None] * c[:, None, :]
-            h -= (h.sum(axis=1) / c.sum(axis=1, keepdims=True))[:, None] * c[..., None]
-        L2 = _cholesky(S, floor)
-        return _back(L, y + W @ _back(L2, _forward(L2, h)))
+        return np.diagonal(np.linalg.cholesky(a), axis1=-2, axis2=-1).min(axis=-1) ** 2
     except np.linalg.LinAlgError:
-        if len(M) == 1:
-            raise SingularSystemError("not positive definite", 0) from None
-        # numpy names no matrix of a stack: solve one system at a time, only
-        # to name the first that fails.
-        for k in range(len(M)):
-            try:
-                saddle_solve(*(None if a is None else a[k:k + 1] for a in (M, B, f, g, c)))
-            except SingularSystemError as exc:
-                exc.index = k
-                raise
-        raise
+        return 0.0 if a.ndim == 2 else np.array([_squared_pivots(x) for x in a])
+
+
+def cholesky_solve(A, b) -> np.ndarray:
+    """Solve stacked SPD systems ``A x = b``, ``A`` (P, n, n) and ``b`` (P, n).  A system whose
+    smallest squared Cholesky pivot is not above ``1e-12 ·`` its largest diagonal entry raises
+    :class:`SingularSystemError` naming its stack position."""
+    floor = 1e-12 * np.diagonal(A, axis1=1, axis2=2).max(axis=1)
+    d2 = _squared_pivots(A)
+    bad = ~(d2 > floor)
+    if bad.any():
+        k = int(np.argmax(bad))
+        raise SingularSystemError(f"squared Cholesky pivot {d2[k]:.3e} below {floor[k]:.3e}", k)
+    return np.linalg.solve(A, b[..., None])[..., 0]

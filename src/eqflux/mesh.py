@@ -325,32 +325,19 @@ class Mesh:
         return np.where(hit < T, hit, -1)
 
 
-def patch_edge_split(mesh: Mesh, tris, owner):
-    """Local position and patch boundary split of patch triangles ``tris``
-    around their patch vertices ``owner``: ``(loc, zero, psi)`` with ``loc``
-    the local index of the vertex and ``(I, 3)`` masks over the local edges
-    (local edge l joins local vertices l and l + 1).
-
-    The edge opposite the vertex is a zero edge, and the two edges through
-    the vertex are psi edges exactly when they lie on the domain boundary.
-    An interior edge through the vertex has both its triangles in the patch;
-    the opposite edge has one, since no two triangles of a conforming mesh
-    share a vertex triple.
-    """
-    loc = np.argmax(mesh.triangles[tris] == owner[:, None], axis=1)
-    zero = (np.arange(3) - loc[:, None]) % 3 == 1
-    psi = ~zero & (mesh.edge_tris < 0).any(axis=1)[mesh.triangle_edges[tris]]
-    return loc, zero, psi
-
-
 def vertex_patches(mesh: Mesh) -> list[VertexPatch]:
-    """One patch per vertex: incident triangles and the patch boundary split
-    of :func:`patch_edge_split`."""
+    """One patch per vertex: its incident triangles and the patch boundary split.  The edge
+    opposite the vertex is a zero edge, and the two edges through the vertex are psi edges
+    exactly when they lie on the domain boundary: an interior edge through the vertex has both
+    its triangles in the patch, the opposite edge one, since no two triangles of a conforming
+    mesh share a vertex triple."""
     V = mesh.n_vertices
     offsets, tris = mesh.vertex_to_triangles()
     owner = np.repeat(np.arange(V), np.diff(offsets))  # patch vertex per incidence
     edges = mesh.triangle_edges[tris]  # (I, 3)
-    _, zero_mask, psi_mask = patch_edge_split(mesh, tris, owner)
+    loc = np.argmax(mesh.triangles[tris] == owner[:, None], axis=1)
+    zero_mask = (np.arange(3) - loc[:, None]) % 3 == 1  # local edge l joins vertices l, l + 1
+    psi_mask = ~zero_mask & (mesh.edge_tris < 0).any(axis=1)[edges]
 
     def per_vertex(mask):
         v, e = np.broadcast_to(owner[:, None], mask.shape)[mask], edges[mask]

@@ -5,10 +5,11 @@ assembly paths: the Duffy rule below integrates over triangles through a
 collapsed tensor-Gauss rule and is used to cross-check projections, norms
 and estimator values.  The pointwise ``eta_0``, the monomial RT space, the
 field helpers, the edge-by-edge certificate loops, the vertex-by-vertex
-patch equilibration, the dict-and-loop mesh topology, point location,
-per-point cross-mesh gradient, curve clipping and lattice builders and the
-scalar on-segment rule after them are reference implementations for tests
-only.  The einsum forms of the quadrature points, the stiffness matrix and the
+patch equilibration, the stacked saddle-point solve by static condensation
+(a second reference for the patch systems), the dict-and-loop mesh
+topology, point location, per-point cross-mesh gradient, curve clipping and
+lattice builders and the scalar on-segment rule after them are reference
+implementations for tests only.  The einsum forms of the quadrature points, the stiffness matrix and the
 forcing projection, and the broadcast barycentric containment test, are the
 forms the library's column arithmetic must equal bit for bit.
 """
@@ -317,27 +318,117 @@ def compatibility_residual_loop(space, patch, u_h, data):
     return abs(total), np.sqrt(scale) + bscale
 
 
-def reconstruct_flux_loop(u_h, data, space):
-    """Equilibrated flux coefficients solved one vertex patch at a time."""
+def patch_flux_loop(space, patch, u_h, data):
+    """One vertex patch's flux coefficients, from the dense solve of its saddle-point system."""
     from eqflux.flux import OrthogonalityError
 
+    free, prescribed, A, rhs, mean_constraint = _patch_system_loop(space, patch, u_h, data)
+    if mean_constraint:
+        resid, scale = compatibility_residual_loop(space, patch, u_h, data)
+        if resid > 1e-9 * scale + 1e-13:
+            raise OrthogonalityError(f"patch {patch[0]}: compatibility residual {resid:.3e}")
     coef = np.zeros(space.total_dofs)
-    for patch in vertex_patches_loop(space.mesh):
-        free, prescribed, A, rhs, mean_constraint = _patch_system_loop(space, patch, u_h, data)
-        if mean_constraint:
-            resid, scale = compatibility_residual_loop(space, patch, u_h, data)
-            if resid > 1e-9 * scale + 1e-13:
-                raise OrthogonalityError(f"patch {patch[0]}: compatibility residual {resid:.3e}")
-        np.add.at(coef, free, np.linalg.solve(A, rhs)[: len(free)])
-        for d, v in prescribed.items():
-            coef[d] += v
+    coef[free] = np.linalg.solve(A, rhs)[: len(free)]
+    coef[list(prescribed)] = list(prescribed.values())
     return coef
 
 
-def triangle_bytes(space):
-    """The bytes of each triangle's mass matrix, divergence moments and area."""
-    return [space.mass[k].tobytes() + space.divmom[k].tobytes() + space.mesh.areas[t].tobytes()
-            for t, k in enumerate(space.shape)]
+def reconstruct_flux_loop(u_h, data, space):
+    """Equilibrated flux coefficients solved one vertex patch at a time."""
+    coef = np.zeros(space.total_dofs)
+    for patch in vertex_patches_loop(space.mesh):
+        coef += patch_flux_loop(space, patch, u_h, data)
+    return coef
+
+
+def _forward(L, R):
+    """Solve L X = R for stacks of lower-triangular L, one array step per row."""
+    X = np.empty_like(R)
+    for i in range(L.shape[1]):
+        X[:, i] = (R[:, i] - (L[:, i, None, :i] @ X[:, :i])[:, 0]) / L[:, i, i, None]
+    return X
+
+
+def _back(L, R):
+    """Solve Lᵀ X = R: forward substitution with rows and columns reversed."""
+    return _forward(L.transpose(0, 2, 1)[:, ::-1, ::-1], R[:, ::-1])[:, ::-1]
+
+
+def _cholesky(a, floor):
+    """Batched Cholesky factor whose squared diagonal stays above ``floor``."""
+    from eqflux.linalg import SingularSystemError
+
+    L = np.linalg.cholesky(a)
+    d2 = np.diagonal(L, axis1=1, axis2=2).min(axis=1) ** 2
+    if not (d2 >= floor).all():
+        k = int(np.argmin(d2 >= floor))
+        raise SingularSystemError(f"squared Cholesky pivot {d2[k]:.3e} below {floor[k]:.3e}", k)
+    return L
+
+
+def saddle_solve(M, B, f, g, c=None):
+    """The ``x`` part of stacked systems ``M x − Bᵀ λ = f``, ``B x + c μ = g``,
+    ``cᵀ λ = 0`` (no border without ``c``) by static condensation: ``M``
+    (P, n, n) is SPD, ``B`` is (P, q, n), and a border needs ``Bᵀ 1 = 0``, so
+    that ``μ = Σg / Σc`` and ``(S + c cᵀ) λ = g − μ c`` with ``S = B M⁻¹ Bᵀ``.
+    The right-hand sides are m columns per system, ``f`` (P, n, m) and ``g``
+    (P, q, m), and so is ``x`` (P, n, m).  A squared Cholesky pivot of ``M`` or
+    ``S`` below ``1e-12 · max|A|`` of the whole system raises
+    ``SingularSystemError`` naming its stack position.
+
+    A second reference for the patch saddle-point systems of
+    :func:`_patch_system_loop` (see :func:`saddle_solve_loop`), besides their
+    dense LU solve."""
+    from eqflux.linalg import SingularSystemError
+
+    # max|M| of an SPD matrix is on its diagonal.
+    amax = np.maximum(np.diagonal(M, axis1=1, axis2=2).max(axis=1), np.abs(B).max(axis=(1, 2)))
+    floor = 1e-12 * (amax if c is None else np.maximum(amax, np.abs(c).max(axis=1)))
+    try:
+        L = _cholesky(M, floor)
+        WY = _forward(L, np.concatenate([B.transpose(0, 2, 1), f], axis=2))
+        W, y = np.split(WY, [B.shape[1]], axis=2)
+        S = W.transpose(0, 2, 1) @ W
+        h = g - W.transpose(0, 2, 1) @ y
+        if c is not None:
+            S += c[:, :, None] * c[:, None, :]
+            h -= (h.sum(axis=1) / c.sum(axis=1, keepdims=True))[:, None] * c[..., None]
+        L2 = _cholesky(S, floor)
+        return _back(L, y + W @ _back(L2, _forward(L2, h)))
+    except np.linalg.LinAlgError:
+        if len(M) == 1:
+            raise SingularSystemError("not positive definite", 0) from None
+        # numpy names no matrix of a stack: solve one system at a time, only
+        # to name the first that fails.
+        for k in range(len(M)):
+            try:
+                saddle_solve(*(None if a is None else a[k:k + 1] for a in (M, B, f, g, c)))
+            except SingularSystemError as exc:
+                exc.index = k
+                raise
+        raise
+
+
+def saddle_solve_loop(space, patches, u_h, data):
+    """The flux coefficients of each patch in ``patches`` (from :func:`vertex_patches_loop`),
+    its saddle-point systems stacked per layout ``(free DOFs, triangles, border)`` and solved
+    by :func:`saddle_solve`: a dict keyed by vertex."""
+    layouts = {}
+    for patch in patches:
+        free, prescribed, A, rhs, mean = _patch_system_loop(space, patch, u_h, data)
+        nf, q = len(free), 3 * len(patch[1])
+        blocks = (A[:nf, :nf], A[nf:nf + q, :nf], rhs[:nf], rhs[nf:nf + q], A[nf:nf + q, -1])
+        layouts.setdefault((nf, q, mean), []).append((patch[0], free, prescribed, blocks))
+    out = {}
+    for (_, _, mean), members in layouts.items():
+        M, B, f, g, c = (np.stack([b[i] for *_, b in members]) for i in range(5))
+        x = saddle_solve(M, B, f[..., None], g[..., None], c if mean else None)[..., 0]
+        for (a, free, prescribed, _), xa in zip(members, x):
+            coef = np.zeros(space.total_dofs)
+            coef[free] = xa
+            coef[list(prescribed)] = list(prescribed.values())
+            out[a] = coef
+    return out
 
 
 def own_shape(space, t):
@@ -354,47 +445,6 @@ def own_shape(space, t):
     return dataclasses.replace(space, shape=shape, **{
         name: getattr(space, name)[space.shape[first]]
         for name in ("transform", "mass", "divmom", "vecmom")})
-
-
-def patch_stacks_loop(space, data, stack_entries):
-    """The patch stacks of all vertices, laid out one layout at a time: layouts
-    ascending by (free rows, triangles, mean-value constraint), each layout's
-    patches in vertex order, in runs of at most ``stack_entries // (nf + 3t)²``
-    patches.  Every patch's arrays are those of its own one-patch batch; each
-    stack is a dict of PatchBatch fields.
-
-    A patch's system key is its free rows and the bytes of the mass, divergence
-    moments and area of its triangles, slot by slot.  Systems are numbered per
-    layout by first patch, and a layout whose R distinct systems satisfy
-    ``R (nf + 3t) ≤ P`` lists, per stack, the positions of the first patches of
-    the systems it meets first (``new``; None on any other layout)."""
-    from eqflux.flux import patch_batches
-
-    mesh = space.mesh
-    tri_key = triangle_bytes(space)
-    one = [patch_batches(space, data, [v])[0] for v in range(mesh.n_vertices)]
-    stacks = []
-    for nf, t, mean in sorted({(b.nf, len(b.tris), b.mean) for b in one}):
-        members = [b for b in one if (b.nf, len(b.tris), b.mean) == (nf, t, mean)]
-        ids, system, first = {}, [], []
-        for p, b in enumerate(members):
-            key = (b.rows.tobytes(), tuple(tri_key[int(k)] for k in b.tris))
-            if key not in ids:
-                ids[key] = len(ids)
-                first.append(p)
-            system.append(ids[key])
-        grouped = len(ids) * (nf + 3 * t) <= len(members)
-        per = max(1, stack_entries // (nf + 3 * t) ** 2)
-        for s in range(0, len(members), per):
-            q = members[s:s + per]
-            stack = {key: np.concatenate([getattr(b, key) for b in q])
-                     for key in ("vertices", "dofs", "tris", "loc", "rows", "prescribed")}
-            stack.update(mean=mean, nf=nf, patch=np.repeat(np.arange(len(q)), t),
-                         system=np.array(system[s:s + per], dtype=np.int64),
-                         new=np.array([p - s for p in first if s <= p < s + per], dtype=np.int64)
-                         if grouped else None)
-            stacks.append(stack)
-    return stacks
 
 
 def unstructured_mesh(n, rng, dirichlet_predicate):

@@ -2,13 +2,14 @@ import numpy as np
 import pytest
 import scipy.sparse
 import scipy.sparse.linalg
+from conftest import saddle_solve
 
 from eqflux.linalg import (
     ConstructionError,
     SingularSystemError,
     SolverError,
+    cholesky_solve,
     dense_lu_solve,
-    saddle_solve,
     solve_spd,
 )
 
@@ -148,6 +149,40 @@ class TestDenseLuSolve:
             dense_lu_solve(A, np.ones((3, 4)))
 
 
+def _spd_stack(rng, P, n):
+    """Random SPD matrices (P, n, n) and right-hand sides (P, n)."""
+    X = rng.standard_normal((P, n, n))
+    return X @ X.transpose(0, 2, 1) + n * np.eye(n), rng.standard_normal((P, n))
+
+
+class TestCholeskySolve:
+    def test_matches_dense_lu(self):
+        A, b = _spd_stack(np.random.default_rng(6), 7, 9)
+        x = cholesky_solve(A, b)
+        assert x.shape == (7, 9)
+        ref = dense_lu_solve(A, b)
+        assert np.abs(x - ref).max() <= 1e-12 * np.abs(ref).max()
+
+    @pytest.mark.parametrize("k", [0, 2])
+    @pytest.mark.parametrize("kind", ["zero row", "indefinite", "small pivot"])
+    def test_names_singular_system(self, k, kind):
+        A, b = _spd_stack(np.random.default_rng(7), 4, 6)
+        if kind == "zero row":
+            A[k, 1] = A[k, :, 1] = 0.0
+        elif kind == "indefinite":
+            A[k, 0, 0] = -1.0  # numpy refuses the whole stack
+        else:
+            A[k] = np.diag([1.0] * 5 + [1e-13])  # positive definite, pivot below 1e-12 · max diag
+        with pytest.raises(SingularSystemError, match="squared Cholesky pivot") as exc:
+            cholesky_solve(A, b)
+        assert exc.value.index == k
+        A[k] = 1e9 * np.eye(6)
+        A[k, -1, -1] = 1e-6  # the threshold scales with each system's own diagonal
+        with pytest.raises(SingularSystemError) as exc:
+            cholesky_solve(A, b)
+        assert exc.value.index == k
+
+
 def _saddle_stack(rng, P, n, m, border):
     """Random SPD M, full-rank B (with Bᵀ1 = 0 under a border), c > 0 and
     right-hand sides, with the assembled full systems."""
@@ -172,6 +207,9 @@ def _saddle_stack(rng, P, n, m, border):
 
 
 class TestSaddleSolve:
+    """``conftest.saddle_solve``, the stacked static condensation that the flux tests use as a
+    second reference for the patch saddle-point systems, against full dense solves."""
+
     @pytest.mark.parametrize("border", [False, True])
     def test_matches_full_solve(self, border):
         rng = np.random.default_rng(6)
