@@ -113,7 +113,7 @@ def eta_zero(flux: FluxField, u_h: ScalarField) -> float:
     d = flux.coefficients[sp.tri_dofs]
     d[:, :6] += (gn[:, :, None] * [1.0, 0.5]).reshape(-1, 6)
     d[:, 6:] += g * mesh.areas[:, None]
-    val = np.einsum("ti,tij,tj->", d, sp.mass[sp.shape], d)
+    val = np.einsum("ti,tij,tj->", d, sp.per_triangle(sp.mass), d)
     return float(np.sqrt(max(val, 0.0)))
 
 

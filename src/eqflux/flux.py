@@ -18,11 +18,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import linalg
-from .fem import TRI_QP, TRI_QW, ProblemData, ScalarField, _M3
-from .geometry import CurveQuadrature, GeometryError, gauss_legendre
-from .mesh import Mesh
-
-_GLX, _GLW = gauss_legendre(4)
+from .fem import TRI_QP, TRI_QW, ProblemData, ScalarField, _GL4_W, _GL4_X, _M3
+from .geometry import CurveQuadrature, GeometryError
+from .mesh import Mesh, first_occurrence
 
 # Triple products  ∫ lam_i lam_j lam_k = area * _TRIPLE[i,j,k].
 _TRIPLE = np.array([(1 / 10, 1 / 30, 1 / 60)[len({i, j, k}) - 1]
@@ -80,22 +78,6 @@ def _reference_tensors():
 _R, _R_D, _R_V, _R_DV = _reference_tensors()
 
 
-def _unique_rows(a):
-    """The distinct rows of the C-contiguous 2-d array ``a`` by their bytes, numbered by first
-    occurrence: (the first row of each, the number of each row)."""
-    _, first, inv = np.unique(a.view(np.dtype((np.void, a.itemsize * a.shape[1]))).ravel(),
-                              return_index=True, return_inverse=True)
-    order = np.argsort(first)
-    return first[order], np.argsort(order)[inv]
-
-
-def _jacobians(v) -> np.ndarray:
-    """Jacobians ``J = [v1 − v0, v2 − v0]`` of the affine maps from the
-    reference triangle onto the triangles with vertices v (n, 3, 2), shape
-    (n, 2, 2); ``det J = 2 |K|``."""
-    return np.stack([v[:, 1] - v[:, 0], v[:, 2] - v[:, 0]], axis=2)
-
-
 @dataclass
 class RTSpace:
     """Degree-1 Raviart-Thomas space on a triangle mesh.
@@ -115,6 +97,7 @@ class RTSpace:
     vecmom: np.ndarray  # (S, 3, 8, 2): (lam_m phi_j)_K
     tri_dofs: np.ndarray  # (T, 8) global DOF ids
     shape: np.ndarray  # (T,) shape of each triangle, numbered by first triangle
+    first: np.ndarray  # (S,) first triangle of each shape
 
     @property
     def total_dofs(self) -> int:
@@ -132,18 +115,18 @@ def build_rt_space(mesh: Mesh) -> RTSpace:
     Under ``phi = J phî / det J`` an edge moment against {1, s} with the
     clockwise-turned edge vector does not change (``Jᵀ R J = det J · R`` for
     the rotation R), and interior moments map by J.  The global edge runs
-    from its lower to its higher vertex (``Mesh``); where the local edge
-    runs the other way its normal and parameter flip, so its block of the
-    transform is ``[[-1, 0], [-1, 1]]`` instead of the identity.  Both edge
-    blocks are involutions and the interior block is ``J⁻¹``.  These depend on the
-    bytes of ``J`` and the edge signs alone (``mesh.areas`` and ``mesh.lam_grads``
-    are functions of J's columns), so they are built once per shape.
+    from its lower to its higher vertex; where the local edge runs the other
+    way (``mesh.triangle_edge_signs`` −1) its normal and parameter flip, so its
+    block of the transform is ``[[-1, 0], [-1, 1]]`` instead of the identity.
+    Both edge blocks are involutions and the interior block is ``J⁻¹``.  These
+    depend on the bytes of ``mesh.jacobians`` and the edge signs alone
+    (``mesh.areas`` and ``mesh.lam_grads`` are functions of J's columns), so
+    they are built once per shape, from its first triangle.
     """
-    T, tri = mesh.n_triangles, mesh.triangles
-    J = _jacobians(mesh.vertices[tri])
-    s = np.where(tri < np.roll(tri, -1, axis=1), 1.0, -1.0)  # (T, 3): +1 where local = global
-    first, shape = _unique_rows(np.hstack([J.reshape(T, 4), s]))
-    S, J, s = len(first), J[first], s[first]
+    T = mesh.n_triangles
+    first, shape = first_occurrence(np.hstack([mesh.jacobians.reshape(T, 4),
+                                               mesh.triangle_edge_signs]))[:2]
+    S, J, s = len(first), mesh.jacobians[first], mesh.triangle_edge_signs[first]
     D = np.zeros((S, 8, 8))
     e = 2 * np.arange(3)
     D[:, e, e] = s
@@ -159,7 +142,7 @@ def build_rt_space(mesh: Mesh) -> RTSpace:
 
     tri_dofs = np.hstack([(2 * mesh.triangle_edges[:, :, None] + np.arange(2)).reshape(T, 6),
                           2 * mesh.n_edges + 2 * np.arange(T)[:, None] + np.arange(2)])
-    return RTSpace(mesh, D, mass, divmom, vecmom, tri_dofs, shape)
+    return RTSpace(mesh, D, mass, divmom, vecmom, tri_dofs, shape, first)
 
 
 @dataclass
@@ -179,16 +162,17 @@ class FluxField:
         pts = np.atleast_2d(np.asarray(points, dtype=float))
         tris = np.asarray(tris, dtype=np.int64)
         mesh = self.space.mesh
-        v = mesh.vertices[mesh.triangles[tris]]  # (N, 3, 2)
         # The reference coordinates lam_1, lam_2 as J⁻¹ (x − v0): differences
         # first, so that no cancellation of the absolute coordinates enters.
-        ref = np.einsum("nab,nb->na", mesh.lam_grads[tris, 1:], pts - v[:, 0])
+        v0 = mesh.vertices[mesh.triangles[tris, 0]]
+        ref = np.einsum("nab,nb->na", mesh.lam_grads[tris, 1:], pts - v0)
         # Per distinct triangle, in 4096-row blocks: OpenBLAS keeps those on one thread (no stalls).
         u, inv = np.unique(tris, return_inverse=True)
         d = self.reference_dofs(u)
         c = np.vstack([d[s:s + 4096] @ _RT_REF.T for s in range(0, max(len(u), 1), 4096)]).T[:, inv]
         phi = _rt_field(c, ref[:, 0], ref[:, 1])
-        return np.einsum("nca,na->nc", _jacobians(v), phi) / (2.0 * mesh.areas[tris, None])
+        J = mesh.jacobians[tris]
+        return np.einsum("nca,na->nc", J, phi) / (2.0 * mesh.areas[tris, None])
 
     def normal_trace(self, points, tris, normals) -> np.ndarray:
         vals = self.eval_at(points, tris)
@@ -253,7 +237,7 @@ def patch_fans(mesh: Mesh, data: ProblemData) -> Fans:
     e_in, e_out = mesh.triangle_edges.ravel(), mesh.triangle_edges[:, [2, 0, 1]].ravel()
     other = mesh.edge_tris[e_out].sum(axis=1) - K  # across the out-edge, -1 off the domain
     nxt = np.where(other >= 0, 3 * other + np.argmax(tri[other] == owner[:, None], axis=1), -1)
-    opens = (mesh.edge_tris < 0).any(axis=1)[e_in]
+    opens = mesh.on_boundary[e_in]
     size, starts = np.bincount(owner, minlength=V), np.bincount(owner[opens], minlength=V)
     cur = np.full(V, n)
     np.minimum.at(cur, owner, np.arange(n))  # a closed fan starts at its vertex's first corner
@@ -283,11 +267,11 @@ def patch_fans(mesh: Mesh, data: ProblemData) -> Fans:
     e = psi[v, j]
     gn = data.gn_proj[neu[e]]
     tr = (-mesh.edge_outward_sign[e, None]
-          * np.where(mesh.edge_vertices[e, :1] == v[:, None], 1.0 - _GLX, _GLX)
-          * (gn[:, :1] * (1.0 - _GLX) + gn[:, 1:] * _GLX))
+          * np.where(mesh.edge_vertices[e, :1] == v[:, None], 1.0 - _GL4_X, _GL4_X)
+          * (gn[:, :1] * (1.0 - _GL4_X) + gn[:, 1:] * _GL4_X))
     moments = np.zeros((V, 2, 2))
     moments[v, j] = mesh.edge_lengths[e, None] * np.stack(
-        [np.sum(_GLW * tr, axis=1), np.sum(_GLW * _GLX * tr, axis=1)], axis=1)
+        [np.sum(_GL4_W * tr, axis=1), np.sum(_GL4_W * _GL4_X * tr, axis=1)], axis=1)
     return Fans(order, size, closed, psi, neumann, moments,
                 mesh.edge_outward_sign[psi] * moments[..., 0])
 
@@ -340,7 +324,7 @@ def particular_flux(space: RTSpace, fans: Fans, u_h: ScalarField, data: ProblemD
     flux[0, order[live]] = np.hstack([start[:, None], -out[:, :-1]])[live]
     flux[1, order[live]] = out[live]
 
-    s = np.where(tri < np.roll(tri, -1, axis=1), 1.0, -1.0)  # +1 where local edge = global edge
+    s = mesh.triangle_edge_signs
     m, o = np.arange(3), np.array([2, 0, 1])  # a corner's in-edge and out-edge
     sigma = np.zeros((T, 3, 8))
     sigma[:, m, 2 * m] = s * flux[0].reshape(T, 3)
@@ -366,11 +350,10 @@ def particular_flux(space: RTSpace, fans: Fans, u_h: ScalarField, data: ProblemD
 
 def curl_matrices(space: RTSpace) -> np.ndarray:
     """The global DOFs ``(S, 3, 8, 3)`` of the curls of :func:`_curl_reference` on each shape,
-    by the inverse DOF transform: the edge blocks are involutions and the interior one is J."""
-    mesh = space.mesh
-    first = np.unique(space.shape, return_index=True)[1]  # shapes are numbered by first triangle
+    by the inverse DOF transform: the edge blocks are involutions and the interior one is the
+    mesh Jacobian of the shape's first triangle."""
     C = space.transform[:, None] @ _CURL_REF
-    C[:, :, 6:] = _jacobians(mesh.vertices[mesh.triangles[first]])[:, None] @ _CURL_REF[:, 6:]
+    C[:, :, 6:] = space.mesh.jacobians[space.first][:, None] @ _CURL_REF[:, 6:]
     return C
 
 
@@ -459,7 +442,7 @@ def reconstruct_flux(u_h: ScalarField, data: ProblemData, space: RTSpace | None 
     coef = np.bincount(space.tri_dofs.ravel(), corner_fluxes(u_h, data, space).sum(axis=1).ravel(),
                        space.total_dofs)
     # Both triangles of an interior edge give its DOFs, equal up to round-off: their mean.
-    coef[:2 * mesh.n_edges] /= np.repeat((mesh.edge_tris >= 0).sum(axis=1), 2)
+    coef[:2 * mesh.n_edges] /= np.repeat(2 - mesh.on_boundary, 2)
     return FluxField(space, coef)
 
 
@@ -482,10 +465,10 @@ def _edge_traces(flux: FluxField, edges, tris, normals) -> np.ndarray:
     """Normal traces at the degree-4 nodes of edges, seen from the triangles
     ``tris``; shape (len(edges), 4)."""
     mesh = flux.space.mesh
-    G = len(_GLX)
+    G = len(_GL4_X)
     a = mesh.vertices[mesh.edge_vertices[edges, 0]]
     b = mesh.vertices[mesh.edge_vertices[edges, 1]]
-    pts = a[:, None, :] + _GLX[None, :, None] * (b - a)[:, None, :]
+    pts = a[:, None, :] + _GL4_X[None, :, None] * (b - a)[:, None, :]
     tr = flux.normal_trace(
         pts.reshape(-1, 2), np.repeat(tris, G), np.repeat(normals, G, axis=0)
     )
@@ -498,7 +481,7 @@ def neumann_trace_defect(flux: FluxField, data: ProblemData) -> float:
     e = np.asarray(data.neumann_edges, dtype=np.int64)
     tris = mesh.edge_tris[e].max(axis=1)  # the outside neighbour is -1
     n_out = mesh.edge_outward_sign[e, None] * mesh.edge_normals[e]
-    gn = data.gn_proj[:, :1] * (1.0 - _GLX) + data.gn_proj[:, 1:] * _GLX
+    gn = data.gn_proj[:, :1] * (1.0 - _GL4_X) + data.gn_proj[:, 1:] * _GL4_X
     return float(np.abs(_edge_traces(flux, e, tris, n_out) + gn).max(initial=0.0))
 
 
@@ -517,7 +500,7 @@ def certify(flux: FluxField, data: ProblemData, name: str) -> None:
 def interior_jump(flux: FluxField) -> float:
     """max normal-trace jump across interior edges at degree-4 edge nodes."""
     mesh = flux.space.mesh
-    e = np.where(mesh.edge_tris.min(axis=1) >= 0)[0]
+    e = np.flatnonzero(~mesh.on_boundary)
     t0, t1 = mesh.edge_tris[e].T
     nrm = mesh.edge_normals[e]
     jump = _edge_traces(flux, e, t0, nrm) - _edge_traces(flux, e, t1, nrm)

@@ -47,6 +47,20 @@ _HOLD_BLOCK = 2**13
 LOCATE_TOL = 1e-12
 
 
+def first_occurrence(a):
+    """Number the distinct values of the 1-d array ``a`` (the rows of a C-contiguous 2-d one,
+    by their bytes) in the order they first occur.  Returns ``(first, number, keys, rank)``: the
+    index of each value's first occurrence, the number of each entry of ``a``, and the distinct
+    values sorted, with the number of each."""
+    if a.ndim == 2:
+        a = a.view(np.dtype((np.void, a.itemsize * a.shape[1]))).ravel()
+    keys, first, inverse = np.unique(a, return_index=True, return_inverse=True)
+    order = np.argsort(first)
+    rank = np.empty_like(order)
+    rank[order] = np.arange(len(order))
+    return first[order], rank[inverse], keys, rank
+
+
 @dataclass
 class VertexPatch:
     """Triangles around one vertex plus the split of the patch boundary.
@@ -109,6 +123,8 @@ class Mesh:
         if len(bad):
             raise MeshError(f"triangle {bad[0]} has non-positive area {signed[bad[0]]:.3e}")
         self.areas = signed
+        # Jacobians J = [v1 − v0, v2 − v0] of the maps from the reference triangle, det 2|K|.
+        self.jacobians = np.stack([d1, d2], axis=2)
         # Barycentric/affine coefficients: lam_q(x,y) = c0 + c1 x + c2 y.
         x, y = v[..., 0], v[..., 1]
         bq = np.stack([x[:, 1] * y[:, 2] - x[:, 2] * y[:, 1],
@@ -119,8 +135,7 @@ class Mesh:
         with np.errstate(divide="ignore", invalid="ignore"):
             inv2a = 1.0 / (2.0 * self.areas)[:, None]
         self.lam_coeffs = np.stack([bq * inv2a, cy * inv2a, cx * inv2a], axis=2)
-        # Gradient of lam_q is (cy, cx)/(2A), constant per triangle.
-        self.lam_grads = np.stack([cy, cx], axis=2) * inv2a[..., None]
+        self.lam_grads = self.lam_coeffs[..., 1:]  # grad lam_q = (cy, cx)/(2A), a view
         dx, dy = x[:, [1, 2, 0]] - x, y[:, [1, 2, 0]] - y  # sides v1 - v0, v2 - v1, v0 - v2
         side = np.sqrt(dx * dx + dy * dy)  # bitwise np.linalg.norm(axis=1) of each side
         self.diameters = np.maximum(np.maximum(side[:, 0], side[:, 1]), side[:, 2])
@@ -134,14 +149,10 @@ class Mesh:
         # order of their first corner.
         tail = self.triangles.ravel()
         head = np.roll(self.triangles, -1, axis=1).ravel()
-        keys, first, inverse = np.unique(
-            self._edge_key(tail, head), return_index=True, return_inverse=True
-        )
-        order = np.argsort(first)
-        rank = np.empty_like(order)
-        rank[order] = np.arange(len(order))
-        corner_edge = rank[inverse]
-        slot = 2 * corner_edge + (tail > head)  # side 0 traverses i → j
+        forward = tail < head  # the corner runs its edge low → high (no tail == head: areas > 0)
+        first, corner_edge, self._keys, self._key_edges = first_occurrence(
+            self._edge_key(tail, head))
+        slot = 2 * corner_edge + ~forward  # side 0 traverses i → j
         if len(slot) and np.bincount(slot).max() > 1:
             by_slot = np.argsort(slot, kind="stable")
             repeat = by_slot[1:][slot[by_slot[1:]] == slot[by_slot[:-1]]]
@@ -152,16 +163,18 @@ class Mesh:
                 f"edge {key} traversed twice in the same direction "
                 f"(triangles {t0} and {c // 3})"
             )
-        self.n_edges = len(keys)
-        self._keys, self._key_edges = keys, rank
+        self.n_edges = len(first)
         self.edge_vertices = np.stack(
             [np.minimum(tail, head), np.maximum(tail, head)], axis=1
-        )[first[order]]
+        )[first]
         edge_tris = np.full(2 * self.n_edges, -1, dtype=np.int64)
         edge_tris[slot] = np.arange(len(slot)) // 3
         self.edge_tris = edge_tris.reshape(-1, 2)
         self.triangle_edges = corner_edge.reshape(-1, 3)
-        self.boundary_edge_ids = np.flatnonzero((self.edge_tris < 0).any(axis=1))
+        # +1 where local edge l runs as its global edge, low → high vertex, else −1.
+        self.triangle_edge_signs = np.where(forward, 1.0, -1.0).reshape(-1, 3)
+        self.on_boundary = (self.edge_tris < 0).any(axis=1)  # (E,) the edge has one triangle
+        self.boundary_edge_ids = np.flatnonzero(self.on_boundary)
         ev = self.vertices[self.edge_vertices]
         d = ev[:, 1] - ev[:, 0]
         self.edge_lengths = np.sqrt(d[:, 0] * d[:, 0] + d[:, 1] * d[:, 1])  # bitwise np.linalg.norm
@@ -211,16 +224,15 @@ class Mesh:
         """Boundary edges need exactly one marker; interior edges may only
         carry a feature interface (gamma0) marker.  The first offending edge
         raises."""
-        boundary = (self.edge_tris < 0).any(axis=1)
         markers = np.fromiter(self.edge_markers, dtype=object, count=self.n_edges)
         marked = np.not_equal(markers, None)  # one pass over the markers
         interface = marked.copy()
         interface[marked] = [(m.kind, m.part) == ("feature", "gamma0") for m in markers[marked]]
-        bad = np.flatnonzero(np.where(boundary, ~marked, marked & ~interface))
+        bad = np.flatnonzero(np.where(self.on_boundary, ~marked, marked & ~interface))
         if not len(bad):
             return
         e = int(bad[0])
-        if boundary[e]:
+        if self.on_boundary[e]:
             i, j = self.edge_vertices[e]
             raise MeshError(f"unmarked boundary edge ({i}, {j})")
         raise MeshError(
@@ -337,7 +349,7 @@ def vertex_patches(mesh: Mesh) -> list[VertexPatch]:
     edges = mesh.triangle_edges[tris]  # (I, 3)
     loc = np.argmax(mesh.triangles[tris] == owner[:, None], axis=1)
     zero_mask = (np.arange(3) - loc[:, None]) % 3 == 1  # local edge l joins vertices l, l + 1
-    psi_mask = ~zero_mask & (mesh.edge_tris < 0).any(axis=1)[edges]
+    psi_mask = ~zero_mask & mesh.on_boundary[edges]
 
     def per_vertex(mask):
         v, e = np.broadcast_to(owner[:, None], mask.shape)[mask], edges[mask]
@@ -502,17 +514,16 @@ def generate_with_rect_features(
     # they fall on the square hull); bump boundary edges are gamma except the
     # shared interface, which keeps a gamma0 tag although now interior.
     mids = mesh.edge_midpoints()
-    boundary = (mesh.edge_tris < 0).any(axis=1)
     on_hull = _on_segments(mids, *_SQUARE_SIDES).any(axis=1)
     for f, (x0, x1, y0, y1), _ in rects:
         inside = ((x0 - 1e-12 <= mids[:, 0]) & (mids[:, 0] <= x1 + 1e-12)
                   & (y0 - 1e-12 <= mids[:, 1]) & (mids[:, 1] <= y1 + 1e-12))
         if f.kind == "positive":
-            gamma0 = inside & ~boundary & on_hull
-            gamma = inside & boundary
+            gamma0 = inside & ~mesh.on_boundary & on_hull
+            gamma = inside & mesh.on_boundary
         else:
-            gamma0 = inside & boundary & on_hull
-            gamma = inside & boundary & ~on_hull
+            gamma0 = inside & mesh.on_boundary & on_hull
+            gamma = inside & mesh.on_boundary & ~on_hull
         for part, mask in (("gamma0", gamma0), ("gamma", gamma)):
             marker = EdgeMarker("feature", f.id, part)
             for e in np.flatnonzero(mask).tolist():

@@ -234,7 +234,8 @@ def vertex_patches_loop(mesh):
 def _patch_system_loop(space, patch, u_h, data):
     """One patch mixed system, assembled triangle by triangle: (free DOFs,
     prescribed {DOF: value}, matrix, rhs, mean constraint)."""
-    from eqflux.flux import _GLW, _GLX, _TRIPLE, EquilibrationError
+    from eqflux.fem import _GL4_W as _GLW, _GL4_X as _GLX
+    from eqflux.flux import _TRIPLE, EquilibrationError
 
     mesh = space.mesh
     a, tris, zero, psi, interior = patch
@@ -291,8 +292,7 @@ def _patch_system_loop(space, patch, u_h, data):
 def compatibility_residual_loop(space, patch, u_h, data):
     """Residual and scale of one patch's compatibility (Galerkin
     orthogonality) test, from the forcing, the field and the Neumann data."""
-    from eqflux.fem import _M3, TRI_QP, TRI_QW
-    from eqflux.flux import _GLW, _GLX
+    from eqflux.fem import _GL4_W as _GLW, _GL4_X as _GLX, _M3, TRI_QP, TRI_QW
 
     mesh = space.mesh
     a, tris, _, psi, _ = patch
@@ -437,12 +437,12 @@ def own_shape(space, t):
     may edit triangle t's rows (``space.mass[space.shape[t]]``) in place."""
     import dataclasses
 
-    from eqflux.flux import _unique_rows
+    from eqflux.mesh import first_occurrence
 
     key = space.shape.copy()
     key[t] = -1
-    first, shape = _unique_rows(key[:, None])
-    return dataclasses.replace(space, shape=shape, **{
+    first, shape = first_occurrence(key)[:2]
+    return dataclasses.replace(space, shape=shape, first=first, **{
         name: getattr(space, name)[space.shape[first]]
         for name in ("transform", "mass", "divmom", "vecmom")})
 

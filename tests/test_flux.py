@@ -139,10 +139,12 @@ class TestRTSpace:
         sp = build_rt_space(generate_unit_square(64))
         assert len(sp.mass) == sp.shape.max() + 1 == 2
         assert np.array_equal(sp.shape[:2], [0, 1])
+        assert np.array_equal(sp.first, [0, 1])
         m = unstructured_mesh(16, np.random.default_rng(0), None)
         sp = build_rt_space(m)
         assert len(sp.mass) == m.n_triangles
         assert np.array_equal(sp.shape, np.arange(m.n_triangles))
+        assert np.array_equal(sp.first, np.arange(m.n_triangles))
 
     @settings(max_examples=10, deadline=None)
     @given(n=st.integers(1, 12), size=st.integers(1, 300), seed=st.integers(0, 2**32 - 1))
@@ -695,7 +697,7 @@ class TestSystemKey:
         # bit for bit, and so is the flux built from them.
         m, data, u, sp = TestGroupedSolve._lattice(64)
         shared = corner_fluxes(u, data, sp)
-        monkeypatch.setattr(flux_module, "_unique_rows", lambda a: (np.arange(len(a)),) * 2)
+        monkeypatch.setattr(flux_module, "first_occurrence", lambda a: (np.arange(len(a)),) * 4)
         own = build_rt_space(m)
         assert len(sp.mass) == 2 and len(own.mass) == m.n_triangles
         for name in ("transform", "mass", "divmom", "vecmom"):

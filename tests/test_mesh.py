@@ -37,6 +37,7 @@ from eqflux.mesh import (
     Mesh,
     MeshError,
     _lattice_mesh,
+    first_occurrence,
     generate_unit_square,
     generate_with_rect_features,
     read_mesh,
@@ -156,6 +157,56 @@ class TestVertexPatches:
         for p in vertex_patches(m):
             count[p.triangles] += 1
         assert (count == 3).all()
+
+
+class TestElementArrays:
+    """The per-triangle and per-edge arrays that Mesh computes once for its consumers."""
+
+    @staticmethod
+    def _mesh(kind):
+        if kind == "lattice":
+            return generate_unit_square(6, dirichlet_x01)
+        return unstructured_mesh(6, np.random.default_rng(3), dirichlet_x01)
+
+    @pytest.mark.parametrize("kind", ["lattice", "unstructured"])
+    def test_jacobians(self, kind):
+        m = self._mesh(kind)
+        v = m.vertices[m.triangles]
+        J = m.jacobians
+        assert J.shape == (m.n_triangles, 2, 2)
+        assert np.array_equal(J[:, :, 0], v[:, 1] - v[:, 0])
+        assert np.array_equal(J[:, :, 1], v[:, 2] - v[:, 0])
+        det = J[:, 0, 0] * J[:, 1, 1] - J[:, 0, 1] * J[:, 1, 0]
+        assert np.array_equal(det / 2, m.areas)
+
+    @pytest.mark.parametrize("kind", ["lattice", "unstructured"])
+    def test_edge_signs(self, kind):
+        m = self._mesh(kind)
+        plus = m.edge_tris[m.triangle_edges, 0] == np.arange(m.n_triangles)[:, None]
+        assert np.array_equal(m.triangle_edge_signs, np.where(plus, 1.0, -1.0))
+
+    @pytest.mark.parametrize("kind", ["lattice", "unstructured"])
+    def test_boundary_mask_and_lam_grads(self, kind):
+        m = self._mesh(kind)
+        assert np.array_equal(m.on_boundary, (m.edge_tris < 0).any(axis=1))
+        assert np.array_equal(m.boundary_edge_ids, np.flatnonzero(m.on_boundary))
+        assert np.array_equal(m.lam_grads, m.lam_coeffs[..., 1:])
+
+    @pytest.mark.parametrize("rows", [False, True])
+    def test_first_occurrence_matches_dict_loop(self, rows):
+        rng = np.random.default_rng(7)
+        a = rng.integers(0, 9, size=(60, 2) if rows else 60)
+        if rows:
+            a = np.ascontiguousarray((a - 4) * [0.5, 0.0])  # rows differ by -0.0 / 0.0 only
+        numbers = {}
+        want = [numbers.setdefault(x.tobytes(), len(numbers)) for x in a]
+        first, number, keys, rank = first_occurrence(a)
+        assert np.array_equal(number, want)
+        assert np.array_equal(number[first], np.arange(len(numbers)))
+        assert (first[number] <= np.arange(len(a))).all()
+        if not rows:
+            assert np.array_equal(keys, np.unique(a))
+            assert np.array_equal(a[first[rank]], keys)
 
 
 class TestLocatePoint:
