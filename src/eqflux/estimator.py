@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .fem import ScalarField
-from .flux import FluxField, flux_normal_trace
+from .flux import _CONST_REF, _R, FluxField, flux_normal_trace
 from .geometry import CurveQuadrature
 
 
@@ -101,19 +101,17 @@ def eta_curve(ds: DefectSamples) -> float:
 
 def eta_zero(flux: FluxField, u_h: ScalarField) -> float:
     """Numerical-component estimator: the energy mismatch ‖sigma + grad u‖,
-    as ``Σ_K d_Kᵀ M_K d_K`` with the RT DOFs ``d_K`` of sigma + grad u on K."""
+    as ``Σ_K Σ_p G_p d̂_Kᵀ R_p d̂_K`` with the reference RT DOFs ``d̂_K`` of
+    sigma + grad u on K and its metric ``G`` (:class:`~eqflux.flux.RTSpace`)."""
     sp = flux.space
     mesh = sp.mesh
     if u_h.mesh is not mesh:
         raise ValueError("flux and field live on different meshes")
-    # The constant g = grad u|_K has edge DOFs (g·n)|e|·{1, 1/2} and interior DOFs g·|K|.
-    g = u_h.gradients()
-    e = mesh.triangle_edges
-    gn = np.einsum("tlc,tc->tl", mesh.edge_normals[e], g) * mesh.edge_lengths[e]
-    d = flux.coefficients[sp.tri_dofs]
-    d[:, :6] += (gn[:, :, None] * [1.0, 0.5]).reshape(-1, 6)
-    d[:, 6:] += g * mesh.areas[:, None]
-    val = np.einsum("ti,tij,tj->", d, sp.per_triangle(sp.mass), d)
+    # The constant g = grad u|_K is the Piola image of ĝ = 2|K| J⁻¹ g.
+    g, J_inv = u_h.gradients(), mesh.lam_grads[:, 1:]
+    a = mesh.areas[:, None] * (J_inv[:, :, 0] * g[:, :1] + J_inv[:, :, 1] * g[:, 1:])
+    d = flux.reference_dofs() + a @ _CONST_REF
+    val = np.sum(sum(sp.metric[:, p, None] * (d @ _R[p]) for p in range(3)) * d)
     return float(np.sqrt(max(val, 0.0)))
 
 

@@ -20,7 +20,7 @@ import numpy as np
 from . import linalg
 from .fem import TRI_QP, TRI_QW, ProblemData, ScalarField, _GL4_W, _GL4_X, _M3
 from .geometry import CurveQuadrature, GeometryError
-from .mesh import Mesh, first_occurrence
+from .mesh import Mesh
 
 # Triple products  ∫ lam_i lam_j lam_k = area * _TRIPLE[i,j,k].
 _TRIPLE = np.array([(1 / 10, 1 / 30, 1 / 60)[len({i, j, k}) - 1]
@@ -51,6 +51,9 @@ _RT_REF = np.array([
     [-8, 16, 8, -8, 0, -8, -16, -8],
     [-8, 8, 0, 8, 8, -16, -8, -16],
 ], dtype=float)
+# Reference DOFs of the constant fields (2, 0) and (0, 2): edge moments ν̂_l·{2, 1} with
+# ν̂ = (0, -1), (1, 1), (-1, 0), and interior moments the field over 2.
+_CONST_REF = np.array([[0, 0, 2, 1, -2, -1, 1, 0], [-2, -1, 2, 1, 0, 0, 0, 1]], dtype=float)
 
 
 def _rt_field(c, x, y):
@@ -63,19 +66,31 @@ def _rt_field(c, x, y):
 def _reference_tensors():
     """Integrals over the reference triangle, of its basis phî_j and
     barycentrics lam_m, by the degree-4 rule (the integrands have degree at
-    most 4): ``R[a, b, i, j] = ∫ phî_i,a phî_j,b``, ``R_D[m, j] = ∫ div phî_j
-    lam_m`` and ``R_V[m, j, a] = ∫ lam_m phî_j,a``; also ``R_Dv[v, j]``, the
-    divergence of phî_j at vertex v."""
+    most 4): ``R[p, i, j]``, ``∫ phî_i,a phî_j,b`` for ``(a, b) = (0, 0)``,
+    ``(1, 1)`` and their sum over ``(0, 1)`` and ``(1, 0)``, which
+    :attr:`RTSpace.metric` weights; ``R_D[m, j] = ∫ div phî_j lam_m`` and
+    ``R_V[m, j, a] = ∫ lam_m phî_j,a``; also ``R_Dv[v, j]``, the divergence of
+    phî_j at vertex v."""
     w = 0.5 * TRI_QW
     B = _rt_field(_RT_REF[:, None, :], TRI_QP[:, 1, None], TRI_QP[:, 2, None])  # (6, 8, 2)
     R = np.einsum("q,qia,qjb->abij", w, B, B)
     R_V = np.einsum("q,qm,qja->mja", w, TRI_QP, B)
     # div phî = c1 + c5 + 3 (x c6 + y c7) is P1: its values at the vertices.
     R_Dv = _RT_REF[1] + _RT_REF[5] + 3.0 * np.stack([np.zeros(8), _RT_REF[6], _RT_REF[7]])
-    return R, 0.5 * _M3 @ R_Dv, R_V, R_Dv
+    return np.stack([R[0, 0], R[0, 1] + R[1, 0], R[1, 1]]), 0.5 * _M3 @ R_Dv, R_V, R_Dv
 
 
 _R, _R_D, _R_V, _R_DV = _reference_tensors()
+
+
+def _map_dofs(d, s, A):
+    """``d`` ``(n, 8)`` with each edge block mapped by ``[[s, 0], [(s − 1)/2, 1]]``, ``s`` ``(n,
+    3)`` the edge signs, and the interior block by ``A`` ``(n, 2, 2)``, row by row."""
+    out = np.empty_like(d)
+    out[:, 0:6:2] = s * d[:, 0:6:2]
+    out[:, 1:6:2] = d[:, 1:6:2] + 0.5 * (s - 1.0) * d[:, 0:6:2]
+    out[:, 6:] = A[:, :, 0] * d[:, 6, None] + A[:, :, 1] * d[:, 7, None]
+    return out
 
 
 @dataclass
@@ -86,63 +101,46 @@ class RTSpace:
     edge orientation) and two per triangle (moments against the constant
     vector fields).  The basis of triangle K is the contravariant Piola image
     ``J phî / det J`` of the reference basis, re-expressed in the global DOFs:
-    ``transform[shape[K]]`` maps K's global DOFs to reference DOFs.  It and the
-    element matrices are computed once per shape (:func:`build_rt_space`).
+    the reference DOFs are ``D`` times the global ones (:meth:`to_reference`).
+    Every element operator is a fixed reference tensor weighted by
+    ``G = JᵀJ / det J`` (``metric``), by J or by nothing: the mass matrix in
+    reference DOFs is ``Σ_p metric[K, p] _R[p]``.
     """
 
     mesh: Mesh
-    transform: np.ndarray  # (S, 8, 8): reference DOFs = transform @ global DOFs
-    mass: np.ndarray  # (S, 8, 8)
-    divmom: np.ndarray  # (S, 3, 8): (div phi_j, lam_m)_K
-    vecmom: np.ndarray  # (S, 3, 8, 2): (lam_m phi_j)_K
     tri_dofs: np.ndarray  # (T, 8) global DOF ids
-    shape: np.ndarray  # (T,) shape of each triangle, numbered by first triangle
-    first: np.ndarray  # (S,) first triangle of each shape
+    metric: np.ndarray  # (T, 3): G_00, G_01, G_11 of G = JᵀJ / det J
 
     @property
     def total_dofs(self) -> int:
         return 2 * self.mesh.n_edges + 2 * self.mesh.n_triangles
 
-    def per_triangle(self, a) -> np.ndarray:
-        """The per-shape array ``a`` per triangle: ``a[shape]``, or ``a`` itself when every
-        triangle is a shape of its own (``shape`` is then the identity)."""
-        return a if len(a) == len(self.shape) else a[self.shape]
+    def to_reference(self, g, tris=slice(None)) -> np.ndarray:
+        """The reference DOFs ``D g`` of the global DOFs ``g`` ``(n, 8)`` on triangles ``tris``."""
+        return _map_dofs(g, self.mesh.triangle_edge_signs[tris], self.mesh.lam_grads[tris, 1:])
+
+    def to_global(self, d) -> np.ndarray:
+        """The global DOFs ``D⁻¹ d`` of reference DOFs ``d`` ``(T, 8)``, one row per triangle."""
+        return _map_dofs(d, self.mesh.triangle_edge_signs, self.mesh.jacobians)
 
 
 def build_rt_space(mesh: Mesh) -> RTSpace:
-    """Construct the RT space: the DOF transforms and element matrices.
+    """Construct the RT space: the DOF numbering and the metric of each triangle.
 
     Under ``phi = J phî / det J`` an edge moment against {1, s} with the
     clockwise-turned edge vector does not change (``Jᵀ R J = det J · R`` for
     the rotation R), and interior moments map by J.  The global edge runs
     from its lower to its higher vertex; where the local edge runs the other
     way (``mesh.triangle_edge_signs`` −1) its normal and parameter flip, so its
-    block of the transform is ``[[-1, 0], [-1, 1]]`` instead of the identity.
-    Both edge blocks are involutions and the interior block is ``J⁻¹``.  These
-    depend on the bytes of ``mesh.jacobians`` and the edge signs alone
-    (``mesh.areas`` and ``mesh.lam_grads`` are functions of J's columns), so
-    they are built once per shape, from its first triangle.
+    block of ``D`` is ``[[-1, 0], [-1, 1]]`` instead of the identity.  Both
+    edge blocks are involutions and the interior block is ``J⁻¹``, whose rows
+    are ``mesh.lam_grads[:, 1:]``.
     """
-    T = mesh.n_triangles
-    first, shape = first_occurrence(np.hstack([mesh.jacobians.reshape(T, 4),
-                                               mesh.triangle_edge_signs]))[:2]
-    S, J, s = len(first), mesh.jacobians[first], mesh.triangle_edge_signs[first]
-    D = np.zeros((S, 8, 8))
-    e = 2 * np.arange(3)
-    D[:, e, e] = s
-    D[:, e + 1, e] = 0.5 * (s - 1.0)
-    D[:, e + 1, e + 1] = 1.0
-    D[:, 6:, 6:] = mesh.lam_grads[first, 1:]  # grad lam_1, grad lam_2 are the rows of J⁻¹
-    G = np.einsum("tca,tcb->tab", J, J) / (2.0 * mesh.areas[first])[:, None, None]
-    mass = (G.reshape(S, 4) @ _R.reshape(4, 64)).reshape(S, 8, 8)
-    mass = D.transpose(0, 2, 1) @ mass @ D
-    divmom = _R_D @ D
-    vecmom = (J[:, None] @ (_R_V.transpose(0, 2, 1).reshape(6, 8) @ D).reshape(S, 3, 2, 8)
-              ).transpose(0, 1, 3, 2)
-
+    T, J = mesh.n_triangles, mesh.jacobians.reshape(-1, 4)  # J_00, J_01, J_10, J_11
+    JtJ = J[:, [0, 0, 1]] * J[:, [0, 1, 1]] + J[:, [2, 2, 3]] * J[:, [2, 3, 3]]
     tri_dofs = np.hstack([(2 * mesh.triangle_edges[:, :, None] + np.arange(2)).reshape(T, 6),
                           2 * mesh.n_edges + 2 * np.arange(T)[:, None] + np.arange(2)])
-    return RTSpace(mesh, D, mass, divmom, vecmom, tri_dofs, shape, first)
+    return RTSpace(mesh, tri_dofs, JtJ / (2.0 * mesh.areas)[:, None])
 
 
 @dataclass
@@ -155,8 +153,7 @@ class FluxField:
     def reference_dofs(self, tris=slice(None)) -> np.ndarray:
         """The reference DOFs of the field on triangles ``tris`` (default: all), one row each."""
         sp = self.space
-        return np.einsum("tkj,tj->tk", sp.transform[sp.shape[tris]],
-                         self.coefficients[sp.tri_dofs[tris]])
+        return sp.to_reference(self.coefficients[sp.tri_dofs[tris]], tris)
 
     def eval_at(self, points, tris) -> np.ndarray:
         pts = np.atleast_2d(np.asarray(points, dtype=float))
@@ -209,6 +206,15 @@ def _curl_reference():
 
 
 _CURL_REF = _curl_reference()
+
+# The curl system of corner m, with Ĉ_m = _CURL_REF[m]: its matrix ``_K[p, m] = Ĉ_mᵀ _R[p] Ĉ_m``
+# (the P2 stiffness, as |curl phi| = |grad phi|), the term ``_V[c, m] = Σ_i _R_V[m, i, c] Ĉ_m[i]``
+# against ``Jᵀ grad u_h``, and ``_RC[m, :, p] = _R[p] Ĉ_m`` against the particular flux; the rows
+# of ``_CURL_ROWS``, stacked (m, k), map a triangle's nine corner P2 values to its curl.
+_K = np.einsum("mik,pij,mjl->pmkl", _CURL_REF, _R, _CURL_REF).reshape(3, 27)
+_V = np.einsum("mic,mik->cmk", _R_V, _CURL_REF).reshape(2, 9)
+_RC = np.einsum("pij,mjk->mipk", _R, _CURL_REF).reshape(3, 8, 9)
+_CURL_ROWS = _CURL_REF.transpose(0, 2, 1).reshape(9, 8)
 
 
 @dataclass
@@ -293,14 +299,15 @@ def divergence_moments(mesh: Mesh, fans: Fans, u_h: ScalarField, data: ProblemDa
 
 
 def particular_flux(space: RTSpace, fans: Fans, u_h: ScalarField, data: ProblemData):
-    """Per corner, the global DOFs ``(T, 3, 8)`` on its triangle of a patch flux with the
+    """Per corner, the reference DOFs ``(T, 3, 8)`` on its triangle of a patch flux with the
     moments of :func:`divergence_moments` (less ``μ |K| / 3`` each on a mean-value patch, ``μ``
     its compatibility residual over its area), no trace on zero edges and the prescribed one on
     Neumann psi edges.  Each out-edge carries the fan's running net divergence; spoke linear
-    moments are 0 but on Neumann edges; the interior DOFs solve the remaining divergence moments.
-    An incompatible patch raises :class:`OrthogonalityError`, and a singular interior divergence
-    block :class:`EquilibrationError`."""
-    mesh, shape = space.mesh, space.shape
+    moments are 0 but on Neumann edges; the interior DOFs meet the divergence moments against
+    lam_1, lam_2 through the fixed reference block ``_R_D[1:, 6:]``, which is ``−I``: by parts,
+    ``(div phî_j, lam_m) = −(phî_j, grad lam_m)`` for an interior basis function.  An
+    incompatible patch raises :class:`OrthogonalityError`."""
+    mesh = space.mesh
     tri, area, T, V = mesh.triangles, mesh.areas, mesh.n_triangles, mesh.n_vertices
     r, resid, scale = divergence_moments(mesh, fans, u_h, data)
     mean = fans.closed | fans.neumann.all(axis=1)  # no Dirichlet psi edge
@@ -324,37 +331,23 @@ def particular_flux(space: RTSpace, fans: Fans, u_h: ScalarField, data: ProblemD
     flux[0, order[live]] = np.hstack([start[:, None], -out[:, :-1]])[live]
     flux[1, order[live]] = out[live]
 
-    s = mesh.triangle_edge_signs
+    # The reference constant moment of an edge is its outward flux; its linear moment is that
+    # flux where the local edge runs against the global one (D's edge block), plus the global
+    # linear moment, 0 but on Neumann edges.
+    back = mesh.triangle_edge_signs < 0
+    f_in, f_out = flux.reshape(2, T, 3)
     m, o = np.arange(3), np.array([2, 0, 1])  # a corner's in-edge and out-edge
     sigma = np.zeros((T, 3, 8))
-    sigma[:, m, 2 * m] = s * flux[0].reshape(T, 3)
-    sigma[:, m, 2 * o] = s[:, o] * flux[1].reshape(T, 3)
+    sigma[:, m, 2 * m] = f_in
+    sigma[:, m, 2 * m + 1] = back * f_in
+    sigma[:, m, 2 * o] = f_out
+    sigma[:, m, 2 * o + 1] = back[:, o] * f_out
     v, j = np.nonzero(fans.neumann)
     c = order[v, np.where(j == 0, 0, fans.size[v] - 1)]
-    sigma.reshape(-1, 8)[c, 2 * ((c + 2 * j) % 3) + 1] = fans.moments[v, j, 1]
-
-    B = space.divmom[:, 1:, 6:]
-    det = B[:, 0, 0] * B[:, 1, 1] - B[:, 0, 1] * B[:, 1, 0]
-    bad = ~(np.abs(det) > 1e-12 * np.abs(B).max(axis=(1, 2)) ** 2)
-    if bad.any():
-        t = int(np.argmax(bad[shape]))
-        raise EquilibrationError(
-            f"singular patch system at vertex {tri[t, 0]}: the interior divergence block of "
-            f"triangle {t} has determinant {det[shape[t]]:.3e}")
-    inv_t = np.stack([B[:, 1, 1], -B[:, 1, 0], -B[:, 0, 1], B[:, 0, 0]], axis=1) / det[:, None]
-    edges_t = space.divmom[:, 1:, :6].transpose(0, 2, 1)
-    rhs = r[..., 1:] - sigma[..., :6] @ space.per_triangle(edges_t)
-    sigma[..., 6:] = rhs @ space.per_triangle(inv_t.reshape(-1, 2, 2))
+    sigma.reshape(-1, 8)[c, 2 * ((c + 2 * j) % 3) + 1] += fans.moments[v, j, 1]
+    # _R_D[1:] sigma = r[1:]; the interior DOFs, still 0, add nothing to the product.
+    sigma[..., 6:] = (sigma.reshape(-1, 8) @ _R_D[1:].T).reshape(T, 3, 2) - r[..., 1:]
     return sigma
-
-
-def curl_matrices(space: RTSpace) -> np.ndarray:
-    """The global DOFs ``(S, 3, 8, 3)`` of the curls of :func:`_curl_reference` on each shape,
-    by the inverse DOF transform: the edge blocks are involutions and the interior one is the
-    mesh Jacobian of the shape's first triangle."""
-    C = space.transform[:, None] @ _CURL_REF
-    C[:, :, 6:] = space.mesh.jacobians[space.first][:, None] @ _CURL_REF[:, 6:]
-    return C
 
 
 @dataclass
@@ -373,16 +366,17 @@ class PatchStack:
 def assemble_patch_system(space: RTSpace, fans: Fans, sigma, u_h: ScalarField):
     """The systems of each patch's correction ``curl phi``, ``phi`` continuous P2 on the patch
     and 0 on its zero edges and Neumann psi edges, that minimises ``‖sigma_a + curl phi + psi_a
-    grad u_h‖``: ``A = Cᵀ M C`` and ``b = Cᵀ (r − M sigma_a)``, ``r = −(psi_a grad u_h, phi_j)``.
-    Returns :func:`curl_matrices` and one :class:`PatchStack` per patch size."""
-    shape = space.shape
-    C = curl_matrices(space)
-    MC = space.mass[:, None] @ C
-    Ct = C.transpose(0, 1, 3, 2)
-    A_c = Ct @ MC
-    b_c = -((space.per_triangle(Ct @ space.vecmom) @ u_h.gradients()[:, None, :, None])[..., 0]
-            + (sigma[..., None, :] @ space.per_triangle(MC))[..., 0, :])
-    del MC  # (S, 3, 8, 3): not kept through the stacks
+    grad u_h‖``, ``sigma_a`` the reference DOFs of :func:`particular_flux`: per corner
+    ``A = Ĉᵀ M̂ Ĉ`` and ``b = −Ĉᵀ (M̂ sigma_a + (psi_a grad u_h, phî))``, ``M̂`` the mass matrix
+    in reference DOFs, the D of the Piola map cancelling.  ``Jᵀ grad u_h`` is the difference of
+    u_h along the triangle's sides from vertex 0.  Returns one :class:`PatchStack` per size."""
+    mesh, T = space.mesh, space.mesh.n_triangles
+    A_c = (space.metric @ _K).reshape(T, 3, 3, 3)
+    u = u_h.nodal_values[mesh.triangles]
+    b_c = -((u[:, 1:] - u[:, :1]) @ _V).reshape(T, 3, 3)
+    Y = np.stack([sigma[:, m] @ _RC[m] for m in range(3)], axis=1).reshape(T, 3, 3, 3)
+    for p in range(3):
+        b_c -= space.metric[:, p, None, None] * Y[:, :, p]
     stacks = []
     for t in np.unique(fans.size):
         v = np.flatnonzero(fans.size == t)
@@ -394,7 +388,7 @@ def assemble_patch_system(space: RTSpace, fans: Fans, sigma, u_h: ScalarField):
         n, P = t + 2, len(v)
         row = np.arange(P)[:, None, None] * n + nodes
         A = np.bincount((row[..., :, None] * n + nodes[..., None, :]).ravel(),
-                        A_c[shape[K], m].ravel(), P * n * n).reshape(P, n, n)
+                        A_c[K, m].ravel(), P * n * n).reshape(P, n, n)
         b = np.bincount(row.ravel(), b_c[K, m].ravel(), P * n).reshape(P, n)
         free = np.ones((P, n), dtype=bool)
         free[:, 0] = ~fans.neumann[v].any(axis=1)
@@ -403,7 +397,7 @@ def assemble_patch_system(space: RTSpace, fans: Fans, sigma, u_h: ScalarField):
         A *= free[:, :, None] & free[:, None, :]
         A[:, np.arange(n), np.arange(n)] += ~free
         stacks.append(PatchStack(v, corners, nodes, A, b * free))
-    return C, stacks
+    return stacks
 
 
 def patch_flux(stack: PatchStack, phi) -> None:
@@ -420,27 +414,29 @@ def patch_flux(stack: PatchStack, phi) -> None:
     phi[K, m] = x[np.arange(len(x))[:, None, None], stack.nodes]
 
 
-def corner_fluxes(u_h: ScalarField, data: ProblemData, space: RTSpace) -> np.ndarray:
+def corner_fluxes(u_h: ScalarField, data: ProblemData, space: RTSpace):
     """Each patch flux ``sigma_a``, a fan-swept particular flux plus its P2 curl correction, per
-    corner: the global DOFs ``(T, 3, 8)`` on the corner's triangle."""
+    corner: the particular flux's reference DOFs ``(T, 3, 8)`` on the corner's triangle, and the
+    P2 nodal values ``(T, 3, 3)`` whose curls (:func:`_curl_reference`) correct it."""
     fans = patch_fans(space.mesh, data)
     sigma = particular_flux(space, fans, u_h, data)
-    C, stacks = assemble_patch_system(space, fans, sigma, u_h)
     phi = np.empty((space.mesh.n_triangles, 3, 3))
-    for stack in stacks:
+    for stack in assemble_patch_system(space, fans, sigma, u_h):
         patch_flux(stack, phi)
-    return sigma + (space.per_triangle(C) @ phi[..., None])[..., 0]
+    return sigma, phi
 
 
 def reconstruct_flux(u_h: ScalarField, data: ProblemData, space: RTSpace | None = None) -> FluxField:
-    """Equilibrated flux: the sum of the patch fluxes, per triangle over its three corners."""
+    """Equilibrated flux: the sum of the patch fluxes, per triangle over its three corners, taken
+    in reference DOFs and mapped to global DOFs once."""
     mesh = u_h.mesh
     if data.mesh is not mesh:
         raise ValueError("field and data live on different meshes")
     if space is None:
         space = build_rt_space(mesh)
-    coef = np.bincount(space.tri_dofs.ravel(), corner_fluxes(u_h, data, space).sum(axis=1).ravel(),
-                       space.total_dofs)
+    sigma, phi = corner_fluxes(u_h, data, space)
+    ref = sigma.sum(axis=1) + phi.reshape(-1, 9) @ _CURL_ROWS
+    coef = np.bincount(space.tri_dofs.ravel(), space.to_global(ref).ravel(), space.total_dofs)
     # Both triangles of an interior edge give its DOFs, equal up to round-off: their mean.
     coef[:2 * mesh.n_edges] /= np.repeat(2 - mesh.on_boundary, 2)
     return FluxField(space, coef)

@@ -48,12 +48,9 @@ LOCATE_TOL = 1e-12
 
 
 def first_occurrence(a):
-    """Number the distinct values of the 1-d array ``a`` (the rows of a C-contiguous 2-d one,
-    by their bytes) in the order they first occur.  Returns ``(first, number, keys, rank)``: the
-    index of each value's first occurrence, the number of each entry of ``a``, and the distinct
-    values sorted, with the number of each."""
-    if a.ndim == 2:
-        a = a.view(np.dtype((np.void, a.itemsize * a.shape[1]))).ravel()
+    """Number the distinct values of the 1-d array ``a`` in the order they first occur.  Returns
+    ``(first, number, keys, rank)``: the index of each value's first occurrence, the number of
+    each entry of ``a``, and the distinct values sorted, with the number of each."""
     keys, first, inverse = np.unique(a, return_index=True, return_inverse=True)
     order = np.argsort(first)
     rank = np.empty_like(order)

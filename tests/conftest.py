@@ -4,7 +4,7 @@ The quadrature oracles deliberately avoid the library's own quadrature and
 assembly paths: the Duffy rule below integrates over triangles through a
 collapsed tensor-Gauss rule and is used to cross-check projections, norms
 and estimator values.  The pointwise ``eta_0``, the monomial RT space, the
-field helpers, the edge-by-edge certificate loops, the vertex-by-vertex
+P2 corner stiffness from P2 gradients, the field helpers, the edge-by-edge certificate loops, the vertex-by-vertex
 patch equilibration, the stacked saddle-point solve by static condensation
 (a second reference for the patch systems), the dict-and-loop mesh
 topology, point location, per-point cross-mesh gradient, curve clipping and
@@ -91,10 +91,10 @@ def _rt_monomials(xi, eta):
 
 
 class RTMonomialSpace:
-    """The RT1 space built triangle by triangle on monomials scaled about
-    the centroid: each element's dual basis by inverting its DOF matrix
-    (edge moments by Gauss-Legendre, interior moments and the element
-    matrices by the collapsed Gauss rule of ``duffy_quad``)."""
+    """The RT1 space built on monomials scaled about each triangle's
+    centroid: each element's dual basis by inverting its DOF matrix (edge
+    moments by Gauss-Legendre, interior moments and the element matrices by
+    the collapsed Gauss rule of ``duffy_quad``), all triangles at once."""
 
     def __init__(self, mesh):
         gx, gw = np.polynomial.legendre.leggauss(4)
@@ -103,34 +103,37 @@ class RTMonomialSpace:
         u, v = u.ravel(), v.ravel() * (1.0 - u.ravel())
         bary = np.stack([1.0 - u - v, u, v], axis=1)  # (16, 3)
         qw = 2.0 * np.outer(gw, gw).ravel() * (1.0 - bary[:, 1])  # sums to 1
-        T, E = mesh.n_triangles, mesh.n_edges
+        T, E, e = mesh.n_triangles, mesh.n_edges, mesh.triangle_edges
         self.mesh = mesh
         self.centers = mesh.vertices[mesh.triangles].mean(axis=1)
         self.scales = mesh.diameters
-        self.coeff = np.empty((T, 8, 8))
-        self.mass, self.divmom, self.vecmom = np.empty((T, 8, 8)), np.empty((T, 3, 8)), np.empty((T, 3, 8, 2))
-        self.tri_dofs = np.empty((T, 8), dtype=np.int64)
-        for t in range(T):
-            N = np.empty((8, 8))
-            for k, e in enumerate(mesh.triangle_edges[t]):
-                a, b = mesh.vertices[mesh.edge_vertices[e]]
-                tr = self._mono(t, a + gx[:, None] * (b - a)) @ mesh.edge_normals[e]  # (4, 8)
-                N[2 * k] = mesh.edge_lengths[e] * gw @ tr
-                N[2 * k + 1] = mesh.edge_lengths[e] * (gw * gx) @ tr
-                self.tri_dofs[t, 2 * k: 2 * k + 2] = 2 * e, 2 * e + 1
-            self.tri_dofs[t, 6:] = 2 * E + 2 * t, 2 * E + 2 * t + 1
-            area, pts = mesh.areas[t], bary @ mesh.vertices[mesh.triangles[t]]
-            mono = self._mono(t, pts)  # (16, 8, 2)
-            N[6:] = area * np.einsum("q,qkc->ck", qw, mono)
-            self.coeff[t] = C = np.linalg.inv(N)
-            basis = np.einsum("qkc,kj->qjc", mono, C)
-            div = self._div_mono(t, pts) @ C  # (16, 8)
-            self.mass[t] = area * np.einsum("q,qic,qjc->ij", qw, basis, basis)
-            self.divmom[t] = area * np.einsum("q,qm,qj->mj", qw, bary, div)
-            self.vecmom[t] = area * np.einsum("q,qm,qjc->mjc", qw, bary, basis)
+        t = np.arange(T)[:, None]
+        ab = mesh.vertices[mesh.edge_vertices[e]]  # (T, 3, 2, 2): each local edge's a, b
+        pts = ab[:, :, None, 0] + gx[:, None] * (ab[:, :, None, 1] - ab[:, :, None, 0])
+        tr = np.einsum("tkqjc,tkc->tkqj", self._mono(t[..., None], pts), mesh.edge_normals[e])
+        N = np.empty((T, 8, 8))
+        N[:, 0:6:2] = mesh.edge_lengths[e][..., None] * np.einsum("q,tkqj->tkj", gw, tr)
+        N[:, 1:6:2] = mesh.edge_lengths[e][..., None] * np.einsum("q,tkqj->tkj", gw * gx, tr)
+        area = mesh.areas[:, None, None]
+        pts = np.einsum("qk,tkd->tqd", bary, mesh.vertices[mesh.triangles])
+        mono = self._mono(t, pts)  # (T, 16, 8, 2)
+        N[:, 6:] = area * np.einsum("q,tqkc->tck", qw, mono)
+        self.coeff = C = np.linalg.inv(N)
+        basis = np.einsum("tqkc,tkj->tqjc", mono, C)
+        div = self._div_mono(t, pts) @ C  # (T, 16, 8)
+        self.mass = area * np.einsum("q,tqic,tqjc->tij", qw, basis, basis)
+        self.divmom = area * np.einsum("q,qm,tqj->tmj", qw, bary, div)
+        self.vecmom = area[..., None] * np.einsum("q,qm,tqjc->tmjc", qw, bary, basis)
+        self.tri_dofs = np.hstack([(2 * e[:, :, None] + [0, 1]).reshape(T, 6),
+                                   2 * E + 2 * t + [0, 1]])
+
+    @property
+    def total_dofs(self):
+        return 2 * self.mesh.n_edges + 2 * self.mesh.n_triangles
 
     def _local(self, t, pts):
-        d = (np.asarray(pts, dtype=float) - self.centers[t]) / self.scales[t]
+        """Scaled coordinates of ``pts`` about the centroids of triangles ``t`` (broadcast)."""
+        d = (np.asarray(pts, dtype=float) - self.centers[t]) / self.scales[t][..., None]
         return d[..., 0], d[..., 1]
 
     def _mono(self, t, pts):
@@ -139,7 +142,8 @@ class RTMonomialSpace:
     def _div_mono(self, t, pts):
         xi, eta = self._local(t, pts)
         z, o = np.zeros_like(xi), np.ones_like(xi)
-        return np.stack([z, o, z, z, z, o, 3.0 * xi, 3.0 * eta], axis=-1) / self.scales[t]
+        div = np.stack([z, o, z, z, z, o, 3.0 * xi, 3.0 * eta], axis=-1)
+        return div / self.scales[t][..., None]
 
     def eval_at(self, coefficients, points, tris):
         """Field values at ``points[k]`` in triangle ``tris[k]``, point by point."""
@@ -231,13 +235,14 @@ def vertex_patches_loop(mesh):
     return out
 
 
-def _patch_system_loop(space, patch, u_h, data):
-    """One patch mixed system, assembled triangle by triangle: (free DOFs,
-    prescribed {DOF: value}, matrix, rhs, mean constraint)."""
+def _patch_system_loop(oracle, patch, u_h, data):
+    """One patch mixed system, assembled triangle by triangle from the element matrices of
+    ``oracle``, an :class:`RTMonomialSpace`: (free DOFs, prescribed {DOF: value}, matrix, rhs,
+    mean constraint)."""
     from eqflux.fem import _GL4_W as _GLW, _GL4_X as _GLX
     from eqflux.flux import _TRIPLE, EquilibrationError
 
-    mesh = space.mesh
+    mesh = oracle.mesh
     a, tris, zero, psi, interior = patch
     neumann = data.neumann_map()
     prescribed = {d: 0.0 for e in zero for d in (2 * e, 2 * e + 1)}
@@ -258,7 +263,7 @@ def _patch_system_loop(space, patch, u_h, data):
             tr = -mesh.edge_outward_sign[e] * shape * (gn[0] * (1.0 - _GLX) + gn[1] * _GLX)
             prescribed[2 * e] = mesh.edge_lengths[e] * float(np.sum(_GLW * tr))
             prescribed[2 * e + 1] = mesh.edge_lengths[e] * float(np.sum(_GLW * _GLX * tr))
-    free = [int(d) for d in np.unique(space.tri_dofs[tris]) if int(d) not in prescribed]
+    free = [int(d) for d in np.unique(oracle.tri_dofs[tris]) if int(d) not in prescribed]
     fmap = {d: k for k, d in enumerate(free)}
     nf = len(free)
     n = nf + 3 * len(tris) + int(mean_constraint)
@@ -267,16 +272,15 @@ def _patch_system_loop(space, patch, u_h, data):
     grads = u_h.gradients()
     patch_area = float(mesh.areas[tris].sum())
     for kk, t in enumerate(tris):
-        dofs = space.tri_dofs[t]
+        dofs = oracle.tri_dofs[t]
         lidx = np.array([fmap.get(int(d), -1) for d in dofs])
         pvals = np.array([prescribed.get(int(d), 0.0) for d in dofs])
         fr = lidx >= 0
         loc = int(np.where(mesh.triangles[t] == a)[0][0])
-        k = space.shape[t]
-        M8, D38, gu, area = space.mass[k], space.divmom[k], grads[t], mesh.areas[t]
+        M8, D38, gu, area = oracle.mass[t], oracle.divmom[t], grads[t], mesh.areas[t]
         rows = lidx[fr]
         A[rows[:, None], rows[None, :]] += M8[fr][:, fr]
-        rhs[rows] += (-space.vecmom[k][loc] @ gu - M8[:, ~fr] @ pvals[~fr])[fr]
+        rhs[rows] += (-oracle.vecmom[t, loc] @ gu - M8[:, ~fr] @ pvals[~fr])[fr]
         lam = nf + 3 * kk + np.arange(3)
         A[rows[:, None], lam[None, :]] -= D38[:, fr].T
         A[lam[:, None], rows[None, :]] += D38[:, fr]
@@ -318,26 +322,28 @@ def compatibility_residual_loop(space, patch, u_h, data):
     return abs(total), np.sqrt(scale) + bscale
 
 
-def patch_flux_loop(space, patch, u_h, data):
-    """One vertex patch's flux coefficients, from the dense solve of its saddle-point system."""
+def patch_flux_loop(oracle, patch, u_h, data):
+    """One vertex patch's flux coefficients, from the dense solve of its saddle-point system
+    assembled on ``oracle``, an :class:`RTMonomialSpace`."""
     from eqflux.flux import OrthogonalityError
 
-    free, prescribed, A, rhs, mean_constraint = _patch_system_loop(space, patch, u_h, data)
+    free, prescribed, A, rhs, mean_constraint = _patch_system_loop(oracle, patch, u_h, data)
     if mean_constraint:
-        resid, scale = compatibility_residual_loop(space, patch, u_h, data)
+        resid, scale = compatibility_residual_loop(oracle, patch, u_h, data)
         if resid > 1e-9 * scale + 1e-13:
             raise OrthogonalityError(f"patch {patch[0]}: compatibility residual {resid:.3e}")
-    coef = np.zeros(space.total_dofs)
+    coef = np.zeros(oracle.total_dofs)
     coef[free] = np.linalg.solve(A, rhs)[: len(free)]
     coef[list(prescribed)] = list(prescribed.values())
     return coef
 
 
-def reconstruct_flux_loop(u_h, data, space):
-    """Equilibrated flux coefficients solved one vertex patch at a time."""
-    coef = np.zeros(space.total_dofs)
-    for patch in vertex_patches_loop(space.mesh):
-        coef += patch_flux_loop(space, patch, u_h, data)
+def reconstruct_flux_loop(u_h, data, oracle):
+    """Equilibrated flux coefficients solved one vertex patch at a time on ``oracle``, an
+    :class:`RTMonomialSpace`."""
+    coef = np.zeros(oracle.total_dofs)
+    for patch in vertex_patches_loop(oracle.mesh):
+        coef += patch_flux_loop(oracle, patch, u_h, data)
     return coef
 
 
@@ -409,13 +415,14 @@ def saddle_solve(M, B, f, g, c=None):
         raise
 
 
-def saddle_solve_loop(space, patches, u_h, data):
+def saddle_solve_loop(oracle, patches, u_h, data):
     """The flux coefficients of each patch in ``patches`` (from :func:`vertex_patches_loop`),
-    its saddle-point systems stacked per layout ``(free DOFs, triangles, border)`` and solved
-    by :func:`saddle_solve`: a dict keyed by vertex."""
+    its saddle-point systems on ``oracle`` (an :class:`RTMonomialSpace`) stacked per layout
+    ``(free DOFs, triangles, border)`` and solved by :func:`saddle_solve`: a dict keyed by
+    vertex."""
     layouts = {}
     for patch in patches:
-        free, prescribed, A, rhs, mean = _patch_system_loop(space, patch, u_h, data)
+        free, prescribed, A, rhs, mean = _patch_system_loop(oracle, patch, u_h, data)
         nf, q = len(free), 3 * len(patch[1])
         blocks = (A[:nf, :nf], A[nf:nf + q, :nf], rhs[:nf], rhs[nf:nf + q], A[nf:nf + q, -1])
         layouts.setdefault((nf, q, mean), []).append((patch[0], free, prescribed, blocks))
@@ -424,27 +431,34 @@ def saddle_solve_loop(space, patches, u_h, data):
         M, B, f, g, c = (np.stack([b[i] for *_, b in members]) for i in range(5))
         x = saddle_solve(M, B, f[..., None], g[..., None], c if mean else None)[..., 0]
         for (a, free, prescribed, _), xa in zip(members, x):
-            coef = np.zeros(space.total_dofs)
+            coef = np.zeros(oracle.total_dofs)
             coef[free] = xa
             coef[list(prescribed)] = list(prescribed.values())
             out[a] = coef
     return out
 
 
-def own_shape(space, t):
-    """``space`` with triangle t a shape of its own, its arrays those of its former shape.
-    Shapes stay numbered by first triangle, and every element array is a new copy, so a test
-    may edit triangle t's rows (``space.mass[space.shape[t]]``) in place."""
-    import dataclasses
-
-    from eqflux.mesh import first_occurrence
-
-    key = space.shape.copy()
-    key[t] = -1
-    first, shape = first_occurrence(key)[:2]
-    return dataclasses.replace(space, shape=shape, first=first, **{
-        name: getattr(space, name)[space.shape[first]]
-        for name in ("transform", "mass", "divmom", "vecmom")})
+def p2_corner_stiffness(mesh):
+    """Per corner m of each triangle, the stiffness matrix ``(T, 3, 3, 3)`` of the P2 functions
+    ``lam_m (2 lam_m − 1)``, ``4 lam_m lam_{m+1}`` and ``4 lam_m lam_{m+2}`` (the corner's
+    vertex, in-edge and out-edge midpoint), from their gradients at the collapsed Gauss points
+    of :class:`RTMonomialSpace`."""
+    gx, gw = np.polynomial.legendre.leggauss(3)
+    gx, gw = 0.5 * (gx + 1.0), 0.5 * gw
+    u, v = np.meshgrid(gx, gx, indexing="ij")
+    u, v = u.ravel(), v.ravel() * (1.0 - u.ravel())
+    bary = np.stack([1.0 - u - v, u, v], axis=1)
+    qw = 2.0 * np.outer(gw, gw).ravel() * (1.0 - bary[:, 1])
+    out = np.empty((mesh.n_triangles, 3, 3, 3))
+    for t in range(mesh.n_triangles):
+        g = mesh.lam_grads[t]
+        for m in range(3):
+            i, o = (m + 1) % 3, (m + 2) % 3
+            grads = np.stack([(4 * bary[:, m, None] - 1) * g[m],
+                              4 * (bary[:, i, None] * g[m] + bary[:, m, None] * g[i]),
+                              4 * (bary[:, o, None] * g[m] + bary[:, m, None] * g[o])], axis=1)
+            out[t, m] = mesh.areas[t] * np.einsum("q,qkc,qlc->kl", qw, grads, grads)
+    return out
 
 
 def unstructured_mesh(n, rng, dirichlet_predicate):
