@@ -346,32 +346,47 @@ def solve_poisson(mesh: Mesh, data: ProblemData, tol: float = 1e-12) -> ScalarFi
     return ScalarField(mesh, u)
 
 
+def _held_gradients(coarse: CompositeField, mesh: Mesh, tris):
+    """The coarse gradient (len(tris), 2) of each triangle of ``tris`` whose three
+    vertices the coarse triangle of its centroid holds (NaN for the others), and
+    the positions of the others in piece order.  Centroids are located piece by
+    piece, each piece trying those no earlier piece holds."""
+    x, y = (mesh.vertices[:, d][mesh.triangles[tris].T] for d in (0, 1))  # (3, n) vertex rows
+    centroids = np.stack([(x[0] + x[1] + x[2]) / 3, (y[0] + y[1] + y[2]) / 3], axis=1)
+    grad = np.full((len(tris), 2), np.nan)
+    todo, rest = np.arange(len(tris)), []  # centroids no piece has held yet
+    for piece in coarse.pieces:
+        found = piece.mesh.locate_points(centroids[todo])
+        k, c = todo[found >= 0], found[found >= 0]
+        held = piece.mesh.holds(c, x[:, k], y[:, k])
+        grad[k[held]] = piece.gradients()[c[held]]
+        rest.append(k[~held])
+        todo = todo[found < 0]
+    return grad, np.concatenate(rest + [todo])
+
+
 def cross_mesh_gradients(coarse: CompositeField, fine: Mesh):
     """The coarse gradient at the fine mesh's quadrature points as ``(grad, rest,
     rest_grad)``: triangle ``t`` has ``grad[t]`` at all six points, but the rest
     have ``rest_grad`` (R, 6, 2) (and NaN ``grad``); expanded, this is
-    ``coarse.gradient_at`` on ``quad_points(fine)`` bit for bit.  Centroids are
-    located piece by piece, each piece trying those no earlier piece holds.  A
-    fine triangle whose centroid lies in triangle ``c`` of a piece, and whose
-    vertices all lie in ``c`` by ``Mesh.holds``, lies in
-    ``c`` up to ``LOCATE_TOL``; its quadrature points are then inside ``c`` by a
-    margin far above that tolerance, where no other triangle of that conforming
-    mesh or earlier piece holds them, as the pieces meet only on their
-    boundaries: ``locate_points`` would return ``c``.  The rest (across coarse
-    edges or in no piece) take the per-point path, in the order of the pieces.
+    ``coarse.gradient_at`` on ``quad_points(fine)`` bit for bit.  A triangle held
+    by the coarse triangle ``c`` of its centroid (all three vertices, by
+    ``Mesh.holds``) lies in ``c`` up to ``LOCATE_TOL``; its quadrature points are then
+    inside ``c`` by a margin far above that tolerance, where no other triangle of
+    that conforming mesh or earlier piece holds them, as the pieces meet only on
+    their boundaries: ``locate_points`` would return ``c``.  A refined mesh passes
+    its root's triangles first: a root held by ``c`` contains its descendants,
+    which so take ``c``'s gradient by one index.  Those of the other roots take the
+    fine pass, and what it leaves (across coarse edges or in no piece) the
+    per-point path, in the order of the pieces.
     """
-    x, y = (fine.vertices[:, d][fine.triangles.T] for d in (0, 1))  # (3, T) vertex rows
-    centroids = np.stack([(x[0] + x[1] + x[2]) / 3, (y[0] + y[1] + y[2]) / 3], axis=1)
-    grad = np.full((fine.n_triangles, 2), np.nan)
-    todo, rest = np.arange(fine.n_triangles), []  # centroids no piece has held yet
-    for piece in coarse.pieces:
-        tris = piece.mesh.locate_points(centroids[todo])
-        t, c = todo[tris >= 0], tris[tris >= 0]
-        held = piece.mesh.holds(c, x[:, t], y[:, t])
-        grad[t[held]] = piece.gradients()[c[held]]
-        rest.append(t[~held])
-        todo = todo[tris < 0]
-    rest = np.concatenate(rest + [todo])
+    todo, grad = np.arange(fine.n_triangles), np.full((fine.n_triangles, 2), np.nan)
+    if fine.levels:
+        held, unheld = _held_gradients(coarse, fine.root, np.arange(fine.root.n_triangles))
+        grad = np.repeat(held, 4**fine.levels, axis=0)
+        todo = todo.reshape(len(held), -1)[np.sort(unheld)].ravel()
+    grad[todo], rest = _held_gradients(coarse, fine, todo)
+    rest = todo[rest]
     pts = quad_points(fine, rest).reshape(-1, 2)
     return grad, rest, coarse.gradient_at(pts).reshape(len(rest), len(TRI_QW), 2)
 

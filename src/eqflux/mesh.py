@@ -108,6 +108,7 @@ class Mesh:
         if edge_markers is not None:
             self.validate_markers()
         self._grid = None
+        self.root, self.levels = None, 0  # ancestry, set by uniform_refine
 
     # -- construction ---------------------------------------------------
 
@@ -531,20 +532,25 @@ def generate_with_rect_features(
 
 
 def uniform_refine(mesh: Mesh) -> Mesh:
-    """Split each triangle into 4 by edge midpoints; markers are inherited."""
+    """Split each triangle t into 4 by edge midpoints, as triangles 4t … 4t + 3;
+    markers are inherited (and validated, if any).  The child keeps ``root``, the
+    unrefined mesh, and ``levels``, not the meshes between: its triangle t lies in
+    root triangle t >> 2·levels."""
     V = mesh.n_vertices
     coords = np.vstack([mesh.vertices, mesh.edge_midpoints()])
     v0, v1, v2 = mesh.triangles.T
     m01, m12, m20 = (V + mesh.triangle_edges).T  # midpoint of local edge (l, l+1)
     tris = np.stack([v0, m01, m20, v1, m12, m01, v2, m20, m12, m01, m12, m20], axis=1)
     fine = Mesh(coords, tris.reshape(-1, 3))
+    fine.root, fine.levels = mesh.root or mesh, mesh.levels + 1
     # Marked edge (i, j) with midpoint m passes its marker to (i, m) and (m, j).
     e = mesh.marked_edges()
     (i, j), m = mesh.edge_vertices[e].T, V + e
     halves = fine.edge_ids(np.stack([i, m], axis=1).ravel(), np.stack([m, j], axis=1).ravel())
     for child, parent in zip(halves.tolist(), np.repeat(e, 2).tolist()):
         fine.edge_markers[child] = mesh.edge_markers[parent]
-    fine.validate_markers()
+    if len(e):
+        fine.validate_markers()
     return fine
 
 

@@ -402,18 +402,55 @@ class TestGradientsAndNorms:
         with pytest.raises(CoverageError):
             energy_error_cross_mesh(coarse, ref)
 
+    @pytest.mark.parametrize("shift", [0.5, 0.25, 5.0])
+    def test_coverage_error_refined_as_flat(self, shift):
+        # A refined mesh partly (or not) over the coarse field raises through the
+        # root pass the same error as the same triangles without ancestry.
+        small = generate_unit_square(2)
+        fine = uniform_refine(uniform_refine(Mesh(small.vertices + shift, small.triangles)))
+        coarse = ScalarField(small, np.zeros(small.n_vertices))
+        messages = []
+        for mesh in (fine, Mesh(fine.vertices, fine.triangles)):
+            with pytest.raises(CoverageError) as err:
+                energy_error_cross_mesh(coarse, ScalarField(mesh, np.zeros(mesh.n_vertices)))
+            messages.append(str(err.value))
+        assert messages[0] == messages[1]
+
     def test_energy_norm_against_oracle(self):
         m = generate_unit_square(5)
         u = ScalarField(m, 2 * m.vertices[:, 0] - m.vertices[:, 1])
         assert energy_norm(u) == pytest.approx(np.sqrt(5.0), rel=1e-12)
 
 
+def assert_root_pass_as_flat(coarse, fine):
+    """On a refined mesh, the result through its root's triangles equals that of
+    the same triangles without ancestry (the fine pass alone), array for array."""
+    assert fine.levels > 0
+    got = fem.cross_mesh_gradients(coarse, fine)
+    flat = fem.cross_mesh_gradients(coarse, Mesh(fine.vertices, fine.triangles))
+    assert np.array_equal(got[0], flat[0], equal_nan=True)
+    assert np.array_equal(got[1], flat[1]) and np.array_equal(got[2], flat[2])
+
+
+def bump_pieces(n, ext, rng):
+    """A bump below the unit square, with extension ``ext``, and random fields on
+    the square's n x n lattice and on the bump's feature mesh."""
+    extension = {"none": None,
+                 "deeper": ExtensionSpec(rect_polygon(0.4, 0.6, -0.4, 0.0)),
+                 "wider": ExtensionSpec(rect_polygon(0.2, 0.8, -0.2, 0.0))}[ext]
+    bump = FeatureSpec(1, POSITIVE, rect_polygon(0.4, 0.6, -0.2, 0.0), extension=extension)
+    meshes = (generate_unit_square(n), feature_mesh(bump, n, DomainSpec(features=[bump])))
+    return bump, [ScalarField(mesh, rng.standard_normal(mesh.n_vertices)) for mesh in meshes]
+
+
 def check_cross_mesh(pieces, reference):
     """Cross-mesh gradients, expanded, and the energy error equal the per-point
     oracle's bit for bit, the error by the library's reduction applied to the
-    oracle's gradients at every point; returns the number of points that took
-    the per-point path."""
+    oracle's gradients at every point, and a refined reference gives the result
+    of its flat copy; returns the number of points that took the per-point path."""
     coarse = fem.CompositeField(pieces)
+    if reference.mesh.levels:
+        assert_root_pass_as_flat(coarse, reference.mesh)
     with mock.patch.object(fem.CompositeField, "gradient_at", autospec=True,
                            side_effect=fem.CompositeField.gradient_at) as spy:
         got = fem.cross_mesh_gradients(coarse, reference.mesh)
@@ -463,13 +500,8 @@ class TestCrossMeshGradients:
            levels=st.integers(0, 1), ext=st.sampled_from(["none", "deeper", "wider"]),
            seed=st.integers(0, 2**32 - 1))
     def test_positive_feature_pieces(self, n, m, levels, ext, seed):
-        extension = {"none": None,
-                     "deeper": ExtensionSpec(rect_polygon(0.4, 0.6, -0.4, 0.0)),
-                     "wider": ExtensionSpec(rect_polygon(0.2, 0.8, -0.2, 0.0))}[ext]
-        bump = FeatureSpec(1, POSITIVE, rect_polygon(0.4, 0.6, -0.2, 0.0), extension=extension)
         rng = np.random.default_rng(seed)
-        meshes = (generate_unit_square(n), feature_mesh(bump, n, DomainSpec(features=[bump])))
-        pieces = [ScalarField(mesh, rng.standard_normal(mesh.n_vertices)) for mesh in meshes]
+        bump, pieces = bump_pieces(n, ext, rng)
         fine = generate_with_rect_features(m, [bump], [True])
         for _ in range(levels):
             fine = uniform_refine(fine)
@@ -479,6 +511,17 @@ class TestCrossMeshGradients:
         # centroids are located in the feature piece.  Any other falls back.
         nested = (m << levels) % n == 0
         assert (check_cross_mesh(pieces, ref) == 0) == nested
+
+    @pytest.mark.parametrize("ext", ["none", "deeper", "wider"])
+    @pytest.mark.parametrize("n, m", [(5, 10), (10, 5), (5, 15), (15, 10)])
+    def test_refined_bump_pieces_as_flat(self, n, m, ext):
+        # The pieces of test_positive_feature_pieces, against a once-refined
+        # bump mesh: the root pass gives the flat copy's arrays, also with the
+        # bump's piece first, which puts high triangle numbers first in the rest.
+        bump, pieces = bump_pieces(n, ext, np.random.default_rng(n * 100 + m))
+        fine = uniform_refine(generate_with_rect_features(m, [bump], [True]))
+        assert_root_pass_as_flat(fem.CompositeField(pieces), fine)
+        assert_root_pass_as_flat(fem.CompositeField(pieces[::-1]), fine)
 
     def test_test2_both_error_energy_matches_per_point_path(self):
         # The run's error against the reference, with the bump's field as the
@@ -498,6 +541,27 @@ class TestCrossMeshGradients:
         # the bump's fine triangles are found in its piece by their centroids
         bump = fine.vertices[fine.triangles].mean(axis=1)[:, 1] < 0
         assert bump.any() and sum(len(c.args[1]) for c in spy.call_args_list) < 6 * bump.sum()
+
+    def test_test2_both_locates_root_centroids(self):
+        # Each piece's first pass locates centroids of the reference's root
+        # triangles (the exact mesh), not of its 16 times as many fine ones.
+        doc = preset_config("test2-both", n=8, eps=0.25)
+        (spec,) = cfg.specs_from_config(doc)
+        reference = build_reference(spec)
+        res = run_single(spec, reference=reference)
+        coarse = fem.CompositeField([res.u0, res.feature_fields[2]])
+        fine = reference.mesh
+        root = fine.root
+        assert fine.levels == 2 and fine.n_triangles == 16 * root.n_triangles
+        with mock.patch.object(Mesh, "locate_points", autospec=True,
+                               side_effect=Mesh.locate_points) as spy:
+            fem.cross_mesh_gradients(coarse, fine)
+        calls = [(c.args[0], len(c.args[1])) for c in spy.call_args_list]
+        bump_roots = int((root.vertices[root.triangles].mean(axis=1)[:, 1] < 0).sum())
+        assert calls[:2] == [(res.u0.mesh, root.n_triangles),
+                             (res.feature_fields[2].mesh, bump_roots)]
+        assert 0 < bump_roots and max(n for _, n in calls) == root.n_triangles
+        assert_root_pass_as_flat(coarse, fine)
 
 
 class TestExports:

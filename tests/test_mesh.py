@@ -379,6 +379,47 @@ class TestUniformRefine:
             assert f.edge_markers == want
             m = f
 
+    @pytest.mark.parametrize("kind", ["lattice", "rect_features", "unstructured"])
+    def test_root_holds_descendants(self, kind):
+        # Child t of a mesh refined `levels` times lies in root triangle
+        # t >> 2 * levels, which holds all three of its vertices.
+        root = {
+            "lattice": lambda: generate_unit_square(5, dirichlet_x01),
+            "rect_features": lambda: generate_with_rect_features(5, [
+                FeatureSpec(1, NEGATIVE_BOUNDARY, rect_polygon(0.4, 0.6, 0.8, 1.0)),
+                FeatureSpec(2, POSITIVE, rect_polygon(0.2, 0.6, -0.2, 0.0)),
+            ], [True, True], dirichlet_x01),
+            "unstructured": lambda: unstructured_mesh(4, np.random.default_rng(7), None),
+        }[kind]()
+        fine = root
+        for levels in (1, 2):
+            fine = uniform_refine(fine)
+            assert fine.root is root and fine.levels == levels
+            assert fine.n_triangles == root.n_triangles << 2 * levels
+            t = np.arange(fine.n_triangles)
+            x, y = (fine.vertices[fine.triangles.T, d] for d in (0, 1))
+            assert root.holds(t >> 2 * levels, x, y).all()
+
+    def test_built_and_read_meshes_have_no_ancestry(self, tmp_path):
+        m = generate_unit_square(3, dirichlet_x01)
+        write_mesh(m, tmp_path / "m.json")
+        for mesh in (m, Mesh(m.vertices, m.triangles), read_mesh(tmp_path / "m.json")):
+            assert mesh.root is None and mesh.levels == 0
+
+    def test_unmarked_mesh_refines_unmarked(self):
+        m = generate_unit_square(3)
+        bare = Mesh(m.vertices, m.triangles)  # no markers: not validated
+        f = uniform_refine(uniform_refine(bare))
+        assert f.n_triangles == 16 * bare.n_triangles
+        assert all(marker is None for marker in f.edge_markers)
+
+    def test_partly_marked_mesh_child_validated(self):
+        m = generate_unit_square(3)
+        partly = Mesh(m.vertices, m.triangles)
+        partly.set_marker(*m.edge_vertices[m.boundary_edge_ids[0]], EdgeMarker("dirichlet"))
+        with pytest.raises(MeshError, match="unmarked boundary edge"):
+            uniform_refine(partly)
+
     def test_edge_ids_reports_first_missing_pair(self):
         m = generate_unit_square(2, dirichlet_x01)
         with pytest.raises(MeshError, match="no edge between vertices 0 and 8"):
