@@ -159,7 +159,9 @@ def quad_points(mesh: Mesh, tris=slice(None)) -> np.ndarray:
 
 def project_forcing(f, mesh: Mesh) -> np.ndarray:
     """Elementwise L2 projection of the forcing onto P1, degree-4 quadrature."""
-    fw = eval_data(f, quad_points(mesh).reshape(-1, 2)).reshape(-1, len(TRI_QW)) * TRI_QW
+    fx = (np.full((mesh.n_triangles, len(TRI_QW)), float(f)) if np.isscalar(f)  # reads no point
+          else eval_data(f, quad_points(mesh).reshape(-1, 2)).reshape(-1, len(TRI_QW)))
+    fw = fx * TRI_QW
     # moments m_q = area * sum_w (f(x_w) w) lam_q(x_w), summed from 0 in w order as by einsum
     m = np.stack([sum(fw[:, w] * TRI_QP[w, q] for w in range(len(TRI_QW))) for q in range(3)], 1)
     return np.einsum("qk,tk->tq", _M3_INV, m * mesh.areas[:, None]) / mesh.areas[:, None]
@@ -212,7 +214,7 @@ def project_data(domain: DomainSpec, mesh: Mesh, include=None, parts=None) -> Pr
     # gamma0 footprint holds its midpoint, else g: one test of all midpoints.
     outer_g = [feat.neumann_g0 for feat, _ in footprints] + [domain.g_neumann]
     bnd = mesh.boundary_edge_ids
-    first = first_group_on(mesh.edge_midpoints()[bnd], [lines for _, lines in footprints])
+    first = first_group_on(mesh.edge_midpoints(bnd), [lines for _, lines in footprints])
     dir_edges, neu_edges, datums = [], [], []
     for e, k in zip(bnd.tolist(), first.tolist()):
         m = mesh.edge_markers[e]
@@ -296,17 +298,17 @@ def feature_problem_data(
 
 
 def assemble_stiffness(mesh: Mesh) -> scipy.sparse.csr_matrix:
-    """Galerkin stiffness matrix (CSR) with exact elementwise integration."""
-    g, a = mesh.lam_grads, mesh.areas
-    # entry (i, j) is gx_i gx_j a + gy_i gy_j a, on columns: bitwise the einsum over d
-    local = np.stack([g[:, i, 0] * g[:, j, 0] * a + g[:, i, 1] * g[:, j, 1] * a
-                      for i in range(3) for j in range(3)], axis=1)
-    tri = mesh.triangles
-    rows = np.repeat(tri, 3, axis=1).reshape(-1)
-    cols = np.tile(tri, (1, 3)).reshape(-1)
-    n = mesh.n_vertices
-    coo = scipy.sparse.coo_matrix((local.reshape(-1), (rows, cols)), shape=(n, n))
-    return coo.tocsr()
+    """Galerkin stiffness matrix (CSR), exact: the diagonal summed per vertex, g_i·g_j·a per edge,
+    in triangle order; an edge coupling exactly 0.0 (a lattice diagonal) leaves the pattern."""
+    g, a, n = mesh.lam_grads, mesh.areas[:, None], mesh.n_vertices
+    h = g[:, [1, 2, 0]]  # local edge l joins local vertices l and l + 1
+    diag = np.bincount(mesh.triangles.ravel(), (g[..., 0] ** 2 * a + g[..., 1] ** 2 * a).ravel(), n)
+    c = np.bincount(mesh.triangle_edges.ravel(),
+                    (g[..., 0] * h[..., 0] * a + g[..., 1] * h[..., 1] * a).ravel(), mesh.n_edges)
+    e = np.flatnonzero(c)
+    (i, j), v = mesh.edge_vertices[e].T, np.arange(n)
+    return scipy.sparse.csr_matrix((np.concatenate([diag, c[e], c[e]]), (  # bitwise symmetric
+        np.concatenate([v, i, j]), np.concatenate([v, j, i]))), shape=(n, n))
 
 
 def assemble_load(mesh: Mesh, data: ProblemData) -> np.ndarray:

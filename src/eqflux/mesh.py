@@ -198,8 +198,8 @@ class Mesh:
         """Mesh parameter: the maximum element diameter."""
         return float(self.diameters.max())
 
-    def edge_midpoints(self) -> np.ndarray:
-        ev = self.edge_vertices
+    def edge_midpoints(self, edges=slice(None)) -> np.ndarray:
+        ev = self.edge_vertices[edges]
         return 0.5 * (self.vertices[ev[:, 0]] + self.vertices[ev[:, 1]])
 
     def edge_ids(self, i, j) -> np.ndarray:
@@ -374,10 +374,10 @@ _CELL_CORNERS = np.array([[0, 0], [1, 0], [1, 1], [0, 1]])
 def _classify_square_boundary(mesh: Mesh, dirichlet_predicate):
     """Mark the unmarked hull edges Dirichlet where the predicate holds at
     their midpoint (everywhere when it is omitted), otherwise Neumann."""
-    mids = mesh.edge_midpoints()
-    for e in mesh.boundary_edge_ids.tolist():
+    bnd = mesh.boundary_edge_ids
+    for e, mid in zip(bnd.tolist(), mesh.edge_midpoints(bnd)):
         if mesh.edge_markers[e] is None:
-            dirichlet = dirichlet_predicate is None or dirichlet_predicate(*mids[e])
+            dirichlet = dirichlet_predicate is None or dirichlet_predicate(*mid)
             mesh.edge_markers[e] = DIRICHLET if dirichlet else NEUMANN_OUTER
 
 

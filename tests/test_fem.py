@@ -215,20 +215,61 @@ class TestAssembly:
     @settings(max_examples=20, deadline=None)
     @given(n=st.integers(1, 12), seed=st.integers(0, 2**32 - 1))
     def test_column_kernels_match_einsum(self, n, seed):
-        # Quadrature points, stiffness matrix and forcing projection equal
-        # their einsum forms bit for bit on seeded unstructured meshes.
+        # Quadrature points and forcing projection equal their einsum forms bit
+        # for bit on seeded unstructured meshes; so does the stiffness matrix,
+        # but for the oracle's exact zeros and the order of the diagonal sums.
         mesh = unstructured_mesh(n, np.random.default_rng(seed), None)
         assert fem.quad_points(mesh).tobytes() == quad_points_einsum(mesh).tobytes()
         A, B = assemble_stiffness(mesh), assemble_stiffness_einsum(mesh)
+        B.eliminate_zeros()
         assert np.array_equal(A.indptr, B.indptr) and np.array_equal(A.indices, B.indices)
-        assert np.array_equal(A.data, B.data)
+        diag = A.indices == np.repeat(np.arange(A.shape[0]), np.diff(A.indptr))
+        # an edge sums two terms, which commute
+        assert np.array_equal(A.data[~diag], B.data[~diag])
+        # A vertex sums k <= 8 positive terms: any two orders agree to 2 (k - 1) u.
+        assert np.all(np.abs(A.data[diag] - B.data[diag]) <= 1.6e-15 * B.data[diag])
 
         def f(x, y):
             return np.sin(3 * x) * np.exp(y) - x * y
 
         assert fem.project_forcing(f, mesh).tobytes() == project_forcing_einsum(f, mesh).tobytes()
+        with mock.patch.object(fem, "quad_points", side_effect=AssertionError):  # a number reads none
+            assert (fem.project_forcing(2.5, mesh).tobytes()
+                    == project_forcing_einsum(2.5, mesh).tobytes())
         tris = np.random.default_rng(seed).permutation(mesh.n_triangles)[: mesh.n_triangles // 2]
         assert np.array_equal(fem.quad_points(mesh, tris), quad_points_einsum(mesh)[tris])
+
+    @pytest.mark.parametrize("n", [1, 2, 7, 16])
+    def test_lattice_diagonals_leave_the_pattern(self, n):
+        # Every diagonal has a right angle on both sides: it couples by exactly 0.0.
+        m = generate_unit_square(n)
+        A = assemble_stiffness(m)
+        d = m.vertices[m.edge_vertices[:, 1]] - m.vertices[m.edge_vertices[:, 0]]
+        diagonals = int(np.count_nonzero(d.all(axis=1)))
+        assert diagonals == n * n
+        assert A.nnz == m.n_vertices + 2 * (m.n_edges - diagonals)
+        assert (A != A.T).nnz == 0
+        B = assemble_stiffness_einsum(m)
+        assert np.count_nonzero(B.data == 0.0) == 2 * diagonals
+
+    def test_one_sided_right_angle_keeps_the_edge(self):
+        # Edge (1, 2) has a right angle at vertex 0 only: it stays in the
+        # pattern with triangle (1, 3, 2)'s coupling alone, bit for bit.
+        v = np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0], [1.2, 0.9]])
+        A = assemble_stiffness(Mesh(v, [[0, 1, 2], [1, 3, 2]]))
+        alone = assemble_stiffness(Mesh(v[[1, 3, 2]], [[0, 1, 2]]))
+        assert A.nnz == 4 + 2 * 5
+        assert A[1, 2] == A[2, 1] == alone[0, 2] != 0.0
+
+    def test_reference_matches_oracle_matrix_solve(self, monkeypatch):
+        # The test2-both reference (n = 16, two refinements) against a solve
+        # of the einsum matrix, which keeps every lattice diagonal.
+        (spec,) = cfg.specs_from_config(preset_config("test2-both", n=16))
+        assert spec.reference.levels == 2
+        u = build_reference(spec).nodal_values
+        monkeypatch.setattr(fem, "assemble_stiffness", assemble_stiffness_einsum)
+        oracle = build_reference(spec).nodal_values
+        assert np.abs(u - oracle).max() <= 1e-12 * np.abs(oracle).max()
 
     def test_zero_data_zero_load(self):
         m = generate_unit_square(2, dirichlet_x01)
