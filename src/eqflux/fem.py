@@ -159,7 +159,7 @@ def quad_points(mesh: Mesh, tris=slice(None)) -> np.ndarray:
 
 def project_forcing(f, mesh: Mesh) -> np.ndarray:
     """Elementwise L2 projection of the forcing onto P1, degree-4 quadrature."""
-    fx = (np.full((mesh.n_triangles, len(TRI_QW)), float(f)) if np.isscalar(f)  # reads no point
+    fx = (np.full((1, len(TRI_QW)), float(f)) if np.isscalar(f)  # one row, broadcast by areas
           else eval_data(f, quad_points(mesh).reshape(-1, 2)).reshape(-1, len(TRI_QW)))
     fw = fx * TRI_QW
     # moments m_q = area * sum_w (f(x_w) w) lam_q(x_w), summed from 0 in w order as by einsum

@@ -113,45 +113,50 @@ class Mesh:
     # -- construction ---------------------------------------------------
 
     def _build_geometry(self):
-        v = self.vertices[self.triangles]  # (T, 3, 2)
-        d1 = v[:, 1] - v[:, 0]
-        d2 = v[:, 2] - v[:, 0]
-        signed = 0.5 * (d1[:, 0] * d2[:, 1] - d1[:, 1] * d2[:, 0])
+        # Coordinate rows x[q], y[q] of corner q, (3, T), written straight into the outputs.
+        x, y = (c[self.triangles.T] for c in self.vertices.T)
+        T = self.n_triangles
+        # Jacobians J = [v1 − v0, v2 − v0] of the maps from the reference triangle, det 2|K|.
+        self.jacobians = np.empty((T, 2, 2))
+        (d1x, d2x), (d1y, d2y) = jac = self.jacobians.transpose(1, 2, 0)  # jac[i, c] is J_ic
+        np.subtract(x[1:], x[0], out=jac[0])
+        np.subtract(y[1:], y[0], out=jac[1])
+        signed = 0.5 * (d1x * d2y - d1y * d2x)
         bad = np.flatnonzero(signed <= 0)
         if len(bad):
             raise MeshError(f"triangle {bad[0]} has non-positive area {signed[bad[0]]:.3e}")
         self.areas = signed
-        # Jacobians J = [v1 − v0, v2 − v0] of the maps from the reference triangle, det 2|K|.
-        self.jacobians = np.stack([d1, d2], axis=2)
         # Barycentric/affine coefficients: lam_q(x,y) = c0 + c1 x + c2 y.
-        x, y = v[..., 0], v[..., 1]
-        bq = np.stack([x[:, 1] * y[:, 2] - x[:, 2] * y[:, 1],
-                       x[:, 2] * y[:, 0] - x[:, 0] * y[:, 2],
-                       x[:, 0] * y[:, 1] - x[:, 1] * y[:, 0]], axis=1)
-        cy = np.stack([y[:, 1] - y[:, 2], y[:, 2] - y[:, 0], y[:, 0] - y[:, 1]], axis=1)
-        cx = np.stack([x[:, 2] - x[:, 1], x[:, 0] - x[:, 2], x[:, 1] - x[:, 0]], axis=1)
         with np.errstate(divide="ignore", invalid="ignore"):
-            inv2a = 1.0 / (2.0 * self.areas)[:, None]
-        self.lam_coeffs = np.stack([bq * inv2a, cy * inv2a, cx * inv2a], axis=2)
-        self.lam_grads = self.lam_coeffs[..., 1:]  # grad lam_q = (cy, cx)/(2A), a view
-        dx, dy = x[:, [1, 2, 0]] - x, y[:, [1, 2, 0]] - y  # sides v1 - v0, v2 - v1, v0 - v2
+            inv2a = 1.0 / (2.0 * self.areas)
+        nx, px = x[[1, 2, 0]], x[[2, 0, 1]]  # next and previous corner of q
+        ny, py = y[[1, 2, 0]], y[[2, 0, 1]]
+        self.lam_coeffs = lam = np.empty((T, 3, 3))
+        c0, c1, c2 = lam.transpose(2, 1, 0)
+        np.multiply(nx * py - px * ny, inv2a, out=c0)
+        np.multiply(ny - py, inv2a, out=c1)
+        np.multiply(px - nx, inv2a, out=c2)
+        self.lam_grads = lam[..., 1:]  # grad lam_q = (cy, cx)/(2A), a view
+        dx, dy = nx - x, ny - y  # sides v1 - v0, v2 - v1, v0 - v2
         side = np.sqrt(dx * dx + dy * dy)  # bitwise np.linalg.norm(axis=1) of each side
-        self.diameters = np.maximum(np.maximum(side[:, 0], side[:, 1]), side[:, 2])
+        self.diameters = np.maximum(np.maximum(side[0], side[1]), side[2])
 
     def _edge_key(self, i, j):
         return np.minimum(i, j) * self.n_vertices + np.maximum(i, j)
 
-    def _build_edges(self):
-        # Corner 3t + l runs along local edge l of triangle t, from vertex
-        # triangles[t, l] to triangles[t, l + 1]; edges are numbered in the
-        # order of their first corner.
+    def _build_edges(self, first=None, corner_edge=None):
+        # Corner 3t + l runs along local edge l of triangle t, from vertex triangles[t, l]
+        # to triangles[t, l + 1]; edges are numbered in the order of their ``first``
+        # corner, as ``corner_edge``: found and checked here unless uniform_refine gives them.
         tail = self.triangles.ravel()
         head = np.roll(self.triangles, -1, axis=1).ravel()
         forward = tail < head  # the corner runs its edge low → high (no tail == head: areas > 0)
-        first, corner_edge, self._keys, self._key_edges = first_occurrence(
-            self._edge_key(tail, head))
+        checked = corner_edge is None
+        if checked:
+            first, corner_edge, self._keys, self._key_edges = first_occurrence(
+                self._edge_key(tail, head))
         slot = 2 * corner_edge + ~forward  # side 0 traverses i → j
-        if len(slot) and np.bincount(slot).max() > 1:
+        if checked and len(slot) and np.bincount(slot).max() > 1:
             by_slot = np.argsort(slot, kind="stable")
             repeat = by_slot[1:][slot[by_slot[1:]] == slot[by_slot[:-1]]]
             c = int(repeat.min())  # the first corner that reuses a side
@@ -173,13 +178,14 @@ class Mesh:
         self.triangle_edge_signs = np.where(forward, 1.0, -1.0).reshape(-1, 3)
         self.on_boundary = (self.edge_tris < 0).any(axis=1)  # (E,) the edge has one triangle
         self.boundary_edge_ids = np.flatnonzero(self.on_boundary)
-        ev = self.vertices[self.edge_vertices]
-        d = ev[:, 1] - ev[:, 0]
-        self.edge_lengths = np.sqrt(d[:, 0] * d[:, 0] + d[:, 1] * d[:, 1])  # bitwise np.linalg.norm
-        with np.errstate(divide="ignore", invalid="ignore"):
-            t = d / self.edge_lengths[:, None]
+        (x0, x1), (y0, y1) = (c[self.edge_vertices.T] for c in self.vertices.T)
+        dx, dy = x1 - x0, y1 - y0
+        self.edge_lengths = length = np.sqrt(dx * dx + dy * dy)  # bitwise np.linalg.norm
         # Global normal: i→j tangent rotated by −90°.
-        self.edge_normals = np.stack([t[:, 1], -t[:, 0]], axis=1)
+        self.edge_normals = normal = np.empty((self.n_edges, 2))
+        with np.errstate(divide="ignore", invalid="ignore"):
+            np.divide(dy, length, out=normal[:, 0])
+            np.negative(dx / length, out=normal[:, 1])
         # +1 when the global normal points out of the domain on a boundary edge.
         self.edge_outward_sign = np.where(self.edge_tris[:, 0] >= 0, 1, -1)
 
@@ -206,6 +212,10 @@ class Mesh:
         """Edge numbers of the vertex pairs ``(i[k], j[k])``, by one search of
         the sorted edge keys; the first pair that is no edge raises."""
         i, j = np.atleast_1d(np.asarray(i, dtype=np.int64), np.asarray(j, dtype=np.int64))
+        if self._keys is None:
+            keys = self._edge_key(*self.edge_vertices.T)
+            self._key_edges = np.argsort(keys)
+            self._keys = keys[self._key_edges]
         key = self._edge_key(i, j)
         k = np.searchsorted(self._keys, key)
         found = (np.minimum(i, j) >= 0) & (np.maximum(i, j) < self.n_vertices) & (k < self.n_edges)
@@ -533,24 +543,47 @@ def generate_with_rect_features(
 
 def uniform_refine(mesh: Mesh) -> Mesh:
     """Split each triangle t into 4 by edge midpoints, as triangles 4t … 4t + 3;
-    markers are inherited (and validated, if any).  The child keeps ``root``, the
-    unrefined mesh, and ``levels``, not the meshes between: its triangle t lies in
-    root triangle t >> 2·levels."""
-    V = mesh.n_vertices
-    coords = np.vstack([mesh.vertices, mesh.edge_midpoints()])
+    markers are inherited.  A parent with any marker is validated: a valid parent has
+    a valid child.  The child keeps ``root``, the unrefined mesh, and ``levels``, not
+    the meshes between: its triangle t lies in root triangle t >> 2·levels."""
+    marked = mesh.marked_edges()
+    if len(marked):
+        mesh.validate_markers()
+    V, T = mesh.n_vertices, mesh.n_triangles
     v0, v1, v2 = mesh.triangles.T
     m01, m12, m20 = (V + mesh.triangle_edges).T  # midpoint of local edge (l, l+1)
-    tris = np.stack([v0, m01, m20, v1, m12, m01, v2, m20, m12, m01, m12, m20], axis=1)
-    fine = Mesh(coords, tris.reshape(-1, 3))
+    fine = Mesh.__new__(Mesh)
+    fine.vertices = np.vstack([mesh.vertices, mesh.edge_midpoints()])
+    fine.triangles = np.stack(
+        [v0, m01, m20, v1, m12, m01, v2, m20, m12, m01, m12, m20], axis=1).reshape(-1, 3)
+    fine._build_geometry()
+    # Child k < 3 of t (corners 12t + 3k + s) runs along the half of local edge k at v_k,
+    # the inner edge k and the half of local edge k − 1 at v_k; child 3 reuses the
+    # inner edges.  An inner edge is new, a half only in the first triangle of its
+    # parent edge, so the child's edges are numbered in first-corner order.
+    edges, forward = mesh.triangle_edges, mesh.triangle_edge_signs > 0
+    first_tri = np.where(mesh.edge_tris < 0, T, mesh.edge_tris).min(axis=1)
+    own = first_tri[edges] == np.arange(T)[:, None]
+    new = np.stack([own, np.ones_like(own), np.roll(own, 1, axis=1)], axis=2)  # (T, k, s)
+    number = np.cumsum(new).reshape(T, 3, 3) - 1
+    # The halves at the (tail, head) of local edge l, kept in halves (E, 2) by parent
+    # vertex: halves[e, c] is the half of edge e at its vertex edge_vertices[e, c], so
+    # a forward local edge has its tail half in column 0.
+    ends = np.stack([number[:, :, 0], np.roll(number[:, :, 2], -1, axis=1)], axis=2)
+    place = 2 * edges[..., None] + np.stack([~forward, forward], axis=2)
+    halves = np.empty(2 * mesh.n_edges, dtype=np.int64)
+    halves[place[own]] = ends[own]
+    ends = halves[place]
+    number[:, :, 0], number[:, :, 2] = ends[..., 0], np.roll(ends[..., 1], 1, axis=1)
+    corner_edge = np.concatenate([number, number[:, None, [1, 2, 0], 1]], axis=1)
+    slots = np.flatnonzero(new)
+    fine._build_edges(slots + slots // 9 * 3, corner_edge.ravel())
+    fine._keys = fine._grid = None  # the keys are sorted by edge_ids on first use
+    # Marked edge e with midpoint V + e passes its marker to both halves.
+    fine.edge_markers = [None] * fine.n_edges
+    for e, (a, b) in zip(marked.tolist(), halves.reshape(-1, 2)[marked].tolist()):
+        fine.edge_markers[a] = fine.edge_markers[b] = mesh.edge_markers[e]
     fine.root, fine.levels = mesh.root or mesh, mesh.levels + 1
-    # Marked edge (i, j) with midpoint m passes its marker to (i, m) and (m, j).
-    e = mesh.marked_edges()
-    (i, j), m = mesh.edge_vertices[e].T, V + e
-    halves = fine.edge_ids(np.stack([i, m], axis=1).ravel(), np.stack([m, j], axis=1).ravel())
-    for child, parent in zip(halves.tolist(), np.repeat(e, 2).tolist()):
-        fine.edge_markers[child] = mesh.edge_markers[parent]
-    if len(e):
-        fine.validate_markers()
     return fine
 
 

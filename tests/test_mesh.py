@@ -424,6 +424,72 @@ class TestUniformRefine:
         m = generate_unit_square(2, dirichlet_x01)
         with pytest.raises(MeshError, match="no edge between vertices 0 and 8"):
             m.edge_ids([0, 0], [1, 8])
+        for _ in range(2):  # a refined mesh sorts its keys on the first edge_ids call
+            parent, m = m, uniform_refine(m)
+            # both halves (i, V + e), (V + e, j) of each parent edge are found
+            (i, j), mid = parent.edge_vertices.T, parent.n_vertices + np.arange(parent.n_edges)
+            halves = m.edge_ids(np.stack([i, mid]), np.stack([mid, j]))
+            assert np.array_equal(m.edge_vertices[halves], np.stack([[i, j], [mid, mid]], axis=2))
+            a, b = m.edge_vertices[-1]
+            with pytest.raises(MeshError, match="no edge between vertices 0 and 8"):
+                m.edge_ids([a, 0, 0], [b, 8, 1])
+
+    @settings(max_examples=30, deadline=None)
+    @given(kind=st.sampled_from(["lattice", "rect_features", "unstructured"]),
+           n=st.integers(1, 6), seed=st.integers(0, 2**32 - 1),
+           marking=st.sampled_from(["marked", "unmarked", "partly"]))
+    def test_child_equals_rebuilt_mesh(self, kind, n, seed, marking):
+        # The child's numbering by index arithmetic is bitwise the one Mesh() finds, and its
+        # markers are those that set_marker puts on the halves (i, V + e), (V + e, j).
+        rng = np.random.default_rng(seed)
+        m = {
+            "lattice": lambda: generate_unit_square(n, dirichlet_x01),
+            "rect_features": lambda: generate_with_rect_features(5 * (1 + n % 2), [
+                FeatureSpec(1, NEGATIVE_BOUNDARY, rect_polygon(0.4, 0.6, 0.8, 1.0)),
+                FeatureSpec(2, POSITIVE, rect_polygon(0.2, 0.6, -0.2, 0.0)),
+            ], [True, True], dirichlet_x01),
+            "unstructured": lambda: unstructured_mesh(n, rng, dirichlet_x01),
+        }[kind]()
+        if marking != "marked":
+            bare = Mesh(m.vertices, m.triangles)
+            if marking == "partly":
+                e = int(rng.choice(m.boundary_edge_ids))
+                bare.set_marker(*m.edge_vertices[e], m.edge_markers[e])
+                with pytest.raises(MeshError, match="unmarked boundary edge"):
+                    uniform_refine(bare)
+                return
+            m = bare
+        for _ in range(2):
+            f = uniform_refine(m)
+            g = Mesh(f.vertices, f.triangles)
+            pairs = g.edge_vertices.T
+            assert np.array_equal(f.edge_ids(*pairs), np.arange(g.n_edges))
+            assert np.array_equal(f.edge_ids(*pairs[::-1]), g.edge_ids(*pairs))
+            for e in m.marked_edges().tolist():
+                for a, b in zip(m.edge_vertices[e], [m.n_vertices + e] * 2):
+                    g.set_marker(a, b, m.edge_markers[e])
+            assert f.n_edges == g.n_edges and f.edge_markers == g.edge_markers
+            assert vars(f).keys() == vars(g).keys()
+            for k, v in vars(g).items():
+                if isinstance(v, np.ndarray):
+                    w = getattr(f, k)
+                    assert (w.dtype, w.shape, w.tobytes()) == (v.dtype, v.shape, v.tobytes()), k
+            m = f
+
+    @pytest.mark.parametrize("mutation", ["boundary edge unmarked", "interior edge dirichlet"])
+    def test_mutated_parent_markers_raise(self, mutation):
+        # The parent is validated, not its child: the message names the parent's edge.
+        m = generate_unit_square(3, dirichlet_x01)
+        if mutation == "boundary edge unmarked":
+            e = int(m.boundary_edge_ids[1])
+            m.edge_markers[e] = None
+            match = r"unmarked boundary edge \({}, {}\)".format(*m.edge_vertices[e])
+        else:
+            e = int(np.flatnonzero(~m.on_boundary)[2])
+            m.edge_markers[e] = EdgeMarker("dirichlet")
+            match = f"interior edge {e} carries marker"
+        with pytest.raises(MeshError, match=match):
+            uniform_refine(m)
 
 
 class TestMeshIO:
