@@ -11,7 +11,6 @@ import inspect
 from dataclasses import dataclass, field
 
 import numpy as np
-import scipy.sparse
 
 from . import linalg
 from .geometry import (
@@ -297,9 +296,12 @@ def feature_problem_data(
     )
 
 
-def assemble_stiffness(mesh: Mesh) -> scipy.sparse.csr_matrix:
-    """Galerkin stiffness matrix (CSR), exact: the diagonal summed per vertex, g_i·g_j·a per edge,
-    in triangle order; an edge coupling exactly 0.0 (a lattice diagonal) leaves the pattern."""
+def assemble_stiffness(mesh: Mesh):
+    """Galerkin stiffness matrix (scipy.sparse CSR), exact: the diagonal summed per vertex,
+    g_i·g_j·a per edge, in triangle order; an edge coupling exactly 0.0 (a lattice diagonal)
+    leaves the pattern."""
+    import scipy.sparse
+
     g, a, n = mesh.lam_grads, mesh.areas[:, None], mesh.n_vertices
     h = g[:, [1, 2, 0]]  # local edge l joins local vertices l and l + 1
     diag = np.bincount(mesh.triangles.ravel(), (g[..., 0] ** 2 * a + g[..., 1] ** 2 * a).ravel(), n)

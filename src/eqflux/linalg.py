@@ -3,7 +3,9 @@
 scipy.sparse matrices back the global Galerkin systems; stacked dense SPD solves
 with a Cholesky pivot guard back the vertex-patch P2 systems of the flux, and a
 stacked dense LU solve is kept as a reference.  Heavy lifting is delegated to
-numpy and scipy.
+numpy and scipy.  scipy is imported at the first sparse assembly or solve, not at
+``import eqflux``, so a call that never solves (mesh generation, config expansion)
+does not load it.
 """
 
 from __future__ import annotations
@@ -11,8 +13,6 @@ from __future__ import annotations
 import warnings
 
 import numpy as np
-import scipy.linalg
-import scipy.sparse.linalg
 
 
 class ConstructionError(ValueError):
@@ -62,6 +62,8 @@ def solve_spd(A, b, tol: float = 1e-12) -> np.ndarray:
     nb = norm(b)
     if nb == 0.0:
         return np.zeros_like(b)
+    import scipy.sparse.linalg
+
     As = A.tocsc()
     try:
         # Minimum degree on the pattern of A^T + A with diagonal pivots, as
@@ -106,6 +108,8 @@ def dense_lu_solve(a, b) -> np.ndarray:
     m, n = int(np.prod(a.shape[:-2])), a.shape[-1]
     stack = a.reshape(m, n, n)
     amax = np.abs(stack).max(axis=(1, 2), initial=0.0)
+    import scipy.linalg
+
     with warnings.catch_warnings():
         # An exactly zero pivot is reported by the guard below.
         warnings.simplefilter("ignore", scipy.linalg.LinAlgWarning)

@@ -103,8 +103,7 @@ class Mesh:
             raise MeshError(f"vertex {np.argmin(uses)} belongs to no triangle")
         self.edge_markers: list[EdgeMarker | None] = [None] * self.n_edges
         if edge_markers:
-            for (i, j), marker in edge_markers.items():
-                self.set_marker(i, j, marker)
+            self.set_markers(*zip(*edge_markers), edge_markers.values())
         if edge_markers is not None:
             self.validate_markers()
         self._grid = None
@@ -225,20 +224,23 @@ class Mesh:
             raise MeshError(f"no edge between vertices {i[f]} and {j[f]}")
         return self._key_edges[k]
 
-    def set_marker(self, i, j, marker: EdgeMarker):
-        self.edge_markers[int(self.edge_ids(i, j)[0])] = marker
+    def set_markers(self, i, j, markers):
+        """Put ``markers[k]`` on edge ``(i[k], j[k])`` by one edge search; a later pair wins."""
+        for e, marker in zip(self.edge_ids(i, j).tolist(), markers):
+            self.edge_markers[e] = marker
 
-    def validate_markers(self):
+    def validate_markers(self) -> np.ndarray:
         """Boundary edges need exactly one marker; interior edges may only
         carry a feature interface (gamma0) marker.  The first offending edge
-        raises."""
+        raises.  Returns the ascending ids of the marked edges."""
         markers = np.fromiter(self.edge_markers, dtype=object, count=self.n_edges)
         marked = np.not_equal(markers, None)  # one pass over the markers
+        ids = np.flatnonzero(marked)
         interface = marked.copy()
-        interface[marked] = [(m.kind, m.part) == ("feature", "gamma0") for m in markers[marked]]
+        interface[ids] = [(m.kind, m.part) == ("feature", "gamma0") for m in markers[ids]]
         bad = np.flatnonzero(np.where(self.on_boundary, ~marked, marked & ~interface))
         if not len(bad):
-            return
+            return ids
         e = int(bad[0])
         if self.on_boundary[e]:
             i, j = self.edge_vertices[e]
@@ -247,16 +249,6 @@ class Mesh:
             f"interior edge {e} carries marker {self.edge_markers[e]}; only feature "
             "interface (gamma0) markers are allowed there"
         )
-
-    def marked_edges(self, kind=None, part=None, feature_id=None) -> np.ndarray:
-        """Ascending ids of the marked edges, optionally filtered by marker
-        fields; only the marked edges are visited in Python."""
-        markers = np.fromiter(self.edge_markers, dtype=object, count=self.n_edges)
-        out = np.flatnonzero(np.not_equal(markers, None))
-        keep = [(kind is None or m.kind == kind) and (part is None or m.part == part)
-                and (feature_id is None or m.feature_id == feature_id)
-                for m in markers[out]]
-        return out[np.array(keep, dtype=bool)]
 
     def vertex_to_triangles(self):
         """Triangles around each vertex as ``(offsets, tris)``: those of vertex
@@ -546,9 +538,10 @@ def uniform_refine(mesh: Mesh) -> Mesh:
     markers are inherited.  A parent with any marker is validated: a valid parent has
     a valid child.  The child keeps ``root``, the unrefined mesh, and ``levels``, not
     the meshes between: its triangle t lies in root triangle t >> 2·levels."""
-    marked = mesh.marked_edges()
-    if len(marked):
-        mesh.validate_markers()
+    if any(m is not None for m in mesh.edge_markers):
+        marked = mesh.validate_markers()
+    else:
+        marked = np.empty(0, dtype=np.intp)
     V, T = mesh.n_vertices, mesh.n_triangles
     v0, v1, v2 = mesh.triangles.T
     m01, m12, m20 = (V + mesh.triangle_edges).T  # midpoint of local edge (l, l+1)
@@ -619,10 +612,10 @@ def read_mesh(path) -> Mesh:
         raise
     except (ValueError, TypeError) as exc:
         raise MeshError(f"invalid mesh arrays: {exc}") from exc
-    for row in doc["boundary_edges"]:
-        if len(row) != 5:
-            raise MeshError(f"boundary edge row {row} must have 5 entries")
-        i, j, kind, fid, part = row
-        mesh.set_marker(int(i), int(j), EdgeMarker(kind, fid, part))
+    rows = doc["boundary_edges"]
+    if bad := [row for row in rows if len(row) != 5]:
+        raise MeshError(f"boundary edge row {bad[0]} must have 5 entries")
+    markers = [EdgeMarker(kind, fid, part) for _, _, kind, fid, part in rows]
+    mesh.set_markers([int(r[0]) for r in rows], [int(r[1]) for r in rows], markers)
     mesh.validate_markers()
     return mesh

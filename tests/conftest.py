@@ -485,6 +485,13 @@ def unstructured_mesh(n, rng, dirichlet_predicate):
     return Mesh(vertices, np.array(triangles), edge_markers=markers)
 
 
+def marked_edges(mesh, kind=None, part=None):
+    """Ascending ids of the mesh's marked edges, optionally filtered by marker
+    kind and part."""
+    return np.array([e for e, m in enumerate(mesh.edge_markers) if m is not None
+                     and kind in (None, m.kind) and part in (None, m.part)], dtype=np.intp)
+
+
 def build_edges_loop(triangles):
     """Triangle-by-triangle edge numbering through a dict of sorted vertex
     pairs: ``(edge_vertices, edge_tris, triangle_edges)``."""

@@ -1,4 +1,8 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -300,7 +304,7 @@ class TestCliCommands:
         mesh = generate_unit_square(10, cfg.predicate_expression("x == 0 or x == 1"))
         e = int(mesh.boundary_edge_ids[0])
         assert mesh.edge_markers[e].kind == "neumann"
-        mesh.set_marker(*mesh.edge_vertices[e].tolist(), EdgeMarker("feature", 7, "gamma"))
+        mesh.set_markers(*mesh.edge_vertices[[e]].T, [EdgeMarker("feature", 7, "gamma")])
         write_mesh(mesh, tmp_path / "m.json")
         doc = small_notch_config()
         doc["mesh"] = {"external": str(tmp_path / "m.json")}
@@ -331,3 +335,48 @@ class TestCliCommands:
         cfg_path.write_text("{]")
         assert main(["estimate", "--config", str(cfg_path), "--out", str(tmp_path)]) == 1
         assert "error" in capsys.readouterr().err
+
+
+SCIPY_GUARD = """
+import json, sys
+import eqflux
+from eqflux import cli
+from eqflux.config import specs_from_config
+from eqflux.presets import PRESET_NAMES, preset_config
+from eqflux.run import run_single
+
+def scipy_modules():
+    return sorted(m for m in sys.modules if m == "scipy" or m.startswith("scipy."))
+
+loaded = {"import eqflux": scipy_modules()}
+for name in PRESET_NAMES:
+    specs_from_config(preset_config(name))
+loaded["specs_from_config(presets)"] = scipy_modules()
+assert cli.main(["mesh", "--builtin", "4", "--out", "m.json"]) == 0
+loaded["eqflux mesh"] = scipy_modules()
+doc = preset_config("test3")
+doc["mesh"] = {"external": "m.json"}
+specs_from_config(doc)
+loaded["specs_from_config(mesh.external)"] = scipy_modules()
+assert cli.main(["preset", "test3", "--dump-config", "p.json"]) == 0
+loaded["eqflux preset --dump-config"] = scipy_modules()
+report = run_single(specs_from_config(preset_config("test3", n=4))[0]).report.to_dict()
+print(json.dumps({"loaded": loaded, "solve_loads": scipy_modules(), "report": report}))
+"""
+
+
+class TestLazyScipy:
+    def test_scipy_loaded_only_by_a_solve(self, tmp_path):
+        """A fresh interpreter loads no scipy module until the first solve; that solve's
+        report equals the one computed in this process."""
+        src = str(Path(cfg.__file__).resolve().parents[1])
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+            [src, *filter(None, [os.environ.get("PYTHONPATH")])])}
+        proc = subprocess.run([sys.executable, "-c", SCIPY_GUARD], cwd=tmp_path, env=env,
+                              capture_output=True, text=True, timeout=300)
+        assert proc.returncode == 0, proc.stderr
+        out = json.loads(proc.stdout.strip().splitlines()[-1])
+        assert out["loaded"] == dict.fromkeys(out["loaded"], [])
+        assert {"scipy.sparse", "scipy.sparse.linalg"} <= set(out["solve_loads"])
+        want = run_single(cfg.specs_from_config(preset_config("test3", n=4))[0]).report
+        assert out["report"] == json.loads(json.dumps(want.to_dict()))

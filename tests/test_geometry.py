@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 from conftest import (
     first_group_loop,
+    marked_edges,
     partition_loop,
     point_on_segment,
     segment_integral,
@@ -445,8 +446,8 @@ class TestFeatureMesh:
         dom = DomainSpec(features=[bump], dirichlet=lambda x, y: abs(x) < 1e-12)
         m = feature_mesh(bump, 10, dom)
         assert m.n_triangles == 8
-        assert len(m.marked_edges(part="gamma0")) == 2
-        assert len(m.marked_edges(part="gamma")) == 6
+        assert len(marked_edges(m, part="gamma0")) == 2
+        assert len(marked_edges(m, part="gamma")) == 6
 
     def test_extension_mesh_markers(self):
         f = FeatureSpec(
@@ -457,11 +458,11 @@ class TestFeatureMesh:
         )
         dom = DomainSpec(features=[f], dirichlet=lambda x, y: abs(x) < 1e-12)
         m = feature_mesh(f, 10, dom)
-        assert len(m.marked_edges(part="gamma0")) == 2
+        assert len(marked_edges(m, part="gamma0")) == 2
         # upper halves of the vertical sides are shared with the feature
-        assert len(m.marked_edges(part="gammaS")) == 2
+        assert len(marked_edges(m, part="gammaS")) == 2
         # lower halves plus the bottom belong to the extension only
-        assert len(m.marked_edges(part="gammaTilde")) == 4
+        assert len(marked_edges(m, part="gammaTilde")) == 4
 
     @settings(max_examples=20, deadline=None)
     @given(k=st.integers(1, 2), i0=st.integers(1, 6), w=st.integers(1, 3),

@@ -13,6 +13,7 @@ from conftest import (
     lattice_loop,
     lattice_unique_rows,
     locate_points_loop,
+    marked_edges,
     unstructured_mesh,
 )
 from hypothesis import given, settings
@@ -92,15 +93,15 @@ class TestRectFeatures:
         m = generate_with_rect_features(10, [notch], [True], dirichlet_x01)
         assert m.n_triangles == 2 * (100 - 4)
         assert m.total_area() == pytest.approx(1 - 0.04, abs=1e-12)
-        assert len(m.marked_edges(kind="feature", part="gamma")) == 6
+        assert len(marked_edges(m, kind="feature", part="gamma")) == 6
 
     def test_positive_bump_counts(self):
         bump = FeatureSpec(1, POSITIVE, rect_polygon(0.4, 0.6, -0.2, 0.0))
         m = generate_with_rect_features(10, [bump], [True], dirichlet_x01)
         assert m.n_triangles == 200 + 8
         assert m.total_area() == pytest.approx(1 + 0.04, abs=1e-12)
-        assert len(m.marked_edges(kind="feature", part="gamma0")) == 2
-        assert len(m.marked_edges(kind="feature", part="gamma")) == 6
+        assert len(marked_edges(m, kind="feature", part="gamma0")) == 2
+        assert len(marked_edges(m, kind="feature", part="gamma")) == 6
 
     def test_excluded_equals_unit_square(self):
         notch = FeatureSpec(1, NEGATIVE_BOUNDARY, rect_polygon(0.4, 0.6, 0.8, 1.0))
@@ -355,8 +356,8 @@ class TestUniformRefine:
     def test_marker_counts_double(self):
         m = generate_unit_square(2, dirichlet_x01)
         f = uniform_refine(m)
-        assert len(f.marked_edges(kind="dirichlet")) == 2 * len(
-            m.marked_edges(kind="dirichlet")
+        assert len(marked_edges(f, kind="dirichlet")) == 2 * len(
+            marked_edges(m, kind="dirichlet")
         )
         assert f.total_area() == pytest.approx(1.0, abs=1e-12)
 
@@ -416,7 +417,7 @@ class TestUniformRefine:
     def test_partly_marked_mesh_child_validated(self):
         m = generate_unit_square(3)
         partly = Mesh(m.vertices, m.triangles)
-        partly.set_marker(*m.edge_vertices[m.boundary_edge_ids[0]], EdgeMarker("dirichlet"))
+        partly.set_markers(*m.edge_vertices[m.boundary_edge_ids[:1]].T, [EdgeMarker("dirichlet")])
         with pytest.raises(MeshError, match="unmarked boundary edge"):
             uniform_refine(partly)
 
@@ -440,7 +441,7 @@ class TestUniformRefine:
            marking=st.sampled_from(["marked", "unmarked", "partly"]))
     def test_child_equals_rebuilt_mesh(self, kind, n, seed, marking):
         # The child's numbering by index arithmetic is bitwise the one Mesh() finds, and its
-        # markers are those that set_marker puts on the halves (i, V + e), (V + e, j).
+        # markers are those that set_markers puts on the halves (i, V + e), (V + e, j).
         rng = np.random.default_rng(seed)
         m = {
             "lattice": lambda: generate_unit_square(n, dirichlet_x01),
@@ -454,7 +455,7 @@ class TestUniformRefine:
             bare = Mesh(m.vertices, m.triangles)
             if marking == "partly":
                 e = int(rng.choice(m.boundary_edge_ids))
-                bare.set_marker(*m.edge_vertices[e], m.edge_markers[e])
+                bare.set_markers(*m.edge_vertices[[e]].T, [m.edge_markers[e]])
                 with pytest.raises(MeshError, match="unmarked boundary edge"):
                     uniform_refine(bare)
                 return
@@ -465,9 +466,9 @@ class TestUniformRefine:
             pairs = g.edge_vertices.T
             assert np.array_equal(f.edge_ids(*pairs), np.arange(g.n_edges))
             assert np.array_equal(f.edge_ids(*pairs[::-1]), g.edge_ids(*pairs))
-            for e in m.marked_edges().tolist():
+            for e in marked_edges(m).tolist():
                 for a, b in zip(m.edge_vertices[e], [m.n_vertices + e] * 2):
-                    g.set_marker(a, b, m.edge_markers[e])
+                    g.set_markers([a], [b], [m.edge_markers[e]])
             assert f.n_edges == g.n_edges and f.edge_markers == g.edge_markers
             assert vars(f).keys() == vars(g).keys()
             for k, v in vars(g).items():
@@ -576,10 +577,49 @@ class TestMeshIO:
         with pytest.raises(MeshError, match="malformed"):
             read_mesh(path)
 
+    @pytest.mark.parametrize("fault, match", [
+        ([0, 99, "dirichlet", None, None], "^no edge between vertices 0 and 99$"),
+        ([-1, 0, "dirichlet", None, None], "^no edge between vertices -1 and 0$"),
+        ([0, 1, "dirichlet", None], r"^boundary edge row \[0, 1, 'dirichlet', None\] must have 5 "
+                                    "entries$"),
+        ([0, 1, "robin", None, None], "^unknown marker kind 'robin'$"),
+        ([0, 1, "feature", 3, "gammaX"], "^unknown feature part 'gammaX'$"),
+        ([0, 1, "feature", None, "gamma"], "^feature marker needs a feature id$"),
+    ])
+    def test_faulty_row_in_middle_reported(self, tmp_path, fault, match):
+        m = generate_unit_square(4, dirichlet_x01)
+        path = tmp_path / "m.json"
+        write_mesh(m, path)
+        doc = json.loads(path.read_text())
+        rows = doc["boundary_edges"]
+        doc["boundary_edges"] = rows[:8] + [fault] + rows[8:]
+        path.write_text(json.dumps(doc))
+        with pytest.raises(MeshError, match=match):
+            read_mesh(path)
+
+    def test_markers_equal_one_row_at_a_time(self, tmp_path):
+        m = unstructured_mesh(6, np.random.default_rng(3), dirichlet_x01)
+        e = m.boundary_edge_ids[2]
+        i, j = m.edge_vertices[e].tolist()
+        # the same edge twice, in both orders: the later row wins
+        pairs = {(int(a), int(b)): m.edge_markers[k] for k, (a, b) in enumerate(m.edge_vertices)
+                 if m.edge_markers[k] is not None} | {(j, i): EdgeMarker("neumann")}
+        path = tmp_path / "m.json"
+        path.write_text(json.dumps({
+            "vertices": m.vertices.tolist(), "triangles": m.triangles.tolist(),
+            "boundary_edges": [[a, b, mk.kind, mk.feature_id, mk.part]
+                               for (a, b), mk in pairs.items()]}))
+        want = Mesh(m.vertices, m.triangles)
+        for (a, b), mk in pairs.items():
+            want.set_markers([a], [b], [mk])
+        assert want.edge_markers[e] == EdgeMarker("neumann")
+        assert read_mesh(path).edge_markers == want.edge_markers
+        assert Mesh(m.vertices, m.triangles, edge_markers=pairs).edge_markers == want.edge_markers
+
     def test_interior_marker_must_be_interface(self):
         m = generate_unit_square(2, dirichlet_x01)
         # diagonal edge of the first cell is interior
-        m.set_marker(0, 4, EdgeMarker("dirichlet"))
+        m.set_markers([0], [4], [EdgeMarker("dirichlet")])
         with pytest.raises(MeshError, match="interior edge"):
             m.validate_markers()
 
