@@ -41,19 +41,16 @@ from .geometry import (
     DomainSpec,
     FeatureSpec,
     clip_curve_to_mesh,
-    curve_length,
     gauss_legendre,
     partition_feature_boundary,
 )
-from .linalg import dense_lu_solve, solve_spd
+from .linalg import solve_spd
 from .mesh import (
     Mesh,
-    VertexPatch,
     generate_unit_square,
     generate_with_rect_features,
     read_mesh,
     uniform_refine,
-    vertex_patches,
     write_mesh,
 )
 from .run import RunSpec, run_single, run_sweep

@@ -40,7 +40,10 @@ _EXPR_NAMES = {
 
 
 def _compile_expr(text, extra=()):
-    code = compile(text, "<config>", "eval")
+    try:
+        code = compile(text, "<config>", "eval")
+    except (SyntaxError, ValueError) as exc:  # ValueError: a null byte
+        raise ConfigError(f"cannot parse expression {text!r}: {exc}") from None
     for name in code.co_names:
         if name not in _EXPR_NAMES and name not in extra:
             raise ConfigError(f"unknown name {name!r} in expression {text!r}")
@@ -56,15 +59,18 @@ def scalar_expression(value, key="expression", normals=True):
     ``nx``/``ny``; errors name the config ``key``.
     """
     if isinstance(value, (int, float)):
+        if not math.isfinite(value):  # JSON NaN and Infinity parse as numbers
+            raise ConfigError(f"{key}: {value} is not a finite number")
         return float(value)
     if not isinstance(value, str):
         raise ConfigError(f"{key}: expected number or expression, got {value!r}")
-    names = ("x", "y", "nx", "ny") if normals else ("x", "y")
     try:
-        code = _compile_expr(value, extra=names)
+        code = _compile_expr(value, extra=("x", "y", "nx", "ny"))
     except ConfigError as exc:
-        hint = "" if normals else " (only Neumann data may use the normal nx, ny)"
-        raise ConfigError(f"{key}: {exc}{hint}") from None
+        raise ConfigError(f"{key}: {exc}") from None
+    if not normals and (used := [n for n in code.co_names if n in ("nx", "ny")]):
+        raise ConfigError(f"{key}: unknown name {used[0]!r} in expression {value!r} "
+                          "(only Neumann data may use the normal nx, ny)")
     if "nx" in code.co_names or "ny" in code.co_names:
 
         def fn(x, y, nx, ny):

@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field, fields
 
 import numpy as np
 
@@ -196,7 +196,7 @@ class EstimatorReport:
     """All estimator quantities of one run, serializable to JSON."""
 
     per_feature: dict = field(default_factory=dict)  # id -> FeatureEstimate
-    eta_gamma_combined: float = 0.0
+    eta_gamma: float = 0.0  # the features' combined defeaturing estimator
     eta_0: float = 0.0
     eta_0_tilde: float = 0.0
     eta_total: float = 0.0
@@ -209,73 +209,29 @@ class EstimatorReport:
     run_id: str = "run-000"
 
     def to_dict(self) -> dict:
-        feats = {}
-        for fid, c in self.per_feature.items():
-            feats[str(fid)] = {
-                "kind": c.kind,
-                "eta_gamma": c.eta_gamma,
-                "eta_gamma0": c.eta_gamma0,
-                "eta_gammaR": c.eta_gammaR,
-                "eta_0_tilde": c.eta_0_tilde,
-                "has_extension": c.has_extension,
-            }
-        return {
-            "run_id": self.run_id,
-            "h": self.h,
-            "n_dof": self.n_dof,
-            "eps": list(self.eps),
-            "constants": {
-                "C_D": self.constants.C_D,
-                "C_D_tilde": self.constants.C_D_tilde,
-                "alpha_D": self.constants.alpha_D,
-            },
-            "per_feature": feats,
-            "eta_gamma": self.eta_gamma_combined,
-            "eta_0": self.eta_0,
-            "eta_0_tilde": self.eta_0_tilde,
-            "eta_total": self.eta_total,
-            "error_energy": self.error_energy,
-            "effectivity": self.effectivity,
-        }
+        """The report's fields as plain data; each feature is keyed by its id, as text."""
+        d = asdict(self)
+        for c in d["per_feature"].values():
+            del c["feature_id"]
+        d["per_feature"] = {str(fid): c for fid, c in d["per_feature"].items()}
+        return d
 
     @classmethod
     def from_dict(cls, d: dict) -> "EstimatorReport":
-        feats = {}
-        for fid, c in d.get("per_feature", {}).items():
-            feats[int(fid)] = FeatureEstimate(
-                feature_id=int(fid),
-                kind=c["kind"],
-                eta_gamma=c.get("eta_gamma"),
-                eta_gamma0=c.get("eta_gamma0"),
-                eta_gammaR=c.get("eta_gammaR"),
-                eta_0_tilde=c.get("eta_0_tilde"),
-                has_extension=c.get("has_extension", False),
-            )
-        k = d.get("constants", {})
-        return cls(
-            per_feature=feats,
-            eta_gamma_combined=d.get("eta_gamma", 0.0),
-            eta_0=d.get("eta_0", 0.0),
-            eta_0_tilde=d.get("eta_0_tilde", 0.0),
-            eta_total=d.get("eta_total", 0.0),
-            error_energy=d.get("error_energy"),
-            effectivity=d.get("effectivity"),
-            h=d.get("h"),
-            n_dof=d.get("n_dof"),
-            eps=list(d.get("eps", [])),
-            constants=EstimatorConstants(
-                k.get("C_D", 1.0), k.get("C_D_tilde", 1.0), k.get("alpha_D", 1.0)
-            ),
-            run_id=d.get("run_id", "run-000"),
-        )
+        """Inverse of :meth:`to_dict`; unknown keys are ignored at both levels."""
+        feats = {int(fid): _from_fields(FeatureEstimate, c, feature_id=int(fid))
+                 for fid, c in d.get("per_feature", {}).items()}
+        constants = _from_fields(EstimatorConstants, d.get("constants", {}))
+        return _from_fields(cls, d, per_feature=feats, constants=constants)
 
-    def to_json(self, path=None) -> str:
-        text = json.dumps(self.to_dict(), indent=2, sort_keys=True)
-        if path is not None:
-            with open(path, "w") as f:
-                f.write(text)
-        return text
+    def to_json(self) -> str:
+        return json.dumps(self.to_dict(), indent=2, sort_keys=True)
 
     @classmethod
     def from_json(cls, text: str) -> "EstimatorReport":
         return cls.from_dict(json.loads(text))
+
+
+def _from_fields(cls, d: dict, **given):
+    """``cls`` built from the entries of ``d`` that name its fields, and ``given``."""
+    return cls(**{f.name: d[f.name] for f in fields(cls) if f.name in d} | given)

@@ -102,26 +102,30 @@ def eval_data(fn, pts, normals=None) -> np.ndarray:
     ``fn`` is a number or a callable evaluated once on coordinate arrays:
     ``fn(x, y)``, or ``fn(x, y, nx, ny)`` when it takes four arguments and
     ``normals`` are given.  A scalar result is broadcast to every point;
-    errors propagate.
+    errors propagate, and a value that is not finite raises, naming its point.
     """
     pts = np.asarray(pts, dtype=float).reshape(-1, 2)
     n = len(pts)
     if np.isscalar(fn):
-        return np.full(n, float(fn))
-    try:
-        nargs = len(inspect.signature(fn).parameters)
-    except (TypeError, ValueError):
-        nargs = 2
-    if nargs >= 4 and normals is not None:
-        nrm = np.asarray(normals, dtype=float).reshape(-1, 2)
-        out = fn(pts[:, 0], pts[:, 1], nrm[:, 0], nrm[:, 1])
+        out = np.asarray(float(fn))
     else:
-        out = fn(pts[:, 0], pts[:, 1])
-    out = np.asarray(out, dtype=float)
+        try:
+            nargs = len(inspect.signature(fn).parameters)
+        except (TypeError, ValueError):
+            nargs = 2
+        if nargs >= 4 and normals is not None:
+            nrm = np.asarray(normals, dtype=float).reshape(-1, 2)
+            out = fn(pts[:, 0], pts[:, 1], nrm[:, 0], nrm[:, 1])
+        else:
+            out = fn(pts[:, 0], pts[:, 1])
+        out = np.asarray(out, dtype=float)
     if out.ndim == 0:
-        return np.full(n, float(out))
-    if out.shape != (n,):
+        out = np.full(n, float(out))
+    elif out.shape != (n,):
         raise ValueError(f"data returned shape {out.shape} for {n} points")
+    if len(bad := np.flatnonzero(~np.isfinite(out))):
+        (x, y), v = pts[bad[0]], out[bad[0]]
+        raise ValueError(f"data value {v} at point ({x}, {y}) is not finite")
     return out
 
 
@@ -418,34 +422,31 @@ def energy_error_cross_mesh(coarse, reference: ScalarField) -> float:
 
 
 def field_to_csv(field: ScalarField, path):
+    ids = np.arange(field.mesh.n_vertices)  # exact in the float table below 2**53
     with open(path, "w", newline="") as f:
-        f.write("vertex_id,x,y,value\r\n")
-        for k, (x, y) in enumerate(field.mesh.vertices):
-            f.write(f"{k},{x:.17g},{y:.17g},{field.nodal_values[k]:.17g}\r\n")
+        np.savetxt(f, np.column_stack([ids, field.mesh.vertices, field.nodal_values]),
+                   fmt="%d,%.17g,%.17g,%.17g", newline="\r\n", header="vertex_id,x,y,value",
+                   comments="")
 
 
 def write_vtk(path, mesh: Mesh, point_data=None, cell_vectors=None):
     """Legacy ASCII VTK unstructured grid with optional point/cell data."""
+    T = mesh.n_triangles
     with open(path, "w") as f:
         f.write("# vtk DataFile Version 2.0\neqflux\nASCII\nDATASET UNSTRUCTURED_GRID\n")
         f.write(f"POINTS {mesh.n_vertices} double\n")
-        for x, y in mesh.vertices:
-            f.write(f"{x:.17g} {y:.17g} 0\n")
-        T = mesh.n_triangles
+        np.savetxt(f, mesh.vertices, fmt="%.17g %.17g 0")
         f.write(f"CELLS {T} {4 * T}\n")
-        for a, b, c in mesh.triangles:
-            f.write(f"3 {a} {b} {c}\n")
+        np.savetxt(f, mesh.triangles, fmt="3 %d %d %d")
         f.write(f"CELL_TYPES {T}\n")
         f.write("5\n" * T)
         if point_data:
             f.write(f"POINT_DATA {mesh.n_vertices}\n")
             for name, values in point_data.items():
                 f.write(f"SCALARS {name} double\nLOOKUP_TABLE default\n")
-                for v in values:
-                    f.write(f"{v:.17g}\n")
+                np.savetxt(f, values, fmt="%.17g")
         if cell_vectors:
             f.write(f"CELL_DATA {T}\n")
             for name, vecs in cell_vectors.items():
                 f.write(f"VECTORS {name} double\n")
-                for vx, vy in vecs:
-                    f.write(f"{vx:.17g} {vy:.17g} 0\n")
+                np.savetxt(f, vecs, fmt="%.17g %.17g 0")

@@ -86,7 +86,11 @@ class Mesh:
 
     def __init__(self, vertices, triangles, edge_markers=None):
         self.vertices = np.ascontiguousarray(vertices, dtype=float)
-        self.triangles = np.ascontiguousarray(triangles, dtype=np.int64)
+        tri = np.asarray(triangles)  # of integers, or of floats with integer values
+        if not (tri.dtype.kind in "iu" or tri.dtype.kind == "f"
+                and np.all(np.isfinite(tri) & (tri == np.trunc(tri)))):
+            raise MeshError("triangles must hold integer vertex indices")
+        self.triangles = np.ascontiguousarray(tri, dtype=np.int64)
         if self.vertices.ndim != 2 or self.vertices.shape[1] != 2:
             raise MeshError("vertices must be an (V, 2) array")
         if self.triangles.ndim != 2 or self.triangles.shape[1] != 3:
@@ -513,20 +517,19 @@ def generate_with_rect_features(
     # Feature markers.  New hole boundary edges are gamma (or gamma0 when
     # they fall on the square hull); bump boundary edges are gamma except the
     # shared interface, which keeps a gamma0 tag although now interior.
-    mids = mesh.edge_midpoints()
-    on_hull = _on_segments(mids, *_SQUARE_SIDES).any(axis=1)
+    mids = mesh.edge_midpoints() if rects else None
     for f, (x0, x1, y0, y1), _ in rects:
-        inside = ((x0 - 1e-12 <= mids[:, 0]) & (mids[:, 0] <= x1 + 1e-12)
-                  & (y0 - 1e-12 <= mids[:, 1]) & (mids[:, 1] <= y1 + 1e-12))
+        inside = np.flatnonzero((x0 - 1e-12 <= mids[:, 0]) & (mids[:, 0] <= x1 + 1e-12)
+                                & (y0 - 1e-12 <= mids[:, 1]) & (mids[:, 1] <= y1 + 1e-12))
+        on_hull = _on_segments(mids[inside], *_SQUARE_SIDES).any(axis=1)
+        bnd = mesh.on_boundary[inside]
         if f.kind == "positive":
-            gamma0 = inside & ~mesh.on_boundary & on_hull
-            gamma = inside & mesh.on_boundary
+            gamma0, gamma = ~bnd & on_hull, bnd
         else:
-            gamma0 = inside & mesh.on_boundary & on_hull
-            gamma = inside & mesh.on_boundary & ~on_hull
+            gamma0, gamma = bnd & on_hull, bnd & ~on_hull
         for part, mask in (("gamma0", gamma0), ("gamma", gamma)):
             marker = EdgeMarker("feature", f.id, part)
-            for e in np.flatnonzero(mask).tolist():
+            for e in inside[mask].tolist():
                 mesh.edge_markers[e] = marker
     _classify_square_boundary(mesh, dirichlet_predicate)
     mesh.validate_markers()
@@ -607,14 +610,17 @@ def read_mesh(path) -> Mesh:
         if key not in doc:
             raise MeshError(f"mesh file missing '{key}'")
     try:
-        mesh = Mesh(np.asarray(doc["vertices"], float), np.asarray(doc["triangles"]))
+        mesh = Mesh(np.asarray(doc["vertices"], float), doc["triangles"])
     except MeshError:
         raise
     except (ValueError, TypeError) as exc:
         raise MeshError(f"invalid mesh arrays: {exc}") from exc
     rows = doc["boundary_edges"]
-    if bad := [row for row in rows if len(row) != 5]:
-        raise MeshError(f"boundary edge row {bad[0]} must have 5 entries")
+    if bad := [row for row in rows if not isinstance(row, list) or len(row) != 5]:
+        raise MeshError(f"boundary edge row {bad[0]!r} must have 5 entries")
+    if bad := [row for row in rows if not all(
+            type(v) is int or type(v) is float and v.is_integer() for v in row[:2])]:
+        raise MeshError(f"boundary edge row {bad[0]!r} must start with two integer vertex indices")
     markers = [EdgeMarker(kind, fid, part) for _, _, kind, fid, part in rows]
     mesh.set_markers([int(r[0]) for r in rows], [int(r[1]) for r in rows], markers)
     mesh.validate_markers()

@@ -139,7 +139,6 @@ def run_single(spec: RunSpec, reference: fem.ScalarField | None = None) -> RunRe
         gv = fem.eval_data(g, q.nodes, s * q.normals)
         return est.eta_curve(est.defect_on_gamma(fl, q, s * gv))
 
-    components = []
     per_feature = {}
     feature_fields, feature_fluxes = {}, {}
     coarse_pieces = [u0]
@@ -173,21 +172,17 @@ def run_single(spec: RunSpec, reference: fem.ScalarField | None = None) -> RunRe
             feature_fields[feat.id] = ut
             feature_fluxes[feat.id] = fluxt
             coarse_pieces.append(ut)
-        components.append(comp)
         per_feature[feat.id] = comp
 
-    if components:
-        eta_total, eta_gamma_c, eta0_tilde_c = est.aggregate_total(
-            components, eta0, spec.constants
-        )
-    else:
-        eta_total, eta_gamma_c, eta0_tilde_c = eta0, 0.0, 0.0
+    # With no excluded feature this is exactly (eta0, 0.0, 0.0): hypot(x, 0) = |x|.
+    eta_total, eta_gamma, eta0_tilde = est.aggregate_total(
+        list(per_feature.values()), eta0, spec.constants)
 
     report = est.EstimatorReport(
         per_feature=per_feature,
-        eta_gamma_combined=eta_gamma_c,
+        eta_gamma=eta_gamma,
         eta_0=eta0,
-        eta_0_tilde=eta0_tilde_c,
+        eta_0_tilde=eta0_tilde,
         eta_total=eta_total,
         h=mesh.h,
         n_dof=mesh.n_vertices,
@@ -263,7 +258,7 @@ def report_csv_row(report: est.EstimatorReport, feature_ids: list) -> str:
         comp = report.per_feature.get(fid)
         cells.append(_fmt(comp.gamma_contribution()) if comp is not None else "")
     cells += [
-        _fmt(report.eta_gamma_combined),
+        _fmt(report.eta_gamma),
         _fmt(report.eta_0),
         _fmt(report.eta_0_tilde) if report.eta_0_tilde else "",
         _fmt(report.eta_total),
@@ -283,16 +278,8 @@ def emit_csv(reports: list, feature_ids: list, path=None) -> str:
 
 
 def emit_vtk(result: RunResult, prefix: str):
-    fem.write_vtk(
-        f"{prefix}_u0.vtk",
-        result.mesh,
-        point_data={"u": result.u0.nodal_values},
-        cell_vectors={"flux": result.flux0.cell_means()},
-    )
-    for fid, fld in result.feature_fields.items():
-        fem.write_vtk(
-            f"{prefix}_feature{fid}.vtk",
-            fld.mesh,
-            point_data={"u": fld.nodal_values},
-            cell_vectors={"flux": result.feature_fluxes[fid].cell_means()},
-        )
+    outputs = {"u0": (result.u0, result.flux0)} | {
+        f"feature{fid}": (u, result.feature_fluxes[fid]) for fid, u in result.feature_fields.items()}
+    for name, (u, fl) in outputs.items():
+        fem.write_vtk(f"{prefix}_{name}.vtk", u.mesh, point_data={"u": u.nodal_values},
+                      cell_vectors={"flux": fl.cell_means()})

@@ -860,3 +860,38 @@ def partition_loop(feature, domain):
     out["gammaTilde"] = _chain_loop(
         [piece for a, b in ext for piece in _subtract_overlaps_loop(a, b, shared + gamma0)])
     return out
+
+
+def field_to_csv_loop(field, path):
+    """Nodal CSV, one formatted line per vertex: the byte oracle of ``fem.field_to_csv``."""
+    with open(path, "w", newline="") as f:
+        f.write("vertex_id,x,y,value\r\n")
+        for k, (x, y) in enumerate(field.mesh.vertices):
+            f.write(f"{k},{x:.17g},{y:.17g},{field.nodal_values[k]:.17g}\r\n")
+
+
+def write_vtk_loop(path, mesh, point_data=None, cell_vectors=None):
+    """Legacy VTK, one formatted line per row: the byte oracle of ``fem.write_vtk``."""
+    with open(path, "w") as f:
+        f.write("# vtk DataFile Version 2.0\neqflux\nASCII\nDATASET UNSTRUCTURED_GRID\n")
+        f.write(f"POINTS {mesh.n_vertices} double\n")
+        for x, y in mesh.vertices:
+            f.write(f"{x:.17g} {y:.17g} 0\n")
+        T = mesh.n_triangles
+        f.write(f"CELLS {T} {4 * T}\n")
+        for a, b, c in mesh.triangles:
+            f.write(f"3 {a} {b} {c}\n")
+        f.write(f"CELL_TYPES {T}\n")
+        f.write("5\n" * T)
+        if point_data:
+            f.write(f"POINT_DATA {mesh.n_vertices}\n")
+            for name, values in point_data.items():
+                f.write(f"SCALARS {name} double\nLOOKUP_TABLE default\n")
+                for v in values:
+                    f.write(f"{v:.17g}\n")
+        if cell_vectors:
+            f.write(f"CELL_DATA {T}\n")
+            for name, vecs in cell_vectors.items():
+                f.write(f"VECTORS {name} double\n")
+                for vx, vy in vecs:
+                    f.write(f"{vx:.17g} {vy:.17g} 0\n")

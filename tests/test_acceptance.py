@@ -196,7 +196,7 @@ def test_05_multi_feature_reference_values(test3_reports):
     rep = test3_reports[64]
     vals = {fid: rep.per_feature[fid].eta_gamma for fid in expected}
     within = {fid: abs(vals[fid] / expected[fid] - 1.0) <= 0.15 for fid in expected}
-    gamma_ok = abs(rep.eta_gamma_combined / 0.162 - 1.0) <= 0.15
+    gamma_ok = abs(rep.eta_gamma / 0.162 - 1.0) <= 0.15
     order = sorted(vals, key=vals.get, reverse=True)
     ranking_ok = order == [1, 2, 5, 4, 3]
     detail = ", ".join(
@@ -207,7 +207,7 @@ def test_05_multi_feature_reference_values(test3_reports):
     _line(
         5,
         ok,
-        f"reference values +-15%: {detail}; combined {rep.eta_gamma_combined:.4f}/0.162"
+        f"reference values +-15%: {detail}; combined {rep.eta_gamma:.4f}/0.162"
         f"{'' if gamma_ok else ' !'}; ranking {'ok' if ranking_ok else 'broken'}",
     )
     assert ranking_ok, "feature relevance ranking must hold exactly"
@@ -221,7 +221,7 @@ def test_06_effectivity_regimes(analog_sweep):
     dominated = [
         rep
         for (_, _, rep) in analog_sweep
-        if rep.eta_0 >= 10.0 * rep.eta_gamma_combined
+        if rep.eta_0 >= 10.0 * rep.eta_gamma
     ]
     dominated_ok = all(rep.effectivity <= 1.3 for rep in dominated)
     ok = in_band and dominated_ok and len(dominated) >= 1
@@ -239,7 +239,7 @@ def test_06_effectivity_regimes(analog_sweep):
 def test_07_plateau_behavior(analog_sweep):
     col = {n: rep for (n, s, rep) in analog_sweep if s == 0.25}
     fine, coarse = col[64], col[32]
-    assert fine.eta_gamma_combined >= 5.0 * fine.eta_0, "defeaturing must dominate"
+    assert fine.eta_gamma >= 5.0 * fine.eta_0, "defeaturing must dominate"
     err_drop = 1.0 - fine.error_energy / coarse.error_energy
     eta0_drop = 1.0 - fine.eta_0 / coarse.eta_0
     ok = err_drop <= 0.10 and eta0_drop >= 0.35
@@ -328,7 +328,7 @@ def test_10_linear_exactness_degenerate():
         )
         res = run_single(RunSpec(domain=dom, include=[False], n=n, run_id=f"lin-{n}"))
         worst["eta_0"] = max(worst["eta_0"], res.report.eta_0)
-        worst["eta_gamma"] = max(worst["eta_gamma"], res.report.eta_gamma_combined)
+        worst["eta_gamma"] = max(worst["eta_gamma"], res.report.eta_gamma)
     ok = worst["eta_0"] <= 1e-10 and worst["eta_gamma"] <= 1e-10
     _line(
         10,

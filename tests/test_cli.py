@@ -183,6 +183,37 @@ class TestConfig:
         with pytest.raises(cfg.ConfigError, match="^g: unknown name 'eps'"):
             cfg.specs_from_config(doc)
 
+    @pytest.mark.parametrize("where, value, match", [
+        ("f", "x +", r"^f: cannot parse expression 'x \+': "),
+        ("dirichlet", "x ==", r"^cannot parse expression 'x ==': "),
+        ("radius", "eps*", r"^cannot parse expression 'eps\*': "),
+    ])
+    def test_expression_syntax_error_quotes_expression(self, where, value, match):
+        doc = preset_config("test3")
+        if where == "radius":
+            doc["features"][0]["shape"]["radius"] = value
+        else:
+            doc[where] = value
+        with pytest.raises(cfg.ConfigError, match=match) as err:
+            cfg.specs_from_config(doc)
+        assert "nx" not in str(err.value)
+
+    @pytest.mark.parametrize("key, value", [
+        ("f", "Infinity"), ("f", "NaN"), ("g_neumann", "-Infinity")])
+    def test_non_finite_number_rejected(self, key, value):
+        doc = small_notch_config()
+        doc[key] = json.loads(value)  # as a config file can spell it
+        with pytest.raises(cfg.ConfigError, match=f"^{key}: -?(inf|nan) is not a finite number$"):
+            cfg.specs_from_config(doc)
+
+    @pytest.mark.parametrize("key, value", [("f", "log(x-2)"), ("g_dirichlet", "1/x")])
+    def test_non_finite_data_fails_at_projection(self, key, value):
+        doc = small_notch_config()
+        doc[key] = value
+        (spec,) = cfg.specs_from_config(doc)
+        with np.errstate(all="ignore"), pytest.raises(ValueError, match="is not finite$"):
+            run_single(spec)
+
 
 class TestEmission:
     def test_csv_header_exact(self):

@@ -269,6 +269,11 @@ class TestAggregate:
         assert aggregate_total(bigger, 0.05)[0] >= aggregate_total(base, 0.05)[0]
         assert aggregate_total(base, 0.06)[0] >= aggregate_total(base, 0.05)[0]
 
+    @pytest.mark.parametrize("eta_0", [0.0, 5e-324, 0.1, 1 / 3, 1e300])
+    def test_no_feature_is_eta_0_exactly(self, eta_0):
+        total, gamma, tilde = aggregate_total([], eta_0, EstimatorConstants(C_D=7.0))
+        assert (total, gamma, tilde) == (eta_0, 0.0, 0.0)
+
 
 class TestEffectivity:
     def test_published_rows(self):
@@ -292,7 +297,7 @@ class TestReport:
                     2, "positive", eta_gamma0=0.2, eta_gammaR=1e-12, eta_0_tilde=0.05
                 ),
             },
-            eta_gamma_combined=0.2236,
+            eta_gamma=0.2236,
             eta_0=0.08,
             eta_0_tilde=0.05,
             eta_total=0.32,
@@ -305,6 +310,26 @@ class TestReport:
         )
         back = EstimatorReport.from_json(rep.to_json())
         assert back.to_dict() == rep.to_dict()
+        assert back.per_feature[2].feature_id == 2
+
+    def test_dict_keys_pinned(self):
+        # A new report or feature field must not reach the default JSON unnoticed.
+        d = EstimatorReport(per_feature={3: FeatureEstimate(3, "positive")}).to_dict()
+        assert sorted(d) == sorted([
+            "run_id", "h", "n_dof", "eps", "constants", "per_feature", "eta_gamma", "eta_0",
+            "eta_0_tilde", "eta_total", "error_energy", "effectivity"])
+        assert sorted(d["constants"]) == ["C_D", "C_D_tilde", "alpha_D"]
+        assert list(d["per_feature"]) == ["3"]
+        assert sorted(d["per_feature"]["3"]) == sorted([
+            "kind", "eta_gamma", "eta_gamma0", "eta_gammaR", "eta_0_tilde", "has_extension"])
+
+    def test_from_dict_ignores_unknown_keys(self):
+        d = EstimatorReport(per_feature={1: FeatureEstimate(1, "negative_internal", 0.1)},
+                            eta_gamma=0.1, eps=[0.2]).to_dict()
+        extra = {**d, "diagnostics": {}, "constants": {**d["constants"], "beta": 2.0},
+                 "per_feature": {"1": {**d["per_feature"]["1"], "note": "x"}}}
+        assert EstimatorReport.from_dict(extra).to_dict() == d
+        assert EstimatorReport.from_dict({}).to_dict() == EstimatorReport().to_dict()
 
     def test_constants_validation(self):
         with pytest.raises(ValueError):

@@ -9,12 +9,14 @@ from conftest import (
     energy_error_per_point,
     energy_norm,
     expand_cross_mesh,
+    field_to_csv_loop,
     first_group_loop,
     galerkin_residual,
     project_forcing_einsum,
     prolong_uniform,
     quad_points_einsum,
     unstructured_mesh,
+    write_vtk_loop,
 )
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -168,6 +170,16 @@ def test_eval_data(fn, normals, expect):
     out = fem.eval_data(fn, _PTS, normals)
     assert out.shape == (3,)
     assert out == pytest.approx(expect, abs=1e-15)
+
+
+@pytest.mark.parametrize("fn, match", [
+    (lambda x, y: 1.0 / x, r"^data value inf at point \(0.0, 0.0\) is not finite$"),
+    (lambda x, y: np.where(y > 0.5, np.nan, x), r"^data value nan at point \(1.0, 0.75\)"),
+    (float("-inf"), r"^data value -inf at point \(0.0, 0.0\)"),
+], ids=["pole", "nan", "number"])
+def test_eval_data_rejects_non_finite(fn, match):
+    with np.errstate(divide="ignore"), pytest.raises(ValueError, match=match):
+        fem.eval_data(fn, _PTS)
 
 
 class TestAssembly:
@@ -630,3 +642,21 @@ class TestExports:
         assert f"POINTS {m.n_vertices} double" in text
         assert "SCALARS u double" in text
         assert "VECTORS flux double" in text
+
+    @pytest.mark.parametrize("kind", ["lattice", "unstructured"])
+    def test_writers_match_line_oracles(self, tmp_path, kind):
+        m = (generate_unit_square(5) if kind == "lattice"
+             else unstructured_mesh(5, np.random.default_rng(7), None))
+        rng = np.random.default_rng(2)
+        u = rng.standard_normal(m.n_vertices) * 10.0 ** rng.integers(-300, 301, m.n_vertices)
+        u[:5] = [-0.0, np.nextafter(0.0, 1.0), np.nextafter(1.0, 2.0), 1e300, -1e300]
+        vecs = rng.standard_normal((m.n_triangles, 2))
+        vecs[:3] = [[-0.0, np.nextafter(-1.0, 0.0)], [1e300, -1e300], [0.1, 1 / 3]]
+        field = ScalarField(m, u)
+        fem.field_to_csv(field, tmp_path / "a.csv")
+        field_to_csv_loop(field, tmp_path / "b.csv")
+        assert (tmp_path / "a.csv").read_bytes() == (tmp_path / "b.csv").read_bytes()
+        for data in ({}, {"point_data": {"u": u, "v": -u}, "cell_vectors": {"flux": vecs}}):
+            fem.write_vtk(tmp_path / "a.vtk", m, **data)
+            write_vtk_loop(tmp_path / "b.vtk", m, **data)
+            assert (tmp_path / "a.vtk").read_bytes() == (tmp_path / "b.vtk").read_bytes()

@@ -585,6 +585,11 @@ class TestMeshIO:
         ([0, 1, "robin", None, None], "^unknown marker kind 'robin'$"),
         ([0, 1, "feature", 3, "gammaX"], "^unknown feature part 'gammaX'$"),
         ([0, 1, "feature", None, "gamma"], "^feature marker needs a feature id$"),
+        ([0.5, 1, "dirichlet", None, None], r"^boundary edge row \[0.5, 1, 'dirichlet', None, "
+                                            r"None\] must start with two integer vertex indices$"),
+        (7, "^boundary edge row 7 must have 5 entries$"),
+        ([0, "a", "dirichlet", None, None], r"^boundary edge row \[0, 'a', 'dirichlet', None, "
+                                            r"None\] must start with two integer vertex indices$"),
     ])
     def test_faulty_row_in_middle_reported(self, tmp_path, fault, match):
         m = generate_unit_square(4, dirichlet_x01)
@@ -596,6 +601,25 @@ class TestMeshIO:
         path.write_text(json.dumps(doc))
         with pytest.raises(MeshError, match=match):
             read_mesh(path)
+
+    @pytest.mark.parametrize("index", [0.7, -0.5])
+    def test_non_integer_triangle_index_rejected(self, tmp_path, index):
+        path = tmp_path / "m.json"
+        write_mesh(generate_unit_square(2, dirichlet_x01), path)
+        doc = json.loads(path.read_text())
+        doc["triangles"][0][0] = index
+        path.write_text(json.dumps(doc))
+        with pytest.raises(MeshError, match="^triangles must hold integer vertex indices$"):
+            read_mesh(path)
+
+    def test_constructor_checks_triangle_indices(self):
+        m = generate_unit_square(2)
+        assert np.array_equal(Mesh(m.vertices, m.triangles.astype(float)).triangles, m.triangles)
+        for bad in (0.7, -0.5, np.nan):
+            t = m.triangles.astype(float)
+            t[0, 0] = bad
+            with pytest.raises(MeshError, match="^triangles must hold integer vertex indices$"):
+                Mesh(m.vertices, t)
 
     def test_markers_equal_one_row_at_a_time(self, tmp_path):
         m = unstructured_mesh(6, np.random.default_rng(3), dirichlet_x01)

@@ -33,7 +33,7 @@ class TestRunSingle:
         (spec,) = cfg.specs_from_config(doc)
         res = run_single(spec)
         rep = res.report
-        assert rep.eta_gamma_combined > rep.eta_0  # defeaturing dominates
+        assert rep.eta_gamma > rep.eta_0  # defeaturing dominates
         assert 1.0 <= rep.effectivity <= 3.0
 
     def test_mixed_features_combined_estimator(self):
@@ -44,7 +44,7 @@ class TestRunSingle:
         neg = rep.per_feature[1]
         pos = rep.per_feature[2]
         expect_gamma = np.hypot(neg.eta_gamma, pos.eta_gamma0)
-        assert rep.eta_gamma_combined == pytest.approx(expect_gamma, rel=1e-12)
+        assert rep.eta_gamma == pytest.approx(expect_gamma, rel=1e-12)
         expect_total = expect_gamma + np.hypot(rep.eta_0, rep.eta_0_tilde)
         assert rep.eta_total == pytest.approx(expect_total, rel=1e-12)
         assert 1.0 <= rep.effectivity <= 3.0
@@ -176,7 +176,7 @@ class TestRunSweep:
         doc["study"] = {"type": "h_sweep", "n": [32, 64]}
         specs = cfg.specs_from_config(doc)
         res = run_sweep(specs)
-        vals = [r.report.eta_gamma_combined for r in res]
+        vals = [r.report.eta_gamma for r in res]
         assert max(vals) / min(vals) - 1.0 <= 0.02
 
     def test_eps_sweep_plateau(self):
