@@ -33,7 +33,6 @@ from .flux import (
     RTSpace,
     build_rt_space,
     flux_divergence_defect,
-    flux_normal_trace,
     reconstruct_flux,
 )
 from .geometry import (

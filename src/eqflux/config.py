@@ -39,14 +39,15 @@ _EXPR_NAMES = {
 }
 
 
-def _compile_expr(text, extra=()):
+def _compile_expr(text, key, extra=()):
+    """``text`` compiled for eval; errors name the config ``key``."""
     try:
         code = compile(text, "<config>", "eval")
     except (SyntaxError, ValueError) as exc:  # ValueError: a null byte
-        raise ConfigError(f"cannot parse expression {text!r}: {exc}") from None
+        raise ConfigError(f"{key}: cannot parse expression {text!r}: {exc}") from None
     for name in code.co_names:
         if name not in _EXPR_NAMES and name not in extra:
-            raise ConfigError(f"unknown name {name!r} in expression {text!r}")
+            raise ConfigError(f"{key}: unknown name {name!r} in expression {text!r}")
     return code
 
 
@@ -64,10 +65,7 @@ def scalar_expression(value, key="expression", normals=True):
         return float(value)
     if not isinstance(value, str):
         raise ConfigError(f"{key}: expected number or expression, got {value!r}")
-    try:
-        code = _compile_expr(value, extra=("x", "y", "nx", "ny"))
-    except ConfigError as exc:
-        raise ConfigError(f"{key}: {exc}") from None
+    code = _compile_expr(value, key, extra=("x", "y", "nx", "ny"))
     if not normals and (used := [n for n in code.co_names if n in ("nx", "ny")]):
         raise ConfigError(f"{key}: unknown name {used[0]!r} in expression {value!r} "
                           "(only Neumann data may use the normal nx, ny)")
@@ -91,7 +89,7 @@ def predicate_expression(value):
         return None
     if value == "none":
         return lambda x, y: False
-    code = _compile_expr(value, extra=("x", "y"))
+    code = _compile_expr(value, "dirichlet", extra=("x", "y"))
 
     def fn(x, y):
         return bool(eval(code, {"__builtins__": {}}, {**_EXPR_NAMES, "x": x, "y": y}))
@@ -99,24 +97,25 @@ def predicate_expression(value):
     return fn
 
 
-def _eval_param(value, params):
+def _eval_param(value, params, key):
     if isinstance(value, (int, float)):
         return float(value)
-    code = _compile_expr(str(value), extra=tuple(params))
+    code = _compile_expr(str(value), key, extra=tuple(params))
     return float(eval(code, {"__builtins__": {}}, {**_EXPR_NAMES, **params}))
 
 
-def _shape_polygon(shape, params):
+def _shape_polygon(shape, params, owner):
+    """The polygon of a shape; errors name its ``owner`` (a feature or extension) and key."""
     kind = shape.get("type")
     if kind == "ngon":
-        cx = _eval_param(shape["center"][0], params)
-        cy = _eval_param(shape["center"][1], params)
-        r = _eval_param(shape["radius"], params)
+        cx = _eval_param(shape["center"][0], params, f"{owner} center")
+        cy = _eval_param(shape["center"][1], params, f"{owner} center")
+        r = _eval_param(shape["radius"], params, f"{owner} radius")
         return regular_polygon((cx, cy), r, int(shape.get("sides", 16)))
     if kind == "rect":
-        vals = [_eval_param(shape[k], params) for k in ("x0", "x1", "y0", "y1")]
+        vals = [_eval_param(shape[k], params, f"{owner} {k}") for k in ("x0", "x1", "y0", "y1")]
         return rect_polygon(*vals)
-    raise ConfigError(f"unknown shape type {kind!r}")
+    raise ConfigError(f"{owner}: unknown shape type {kind!r}")
 
 
 @functools.cache
@@ -142,14 +141,14 @@ def _build_feature(fdoc: dict, params: dict) -> FeatureSpec:
     if "polygon" in fdoc:
         polygon = np.asarray(fdoc["polygon"], dtype=float)
     else:
-        polygon = _shape_polygon(fdoc["shape"], params)
+        polygon = _shape_polygon(fdoc["shape"], params, f"feature {fdoc['id']}")
     ext = None
     if "extension" in fdoc:
         edoc = fdoc["extension"]
         epoly = (
             np.asarray(edoc["polygon"], dtype=float)
             if "polygon" in edoc
-            else _shape_polygon(edoc["shape"], params)
+            else _shape_polygon(edoc["shape"], params, f"feature {fdoc['id']} extension")
         )
         ext = ExtensionSpec(epoly, scalar_expression(edoc.get("g_tilde", 0.0), "g_tilde"))
     return FeatureSpec(

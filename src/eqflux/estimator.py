@@ -14,22 +14,11 @@ from dataclasses import asdict, dataclass, field, fields
 import numpy as np
 
 from .fem import ScalarField
-from .flux import _CONST_REF, _R, FluxField, flux_normal_trace
-from .geometry import CurveQuadrature
+from .flux import _CONST_REF, _R, FluxField
+from .geometry import CurveQuadrature, GeometryError
 
 
-def _solve_zeta() -> float:
-    # Unique root of z = -log(z), by Newton on z + log z.
-    z = 0.5
-    for _ in range(100):
-        step = (z + math.log(z)) / (1.0 + 1.0 / z)
-        z -= step
-        if abs(step) < 1e-16:
-            break
-    return z
-
-
-ZETA = _solve_zeta()
+ZETA = 0.5671432904097838  # the root of z = -log z (the omega constant)
 
 
 def c_omega(measure: float) -> float:
@@ -73,30 +62,24 @@ def defect_on_gamma(flux: FluxField, q: CurveQuadrature, g_values) -> DefectSamp
 
     A datum posed against the opposite normal enters with its sign flipped.
     """
-    tr = flux_normal_trace(flux, q)
+    if (q.node_tris < 0).any():
+        raise GeometryError("curve node without an owning triangle")
+    tr = np.einsum("nc,nc->n", flux.eval_at(q.nodes, q.node_tris), q.normals)
     g = np.asarray(g_values, dtype=float)
     if g.shape != tr.shape:
         raise ValueError("g_values must match the quadrature nodes")
     return DefectSamples(q, tr + g)
 
 
-def eta_curve_parts(ds: DefectSamples):
-    """(fluctuation, mean) parts of the curve estimator; eta² is their sum
-    of squares."""
+def eta_curve(ds: DefectSamples) -> float:
+    """Curve estimator: scaled fluctuation plus scaled mean of the defect, in
+    root-sum-square."""
     w = ds.quadrature.weights
     L = float(w.sum())
     mean = float(np.sum(w * ds.values)) / L
     fluct2 = float(np.sum(w * (ds.values - mean) ** 2))
     c = c_omega(L)
-    part_fluct = math.sqrt(L * fluct2)
-    part_mean = math.sqrt(c * c * L ** 2.0 * mean * mean)
-    return part_fluct, part_mean
-
-
-def eta_curve(ds: DefectSamples) -> float:
-    """Curve estimator: scaled fluctuation plus scaled mean of the defect."""
-    pf, pm = eta_curve_parts(ds)
-    return math.hypot(pf, pm)
+    return math.hypot(math.sqrt(L * fluct2), math.sqrt(c * c * L ** 2.0 * mean * mean))
 
 
 def eta_zero(flux: FluxField, u_h: ScalarField) -> float:

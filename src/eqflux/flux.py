@@ -19,7 +19,6 @@ import numpy as np
 
 from . import linalg
 from .fem import TRI_QP, TRI_QW, ProblemData, ScalarField, _GL4_W, _GL4_X, _M3
-from .geometry import CurveQuadrature, GeometryError
 from .mesh import Mesh
 
 # Triple products  ∫ lam_i lam_j lam_k = area * _TRIPLE[i,j,k].
@@ -170,10 +169,6 @@ class FluxField:
         phi = _rt_field(c, ref[:, 0], ref[:, 1])
         J = mesh.jacobians[tris]
         return np.einsum("nca,na->nc", J, phi) / (2.0 * mesh.areas[tris, None])
-
-    def normal_trace(self, points, tris, normals) -> np.ndarray:
-        vals = self.eval_at(points, tris)
-        return np.einsum("nc,nc->n", vals, np.atleast_2d(normals))
 
     def divergence_vertex_values(self) -> np.ndarray:
         """Elementwise divergence (a P1 polynomial) at triangle vertices:
@@ -450,13 +445,6 @@ def flux_divergence_defect(flux: FluxField, data: ProblemData) -> np.ndarray:
     return np.sqrt(np.maximum(q, 0.0))
 
 
-def flux_normal_trace(flux: FluxField, q: CurveQuadrature) -> np.ndarray:
-    """Normal trace of the flux at the quadrature nodes of a clipped curve."""
-    if (q.node_tris < 0).any():
-        raise GeometryError("curve node without an owning triangle")
-    return flux.normal_trace(q.nodes, q.node_tris, q.normals)
-
-
 def _edge_traces(flux: FluxField, edges, tris, normals) -> np.ndarray:
     """Normal traces at the degree-4 nodes of edges, seen from the triangles
     ``tris``; shape (len(edges), 4)."""
@@ -465,10 +453,8 @@ def _edge_traces(flux: FluxField, edges, tris, normals) -> np.ndarray:
     a = mesh.vertices[mesh.edge_vertices[edges, 0]]
     b = mesh.vertices[mesh.edge_vertices[edges, 1]]
     pts = a[:, None, :] + _GL4_X[None, :, None] * (b - a)[:, None, :]
-    tr = flux.normal_trace(
-        pts.reshape(-1, 2), np.repeat(tris, G), np.repeat(normals, G, axis=0)
-    )
-    return tr.reshape(-1, G)
+    vals = flux.eval_at(pts.reshape(-1, 2), np.repeat(tris, G))
+    return np.einsum("nc,nc->n", vals, np.repeat(normals, G, axis=0)).reshape(-1, G)
 
 
 def neumann_trace_defect(flux: FluxField, data: ProblemData) -> float:

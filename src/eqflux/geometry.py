@@ -250,12 +250,7 @@ def partition_feature_boundary(feature: FeatureSpec, domain: DomainSpec) -> dict
         "gammaR": [],
         "gammaTilde": [],
     }
-    if feature.kind != POSITIVE:
-        return out
-
-    if feature.extension is None:
-        # F~ = F convention: the whole free boundary acts as gammaR.
-        out["gammaR"] = out["gamma"]
+    if feature.kind != POSITIVE or feature.extension is None:
         return out
 
     ext = closed_loop(feature.extension.polygon)

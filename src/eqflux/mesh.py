@@ -49,13 +49,13 @@ LOCATE_TOL = 1e-12
 
 def first_occurrence(a):
     """Number the distinct values of the 1-d array ``a`` in the order they first occur.  Returns
-    ``(first, number, keys, rank)``: the index of each value's first occurrence, the number of
-    each entry of ``a``, and the distinct values sorted, with the number of each."""
-    keys, first, inverse = np.unique(a, return_index=True, return_inverse=True)
+    ``(first, number)``: the index of each value's first occurrence and the number of each
+    entry of ``a``."""
+    _, first, inverse = np.unique(a, return_index=True, return_inverse=True)
     order = np.argsort(first)
     rank = np.empty_like(order)
     rank[order] = np.arange(len(order))
-    return first[order], rank[inverse], keys, rank
+    return first[order], rank[inverse]
 
 
 @dataclass
@@ -91,6 +91,7 @@ class Mesh:
                 and np.all(np.isfinite(tri) & (tri == np.trunc(tri)))):
             raise MeshError("triangles must hold integer vertex indices")
         self.triangles = np.ascontiguousarray(tri, dtype=np.int64)
+        self._keys = self._grid = None  # edge_ids sorts the edge keys on first use
         if self.vertices.ndim != 2 or self.vertices.shape[1] != 2:
             raise MeshError("vertices must be an (V, 2) array")
         if self.triangles.ndim != 2 or self.triangles.shape[1] != 3:
@@ -110,7 +111,6 @@ class Mesh:
             self.set_markers(*zip(*edge_markers), edge_markers.values())
         if edge_markers is not None:
             self.validate_markers()
-        self._grid = None
         self.root, self.levels = None, 0  # ancestry, set by uniform_refine
 
     # -- construction ---------------------------------------------------
@@ -156,8 +156,7 @@ class Mesh:
         forward = tail < head  # the corner runs its edge low → high (no tail == head: areas > 0)
         checked = corner_edge is None
         if checked:
-            first, corner_edge, self._keys, self._key_edges = first_occurrence(
-                self._edge_key(tail, head))
+            first, corner_edge = first_occurrence(self._edge_key(tail, head))
         slot = 2 * corner_edge + ~forward  # side 0 traverses i → j
         if checked and len(slot) and np.bincount(slot).max() > 1:
             by_slot = np.argsort(slot, kind="stable")
@@ -574,7 +573,7 @@ def uniform_refine(mesh: Mesh) -> Mesh:
     corner_edge = np.concatenate([number, number[:, None, [1, 2, 0], 1]], axis=1)
     slots = np.flatnonzero(new)
     fine._build_edges(slots + slots // 9 * 3, corner_edge.ravel())
-    fine._keys = fine._grid = None  # the keys are sorted by edge_ids on first use
+    fine._keys = fine._grid = None
     # Marked edge e with midpoint V + e passes its marker to both halves.
     fine.edge_markers = [None] * fine.n_edges
     for e, (a, b) in zip(marked.tolist(), halves.reshape(-1, 2)[marked].tolist()):
@@ -618,9 +617,12 @@ def read_mesh(path) -> Mesh:
     rows = doc["boundary_edges"]
     if bad := [row for row in rows if not isinstance(row, list) or len(row) != 5]:
         raise MeshError(f"boundary edge row {bad[0]!r} must have 5 entries")
-    if bad := [row for row in rows if not all(
-            type(v) is int or type(v) is float and v.is_integer() for v in row[:2])]:
+    integral = lambda v: type(v) is int or type(v) is float and v.is_integer()
+    if bad := [row for row in rows if not (integral(row[0]) and integral(row[1]))]:
         raise MeshError(f"boundary edge row {bad[0]!r} must start with two integer vertex indices")
+    if bad := [row for row in rows
+               if row[2] == "feature" and row[3] is not None and not integral(row[3])]:
+        raise MeshError(f"boundary edge row {bad[0]!r} must give an integer feature id")
     markers = [EdgeMarker(kind, fid, part) for _, _, kind, fid, part in rows]
     mesh.set_markers([int(r[0]) for r in rows], [int(r[1]) for r in rows], markers)
     mesh.validate_markers()

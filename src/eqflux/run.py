@@ -126,11 +126,16 @@ def run_single(spec: RunSpec, reference: fem.ScalarField | None = None) -> RunRe
     # Each excluded feature is partitioned once, here, for all the stages.
     partitions = [None if inc else partition_feature_boundary(feat, domain)
                   for feat, inc in zip(domain.features, include)]
+
+    def solve(m, d, name):
+        # The P1 solution, its certified equilibrated flux and their eta_0.
+        u = fem.solve_poisson(m, d, tol=spec.solver_tol)
+        fl = flux.reconstruct_flux(u, d)
+        flux.certify(fl, d, name)
+        return u, fl, est.eta_zero(fl, u)
+
     data = fem.project_data(domain, mesh, include=include, parts=partitions)
-    u0 = fem.solve_poisson(mesh, data, tol=spec.solver_tol)
-    flux0 = flux.reconstruct_flux(u0, data)
-    flux.certify(flux0, data, "simplified domain")
-    eta0 = est.eta_zero(flux0, u0)
+    u0, flux0, eta0 = solve(mesh, data, "simplified domain")
 
     def eta_on(curve, m, fl, g, s=1.0):
         # Defect sigma·n + s·g(x, s·n) on the curve: s = -1 on gamma0, whose
@@ -155,20 +160,17 @@ def run_single(spec: RunSpec, reference: fem.ScalarField | None = None) -> RunRe
                 raise ValueError("positive feature meshing needs a resolution")
             fmesh = feature_mesh(feat, fn, domain, parts)
             fdata = fem.feature_problem_data(feat, u0, fmesh, forcing=domain.f)
-            ut = fem.solve_poisson(fmesh, fdata, tol=spec.solver_tol)
-            fluxt = flux.reconstruct_flux(ut, fdata)
-            flux.certify(fluxt, fdata, f"feature {feat.id}")
+            ut, fluxt, eta0t = solve(fmesh, fdata, f"feature {feat.id}")
             comp = est.FeatureEstimate(
                 feat.id,
                 feat.kind,
                 eta_gamma0=eta_on(parts["gamma0"], fmesh, fluxt, feat.neumann_g0, -1.0),
-                eta_0_tilde=est.eta_zero(fluxt, ut),
+                eta_0_tilde=eta0t,
                 has_extension=feat.extension is not None,
             )
-            if parts["gammaR"]:
-                comp.eta_gammaR = eta_on(parts["gammaR"], fmesh, fluxt, feat.neumann_g)
-            elif comp.has_extension:  # the extension is the feature itself
-                comp.eta_gammaR = 0.0
+            if comp.has_extension:  # gammaR is empty for an extension of the feature's shape
+                comp.eta_gammaR = (eta_on(parts["gammaR"], fmesh, fluxt, feat.neumann_g)
+                                   if parts["gammaR"] else 0.0)
             feature_fields[feat.id] = ut
             feature_fluxes[feat.id] = fluxt
             coarse_pieces.append(ut)

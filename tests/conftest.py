@@ -191,7 +191,7 @@ def neumann_trace_defect_loop(flux, data):
         x, pts = _edge_gauss_points(mesh, e)
         t = mesh.edge_tris[e].max()
         n_out = mesh.edge_outward_sign[e] * mesh.edge_normals[e]
-        tr = flux.normal_trace(pts, np.full(len(pts), t), np.tile(n_out, (len(pts), 1)))
+        tr = flux.eval_at(pts, np.full(len(pts), t)) @ n_out
         gn = data.gn_proj[k, 0] * (1.0 - x) + data.gn_proj[k, 1] * x
         worst = max(worst, float(np.abs(tr + gn).max()))
     return worst
@@ -206,9 +206,9 @@ def interior_jump_loop(flux):
         if t0 < 0 or t1 < 0:
             continue
         _, pts = _edge_gauss_points(mesh, e)
-        nrm = np.tile(mesh.edge_normals[e], (len(pts), 1))
-        tr0 = flux.normal_trace(pts, np.full(len(pts), t0), nrm)
-        tr1 = flux.normal_trace(pts, np.full(len(pts), t1), nrm)
+        nrm = mesh.edge_normals[e]
+        tr0 = flux.eval_at(pts, np.full(len(pts), t0)) @ nrm
+        tr1 = flux.eval_at(pts, np.full(len(pts), t1)) @ nrm
         worst = max(worst, float(np.abs(tr0 - tr1).max()))
     return worst
 
@@ -845,10 +845,7 @@ def partition_loop(feature, domain):
                 raise GeometryError(f"feature {feature.id} touches the Dirichlet boundary")
     out = {"gamma": _chain_loop(gamma), "gamma0": _chain_loop(gamma0),
            "gammaS": [], "gammaR": [], "gammaTilde": []}
-    if feature.kind != POSITIVE:
-        return out
-    if feature.extension is None:
-        out["gammaR"] = out["gamma"]
+    if feature.kind != POSITIVE or feature.extension is None:
         return out
     ext = sides(feature.extension.polygon)
     on_ext = lambda p: any(point_on_segment(p, a, b) for a, b in ext)  # noqa: E731

@@ -185,8 +185,9 @@ class TestConfig:
 
     @pytest.mark.parametrize("where, value, match", [
         ("f", "x +", r"^f: cannot parse expression 'x \+': "),
-        ("dirichlet", "x ==", r"^cannot parse expression 'x ==': "),
-        ("radius", "eps*", r"^cannot parse expression 'eps\*': "),
+        ("dirichlet", "x ==", r"^dirichlet: cannot parse expression 'x ==': "),
+        ("radius", "eps*", r"^feature 1 radius: cannot parse expression 'eps\*': "),
+        ("radius", "2*r", r"^feature 1 radius: unknown name 'r' in expression '2\*r'$"),
     ])
     def test_expression_syntax_error_quotes_expression(self, where, value, match):
         doc = preset_config("test3")

@@ -17,12 +17,11 @@ from eqflux.estimator import (
     defect_on_gamma,
     effectivity,
     eta_curve,
-    eta_curve_parts,
     eta_zero,
 )
 from eqflux.fem import project_data, solve_poisson
 from eqflux.flux import FluxField, reconstruct_flux
-from eqflux.geometry import DomainSpec, clip_curve_to_mesh
+from eqflux.geometry import DomainSpec, GeometryError, clip_curve_to_mesh
 from eqflux.mesh import generate_unit_square
 
 
@@ -78,8 +77,12 @@ class TestEtaCurve:
     def test_parts_decomposition(self):
         q = unit_segment_quadrature()
         ds = DefectSamples(q, 0.3 + np.sin(5 * q.nodes[:, 0]))
-        pf, pm = eta_curve_parts(ds)
-        assert pf >= 0 and pm >= 0
+        # eta² = L ‖d − mean‖² + (c_omega(L) L mean)², the fluctuation and mean parts
+        w, L = q.weights, q.length
+        mean = np.sum(w * ds.values) / L
+        pf = math.sqrt(L * np.sum(w * (ds.values - mean) ** 2))
+        pm = c_omega(L) * L * abs(mean)
+        assert pf > 0 and pm > 0
         assert eta_curve(ds) == pytest.approx(math.hypot(pf, pm), abs=1e-14)
 
     @given(st.floats(min_value=-50, max_value=50).filter(lambda t: abs(t) > 1e-8))
@@ -99,6 +102,10 @@ class TestEtaCurve:
         assert eta_curve(DefectSamples(q, vals)) > 0.0
 
 
+def normal_trace(fl, q):
+    return np.einsum("nc,nc->n", fl.eval_at(q.nodes, q.node_tris), q.normals)
+
+
 class TestDefectOnGamma:
     def _flux(self, n=6):
         m = generate_unit_square(n)
@@ -111,7 +118,7 @@ class TestDefectOnGamma:
         # sigma·n + g, with n the curve normals
         fl, m = self._flux()
         q = clip_curve_to_mesh(np.array([[0.2, 0.35], [0.8, 0.35]]), m, 4)
-        tr = fl.normal_trace(q.nodes, q.node_tris, q.normals)
+        tr = normal_trace(fl, q)
         ds = defect_on_gamma(fl, q, np.full(len(q.weights), 0.1))
         assert np.array_equal(ds.values, tr + 0.1)
 
@@ -120,7 +127,7 @@ class TestDefectOnGamma:
         # is matched exactly
         fl, m = self._flux()
         q = clip_curve_to_mesh(np.array([[0.2, 0.35], [0.8, 0.35]]), m, 4)
-        g0 = fl.normal_trace(q.nodes, q.node_tris, q.normals)
+        g0 = normal_trace(fl, q)
         ds = defect_on_gamma(fl, q, -1.0 * g0)
         assert np.abs(ds.values).max() < 1e-14
         assert eta_curve(ds) < 1e-13
@@ -129,7 +136,7 @@ class TestDefectOnGamma:
         # g chosen equal to -sigma.n along the curve: eta vanishes
         fl, m = self._flux()
         q = clip_curve_to_mesh(np.array([[0.15, 0.6], [0.85, 0.6]]), m, 4)
-        g = -fl.normal_trace(q.nodes, q.node_tris, q.normals)
+        g = -normal_trace(fl, q)
         ds = defect_on_gamma(fl, q, g)
         assert eta_curve(ds) < 1e-12
 
@@ -138,6 +145,13 @@ class TestDefectOnGamma:
         q = clip_curve_to_mesh(np.array([[0.2, 0.35], [0.8, 0.35]]), m, 4)
         with pytest.raises(ValueError, match="must match the quadrature nodes"):
             defect_on_gamma(fl, q, np.zeros(len(q.weights) + 1))
+
+    def test_node_outside_mesh_rejected(self):
+        fl, m = self._flux()
+        q = clip_curve_to_mesh(np.array([[0.2, 0.35], [0.8, 0.35]]), m, 4)
+        q.node_tris[3] = -1
+        with pytest.raises(GeometryError, match="^curve node without an owning triangle$"):
+            defect_on_gamma(fl, q, np.zeros(len(q.weights)))
 
 
 class TestEtaZero:

@@ -123,9 +123,8 @@ class TestPartition:
         (g0,) = parts["gamma0"]
         assert np.allclose(g0[:, 1], 0.0)
         assert curve_length(parts["gamma0"]) == pytest.approx(0.2)
-        # without an extension the free boundary doubles as gammaR
-        assert curve_length(parts["gammaR"]) == pytest.approx(0.6)
-        assert parts["gammaS"] == []
+        # without an extension gammaS, gammaR and gammaTilde are empty
+        assert parts["gammaS"] == parts["gammaR"] == parts["gammaTilde"] == []
 
     def test_feature_on_dirichlet_rejected(self):
         notch = FeatureSpec(1, NEGATIVE_BOUNDARY, rect_polygon(0.4, 0.6, 0.8, 1.0))
@@ -349,7 +348,7 @@ class TestPartitionOnMeshBase:
         assert np.array_equal(g0, [[0.4, 0.9], [0.4, 0.8], [0.6, 0.8], [0.6, 0.9]])
         (g,) = parts["gamma"]
         assert np.array_equal(g, [[0.6, 0.9], [0.4, 0.9]])
-        assert parts["gammaR"] == parts["gamma"]
+        assert parts["gammaR"] == []
         # the dent hangs below the notch floor
         parts = partition_feature_boundary(dent, dom)
         (g0,) = parts["gamma0"]

@@ -1,5 +1,6 @@
 import json
 import os
+import re
 import tempfile
 from unittest import mock
 
@@ -197,12 +198,10 @@ class TestElementArrays:
         a = np.random.default_rng(7).integers(0, 9, size=60)
         numbers = {}
         want = [numbers.setdefault(x, len(numbers)) for x in a.tolist()]
-        first, number, keys, rank = first_occurrence(a)
+        first, number = first_occurrence(a)
         assert np.array_equal(number, want)
         assert np.array_equal(number[first], np.arange(len(numbers)))
         assert (first[number] <= np.arange(len(a))).all()
-        assert np.array_equal(keys, np.unique(a))
-        assert np.array_equal(a[first[rank]], keys)
 
 
 class TestLocatePoint:
@@ -600,6 +599,25 @@ class TestMeshIO:
         doc["boundary_edges"] = rows[:8] + [fault] + rows[8:]
         path.write_text(json.dumps(doc))
         with pytest.raises(MeshError, match=match):
+            read_mesh(path)
+
+    @pytest.mark.parametrize("fid", ["1", 1.5])
+    def test_non_integer_feature_id_rejected(self, tmp_path, fid):
+        from eqflux.config import specs_from_config
+        from eqflux.presets import preset_config
+        from eqflux.run import build_exact_mesh
+
+        # Read as written, such an id failed only later, at project_data.
+        path = tmp_path / "exact.json"
+        write_mesh(build_exact_mesh(specs_from_config(preset_config("test2-neg", n=8))[0]), path)
+        doc = json.loads(path.read_text())
+        rows = [row for row in doc["boundary_edges"] if row[2] == "feature"]
+        assert rows
+        for row in rows:
+            row[3] = fid
+        path.write_text(json.dumps(doc))
+        with pytest.raises(MeshError, match=f"^boundary edge row {re.escape(repr(rows[0]))} "
+                                            "must give an integer feature id$"):
             read_mesh(path)
 
     @pytest.mark.parametrize("index", [0.7, -0.5])

@@ -19,7 +19,7 @@ from eqflux.geometry import (
 )
 from eqflux.mesh import generate_unit_square, write_mesh
 from eqflux.presets import preset_config
-from eqflux.run import ReferenceSpec, RunSpec, emit_vtk, run_single, run_sweep
+from eqflux.run import ReferenceSpec, RunSpec, emit_vtk, report_csv_row, run_single, run_sweep
 
 
 def dirichlet_x01(x, y):
@@ -125,8 +125,9 @@ class TestCertificate:
 class TestExtensionEqualToFeature:
     @pytest.mark.parametrize("g, n", [(0.0, 16), ("x*x + 0.3", 16), ("nx - 0.5*ny + x*y", 24)])
     def test_matches_run_without_extension(self, g, n):
-        # An extension with the bump's own shape leaves gammaR empty: its
-        # eta_gammaR is 0 and the estimator is the one without an extension.
+        # An extension with the bump's own shape leaves gammaR empty, as no
+        # extension does: its eta_gammaR is 0, the run without an extension
+        # sets none, and the estimator and CSV row are the same.
         doc = preset_config("test2-pos", n=n, eps=0.25)
         doc["reference"] = None
         doc["features"][0]["g"] = g
@@ -135,7 +136,9 @@ class TestExtensionEqualToFeature:
         plain = run_single(cfg.specs_from_config(doc)[0]).report
         ext = run_single(cfg.specs_from_config(extended)[0]).report
         assert ext.per_feature[1].has_extension and ext.per_feature[1].eta_gammaR == 0.0
+        assert plain.per_feature[1].eta_gammaR is None
         assert ext.eta_total == plain.eta_total
+        assert report_csv_row(ext, [1]) == report_csv_row(plain, [1])
         assert (ext.per_feature[1].gamma_contribution()
                 == plain.per_feature[1].gamma_contribution())
 
