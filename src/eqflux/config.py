@@ -98,10 +98,16 @@ def predicate_expression(value):
 
 
 def _eval_param(value, params, key):
+    """A shape value as a finite float; errors name the config ``key``."""
     if isinstance(value, (int, float)):
-        return float(value)
+        return scalar_expression(value, key)
     code = _compile_expr(str(value), key, extra=tuple(params))
-    return float(eval(code, {"__builtins__": {}}, {**_EXPR_NAMES, **params}))
+    try:
+        with np.errstate(all="ignore"):
+            x = float(eval(code, {"__builtins__": {}}, {**_EXPR_NAMES, **params}))
+    except (ArithmeticError, TypeError, ValueError) as exc:
+        raise ConfigError(f"{key}: cannot evaluate {value!r}: {exc}") from None
+    return scalar_expression(x, f"{key}: {value!r} gives")
 
 
 def _shape_polygon(shape, params, owner):

@@ -202,13 +202,13 @@ def _curl_reference():
 
 _CURL_REF = _curl_reference()
 
-# The curl system of corner m, with Ĉ_m = _CURL_REF[m]: its matrix ``_K[p, m] = Ĉ_mᵀ _R[p] Ĉ_m``
-# (the P2 stiffness, as |curl phi| = |grad phi|), the term ``_V[c, m] = Σ_i _R_V[m, i, c] Ĉ_m[i]``
-# against ``Jᵀ grad u_h``, and ``_RC[m, :, p] = _R[p] Ĉ_m`` against the particular flux; the rows
-# of ``_CURL_ROWS``, stacked (m, k), map a triangle's nine corner P2 values to its curl.
-_K = np.einsum("mik,pij,mjl->pmkl", _CURL_REF, _R, _CURL_REF).reshape(3, 27)
-_V = np.einsum("mic,mik->cmk", _R_V, _CURL_REF).reshape(2, 9)
-_RC = np.einsum("pij,mjk->mipk", _R, _CURL_REF).reshape(3, 8, 9)
+# The curl system of corner m, Ĉ_m = _CURL_REF[m], on rows ending in m: ``_K[k, (l, m), p] =
+# (Ĉ_mᵀ _R[p] Ĉ_m)[k, l]`` (the P2 stiffness, as |curl phi| = |grad phi|), ``_V[(k, m)] = (_R_V[m]ᵀ
+# Ĉ_m)[:, k]`` against ``Jᵀ grad u_h``, ``_RC[(p, k, m), (m, i)] = (_R[p] Ĉ_m)[i, k]`` (0 off its
+# blocks) against the particular flux; ``_CURL_ROWS`` maps a triangle's corner P2 values to curl.
+_K = np.einsum("mik,pij,mjl->klmp", _CURL_REF, _R, _CURL_REF).reshape(3, 9, 3)
+_V = np.einsum("mic,mik->kmc", _R_V, _CURL_REF).reshape(9, 2)
+_RC = np.einsum("pij,mjk,mn->pkmni", _R, _CURL_REF, np.eye(3)).reshape(27, 24)
 _CURL_ROWS = _CURL_REF.transpose(0, 2, 1).reshape(9, 8)
 
 
@@ -347,66 +347,59 @@ def particular_flux(space: RTSpace, fans: Fans, u_h: ScalarField, data: ProblemD
 
 @dataclass
 class PatchStack:
-    """The P2 curl systems of the patches of one size t.  The unknowns are the P2 nodal values at
-    the patch vertex (0) and at its spoke midpoints in fan order (1, 2, ...), padded to t + 2; a
-    fixed unknown has a unit row and a zero right-hand side."""
+    """The P2 curl systems of all patches, one batch on the last axis.  The unknowns are the P2
+    nodal values at the patch vertex (0) and at its spoke midpoints in fan order (1, 2, ...),
+    padded to n = tmax + 2; a fixed or padding unknown has a unit row and a zero right-hand side."""
 
-    vertices: np.ndarray  # (P,)
-    corners: np.ndarray  # (P, t) in fan order
-    nodes: np.ndarray  # (P, t, 3) unknown of each corner's vertex, in- and out-edge midpoint
-    A: np.ndarray  # (P, t + 2, t + 2)
-    b: np.ndarray  # (P, t + 2)
+    vertices: np.ndarray  # (P,) the vertex of each batch position
+    corners: np.ndarray  # (tmax, P) in fan order, -1 past the fan's end
+    nodes: np.ndarray  # (tmax, 3, P) unknown of each corner's vertex, in- and out-edge midpoint
+    A: np.ndarray  # (n, n, P)
+    b: np.ndarray  # (n, P)
 
 
-def assemble_patch_system(space: RTSpace, fans: Fans, sigma, u_h: ScalarField):
+def assemble_patch_system(space: RTSpace, fans: Fans, sigma, u_h: ScalarField) -> PatchStack:
     """The systems of each patch's correction ``curl phi``, ``phi`` continuous P2 on the patch
     and 0 on its zero edges and Neumann psi edges, that minimises ``‖sigma_a + curl phi + psi_a
     grad u_h‖``, ``sigma_a`` the reference DOFs of :func:`particular_flux`: per corner
     ``A = Ĉᵀ M̂ Ĉ`` and ``b = −Ĉᵀ (M̂ sigma_a + (psi_a grad u_h, phî))``, ``M̂`` the mass matrix
     in reference DOFs, the D of the Piola map cancelling.  ``Jᵀ grad u_h`` is the difference of
-    u_h along the triangle's sides from vertex 0.  Returns one :class:`PatchStack` per size."""
-    mesh, T = space.mesh, space.mesh.n_triangles
-    A_c = (space.metric @ _K).reshape(T, 3, 3, 3)
-    u = u_h.nodal_values[mesh.triangles]
-    b_c = -((u[:, 1:] - u[:, :1]) @ _V).reshape(T, 3, 3)
-    Y = np.stack([sigma[:, m] @ _RC[m] for m in range(3)], axis=1).reshape(T, 3, 3, 3)
-    for p in range(3):
-        b_c -= space.metric[:, p, None, None] * Y[:, :, p]
-    stacks = []
-    for t in np.unique(fans.size):
-        v = np.flatnonzero(fans.size == t)
-        corners = fans.order[v, :t]
-        K, m = np.divmod(corners, 3)
-        k, closed = np.arange(t), fans.closed[v, None]
-        nodes = np.stack(np.broadcast_arrays(0, 1 + k, np.where(closed, 1 + (k + 1) % t, 2 + k)),
-                         axis=-1)
-        n, P = t + 2, len(v)
-        row = np.arange(P)[:, None, None] * n + nodes
-        A = np.bincount((row[..., :, None] * n + nodes[..., None, :]).ravel(),
-                        A_c[K, m].ravel(), P * n * n).reshape(P, n, n)
-        b = np.bincount(row.ravel(), b_c[K, m].ravel(), P * n).reshape(P, n)
-        free = np.ones((P, n), dtype=bool)
-        free[:, 0] = ~fans.neumann[v].any(axis=1)
-        free[:, 1] = ~fans.neumann[v, 0]
-        free[:, -1] = ~fans.closed[v] & ~fans.neumann[v, 1]
-        A *= free[:, :, None] & free[:, None, :]
-        A[:, np.arange(n), np.arange(n)] += ~free
-        stacks.append(PatchStack(v, corners, nodes, A, b * free))
-    return stacks
+    u_h along the triangle's sides from vertex 0.  The corner terms (corner 3K + m in column
+    mT + K) are summed into one :class:`PatchStack`, ``A`` one corner-matrix row at a time."""
+    mesh, T, G = space.mesh, space.mesh.n_triangles, space.metric.T
+    corners, t = fans.order.T, fans.size
+    (tmax, V), n, k = corners.shape, corners.shape[0] + 2, np.arange(corners.shape[0])[:, None]
+    nodes = np.stack(np.broadcast_arrays(0, 1 + k, np.where(fans.closed & (k == t - 1), 1, 2 + k)),
+                     axis=1)
+    at = np.empty((3, 3 * T + 1), np.int64)  # each corner's unknowns; corner -1 the spare last
+    at[:, np.append(np.arange(3 * T).reshape(3, T).T, -1)[corners]] = nodes.transpose(1, 0, 2)
+    row = at[:, :-1] * V + mesh.triangles.T.ravel()  # (unknown, patch) flat in (n, V)
+    u = u_h.nodal_values[mesh.triangles.T]
+    Ms = (G[:, None] * (_RC @ sigma.reshape(T, 24).T).reshape(3, 9, T)).sum(axis=0)
+    b = np.bincount(row.ravel(), (-(_V @ (u[1:] - u[:1])) - Ms).ravel(), n * V).reshape(n, V)
+    A = np.zeros((n, n, V))
+    for i in range(3):
+        np.add.at(A.reshape(-1), (at[i, :-1] * (n * V) + row).ravel(), (_K[i] @ G).ravel())
+    free = np.arange(n)[:, None] <= t
+    free[[0, 1]] = ~fans.neumann.any(axis=1), ~fans.neumann[:, 0]
+    free[t + 1, np.arange(V)] = ~fans.closed & ~fans.neumann[:, 1]
+    A *= free[:, None] & free
+    A[np.arange(n), np.arange(n)] += ~free
+    return PatchStack(np.arange(V), corners, nodes, A, b * free)
 
 
 def patch_flux(stack: PatchStack, phi) -> None:
-    """Solve a stack's systems into ``phi`` ``(T, 3, 3)``, the nodal values of each corner's
-    vertex and in- and out-edge midpoint.  A singular system raises
-    :class:`EquilibrationError` naming its vertex."""
+    """Solve the batch, factoring ``stack.A`` in place, into ``phi`` ``(3T + 1, 3)``: row c the
+    nodal values of corner c's vertex and in- and out-edge midpoint, the spare last row written
+    past each fan's end.  A singular system raises :class:`EquilibrationError` naming its vertex."""
     try:
         x = linalg.cholesky_solve(stack.A, stack.b)
     except linalg.SingularSystemError as exc:
         raise EquilibrationError(
             f"singular patch system at vertex {stack.vertices[exc.index]}: {exc}"
         ) from exc
-    K, m = np.divmod(stack.corners, 3)
-    phi[K, m] = x[np.arange(len(x))[:, None, None], stack.nodes]
+    P = x.shape[1]
+    phi[stack.corners] = x.ravel()[stack.nodes * P + np.arange(P)].transpose(0, 2, 1)
 
 
 def corner_fluxes(u_h: ScalarField, data: ProblemData, space: RTSpace):
@@ -415,10 +408,9 @@ def corner_fluxes(u_h: ScalarField, data: ProblemData, space: RTSpace):
     P2 nodal values ``(T, 3, 3)`` whose curls (:func:`_curl_reference`) correct it."""
     fans = patch_fans(space.mesh, data)
     sigma = particular_flux(space, fans, u_h, data)
-    phi = np.empty((space.mesh.n_triangles, 3, 3))
-    for stack in assemble_patch_system(space, fans, sigma, u_h):
-        patch_flux(stack, phi)
-    return sigma, phi
+    phi = np.empty((3 * space.mesh.n_triangles + 1, 3))
+    patch_flux(assemble_patch_system(space, fans, sigma, u_h), phi)
+    return sigma, phi[:-1].reshape(-1, 3, 3)
 
 
 def reconstruct_flux(u_h: ScalarField, data: ProblemData, space: RTSpace | None = None) -> FluxField:

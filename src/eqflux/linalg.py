@@ -1,11 +1,11 @@
 """Solver contracts used by the FEM and flux modules.
 
-scipy.sparse matrices back the global Galerkin systems; stacked dense SPD solves
-with a Cholesky pivot guard back the vertex-patch P2 systems of the flux, and a
-stacked dense LU solve is kept as a reference.  Heavy lifting is delegated to
-numpy and scipy.  scipy is imported at the first sparse assembly or solve, not at
-``import eqflux``, so a call that never solves (mesh generation, config expansion)
-does not load it.
+scipy.sparse matrices back the global Galerkin systems; the vertex-patch P2
+systems of the flux, one batch on the last axis, are factored in the array by a
+Cholesky loop whose pivots are the guard; a stacked dense LU solve is kept as a
+reference.  Heavy lifting is delegated to numpy and scipy.  scipy is imported at
+the first sparse assembly or solve, not at ``import eqflux``, so a call that
+never solves (mesh generation, config expansion) does not load it.
 """
 
 from __future__ import annotations
@@ -126,23 +126,25 @@ def dense_lu_solve(a, b) -> np.ndarray:
     return x.reshape(b.shape)
 
 
-def _squared_pivots(a):
-    """Smallest squared Cholesky pivot of each matrix of a stack, 0 where numpy finds it not
-    positive definite (one matrix at a time then, since numpy names no matrix of a stack)."""
-    try:
-        return np.diagonal(np.linalg.cholesky(a), axis1=-2, axis2=-1).min(axis=-1) ** 2
-    except np.linalg.LinAlgError:
-        return 0.0 if a.ndim == 2 else np.array([_squared_pivots(x) for x in a])
-
-
 def cholesky_solve(A, b) -> np.ndarray:
-    """Solve stacked SPD systems ``A x = b``, ``A`` (P, n, n) and ``b`` (P, n).  A system whose
-    smallest squared Cholesky pivot is not above ``1e-12 ·`` its largest diagonal entry raises
-    :class:`SingularSystemError` naming its stack position."""
-    floor = 1e-12 * np.diagonal(A, axis1=1, axis2=2).max(axis=1)
-    d2 = _squared_pivots(A)
+    """Solve the SPD systems ``A x = b`` of a batch on the last axis, ``A`` (n, n, P), ``b`` and
+    ``x`` (n, P), by a Cholesky loop over the n columns that overwrites ``A`` with the factor.  A
+    system with a squared pivot not above ``1e-12 ·`` its largest diagonal entry raises
+    :class:`SingularSystemError` naming its batch position."""
+    floor = 1e-12 * np.diagonal(A).max(axis=-1)
+    x, d2 = np.array(b, dtype=float), np.empty(np.shape(b))
+    with np.errstate(all="ignore"):  # a system that is not SPD gives NaN, caught below
+        for j in range(len(A)):
+            L = A[j, :j]
+            d2[j] = A[j, j] - np.einsum("kp,kp->p", L, L)
+            A[j, j] = np.sqrt(d2[j])
+            A[j + 1:, j] = (A[j + 1:, j] - np.einsum("ikp,kp->ip", A[j + 1:, :j], L)) / A[j, j]
+            x[j] = (x[j] - np.einsum("kp,kp->p", L, x[:j])) / A[j, j]
     bad = ~(d2 > floor)
     if bad.any():
-        k = int(np.argmax(bad))
-        raise SingularSystemError(f"squared Cholesky pivot {d2[k]:.3e} below {floor[k]:.3e}", k)
-    return np.linalg.solve(A, b[..., None])[..., 0]
+        k = int(np.argmax(bad.any(axis=0)))
+        raise SingularSystemError(
+            f"squared Cholesky pivot {d2[bad[:, k], k][0]:.3e} below {floor[k]:.3e}", k)
+    for j in reversed(range(len(A))):
+        x[j] = (x[j] - np.einsum("ip,ip->p", A[j + 1:, j], x[j + 1:])) / A[j, j]
+    return x

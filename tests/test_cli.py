@@ -2,6 +2,7 @@ import json
 import os
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -198,6 +199,20 @@ class TestConfig:
         with pytest.raises(cfg.ConfigError, match=match) as err:
             cfg.specs_from_config(doc)
         assert "nx" not in str(err.value)
+
+    @pytest.mark.parametrize("value, match", [
+        ("1/(eps-eps)",
+         r"^feature 1 x0: cannot evaluate '1/\(eps-eps\)': float division by zero$"),
+        ("sqrt(-1.0)", r"^feature 1 x0: 'sqrt\(-1.0\)' gives: nan is not a finite number$"),
+        ("1e308*10", r"^feature 1 x0: '1e308\*10' gives: inf is not a finite number$"),
+    ])
+    def test_shape_value_must_evaluate_to_finite_number(self, value, match):
+        doc = preset_config("test2-pos")
+        doc["features"][0]["shape"]["x0"] = value
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(cfg.ConfigError, match=match):
+                cfg.specs_from_config(doc)
 
     @pytest.mark.parametrize("key, value", [
         ("f", "Infinity"), ("f", "NaN"), ("g_neumann", "-Infinity")])

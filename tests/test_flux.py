@@ -182,28 +182,28 @@ def patch_coefficients(space, sigma, fans, a):
 
 
 def split_solve(solve, chunks):
-    """A stand-in for ``flux.patch_flux`` that solves each stack in the parts of its patch
-    positions that ``chunks(P)`` lists, each part a stack of its own; records the stack sizes."""
+    """A stand-in for ``flux.patch_flux`` that solves the batch in the parts of its patch
+    positions that ``chunks(P)`` lists, each part a batch of its own (every field sliced on its
+    last axis); records the batch sizes."""
     sizes = []
 
     def split(stack, phi):
         sizes.append(len(stack.vertices))
         for part in chunks(len(stack.vertices)):
-            solve(PatchStack(**{f.name: getattr(stack, f.name)[part]
+            solve(PatchStack(**{f.name: getattr(stack, f.name)[..., part]
                                 for f in dataclasses.fields(stack)}), phi)
 
     return split, sizes
 
 
 def edited_stacks(edit):
-    """A stand-in for ``flux.assemble_patch_system`` that applies ``edit`` to each stack."""
+    """A stand-in for ``flux.assemble_patch_system`` that applies ``edit`` to the batch."""
     assemble = flux_module.assemble_patch_system
 
     def edited(*args):
-        stacks = assemble(*args)
-        for stack in stacks:
-            edit(stack)
-        return stacks
+        stack = assemble(*args)
+        edit(stack)
+        return stack
 
     return edited
 
@@ -280,7 +280,7 @@ class TestPatchFlux:
             reconstruct_flux(bad, data)
 
     def test_batch_of_one_matches_full_batches(self, monkeypatch):
-        # Every patch system solved as a stack of one gives the flux of the full stacks.
+        # Every patch system solved as a batch of one gives the flux of the full batch.
         m = generate_unit_square(5, dirichlet_x01)
         data = project_data(DomainSpec(f=1.0, dirichlet=dirichlet_x01), m)
         u = solve_poisson(m, data)
@@ -301,7 +301,7 @@ class TestPatchFlux:
 
         def edit(stack):
             p = np.flatnonzero(stack.vertices == a)
-            stack.A[p, 0, :] = stack.A[p, :, 0] = 0.0
+            stack.A[0, :, p] = stack.A[:, 0, p] = 0.0
 
         monkeypatch.setattr(flux_module, "assemble_patch_system", edited_stacks(edit))
         with pytest.raises(EquilibrationError,
@@ -328,7 +328,7 @@ class TestPatchFlux:
         assert not fans.neumann[a].any()
 
         def edit(stack):
-            stack.A[stack.vertices == a] = 0.0
+            stack.A[..., stack.vertices == a] = 0.0
 
         monkeypatch.setattr(flux_module, "assemble_patch_system", edited_stacks(edit))
         with pytest.raises(EquilibrationError,
@@ -461,7 +461,7 @@ class TestReferenceTensors:
         assert abs(eta_zero(fl, u) - want) <= 1e-12 * want
         # |curl phi| = |grad phi|: each corner's curl system is its P2 stiffness matrix.
         want = p2_corner_stiffness(m)
-        A_c = (sp.metric @ flux_module._K).reshape(want.shape)
+        A_c = (flux_module._K @ sp.metric.T).reshape(3, 3, 3, -1).transpose(3, 2, 0, 1)
         assert np.abs(A_c - want).max() <= 1e-12 * np.abs(want).max()
 
 
@@ -604,8 +604,8 @@ class TestPatchSolve:
 
 
 class TestCondensedSolve:
-    """Every stack of P2 curl systems against its dense LU solve, and the patch fluxes it gives
-    against the static condensation of each patch's saddle-point system."""
+    """Each patch's block of the batch of P2 curl systems against its dense LU solve, and the
+    patch fluxes it gives against the static condensation of each patch's saddle-point system."""
 
     @settings(max_examples=20, deadline=None)
     @given(n=st.integers(2, 6), case=st.integers(0, 2), seed=st.integers(0, 2**32 - 1))
@@ -615,19 +615,24 @@ class TestCondensedSolve:
         sp = build_rt_space(m)
         fans = patch_fans(m, data)
         sigma = particular_flux(sp, fans, u, data)
-        stacks = assemble_patch_system(sp, fans, sigma, u)
-        # one stack per patch size, of t + 2 unknowns
-        assert [s.corners.shape[1] for s in stacks] == np.unique(fans.size).tolist()
-        phi = np.full((m.n_triangles, 3, 3), np.nan)
-        for stack in stacks:
-            t = stack.corners.shape[1]
-            assert (fans.size[stack.vertices] == t).all()
-            assert stack.A.shape == (len(stack.vertices), t + 2, t + 2)
-            patch_flux(stack, phi)
-            ref = dense_lu_solve(stack.A, stack.b)
-            K, loc = np.divmod(stack.corners, 3)
-            want = ref[np.arange(len(ref))[:, None, None], stack.nodes]
-            assert np.abs(phi[K, loc] - want).max() <= 1e-12 * np.abs(ref).max()
+        stack = assemble_patch_system(sp, fans, sigma, u)
+        # one batch of all patches, padded to tmax + 2 unknowns
+        n = fans.size.max() + 2
+        assert np.array_equal(stack.vertices, np.arange(m.n_vertices))
+        assert stack.A.shape == (n, n, m.n_vertices) and stack.b.shape == (n, m.n_vertices)
+        A, b = stack.A.copy(), stack.b.copy()  # patch_flux factors stack.A in place
+        phi = np.full((3 * m.n_triangles + 1, 3), np.nan)  # a row per corner, and a spare
+        patch_flux(stack, phi)
+        for t in np.unique(fans.size):
+            v = np.flatnonzero(fans.size == t)
+            # past a patch's t + 2 unknowns: unit rows, zero right-hand sides, no corners
+            assert np.array_equal(A[t + 2:, :, v], np.broadcast_to(np.eye(n)[t + 2:, :, None],
+                                                                   (n - t - 2, n, len(v))))
+            assert not b[t + 2:, v].any() and (stack.corners[t:, v] == -1).all()
+            ref = dense_lu_solve(A[:t + 2, :t + 2, v].transpose(2, 0, 1), b[:t + 2, v].T)
+            want = ref[np.arange(len(v)), stack.nodes[:t, :, v]].transpose(0, 2, 1)
+            assert np.abs(phi[stack.corners[:t, v]] - want).max() <= 1e-12 * np.abs(ref).max()
+        phi = phi[:-1].reshape(m.n_triangles, 3, 3)
         assert not np.isnan(phi).any()
         corner = global_corners(sp, sigma, phi)
         oracle = RTMonomialSpace(m)
@@ -636,7 +641,7 @@ class TestCondensedSolve:
             assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max()
 
     def test_split_stacks_match_unsplit(self, monkeypatch):
-        # Each stack solved in parts of at most four patches, in a random order.
+        # The batch solved in parts of at most four patches, in a random order.
         rng = np.random.default_rng(3)
         m, data, u = _mixed_problem(lambda d: generate_unit_square(8, d), 1, rng)
         sp = build_rt_space(m)
@@ -651,8 +656,8 @@ class TestCondensedSolve:
 
 
 class TestGroupedSolve:
-    """Patches of one size solved as one stack of P2 curl systems, on lattices where most
-    patches share a stack, against per-patch references."""
+    """All patches solved as one batch of P2 curl systems, on lattices where most patches have
+    one size, against per-patch references."""
 
     @staticmethod
     def _lattice(n, case=1):
@@ -663,12 +668,11 @@ class TestGroupedSolve:
     def test_lattice_stacks_match_saddle_solve(self):
         m, data, u, sp = self._lattice(16)
         fans = patch_fans(m, data)
-        stacks = assemble_patch_system(sp, fans, particular_flux(sp, fans, u, data), u)
-        vertices = np.concatenate([s.vertices for s in stacks])
-        assert np.array_equal(np.sort(vertices), np.arange(m.n_vertices))
-        # the 225 interior patches are the stack of six-triangle patches
-        (six,) = [s for s in stacks if s.corners.shape[1] == 6]
-        assert len(six.vertices) == 15**2 and fans.closed[six.vertices].all()
+        stack = assemble_patch_system(sp, fans, particular_flux(sp, fans, u, data), u)
+        assert np.array_equal(stack.vertices, np.arange(m.n_vertices))
+        # the 225 interior patches are the six-triangle patches of the batch
+        six = (stack.corners >= 0).sum(axis=0) == 6
+        assert six.sum() == 15**2 and fans.closed[stack.vertices[six]].all()
         corner = corners(u, data, sp)
         oracle = RTMonomialSpace(m)
         for a, want in saddle_solve_loop(oracle, vertex_patches_loop(m), u, data).items():
@@ -676,8 +680,7 @@ class TestGroupedSolve:
             assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max()
 
     def test_unstructured_mesh_falls_back(self):
-        # A jittered mesh, where patches of one size share a stack but no two triangles share a
-        # metric: the flux is the loop's.
+        # A jittered mesh, where no two triangles share a metric: the flux is the loop's.
         rng = np.random.default_rng(2)
         m, data, u = _mixed_problem(lambda d: unstructured_mesh(16, rng, d), 1, rng)
         coef = reconstruct_flux(u, data, build_rt_space(m)).coefficients
@@ -686,19 +689,18 @@ class TestGroupedSolve:
 
     @pytest.mark.parametrize("n", [16, 32])
     def test_singular_grouped_system_names_vertex(self, n, monkeypatch):
-        # The curl system of the centre vertex, inside the stack of all six-triangle patches,
-        # with the equation and unknown of its first spoke midpoint replaced by those of its
-        # second: two equal rows, so a pivot of that system alone vanishes.
+        # The curl system of the centre vertex, inside the batch of all patches (the six-triangle
+        # ones counted there), with the equation and unknown of its first spoke midpoint replaced
+        # by those of its second: two equal rows, so a pivot of that system alone vanishes.
         m, data, u = TestPatchFlux()._linear_setup(n)
         a = int(np.argmin(np.abs(m.vertices - 0.5).sum(axis=1)))
         sizes = []
 
         def edit(stack):
             p = np.flatnonzero(stack.vertices == a)
-            if len(p):
-                sizes.append(len(stack.vertices))
-                stack.A[p, 1, :] = stack.A[p, 2, :]
-                stack.A[p, :, 1] = stack.A[p, :, 2]
+            sizes.append(((stack.corners >= 0).sum(axis=0) == 6).sum())
+            stack.A[1, :, p] = stack.A[2, :, p]
+            stack.A[:, 1, p] = stack.A[:, 2, p]
 
         monkeypatch.setattr(flux_module, "assemble_patch_system", edited_stacks(edit))
         with pytest.raises(EquilibrationError,

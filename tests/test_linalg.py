@@ -1,8 +1,12 @@
+import warnings
+
 import numpy as np
 import pytest
 import scipy.sparse
 import scipy.sparse.linalg
 from conftest import saddle_solve
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from eqflux.linalg import (
     ConstructionError,
@@ -149,37 +153,88 @@ class TestDenseLuSolve:
             dense_lu_solve(A, np.ones((3, 4)))
 
 
-def _spd_stack(rng, P, n):
-    """Random SPD matrices (P, n, n) and right-hand sides (P, n)."""
+def _spd_batch(rng, P, n):
+    """Random SPD matrices (n, n, P) and right-hand sides (n, P), the batch on the last axis."""
     X = rng.standard_normal((P, n, n))
-    return X @ X.transpose(0, 2, 1) + n * np.eye(n), rng.standard_normal((P, n))
+    A = X @ X.transpose(0, 2, 1) + n * np.eye(n)
+    return np.ascontiguousarray(A.transpose(1, 2, 0)), rng.standard_normal((n, P))
+
+
+def _make_singular(A, k, kind):
+    """System ``k`` of the batch ``A`` (n, n, P), n ≥ 2, made singular in one of four ways."""
+    n = len(A)
+    if kind == "zero row":
+        A[1, :, k] = A[:, 1, k] = 0.0
+    elif kind == "indefinite":
+        A[0, 0, k] = -1.0
+    elif kind == "small pivot":
+        A[..., k] = np.diag([1.0] * (n - 1) + [1e-13])  # positive definite, below 1e-12 · max diag
+    else:  # the threshold scales with each system's own diagonal
+        A[..., k] = 1e9 * np.eye(n)
+        A[-1, -1, k] = 1e-6
+
+
+def _cholesky_solve(A, b):
+    """``cholesky_solve`` with every warning an error: not even the NaN of a system that is not
+    positive definite may give one."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        return cholesky_solve(A, b)
 
 
 class TestCholeskySolve:
+    """The in-array Cholesky solve of a batch-last stack of SPD systems."""
+
     def test_matches_dense_lu(self):
-        A, b = _spd_stack(np.random.default_rng(6), 7, 9)
-        x = cholesky_solve(A, b)
-        assert x.shape == (7, 9)
-        ref = dense_lu_solve(A, b)
+        A, b = _spd_batch(np.random.default_rng(6), 7, 9)
+        ref = dense_lu_solve(A.transpose(2, 0, 1), b.T).T
+        x = _cholesky_solve(A, b)
+        assert x.shape == (9, 7)
         assert np.abs(x - ref).max() <= 1e-12 * np.abs(ref).max()
+
+    @settings(max_examples=60, deadline=None)
+    @given(n=st.integers(1, 12), P=st.integers(1, 50), pad=st.integers(0, 11),
+           seed=st.integers(0, 2**32 - 1))
+    def test_random_batches_match_dense_lu(self, n, P, pad, seed):
+        # The last ``pad`` unknowns of about half the systems are unit rows with zero right-hand
+        # sides, as in the padded patch batch of the flux.
+        rng = np.random.default_rng(seed)
+        A, b = _spd_batch(rng, P, n)
+        pad, padded = min(pad, n - 1), rng.random(P) < 0.5
+        fixed = np.arange(n - pad, n)
+        A[fixed[:, None], :, padded] = A[:, fixed[:, None], padded] = 0.0
+        A[fixed[:, None], fixed[:, None], padded] = 1.0
+        b[fixed[:, None], padded] = 0.0
+        ref = dense_lu_solve(A.transpose(2, 0, 1), b.T).T
+        x = _cholesky_solve(A.copy(), b)
+        assert x.shape == (n, P)
+        assert np.abs(x - ref).max() <= 1e-12 * np.abs(ref).max()
+        assert not x[fixed[:, None], padded].any()
 
     @pytest.mark.parametrize("k", [0, 2])
     @pytest.mark.parametrize("kind", ["zero row", "indefinite", "small pivot"])
     def test_names_singular_system(self, k, kind):
-        A, b = _spd_stack(np.random.default_rng(7), 4, 6)
-        if kind == "zero row":
-            A[k, 1] = A[k, :, 1] = 0.0
-        elif kind == "indefinite":
-            A[k, 0, 0] = -1.0  # numpy refuses the whole stack
-        else:
-            A[k] = np.diag([1.0] * 5 + [1e-13])  # positive definite, pivot below 1e-12 · max diag
+        A, b = _spd_batch(np.random.default_rng(7), 4, 6)
+        _make_singular(A, k, kind)
         with pytest.raises(SingularSystemError, match="squared Cholesky pivot") as exc:
-            cholesky_solve(A, b)
+            _cholesky_solve(A.copy(), b)
         assert exc.value.index == k
-        A[k] = 1e9 * np.eye(6)
-        A[k, -1, -1] = 1e-6  # the threshold scales with each system's own diagonal
+        _make_singular(A, k, "diagonal scale")
         with pytest.raises(SingularSystemError) as exc:
-            cholesky_solve(A, b)
+            _cholesky_solve(A, b)
+        assert exc.value.index == k
+
+    @settings(max_examples=40, deadline=None)
+    @given(n=st.integers(2, 12), P=st.integers(1, 50),
+           kind=st.sampled_from(["zero row", "indefinite", "small pivot", "diagonal scale"]),
+           seed=st.integers(0, 2**32 - 1))
+    def test_names_singular_system_at_random_position(self, n, P, kind, seed):
+        rng = np.random.default_rng(seed)
+        A, b = _spd_batch(rng, P, n)
+        k = int(rng.integers(P))
+        _make_singular(A, k, kind)
+        with pytest.raises(SingularSystemError, match=r"^squared Cholesky pivot \S+ below ") as exc:
+            _cholesky_solve(A, b)
         assert exc.value.index == k
 
 
