@@ -9,6 +9,7 @@ that need not conform to them.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -29,9 +30,6 @@ POSITIVE = "positive"
 FEATURE_KINDS = (NEGATIVE_INTERNAL, NEGATIVE_BOUNDARY, POSITIVE)
 
 _TOL = 1e-12
-# Segment-edge pairs box-tested per array step of clip_curve_to_mesh (bounds
-# its temporaries).
-_CLIP_BLOCK = 2**22
 
 
 class GeometryError(ValueError):
@@ -71,10 +69,15 @@ class FeatureSpec:
         self.polygon = np.asarray(self.polygon, dtype=float)
         if self.polygon.ndim != 2 or len(self.polygon) < 3:
             raise GeometryError("feature polygon needs at least 3 vertices")
+        if not np.isfinite(self.polygon).all():
+            raise GeometryError(f"feature {self.id} polygon has a non-finite coordinate")
         if _polygon_area(self.polygon) <= 0:
             raise GeometryError("feature polygon must be counterclockwise")
         if self.extension is not None and self.kind != POSITIVE:
             raise GeometryError("extensions only apply to positive features")
+        # An extension is checked by its feature, so that the error names it.
+        if self.extension is not None and not np.isfinite(self.extension.polygon).all():
+            raise GeometryError(f"feature {self.id} extension polygon has a non-finite coordinate")
 
 
 @dataclass
@@ -122,12 +125,15 @@ def curve_length(polylines) -> float:
     return total
 
 
+@functools.cache
 def gauss_legendre(order: int):
-    """Gauss–Legendre nodes/weights on [0, 1]; exact to degree 2·order − 1."""
+    """Gauss–Legendre nodes/weights on [0, 1], exact to degree 2·order − 1 (cached, read-only)."""
     if not (1 <= order <= 10):
         raise GeometryError(f"unsupported Gauss-Legendre order {order}")
     x, w = np.polynomial.legendre.leggauss(order)
-    return 0.5 * (x + 1.0), 0.5 * w
+    x, w = 0.5 * (x + 1.0), 0.5 * w
+    x.flags.writeable = w.flags.writeable = False
+    return x, w
 
 
 # -- point-on-boundary predicates ------------------------------------------
@@ -295,9 +301,8 @@ def clip_curve_to_mesh(polylines, mesh: Mesh, gauss_order: int = 4) -> CurveQuad
     and at the ends of the edges it runs along; cuts within ``_TOL`` of the
     one before them on the same segment are dropped.  Each sub-segment is
     assigned the triangle located at its midpoint (curves leaving the mesh
-    raise :class:`GeometryError`).  One array pass covers all segments: only
-    segment-edge pairs whose bounding boxes meet, padded by the collinearity
-    tolerance, are tested, ``_CLIP_BLOCK`` pairs at a time.
+    raise :class:`GeometryError`).  One array pass tests each segment against
+    the edges :meth:`Mesh.edges_near` lists for its box, a superset of those it meets.
     """
     if isinstance(polylines, np.ndarray) and polylines.ndim == 2:
         polylines = [polylines]
@@ -308,23 +313,9 @@ def clip_curve_to_mesh(polylines, mesh: Mesh, gauss_order: int = 4) -> CurveQuad
     long = L > _TOL
     P, Q, d, L = P[long], Q[long], d[long], L[long]
     pad = 1e-9 * np.maximum(L, 1.0)
-    lo, hi = np.minimum(P, Q) - pad[:, None], np.maximum(P, Q) + pad[:, None]
-    ends = mesh.vertices[mesh.edge_vertices]  # (E, 2, 2)
-    # Edge boxes as contiguous (2, E) rows: the block tests compare one
-    # coordinate at a time, with no reduction over a length-2 axis.
-    box_lo = np.minimum(ends[:, 0], ends[:, 1]).T.copy()
-    box_hi = np.maximum(ends[:, 0], ends[:, 1]).T.copy()
-    step = max(1, _CLIP_BLOCK // len(ends))
-    s, e = [np.zeros(0, dtype=np.intp)], [np.zeros(0, dtype=np.intp)]
-    for k in range(0, len(P), step):
-        lo_k, hi_k = lo[k:k + step], hi[k:k + step]
-        i, j = np.nonzero((box_lo[0] <= hi_k[:, :1]) & (box_lo[1] <= hi_k[:, 1:])
-                          & (box_hi[0] >= lo_k[:, :1]) & (box_hi[1] >= lo_k[:, 1:]))
-        s.append(k + i)
-        e.append(j)
-    s, e = np.concatenate(s), np.concatenate(e)
+    s, e = mesh.edges_near(np.minimum(P, Q), np.maximum(P, Q))
 
-    A, B = ends[e, 0], ends[e, 1]
+    A, B = mesh.vertices[mesh.edge_vertices[e]].transpose(1, 0, 2)
     r, w, ds = B - A, A - P[s], d[s]
     denom = ds[:, 0] * r[:, 1] - ds[:, 1] * r[:, 0]
     parallel = np.abs(denom) <= _TOL * np.maximum(L[s], 1.0) * np.maximum(

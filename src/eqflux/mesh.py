@@ -279,16 +279,24 @@ class Mesh:
             m = 1e-9 * span
             i0 = np.clip(np.floor((v.min(axis=1) - lo + m / 2) / cell).astype(int), 0, ncell - 1)
             i1 = np.clip(np.ceil((v.max(axis=1) - lo - m / 2) / cell).astype(int) - 1, i0, ncell - 1)
-            ny = i1[:, 1] - i0[:, 1] + 1
-            count = (i1[:, 0] - i0[:, 0] + 1) * ny
-            tris = np.repeat(np.arange(self.n_triangles), count)
-            k = np.arange(len(tris)) - np.repeat(np.cumsum(count) - count, count)
-            cells = (i0[tris, 0] + k // ny[tris]) * ncell + i0[tris, 1] + k % ny[tris]
+            tris, cells = _box_cells(i0, i1, ncell)
             offsets = np.concatenate(
                 [[0], np.cumsum(np.bincount(cells, minlength=ncell * ncell))]
             )
             self._grid = (lo, cell, ncell, m, offsets, tris[np.argsort(cells, kind="stable")])
         return self._grid
+
+    def edges_near(self, lo, hi):
+        """Pairs ``(s, e)``, sorted and unique: the edges of the triangles listed in the grid
+        cells within one cell of box ``lo[s]``–``hi[s]``, a superset of the edges it meets."""
+        g0, cell, ncell, _, offsets, cell_tris = self._bucket_grid()
+        i0 = np.clip(((lo - g0) / cell).astype(int) - 1, 0, ncell - 1)
+        i1 = np.clip(((hi - g0) / cell).astype(int) + 1, i0, ncell - 1)
+        s, c = _box_cells(i0, i1, ncell)
+        size = offsets[c + 1] - offsets[c]
+        k = np.arange(size.sum()) + np.repeat(offsets[c] - np.cumsum(size) + size, size)
+        key = np.repeat(s, size)[:, None] * self.n_edges + self.triangle_edges[cell_tris[k]]
+        return np.divmod(np.unique(key), self.n_edges)
 
     def holds(self, tris, x, y):
         """Whether triangle ``tris[i]`` holds all the points ``(x[k, i], y[k, i])``
@@ -384,6 +392,15 @@ def _classify_square_boundary(mesh: Mesh, dirichlet_predicate):
         if mesh.edge_markers[e] is None:
             dirichlet = dirichlet_predicate is None or dirichlet_predicate(*mid)
             mesh.edge_markers[e] = DIRICHLET if dirichlet else NEUMANN_OUTER
+
+
+def _box_cells(i0, i1, ncell):
+    """Cells ``ix * ncell + iy`` of boxes of cells ``i0``–``i1``: box ``owner[k]`` has ``cell[k]``."""
+    ny = i1[:, 1] - i0[:, 1] + 1
+    count = (i1[:, 0] - i0[:, 0] + 1) * ny
+    owner = np.repeat(np.arange(len(i0)), count)
+    k = np.arange(len(owner)) - np.repeat(np.cumsum(count) - count, count)
+    return owner, (i0[owner, 0] + k // ny[owner]) * ncell + i0[owner, 1] + k % ny[owner]
 
 
 def _cell_block(i0, i1, j0, j1):

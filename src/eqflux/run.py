@@ -16,7 +16,9 @@ from .geometry import (
     partition_feature_boundary,
 )
 from .mesh import (
+    _SQUARE_SIDES,
     Mesh,
+    _on_segments,
     generate_unit_square,
     generate_with_rect_features,
     read_mesh,
@@ -80,12 +82,22 @@ def build_exact_mesh(spec: RunSpec) -> Mesh:
     """Mesh of the exact geometry (all features included)."""
     ref = spec.reference or ReferenceSpec()
     n = ref.n or spec.n
-    if not spec.domain.features:
-        return build_computational_mesh(spec) if n == spec.n else generate_unit_square(
-            n, spec.domain.dirichlet
-        )
+    if not spec.domain.features and n == spec.n:
+        return build_computational_mesh(spec)
     if n is None:
         raise ValueError("built-in reference meshing needs a builtin resolution")
+    if spec.mesh is not None:
+        # The built-in mesher meshes the square and the features: each boundary
+        # edge's ends and midpoint must lie on one of their sides.
+        m, b = spec.mesh, spec.mesh.boundary_edge_ids
+        pts = np.vstack([m.vertices[m.edge_vertices[b].ravel()], m.edge_midpoints(b)])
+        polys = [_SQUARE_SIDES[0]] + [f.polygon for f in spec.domain.features]
+        sides = np.concatenate(polys), np.concatenate([np.roll(p, -1, axis=0) for p in polys])
+        if not _on_segments(pts, *sides).any(axis=1).all():
+            raise ValueError("built-in reference meshing covers the unit square and its features, "
+                             "which the external mesh does not; give reference.mesh and reference.field")
+    if not spec.domain.features:
+        return generate_unit_square(n, spec.domain.dirichlet)
     return generate_with_rect_features(
         n,
         spec.domain.features,

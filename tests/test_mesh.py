@@ -332,6 +332,49 @@ def _cell_line_probes(mesh, rng):
     ])
 
 
+class TestEdgesNear:
+    """``Mesh.edges_near`` lists every edge whose bounding box meets a segment's
+    box padded as ``clip_curve_to_mesh`` pads it, once per segment."""
+
+    @staticmethod
+    def _mesh(name, n, rng):
+        if name == "lattice":
+            return generate_unit_square(n)
+        if name == "unstructured":
+            return unstructured_mesh(n, rng, None)
+        if name == "refined":
+            return uniform_refine(unstructured_mesh(n, rng, None))
+        features = [FeatureSpec(1, NEGATIVE_BOUNDARY, rect_polygon(0.4, 0.6, 0.8, 1.0)),
+                    FeatureSpec(2, POSITIVE, rect_polygon(0.2, 0.6, -0.2, 0.0))]
+        return generate_with_rect_features(5 * n, features, [True, True], dirichlet_x01)
+
+    @settings(max_examples=25, deadline=None)
+    @given(name=st.sampled_from(["lattice", "unstructured", "refined", "rect"]),
+           n=st.integers(1, 6), seed=st.integers(0, 2**32 - 1))
+    def test_superset_of_box_hits(self, name, n, seed):
+        rng = np.random.default_rng(seed)
+        mesh = self._mesh(name, n, rng)
+        lo, cell, ncell = mesh._bucket_grid()[:3]
+        span = mesh.vertices.max(axis=0) - lo
+        k = 16
+        on_lines = lo + cell * rng.integers(-1, ncell + 2, size=(k, 2))  # some outside
+        vertices = mesh.vertices[rng.integers(0, mesh.n_vertices, size=k)]
+        anywhere = lo - 0.25 * span + 1.5 * span * rng.random((k, 2))
+        P = np.vstack([on_lines, vertices, anywhere, on_lines, vertices])
+        Q = np.vstack([on_lines[::-1], vertices[::-1], anywhere[::-1],
+                       np.column_stack([on_lines[::-1, 0], on_lines[:, 1]]), on_lines])
+        box_lo, box_hi = np.minimum(P, Q), np.maximum(P, Q)
+        pad = 1e-9 * np.maximum(np.linalg.norm(Q - P, axis=1), 1.0)[:, None, None]
+        ends = mesh.vertices[mesh.edge_vertices]
+        hits = ((ends.min(axis=1) <= box_hi[:, None] + pad)
+                & (ends.max(axis=1) >= box_lo[:, None] - pad)).all(axis=2)
+
+        s, e = mesh.edges_near(box_lo, box_hi)
+        key = s * mesh.n_edges + e
+        assert (np.diff(key) > 0).all()
+        assert np.isin(np.flatnonzero(hits.ravel()), key).all()
+
+
 class TestUniformRefine:
     def test_counts(self):
         m = generate_unit_square(1)
@@ -695,13 +738,17 @@ def _probe_points(mesh, rng):
     return np.vstack([mesh.vertices, on_edge, off_edge, inside, around])
 
 
-def _probe_curves(n, rng):
-    """A random polyline, a 16-gon, a line along lattice edges and a diagonal."""
+def _probe_curves(mesh, n, rng):
+    """A random polyline, a 16-gon, a line along lattice edges, a diagonal and
+    a line along a cell line of the mesh's bucket grid."""
+    lo, cell, ncell = mesh._bucket_grid()[:3]
+    x = lo[0] + (ncell // 3) * cell[0]
     return [
         [0.05 + 0.9 * rng.random((4, 2))],
         [closed_loop(regular_polygon(0.3 + 0.4 * rng.random(2), 0.15, 16))],
         [np.array([[0.0, 2 / n], [1.0, 2 / n]])],
         [np.array([[0.0, 0.0], [1.0, 1.0]])],
+        [np.array([[x, 0.1], [x, 0.9]])],
     ]
 
 
@@ -729,7 +776,7 @@ class TestArrayMeshOracles:
         assert np.array_equal(tris, locate_points_loop(mesh, pts))
         assert (tris[: mesh.n_vertices] >= 0).all() and (tris < 0).any()
 
-        for curve in _probe_curves(n, rng):
+        for curve in _probe_curves(mesh, n, rng):
             try:
                 ref = clip_curve_loop(curve, mesh)
             except GeometryError:

@@ -17,7 +17,7 @@ from eqflux.geometry import (
     partition_feature_boundary,
     rect_polygon,
 )
-from eqflux.mesh import generate_unit_square, write_mesh
+from eqflux.mesh import Mesh, generate_unit_square, write_mesh
 from eqflux.presets import preset_config
 from eqflux.run import ReferenceSpec, RunSpec, emit_vtk, report_csv_row, run_single, run_sweep
 
@@ -78,6 +78,28 @@ class TestRunSingle:
         )
         res = run_single(spec)
         assert res.report.eta_0 + 1e-8 >= res.report.error_energy
+
+    def test_builtin_reference_rejects_external_mesh_off_the_square(self):
+        # On this 2 x 1 rectangle a unit-square reference gave effectivity 0.53 < 1.
+        lat = generate_unit_square(8)
+        markers = {tuple(map(int, lat.edge_vertices[e])): lat.edge_markers[e]
+                   for e in lat.boundary_edge_ids}
+        m = Mesh(lat.vertices * [2.0, 1.0], lat.triangles, edge_markers=markers)
+        spec = RunSpec(domain=DomainSpec(base=m, f=1.0), include=[], mesh=m,
+                       reference=ReferenceSpec(n=8, levels=1))
+        with pytest.raises(ValueError, match="reference.mesh and reference.field"):
+            run_single(spec)
+
+    @pytest.mark.parametrize("include", [False, True])
+    def test_builtin_reference_accepts_external_mesh_on_square_and_features(self, include):
+        # Excluded, the bump leaves the unit square; included, its sides are boundary.
+        doc = preset_config("test2-pos", n=10)
+        doc["features"][0]["include"] = include
+        (spec,) = cfg.specs_from_config(doc)
+        spec.mesh = run.build_computational_mesh(spec)
+        spec.reference = ReferenceSpec(n=10, levels=1)
+        exact = run.build_exact_mesh(spec)
+        assert exact.total_area() == pytest.approx(1.0 + 0.2 * 0.2)
 
     def test_each_excluded_feature_partitioned_once(self):
         # run_single hands its partitions to project_data and feature_mesh.
