@@ -330,6 +330,28 @@ def assemble_load(mesh: Mesh, data: ProblemData) -> np.ndarray:
     return b
 
 
+def _prolongations(mesh: Mesh, free):
+    """The P1 prolongation onto each level of a refined mesh from the one below, finest first,
+    on free rows and columns, down to the root or the last level above one with no free vertex.
+    Parent triangle t has the first corners of children 4t … 4t + 2 and, as corner l of child
+    4t + 3, the midpoint of its local edge (l, l + 1), which takes half of each end."""
+    import scipy.sparse
+
+    out, tri = [], mesh.triangles
+    for _ in range(mesh.levels):
+        corners, mids = tri[:, 0].reshape(-1, 4)[:, :3], tri[3::4]
+        V = mids.min()  # the midpoint of parent edge e is vertex V + e
+        if not free[:V].any():
+            break
+        ends = np.repeat(np.arange(len(free))[:, None], 2, axis=1)  # a parent vertex: itself
+        ends[mids] = np.stack([corners, np.roll(corners, -1, axis=1)], axis=2)
+        P = scipy.sparse.csr_matrix((np.full(ends.size, 0.5), (np.arange(ends.size) // 2,
+                                     ends.ravel())), shape=(len(free), V))  # sums duplicates
+        out.append(P[free][:, free[:V]])
+        tri, free = corners, free[:V]
+    return out
+
+
 def solve_poisson(mesh: Mesh, data: ProblemData, tol: float = 1e-12) -> ScalarField:
     """Solve the discrete Poisson problem with symmetric Dirichlet condensation."""
     if not len(data.dirichlet_vertices):
@@ -344,7 +366,8 @@ def solve_poisson(mesh: Mesh, data: ProblemData, tol: float = 1e-12) -> ScalarFi
     free = np.where(~fixed)[0]
     rows = A[free]
     bf = b[free] - rows[:, fixed] @ u[fixed]
-    u[free] = linalg.solve_spd(rows[:, free], bf, tol=tol)
+    u[free] = (linalg.solve_multigrid(rows[:, free], bf, _prolongations(mesh, ~fixed), tol=tol)
+               if mesh.levels else linalg.solve_spd(rows[:, free], bf, tol=tol))
 
     res = b - A @ u
     scale = linalg.norm(b) or 1.0

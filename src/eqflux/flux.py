@@ -383,7 +383,8 @@ def assemble_patch_system(space: RTSpace, fans: Fans, sigma, u_h: ScalarField) -
     free = np.arange(n)[:, None] <= t
     free[[0, 1]] = ~fans.neumann.any(axis=1), ~fans.neumann[:, 0]
     free[t + 1, np.arange(V)] = ~fans.closed & ~fans.neumann[:, 1]
-    A *= free[:, None] & free
+    k, p = np.nonzero(~free & (np.diagonal(A).T != 0))  # fixed and in use: a used diagonal is > 0
+    A[k, :, p] = A[:, k, p] = 0.0
     A[np.arange(n), np.arange(n)] += ~free
     return PatchStack(np.arange(V), corners, nodes, A, b * free)
 

@@ -300,14 +300,17 @@ def clip_curve_to_mesh(polylines, mesh: Mesh, gauss_order: int = 4) -> CurveQuad
     Every polyline segment is subdivided at each crossing with a mesh edge,
     and at the ends of the edges it runs along; cuts within ``_TOL`` of the
     one before them on the same segment are dropped.  Each sub-segment is
-    assigned the triangle located at its midpoint (curves leaving the mesh
-    raise :class:`GeometryError`).  One array pass tests each segment against
-    the edges :meth:`Mesh.edges_near` lists for its box, a superset of those it meets.
+    assigned the triangle located at its midpoint (a curve leaving the mesh, or
+    with a vertex that is not finite, raises :class:`GeometryError`).  One array
+    pass tests each segment against the edges :meth:`Mesh.edges_near` lists for
+    its box, a superset of those it meets.
     """
     if isinstance(polylines, np.ndarray) and polylines.ndim == 2:
         polylines = [polylines]
     gx, gw = gauss_legendre(gauss_order)
     P, Q = _segments(polylines)
+    if not np.isfinite(ends := np.concatenate([P, Q])).all():
+        raise GeometryError(f"curve vertex {ends[~np.isfinite(ends).all(axis=1)][0]} is not finite")
     d = Q - P
     L = np.sqrt(np.vecdot(d, d))
     long = L > _TOL

@@ -305,6 +305,18 @@ class TestCliCommands:
             texts.append((outdir / "t.csv").read_bytes())
         assert texts[0] == texts[1]
 
+    def test_determinism_bitwise_refined_reference(self, tmp_path):
+        # The refined reference is solved by multigrid CG: its error columns repeat bitwise too.
+        cfg_path = tmp_path / "c.json"
+        cfg_path.write_text(json.dumps(small_notch_config({"levels": 2})))
+        texts = []
+        for sub in ("a", "b"):
+            outdir = tmp_path / sub
+            assert main(["estimate", "--config", str(cfg_path), "--out", str(outdir)]) == 0
+            texts.append((outdir / "t.csv").read_bytes())
+        assert texts[0] == texts[1]
+        assert float(texts[0].decode().split("\n")[1].split(",")[-1]) > 0  # an effectivity
+
     def test_sweep_csv_rows(self, tmp_path):
         doc = small_notch_config()
         doc["study"] = {"type": "h_sweep", "n": [5, 10]}

@@ -1,3 +1,6 @@
+import copy
+import gc
+import tracemalloc
 from unittest import mock
 
 import numpy as np
@@ -22,7 +25,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from eqflux import config as cfg
-from eqflux import fem
+from eqflux import fem, linalg
 from eqflux.fem import (
     CoverageError,
     CouplingError,
@@ -52,7 +55,7 @@ from eqflux.mesh import (
     uniform_refine,
 )
 from eqflux.presets import preset_config
-from eqflux.run import build_reference, run_single
+from eqflux.run import build_exact_mesh, build_reference, run_single
 
 
 def dirichlet_x01(x, y):
@@ -344,6 +347,99 @@ class TestSolvePoisson:
         data = project_data(dom, m)
         with pytest.raises(SolverError, match="^pure Neumann problem: no Dirichlet vertex"):
             solve_poisson(m, data)
+
+
+def _refined(mesh, levels):
+    for _ in range(levels):
+        mesh = uniform_refine(mesh)
+    return mesh
+
+
+def _test2_both(n, levels):
+    (spec,) = cfg.specs_from_config(preset_config("test2-both", n=n))
+    mesh = _refined(build_exact_mesh(spec), levels)
+    return mesh, project_data(spec.domain, mesh, include=[True] * len(spec.domain.features))
+
+
+def _unstructured(n, levels):
+    dom = DomainSpec(f=lambda x, y: np.exp(-8 * (x + y)), dirichlet=dirichlet_x01, g_neumann=0.5)
+    mesh = _refined(unstructured_mesh(n, np.random.default_rng(5), dirichlet_x01), levels)
+    return mesh, project_data(dom, mesh)
+
+
+class TestMultigridSolve:
+    """A refined mesh is solved by multigrid CG on its own hierarchy."""
+
+    @staticmethod
+    def _lu_solve(mesh, data):
+        flat = copy.copy(mesh)  # the same mesh without ancestry takes the LU
+        flat.levels = 0
+        return solve_poisson(flat, data)
+
+    @pytest.mark.parametrize("problem, n, levels", [
+        (_test2_both, 8, 1), (_test2_both, 8, 2), (_test2_both, 8, 3),
+        (_unstructured, 16, 1), (_unstructured, 16, 2)])
+    def test_matches_lu_in_energy(self, monkeypatch, problem, n, levels):
+        mesh, data = problem(n, levels)
+        cycles, v_cycle = [], linalg._v_cycle
+        monkeypatch.setattr(linalg, "_v_cycle", lambda *a: cycles.append(1) or v_cycle(*a))
+        u = solve_poisson(mesh, data).nodal_values
+        assert 0 < len(cycles) <= 25  # one V-cycle per CG iteration
+        exact = self._lu_solve(mesh, data).nodal_values
+        A, d = assemble_stiffness(mesh), u - exact
+        assert np.sqrt(d @ (A @ d)) <= 1e-12 * np.sqrt(exact @ (A @ exact))
+
+    @pytest.mark.parametrize("problem", [_test2_both, _unstructured])
+    def test_prolongations_match_injection_oracle(self, problem):
+        # Read from the finest triangles alone, each level's P injects as the oracle does.
+        meshes = [problem(8, 0)[0]]
+        for _ in range(3):
+            meshes.append(uniform_refine(meshes[-1]))
+        Ps = fem._prolongations(meshes[-1], np.ones(meshes[-1].n_vertices, dtype=bool))
+        vals = np.random.default_rng(0).standard_normal(meshes[0].n_vertices)
+        for P, coarse, fine in zip(Ps[::-1], meshes, meshes[1:]):
+            want = prolong_uniform(ScalarField(coarse, vals), fine).nodal_values
+            vals = P @ vals
+            assert np.array_equal(vals, want)
+
+    def test_root_without_free_vertex(self):
+        # A 1x1 root has only Dirichlet vertices; the coarsest level is the first refinement.
+        mesh = _refined(generate_unit_square(1), 2)
+        data = project_data(DomainSpec(f=lambda x, y: 1 + x), mesh)
+        u = solve_poisson(mesh, data).nodal_values
+        exact = self._lu_solve(mesh, data).nodal_values
+        assert np.abs(u - exact).max() <= 1e-14 * np.abs(exact).max()
+
+    def test_indefinite_raises_with_residual(self, monkeypatch):
+        import scipy.sparse
+
+        mesh, data = _test2_both(8, 2)
+
+        def shifted(m):  # 15% of the spectrum below 0
+            A = assemble_stiffness(m)
+            return A - 1.5 * scipy.sparse.identity(A.shape[0], format="csr")
+
+        monkeypatch.setattr(fem, "assemble_stiffness", shifted)
+        with pytest.raises(SolverError) as exc:
+            solve_poisson(mesh, data)
+        assert exc.value.residual is not None and exc.value.residual > 1e-10
+
+    def test_solves_hold_no_memory(self):
+        # With the cyclic GC off, a solve that left a reference cycle would keep
+        # its hierarchy alive.
+        mesh, data = _test2_both(8, 3)
+        gc.disable()
+        tracemalloc.start()
+        try:
+            u = solve_poisson(mesh, data)
+            first = tracemalloc.get_traced_memory()[0]
+            for _ in range(9):
+                u = solve_poisson(mesh, data)
+            assert tracemalloc.get_traced_memory()[0] - first <= 2**20
+        finally:
+            tracemalloc.stop()
+            gc.enable()
+        assert u.nodal_values.tobytes() == solve_poisson(mesh, data).nodal_values.tobytes()
 
 
 class TestFeatureProblem:

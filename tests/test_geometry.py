@@ -413,6 +413,17 @@ class TestClipCurve:
         with pytest.raises(GeometryError):
             clip_curve_to_mesh(np.array([[0.5, 0.5], [1.5, 0.5]]), m, 4)
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_vertex_raises(self, bad):
+        # A NaN end used to drop its segments silently (a NaN length is not
+        # > tol), returning only the last segment's length 0.8.
+        m = generate_unit_square(8)
+        line = np.array([[0.1, 0.1], [bad, 0.5], [0.9, 0.9], [0.9, 0.1]])
+        with pytest.raises(GeometryError, match=rf"^curve vertex \[\s*{bad} +0\.5\] is not finite"):
+            clip_curve_to_mesh(line, m, 4)
+        with pytest.raises(GeometryError, match="is not finite"):
+            clip_curve_to_mesh([line[2:], line[:2][::-1]], m, 4)
+
     def test_weights_invariant_under_refinement(self):
         from eqflux.mesh import uniform_refine
 

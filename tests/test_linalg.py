@@ -14,6 +14,7 @@ from eqflux.linalg import (
     SolverError,
     cholesky_solve,
     dense_lu_solve,
+    solve_multigrid,
     solve_spd,
 )
 
@@ -95,6 +96,78 @@ class TestSolveSpd:
             solve_spd(scipy.sparse.csr_matrix(TRIDIAG), [1.0, 2.0])
         with pytest.raises(ConstructionError):
             solve_spd(scipy.sparse.csr_matrix(np.ones((2, 3))), [1.0, 2.0])
+
+
+    @pytest.mark.parametrize("levels", [0, 2])
+    def test_only_refined_meshes_leave_the_lu(self, monkeypatch, levels):
+        # A mesh without ancestry is solved by the LU of its whole free block; a
+        # refined one factors only its root's free block, for the V-cycle.
+        from eqflux.fem import project_data, solve_poisson
+        from eqflux.geometry import DomainSpec
+        from eqflux.mesh import generate_unit_square, uniform_refine
+
+        mesh = generate_unit_square(4)
+        for _ in range(levels):
+            mesh = uniform_refine(mesh)
+        data = project_data(DomainSpec(f=1.0), mesh)
+        solves = self._record_solves(monkeypatch)
+        solve_poisson(mesh, data)
+        n_free = mesh.n_vertices - len(data.dirichlet_vertices)
+        assert {len(x) for x in solves} == ({n_free} if levels == 0 else {3 * 3})
+        assert len(solves) >= (1 if levels == 0 else 2)
+
+
+def _laplacian_1d(n, shift=0.0):
+    return scipy.sparse.diags([-np.ones(n - 1), np.full(n, 2.0 - shift), -np.ones(n - 1)],
+                              [-1, 0, 1], format="csr")
+
+
+def _interpolation_1d(nc):
+    """Linear interpolation from nc interior points to 2 nc + 1."""
+    rows = np.concatenate([2 * np.arange(nc) + 1, 2 * np.arange(nc), 2 * np.arange(nc) + 2])
+    vals = np.concatenate([np.ones(nc), np.full(2 * nc, 0.5)])
+    cols = np.tile(np.arange(nc), 3)
+    return scipy.sparse.csr_matrix((vals, (rows, cols)), shape=(2 * nc + 1, nc))
+
+
+class TestSolveMultigrid:
+    # 1-D Laplacian on 63 interior points over levels of 31, 15 and 7 points.
+    P = [_interpolation_1d(31), _interpolation_1d(15), _interpolation_1d(7)]
+
+    @pytest.mark.parametrize("depth", [0, 1, 3])
+    def test_matches_direct_solve(self, depth):
+        A, b = _laplacian_1d(63), np.random.default_rng(3).standard_normal(63)
+        x = solve_multigrid(A, b, self.P[:depth])
+        exact = scipy.sparse.linalg.spsolve(A.tocsc(), b)
+        assert np.abs(x - exact).max() <= 1e-12 * np.abs(exact).max()
+        assert np.linalg.norm(A @ x - b) <= 1e-12 * np.linalg.norm(b)
+
+    def test_zero_rhs(self):
+        assert not solve_multigrid(_laplacian_1d(63), np.zeros(63), self.P).any()
+
+    def test_no_convergence_raises_with_residual(self):
+        # One coarse function under 1000 points: CG is little better than Jacobi-preconditioned.
+        P = scipy.sparse.csr_matrix(np.full((1000, 1), 1e-3))
+        match = r"did not reach tol=1e-12 \(achieved .*\) in 100 iterations"
+        with pytest.raises(SolverError, match=match) as exc:
+            solve_multigrid(_laplacian_1d(1000), np.ones(1000), [P])
+        assert np.isfinite(exc.value.residual) and exc.value.residual > 1e-12
+
+    def test_unattainable_tol_raises_with_residual(self):
+        with pytest.raises(SolverError, match="did not reach tol=1e-30") as exc:
+            solve_multigrid(_laplacian_1d(63), np.ones(63), self.P, tol=1e-30)
+        assert 0.0 < exc.value.residual < 1e-12
+
+    def test_indefinite_raises_with_residual(self):
+        # The shift puts about a third of the spectrum below 0.
+        with pytest.raises(SolverError) as exc:
+            solve_multigrid(_laplacian_1d(63, shift=1.0), np.ones(63), self.P[:1])
+        assert np.isfinite(exc.value.residual) and exc.value.residual > 1e-10
+
+    def test_runs_are_bitwise_repeatable(self):
+        b = np.random.default_rng(4).standard_normal(63)
+        x = solve_multigrid(_laplacian_1d(63), b, self.P)
+        assert solve_multigrid(_laplacian_1d(63), b, self.P).tobytes() == x.tobytes()
 
 
 class TestDenseLuSolve:
