@@ -197,7 +197,6 @@ def _build_spec(doc: dict, mesh, n: int | None, eps: float | None, run_id: str) 
         include=include,
         n=n,
         mesh=mesh,
-        feature_n=doc.get("feature_n"),
         constants=consts,
         reference=ref,
         gauss_order=int(doc.get("gauss_order", 4)),

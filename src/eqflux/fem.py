@@ -81,13 +81,7 @@ class CompositeField:
 
     def gradient_at(self, points) -> np.ndarray:
         pts = np.atleast_2d(np.asarray(points, dtype=float))
-        out = np.full((len(pts), 2), np.nan)
-        todo = np.arange(len(pts))
-        for piece in self.pieces:
-            tris = piece.mesh.locate_points(pts[todo])
-            hit = tris >= 0
-            out[todo[hit]] = piece.gradients()[tris[hit]]
-            todo = todo[~hit]
+        out, todo = _held_gradients(self, pts[None, :, 0], pts[None, :, 1])
         if len(todo):
             raise CoverageError(
                 f"{len(todo)} quadrature points not covered by the coarse field "
@@ -332,23 +326,21 @@ def assemble_load(mesh: Mesh, data: ProblemData) -> np.ndarray:
 
 def _prolongations(mesh: Mesh, free):
     """The P1 prolongation onto each level of a refined mesh from the one below, finest first,
-    on free rows and columns, down to the root or the last level above one with no free vertex.
-    Parent triangle t has the first corners of children 4t … 4t + 2 and, as corner l of child
-    4t + 3, the midpoint of its local edge (l, l + 1), which takes half of each end."""
+    on free rows and columns, down to the coarsest level or the last above one with no free
+    vertex: a parent vertex takes itself, the midpoint of an edge half of each end."""
     import scipy.sparse
 
-    out, tri = [], mesh.triangles
-    for _ in range(mesh.levels):
-        corners, mids = tri[:, 0].reshape(-1, 4)[:, :3], tri[3::4]
+    out = []
+    for tri, mids in mesh.coarser_levels():
         V = mids.min()  # the midpoint of parent edge e is vertex V + e
         if not free[:V].any():
             break
         ends = np.repeat(np.arange(len(free))[:, None], 2, axis=1)  # a parent vertex: itself
-        ends[mids] = np.stack([corners, np.roll(corners, -1, axis=1)], axis=2)
+        ends[mids] = np.stack([tri, np.roll(tri, -1, axis=1)], axis=2)
         P = scipy.sparse.csr_matrix((np.full(ends.size, 0.5), (np.arange(ends.size) // 2,
                                      ends.ravel())), shape=(len(free), V))  # sums duplicates
         out.append(P[free][:, free[:V]])
-        tri, free = corners, free[:V]
+        free = free[:V]
     return out
 
 
@@ -377,15 +369,14 @@ def solve_poisson(mesh: Mesh, data: ProblemData, tol: float = 1e-12) -> ScalarFi
     return ScalarField(mesh, u)
 
 
-def _held_gradients(coarse: CompositeField, mesh: Mesh, tris):
-    """The coarse gradient (len(tris), 2) of each triangle of ``tris`` whose three
-    vertices the coarse triangle of its centroid holds (NaN for the others), and
-    the positions of the others in piece order.  Centroids are located piece by
-    piece, each piece trying those no earlier piece holds."""
-    x, y = (mesh.vertices[:, d][mesh.triangles[tris].T] for d in (0, 1))  # (3, n) vertex rows
-    centroids = np.stack([(x[0] + x[1] + x[2]) / 3, (y[0] + y[1] + y[2]) / 3], axis=1)
-    grad = np.full((len(tris), 2), np.nan)
-    todo, rest = np.arange(len(tris)), []  # centroids no piece has held yet
+def _held_gradients(coarse: CompositeField, x, y):
+    """The coarse gradient (n, 2) of each point set ``(x[:, i], y[:, i])``, coordinate rows
+    (K, n), that the coarse triangle of its centroid holds (NaN for the others), and the
+    positions of the others in piece order.  Centroids are located piece by piece, each
+    piece trying those no earlier piece holds; a located point (K = 1) is held."""
+    centroids = np.stack([sum(x[1:], x[0]), sum(y[1:], y[0])], axis=1) / len(x)  # rows in order
+    grad = np.full((len(centroids), 2), np.nan)
+    todo, rest = np.arange(len(centroids)), []  # centroids no piece has held yet
     for piece in coarse.pieces:
         found = piece.mesh.locate_points(centroids[todo])
         k, c = todo[found >= 0], found[found >= 0]
@@ -405,19 +396,23 @@ def cross_mesh_gradients(coarse: CompositeField, fine: Mesh):
     ``Mesh.holds``) lies in ``c`` up to ``LOCATE_TOL``; its quadrature points are then
     inside ``c`` by a margin far above that tolerance, where no other triangle of
     that conforming mesh or earlier piece holds them, as the pieces meet only on
-    their boundaries: ``locate_points`` would return ``c``.  A refined mesh passes
-    its root's triangles first: a root held by ``c`` contains its descendants,
-    which so take ``c``'s gradient by one index.  Those of the other roots take the
-    fine pass, and what it leaves (across coarse edges or in no piece) the
-    per-point path, in the order of the pieces.
+    their boundaries: ``locate_points`` would return ``c``.  The walk goes down the
+    refinement levels from the coarsest: a triangle held by ``c`` contains its
+    descendants, which so take ``c``'s gradient, and the children of the others are
+    tried on the next level, in triangle order as on the flat mesh.  What the fine
+    mesh leaves (across coarse edges or in no piece) takes the per-point path, in the
+    order of the pieces.
     """
-    todo, grad = np.arange(fine.n_triangles), np.full((fine.n_triangles, 2), np.nan)
-    if fine.levels:
-        held, unheld = _held_gradients(coarse, fine.root, np.arange(fine.root.n_triangles))
-        grad = np.repeat(held, 4**fine.levels, axis=0)
-        todo = todo.reshape(len(held), -1)[np.sort(unheld)].ravel()
-    grad[todo], rest = _held_gradients(coarse, fine, todo)
-    rest = todo[rest]
+    grad = np.full((fine.n_triangles, 2), np.nan)
+    levels = [tri for tri, _ in fine.coarser_levels()][::-1] + [fine.triangles]
+    todo = np.arange(len(levels[0]))
+    for tri in levels:
+        held, rest = _held_gradients(coarse, *(fine.vertices[:, d][tri[todo].T] for d in (0, 1)))
+        grad.reshape(len(tri), -1)[todo] = np.tile(held, len(grad) // len(tri))  # descendants
+        rest = todo[rest]
+        todo = (4 * np.sort(rest)[:, None] + np.arange(4)).ravel()
+        if not len(todo):
+            break
     pts = quad_points(fine, rest).reshape(-1, 2)
     return grad, rest, coarse.gradient_at(pts).reshape(len(rest), len(TRI_QW), 2)
 

@@ -99,16 +99,21 @@ def solve_multigrid(A, b, prolongations, tol: float = 1e-12) -> np.ndarray:
     """Solve a sparse SPD system by CG preconditioned with one V-cycle per iteration over
     ``prolongations``, finest first: coarse operators ``Pᵀ A P``, the coarsest factored by
     splu, two damped Jacobi sweeps (ω = 0.6) before and after each coarse correction.  CG
-    stops at a recursive relative residual ≤ 1e-15.  A true relative residual above
-    ``tol``, no stop in 100 iterations or ``pᵀAp ≤ 0`` raises :class:`SolverError`
-    with the achieved residual."""
+    stops at a recursive relative residual ≤ 1e-15.  A smoothed level (0 the finest) with a
+    diagonal entry ≤ 0, a true relative residual above ``tol``, no stop in 100 iterations or
+    ``pᵀAp ≤ 0`` raises :class:`SolverError` with the achieved residual (1 before CG)."""
     b, A = np.asarray(b, dtype=float), A.tocsr()
     nb = norm(b)
     if nb == 0.0:
         return np.zeros_like(b)
     levels, coarse = [], A
-    for P in prolongations:
-        levels.append((coarse, P, P.T.tocsr(), 0.6 / coarse.diagonal()))
+    for k, P in enumerate(prolongations):
+        d = coarse.diagonal()
+        if not (d > 0).all():
+            i = int(np.argmin(d > 0))
+            raise SolverError(f"multigrid level {k} is not SPD: diagonal entry {d[i]:g} in row {i}",
+                              residual=1.0)  # that of the zero start
+        levels.append((coarse, P, P.T.tocsr(), 0.6 / d))
         coarse = (levels[-1][2] @ coarse @ P).tocsr()
     lu = _splu(coarse)
     x, r, p, rz = np.zeros_like(b), b.copy(), 0.0, 1.0

@@ -111,7 +111,7 @@ class Mesh:
             self.set_markers(*zip(*edge_markers), edge_markers.values())
         if edge_markers is not None:
             self.validate_markers()
-        self.root, self.levels = None, 0  # ancestry, set by uniform_refine
+        self.levels = 0  # ancestry, set by uniform_refine
 
     # -- construction ---------------------------------------------------
 
@@ -262,6 +262,17 @@ class Mesh:
 
     def total_area(self) -> float:
         return float(self.areas.sum())
+
+    def coarser_levels(self):
+        """The ``levels`` meshes that uniform_refine refined into this one, finest parent first,
+        each as ``(triangles, midpoints)`` in this mesh's vertex ids.  Parent triangle t has
+        children 4t … 4t + 3: its corner k is the first corner of child 4t + k (k < 3), and the
+        midpoint of its local edge (l, l + 1), vertex V + e for parent edge e of a V-vertex
+        parent, is corner l of child 4t + 3."""
+        tri = self.triangles
+        for _ in range(self.levels):
+            tri, mids = tri[:, 0].reshape(-1, 4)[:, :3], tri[3::4]
+            yield tri, mids
 
     # -- point location ---------------------------------------------------
 
@@ -555,8 +566,8 @@ def generate_with_rect_features(
 def uniform_refine(mesh: Mesh) -> Mesh:
     """Split each triangle t into 4 by edge midpoints, as triangles 4t … 4t + 3;
     markers are inherited.  A parent with any marker is validated: a valid parent has
-    a valid child.  The child keeps ``root``, the unrefined mesh, and ``levels``, not
-    the meshes between: its triangle t lies in root triangle t >> 2·levels."""
+    a valid child.  The child counts its ``levels``, which Mesh.coarser_levels reads
+    back from its arrays."""
     if any(m is not None for m in mesh.edge_markers):
         marked = mesh.validate_markers()
     else:
@@ -595,7 +606,7 @@ def uniform_refine(mesh: Mesh) -> Mesh:
     fine.edge_markers = [None] * fine.n_edges
     for e, (a, b) in zip(marked.tolist(), halves.reshape(-1, 2)[marked].tolist()):
         fine.edge_markers[a] = fine.edge_markers[b] = mesh.edge_markers[e]
-    fine.root, fine.levels = mesh.root or mesh, mesh.levels + 1
+    fine.levels = mesh.levels + 1
     return fine
 
 

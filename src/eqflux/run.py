@@ -19,7 +19,6 @@ from .mesh import (
     _SQUARE_SIDES,
     Mesh,
     _on_segments,
-    generate_unit_square,
     generate_with_rect_features,
     read_mesh,
     uniform_refine,
@@ -47,7 +46,6 @@ class RunSpec:
     include: list
     n: int | None = None
     mesh: Mesh | None = None  # external computational mesh
-    feature_n: int | None = None
     constants: est.EstimatorConstants = field(default_factory=est.EstimatorConstants)
     reference: ReferenceSpec | None = None
     gauss_order: int = 4
@@ -71,11 +69,8 @@ def build_computational_mesh(spec: RunSpec) -> Mesh:
         return spec.mesh
     if spec.n is None:
         raise ValueError("RunSpec needs a builtin resolution n or an external mesh")
-    if any(spec.include):
-        return generate_with_rect_features(
-            spec.n, spec.domain.features, spec.include, spec.domain.dirichlet
-        )
-    return generate_unit_square(spec.n, spec.domain.dirichlet)
+    return generate_with_rect_features(spec.n, spec.domain.features, spec.include,
+                                       spec.domain.dirichlet)
 
 
 def build_exact_mesh(spec: RunSpec) -> Mesh:
@@ -96,14 +91,8 @@ def build_exact_mesh(spec: RunSpec) -> Mesh:
         if not _on_segments(pts, *sides).any(axis=1).all():
             raise ValueError("built-in reference meshing covers the unit square and its features, "
                              "which the external mesh does not; give reference.mesh and reference.field")
-    if not spec.domain.features:
-        return generate_unit_square(n, spec.domain.dirichlet)
-    return generate_with_rect_features(
-        n,
-        spec.domain.features,
-        [True] * len(spec.domain.features),
-        spec.domain.dirichlet,
-    )
+    features = spec.domain.features
+    return generate_with_rect_features(n, features, [True] * len(features), spec.domain.dirichlet)
 
 
 def build_reference(spec: RunSpec) -> fem.ScalarField:
@@ -167,10 +156,9 @@ def run_single(spec: RunSpec, reference: fem.ScalarField | None = None) -> RunRe
             comp = est.FeatureEstimate(feat.id, feat.kind,
                                        eta_gamma=eta_on(gamma_rev, mesh, flux0, feat.neumann_g))
         else:
-            fn = spec.feature_n or spec.n
-            if fn is None:
+            if spec.n is None:
                 raise ValueError("positive feature meshing needs a resolution")
-            fmesh = feature_mesh(feat, fn, domain, parts)
+            fmesh = feature_mesh(feat, spec.n, domain, parts)
             fdata = fem.feature_problem_data(feat, u0, fmesh, forcing=domain.f)
             ut, fluxt, eta0t = solve(fmesh, fdata, f"feature {feat.id}")
             comp = est.FeatureEstimate(

@@ -81,6 +81,14 @@ class TestConfig:
         with pytest.raises(cfg.ConfigError, match="^config does not match the schema: 'foo' is not"):
             cfg.specs_from_config({"mesh": {"builtin": 4}, "study": {"type": "foo"}})
 
+    def test_feature_n_is_not_an_option(self):
+        # Positive features mesh at the run's n; a config that still sets feature_n fails.
+        doc = small_notch_config()
+        doc["feature_n"] = doc["mesh"]["builtin"]
+        with pytest.raises(cfg.ConfigError, match="^config does not match the schema: "
+                           "Additional properties are not allowed \\('feature_n' was unexpected\\)"):
+            cfg.specs_from_config(doc)
+
     def test_schema_validation_rejects_bad_doc(self):
         with pytest.raises(cfg.ConfigError):
             cfg.validate_config({"mesh": {"builtin": 0}})

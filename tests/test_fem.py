@@ -1,6 +1,7 @@
 import copy
 import gc
 import tracemalloc
+import warnings
 from unittest import mock
 
 import numpy as np
@@ -424,6 +425,30 @@ class TestMultigridSolve:
             solve_poisson(mesh, data)
         assert exc.value.residual is not None and exc.value.residual > 1e-10
 
+    def test_positive_diagonals_indefinite_raises_from_cg(self, monkeypatch):
+        import scipy.sparse
+
+        mesh, data = _test2_both(8, 2)
+        # About 2% of the spectrum below 0, every level's diagonal above 0.
+        monkeypatch.setattr(fem, "assemble_stiffness", lambda m: assemble_stiffness(m)
+                            - 0.2 * scipy.sparse.identity(m.n_vertices, format="csr"))
+        with pytest.raises(SolverError, match="the last with pᵀAp = -") as exc:
+            solve_poisson(mesh, data)
+        assert exc.value.residual > 1e-10
+
+    def test_zero_diagonal_raises_naming_level_and_row(self, monkeypatch):
+        import scipy.sparse
+
+        mesh, data = _test2_both(8, 2)
+        monkeypatch.setattr(fem, "assemble_stiffness", lambda m: assemble_stiffness(m)
+                            - 2.0 * scipy.sparse.identity(m.n_vertices, format="csr"))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # no division by the zero
+            with pytest.raises(SolverError, match="^multigrid level 0 is not SPD: "
+                               "diagonal entry 0 in row 0$") as exc:
+                solve_poisson(mesh, data)
+        assert exc.value.residual == 1.0
+
     def test_solves_hold_no_memory(self):
         # With the cyclic GC off, a solve that left a reference cycle would keep
         # its hierarchy alive.
@@ -571,9 +596,9 @@ class TestGradientsAndNorms:
         assert energy_norm(u) == pytest.approx(np.sqrt(5.0), rel=1e-12)
 
 
-def assert_root_pass_as_flat(coarse, fine):
-    """On a refined mesh, the result through its root's triangles equals that of
-    the same triangles without ancestry (the fine pass alone), array for array."""
+def assert_level_walk_as_flat(coarse, fine):
+    """On a refined mesh, the walk down its levels gives the result of the same
+    triangles without ancestry (the fine pass alone), array for array."""
     assert fine.levels > 0
     got = fem.cross_mesh_gradients(coarse, fine)
     flat = fem.cross_mesh_gradients(coarse, Mesh(fine.vertices, fine.triangles))
@@ -599,7 +624,7 @@ def check_cross_mesh(pieces, reference):
     of its flat copy; returns the number of points that took the per-point path."""
     coarse = fem.CompositeField(pieces)
     if reference.mesh.levels:
-        assert_root_pass_as_flat(coarse, reference.mesh)
+        assert_level_walk_as_flat(coarse, reference.mesh)
     with mock.patch.object(fem.CompositeField, "gradient_at", autospec=True,
                            side_effect=fem.CompositeField.gradient_at) as spy:
         got = fem.cross_mesh_gradients(coarse, reference.mesh)
@@ -669,8 +694,23 @@ class TestCrossMeshGradients:
         # bump's piece first, which puts high triangle numbers first in the rest.
         bump, pieces = bump_pieces(n, ext, np.random.default_rng(n * 100 + m))
         fine = uniform_refine(generate_with_rect_features(m, [bump], [True]))
-        assert_root_pass_as_flat(fem.CompositeField(pieces), fine)
-        assert_root_pass_as_flat(fem.CompositeField(pieces[::-1]), fine)
+        assert_level_walk_as_flat(fem.CompositeField(pieces), fine)
+        assert_level_walk_as_flat(fem.CompositeField(pieces[::-1]), fine)
+
+    @pytest.mark.parametrize("n, m, levels", [(2, 3, 1), (3, 5, 2), (4, 7, 2)])
+    def test_pieces_split_across_root_triangles_as_flat(self, n, m, levels):
+        # Two pieces meet on x = 1/2, which root triangles of an odd lattice
+        # cross: the children of one crossing triangle are held in either piece,
+        # so each level's rest goes down in triangle order, not piece order.
+        fine = generate_unit_square(m)
+        for _ in range(levels):
+            fine = uniform_refine(fine)
+        square, rng = generate_unit_square(n), np.random.default_rng(n)
+        pieces = [ScalarField(mesh, rng.standard_normal(mesh.n_vertices))
+                  for mesh in (Mesh(square.vertices * [0.5, 1.0] + [x0, 0.0], square.triangles)
+                               for x0 in (0.0, 0.5))]
+        assert_level_walk_as_flat(fem.CompositeField(pieces), fine)
+        assert_level_walk_as_flat(fem.CompositeField(pieces[::-1]), fine)
 
     def test_test2_both_error_energy_matches_per_point_path(self):
         # The run's error against the reference, with the bump's field as the
@@ -700,17 +740,44 @@ class TestCrossMeshGradients:
         res = run_single(spec, reference=reference)
         coarse = fem.CompositeField([res.u0, res.feature_fields[2]])
         fine = reference.mesh
-        root = fine.root
-        assert fine.levels == 2 and fine.n_triangles == 16 * root.n_triangles
+        root = [tri for tri, _ in fine.coarser_levels()][-1]
+        assert fine.levels == 2 and fine.n_triangles == 16 * len(root)
         with mock.patch.object(Mesh, "locate_points", autospec=True,
                                side_effect=Mesh.locate_points) as spy:
             fem.cross_mesh_gradients(coarse, fine)
         calls = [(c.args[0], len(c.args[1])) for c in spy.call_args_list]
-        bump_roots = int((root.vertices[root.triangles].mean(axis=1)[:, 1] < 0).sum())
-        assert calls[:2] == [(res.u0.mesh, root.n_triangles),
+        bump_roots = int((fine.vertices[root].mean(axis=1)[:, 1] < 0).sum())
+        assert calls[:2] == [(res.u0.mesh, len(root)),
                              (res.feature_fields[2].mesh, bump_roots)]
-        assert 0 < bump_roots and max(n for _, n in calls) == root.n_triangles
-        assert_root_pass_as_flat(coarse, fine)
+        assert 0 < bump_roots and max(n for _, n in calls) == len(root)
+        assert_level_walk_as_flat(coarse, fine)
+
+    @pytest.mark.parametrize("n, m, levels", [(3, 4, 2), (5, 7, 3), (7, 10, 2)])
+    def test_non_nested_walk_locates_fewer_centroids(self, n, m, levels):
+        # Lattices of unrelated spacing, the root the finer.  The walk locates the
+        # root centroids, then the children of each level's rest (those of a held
+        # triangle are held), then the fine rest's quadrature points; the flat
+        # copy locates every fine centroid.
+        fine = generate_unit_square(m)
+        for _ in range(levels):
+            fine = uniform_refine(fine)
+        rng = np.random.default_rng(n * 10 + m)
+        coarse = fem.CompositeField([ScalarField(generate_unit_square(n),
+                                                 rng.standard_normal((n + 1) ** 2))])
+        assert check_cross_mesh(coarse.pieces,
+                                ScalarField(fine, rng.standard_normal(fine.n_vertices))) > 0
+
+        def located(mesh):
+            with mock.patch.object(Mesh, "locate_points", autospec=True,
+                                   side_effect=Mesh.locate_points) as spy:
+                rest = fem.cross_mesh_gradients(coarse, mesh)[1]
+            return [len(c.args[1]) for c in spy.call_args_list], len(rest)
+
+        tris = [tri for tri, _ in fine.coarser_levels()][::-1]  # coarsest first
+        rests = [located(Mesh(fine.vertices[:tri.max() + 1], tri))[1] for tri in tris]
+        calls, rest = located(fine)
+        assert calls == [len(tris[0])] + [4 * r for r in rests] + [6 * rest]
+        assert 0 < min(rests) and sum(calls) < sum(located(Mesh(fine.vertices, fine.triangles))[0])
 
 
 class TestExports:

@@ -164,6 +164,17 @@ class TestSolveMultigrid:
             solve_multigrid(_laplacian_1d(63, shift=1.0), np.ones(63), self.P[:1])
         assert np.isfinite(exc.value.residual) and exc.value.residual > 1e-10
 
+    def test_zero_coarse_diagonal_raises_naming_level_and_row(self):
+        # A zero column of the first prolongation leaves a zero on level 1's diagonal.
+        P = self.P[0].tolil()
+        P[:, 5] = 0.0
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(SolverError, match="^multigrid level 1 is not SPD: "
+                               "diagonal entry 0 in row 5$") as exc:
+                solve_multigrid(_laplacian_1d(63), np.ones(63), [P.tocsr(), *self.P[1:]])
+        assert exc.value.residual == 1.0
+
     def test_runs_are_bitwise_repeatable(self):
         b = np.random.default_rng(4).standard_normal(63)
         x = solve_multigrid(_laplacian_1d(63), b, self.P)

@@ -425,7 +425,9 @@ class TestUniformRefine:
     @pytest.mark.parametrize("kind", ["lattice", "rect_features", "unstructured"])
     def test_root_holds_descendants(self, kind):
         # Child t of a mesh refined `levels` times lies in root triangle
-        # t >> 2 * levels, which holds all three of its vertices.
+        # t >> 2 * levels, which holds all three of its vertices; coarser_levels
+        # reads each parent back, finest first, with its edge midpoints, in the
+        # fine mesh's vertex ids.
         root = {
             "lattice": lambda: generate_unit_square(5, dirichlet_x01),
             "rect_features": lambda: generate_with_rect_features(5, [
@@ -434,11 +436,16 @@ class TestUniformRefine:
             ], [True, True], dirichlet_x01),
             "unstructured": lambda: unstructured_mesh(4, np.random.default_rng(7), None),
         }[kind]()
-        fine = root
+        meshes = [root]
         for levels in (1, 2):
-            fine = uniform_refine(fine)
-            assert fine.root is root and fine.levels == levels
+            meshes.append(uniform_refine(meshes[-1]))
+            fine, v = meshes[-1], meshes[-1].vertices
+            assert fine.levels == levels
             assert fine.n_triangles == root.n_triangles << 2 * levels
+            for (tri, mids), parent in zip(fine.coarser_levels(), meshes[-2::-1], strict=True):
+                assert np.array_equal(tri, parent.triangles)
+                assert np.array_equal(v[:parent.n_vertices], parent.vertices)
+                assert np.array_equal(v[mids], 0.5 * (v[tri] + v[np.roll(tri, -1, axis=1)]))
             t = np.arange(fine.n_triangles)
             x, y = (fine.vertices[fine.triangles.T, d] for d in (0, 1))
             assert root.holds(t >> 2 * levels, x, y).all()
@@ -447,7 +454,8 @@ class TestUniformRefine:
         m = generate_unit_square(3, dirichlet_x01)
         write_mesh(m, tmp_path / "m.json")
         for mesh in (m, Mesh(m.vertices, m.triangles), read_mesh(tmp_path / "m.json")):
-            assert mesh.root is None and mesh.levels == 0
+            assert mesh.levels == 0 and not list(mesh.coarser_levels())
+            assert not hasattr(mesh, "root")
 
     def test_unmarked_mesh_refines_unmarked(self):
         m = generate_unit_square(3)
