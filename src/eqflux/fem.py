@@ -345,7 +345,9 @@ def _prolongations(mesh: Mesh, free):
 
 
 def solve_poisson(mesh: Mesh, data: ProblemData, tol: float = 1e-12) -> ScalarField:
-    """Solve the discrete Poisson problem with symmetric Dirichlet condensation."""
+    """Solve the discrete Poisson problem with symmetric Dirichlet condensation, the free block
+    by :func:`linalg.solve_spd` on the mesh's own refinement hierarchy (none on a mesh without
+    ancestry, which is then solved by the LU of its free block)."""
     if not len(data.dirichlet_vertices):
         raise linalg.SolverError("pure Neumann problem: no Dirichlet vertex fixes the solution")
     A = assemble_stiffness(mesh)
@@ -358,8 +360,7 @@ def solve_poisson(mesh: Mesh, data: ProblemData, tol: float = 1e-12) -> ScalarFi
     free = np.where(~fixed)[0]
     rows = A[free]
     bf = b[free] - rows[:, fixed] @ u[fixed]
-    u[free] = (linalg.solve_multigrid(rows[:, free], bf, _prolongations(mesh, ~fixed), tol=tol)
-               if mesh.levels else linalg.solve_spd(rows[:, free], bf, tol=tol))
+    u[free] = linalg.solve_spd(rows[:, free], bf, _prolongations(mesh, ~fixed), tol=tol)
 
     res = b - A @ u
     scale = linalg.norm(b) or 1.0

@@ -1,7 +1,8 @@
 """Solver contracts used by the FEM and flux modules.
 
-scipy.sparse matrices back the global Galerkin systems, solved by sparse LU or, on
-a refinement hierarchy, by multigrid-preconditioned CG; the vertex-patch P2
+scipy.sparse matrices back the global Galerkin systems, solved by CG preconditioned
+with a V-cycle over the mesh's refinement hierarchy, whose coarsest level (on a mesh
+without ancestry, the whole system) is factored by sparse LU; the vertex-patch P2
 systems of the flux, one batch on the last axis, are factored in the array by a
 Cholesky loop whose pivots are the guard; a stacked dense LU solve is kept as a
 reference.  Heavy lifting is delegated to numpy and scipy.  scipy is imported at
@@ -46,63 +47,25 @@ def norm(x) -> float:
     return float(np.sqrt(np.sum(x * x)))
 
 
-def _splu(A):
-    """SuperLU factor of a sparse SPD matrix: minimum degree on the pattern of A^T + A with
-    diagonal pivots, as suits an SPD matrix (in SuperLU's default, unsymmetric, mode the same
-    ordering factored a 4096-DOF unstructured-mesh system 5x slower).  A failed factorization
-    raises :class:`SolverError`."""
+def solve_spd(A, b, prolongations=(), tol: float = 1e-12) -> np.ndarray:
+    """Solve a sparse symmetric positive definite system by CG preconditioned with one V-cycle
+    per iteration over ``prolongations``, finest first: coarse operators ``Pᵀ A P``, the coarsest
+    factored by splu, two damped Jacobi sweeps (ω = 0.6) before and after each coarse correction.
+    With no prolongations the V-cycle is the sparse LU of ``A`` itself.  CG stops at a recursive
+    relative residual ≤ 1e-15; the solve is accepted when the normwise backward error
+    ``‖Ax − b‖∞ / (‖A‖∞‖x‖∞ + ‖b‖∞)`` is ≤ ``tol`` (the relative residual ``‖Ax − b‖₂ / ‖b‖₂``
+    has a round-off floor that grows with the condition number).  A smoothed level (0 the
+    finest) with a diagonal entry ≤ 0 (``.residual`` 1, that of the zero start), a failed
+    factorization, a backward error above ``tol``, no stop in 100 iterations or ``pᵀAp ≤ 0``
+    (``.residual`` the achieved relative residual) raises :class:`SolverError`; there is no
+    fallback."""
     import scipy.sparse.linalg
 
-    try:
-        return scipy.sparse.linalg.splu(A.tocsc(), permc_spec="MMD_AT_PLUS_A",
-                                        diag_pivot_thresh=0.0, options={"SymmetricMode": True})
-    except RuntimeError as exc:
-        raise SolverError(f"factorization failed: {exc}") from exc
-
-
-def solve_spd(A, b, tol: float = 1e-12) -> np.ndarray:
-    """Solve a sparse symmetric positive definite system to a relative
-    residual bound.
-
-    Uses a sparse LU factorization followed by iterative refinement until
-    ``‖Ax − b‖₂ / ‖b‖₂ ≤ tol``; a step that does not halve the residual ends
-    refinement.  Raises :class:`SolverError` with the achieved residual if
-    the bound is not met.
-    """
     if tol <= 0:
         raise ValueError("tol must be positive")
-    b = np.asarray(b, dtype=float)
+    b, A = np.asarray(b, dtype=float), A.tocsr()
     if A.shape[0] != A.shape[1] or A.shape[0] != len(b):
         raise ConstructionError("shape mismatch in solve_spd")
-    nb = norm(b)
-    if nb == 0.0:
-        return np.zeros_like(b)
-    As = A.tocsc()
-    lu = _splu(As)
-    x = lu.solve(b)
-    res = norm(As @ x - b) / nb
-    while res > tol:
-        x = x + lu.solve(b - As @ x)
-        new_res = norm(As @ x - b) / nb
-        if new_res >= 0.5 * res:  # refinement stagnated at the roundoff floor
-            res = min(res, new_res)
-            break
-        res = new_res
-    if res > tol or not np.all(np.isfinite(x)):
-        raise SolverError(
-            f"solve_spd did not reach tol={tol:g} (achieved {res:g})", residual=res
-        )
-    return x
-
-
-def solve_multigrid(A, b, prolongations, tol: float = 1e-12) -> np.ndarray:
-    """Solve a sparse SPD system by CG preconditioned with one V-cycle per iteration over
-    ``prolongations``, finest first: coarse operators ``Pᵀ A P``, the coarsest factored by
-    splu, two damped Jacobi sweeps (ω = 0.6) before and after each coarse correction.  CG
-    stops at a recursive relative residual ≤ 1e-15.  A smoothed level (0 the finest) with a
-    diagonal entry ≤ 0, a true relative residual above ``tol``, no stop in 100 iterations or
-    ``pᵀAp ≤ 0`` raises :class:`SolverError` with the achieved residual (1 before CG)."""
-    b, A = np.asarray(b, dtype=float), A.tocsr()
     nb = norm(b)
     if nb == 0.0:
         return np.zeros_like(b)
@@ -115,7 +78,14 @@ def solve_multigrid(A, b, prolongations, tol: float = 1e-12) -> np.ndarray:
                               residual=1.0)  # that of the zero start
         levels.append((coarse, P, P.T.tocsr(), 0.6 / d))
         coarse = (levels[-1][2] @ coarse @ P).tocsr()
-    lu = _splu(coarse)
+    try:
+        # Minimum degree on the pattern of Aᵀ + A with diagonal pivots, as suits an SPD matrix
+        # (in SuperLU's default, unsymmetric, mode the same ordering factored a 4096-DOF
+        # unstructured-mesh system 5x slower).
+        lu = scipy.sparse.linalg.splu(coarse.tocsc(), permc_spec="MMD_AT_PLUS_A",
+                                      diag_pivot_thresh=0.0, options={"SymmetricMode": True})
+    except RuntimeError as exc:
+        raise SolverError(f"factorization failed: {exc}") from exc
     x, r, p, rz = np.zeros_like(b), b.copy(), 0.0, 1.0
     for it in range(1, 101):
         z = _v_cycle(levels, lu, r)
@@ -128,10 +98,15 @@ def solve_multigrid(A, b, prolongations, tol: float = 1e-12) -> np.ndarray:
         r -= rz / pAp * Ap
         if norm(r) <= 1e-15 * nb:
             break
-    res = norm(A @ x - b) / nb
-    if not (pAp > 0 and norm(r) <= 1e-15 * nb and res <= tol):
-        raise SolverError(f"multigrid CG did not reach tol={tol:g} (achieved {res:g}) in {it} "
-                          f"iterations, the last with pᵀAp = {pAp:g}", residual=res)
+    stopped = pAp > 0 and norm(r) <= 1e-15 * nb
+    r = A @ x - b
+    res = norm(r) / nb
+    backward = np.abs(r).max() / (scipy.sparse.linalg.norm(A, np.inf) * np.abs(x).max()
+                                  + np.abs(b).max())
+    if not (stopped and backward <= tol):
+        raise SolverError(f"solve_spd did not reach tol={tol:g} (achieved {res:g}, backward "
+                          f"error {backward:g}) in {it} iterations, the last with pᵀAp = {pAp:g}",
+                          residual=res)
     return x
 
 

@@ -312,14 +312,19 @@ class Mesh:
     def holds(self, tris, x, y):
         """Whether triangle ``tris[i]`` holds all the points ``(x[k, i], y[k, i])``
         on coordinate rows ``x, y`` of shape (K, n): every barycentric of every
-        point is >= -LOCATE_TOL.  This is the one containment rule."""
-        lam = self.lam_coeffs.reshape(-1, 9).T[:, tris]  # constant, x, y rows of lam_0, 1, 2
+        point is >= -LOCATE_TOL.  This is the one containment rule.  ``lam_1, lam_2``
+        are ``grad lam_q · (p − v0)`` and ``lam_0 = 1 − lam_1 − lam_2``: differences
+        first, as the constant term of ``lam_coeffs`` has a round-off of about eps/area
+        in absolute coordinates, which let small triangles miss their own corners."""
+        g = self.lam_coeffs.reshape(-1, 9).T[4:, tris]  # x, y of grad lam_1; c0, x, y of lam_2
+        v0 = self.vertices[self.triangles[tris, 0]].T
         held = np.ones(len(tris), dtype=bool)
         for s in range(0, len(tris), _HOLD_BLOCK):
-            c, h = lam[:, s:s + _HOLD_BLOCK], held[s:s + _HOLD_BLOCK]
+            c, o, h = g[:, s:s + _HOLD_BLOCK], v0[:, s:s + _HOLD_BLOCK], held[s:s + _HOLD_BLOCK]
             for xk, yk in zip(x[:, s:s + _HOLD_BLOCK], y[:, s:s + _HOLD_BLOCK]):
-                b0, b1, b2 = (c[q] + c[q + 1] * xk + c[q + 2] * yk for q in (0, 3, 6))
-                h &= np.minimum(np.minimum(b0, b1), b2) >= -LOCATE_TOL
+                dx, dy = xk - o[0], yk - o[1]
+                b1, b2 = c[0] * dx + c[1] * dy, c[3] * dx + c[4] * dy
+                h &= np.minimum(np.minimum(1.0 - b1 - b2, b1), b2) >= -LOCATE_TOL
         return held
 
     def locate_points(self, points):

@@ -101,6 +101,9 @@ def build_reference(spec: RunSpec) -> fem.ScalarField:
     if ref.mesh_path is not None:
         mesh = read_mesh(ref.mesh_path)
         vals = np.loadtxt(ref.field_path, delimiter=",", skiprows=1, usecols=3)
+        if not np.isfinite(vals).all():
+            i = int(np.argmin(np.isfinite(vals)))
+            raise ValueError(f"{ref.field_path}: the value of vertex {i} is not finite ({vals[i]})")
         return fem.ScalarField(mesh, vals)
     mesh = build_exact_mesh(spec)
     for _ in range(ref.levels):
@@ -108,8 +111,7 @@ def build_reference(spec: RunSpec) -> fem.ScalarField:
     data = fem.project_data(
         spec.domain, mesh, include=[True] * len(spec.domain.features)
     )
-    # Reference accuracy is O(h); the estimator-grade residual is not needed.
-    return fem.solve_poisson(mesh, data, tol=max(spec.solver_tol, 1e-10))
+    return fem.solve_poisson(mesh, data, tol=spec.solver_tol)
 
 
 def run_single(spec: RunSpec, reference: fem.ScalarField | None = None) -> RunResult:

@@ -542,11 +542,13 @@ def _locate_loop(mesh, grid, p, tol):
     ix, iy = np.clip(((p - lo) / cell).astype(int), 0, ncell - 1)
     near = sorted({t for jx in (ix - 1, ix, ix + 1) for jy in (iy - 1, iy, iy + 1)
                    for t in buckets.get((jx, jy), ())})
-    lam = mesh.lam_coeffs
+    g, v0 = mesh.lam_grads, mesh.vertices[mesh.triangles[:, 0]]
     for cand in (buckets.get((ix, iy), []), near):
         for t in cand:
-            lv = lam[t, :, 0] + lam[t, :, 1] * p[0] + lam[t, :, 2] * p[1]
-            if (lv >= -tol).all():
+            dx, dy = p - v0[t]
+            b1 = g[t, 1, 0] * dx + g[t, 1, 1] * dy
+            b2 = g[t, 2, 0] * dx + g[t, 2, 1] * dy
+            if min(1.0 - b1 - b2, b1, b2) >= -tol:
                 return t
     return -1
 
@@ -560,13 +562,15 @@ def locate_points_loop(mesh, points, tol=1e-12):
 
 def contains(mesh, tris, points):
     """Containment of ``points[...]`` in triangles ``tris[...]``, broadcast against
-    ``points.shape[:-1]``: all barycentrics >= -LOCATE_TOL, each computed as
-    ``lam_0 + lam_x * x + lam_y * y`` like ``Mesh.holds``."""
+    ``points.shape[:-1]``: all barycentrics >= -LOCATE_TOL, computed like ``Mesh.holds``
+    as ``lam_q = grad lam_q · (p − v0)`` for q = 1, 2 and ``lam_0 = 1 − lam_1 − lam_2``."""
     from eqflux.mesh import LOCATE_TOL
 
-    lam = mesh.lam_coeffs[tris]
-    bary = lam[..., 0] + lam[..., 1] * points[..., 0, None] + lam[..., 2] * points[..., 1, None]
-    return np.minimum(np.minimum(bary[..., 0], bary[..., 1]), bary[..., 2]) >= -LOCATE_TOL
+    g = mesh.lam_grads[tris]
+    d = points - mesh.vertices[mesh.triangles[tris, 0]]
+    b1 = g[..., 1, 0] * d[..., 0] + g[..., 1, 1] * d[..., 1]
+    b2 = g[..., 2, 0] * d[..., 0] + g[..., 2, 1] * d[..., 1]
+    return np.minimum(np.minimum(1.0 - b1 - b2, b1), b2) >= -LOCATE_TOL
 
 
 def quad_points_einsum(mesh):

@@ -41,3 +41,19 @@ def test_tracer_targets_and_checks_resolve(bench):
     problems = checks.flux_problems(results, specs)
     assert 0.0 < checks.signature_share(problems) <= 1.0
     assert checks.certificate(problems)[0] == []
+
+
+def test_traced_spd_calls_count_every_poisson_solve(bench):
+    # A refined reference is solved by solve_spd too, so the traced count matches.
+    tracer, _ = bench
+    doc = presets.preset_config("test2-both", n=8)
+    doc["reference"] = {"n": 8, "levels": 1}
+    specs = eqflux.config.specs_from_config(doc)
+    t = tracer.Tracer()
+    t.install()
+    try:
+        run.run_sweep(specs)
+    finally:
+        t.uninstall()
+    solves = sum(span[0] == "fem.solve_s" for span in t.spans)
+    assert solves >= 2 and t.counts[None]["linalg.spd_calls"] == solves

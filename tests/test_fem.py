@@ -56,7 +56,7 @@ from eqflux.mesh import (
     uniform_refine,
 )
 from eqflux.presets import preset_config
-from eqflux.run import build_exact_mesh, build_reference, run_single
+from eqflux.run import build_computational_mesh, build_exact_mesh, build_reference, run_single
 
 
 def dirichlet_x01(x, y):
@@ -341,6 +341,16 @@ class TestSolvePoisson:
         free = np.setdiff1d(np.arange(m.n_vertices), data.dirichlet_vertices)
         scale = np.linalg.norm(assemble_load(m, data)) or 1.0
         assert np.abs(res[free]).max() <= 1e-10 * scale
+
+    def test_default_tol_at_n256(self):
+        # The free block's relative residual has a round-off floor near 1.3e-12 here
+        # (it grows like n²); the normwise backward error that the solve accepts on
+        # stays near 1e-16.
+        (spec,) = cfg.specs_from_config(preset_config("test2-neg", n=256))
+        mesh = build_computational_mesh(spec)
+        data = project_data(spec.domain, mesh, include=spec.include)
+        u = solve_poisson(mesh, data, tol=spec.solver_tol)
+        assert spec.solver_tol == 1e-12 and np.isfinite(u.nodal_values).all()
 
     def test_pure_neumann_needs_gauge(self):
         m = generate_unit_square(3, lambda x, y: False)

@@ -38,6 +38,7 @@ from eqflux.mesh import (
     EdgeMarker,
     Mesh,
     MeshError,
+    _cell_block,
     _lattice_mesh,
     first_occurrence,
     generate_unit_square,
@@ -216,6 +217,14 @@ class TestLocatePoint:
         m = generate_unit_square(2)
         offsets, around = m.vertex_to_triangles()
         assert m.locate_points(m.vertices[4])[0] == around[offsets[4]]
+        assert np.array_equal(m.locate_points(m.vertices), around[offsets[:-1]])
+
+    def test_small_cell_far_from_origin_locates_its_vertices(self):
+        # One 1/768 cell near (0.78, 0.05): in absolute coordinates the constant term of a
+        # barycentric has a round-off of about eps/area, above LOCATE_TOL, and two corners
+        # were held by no triangle.
+        m = _lattice_mesh(_cell_block(600, 601, 40, 41), 768)
+        offsets, around = m.vertex_to_triangles()
         assert np.array_equal(m.locate_points(m.vertices), around[offsets[:-1]])
 
     def test_outside(self):

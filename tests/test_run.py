@@ -256,6 +256,19 @@ class TestRunSweep:
         assert [r.report.error_energy for r in run_sweep(specs)] == want
         assert len(calls) == 1
 
+    def test_external_reference_value_not_finite_raises(self, tmp_path):
+        doc = preset_config("test2-neg", n=8)
+        built = run.build_reference(cfg.specs_from_config(doc)[0])
+        write_mesh(built.mesh, tmp_path / "ref.json")
+        vals = built.nodal_values.copy()
+        vals[17] = np.nan
+        fem.field_to_csv(fem.ScalarField(built.mesh, vals), tmp_path / "ref.csv")
+        doc["reference"] = {"mesh": str(tmp_path / "ref.json"),
+                            "field": str(tmp_path / "ref.csv")}
+        (spec,) = cfg.specs_from_config(doc)
+        with pytest.raises(ValueError, match=r"ref\.csv: the value of vertex 17 is not finite \(nan\)$"):
+            run_single(spec)
+
     def test_vtk_emission(self, tmp_path):
         doc = preset_config("test2-pos", n=10)
         (spec,) = cfg.specs_from_config(doc)
