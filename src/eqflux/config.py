@@ -191,6 +191,9 @@ def _build_spec(doc: dict, mesh, n: int | None, eps: float | None, run_id: str) 
             mesh_path=r.get("mesh"),
             field_path=r.get("field"),
         )
+        if ref.levels == 0 and ref.mesh_path is None and ref.n in (None, n) and all(include):
+            raise ConfigError("reference.levels: 0 makes the reference the computed solution "
+                              "itself, with zero error; refine it or give a finer reference.n")
     consts = est.EstimatorConstants(**doc.get("constants", {}))
     return RunSpec(
         domain=domain,

@@ -360,7 +360,21 @@ def solve_poisson(mesh: Mesh, data: ProblemData, tol: float = 1e-12) -> ScalarFi
     free = np.where(~fixed)[0]
     rows = A[free]
     bf = b[free] - rows[:, fixed] @ u[fixed]
-    u[free] = linalg.solve_spd(rows[:, free], bf, _prolongations(mesh, ~fixed), tol=tol)
+    try:
+        u[free] = linalg.solve_spd(rows[:, free], bf, _prolongations(mesh, ~fixed), tol=tol)
+    except linalg.SolverError as exc:  # a mesh component with no Dirichlet vertex is singular
+        import scipy.sparse.csgraph
+
+        V = mesh.n_vertices
+        graph = scipy.sparse.csr_matrix((np.ones(mesh.n_edges), mesh.edge_vertices.T), shape=(V, V))
+        label = scipy.sparse.csgraph.connected_components(graph, directed=False)[1]
+        part = np.flatnonzero(label == label[np.argmin(np.isin(label, label[fixed]))])
+        if fixed[part].any():  # every component has a Dirichlet vertex
+            raise
+        x, y = mesh.vertices[part[0]]
+        raise linalg.SolverError(
+            f"the mesh component of {len(part)} vertices, one at ({x:.6g}, {y:.6g}), has no "
+            f"Dirichlet vertex, so its solution is not fixed ({exc})", exc.residual) from exc
 
     res = b - A @ u
     scale = linalg.norm(b) or 1.0

@@ -124,39 +124,31 @@ class Mesh:
         (d1x, d2x), (d1y, d2y) = jac = self.jacobians.transpose(1, 2, 0)  # jac[i, c] is J_ic
         np.subtract(x[1:], x[0], out=jac[0])
         np.subtract(y[1:], y[0], out=jac[1])
-        signed = 0.5 * (d1x * d2y - d1y * d2x)
+        self.areas = signed = 0.5 * (d1x * d2y - d1y * d2x)
         bad = np.flatnonzero(signed <= 0)
         if len(bad):
             raise MeshError(f"triangle {bad[0]} has non-positive area {signed[bad[0]]:.3e}")
-        self.areas = signed
-        # Barycentric/affine coefficients: lam_q(x,y) = c0 + c1 x + c2 y.
-        with np.errstate(divide="ignore", invalid="ignore"):
-            inv2a = 1.0 / (2.0 * self.areas)
-        nx, px = x[[1, 2, 0]], x[[2, 0, 1]]  # next and previous corner of q
-        ny, py = y[[1, 2, 0]], y[[2, 0, 1]]
-        self.lam_coeffs = lam = np.empty((T, 3, 3))
-        c0, c1, c2 = lam.transpose(2, 1, 0)
-        np.multiply(nx * py - px * ny, inv2a, out=c0)
-        np.multiply(ny - py, inv2a, out=c1)
-        np.multiply(px - nx, inv2a, out=c2)
-        self.lam_grads = lam[..., 1:]  # grad lam_q = (cy, cx)/(2A), a view
-        dx, dy = nx - x, ny - y  # sides v1 - v0, v2 - v1, v0 - v2
-        side = np.sqrt(dx * dx + dy * dy)  # bitwise np.linalg.norm(axis=1) of each side
-        self.diameters = np.maximum(np.maximum(side[0], side[1]), side[2])
+        # Barycentric gradients (T, 3, 2): grad lam_q = (y_q+1 − y_q−1, x_q−1 − x_q+1) / 2A.
+        inv2a = 1.0 / (2.0 * signed)
+        self.lam_grads = np.empty((T, 3, 2))
+        gx, gy = self.lam_grads.transpose(2, 1, 0)
+        np.multiply(y[[1, 2, 0]] - y[[2, 0, 1]], inv2a, out=gx)
+        np.multiply(x[[2, 0, 1]] - x[[1, 2, 0]], inv2a, out=gy)
 
     def _edge_key(self, i, j):
         return np.minimum(i, j) * self.n_vertices + np.maximum(i, j)
 
-    def _build_edges(self, first=None, corner_edge=None):
+    def _build_edges(self, edge_vertices=None, corner_edge=None):
         # Corner 3t + l runs along local edge l of triangle t, from vertex triangles[t, l]
-        # to triangles[t, l + 1]; edges are numbered in the order of their ``first``
-        # corner, as ``corner_edge``: found and checked here unless uniform_refine gives them.
+        # to triangles[t, l + 1], as edge ``corner_edge``: unless uniform_refine gives the
+        # edges, they are numbered here in the order of their first corner, and checked.
         tail = self.triangles.ravel()
         head = np.roll(self.triangles, -1, axis=1).ravel()
         forward = tail < head  # the corner runs its edge low → high (no tail == head: areas > 0)
         checked = corner_edge is None
         if checked:
             first, corner_edge = first_occurrence(self._edge_key(tail, head))
+            edge_vertices = np.stack([np.minimum(tail, head), np.maximum(tail, head)], axis=1)[first]
         slot = 2 * corner_edge + ~forward  # side 0 traverses i → j
         if checked and len(slot) and np.bincount(slot).max() > 1:
             by_slot = np.argsort(slot, kind="stable")
@@ -168,10 +160,7 @@ class Mesh:
                 f"edge {key} traversed twice in the same direction "
                 f"(triangles {t0} and {c // 3})"
             )
-        self.n_edges = len(first)
-        self.edge_vertices = np.stack(
-            [np.minimum(tail, head), np.maximum(tail, head)], axis=1
-        )[first]
+        self.n_edges, self.edge_vertices = len(edge_vertices), edge_vertices
         edge_tris = np.full(2 * self.n_edges, -1, dtype=np.int64)
         edge_tris[slot] = np.arange(len(slot)) // 3
         self.edge_tris = edge_tris.reshape(-1, 2)
@@ -203,8 +192,8 @@ class Mesh:
 
     @property
     def h(self) -> float:
-        """Mesh parameter: the maximum element diameter."""
-        return float(self.diameters.max())
+        """Mesh parameter: the maximum element diameter, its longest edge."""
+        return float(self.edge_lengths.max())
 
     def edge_midpoints(self, edges=slice(None)) -> np.ndarray:
         ev = self.edge_vertices[edges]
@@ -268,7 +257,9 @@ class Mesh:
         each as ``(triangles, midpoints)`` in this mesh's vertex ids.  Parent triangle t has
         children 4t … 4t + 3: its corner k is the first corner of child 4t + k (k < 3), and the
         midpoint of its local edge (l, l + 1), vertex V + e for parent edge e of a V-vertex
-        parent, is corner l of child 4t + 3."""
+        parent, is corner l of child 4t + 3.  Edges follow the parent's in closed form: the
+        half of parent edge e at its vertex ``edge_vertices[e, c]`` is edge 2e + c, and the
+        inner edge of child k < 3 of parent triangle t (of E edges) is edge 2E + 3t + k."""
         tri = self.triangles
         for _ in range(self.levels):
             tri, mids = tri[:, 0].reshape(-1, 4)[:, :3], tri[3::4]
@@ -314,16 +305,16 @@ class Mesh:
         on coordinate rows ``x, y`` of shape (K, n): every barycentric of every
         point is >= -LOCATE_TOL.  This is the one containment rule.  ``lam_1, lam_2``
         are ``grad lam_q · (p − v0)`` and ``lam_0 = 1 − lam_1 − lam_2``: differences
-        first, as the constant term of ``lam_coeffs`` has a round-off of about eps/area
-        in absolute coordinates, which let small triangles miss their own corners."""
-        g = self.lam_coeffs.reshape(-1, 9).T[4:, tris]  # x, y of grad lam_1; c0, x, y of lam_2
+        first, as the constant term of an absolute-coordinate barycentric has a round-off
+        of about eps/area, which let small triangles miss their own corners."""
+        g = self.lam_grads.reshape(-1, 6).T[2:, tris]  # x, y of grad lam_1; x, y of grad lam_2
         v0 = self.vertices[self.triangles[tris, 0]].T
         held = np.ones(len(tris), dtype=bool)
         for s in range(0, len(tris), _HOLD_BLOCK):
             c, o, h = g[:, s:s + _HOLD_BLOCK], v0[:, s:s + _HOLD_BLOCK], held[s:s + _HOLD_BLOCK]
             for xk, yk in zip(x[:, s:s + _HOLD_BLOCK], y[:, s:s + _HOLD_BLOCK]):
                 dx, dy = xk - o[0], yk - o[1]
-                b1, b2 = c[0] * dx + c[1] * dy, c[3] * dx + c[4] * dy
+                b1, b2 = c[0] * dx + c[1] * dy, c[2] * dx + c[3] * dy
                 h &= np.minimum(np.minimum(1.0 - b1 - b2, b1), b2) >= -LOCATE_TOL
         return held
 
@@ -572,45 +563,27 @@ def uniform_refine(mesh: Mesh) -> Mesh:
     """Split each triangle t into 4 by edge midpoints, as triangles 4t … 4t + 3;
     markers are inherited.  A parent with any marker is validated: a valid parent has
     a valid child.  The child counts its ``levels``, which Mesh.coarser_levels reads
-    back from its arrays."""
+    back from its arrays.  Its edges are numbered in closed form: half c of parent edge e,
+    at the parent's vertex ``edge_vertices[e, c]``, is edge 2e + c with e's marker, and the
+    inner edge of child k < 3 of parent triangle t is edge 2E + 3t + k."""
     if any(m is not None for m in mesh.edge_markers):
-        marked = mesh.validate_markers()
-    else:
-        marked = np.empty(0, dtype=np.intp)
-    V, T = mesh.n_vertices, mesh.n_triangles
-    v0, v1, v2 = mesh.triangles.T
-    m01, m12, m20 = (V + mesh.triangle_edges).T  # midpoint of local edge (l, l+1)
+        mesh.validate_markers()
+    V, E, T = mesh.n_vertices, mesh.n_edges, mesh.n_triangles
+    corners = np.hstack([mesh.triangles, V + mesh.triangle_edges])  # v0 v1 v2 m01 m12 m20
     fine = Mesh.__new__(Mesh)
     fine.vertices = np.vstack([mesh.vertices, mesh.edge_midpoints()])
-    fine.triangles = np.stack(
-        [v0, m01, m20, v1, m12, m01, v2, m20, m12, m01, m12, m20], axis=1).reshape(-1, 3)
+    fine.triangles = corners[:, [0, 3, 5, 1, 4, 3, 2, 5, 4, 3, 4, 5]].reshape(-1, 3)
     fine._build_geometry()
-    # Child k < 3 of t (corners 12t + 3k + s) runs along the half of local edge k at v_k,
-    # the inner edge k and the half of local edge k − 1 at v_k; child 3 reuses the
-    # inner edges.  An inner edge is new, a half only in the first triangle of its
-    # parent edge, so the child's edges are numbered in first-corner order.
-    edges, forward = mesh.triangle_edges, mesh.triangle_edge_signs > 0
-    first_tri = np.where(mesh.edge_tris < 0, T, mesh.edge_tris).min(axis=1)
-    own = first_tri[edges] == np.arange(T)[:, None]
-    new = np.stack([own, np.ones_like(own), np.roll(own, 1, axis=1)], axis=2)  # (T, k, s)
-    number = np.cumsum(new).reshape(T, 3, 3) - 1
-    # The halves at the (tail, head) of local edge l, kept in halves (E, 2) by parent
-    # vertex: halves[e, c] is the half of edge e at its vertex edge_vertices[e, c], so
-    # a forward local edge has its tail half in column 0.
-    ends = np.stack([number[:, :, 0], np.roll(number[:, :, 2], -1, axis=1)], axis=2)
-    place = 2 * edges[..., None] + np.stack([~forward, forward], axis=2)
-    halves = np.empty(2 * mesh.n_edges, dtype=np.int64)
-    halves[place[own]] = ends[own]
-    ends = halves[place]
-    number[:, :, 0], number[:, :, 2] = ends[..., 0], np.roll(ends[..., 1], 1, axis=1)
-    corner_edge = np.concatenate([number, number[:, None, [1, 2, 0], 1]], axis=1)
-    slots = np.flatnonzero(new)
-    fine._build_edges(slots + slots // 9 * 3, corner_edge.ravel())
+    # Child k < 3 of t runs along the tail half of local edge k, inner edge k (its corners
+    # 1, 2) and the head half (tail ^ 1) of local edge k − 1; child 3 along inners 1, 2, 0.
+    tail = 2 * mesh.triangle_edges + (mesh.triangle_edge_signs < 0)
+    inner = 2 * E + np.arange(3 * T).reshape(T, 3)
+    edges = np.stack([tail, inner, np.roll(tail ^ 1, 1, axis=1)], axis=2).reshape(T, 9)
+    halves = np.column_stack([mesh.edge_vertices.ravel(), np.repeat(np.arange(V, V + E), 2)])
+    ends = np.sort(fine.triangles.reshape(T, 4, 3)[:, :3, 1:].reshape(-1, 2), axis=1)
+    fine._build_edges(np.vstack([halves, ends]), np.hstack([edges, inner[:, [1, 2, 0]]]).ravel())
     fine._keys = fine._grid = None
-    # Marked edge e with midpoint V + e passes its marker to both halves.
-    fine.edge_markers = [None] * fine.n_edges
-    for e, (a, b) in zip(marked.tolist(), halves.reshape(-1, 2)[marked].tolist()):
-        fine.edge_markers[a] = fine.edge_markers[b] = mesh.edge_markers[e]
+    fine.edge_markers = [m for m in mesh.edge_markers for _ in (0, 1)] + [None] * (3 * T)
     fine.levels = mesh.levels + 1
     return fine
 

@@ -134,7 +134,7 @@ def run_single(spec: RunSpec, reference: fem.ScalarField | None = None) -> RunRe
         # The P1 solution, its certified equilibrated flux and their eta_0.
         u = fem.solve_poisson(m, d, tol=spec.solver_tol)
         fl = flux.reconstruct_flux(u, d)
-        flux.certify(fl, d, name)
+        flux.certify(fl, d, name, u)
         return u, fl, est.eta_zero(fl, u)
 
     data = fem.project_data(domain, mesh, include=include, parts=partitions)

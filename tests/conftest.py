@@ -35,6 +35,17 @@ def duffy_quad(tri_pts, f, m=16):
     return total * area2
 
 
+def barycentrics(tri_pts, x, y):
+    """The barycentric coordinates of point ``(x, y)`` in the triangle ``tri_pts`` (3, 2)."""
+    return np.linalg.solve(np.vstack([np.ones(3), np.asarray(tri_pts, dtype=float).T]), [1.0, x, y])
+
+
+def triangle_diameters(mesh):
+    """Each triangle's diameter, its longest side, from the vertices."""
+    v = mesh.vertices[mesh.triangles]
+    return np.linalg.norm(v - np.roll(v, 1, axis=1), axis=2).max(axis=1)
+
+
 def mesh_integral(mesh, f, m=8):
     """Duffy-rule integral of f over a whole mesh."""
     return sum(
@@ -106,7 +117,7 @@ class RTMonomialSpace:
         T, E, e = mesh.n_triangles, mesh.n_edges, mesh.triangle_edges
         self.mesh = mesh
         self.centers = mesh.vertices[mesh.triangles].mean(axis=1)
-        self.scales = mesh.diameters
+        self.scales = triangle_diameters(mesh)
         t = np.arange(T)[:, None]
         ab = mesh.vertices[mesh.edge_vertices[e]]  # (T, 3, 2, 2): each local edge's a, b
         pts = ab[:, :, None, 0] + gx[:, None] * (ab[:, :, None, 1] - ab[:, :, None, 0])
@@ -325,12 +336,12 @@ def compatibility_residual_loop(space, patch, u_h, data):
 def patch_flux_loop(oracle, patch, u_h, data):
     """One vertex patch's flux coefficients, from the dense solve of its saddle-point system
     assembled on ``oracle``, an :class:`RTMonomialSpace`."""
-    from eqflux.flux import OrthogonalityError
+    from eqflux.flux import ROUNDOFF, OrthogonalityError
 
     free, prescribed, A, rhs, mean_constraint = _patch_system_loop(oracle, patch, u_h, data)
     if mean_constraint:
         resid, scale = compatibility_residual_loop(oracle, patch, u_h, data)
-        if resid > 1e-9 * scale + 1e-13:
+        if resid > 1e-9 * scale + ROUNDOFF * np.abs(u_h.nodal_values).max():
             raise OrthogonalityError(f"patch {patch[0]}: compatibility residual {resid:.3e}")
     coef = np.zeros(oracle.total_dofs)
     coef[free] = np.linalg.solve(A, rhs)[: len(free)]
@@ -513,6 +524,26 @@ def build_edges_loop(triangles):
             tri_edges[t, loc] = e
     return (np.asarray(edge_list, dtype=np.int64).reshape(-1, 2),
             np.asarray(edge_tris, dtype=np.int64).reshape(-1, 2), tri_edges)
+
+
+def refined_edges_loop(parent):
+    """The closed-form edge layout of ``uniform_refine(parent)``, triangle by triangle:
+    ``(edge_vertices, triangle_edges, edge_markers)``.  The half of parent edge e at its
+    vertex ``edge_vertices[e, c]`` is edge 2e + c and keeps e's marker; inner edge k of parent
+    triangle t joins the midpoints of its local edges k and k − 1 and is edge 2E + 3t + k."""
+    V = parent.n_vertices
+    pairs = [(int(a), V + e) for e, ab in enumerate(parent.edge_vertices) for a in ab]
+    markers = [m for m in parent.edge_markers for _ in (0, 1)]
+    half = {pair: k for k, pair in enumerate(pairs)}
+    tri_edges = []
+    for tri, edges in zip(parent.triangles.tolist(), parent.triangle_edges.tolist()):
+        mid = [V + e for e in edges]
+        inner = list(range(len(pairs), len(pairs) + 3))
+        pairs += [(min(mid[k], mid[k - 1]), max(mid[k], mid[k - 1])) for k in range(3)]
+        markers += [None] * 3
+        tri_edges += [[half[tri[k], mid[k]], inner[k], half[tri[k], mid[k - 1]]] for k in range(3)]
+        tri_edges.append([inner[1], inner[2], inner[0]])
+    return np.array(pairs, dtype=np.int64), np.array(tri_edges, dtype=np.int64), markers
 
 
 def bucket_grid_loop(mesh):

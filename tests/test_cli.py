@@ -115,6 +115,22 @@ class TestConfig:
         monkeypatch.setattr(run, "build_exact_mesh", None)
         assert run_single(external).report.error_energy == want
 
+    def test_reference_without_refinement_is_the_computation(self):
+        # levels 0 on the row's own mesh with every feature included gives a zero error and an
+        # undefined effectivity: refused before any solve.  A finer n, an external reference or
+        # an excluded feature makes the reference another computation.
+        plain = {"mesh": {"builtin": 14}, "dirichlet": "all", "f": "1", "g_dirichlet": "x"}
+        included = small_notch_config()
+        included["features"][0]["include"] = True
+        for doc, ref in ((plain, {"levels": 0}), (plain, {"levels": 0, "n": 14}),
+                         (included, {"levels": 0})):
+            with pytest.raises(cfg.ConfigError, match="^reference.levels: 0 makes the reference"):
+                cfg.specs_from_config(doc | {"reference": ref})
+        for doc, ref in ((plain, {"levels": 0, "n": 28}), (small_notch_config(), {"levels": 0}),
+                         (plain, {"levels": 1})):
+            (spec,) = cfg.specs_from_config(doc | {"reference": ref})
+            assert spec.reference.levels == ref["levels"]
+
     def test_expression_rejects_unknown_names(self):
         with pytest.raises(cfg.ConfigError):
             cfg.scalar_expression("__import__('os')")
@@ -396,6 +412,14 @@ class TestCliCommands:
         err = capsys.readouterr().err
         assert f"error: vertex {mesh.n_vertices} belongs to no triangle\n" in err
         assert "invalid mesh arrays" not in err
+
+    def test_unrefined_reference_reports_error(self, tmp_path, capsys):
+        cfg_path = tmp_path / "c.json"
+        cfg_path.write_text(json.dumps({"mesh": {"builtin": 14}, "dirichlet": "all", "f": "1",
+                                        "g_dirichlet": "x", "reference": {"levels": 0}}))
+        assert main(["estimate", "--config", str(cfg_path), "--out", str(tmp_path)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("eqflux estimate: error: reference.levels: 0 makes the reference")
 
     def test_bad_config_reports_error(self, tmp_path, capsys):
         cfg_path = tmp_path / "c.json"

@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 from conftest import (
     assemble_stiffness_einsum,
+    barycentrics,
     cross_mesh_gradients_loop,
     duffy_quad,
     energy_error_per_point,
@@ -88,11 +89,7 @@ class TestProjection:
         tri = m.vertices[m.triangles[t]]
 
         def proj(x, y):
-            lam = m.lam_coeffs[t]
-            return sum(
-                data.f_proj[t, k] * (lam[k, 0] + lam[k, 1] * x + lam[k, 2] * y)
-                for k in range(3)
-            )
+            return data.f_proj[t] @ barycentrics(tri, x, y)
 
         for q in (lambda x, y: 1.0, lambda x, y: x, lambda x, y: y):
             moment = duffy_quad(tri, lambda x, y: (f(x, y) - proj(x, y)) * q(x, y))
@@ -358,6 +355,26 @@ class TestSolvePoisson:
         data = project_data(dom, m)
         with pytest.raises(SolverError, match="^pure Neumann problem: no Dirichlet vertex"):
             solve_poisson(m, data)
+
+    def test_component_without_dirichlet_vertex_named(self, monkeypatch):
+        # A full-width hole cuts the square in two and y < 0.5 fixes the lower part only: the
+        # failed solve names the upper part.  A solve that succeeds looks for no component.
+        import scipy.sparse.csgraph
+
+        hole = {"id": 1, "kind": "negative_internal", "include": True, "g": 0.0,
+                "shape": {"type": "rect", "x0": 0, "x1": 1, "y0": 0.25, "y1": 0.75}}
+        doc = {"mesh": {"builtin": 8}, "dirichlet": "y < 0.5", "f": "1", "features": [hole]}
+        (spec,) = cfg.specs_from_config(doc)
+        mesh = build_computational_mesh(spec)
+        data = project_data(spec.domain, mesh, include=spec.include)
+        with pytest.raises(SolverError, match=r"^the mesh component of 27 vertices, one at "
+                           r"\(0, 0\.75\), has no Dirichlet vertex") as exc:
+            solve_poisson(mesh, data)
+        assert isinstance(exc.value.__cause__, SolverError)
+        monkeypatch.setattr(scipy.sparse.csgraph, "connected_components", None)
+        (spec,) = cfg.specs_from_config(doc | {"dirichlet": "all"})
+        mesh = build_computational_mesh(spec)
+        solve_poisson(mesh, project_data(spec.domain, mesh, include=spec.include))
 
 
 def _refined(mesh, levels):

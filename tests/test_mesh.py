@@ -15,6 +15,7 @@ from conftest import (
     lattice_unique_rows,
     locate_points_loop,
     marked_edges,
+    refined_edges_loop,
     unstructured_mesh,
 )
 from hypothesis import given, settings
@@ -193,7 +194,12 @@ class TestElementArrays:
         m = self._mesh(kind)
         assert np.array_equal(m.on_boundary, (m.edge_tris < 0).any(axis=1))
         assert np.array_equal(m.boundary_edge_ids, np.flatnonzero(m.on_boundary))
-        assert np.array_equal(m.lam_grads, m.lam_coeffs[..., 1:])
+        # grad lam_q is row q of the inverse of [1; x; y] at the corners, less its first column.
+        v = m.vertices[m.triangles]
+        M = np.concatenate([np.ones((m.n_triangles, 1, 3)), v.transpose(0, 2, 1)], axis=1)
+        assert m.lam_grads.shape == (m.n_triangles, 3, 2) and m.lam_grads.base is None
+        scale = np.abs(m.lam_grads).max()
+        assert np.allclose(m.lam_grads, np.linalg.inv(M)[..., 1:], rtol=0, atol=1e-12 * scale)
 
     def test_first_occurrence_matches_dict_loop(self):
         a = np.random.default_rng(7).integers(0, 9, size=60)
@@ -494,15 +500,9 @@ class TestUniformRefine:
             with pytest.raises(MeshError, match="no edge between vertices 0 and 8"):
                 m.edge_ids([a, 0, 0], [b, 8, 1])
 
-    @settings(max_examples=30, deadline=None)
-    @given(kind=st.sampled_from(["lattice", "rect_features", "unstructured"]),
-           n=st.integers(1, 6), seed=st.integers(0, 2**32 - 1),
-           marking=st.sampled_from(["marked", "unmarked", "partly"]))
-    def test_child_equals_rebuilt_mesh(self, kind, n, seed, marking):
-        # The child's numbering by index arithmetic is bitwise the one Mesh() finds, and its
-        # markers are those that set_markers puts on the halves (i, V + e), (V + e, j).
-        rng = np.random.default_rng(seed)
-        m = {
+    @staticmethod
+    def _parent(kind, n, rng):
+        return {
             "lattice": lambda: generate_unit_square(n, dirichlet_x01),
             "rect_features": lambda: generate_with_rect_features(5 * (1 + n % 2), [
                 FeatureSpec(1, NEGATIVE_BOUNDARY, rect_polygon(0.4, 0.6, 0.8, 1.0)),
@@ -510,6 +510,38 @@ class TestUniformRefine:
             ], [True, True], dirichlet_x01),
             "unstructured": lambda: unstructured_mesh(n, rng, dirichlet_x01),
         }[kind]()
+
+    @pytest.mark.parametrize("kind", ["lattice", "rect_features", "unstructured"])
+    def test_closed_form_edge_layout(self, kind):
+        # Half c of parent edge e is edge 2e + c, at the parent's vertex edge_vertices[e, c],
+        # and carries e's marker; inner edge k of parent triangle t is edge 2E + 3t + k.
+        m = self._parent(kind, 3, np.random.default_rng(4))
+        for _ in range(2):
+            f = uniform_refine(m)
+            V, E, T = m.n_vertices, m.n_edges, m.n_triangles
+            assert f.n_edges == 2 * E + 3 * T
+            halves = np.arange(2 * E)
+            assert np.array_equal(f.edge_vertices[halves, 0], m.edge_vertices.ravel())
+            assert np.array_equal(f.edge_vertices[halves, 1], V + halves // 2)
+            assert f.edge_markers == [x for x in m.edge_markers for _ in (0, 1)] + [None] * 3 * T
+            mids = np.sort(V + m.triangle_edges[:, [[0, 2], [1, 0], [2, 1]]], axis=2)
+            assert np.array_equal(f.edge_vertices[2 * E:], mids.reshape(-1, 2))
+            want = refined_edges_loop(m)
+            assert np.array_equal(f.edge_vertices, want[0])
+            assert np.array_equal(f.triangle_edges, want[1])
+            assert f.edge_markers == want[2]
+            m = f
+
+    @settings(max_examples=30, deadline=None)
+    @given(kind=st.sampled_from(["lattice", "rect_features", "unstructured"]),
+           n=st.integers(1, 6), seed=st.integers(0, 2**32 - 1),
+           marking=st.sampled_from(["marked", "unmarked", "partly"]))
+    def test_child_equals_rebuilt_mesh(self, kind, n, seed, marking):
+        # The child is the mesh Mesh() builds on its triangles up to the closed-form edge
+        # numbering: the same vertex pairs, with bitwise the same per-edge and per-triangle
+        # arrays by pair, and the markers that set_markers puts on the halves (i, V + e), (V + e, j).
+        rng = np.random.default_rng(seed)
+        m = self._parent(kind, n, rng)
         if marking != "marked":
             bare = Mesh(m.vertices, m.triangles)
             if marking == "partly":
@@ -523,16 +555,22 @@ class TestUniformRefine:
             f = uniform_refine(m)
             g = Mesh(f.vertices, f.triangles)
             pairs = g.edge_vertices.T
-            assert np.array_equal(f.edge_ids(*pairs), np.arange(g.n_edges))
-            assert np.array_equal(f.edge_ids(*pairs[::-1]), g.edge_ids(*pairs))
+            perm = f.edge_ids(*pairs)  # f's number of each edge of g
+            assert f.n_edges == g.n_edges and np.array_equal(np.sort(perm), np.arange(g.n_edges))
+            assert np.array_equal(f.edge_ids(*pairs[::-1]), perm)
+            assert np.array_equal(g.edge_ids(*pairs), np.arange(g.n_edges))
             for e in marked_edges(m).tolist():
                 for a, b in zip(m.edge_vertices[e], [m.n_vertices + e] * 2):
                     g.set_markers([a], [b], [m.edge_markers[e]])
-            assert f.n_edges == g.n_edges and f.edge_markers == g.edge_markers
+            assert [f.edge_markers[e] for e in perm.tolist()] == g.edge_markers
             assert vars(f).keys() == vars(g).keys()
+            per_edge = ("edge_vertices", "edge_tris", "on_boundary", "edge_lengths",
+                        "edge_normals", "edge_outward_sign")
             for k, v in vars(g).items():
-                if isinstance(v, np.ndarray):
-                    w = getattr(f, k)
+                if isinstance(v, np.ndarray) and not k.startswith("_"):
+                    w = getattr(f, k)[perm] if k in per_edge else getattr(f, k)
+                    if k in ("triangle_edges", "boundary_edge_ids"):
+                        v = perm[v] if k == "triangle_edges" else np.sort(perm[v])
                     assert (w.dtype, w.shape, w.tobytes()) == (v.dtype, v.shape, v.tobytes()), k
             m = f
 
@@ -782,11 +820,19 @@ class TestArrayMeshOracles:
             return read_mesh(path)
 
     @staticmethod
-    def _check(mesh, rng, n):
+    def _check(mesh, rng, n, parent=None):
+        # A refined mesh numbers its edges in closed form from its parent, and has the
+        # loop's pairs and edge triangles in that order; a built one in first-corner order.
         ev, et, te = build_edges_loop(mesh.triangles)
-        assert np.array_equal(mesh.edge_vertices, ev)
-        assert np.array_equal(mesh.edge_tris, et)
-        assert np.array_equal(mesh.triangle_edges, te)
+        perm = np.arange(len(ev))
+        if parent is not None:
+            perm = mesh.edge_ids(*ev.T)
+            want = refined_edges_loop(parent)
+            assert np.array_equal(mesh.edge_vertices, want[0])
+            assert np.array_equal(mesh.triangle_edges, want[1])
+        assert np.array_equal(mesh.edge_vertices[perm], ev)
+        assert np.array_equal(mesh.edge_tris[perm], et)
+        assert np.array_equal(mesh.triangle_edges, perm[te])
 
         pts = _probe_points(mesh, rng)
         tris = mesh.locate_points(pts)
@@ -827,9 +873,10 @@ class TestArrayMeshOracles:
         vertices, triangles = lattice_loop(n, holes, bumps)
         assert np.array_equal(mesh.vertices, vertices)
         assert np.array_equal(mesh.triangles, triangles)
+        parent = None
         for _ in range(levels):
-            mesh = uniform_refine(mesh)
-        self._check(mesh, np.random.default_rng(seed), n)
+            parent, mesh = mesh, uniform_refine(mesh)
+        self._check(mesh, np.random.default_rng(seed), n, parent)
 
     @pytest.mark.parametrize("n", [1, 2, 7])
     def test_unit_square_lattice(self, n):

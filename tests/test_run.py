@@ -143,6 +143,30 @@ class TestCertificate:
         # the message names the flux that failed: the simplified domain's or feature 1's
         assert str(exc.value).startswith(("simplified domain: ", "feature 1: ")[which])
 
+    @pytest.mark.parametrize("g", ["1", "1000"])
+    @pytest.mark.parametrize("n", [4, 16, 64])
+    def test_constant_solution_certified(self, n, g):
+        # u_h = g_D everywhere and the exact flux is zero: the compatibility residuals and the
+        # divergence defect are round-off of max|u_h|, above 1e-9 of the flux's round-off scale.
+        doc = {"mesh": {"builtin": n}, "dirichlet": "all", "f": "0", "g_dirichlet": g}
+        (res,) = run_sweep(cfg.specs_from_config(doc))
+        assert res.report.eta_total < 1e-9 * float(g)
+
+    def test_perturbed_constant_solution_raises(self):
+        # Above the round-off floor a Galerkin defect and a flux defect still raise.
+        doc = {"mesh": {"builtin": 8}, "dirichlet": "all", "f": "0", "g_dirichlet": "1000"}
+        (spec,) = cfg.specs_from_config(doc)
+        mesh = run.build_computational_mesh(spec)
+        data = fem.project_data(spec.domain, mesh)
+        u = fem.solve_poisson(mesh, data)
+        bad = fem.ScalarField(mesh, u.nodal_values + 1e-6 * np.sin(np.arange(mesh.n_vertices)))
+        with pytest.raises(flux.OrthogonalityError, match="^patch 10: compatibility residual"):
+            flux.reconstruct_flux(bad, data)
+        fl = flux.reconstruct_flux(u, data)
+        fl.coefficients[2 * int(np.flatnonzero(~mesh.on_boundary)[0])] += 1e-9 * 1000 / mesh.h
+        with pytest.raises(EquilibrationError, match="^perturbed: divergence defect"):
+            flux.certify(fl, data, "perturbed", u)
+
 
 class TestExtensionEqualToFeature:
     @pytest.mark.parametrize("g, n", [(0.0, 16), ("x*x + 0.3", 16), ("nx - 0.5*ny + x*y", 24)])
