@@ -1,9 +1,9 @@
 """JSON run configuration: validation, expression parsing and RunSpec building.
 
-A config is one JSON document (schema shipped in ``eqflux/schema``).  Scalar
-data and boundary predicates are expression strings in ``x``/``y`` (Neumann
-data may also use the outward normal ``nx``/``ny``); feature shapes may use
-the sweep parameter ``eps``.
+A config is one JSON document, checked here against the schema shipped in
+``eqflux/schema``.  Scalar data and boundary predicates are expression strings
+in ``x``/``y`` (Neumann data may also use the outward normal ``nx``/``ny``);
+feature shapes may use the sweep parameter ``eps``.
 """
 
 from __future__ import annotations
@@ -12,6 +12,7 @@ import functools
 import importlib.resources
 import json
 import math
+import operator
 
 import numpy as np
 
@@ -110,8 +111,12 @@ def _eval_param(value, params, key):
     return scalar_expression(x, f"{key}: {value!r} gives")
 
 
-def _shape_polygon(shape, params, owner):
-    """The polygon of a shape; errors name its ``owner`` (a feature or extension) and key."""
+def _shape_polygon(doc, params, owner):
+    """The polygon of a feature or extension ``doc``: its ``polygon``, or its ``shape``'s;
+    errors name the ``owner`` (the feature or extension) and key."""
+    if "polygon" in doc:
+        return np.asarray(doc["polygon"], dtype=float)
+    shape = doc["shape"]
     kind = shape.get("type")
     if kind == "ngon":
         cx = _eval_param(shape["center"][0], params, f"{owner} center")
@@ -124,39 +129,90 @@ def _shape_polygon(shape, params, owner):
     raise ConfigError(f"{owner}: unknown shape type {kind!r}")
 
 
-@functools.cache
-def _schema_validator():
-    """The shipped schema's validator, built once (not checked again per call)."""
-    import jsonschema
+_TYPES = {"object": dict, "array": list, "string": str, "boolean": bool, "null": type(None)}
+_BOUNDS = {"minimum": (operator.lt, "less than the minimum"),  # keyword: (fails, words)
+           "exclusiveMinimum": (operator.le, "less than or equal to the minimum"),
+           "maximum": (operator.gt, "greater than the maximum")}
+_KEYWORDS = {"$schema", "title", "type", "enum", "properties", "required", "additionalProperties",
+             "items", "minItems", "maxItems", "anyOf", "oneOf", "dependentRequired", *_BOUNDS}
 
-    with importlib.resources.files("eqflux").joinpath(
-        "schema/runconfig.schema.json"
-    ).open() as f:
-        schema = json.load(f)
-    return jsonschema.validators.validator_for(schema)(schema)
+
+@functools.cache
+def _schema():
+    """The shipped schema, loaded once; raises on a keyword that ``_errors`` does not check."""
+    with importlib.resources.files("eqflux").joinpath("schema/runconfig.schema.json").open() as f:
+        todo = [schema := json.load(f)]
+    for sub in todo:  # todo grows while it is walked; additionalProperties is true or false
+        if bad := sorted(set(sub) - _KEYWORDS) + [
+                k for k in ["additionalProperties"] if sub.get(k, False) not in (False, True)]:
+            raise ValueError(f"schema keywords {bad} are not checked by eqflux.config")
+        todo += [*sub.get("properties", {}).values(), *sub.get("anyOf", []),
+                 *sub.get("oneOf", []), *([sub["items"]] if "items" in sub else [])]
+    return schema
+
+
+def _errors(schema, value, path=()):
+    """Errors of ``value`` in schema order: (path, keyword, message in the Python JSON Schema
+    validator 4.26's words, context: failed anyOf/oneOf branches' errors, typed: value has type)."""
+    kinds = [schema["type"]] if isinstance(schema.get("type"), str) else schema.get("type", [])
+    num = type(value) in (int, float)  # JSON Schema 2020-12: 4.0 is an integer, True no number
+    typed = any(num and (kind == "number" or value % 1 == 0) if kind in ("number", "integer")
+                else isinstance(value, _TYPES[kind]) for kind in kinds)
+    for key, rule in schema.items():
+        err = lambda msg, context=(): (path, key, msg, context, typed)
+        if key == "type" and not typed:
+            yield err(f"{value!r} is not of type {', '.join(map(repr, kinds))}")
+        elif key == "enum" and (value, num) not in [(e, type(e) in (int, float)) for e in rule]:
+            yield err(f"{value!r} is not one of {rule!r}")
+        elif key == "properties" and isinstance(value, dict):
+            for k in (k for k in rule if k in value):
+                yield from _errors(rule[k], value[k], (*path, k))
+        elif key == "items" and isinstance(value, list):
+            yield from (e for i, item in enumerate(value) for e in _errors(rule, item, (*path, i)))
+        elif key == "required" and isinstance(value, dict):
+            yield from (err(f"{k!r} is a required property") for k in rule if k not in value)
+        elif key == "additionalProperties" and isinstance(value, dict) and rule is False and (
+                extras := sorted(value.keys() - schema.get("properties", {}).keys(), key=str)):
+            yield err(f"Additional properties are not allowed ({', '.join(map(repr, extras))} "
+                      f"{'was' if len(extras) == 1 else 'were'} unexpected)")
+        elif key == "minItems" and isinstance(value, list) and len(value) < rule:
+            yield err(f"{value!r} {'should be non-empty' if rule == 1 else 'is too short'}")
+        elif key == "maxItems" and isinstance(value, list) and len(value) > rule:
+            yield err(f"{value!r} {'is expected to be empty' if rule == 0 else 'is too long'}")
+        elif key in _BOUNDS and num and _BOUNDS[key][0](value, rule):
+            yield err(f"{value!r} is {_BOUNDS[key][1]} of {rule!r}")
+        elif key == "dependentRequired" and isinstance(value, dict):
+            yield from (err(f"{each!r} is a dependency of {k!r}") for k, deps in rule.items()
+                        if k in value for each in deps if each not in value)
+        elif key in ("anyOf", "oneOf"):
+            found = [list(_errors(sub, value, path)) for sub in rule]
+            valid = [sub for sub, errs in zip(rule, found) if not errs]
+            if not valid:
+                yield err(f"{value!r} is not valid under any of the given schemas", sum(found, []))
+            elif key == "oneOf" and len(valid) > 1:  # the first valid branch is named last
+                reprs = ", ".join(map(repr, valid[1:] + valid[:1]))
+                yield err(f"{value!r} is valid under each of {reprs}")
 
 
 def validate_config(doc: dict):
-    from jsonschema.exceptions import best_match
-
-    if error := best_match(_schema_validator().iter_errors(doc)):
-        raise ConfigError(f"config does not match the schema: {error.message}") from error
+    """Raise ConfigError with the error that ``best_match`` picks: the one of largest ``rank``
+    (the validator's relevance), then down anyOf/oneOf contexts while their least is unique."""
+    rank = lambda err: (-len(err[0]), err[0], err[1] not in ("anyOf", "oneOf"), not err[4])
+    best = max(_errors(_schema(), doc), key=rank, default=None)
+    while best and (ctx := sorted(best[3], key=rank)) and (
+            len(ctx) == 1 or rank(ctx[0]) != rank(ctx[1])):
+        best = ctx[0]
+    if best:
+        raise ConfigError(f"config does not match the schema: {best[2]}")
 
 
 def _build_feature(fdoc: dict, params: dict) -> FeatureSpec:
-    if "polygon" in fdoc:
-        polygon = np.asarray(fdoc["polygon"], dtype=float)
-    else:
-        polygon = _shape_polygon(fdoc["shape"], params, f"feature {fdoc['id']}")
+    polygon = _shape_polygon(fdoc, params, owner := f"feature {fdoc['id']}")
     ext = None
     if "extension" in fdoc:
         edoc = fdoc["extension"]
-        epoly = (
-            np.asarray(edoc["polygon"], dtype=float)
-            if "polygon" in edoc
-            else _shape_polygon(edoc["shape"], params, f"feature {fdoc['id']} extension")
-        )
-        ext = ExtensionSpec(epoly, scalar_expression(edoc.get("g_tilde", 0.0), "g_tilde"))
+        ext = ExtensionSpec(_shape_polygon(edoc, params, f"{owner} extension"),
+                            scalar_expression(edoc.get("g_tilde", 0.0), "g_tilde"))
     return FeatureSpec(
         id=int(fdoc["id"]),
         kind=fdoc["kind"],

@@ -228,7 +228,8 @@ def partition_feature_boundary(feature: FeatureSpec, domain: DomainSpec) -> dict
 
     All pieces are returned as CCW-oriented polylines with respect to the
     feature polygon.  Features are rejected if their shared boundary part
-    touches the Dirichlet boundary.
+    touches the Dirichlet boundary, and negative features if their defect
+    curve gamma is empty (every side lies on the domain boundary).
     """
     loop = closed_loop(feature.polygon)
     a, b = loop[:-1], loop[1:]
@@ -248,6 +249,8 @@ def partition_feature_boundary(feature: FeatureSpec, domain: DomainSpec) -> dict
     mids0 = 0.5 * (a[on0] + b[on0])
     if domain.dirichlet is not None and any(domain.dirichlet(x, y) for x, y in mids0):
         raise GeometryError(f"feature {feature.id} touches the Dirichlet boundary")
+    if feature.kind != POSITIVE and on0.all():
+        raise GeometryError(f"feature {feature.id}: its curve gamma has zero length")
 
     out = {
         "gamma": pieces(~on0),

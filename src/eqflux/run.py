@@ -198,7 +198,8 @@ def run_single(spec: RunSpec, reference: fem.ScalarField | None = None) -> RunRe
         uref = reference if reference is not None else build_reference(spec)
         err = fem.energy_error_cross_mesh(fem.CompositeField(coarse_pieces), uref)
         report.error_energy = err
-        report.effectivity = est.effectivity(eta_total, err)
+        # A zero error (the reference equals the computation) has no effectivity.
+        report.effectivity = est.effectivity(eta_total, err) if err > 0 else None
     return RunResult(report, u0, flux0, feature_fields, feature_fluxes, mesh)
 
 

@@ -1,15 +1,20 @@
+import copy
 import json
+import math
 import os
 import subprocess
 import sys
 import warnings
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from eqflux import config as cfg
-from eqflux import run
+from eqflux import fem, flux, geometry, linalg, mesh, run
 from eqflux.cli import main
 from eqflux.estimator import EstimatorReport
 from eqflux.fem import field_to_csv
@@ -45,13 +50,142 @@ def small_notch_config(reference=None):
     }
 
 
+# The three benchmark workload configurations, rebuilt from the presets (validation does not
+# read the external mesh file).
+WORKLOAD_DOCS = [
+    preset_config("test3", n=64),
+    preset_config("test3", n=64) | {"mesh": {"external": "mesh-seed0.json"}},
+    preset_config("test2-both", n=32, eps=0.25) | {
+        "study": {"type": "h_sweep", "n": [8, 16, 24]}, "reference": {"n": 48, "levels": 2}},
+]
+VALID_DOCS = [preset_config(name) for name in PRESET_NAMES] + WORKLOAD_DOCS
+
+# The space of ROADMAP direction 6: built-in n from 2 to 16, 0-2 features of each kind (a
+# rectangle or an n-gon, included at random), data from DATA, five Dirichlet predicates and no
+# reference or one with 0 or 1 levels.  Rectangles lie on the n-lattice: inside the square, cut
+# into one side (negative_boundary) or standing out of one side (positive); n-gons are centred
+# on a lattice point.
+DATA = ["0", "1", "x", "x*y", "sin(3*x)", "exp(-8*(x+y))"]
+DIRICHLET = ["all", "x == 0", "x == 0 or x == 1", "x == 0 or y == 0", "y < 0.5"]
+
+
+@st.composite
+def random_configs(draw):
+    n = draw(st.integers(2, 16))
+    ints = lambda lo, hi: sorted(draw(st.lists(st.integers(lo, hi), min_size=2, max_size=2,
+                                               unique=True)))
+    features = []
+    for kind in ("negative_internal", "negative_boundary", "positive"):
+        for _ in range(draw(st.integers(0, 2))):
+            if draw(st.booleans()):
+                (i0, i1), depth = ints(0, n), draw(st.integers(1, n))
+                j0, j1 = {"negative_internal": ints(0, n), "negative_boundary": (n - depth, n),
+                          "positive": (-depth, 0)}[kind]
+                for _ in range(draw(st.integers(0, 3))):  # quarter turns about the centre
+                    (i0, j0), (i1, j1) = (n - j0, i0), (n - j1, i1)
+                (x0, x1), (y0, y1) = (sorted([a / n, b / n]) for a, b in ((i0, i1), (j0, j1)))
+                shape = {"type": "rect", "x0": x0, "x1": x1, "y0": y0, "y1": y1}
+                if draw(st.booleans()):  # the same rectangle as a polygon
+                    shape = {"polygon": [[x0, y0], [x1, y0], [x1, y1], [x0, y1]]}
+            else:
+                shape = {"type": "ngon", "center": [draw(st.integers(0, n)) / n for _ in "xy"],
+                         "radius": draw(st.sampled_from([0.05, 0.1, 0.2, 0.3])),
+                         "sides": draw(st.integers(3, 16))}
+            features.append({"id": len(features) + 1, "kind": kind,
+                             **(shape if "polygon" in shape else {"shape": shape}),
+                             "g": draw(st.sampled_from(DATA)), "include": draw(st.booleans())})
+    doc = {"mesh": {"builtin": n}, "dirichlet": draw(st.sampled_from(DIRICHLET)),
+           "features": features}
+    for key in ("f", "g_dirichlet", "g_neumann"):
+        doc[key] = draw(st.sampled_from(DATA))
+    if (levels := draw(st.sampled_from([None, 0, 1]))) is not None:
+        doc["reference"] = {"levels": levels}
+    return doc
+
+
+# Values that mutations put into a field: wrong types (a bool, 4.0 for an integer, a string for
+# a number), a polygon of 2 points, one with a point of 3 coordinates, an empty mesh, and a
+# reference with a field but no mesh.
+POOL = [True, False, None, 4, 4.0, 0.5, "x", "", [], {}, [0.5, 0.5, 0.5],
+        [[0.1, 0.1], [0.4, 0.1]], [[0.1, 0.1], [0.4, 0.1, 0.0], [0.2, 0.3]],
+        [[0.1, 0.1], [0.4, 0.1], [0.2, 0.3]], {"builtin": 4}, {"field": "f.csv"}]
+
+
+def _slots(value, schema):
+    """(container, key, the key's schema) for every key and item of a doc, and for every
+    property that the schema declares but the doc leaves out."""
+    if isinstance(value, dict):
+        props = schema.get("properties", {})
+        for key in sorted({*props, *value}):
+            yield value, key, props.get(key, {})
+            if key in value:
+                yield from _slots(value[key], props.get(key, {}))
+    elif isinstance(value, list):
+        for i, item in enumerate(value):
+            yield value, i, schema.get("items", {})
+            yield from _slots(item, schema.get("items", {}))
+
+
+def _bounds(schema):
+    """Numbers at and past each bound of ``schema``."""
+    return [schema[k] + d for k in ("minimum", "exclusiveMinimum", "maximum") if k in schema
+            for d in (-1, -0.5, 0, 0.5, 1)]
+
+
+@st.composite
+def mutated_configs(draw):
+    """A valid doc (a preset, a workload or a direction-6 draw) after one or two mutations:
+    drop a key or an item, add an unknown key to an object, set a field or an item to a pool
+    or random value, or set a bounded field at or past its bound."""
+    doc = copy.deepcopy(draw(st.sampled_from(VALID_DOCS) | random_configs()))
+    for _ in range(draw(st.integers(1, 2))):
+        slots = list(_slots(doc, cfg._schema()))
+        op = draw(st.sampled_from(["drop", "add", "set", "bound"]))
+        if op in ("drop", "add"):
+            containers = {id(c): c for c, _, _ in slots if op == "drop" or isinstance(c, dict)}
+            container = draw(st.sampled_from(list(containers.values())))
+            if op == "add":
+                container[draw(st.sampled_from(["bogus", "feature_n", "levels"]))] = 1
+            elif container:
+                del container[draw(st.sampled_from(sorted(container) if isinstance(container, dict)
+                                                   else range(len(container))))]
+        else:
+            container, key, schema = draw(st.sampled_from([s for s in slots
+                                                           if op == "set" or _bounds(s[2])]))
+            values = st.sampled_from(_bounds(schema)) if op == "bound" else st.one_of(
+                st.sampled_from(POOL), st.integers(-2, 12),
+                st.floats(-2, 2) | st.sampled_from([math.inf, math.nan]), st.text(max_size=2))
+            container[key] = copy.deepcopy(draw(values))
+    return doc
+
+
+NAMED_ERRORS = (cfg.ConfigError, mesh.MeshError, geometry.GeometryError, fem.CouplingError,
+                fem.CoverageError, flux.EquilibrationError, flux.OrthogonalityError,
+                linalg.ConstructionError, linalg.SolverError, linalg.SingularSystemError)
+
+
+def assert_matches_jsonschema(doc, schema):
+    """validate_config accepts ``doc`` exactly when jsonschema's validator for ``schema`` does,
+    and otherwise raises with jsonschema's best_match message."""
+    import jsonschema
+
+    want = jsonschema.exceptions.best_match(
+        jsonschema.validators.validator_for(schema)(schema).iter_errors(doc))
+    if want is None:
+        cfg.validate_config(doc)
+    else:
+        with pytest.raises(cfg.ConfigError) as got:
+            cfg.validate_config(doc)
+        assert str(got.value) == f"config does not match the schema: {want.message}"
+
+
 class TestConfig:
     def test_shipped_schema_is_valid(self):
         import jsonschema
 
-        schema = cfg._schema_validator().schema
+        schema = cfg._schema()
         jsonschema.validators.validator_for(schema).check_schema(schema)
-        assert cfg._schema_validator() is cfg._schema_validator()
+        assert cfg._schema() is cfg._schema()
 
     @pytest.mark.parametrize("doc", [
         {}, {"mesh": {"builtin": 0}}, {"mesh": {"builtin": 4}, "bogus": 1},
@@ -62,10 +196,65 @@ class TestConfig:
         import jsonschema
 
         with pytest.raises(jsonschema.ValidationError) as want:
-            jsonschema.validate(doc, cfg._schema_validator().schema)
+            jsonschema.validate(doc, cfg._schema())
         with pytest.raises(cfg.ConfigError) as got:
             cfg.validate_config(doc)
         assert str(got.value) == f"config does not match the schema: {want.value.message}"
+
+    @settings(max_examples=400, deadline=None, derandomize=True)
+    @given(doc=mutated_configs())
+    @example(doc={"mesh": {"builtin": True}})
+    @example(doc={"mesh": {"builtin": 4.0}})
+    @example(doc={"mesh": {"builtin": 4, "external": "m.json"}})
+    @example(doc={"mesh": {}})
+    @example(doc={"mesh": {"builtin": 4}, "f": 1, "eps": "0.1", "gauss_order": 11})
+    @example(doc={"mesh": {"builtin": 4}, "reference": {"field": "f.csv", "levels": -1}})
+    @example(doc={"mesh": {"builtin": 4}, "zeta": 1, "alpha": 2, "beta": 3})
+    @example(doc={"mesh": {"builtin": 4},
+                  "features": [{"id": 1, "kind": "positive", "g": True},
+                               {"id": 2, "kind": "positive", "polygon": [[0, 0], [1, 0, 0]]}]})
+    def test_validator_matches_jsonschema_best_match(self, doc):
+        # The in-package validator accepts exactly what jsonschema accepts, and otherwise
+        # reports best_match's message.
+        assert_matches_jsonschema(doc, cfg._schema())
+
+    @pytest.mark.parametrize("schema, doc", [
+        ({"anyOf": [{"type": "integer", "minimum": 5}, {"type": "string"}]}, 3),
+        ({"type": "array", "minItems": 1}, []),
+        ({"type": "array", "maxItems": 0}, [1]),
+        ({"enum": [1, "a"]}, True),
+        ({"enum": [1, "a"]}, 1.0)])
+    def test_best_match_rules_beyond_the_shipped_schema(self, monkeypatch, schema, doc):
+        # Rules that the shipped schema does not reach: an anyOf branch of the value's type
+        # is the more relevant error, minItems 1 and maxItems 0 have their own words, and an
+        # enum tells a bool from a number.
+        monkeypatch.setattr(cfg, "_schema", lambda: schema)
+        assert_matches_jsonschema(doc, schema)
+
+    def test_unknown_schema_keyword_raises(self, monkeypatch):
+        # A keyword that the validator does not check cannot be ignored silently, wherever it
+        # sits (in a property of an item schema, in a oneOf or an anyOf branch); neither can an
+        # additionalProperties schema.
+        def shipped_with(where, keyword, value):
+            schema = json.loads(json.dumps(cfg._schema()))
+            where(schema)[keyword] = value
+            return schema
+
+        item = lambda schema: schema["properties"]["features"]["items"]
+        for bad, keyword in (
+                (shipped_with(lambda s: item(s)["properties"]["id"], "multipleOf", 2),
+                 "multipleOf"),
+                (shipped_with(lambda s: s["properties"]["mesh"]["oneOf"][1], "format", "uri"),
+                 "format"),
+                (shipped_with(lambda s: item(s)["anyOf"][0], "minProperties", 1), "minProperties"),
+                ({"additionalProperties": {"type": "string"}}, "additionalProperties")):
+            monkeypatch.setattr(cfg.json, "load", lambda f: bad)
+            cfg._schema.cache_clear()
+            try:
+                with pytest.raises(ValueError, match=f"^schema keywords \\['{keyword}'\\] are not"):
+                    cfg._schema()
+            finally:
+                cfg._schema.cache_clear()
 
     @pytest.mark.parametrize("study, message", [
         ({"type": "h_sweep"}, "h_sweep needs a list of n values"),
@@ -255,6 +444,31 @@ class TestConfig:
             run_single(spec)
 
 
+class TestRandomConfigs:
+    @settings(max_examples=500, deadline=None, derandomize=True)
+    @given(doc=random_configs())
+    def test_runs_or_fails_by_name(self, doc):
+        # ROADMAP direction 6, 500 draws: a schema-valid config returns finite reports whose
+        # every flux was certified, or raises one of the package's named errors; no other
+        # exception and no numpy warning escapes.
+        with warnings.catch_warnings(), mock.patch.object(flux, "certify",
+                                                          wraps=flux.certify) as certify:
+            warnings.simplefilter("error")
+            try:
+                results = run.run_sweep(cfg.specs_from_config(doc))
+            except NAMED_ERRORS:
+                return
+        solves = 1 + sum(f["kind"] == "positive" and not f["include"] for f in doc["features"])
+        assert certify.call_count == solves * len(results)
+        for r in (res.report for res in results):
+            values = [r.eta_total, r.eta_0, r.eta_0_tilde, r.eta_gamma,
+                      *(c.gamma_contribution() for c in r.per_feature.values())]
+            if "reference" in doc:  # a zero error (the reference is the computation) has no ratio
+                values += [r.error_energy, r.effectivity if r.error_energy > 0 else 0.0]
+                assert r.error_energy > 0 or r.effectivity is None
+            assert np.isfinite(values).all()
+
+
 class TestEmission:
     def test_csv_header_exact(self):
         assert (
@@ -432,42 +646,65 @@ SCIPY_GUARD = """
 import json, sys
 import eqflux
 from eqflux import cli
-from eqflux.config import specs_from_config
+from eqflux.config import ConfigError, specs_from_config
 from eqflux.presets import PRESET_NAMES, preset_config
 from eqflux.run import run_single
 
-def scipy_modules():
-    return sorted(m for m in sys.modules if m == "scipy" or m.startswith("scipy."))
+def modules(*roots):
+    return sorted(m for m in sys.modules if m.split(".")[0] in roots)
 
-loaded = {"import eqflux": scipy_modules()}
+loaded, schema_libs = {}, {}
+def record(step):
+    loaded[step] = modules("scipy")
+    schema_libs[step] = modules("jsonschema", "referencing", "attr", "attrs", "rpds")
+
+record("import eqflux")
 for name in PRESET_NAMES:
     specs_from_config(preset_config(name))
-loaded["specs_from_config(presets)"] = scipy_modules()
+record("specs_from_config(presets)")
 assert cli.main(["mesh", "--builtin", "4", "--out", "m.json"]) == 0
-loaded["eqflux mesh"] = scipy_modules()
+record("eqflux mesh")
 doc = preset_config("test3")
 doc["mesh"] = {"external": "m.json"}
 specs_from_config(doc)
-loaded["specs_from_config(mesh.external)"] = scipy_modules()
+record("specs_from_config(mesh.external)")
 assert cli.main(["preset", "test3", "--dump-config", "p.json"]) == 0
-loaded["eqflux preset --dump-config"] = scipy_modules()
+record("eqflux preset --dump-config")
+try:
+    specs_from_config(json.loads(sys.argv[1]))
+except ConfigError as exc:
+    rejected = str(exc)
+with open("bad.json", "w") as f:
+    f.write(sys.argv[1])
+assert cli.main(["estimate", "--config", "bad.json", "--out", "out"]) == 1
+record("rejected config")
 report = run_single(specs_from_config(preset_config("test3", n=4))[0]).report.to_dict()
-print(json.dumps({"loaded": loaded, "solve_loads": scipy_modules(), "report": report}))
+schema_libs["solve"] = modules("jsonschema", "referencing", "attr", "attrs", "rpds")
+print(json.dumps({"loaded": loaded, "schema_libs": schema_libs, "solve_loads": modules("scipy"),
+                  "rejected": rejected, "report": report}))
 """
+
+# A config that the schema rejects: its feature has neither a polygon nor a shape (anyOf).
+REJECTED = {"mesh": {"builtin": 4}, "features": [{"id": 1, "kind": "positive"}]}
 
 
 class TestLazyScipy:
     def test_scipy_loaded_only_by_a_solve(self, tmp_path):
-        """A fresh interpreter loads no scipy module until the first solve; that solve's
-        report equals the one computed in this process."""
+        """A fresh interpreter loads no scipy module until the first solve, and no jsonschema
+        module (nor referencing, attrs or rpds) at any step; the solve's report and a rejected
+        config's message equal the ones computed in this process."""
         src = str(Path(cfg.__file__).resolve().parents[1])
         env = {**os.environ, "PYTHONPATH": os.pathsep.join(
             [src, *filter(None, [os.environ.get("PYTHONPATH")])])}
-        proc = subprocess.run([sys.executable, "-c", SCIPY_GUARD], cwd=tmp_path, env=env,
-                              capture_output=True, text=True, timeout=300)
+        proc = subprocess.run([sys.executable, "-c", SCIPY_GUARD, json.dumps(REJECTED)],
+                              cwd=tmp_path, env=env, capture_output=True, text=True, timeout=300)
         assert proc.returncode == 0, proc.stderr
         out = json.loads(proc.stdout.strip().splitlines()[-1])
         assert out["loaded"] == dict.fromkeys(out["loaded"], [])
         assert {"scipy.sparse", "scipy.sparse.linalg"} <= set(out["solve_loads"])
+        assert out["schema_libs"] == dict.fromkeys(out["schema_libs"], [])
+        with pytest.raises(cfg.ConfigError) as want:
+            cfg.specs_from_config(REJECTED)
+        assert out["rejected"] == str(want.value)
         want = run_single(cfg.specs_from_config(preset_config("test3", n=4))[0]).report
         assert out["report"] == json.loads(json.dumps(want.to_dict()))

@@ -228,6 +228,27 @@ class TestRunSweep:
         vals = [r.report.eta_gamma for r in res]
         assert max(vals) / min(vals) - 1.0 <= 0.02
 
+    def test_feature_with_zero_length_curve_named(self):
+        # An excluded boundary feature that covers the whole square has no side off the
+        # boundary: its defect curve gamma is empty, and the error names the feature.
+        doc = {"mesh": {"builtin": 4}, "dirichlet": "all", "f": 1.0,
+               "features": [{"id": 3, "kind": "negative_boundary",
+                             "polygon": [[0, 0], [1, 0], [1, 1], [0, 1]]}]}
+        with pytest.raises(geometry.GeometryError,
+                           match="^feature 3: its curve gamma has zero length$"):
+            run_sweep(cfg.specs_from_config(doc))
+
+    def test_reference_equal_to_computation_gives_no_effectivity(self):
+        # A one-cell bump adds no free vertex at n = 3, so the levels-0 reference on the exact
+        # mesh equals the simplified and feature solves: zero error and no effectivity.
+        doc = {"mesh": {"builtin": 3}, "dirichlet": "all", "f": "0", "g_dirichlet": "x*y",
+               "features": [{"id": 1, "kind": "positive", "include": False,
+                             "polygon": [[1, 0], [4 / 3, 0], [4 / 3, 1 / 3], [1, 1 / 3]]}],
+               "reference": {"levels": 0}}
+        (res,) = run_sweep(cfg.specs_from_config(doc))
+        assert res.report.error_energy == 0.0 and res.report.effectivity is None
+        assert report_csv_row(res.report, [1]).endswith(",")
+
     def test_eps_sweep_plateau(self):
         # with the feature strength far below the numerical error both the
         # error and the total estimator stagnate between the last two sizes
