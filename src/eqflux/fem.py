@@ -15,10 +15,12 @@ import numpy as np
 from . import linalg
 from .geometry import (
     NEGATIVE_INTERNAL,
+    POSITIVE,
     DomainSpec,
     FeatureSpec,
-    first_group_on,
+    GeometryError,
     gauss_legendre,
+    groups_on,
     partition_feature_boundary,
 )
 from .mesh import Mesh
@@ -187,13 +189,23 @@ def _project_edge_data(mesh: Mesh, edges, datums) -> np.ndarray:
     return out
 
 
-def _gamma0_footprints(domain: DomainSpec, include=None, parts=None):
-    """gamma0 polylines of excluded boundary/positive features with their g0."""
-    include = include if include is not None else [False] * len(domain.features)
-    # The partition of a boundary or positive feature has a gamma0 or raises.
-    return [(feat, (p or partition_feature_boundary(feat, domain))["gamma0"])
-            for feat, inc, p in zip(domain.features, include, parts or [None] * len(include))
-            if not inc and feat.kind != NEGATIVE_INTERNAL]
+def _problem_data(mesh: Mesh, forcing, datums, dirichlet_values) -> ProblemData:
+    """Problem data on ``mesh`` from one datum per boundary edge, in ``boundary_edge_ids``
+    order: ``None`` makes the edge Dirichlet, its vertices taking ``dirichlet_values`` of
+    their coordinates; any other datum is the edge's Neumann datum."""
+    f_proj = project_forcing(forcing, mesh)
+    bnd = mesh.boundary_edge_ids
+    dirichlet = np.array([g is None for g in datums], dtype=bool)
+    dv = np.unique(mesh.edge_vertices[bnd[dirichlet]])
+    return ProblemData(
+        mesh=mesh,
+        f_proj=f_proj,
+        dirichlet_vertices=dv,
+        dirichlet_values=dirichlet_values(mesh.vertices[dv]),
+        neumann_edges=bnd[~dirichlet],
+        gn_proj=_project_edge_data(mesh, bnd[~dirichlet], [g for g in datums if g is not None]),
+        dirichlet_edges=bnd[dirichlet],
+    )
 
 
 def project_data(domain: DomainSpec, mesh: Mesh, include=None, parts=None) -> ProblemData:
@@ -203,44 +215,45 @@ def project_data(domain: DomainSpec, mesh: Mesh, include=None, parts=None) -> Pr
     outer Neumann edges take g (or a feature's g0 on the gamma0 footprint of
     an excluded feature), and feature-marked edges take that feature's datum.
     ``parts`` holds the partitions of the features already partitioned (else None).
+    An excluded feature's g0 is a Neumann datum: a Dirichlet-marked edge on its
+    footprint raises :class:`GeometryError`, as does an edge on the footprints of
+    an excluded positive feature and of another excluded feature.
     """
-    f_proj = project_forcing(domain.f, mesh)
-    feat_by_id = {f.id: f for f in domain.features}
-    footprints = _gamma0_footprints(domain, include, parts)
-    # An outer Neumann edge takes the g0 of the first excluded feature whose
-    # gamma0 footprint holds its midpoint, else g: one test of all midpoints.
-    outer_g = [feat.neumann_g0 for feat, _ in footprints] + [domain.g_neumann]
+    include = include if include is not None else [False] * len(domain.features)
+    # The partition of a boundary or positive feature has a gamma0 or raises.
+    footprints = [(feat, (p or partition_feature_boundary(feat, domain))["gamma0"])
+                  for feat, inc, p in zip(domain.features, include, parts or [None] * len(include))
+                  if not inc and feat.kind != NEGATIVE_INTERNAL]
     bnd = mesh.boundary_edge_ids
-    first = first_group_on(mesh.edge_midpoints(bnd), [lines for _, lines in footprints])
-    dir_edges, neu_edges, datums = [], [], []
+    on = groups_on(mesh.edge_midpoints(bnd), [lines for _, lines in footprints])
+    # A positive feature stands on the simplified domain, so no other footprint may overlap its own.
+    shared = on[:, [f.kind == POSITIVE for f, _ in footprints]].any(axis=1) & (on.sum(axis=1) > 1)
+    if shared.any():
+        i, j = np.flatnonzero(on[np.argmax(shared)])[:2]
+        raise GeometryError(f"features {footprints[i][0].id} and {footprints[j][0].id} "
+                            "share gamma0, where a positive feature must stand alone")
+    # An outer Neumann edge takes the g0 of the first footprint holding its midpoint, else g.
+    first = np.column_stack([on, np.ones(len(bnd), dtype=bool)]).argmax(axis=1)
+    outer_g = [feat.neumann_g0 for feat, _ in footprints] + [domain.g_neumann]
+    feat_by_id = {f.id: f for f in domain.features}
+    datums = []
     for e, k in zip(bnd.tolist(), first.tolist()):
         m = mesh.edge_markers[e]
         if m is None:
             raise ValueError(f"unmarked boundary edge {e}")
         if m.kind == "dirichlet":
-            dir_edges.append(e)
-            continue
-        if m.kind == "neumann":
+            if k < len(footprints):  # the edge would take that feature's g0, a Neumann datum
+                raise GeometryError(f"feature {footprints[k][0].id} touches the Dirichlet boundary")
+            g = None
+        elif m.kind == "neumann":
             g = outer_g[k]
         elif m.feature_id not in feat_by_id:
             raise ValueError(f"boundary edge {e} is marked for unknown feature {m.feature_id!r}")
         else:
             feat = feat_by_id[m.feature_id]
             g = feat.neumann_g0 if m.part == "gamma0" else feat.neumann_g
-        neu_edges.append(e)
         datums.append(g)
-
-    dir_edges = np.asarray(dir_edges, dtype=np.int64)
-    dv = np.unique(mesh.edge_vertices[dir_edges])
-    return ProblemData(
-        mesh=mesh,
-        f_proj=f_proj,
-        dirichlet_vertices=dv,
-        dirichlet_values=eval_data(domain.g_dirichlet, mesh.vertices[dv]),
-        neumann_edges=np.asarray(neu_edges, dtype=np.int64),
-        gn_proj=_project_edge_data(mesh, neu_edges, datums),
-        dirichlet_edges=dir_edges,
-    )
+    return _problem_data(mesh, domain.f, datums, lambda pts: eval_data(domain.g_dirichlet, pts))
 
 
 def feature_problem_data(
@@ -252,46 +265,33 @@ def feature_problem_data(
     solution (vertices must coincide within 1e-12); gammaS and gamma carry
     the feature's Neumann datum, gammaTilde the extension's.
     """
-    mesh = feature_mesh
-    f_proj = project_forcing(forcing, mesh)
-    dir_edges, neu_edges, datums = [], [], []
-    for e in mesh.boundary_edge_ids.tolist():
-        m = mesh.edge_markers[e]
+    datums = []
+    for e in feature_mesh.boundary_edge_ids.tolist():
+        m = feature_mesh.edge_markers[e]
         if m is None or m.kind != "feature":
             raise ValueError(f"feature mesh boundary edge {e} lacks a feature marker")
-        if m.part == "gamma0":
-            dir_edges.append(e)
-            continue
-        neu_edges.append(e)  # gammaTilde takes the extension's datum; gamma, gammaS, gammaR g
-        datums.append(feature.extension.neumann_g_tilde if m.part == "gammaTilde"
-                      else feature.neumann_g)
+        # gamma0 is Dirichlet (the trace); gammaTilde takes the extension's datum, the rest g.
+        datums.append(None if m.part == "gamma0" else feature.extension.neumann_g_tilde
+                      if m.part == "gammaTilde" else feature.neumann_g)
 
-    src = trace_source.mesh
-    dir_vertices = np.unique(mesh.edge_vertices[np.asarray(dir_edges, dtype=np.int64)])
-    pts = mesh.vertices[dir_vertices]
-    tri = src.locate_points(pts)
-    if (tri < 0).any():
-        p = pts[np.argmax(tri < 0)]
-        raise CouplingError(f"gamma0 vertex {p} outside the trace-source mesh")
-    corners = src.triangles[tri]  # (N, 3)
-    d = np.linalg.norm(src.vertices[corners] - pts[:, None, :], axis=2)
-    k, near = d.argmin(axis=1), d.min(axis=1)
-    if (near > 1e-12).any():
-        j = np.argmax(near > 1e-12)
-        raise CouplingError(
-            f"gamma0 vertex {pts[j]} does not coincide with a trace-source vertex "
-            f"(nearest at distance {near[j]:.3e})"
-        )
-    vals = trace_source.nodal_values[corners[np.arange(len(pts)), k]]
-    return ProblemData(
-        mesh=mesh,
-        f_proj=f_proj,
-        dirichlet_vertices=dir_vertices,
-        dirichlet_values=vals,
-        neumann_edges=np.asarray(neu_edges, dtype=np.int64),
-        gn_proj=_project_edge_data(mesh, neu_edges, datums),
-        dirichlet_edges=np.asarray(dir_edges, dtype=np.int64),
-    )
+    def trace(pts):
+        src = trace_source.mesh
+        tri = src.locate_points(pts)
+        if (tri < 0).any():
+            p = pts[np.argmax(tri < 0)]
+            raise CouplingError(f"gamma0 vertex {p} outside the trace-source mesh")
+        corners = src.triangles[tri]  # (N, 3)
+        d = np.linalg.norm(src.vertices[corners] - pts[:, None, :], axis=2)
+        k, near = d.argmin(axis=1), d.min(axis=1)
+        if (near > 1e-12).any():
+            j = np.argmax(near > 1e-12)
+            raise CouplingError(
+                f"gamma0 vertex {pts[j]} does not coincide with a trace-source vertex "
+                f"(nearest at distance {near[j]:.3e})"
+            )
+        return trace_source.nodal_values[corners[np.arange(len(pts)), k]]
+
+    return _problem_data(feature_mesh, forcing, datums, trace)
 
 
 def assemble_stiffness(mesh: Mesh):

@@ -86,7 +86,7 @@ class DomainSpec:
 
     base: object = "unit_square"  # "unit_square" or a Mesh
     features: list = field(default_factory=list)
-    dirichlet: object = None  # predicate (x, y) -> bool; None = everywhere
+    dirichlet: object = None  # built-in mesher's predicate (x, y) -> Dirichlet; None = everywhere
     f: object = 0.0
     g_dirichlet: object = 0.0
     g_neumann: object = 0.0  # outer Neumann datum
@@ -147,15 +147,12 @@ def _segments(polylines):
             np.concatenate([line[1:] for line in lines] + empty))
 
 
-def first_group_on(points, groups) -> np.ndarray:
-    """Per point, the index of the first group of polylines with a segment
-    holding it (by ``_on_segments``), or ``len(groups)`` when none does."""
+def groups_on(points, groups) -> np.ndarray:
+    """(N, G) mask: group g of polylines has a segment holding point n (by ``_on_segments``)."""
     owner = np.repeat(np.arange(len(groups)),
                       [sum(len(line) - 1 for line in lines) for lines in groups])
     hit = _on_segments(points, *_segments([line for lines in groups for line in lines]))
-    # A last column that holds every point sends argmax to len(groups).
-    hit = np.column_stack([hit, np.ones(len(hit), dtype=bool)])
-    return np.append(owner, len(groups))[hit.argmax(axis=1)]
+    return hit @ (owner[:, None] == np.arange(len(groups)))
 
 
 def _on_base_boundary(points, base):
@@ -227,9 +224,10 @@ def partition_feature_boundary(feature: FeatureSpec, domain: DomainSpec) -> dict
     gammaTilde when an extension is present).
 
     All pieces are returned as CCW-oriented polylines with respect to the
-    feature polygon.  Features are rejected if their shared boundary part
-    touches the Dirichlet boundary, and negative features if their defect
-    curve gamma is empty (every side lies on the domain boundary).
+    feature polygon.  Negative features are rejected if their defect curve
+    gamma is empty (every side lies on the domain boundary).  The partition
+    does not read the Dirichlet predicate: that an excluded feature's gamma0 is
+    Neumann is checked by ``fem.project_data`` on the mesh's markers.
     """
     loop = closed_loop(feature.polygon)
     a, b = loop[:-1], loop[1:]
@@ -246,9 +244,6 @@ def partition_feature_boundary(feature: FeatureSpec, domain: DomainSpec) -> dict
             f"boundary feature {feature.id} shares no edge with the domain boundary"
         )
 
-    mids0 = 0.5 * (a[on0] + b[on0])
-    if domain.dirichlet is not None and any(domain.dirichlet(x, y) for x, y in mids0):
-        raise GeometryError(f"feature {feature.id} touches the Dirichlet boundary")
     if feature.kind != POSITIVE and on0.all():
         raise GeometryError(f"feature {feature.id}: its curve gamma has zero length")
 
@@ -388,15 +383,15 @@ def feature_mesh(feature: FeatureSpec, n: int, domain: DomainSpec | None = None,
     order = ("gamma0", "gammaS", "gammaTilde", "gamma")
     bnd = m.boundary_edge_ids
     mids = m.edge_midpoints()[bnd]
-    k = first_group_on(mids, [parts[part] for part in order])
-    if (k == len(order)).any():
+    on = groups_on(mids, [parts[part] for part in order])
+    if not on.any(axis=1).all():
         raise GeometryError(
-            f"feature mesh boundary edge at {mids[np.argmax(k == len(order))]} "
+            f"feature mesh boundary edge at {mids[np.argmin(on.any(axis=1))]} "
             "matches no boundary part"
         )
     markers = np.array(m.edge_markers, dtype=object)
     labels = [EdgeMarker("feature", feature.id, part) for part in order]
-    markers[bnd] = np.array(labels, dtype=object)[k]
+    markers[bnd] = np.array(labels, dtype=object)[on.argmax(axis=1)]  # the first part holding it
     m.edge_markers = markers.tolist()
     m.validate_markers()
     return m

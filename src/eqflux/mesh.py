@@ -548,6 +548,8 @@ def generate_with_rect_features(
         bnd = mesh.on_boundary[inside]
         if f.kind == "positive":
             gamma0, gamma = ~bnd & on_hull, bnd
+            if not gamma0.any():  # say, a bump standing on an included notch
+                raise MeshError(f"positive feature {f.id} shares no interface edge with the square")
         else:
             gamma0, gamma = bnd & on_hull, bnd & ~on_hull
         for part, mask in (("gamma0", gamma0), ("gamma", gamma)):

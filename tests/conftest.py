@@ -873,11 +873,6 @@ def partition_loop(feature, domain):
     if feature.kind != NEGATIVE_INTERNAL and not gamma0:
         raise GeometryError(
             f"boundary feature {feature.id} shares no edge with the domain boundary")
-    if domain.dirichlet is not None:
-        for a, b in gamma0:
-            mid = 0.5 * (a + b)
-            if domain.dirichlet(mid[0], mid[1]):
-                raise GeometryError(f"feature {feature.id} touches the Dirichlet boundary")
     out = {"gamma": _chain_loop(gamma), "gamma0": _chain_loop(gamma0),
            "gammaS": [], "gammaR": [], "gammaTilde": []}
     if feature.kind != POSITIVE or feature.extension is None:

@@ -627,6 +627,16 @@ class TestCliCommands:
         assert f"error: vertex {mesh.n_vertices} belongs to no triangle\n" in err
         assert "invalid mesh arrays" not in err
 
+    def test_feature_on_dirichlet_boundary_reports_error(self, tmp_path, capsys):
+        # "all" marks the notch's side of the square Dirichlet, where its g0 cannot go.
+        cfg_path = tmp_path / "c.json"
+        cfg_path.write_text(json.dumps({
+            "mesh": {"builtin": 8}, "dirichlet": "all", "f": 1.0,
+            "features": [{"id": 1, "kind": "negative_boundary", "include": False,
+                          "polygon": [[0.25, 0.75], [0.75, 0.75], [0.75, 1], [0.25, 1]]}]}))
+        assert main(["estimate", "--config", str(cfg_path), "--out", str(tmp_path)]) == 1
+        assert "error: feature 1 touches the Dirichlet boundary\n" in capsys.readouterr().err
+
     def test_unrefined_reference_reports_error(self, tmp_path, capsys):
         cfg_path = tmp_path / "c.json"
         cfg_path.write_text(json.dumps({"mesh": {"builtin": 14}, "dirichlet": "all", "f": "1",

@@ -45,6 +45,7 @@ from eqflux.geometry import (
     DomainSpec,
     ExtensionSpec,
     FeatureSpec,
+    GeometryError,
     feature_mesh,
     partition_feature_boundary,
     rect_polygon,
@@ -118,6 +119,15 @@ class TestProjection:
         dom = DomainSpec(f=cfg.scalar_expression("1 if x > 0.5 else 0"))
         with pytest.raises(ValueError, match="truth value"):
             project_data(dom, m)
+
+    def test_dirichlet_read_from_markers_not_predicate(self):
+        # Every boundary edge of the mesh is marked Dirichlet; the predicate leaves the
+        # notch's side Neumann, but the projection reads the markers.
+        notch = FeatureSpec(1, NEGATIVE_BOUNDARY, rect_polygon(0.25, 0.75, 0.75, 1.0))
+        mesh = unstructured_mesh(8, np.random.default_rng(0), None)
+        dom = DomainSpec(base=mesh, features=[notch], dirichlet=dirichlet_x01)
+        with pytest.raises(GeometryError, match="^feature 1 touches the Dirichlet boundary$"):
+            project_data(dom, mesh)
 
     @pytest.mark.parametrize("seed", [0, 1])
     def test_gamma0_footprints_match_loop(self, seed):

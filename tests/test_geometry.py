@@ -11,6 +11,7 @@ from conftest import (
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from eqflux.fem import project_data
 from eqflux.geometry import (
     NEGATIVE_BOUNDARY,
     NEGATIVE_INTERNAL,
@@ -133,10 +134,14 @@ class TestPartition:
         assert parts["gammaS"] == parts["gammaR"] == parts["gammaTilde"] == []
 
     def test_feature_on_dirichlet_rejected(self):
+        # gamma0 must be Neumann: the projection checks it on the mesh's markers, and the
+        # partition no longer reads the predicate.
         notch = FeatureSpec(1, NEGATIVE_BOUNDARY, rect_polygon(0.4, 0.6, 0.8, 1.0))
-        dom = DomainSpec(features=[notch], dirichlet=lambda x, y: abs(y - 1) < 1e-12)
-        with pytest.raises(GeometryError, match="Dirichlet"):
-            partition_feature_boundary(notch, dom)
+        top = lambda x, y: abs(y - 1) < 1e-12  # noqa: E731
+        dom = DomainSpec(features=[notch], dirichlet=top)
+        assert curve_length(partition_feature_boundary(notch, dom)["gamma0"]) == pytest.approx(0.2)
+        with pytest.raises(GeometryError, match="^feature 1 touches the Dirichlet boundary$"):
+            project_data(dom, generate_unit_square(10, top))
 
     def test_non_finite_polygon_rejected(self):
         # NaN <= 0 is false, so the orientation check alone lets it through.

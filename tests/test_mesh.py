@@ -125,6 +125,15 @@ class TestRectFeatures:
         with pytest.raises(MeshError):
             generate_with_rect_features(10, [a, b], [True, True], dirichlet_x01)
 
+    def test_bump_on_included_notch_rejected(self):
+        # The notch removes every cell below the bump, which then meets the rest of the mesh
+        # only at two corners: no interior interface edge, no gamma0.
+        notch = FeatureSpec(1, NEGATIVE_BOUNDARY, rect_polygon(0.5, 0.75, 0.75, 1.0))
+        bump = FeatureSpec(2, POSITIVE, rect_polygon(0.5, 0.75, 1.0, 1.25))
+        with pytest.raises(MeshError,
+                           match="^positive feature 2 shares no interface edge with the square$"):
+            generate_with_rect_features(8, [notch, bump], [True, True], dirichlet_x01)
+
     def test_internal_hole_euler(self):
         hole = FeatureSpec(1, NEGATIVE_INTERNAL, rect_polygon(0.4, 0.6, 0.4, 0.6))
         m = generate_with_rect_features(10, [hole], [True], dirichlet_x01)

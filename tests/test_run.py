@@ -238,10 +238,38 @@ class TestRunSweep:
                            match="^feature 3: its curve gamma has zero length$"):
             run_sweep(cfg.specs_from_config(doc))
 
+    def test_excluded_feature_on_dirichlet_boundary_named(self):
+        # An excluded notch's gamma0 takes its g0, a Neumann datum.  Under "all" its side of
+        # the square is marked Dirichlet and the projection names the notch; a predicate
+        # that leaves that side Neumann runs, its eta_total pinned bit for bit.
+        def doc(dirichlet):
+            return {"mesh": {"builtin": 8}, "dirichlet": dirichlet, "f": 1.0,
+                    "features": [{"id": 1, "kind": "negative_boundary", "include": False,
+                                  "polygon": [[0.25, 0.75], [0.75, 0.75], [0.75, 1], [0.25, 1]]}]}
+
+        (res,) = run_sweep(cfg.specs_from_config(doc("x == 0 or x == 1 or y == 0")))
+        assert res.report.eta_total == 0.17719416068645588
+        with pytest.raises(geometry.GeometryError,
+                           match="^feature 1 touches the Dirichlet boundary$"):
+            run_sweep(cfg.specs_from_config(doc("all")))
+
+    def test_bump_on_excluded_notch_named(self):
+        # A bump standing on an excluded notch's gamma0 would meet the rest of the exact
+        # domain only at two corners: the projection names both features.
+        doc = {"mesh": {"builtin": 8}, "dirichlet": "x == 0", "f": 1.0,
+               "features": [{"id": 1, "kind": "negative_boundary", "include": False,
+                             "polygon": [[0.5, 0.75], [0.75, 0.75], [0.75, 1], [0.5, 1]]},
+                            {"id": 2, "kind": "positive", "include": False,
+                             "polygon": [[0.5, 1], [0.75, 1], [0.75, 1.25], [0.5, 1.25]]}]}
+        with pytest.raises(geometry.GeometryError, match="^features 1 and 2 share gamma0"):
+            run_sweep(cfg.specs_from_config(doc))
+
     def test_reference_equal_to_computation_gives_no_effectivity(self):
-        # A one-cell bump adds no free vertex at n = 3, so the levels-0 reference on the exact
-        # mesh equals the simplified and feature solves: zero error and no effectivity.
-        doc = {"mesh": {"builtin": 3}, "dirichlet": "all", "f": "0", "g_dirichlet": "x*y",
+        # No forcing, zero Neumann data and g_D = x*y, which is 0 on the Dirichlet side x = 0:
+        # the levels-0 reference on the exact mesh and the simplified and feature solves are all
+        # 0, so the error is zero and there is no effectivity.  (The bump's gamma0 must be
+        # Neumann, so the config cannot make every side Dirichlet.)
+        doc = {"mesh": {"builtin": 3}, "dirichlet": "x == 0", "f": "0", "g_dirichlet": "x*y",
                "features": [{"id": 1, "kind": "positive", "include": False,
                              "polygon": [[1, 0], [4 / 3, 0], [4 / 3, 1 / 3], [1, 1 / 3]]}],
                "reference": {"levels": 0}}
